@@ -18,8 +18,8 @@
 # durability bench, refreshes BENCH_pheap.json).
 tier1:
 	sh ci/offline-gate.sh
-	sh ci/stress-gate.sh
-	sh ci/sched-gate.sh
+	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism
+	sh ci/threads-gate.sh sched oversubscription sched_properties
 	sh ci/perf-gate.sh
 	sh ci/chaos-gate.sh
 	sh ci/shard-gate.sh

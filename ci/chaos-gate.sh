@@ -12,11 +12,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-for threads in 1 8; do
-    echo "== chaos gate: RUST_TEST_THREADS=$threads =="
-    RUST_TEST_THREADS=$threads cargo test --release --offline -q \
-        --test chaos_suite --test retry_properties --test failure_injection
-done
+sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
 
 echo "== chaos gate: seed matrix =="
 for seed in 1 2 3 5 8 13 21 34; do

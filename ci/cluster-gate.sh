@@ -18,11 +18,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-for threads in 1 8; do
-    echo "== cluster gate: RUST_TEST_THREADS=$threads =="
-    RUST_TEST_THREADS=$threads cargo test --release --offline -q \
-        --test cluster_migration
-done
+sh ci/threads-gate.sh cluster cluster_migration
 
 echo "== cluster gate: consolidation bench (1 vs 2 vs 4 hosts) =="
 OUT_DIR="${TMPDIR:-/tmp}"

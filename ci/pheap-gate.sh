@@ -23,13 +23,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== pheap gate: crash-consistency suites (RUST_TEST_THREADS=1) =="
-RUST_TEST_THREADS=1 cargo test --release --offline -q \
-    --test pheap_properties --test pheap_crash --test rank_checkpoint
-
-echo "== pheap gate: crash-consistency suites (RUST_TEST_THREADS=8) =="
-RUST_TEST_THREADS=8 cargo test --release --offline -q \
-    --test pheap_properties --test pheap_crash --test rank_checkpoint
+sh ci/threads-gate.sh pheap pheap_properties pheap_crash rank_checkpoint
 
 echo "== pheap gate: 8-seed chaos sweep =="
 for seed in 3 17 111 1009 4242 31337 77777 900001; do

@@ -22,11 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-for threads in 1 8; do
-    echo "== shard gate: RUST_TEST_THREADS=$threads =="
-    RUST_TEST_THREADS=$threads cargo test --release --offline -q \
-        --test control_plane_equivalence --test shard_stress
-done
+sh ci/threads-gate.sh shard control_plane_equivalence shard_stress
 
 echo "== shard gate: SHARD_SEED sweep =="
 for seed in 1 2 3 5 8 13 21 34; do

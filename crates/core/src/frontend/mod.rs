@@ -43,6 +43,12 @@ use crate::spec::{self, PimDeviceConfig, Request, Response};
 /// the paper batches "small-size data transfer" of a few hundred bytes).
 pub const SMALL_WRITE_MAX: u64 = 4096;
 
+/// Chunks the synchronous calls keep in flight. One, as they always have:
+/// the batch buffer drains overlapping small writes in arrival order and
+/// relies on chunk *k* reaching the rank before chunk *k + 1*, which
+/// concurrent handlers under parallel dispatch do not promise.
+const SYNC_WINDOW: usize = 1;
+
 #[derive(Debug)]
 struct FrontState {
     nr_dpus: u32,
@@ -139,53 +145,60 @@ struct HeadClocks {
     drained: HashMap<u16, u64>,
 }
 
-/// An in-flight `write-to-rank` started with
-/// [`Frontend::begin_write_rank`]; finish it with
-/// [`Frontend::finish_write_rank`]. Dropping it abandons the completion
-/// (guest pages are still reclaimed by their leases).
-#[derive(Debug)]
-pub struct InFlightWrite {
-    report: OpReport,
-    /// Oldest chunk at the front: backpressure during begin completes
-    /// chunks in submission order, keeping report composition identical to
-    /// the serial path.
-    chunks: VecDeque<WriteChunk>,
-    /// Whether the adaptive controller's clock already advanced for this
-    /// op (begin delegated to the serial path, which ticks itself).
-    ticked: bool,
+/// The payload of one matrix transfer, in either direction.
+#[derive(Debug, Clone, Copy)]
+enum Xfer<'a> {
+    /// `write-to-rank`: `(dpu, mram offset, data)`.
+    Write(&'a [(u32, u64, &'a [u8])]),
+    /// `read-from-rank`: `(dpu, mram offset, len)`.
+    Read(&'a [(u32, u64, u64)]),
 }
 
+impl<'a> Xfer<'a> {
+    /// Splits the transfer into matrices of at most [`MAX_DPUS`] entries.
+    fn chunks(self) -> Vec<Xfer<'a>> {
+        match self {
+            Xfer::Write(w) => w.chunks(MAX_DPUS).map(Xfer::Write).collect(),
+            Xfer::Read(r) => r.chunks(MAX_DPUS).map(Xfer::Read).collect(),
+        }
+    }
+}
+
+/// One submitted matrix whose completion has not been absorbed yet. The
+/// leases drop with the chunk: only after the device is done with its
+/// guest pages.
 #[derive(Debug)]
-struct WriteChunk {
+struct Chunk {
     op: PendingOp,
+    /// The matrix a read gathers its outputs from; `None` for a write.
+    gather: Option<TransferMatrix>,
     partial: OpReport,
     _data_lease: PageLease,
     _meta_lease: PageLease,
 }
 
-/// An in-flight `read-from-rank` started with
-/// [`Frontend::begin_read_rank`]; finish it with
-/// [`Frontend::finish_read_rank`].
+/// A rank transfer started with [`Frontend::begin_write_rank`] or
+/// [`Frontend::begin_read_rank`]; collect it with
+/// [`Frontend::finish_rank`]. Dropping it abandons the completion (guest
+/// pages are still reclaimed by their leases).
 #[derive(Debug)]
-pub struct InFlightRead {
+pub struct InFlight {
     report: OpReport,
-    /// Outputs gathered so far, in request order: the prefetch-cache path
-    /// fills this entirely during begin, and backpressure may force early
-    /// completion of older chunks during begin as well.
+    /// Read outputs gathered so far, in request order: the prefetch-cache
+    /// path fills this entirely during begin, and backpressure may force
+    /// early completion of older chunks during begin as well. Stays empty
+    /// for a write.
     outputs: Vec<Vec<u8>>,
-    chunks: VecDeque<ReadChunk>,
-    /// Whether the adaptive controller's clock already advanced for this
-    /// op (begin delegated to the cache path, which ticks itself).
-    ticked: bool,
+    /// Oldest chunk at the front: chunks are absorbed in submission order
+    /// whether backpressure completes them during begin or finish does, so
+    /// the report composes identically either way.
+    chunks: VecDeque<Chunk>,
 }
 
-#[derive(Debug)]
-struct ReadChunk {
-    op: PendingOp,
-    matrix: TransferMatrix,
-    partial: OpReport,
-    _lease: PageLease,
-    _meta_lease: PageLease,
+impl InFlight {
+    fn new() -> Self {
+        InFlight { report: OpReport::default(), outputs: Vec::new(), chunks: VecDeque::new() }
+    }
 }
 
 /// Options for [`Frontend::probe`]: everything the guest driver needs
@@ -360,52 +373,6 @@ impl Frontend {
             scratch,
             clocks: Mutex::new(HeadClocks::default()),
         })
-    }
-
-    /// Old spelling of [`probe`](Self::probe) with an explicit registry.
-    ///
-    /// # Errors
-    ///
-    /// Guest memory exhaustion or MMIO errors.
-    #[deprecated(note = "use `Frontend::probe(device, ProbeOpts)`")]
-    pub fn probe_with_registry(
-        device: Arc<VupmemDevice>,
-        device_idx: usize,
-        em: EventManager,
-        mem: GuestMemory,
-        cm: CostModel,
-        vcfg: VpimConfig,
-        registry: &MetricsRegistry,
-    ) -> Result<Frontend, VpimError> {
-        let opts =
-            ProbeOpts::new(device_idx, em, mem).cost_model(cm).config(vcfg).registry(registry);
-        Self::probe(device, opts)
-    }
-
-    /// Old spelling of [`probe`](Self::probe) with an explicit registry
-    /// and shared scratch pool.
-    ///
-    /// # Errors
-    ///
-    /// Guest memory exhaustion or MMIO errors.
-    #[deprecated(note = "use `Frontend::probe(device, ProbeOpts)`")]
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_with_pool(
-        device: Arc<VupmemDevice>,
-        device_idx: usize,
-        em: EventManager,
-        mem: GuestMemory,
-        cm: CostModel,
-        vcfg: VpimConfig,
-        registry: &MetricsRegistry,
-        scratch: BytePool,
-    ) -> Result<Frontend, VpimError> {
-        let opts = ProbeOpts::new(device_idx, em, mem)
-            .cost_model(cm)
-            .config(vcfg)
-            .registry(registry)
-            .scratch(scratch);
-        Self::probe(device, opts)
     }
 
     /// Completes initialization after boot: requests the device
@@ -729,6 +696,12 @@ impl Frontend {
     }
 
     // ------------------------------------------------------------ rank ops
+    //
+    // One pipeline carries every matrix transfer (§4.1, overlapped across
+    // ranks per §4.2): `begin` submits chunks of at most 64 entries,
+    // `settle` absorbs them oldest first. Batching and the prefetch cache
+    // sit in front of it in `begin_write` / `begin_read`, and the
+    // synchronous calls are begin + finish with one chunk in flight.
 
     /// `write-to-rank`: writes per-DPU buffers into MRAM. Small writes are
     /// absorbed by the batch buffer when batching is enabled.
@@ -737,66 +710,115 @@ impl Frontend {
     ///
     /// Transport or hardware failures.
     pub fn write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<OpReport, VpimError> {
-        let mut report = OpReport::default();
+        let (_, report) = self.finish_rank(self.begin_write(entries, SYNC_WINDOW)?)?;
+        Ok(report)
+    }
+
+    /// `read-from-rank`: reads `(dpu, offset, len)` ranges, serving small
+    /// reads from the prefetch cache when enabled. Returns one buffer per
+    /// request plus the cost report.
+    ///
+    /// # Errors
+    ///
+    /// Transport or hardware failures.
+    pub fn read_rank(
+        &self,
+        reqs: &[(u32, u64, u64)],
+    ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
+        self.finish_rank(self.begin_read(reqs, SYNC_WINDOW)?)
+    }
+
+    /// Builds, serializes and submits a `write-to-rank` without waiting for
+    /// the device. Use with [`finish_rank`](Self::finish_rank) to overlap
+    /// transfers across several ranks: begin on every channel first, then
+    /// finish them all. Small writes are absorbed by the batch buffer when
+    /// batching is enabled, returning an op with nothing left in flight. In
+    /// `DispatchMode::Sequential` the device handler runs inline during
+    /// begin; begin + finish is byte- and report-identical to
+    /// [`write_rank`](Self::write_rank) in either mode.
+    ///
+    /// Bounce pages and virtqueue slots are bounded: when submitting a
+    /// chunk hits that limit, the oldest in-flight chunk is completed (its
+    /// report composes in submission order either way) and the chunk is
+    /// retried, so a transfer larger than guest memory degrades to partial
+    /// overlap instead of failing.
+    ///
+    /// # Errors
+    ///
+    /// Transport or hardware failures.
+    pub fn begin_write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<InFlight, VpimError> {
+        self.begin_write(entries, usize::MAX)
+    }
+
+    /// Submits a `read-from-rank` without waiting for the device; pair with
+    /// [`finish_rank`](Self::finish_rank). A single cacheable request is
+    /// served through the prefetch cache during begin. Backpressure is
+    /// handled as in [`begin_write_rank`](Self::begin_write_rank); outputs
+    /// keep request order.
+    ///
+    /// # Errors
+    ///
+    /// Transport or hardware failures.
+    pub fn begin_read_rank(&self, reqs: &[(u32, u64, u64)]) -> Result<InFlight, VpimError> {
+        self.begin_read(reqs, usize::MAX)
+    }
+
+    /// Collects a transfer started by
+    /// [`begin_write_rank`](Self::begin_write_rank) or
+    /// [`begin_read_rank`](Self::begin_read_rank): one output buffer per
+    /// read request (none for a write) plus the cost report. Every
+    /// submitted chunk is completed even after a failure (so queue-depth
+    /// accounting and guest pages are reclaimed); the first error in
+    /// submission order is returned.
+    ///
+    /// # Errors
+    ///
+    /// Transport or hardware failures.
+    pub fn finish_rank(&self, mut inflight: InFlight) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
+        self.settle(&mut inflight, None)?;
+        self.adapt_tick(&inflight.report);
+        Ok((inflight.outputs, inflight.report))
+    }
+
+    /// The write front of the pipeline: the batching stage takes an op made
+    /// only of small writes; anything else flushes the batch and goes to
+    /// the rank with at most `window` chunks in flight.
+    fn begin_write(
+        &self,
+        entries: &[(u32, u64, &[u8])],
+        window: usize,
+    ) -> Result<InFlight, VpimError> {
+        let mut op = InFlight::new();
         if self.vcfg.request_batching
             && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
         {
-            let need_flush = {
-                let mut st = self.state.lock();
-                // One gap observation per op: the controller may ask for an
-                // early flush (idle tenant) and retune the threshold the
-                // overflow check below uses.
-                let mut early = false;
-                if st.adapt.is_some() {
-                    let pending = !st.batch.is_empty();
-                    let a = st.adapt.as_mut().expect("checked above");
-                    early = a.observe_append_gap(pending);
-                    let thr = a.batch_threshold_bytes();
-                    st.batch.set_flush_threshold(thr);
-                }
-                early
-                    || entries
-                        .iter()
-                        .any(|(dpu, _, d)| st.batch.would_overflow(*dpu, d.len() as u64))
-            };
-            if need_flush {
-                report.absorb(&self.flush_batch()?);
-            }
-            let mut st = self.state.lock();
-            for (dpu, off, d) in entries {
-                if st.batch.append(*dpu, *off, d) {
-                    if let Some(a) = st.adapt.as_mut() {
-                        a.note_write(*dpu, *off, d.len() as u64);
-                    }
-                    report.add_duration(self.cm.batch_append(d.len() as u64));
-                } else {
-                    // Same-DPU entries overran the buffer mid-loop: flush
-                    // and retry once.
-                    drop(st);
-                    report.absorb(&self.flush_batch()?);
-                    st = self.state.lock();
-                    if st.batch.append(*dpu, *off, d) {
-                        if let Some(a) = st.adapt.as_mut() {
-                            a.note_write(*dpu, *off, d.len() as u64);
-                        }
-                        report.add_duration(self.cm.batch_append(d.len() as u64));
-                    } else {
-                        drop(st);
-                        report.absorb(&self.write_direct(&[(*dpu, *off, *d)])?);
-                        st = self.state.lock();
-                    }
-                }
-            }
-            drop(st);
-            self.adapt_tick(&report);
-            return Ok(report);
+            self.batch_writes(entries, &mut op.report)?;
+            return Ok(op);
         }
         if self.vcfg.request_batching {
-            report.absorb(&self.flush_batch()?);
+            op.report.absorb(&self.flush_batch()?);
         }
-        report.absorb(&self.write_direct(entries)?);
-        self.adapt_tick(&report);
-        Ok(report)
+        self.begin(Xfer::Write(entries), window, op)
+    }
+
+    /// The read front of the pipeline: flushes the batch, then serves a
+    /// single cacheable request through the prefetch stage and anything
+    /// else from the rank with at most `window` chunks in flight.
+    fn begin_read(&self, reqs: &[(u32, u64, u64)], window: usize) -> Result<InFlight, VpimError> {
+        let mut op = InFlight::new();
+        if self.vcfg.request_batching {
+            op.report.absorb(&self.flush_batch()?);
+        }
+        // The cache serves the "host processes DPU data block by block in a
+        // loop" pattern (§4.1): small reads targeting one DPU at a time.
+        // Large parallel matrix reads bypass it.
+        if let [(dpu, offset, len)] = *reqs {
+            if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) {
+                op.outputs.push(self.read_cached(dpu, offset, len, &mut op.report)?);
+                return Ok(op);
+            }
+        }
+        self.begin(Xfer::Read(reqs), window, op)
     }
 
     /// Sends buffered writes to the backend (also triggered automatically
@@ -813,14 +835,11 @@ impl Frontend {
             let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
             self.state.lock().batch.drain()
         };
-        if drained.is_empty() {
-            return Ok(OpReport::default());
-        }
         let mut report = OpReport::default();
         for chunk in drained.chunks(MAX_DPUS) {
             let views: Vec<(u32, u64, &[u8])> =
                 chunk.iter().map(|w| (w.dpu, w.offset, w.data.as_slice())).collect();
-            report.absorb(&self.write_direct(&views)?);
+            report.absorb(&self.transfer(Xfer::Write(&views))?.1);
         }
         Ok(report)
     }
@@ -847,8 +866,145 @@ impl Frontend {
         Ok(report)
     }
 
-    fn write_direct(&self, entries: &[(u32, u64, &[u8])]) -> Result<OpReport, VpimError> {
+    /// The batching stage (§4.1): appends small writes to the batch buffer,
+    /// flushing first when the buffer (or the adaptive controller) asks.
+    fn batch_writes(
+        &self,
+        entries: &[(u32, u64, &[u8])],
+        report: &mut OpReport,
+    ) -> Result<(), VpimError> {
+        let need_flush = {
+            let mut st = self.state.lock();
+            // One gap observation per op: the controller may ask for an
+            // early flush (idle tenant) and retune the threshold the
+            // overflow check below uses.
+            let mut early = false;
+            if st.adapt.is_some() {
+                let pending = !st.batch.is_empty();
+                let a = st.adapt.as_mut().expect("checked above");
+                early = a.observe_append_gap(pending);
+                let thr = a.batch_threshold_bytes();
+                st.batch.set_flush_threshold(thr);
+            }
+            early
+                || entries
+                    .iter()
+                    .any(|(dpu, _, d)| st.batch.would_overflow(*dpu, d.len() as u64))
+        };
+        if need_flush {
+            report.absorb(&self.flush_batch()?);
+        }
+        for &(dpu, off, d) in entries {
+            let mut appended = self.try_batch(dpu, off, d);
+            if !appended {
+                // Same-DPU entries overran the buffer mid-loop: flush and
+                // retry once.
+                report.absorb(&self.flush_batch()?);
+                appended = self.try_batch(dpu, off, d);
+            }
+            if appended {
+                report.add_duration(self.cm.batch_append(d.len() as u64));
+            } else {
+                report.absorb(&self.transfer(Xfer::Write(&[(dpu, off, d)]))?.1);
+            }
+        }
+        Ok(())
+    }
+
+    fn try_batch(&self, dpu: u32, off: u64, d: &[u8]) -> bool {
+        let mut st = self.state.lock();
+        let appended = st.batch.append(dpu, off, d);
+        if appended {
+            if let Some(a) = st.adapt.as_mut() {
+                a.note_write(dpu, off, d.len() as u64);
+            }
+        }
+        appended
+    }
+
+    /// The prefetch stage (§4.1): serves one small read from the cache,
+    /// fetching and installing a segment on a miss.
+    fn read_cached(
+        &self,
+        dpu: u32,
+        offset: u64,
+        len: u64,
+        report: &mut OpReport,
+    ) -> Result<Vec<u8>, VpimError> {
+        // Try the cache, serving straight into the output buffer (the hit
+        // path allocates exactly the escaping result, nothing else).
+        let mut out = Vec::with_capacity(len as usize);
         {
+            let mut st = self.state.lock();
+            if st.prefetch.lookup_into(dpu as usize, offset, len, &mut out) {
+                if let Some(a) = st.adapt.as_mut() {
+                    a.on_hit(dpu, len);
+                }
+                report.add_duration(self.cm.prefetch_hit(len));
+                return Ok(out);
+            }
+        }
+        // Miss: fetch a segment starting at the request address and
+        // repopulate (§4.1 step 3). The static policy fetches the cache
+        // capacity; the adaptive controller sizes the fetch from the window
+        // it has learned — or exact-length with no install when the miss is
+        // a write-then-read-back (DESIGN.md §16).
+        let (seg_len, install) = {
+            let mut st = self.state.lock();
+            let cap = st.prefetch.capacity_bytes();
+            let max = st.mram_size.saturating_sub(offset);
+            let static_len = cap.min(max).max(len);
+            let span = st.prefetch.segment_span(dpu as usize);
+            match st.adapt.as_mut() {
+                Some(a) => {
+                    let plan = a.on_miss(dpu, offset, len, span);
+                    let seg_len =
+                        if plan.install { plan.fetch_bytes.min(max).max(len) } else { len };
+                    a.note_fetch_delta(static_len, seg_len);
+                    (seg_len, plan.install)
+                }
+                None => (static_len, true),
+            }
+        };
+        let (mut seg, r) = self.transfer(Xfer::Read(&[(dpu, offset, seg_len)]))?;
+        report.absorb(&r);
+        let data = seg.pop().expect("one segment");
+        if !install {
+            // Suppressed prefetch: the exact-length direct read *is* the
+            // answer; nothing is cached.
+            return Ok(data);
+        }
+        let mut st = self.state.lock();
+        st.prefetch.install(dpu as usize, offset, data);
+        assert!(
+            st.prefetch.lookup_into(dpu as usize, offset, len, &mut out),
+            "freshly installed segment must serve the miss"
+        );
+        if let Some(a) = st.adapt.as_mut() {
+            a.note_install(dpu, seg_len, len);
+        }
+        drop(st);
+        report.add_duration(self.cm.prefetch_hit(len));
+        Ok(out)
+    }
+
+    /// A transfer run to completion, bypassing batching and the cache and
+    /// leaving the adaptive clock alone (the op it is part of ticks once).
+    fn transfer(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
+        let mut inflight = self.begin(x, SYNC_WINDOW, InFlight::new())?;
+        self.settle(&mut inflight, None)?;
+        Ok((inflight.outputs, inflight.report))
+    }
+
+    /// Submits every chunk of `x`, continuing `inflight`, with at most
+    /// `window` (≥ 1) chunks in flight.
+    fn begin(
+        &self,
+        x: Xfer<'_>,
+        window: usize,
+        mut inflight: InFlight,
+    ) -> Result<InFlight, VpimError> {
+        if let Xfer::Write(entries) = x {
             // A write can only stale the segments of the DPUs it touches;
             // launch/release keep the global invalidation path.
             let mut st = self.state.lock();
@@ -859,224 +1015,83 @@ impl Frontend {
                 }
             }
         }
-        let mut report = OpReport::default();
-        for chunk in entries.chunks(MAX_DPUS) {
-            let (matrix, data_lease) = TransferMatrix::from_user_buffers(&self.mem, chunk)?;
-            let pages = matrix.total_pages();
-            let mut r = OpReport::default();
-            r.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-            let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
-            r.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-            let (resp, rt) =
-                self.roundtrip(&Request::WriteRank { nr_dpus: chunk.len() as u32 }, &bufs)?;
-            r.absorb(&rt);
-            r.step(
-                WriteStep::Deserialize,
-                VirtualNanos::from_nanos(resp.deser_ns + resp.translate_ns),
-            );
-            r.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
-            r.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
-            r.add_rank_ops(1);
-            meta_lease.release();
-            data_lease.release();
-            report.absorb(&r);
+        if let Err(e) = self.submit_chunks(x, window, &mut inflight) {
+            // Complete what was submitted so queue slots, gauges and guest
+            // pages are reclaimed.
+            self.settle(&mut inflight, Some(e))?;
         }
-        Ok(report)
+        Ok(inflight)
     }
 
-    /// `read-from-rank`: reads `(dpu, offset, len)` ranges, serving small
-    /// reads from the prefetch cache when enabled. Returns one buffer per
-    /// request plus the cost report.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn read_rank(
+    /// The submit loop. A full window and exhausted bounce pages or queue
+    /// slots get the same response: absorb the oldest in-flight chunk, then
+    /// try this one again.
+    fn submit_chunks(
         &self,
-        reqs: &[(u32, u64, u64)],
-    ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut report = OpReport::default();
-        if self.vcfg.request_batching {
-            report.absorb(&self.flush_batch()?);
-        }
-        // The cache serves the "host processes DPU data block by block in a
-        // loop" pattern (§4.1): small reads targeting one DPU at a time.
-        // Large parallel matrix reads bypass it.
-        let cacheable = {
-            let st = self.state.lock();
-            self.vcfg.prefetch_cache
-                && reqs.len() == 1
-                && reqs.iter().all(|(_, _, len)| st.prefetch.cacheable(*len))
-        };
-        if !cacheable {
-            let (out, r) = self.read_direct(reqs)?;
-            report.absorb(&r);
-            self.adapt_tick(&report);
-            return Ok((out, report));
-        }
-
-        let mut outputs: Vec<Option<Vec<u8>>> = vec![None; reqs.len()];
-        for (i, (dpu, offset, len)) in reqs.iter().enumerate() {
-            // Try the cache, serving straight into the output buffer (the
-            // hit path allocates exactly the escaping result, nothing else).
-            let hit = {
-                let mut st = self.state.lock();
-                let mut out = Vec::with_capacity(*len as usize);
-                if st.prefetch.lookup_into(*dpu as usize, *offset, *len, &mut out) {
-                    if let Some(a) = st.adapt.as_mut() {
-                        a.on_hit(*dpu, *len);
+        x: Xfer<'_>,
+        window: usize,
+        inflight: &mut InFlight,
+    ) -> Result<(), VpimError> {
+        for chunk in x.chunks() {
+            loop {
+                if inflight.chunks.len() < window {
+                    match self.submit_chunk(chunk) {
+                        Ok(c) => break inflight.chunks.push_back(c),
+                        Err(e) if e.is_backpressure() && !inflight.chunks.is_empty() => {}
+                        Err(e) => return Err(e),
                     }
-                    Some(out)
-                } else {
-                    None
                 }
-            };
-            if let Some(data) = hit {
-                report.add_duration(self.cm.prefetch_hit(*len));
-                outputs[i] = Some(data);
-                continue;
+                let oldest = inflight.chunks.pop_front().expect("window ≥ 1 or backpressure");
+                self.absorb_chunk(oldest, &mut inflight.outputs, &mut inflight.report)?;
             }
-            // Miss: fetch a segment starting at the request address and
-            // repopulate (§4.1 step 3). The static policy fetches the cache
-            // capacity; the adaptive controller sizes the fetch from the
-            // window it has learned — or exact-length with no install when
-            // the miss is a write-then-read-back (DESIGN.md §16).
-            let (seg_base, seg_len, install) = {
-                let mut st = self.state.lock();
-                let cap = st.prefetch.capacity_bytes();
-                let max = st.mram_size.saturating_sub(*offset);
-                let static_len = cap.min(max).max(*len);
-                match st.adapt.as_mut() {
-                    Some(_) => {
-                        let span = st.prefetch.segment_span(*dpu as usize);
-                        let a = st.adapt.as_mut().expect("checked above");
-                        let plan = a.on_miss(*dpu, *offset, *len, span);
-                        let seg_len = if plan.install {
-                            plan.fetch_bytes.min(max).max(*len)
-                        } else {
-                            *len
-                        };
-                        a.note_fetch_delta(static_len, seg_len);
-                        (*offset, seg_len, plan.install)
-                    }
-                    None => (*offset, static_len, true),
-                }
-            };
-            let (mut seg, r) = self.read_direct(&[(*dpu, seg_base, seg_len)])?;
-            report.absorb(&r);
-            let data = seg.pop().expect("one segment");
-            if !install {
-                // Suppressed prefetch: the exact-length direct read *is*
-                // the answer; nothing is cached.
-                outputs[i] = Some(data);
-                continue;
-            }
-            let mut st = self.state.lock();
-            st.prefetch.install(*dpu as usize, seg_base, data);
-            let mut served = Vec::with_capacity(*len as usize);
-            assert!(
-                st.prefetch.lookup_into(*dpu as usize, *offset, *len, &mut served),
-                "freshly installed segment must serve the miss"
-            );
-            if let Some(a) = st.adapt.as_mut() {
-                a.note_install(*dpu, seg_len, *len);
-            }
-            drop(st);
-            report.add_duration(self.cm.prefetch_hit(*len));
-            outputs[i] = Some(served);
         }
-        self.adapt_tick(&report);
-        Ok((
-            outputs.into_iter().map(|o| o.expect("all served")).collect(),
-            report,
-        ))
-    }
-
-    fn read_direct(
-        &self,
-        reqs: &[(u32, u64, u64)],
-    ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut report = OpReport::default();
-        let mut outputs = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(MAX_DPUS) {
-            let (matrix, lease) = TransferMatrix::alloc_read_buffers(&self.mem, chunk)?;
-            let pages = matrix.total_pages();
-            let mut r = OpReport::default();
-            r.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-            let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
-            r.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-            let (resp, rt) =
-                self.roundtrip(&Request::ReadRank { nr_dpus: chunk.len() as u32 }, &bufs)?;
-            r.absorb(&rt);
-            r.step(
-                WriteStep::Deserialize,
-                VirtualNanos::from_nanos(resp.deser_ns + resp.translate_ns),
-            );
-            r.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
-            r.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
-            r.add_rank_ops(1);
-            for entry in &matrix.entries {
-                let data = TransferMatrix::gather(&self.mem, entry)?;
-                r.add_duration(self.cm.memcpy(entry.len));
-                outputs.push(data);
-            }
-            meta_lease.release();
-            lease.release();
-            report.absorb(&r);
-        }
-        Ok((outputs, report))
-    }
-
-    // ------------------------------------------- split-phase rank ops
-
-    fn submit_write_chunk(&self, chunk: &[(u32, u64, &[u8])]) -> Result<WriteChunk, VpimError> {
-        let (matrix, data_lease) = TransferMatrix::from_user_buffers(&self.mem, chunk)?;
-        let pages = matrix.total_pages();
-        let mut partial = OpReport::default();
-        partial.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-        let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
-        partial.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-        let op = self.submit(&Request::WriteRank { nr_dpus: chunk.len() as u32 }, &bufs)?;
-        Ok(WriteChunk { op, partial, _data_lease: data_lease, _meta_lease: meta_lease })
-    }
-
-    fn submit_read_chunk(&self, chunk: &[(u32, u64, u64)]) -> Result<ReadChunk, VpimError> {
-        let (matrix, lease) = TransferMatrix::alloc_read_buffers(&self.mem, chunk)?;
-        let pages = matrix.total_pages();
-        let mut partial = OpReport::default();
-        partial.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-        let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
-        partial.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-        let op = self.submit(&Request::ReadRank { nr_dpus: chunk.len() as u32 }, &bufs)?;
-        Ok(ReadChunk { op, matrix, partial, _lease: lease, _meta_lease: meta_lease })
-    }
-
-    /// Completes one write chunk and folds its cost into `report`. The
-    /// virtual-time values come from the response (matrix-derived), so the
-    /// result is the same whether this runs during begin (backpressure) or
-    /// during finish.
-    fn absorb_write_chunk(&self, c: WriteChunk, report: &mut OpReport) -> Result<(), VpimError> {
-        let (resp, rt) = self.complete(c.op)?;
-        let mut partial = c.partial;
-        partial.absorb(&rt);
-        partial.step(
-            WriteStep::Deserialize,
-            VirtualNanos::from_nanos(resp.deser_ns + resp.translate_ns),
-        );
-        partial.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
-        partial.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
-        partial.add_rank_ops(1);
-        report.absorb(&partial);
-        // Page leases drop here: only after the device is done with the
-        // chunk's guest pages.
         Ok(())
     }
 
-    /// Completes one read chunk, appending its per-entry outputs and
-    /// folding its cost into `report`.
-    fn absorb_read_chunk(
+    /// Completes every chunk still in flight, oldest first. After the first
+    /// failure (`failed` carries one in from the submit loop) the rest are
+    /// completed with their results discarded; the first error in
+    /// submission order is returned.
+    fn settle(&self, inflight: &mut InFlight, mut failed: Option<VpimError>) -> Result<(), VpimError> {
+        while let Some(c) = inflight.chunks.pop_front() {
+            if failed.is_some() {
+                let _ = self.complete(c.op);
+            } else {
+                failed =
+                    self.absorb_chunk(c, &mut inflight.outputs, &mut inflight.report).err();
+            }
+        }
+        failed.map_or(Ok(()), Err)
+    }
+
+    fn submit_chunk(&self, x: Xfer<'_>) -> Result<Chunk, VpimError> {
+        let (matrix, data_lease, req) = match x {
+            Xfer::Write(entries) => {
+                let (m, lease) = TransferMatrix::from_user_buffers(&self.mem, entries)?;
+                (m, lease, Request::WriteRank { nr_dpus: entries.len() as u32 })
+            }
+            Xfer::Read(reqs) => {
+                let (m, lease) = TransferMatrix::alloc_read_buffers(&self.mem, reqs)?;
+                (m, lease, Request::ReadRank { nr_dpus: reqs.len() as u32 })
+            }
+        };
+        let pages = matrix.total_pages();
+        let mut partial = OpReport::default();
+        partial.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
+        let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
+        partial.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
+        let op = self.submit(&req, &bufs)?;
+        let gather = matches!(x, Xfer::Read(_)).then_some(matrix);
+        Ok(Chunk { op, gather, partial, _data_lease: data_lease, _meta_lease: meta_lease })
+    }
+
+    /// Completes one chunk and folds its cost into `report`, appending a
+    /// read's per-entry outputs. The virtual-time values come from the
+    /// response (matrix-derived), so the result is the same whether this
+    /// runs during begin (backpressure) or during finish.
+    fn absorb_chunk(
         &self,
-        c: ReadChunk,
+        c: Chunk,
         outputs: &mut Vec<Vec<u8>>,
         report: &mut OpReport,
     ) -> Result<(), VpimError> {
@@ -1090,222 +1105,13 @@ impl Frontend {
         partial.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
         partial.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
         partial.add_rank_ops(1);
-        for entry in &c.matrix.entries {
+        for entry in c.gather.iter().flat_map(|m| &m.entries) {
             let data = TransferMatrix::gather(&self.mem, entry)?;
             partial.add_duration(self.cm.memcpy(entry.len));
             outputs.push(data);
         }
         report.absorb(&partial);
         Ok(())
-    }
-
-    /// Completes abandoned chunks on an error path so queue slots, gauges
-    /// and guest pages are reclaimed; results are discarded.
-    fn drain_write_chunks(&self, chunks: VecDeque<WriteChunk>) {
-        for c in chunks {
-            let _ = self.complete(c.op);
-        }
-    }
-
-    fn drain_read_chunks(&self, chunks: VecDeque<ReadChunk>) {
-        for c in chunks {
-            let _ = self.complete(c.op);
-        }
-    }
-
-    /// Builds, serializes and submits a `write-to-rank` without waiting for
-    /// the device. Use with [`finish_write_rank`](Self::finish_write_rank)
-    /// to overlap transfers across several ranks: begin on every channel
-    /// first, then finish them all. Small batched writes are absorbed
-    /// inline exactly as [`write_rank`](Self::write_rank) would, returning
-    /// an already-finished op; in `DispatchMode::Sequential` the device
-    /// handler runs inline during begin, so begin+finish is byte- and
-    /// report-identical to `write_rank`.
-    ///
-    /// Bounce pages and virtqueue slots are bounded: when submitting a
-    /// chunk hits that limit, the oldest in-flight chunk is completed (its
-    /// report composes in submission order either way) and the chunk is
-    /// retried, so a transfer larger than guest memory degrades to partial
-    /// overlap instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn begin_write_rank(
-        &self,
-        entries: &[(u32, u64, &[u8])],
-    ) -> Result<InFlightWrite, VpimError> {
-        if self.vcfg.request_batching
-            && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
-        {
-            let report = self.write_rank(entries)?;
-            return Ok(InFlightWrite { report, chunks: VecDeque::new(), ticked: true });
-        }
-        let mut report = OpReport::default();
-        if self.vcfg.request_batching {
-            report.absorb(&self.flush_batch()?);
-        }
-        {
-            let mut st = self.state.lock();
-            st.prefetch.invalidate_dpus(entries.iter().map(|(d, _, _)| *d as usize));
-            if let Some(a) = st.adapt.as_mut() {
-                for (d, off, data) in entries {
-                    a.note_write(*d, *off, data.len() as u64);
-                }
-            }
-        }
-        let mut chunks: VecDeque<WriteChunk> = VecDeque::new();
-        for chunk in entries.chunks(MAX_DPUS) {
-            loop {
-                match self.submit_write_chunk(chunk) {
-                    Ok(wc) => {
-                        chunks.push_back(wc);
-                        break;
-                    }
-                    Err(e) if e.is_backpressure() && !chunks.is_empty() => {
-                        let oldest = chunks.pop_front().expect("chunks is non-empty");
-                        if let Err(err) = self.absorb_write_chunk(oldest, &mut report) {
-                            self.drain_write_chunks(chunks);
-                            return Err(err);
-                        }
-                    }
-                    Err(e) => {
-                        self.drain_write_chunks(chunks);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(InFlightWrite { report, chunks, ticked: false })
-    }
-
-    /// Collects an in-flight write started by
-    /// [`begin_write_rank`](Self::begin_write_rank). Every submitted chunk
-    /// is completed even after a failure (so queue-depth accounting and
-    /// guest pages are reclaimed); the first error in submission order is
-    /// returned.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn finish_write_rank(&self, inflight: InFlightWrite) -> Result<OpReport, VpimError> {
-        let InFlightWrite { mut report, chunks, ticked } = inflight;
-        let mut first_err: Option<VpimError> = None;
-        for c in chunks {
-            if first_err.is_some() {
-                let _ = self.complete(c.op);
-                continue;
-            }
-            if let Err(e) = self.absorb_write_chunk(c, &mut report) {
-                first_err = Some(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                if !ticked {
-                    self.adapt_tick(&report);
-                }
-                Ok(report)
-            }
-        }
-    }
-
-    /// Submits a `read-from-rank` without waiting for the device; pair with
-    /// [`finish_read_rank`](Self::finish_read_rank). A single cacheable
-    /// request is served through the prefetch cache inline (identical to
-    /// [`read_rank`](Self::read_rank)) and returns an already-finished op.
-    /// Backpressure is handled as in
-    /// [`begin_write_rank`](Self::begin_write_rank): the oldest in-flight
-    /// chunk is completed early (its outputs keep request order) and the
-    /// submission retried.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn begin_read_rank(
-        &self,
-        reqs: &[(u32, u64, u64)],
-    ) -> Result<InFlightRead, VpimError> {
-        let cacheable = {
-            let st = self.state.lock();
-            self.vcfg.prefetch_cache
-                && reqs.len() == 1
-                && reqs.iter().all(|(_, _, len)| st.prefetch.cacheable(*len))
-        };
-        if cacheable {
-            let (out, report) = self.read_rank(reqs)?;
-            return Ok(InFlightRead {
-                report,
-                outputs: out,
-                chunks: VecDeque::new(),
-                ticked: true,
-            });
-        }
-        let mut report = OpReport::default();
-        if self.vcfg.request_batching {
-            report.absorb(&self.flush_batch()?);
-        }
-        let mut outputs = Vec::new();
-        let mut chunks: VecDeque<ReadChunk> = VecDeque::new();
-        for chunk in reqs.chunks(MAX_DPUS) {
-            loop {
-                match self.submit_read_chunk(chunk) {
-                    Ok(rc) => {
-                        chunks.push_back(rc);
-                        break;
-                    }
-                    Err(e) if e.is_backpressure() && !chunks.is_empty() => {
-                        let oldest = chunks.pop_front().expect("chunks is non-empty");
-                        if let Err(err) =
-                            self.absorb_read_chunk(oldest, &mut outputs, &mut report)
-                        {
-                            self.drain_read_chunks(chunks);
-                            return Err(err);
-                        }
-                    }
-                    Err(e) => {
-                        self.drain_read_chunks(chunks);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        Ok(InFlightRead { report, outputs, chunks, ticked: false })
-    }
-
-    /// Collects an in-flight read started by
-    /// [`begin_read_rank`](Self::begin_read_rank), gathering one output
-    /// buffer per original request. Every submitted chunk is completed even
-    /// after a failure; the first error in submission order is returned.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn finish_read_rank(
-        &self,
-        inflight: InFlightRead,
-    ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let InFlightRead { mut report, mut outputs, chunks, ticked } = inflight;
-        let mut first_err: Option<VpimError> = None;
-        for c in chunks {
-            if first_err.is_some() {
-                let _ = self.complete(c.op);
-                continue;
-            }
-            if let Err(e) = self.absorb_read_chunk(c, &mut outputs, &mut report) {
-                first_err = Some(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => {
-                if !ticked {
-                    self.adapt_tick(&report);
-                }
-                Ok((outputs, report))
-            }
-        }
     }
 
     // ------------------------------------------------------------- CI ops
@@ -1385,13 +1191,14 @@ impl Frontend {
             )));
         }
         let mut report = self.flush_batch()?;
-        let pages = self.mem.alloc_pages(1)?;
-        self.mem.write(pages[0], bytes)?;
+        let mut lease = PageLease::new(&self.mem);
+        let page = lease.grow(1)?[0];
+        self.mem.write(page, bytes)?;
         let (_, rt) = self.roundtrip(
             &Request::WriteSymbol { dpu, name: name.to_string(), len: bytes.len() as u32 },
-            &[(pages[0], bytes.len() as u32, false)],
+            &[(page, bytes.len() as u32, false)],
         )?;
-        self.mem.free_pages_back(&pages)?;
+        lease.release();
         report.absorb(&rt);
         self.adapt_tick(&report);
         Ok(report)

@@ -69,6 +69,20 @@ pub struct PageLease {
 pub type SerializedMatrix = (Vec<(Gpa, u32, bool)>, PageLease);
 
 impl PageLease {
+    /// An empty lease on `mem`.
+    pub(crate) fn new(mem: &GuestMemory) -> Self {
+        PageLease { mem: mem.clone(), pages: Vec::new() }
+    }
+
+    /// Allocates `n` more pages into the lease and returns them. The lease
+    /// owns a page from the moment it exists, so any later failure of the
+    /// operation being built returns it on drop.
+    pub(crate) fn grow(&mut self, n: usize) -> Result<Vec<Gpa>, VpimError> {
+        let pages = self.mem.alloc_pages(n)?;
+        self.pages.extend_from_slice(&pages);
+        Ok(pages)
+    }
+
     /// Number of leased pages.
     #[must_use]
     pub fn page_count(&self) -> usize {
@@ -115,7 +129,7 @@ impl TransferMatrix {
             )));
         }
         let mut entries = Vec::with_capacity(bufs.len());
-        let mut all_pages = Vec::new();
+        let mut lease = PageLease::new(mem);
         for (dpu, offset, data) in bufs {
             let n = DpuXfer::required_pages(data.len() as u64);
             if n > MAX_PAGES_PER_DPU {
@@ -124,13 +138,12 @@ impl TransferMatrix {
                     data.len()
                 )));
             }
-            let pages = mem.alloc_pages(n)?;
+            let pages = lease.grow(n)?;
             for (i, page) in pages.iter().enumerate() {
                 let lo = i * PAGE_SIZE as usize;
                 let hi = ((i + 1) * PAGE_SIZE as usize).min(data.len());
                 mem.write(*page, &data[lo..hi])?;
             }
-            all_pages.extend_from_slice(&pages);
             entries.push(DpuXfer {
                 dpu: *dpu,
                 mram_offset: *offset,
@@ -138,10 +151,7 @@ impl TransferMatrix {
                 pages,
             });
         }
-        Ok((
-            TransferMatrix { entries },
-            PageLease { mem: mem.clone(), pages: all_pages },
-        ))
+        Ok((TransferMatrix { entries }, lease))
     }
 
     /// Builds a read-direction matrix: allocates destination pages the
@@ -161,7 +171,7 @@ impl TransferMatrix {
             )));
         }
         let mut entries = Vec::with_capacity(reqs.len());
-        let mut all_pages = Vec::new();
+        let mut lease = PageLease::new(mem);
         for (dpu, offset, len) in reqs {
             let n = DpuXfer::required_pages(*len);
             if n > MAX_PAGES_PER_DPU {
@@ -169,14 +179,10 @@ impl TransferMatrix {
                     "dpu {dpu} read of {len} bytes exceeds the 64 MB bank"
                 )));
             }
-            let pages = mem.alloc_pages(n)?;
-            all_pages.extend_from_slice(&pages);
+            let pages = lease.grow(n)?;
             entries.push(DpuXfer { dpu: *dpu, mram_offset: *offset, len: *len, pages });
         }
-        Ok((
-            TransferMatrix { entries },
-            PageLease { mem: mem.clone(), pages: all_pages },
-        ))
+        Ok((TransferMatrix { entries }, lease))
     }
 
     /// Total bytes the matrix moves.
@@ -533,6 +539,27 @@ mod tests {
         assert!(mem.free_pages() < before);
         meta_lease.release();
         data_lease.release();
+        assert_eq!(mem.free_pages(), before);
+    }
+
+    #[test]
+    fn failed_build_returns_the_pages_of_earlier_entries() {
+        // 16-page guest with 2 pages held elsewhere: the first 8-page entry
+        // fits, the second does not.
+        let mem = GuestMemory::new(16 * PAGE_SIZE);
+        let _held = mem.alloc_pages(2).unwrap();
+        let before = mem.free_pages();
+        let data = vec![0u8; 8 * PAGE_SIZE as usize];
+        let err = TransferMatrix::from_user_buffers(&mem, &[(0, 0, &data), (1, 0, &data)])
+            .unwrap_err();
+        assert!(err.is_backpressure(), "{err}");
+        assert_eq!(mem.free_pages(), before);
+        let err = TransferMatrix::alloc_read_buffers(
+            &mem,
+            &[(0, 0, 4 * PAGE_SIZE), (1, 0, 8 * PAGE_SIZE), (2, 0, 8 * PAGE_SIZE)],
+        )
+        .unwrap_err();
+        assert!(err.is_backpressure(), "{err}");
         assert_eq!(mem.free_pages(), before);
     }
 

@@ -84,7 +84,7 @@ pub struct TenantSpec {
 
 impl TenantSpec {
     /// A tenant named `tag` with one device, 512 MiB of guest RAM, and
-    /// scheduler weight 1 — the old `launch_vm(tag, 1)` shape.
+    /// scheduler weight 1.
     #[must_use]
     pub fn new(tag: impl Into<String>) -> Self {
         TenantSpec { tag: tag.into(), devices: 1, mem_mib: 512, weight: 1 }
@@ -232,19 +232,6 @@ impl VpimSystem {
         }
     }
 
-    /// Old spelling of [`start`](Self::start) with explicit cost model and
-    /// manager tuning.
-    #[deprecated(note = "use `VpimSystem::start(driver, vcfg, StartOpts)`")]
-    #[must_use]
-    pub fn start_with(
-        driver: Arc<UpmemDriver>,
-        vcfg: VpimConfig,
-        cm: CostModel,
-        mcfg: ManagerConfig,
-    ) -> Self {
-        Self::start(driver, vcfg, StartOpts::new().cost_model(cm).manager(mcfg))
-    }
-
     /// The host's fault-injection plane, when `VpimConfig.inject` enabled
     /// one. Tests use this to re-arm points or read per-point stats.
     #[must_use]
@@ -306,32 +293,6 @@ impl VpimSystem {
     #[must_use]
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
-    }
-
-    /// Old spelling of [`launch`](Self::launch) with the default 512 MiB
-    /// of guest RAM.
-    ///
-    /// # Errors
-    ///
-    /// Boot or device initialization failures.
-    #[deprecated(note = "use `VpimSystem::launch(TenantSpec::new(tag).devices(n))`")]
-    pub fn launch_vm(&self, tag: &str, n_devices: usize) -> Result<VpimVm, VpimError> {
-        self.launch(TenantSpec::new(tag).devices(n_devices))
-    }
-
-    /// Old spelling of [`launch`](Self::launch) with explicit guest memory.
-    ///
-    /// # Errors
-    ///
-    /// Boot or device initialization failures.
-    #[deprecated(note = "use `VpimSystem::launch(TenantSpec::new(tag).devices(n).mem_mib(m))`")]
-    pub fn launch_vm_with_memory(
-        &self,
-        tag: &str,
-        n_devices: usize,
-        mem_mib: u64,
-    ) -> Result<VpimVm, VpimError> {
-        self.launch(TenantSpec::new(tag).devices(n_devices).mem_mib(mem_mib))
     }
 
     /// Launches a tenant microVM described by `spec`: boots a VM with

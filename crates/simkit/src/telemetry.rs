@@ -346,18 +346,6 @@ impl VtHistogram {
         let off = ((u128::from(span) * u128::from(rank)) / u128::from(c.max(1))) as u64;
         VirtualNanos::from_nanos(lo + off)
     }
-
-    /// An upper bound below which `quantile` of the samples fall (bucket
-    /// resolution). Zero when empty.
-    #[deprecated(note = "use `quantile(p)`; it interpolates inside the bucket")]
-    #[must_use]
-    pub fn quantile_upper_bound(&self, quantile: f64) -> VirtualNanos {
-        let Some((i, _, _)) = self.covering_bucket(quantile) else {
-            return VirtualNanos::ZERO;
-        };
-        let bound = if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-        VirtualNanos::from_nanos(bound)
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -915,11 +903,6 @@ mod tests {
         assert!(h.quantile(0.5).as_nanos() <= 7);
         assert!(h.quantile(1.0).as_nanos() >= 1_000_000);
         assert_eq!(VtHistogram::new().quantile(0.99), VirtualNanos::ZERO);
-        #[allow(deprecated)]
-        {
-            assert!(h.quantile_upper_bound(0.5).as_nanos() <= 7);
-            assert_eq!(VtHistogram::new().quantile_upper_bound(0.99), VirtualNanos::ZERO);
-        }
     }
 
     #[test]

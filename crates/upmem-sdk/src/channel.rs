@@ -6,7 +6,7 @@ use simkit::{CostModel, VirtualNanos};
 use upmem_driver::PerfMapping;
 use simkit::cost::DataPath;
 use upmem_sim::ci::CiStatus;
-use vpim::frontend::{Frontend, InFlightRead, InFlightWrite};
+use vpim::frontend::{Frontend, InFlight};
 use vpim::OpReport;
 
 use crate::error::SdkError;
@@ -30,60 +30,27 @@ impl std::fmt::Debug for RankChannel {
     }
 }
 
-/// One write-side transfer through a [`RankChannel`], in all the shapes
-/// the UPMEM SDK surface produces. [`RankChannel::transfer`] is the single
-/// entry point; the named methods (`write_matrix`, `write_serial`,
-/// `write_symbol`, `scatter_symbol`) are thin wrappers over it.
-#[derive(Debug, Clone, Copy)]
-pub enum Transfer<'a> {
-    /// Parallel `write-to-rank` of per-DPU buffers: `(dpu, offset, data)`.
-    Matrix(&'a [(u32, u64, &'a [u8])]),
-    /// Serial single-DPU write (`dpu_copy_to`).
-    Serial {
-        /// Target DPU index within the rank.
-        dpu: u32,
-        /// MRAM byte offset.
-        offset: u64,
-        /// Bytes to write.
-        data: &'a [u8],
-    },
-    /// Host-symbol write on one DPU.
-    Symbol {
-        /// Target DPU index within the rank.
-        dpu: u32,
-        /// Symbol name in the loaded program.
-        name: &'a str,
-        /// Raw little-endian value bytes.
-        bytes: &'a [u8],
-    },
-    /// A `u32` symbol scattered over many DPUs: `(dpu, value)` pairs.
-    Scatter {
-        /// Symbol name in the loaded program.
-        name: &'a str,
-        /// Per-DPU values.
-        entries: &'a [(u32, u32)],
-    },
-}
-
-/// A matrix write started with [`RankChannel::begin_write_matrix`].
-/// Native channels complete synchronously (the mmap'ed copy happens during
-/// begin); virtualized channels are genuinely in flight, so beginning the
-/// next rank's write before finishing this one overlaps the two transfers.
+/// A matrix transfer started with [`RankChannel::begin_write_matrix`] or
+/// [`RankChannel::begin_read_matrix`]. Native channels complete
+/// synchronously (the mmap'ed copy happens during begin); virtualized
+/// channels are genuinely in flight, so beginning the next rank's transfer
+/// before finishing this one overlaps the two.
 #[derive(Debug)]
-pub enum PendingMatrixWrite {
-    /// Already complete; carries the final report.
-    Done(OpReport),
-    /// Awaiting a vUPMEM device completion.
-    Virt(InFlightWrite),
-}
-
-/// A matrix read started with [`RankChannel::begin_read_matrix`].
-#[derive(Debug)]
-pub enum PendingMatrixRead {
-    /// Already complete; carries the outputs and the final report.
+pub enum PendingMatrix {
+    /// Already complete; carries the read outputs (none for a write) and
+    /// the final report.
     Done(Vec<Vec<u8>>, OpReport),
     /// Awaiting a vUPMEM device completion.
-    Virt(InFlightRead),
+    Virt(InFlight),
+}
+
+/// The report of one native rank transfer of `bytes` bytes taking `ddr` on
+/// the memory bus: the host-side interleave plus the DDR time.
+fn native_report(cm: &CostModel, bytes: u64, ddr: VirtualNanos) -> OpReport {
+    let mut r = OpReport::of(cm.interleave(bytes, DataPath::Vectorized) + ddr);
+    r.set_ddr(ddr);
+    r.add_rank_ops(1);
+    r
 }
 
 impl RankChannel {
@@ -121,110 +88,12 @@ impl RankChannel {
         }
     }
 
-    /// The single write-side entry point: performs any [`Transfer`] shape
-    /// on this channel and returns its cost report.
-    ///
-    /// # Errors
-    ///
-    /// Hardware bounds errors, unknown symbols, or transport failures.
-    pub fn transfer(&self, t: Transfer<'_>, cm: &CostModel) -> Result<OpReport, SdkError> {
-        match (self, t) {
-            (RankChannel::Native(p), Transfer::Matrix(entries)) => {
-                let native: Vec<(usize, u64, &[u8])> =
-                    entries.iter().map(|(d, o, b)| (*d as usize, *o, *b)).collect();
-                let cost = p.write_matrix(&native)?;
-                let ddr = cost.duration(cm);
-                let mut r =
-                    OpReport::of(cm.interleave(cost.bytes, DataPath::Vectorized) + ddr);
-                r.set_ddr(ddr);
-                r.add_rank_ops(1);
-                Ok(r)
-            }
-            (RankChannel::Virt(f), Transfer::Matrix(entries)) => Ok(f.write_rank(entries)?),
-            (RankChannel::Native(p), Transfer::Serial { dpu, offset, data }) => {
-                let cost = p.write_dpu(dpu as usize, offset, data)?;
-                let ddr = cost.duration(cm);
-                let mut r =
-                    OpReport::of(cm.interleave(cost.bytes, DataPath::Vectorized) + ddr);
-                r.set_ddr(ddr);
-                r.add_rank_ops(1);
-                Ok(r)
-            }
-            (RankChannel::Virt(f), Transfer::Serial { dpu, offset, data }) => {
-                Ok(f.write_rank(&[(dpu, offset, data)])?)
-            }
-            (RankChannel::Native(p), Transfer::Symbol { dpu, name, bytes }) => {
-                p.write_symbol(dpu as usize, name, bytes)?;
-                Ok(OpReport::of(cm.ci_op()))
-            }
-            (RankChannel::Virt(f), Transfer::Symbol { dpu, name, bytes }) => {
-                Ok(f.write_symbol(dpu, name, bytes)?)
-            }
-            (RankChannel::Native(p), Transfer::Scatter { name, entries }) => {
-                for (dpu, v) in entries {
-                    p.write_symbol(*dpu as usize, name, &v.to_le_bytes())?;
-                }
-                Ok(OpReport::of(cm.ci_op().saturating_mul(entries.len() as u64)))
-            }
-            (RankChannel::Virt(f), Transfer::Scatter { name, entries }) => {
-                Ok(f.scatter_symbol(name, entries)?)
-            }
-        }
-    }
-
-    /// Parallel `write-to-rank` of per-DPU buffers.
-    ///
-    /// # Errors
-    ///
-    /// Hardware bounds errors or transport failures.
-    pub fn write_matrix(
-        &self,
-        entries: &[(u32, u64, &[u8])],
-        cm: &CostModel,
-    ) -> Result<OpReport, SdkError> {
-        self.transfer(Transfer::Matrix(entries), cm)
-    }
-
-    /// Parallel `read-from-rank` of per-DPU ranges.
-    ///
-    /// # Errors
-    ///
-    /// Hardware bounds errors or transport failures.
-    pub fn read_matrix(
-        &self,
-        reqs: &[(u32, u64, u64)],
-        cm: &CostModel,
-    ) -> Result<(Vec<Vec<u8>>, OpReport), SdkError> {
-        match self {
-            RankChannel::Native(p) => {
-                let mut outs: Vec<Vec<u8>> =
-                    reqs.iter().map(|(_, _, len)| vec![0u8; *len as usize]).collect();
-                let mut total = 0u64;
-                {
-                    let mut views: Vec<(usize, u64, &mut [u8])> = reqs
-                        .iter()
-                        .zip(outs.iter_mut())
-                        .map(|((d, o, _), buf)| (*d as usize, *o, buf.as_mut_slice()))
-                        .collect();
-                    let cost = p.read_matrix(&mut views)?;
-                    total += cost.bytes;
-                }
-                let ddr = cm.rank_transfer_parallel(total);
-                let mut r = OpReport::of(cm.interleave(total, DataPath::Vectorized) + ddr);
-                r.set_ddr(ddr);
-                r.add_rank_ops(1);
-                Ok((outs, r))
-            }
-            RankChannel::Virt(f) => Ok(f.read_rank(reqs)?),
-        }
-    }
-
-    /// Starts a parallel `write-to-rank` without waiting for completion.
-    /// Begin the write on every channel of a multi-rank set first, then
-    /// [`finish_write_matrix`](Self::finish_write_matrix) each one: under
+    /// Starts a parallel `write-to-rank` of per-DPU buffers without waiting
+    /// for completion. Begin the write on every channel of a multi-rank set
+    /// first, then [`finish_matrix`](Self::finish_matrix) each one: under
     /// parallel dispatch the per-rank transfers overlap in wall-clock time,
-    /// while every virtual-time figure matches the serial
-    /// [`write_matrix`](Self::write_matrix) path exactly.
+    /// while every virtual-time figure is the same as finishing each
+    /// before beginning the next.
     ///
     /// # Errors
     ///
@@ -233,38 +102,23 @@ impl RankChannel {
         &self,
         entries: &[(u32, u64, &[u8])],
         cm: &CostModel,
-    ) -> Result<PendingMatrixWrite, SdkError> {
+    ) -> Result<PendingMatrix, SdkError> {
         match self {
-            RankChannel::Native(_) => {
-                Ok(PendingMatrixWrite::Done(self.write_matrix(entries, cm)?))
+            RankChannel::Native(p) => {
+                let native: Vec<(usize, u64, &[u8])> =
+                    entries.iter().map(|(d, o, b)| (*d as usize, *o, *b)).collect();
+                let cost = p.write_matrix(&native)?;
+                Ok(PendingMatrix::Done(
+                    Vec::new(),
+                    native_report(cm, cost.bytes, cost.duration(cm)),
+                ))
             }
-            RankChannel::Virt(f) => Ok(PendingMatrixWrite::Virt(f.begin_write_rank(entries)?)),
+            RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_write_rank(entries)?)),
         }
     }
 
-    /// Completes a write started by
-    /// [`begin_write_matrix`](Self::begin_write_matrix) on this channel.
-    ///
-    /// # Errors
-    ///
-    /// Hardware bounds errors or transport failures.
-    pub fn finish_write_matrix(
-        &self,
-        pending: PendingMatrixWrite,
-    ) -> Result<OpReport, SdkError> {
-        match pending {
-            PendingMatrixWrite::Done(report) => Ok(report),
-            PendingMatrixWrite::Virt(inflight) => match self {
-                RankChannel::Virt(f) => Ok(f.finish_write_rank(inflight)?),
-                RankChannel::Native(_) => {
-                    unreachable!("pending write finished on a different channel")
-                }
-            },
-        }
-    }
-
-    /// Starts a parallel `read-from-rank` without waiting for completion;
-    /// pair with [`finish_read_matrix`](Self::finish_read_matrix).
+    /// Starts a parallel `read-from-rank` of per-DPU ranges without waiting
+    /// for completion; pair with [`finish_matrix`](Self::finish_matrix).
     ///
     /// # Errors
     ///
@@ -273,34 +127,44 @@ impl RankChannel {
         &self,
         reqs: &[(u32, u64, u64)],
         cm: &CostModel,
-    ) -> Result<PendingMatrixRead, SdkError> {
+    ) -> Result<PendingMatrix, SdkError> {
         match self {
-            RankChannel::Native(_) => {
-                let (outs, report) = self.read_matrix(reqs, cm)?;
-                Ok(PendingMatrixRead::Done(outs, report))
+            RankChannel::Native(p) => {
+                let mut outs: Vec<Vec<u8>> =
+                    reqs.iter().map(|(_, _, len)| vec![0u8; *len as usize]).collect();
+                let mut views: Vec<(usize, u64, &mut [u8])> = reqs
+                    .iter()
+                    .zip(outs.iter_mut())
+                    .map(|((d, o, _), buf)| (*d as usize, *o, buf.as_mut_slice()))
+                    .collect();
+                let total = p.read_matrix(&mut views)?.bytes;
+                let report = native_report(cm, total, cm.rank_transfer_parallel(total));
+                Ok(PendingMatrix::Done(outs, report))
             }
-            RankChannel::Virt(f) => Ok(PendingMatrixRead::Virt(f.begin_read_rank(reqs)?)),
+            RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_read_rank(reqs)?)),
         }
     }
 
-    /// Completes a read started by
-    /// [`begin_read_matrix`](Self::begin_read_matrix) on this channel.
+    /// Completes a transfer started on this channel by
+    /// [`begin_write_matrix`](Self::begin_write_matrix) or
+    /// [`begin_read_matrix`](Self::begin_read_matrix): one buffer per read
+    /// range (none for a write) plus the cost report.
     ///
     /// # Errors
     ///
     /// Hardware bounds errors or transport failures.
-    pub fn finish_read_matrix(
+    pub fn finish_matrix(
         &self,
-        pending: PendingMatrixRead,
+        pending: PendingMatrix,
     ) -> Result<(Vec<Vec<u8>>, OpReport), SdkError> {
-        match pending {
-            PendingMatrixRead::Done(outs, report) => Ok((outs, report)),
-            PendingMatrixRead::Virt(inflight) => match self {
-                RankChannel::Virt(f) => Ok(f.finish_read_rank(inflight)?),
-                RankChannel::Native(_) => {
-                    unreachable!("pending read finished on a different channel")
-                }
-            },
+        match (pending, self) {
+            (PendingMatrix::Done(outs, report), _) => Ok((outs, report)),
+            (PendingMatrix::Virt(inflight), RankChannel::Virt(f)) => {
+                Ok(f.finish_rank(inflight)?)
+            }
+            (PendingMatrix::Virt(_), RankChannel::Native(_)) => {
+                unreachable!("pending transfer finished on a different channel")
+            }
         }
     }
 
@@ -316,7 +180,13 @@ impl RankChannel {
         data: &[u8],
         cm: &CostModel,
     ) -> Result<OpReport, SdkError> {
-        self.transfer(Transfer::Serial { dpu, offset, data }, cm)
+        match self {
+            RankChannel::Native(p) => {
+                let cost = p.write_dpu(dpu as usize, offset, data)?;
+                Ok(native_report(cm, cost.bytes, cost.duration(cm)))
+            }
+            RankChannel::Virt(f) => Ok(f.write_rank(&[(dpu, offset, data)])?),
+        }
     }
 
     /// Serial single-DPU read (`dpu_copy_from`).
@@ -335,12 +205,7 @@ impl RankChannel {
             RankChannel::Native(p) => {
                 let mut buf = vec![0u8; len as usize];
                 let cost = p.read_dpu(dpu as usize, offset, &mut buf)?;
-                let ddr = cost.duration(cm);
-                let mut r =
-                    OpReport::of(cm.interleave(cost.bytes, DataPath::Vectorized) + ddr);
-                r.set_ddr(ddr);
-                r.add_rank_ops(1);
-                Ok((buf, r))
+                Ok((buf, native_report(cm, cost.bytes, cost.duration(cm))))
             }
             RankChannel::Virt(f) => {
                 let (mut outs, r) = f.read_rank(&[(dpu, offset, len)])?;
@@ -361,7 +226,13 @@ impl RankChannel {
         bytes: &[u8],
         cm: &CostModel,
     ) -> Result<OpReport, SdkError> {
-        self.transfer(Transfer::Symbol { dpu, name, bytes }, cm)
+        match self {
+            RankChannel::Native(p) => {
+                p.write_symbol(dpu as usize, name, bytes)?;
+                Ok(OpReport::of(cm.ci_op()))
+            }
+            RankChannel::Virt(f) => Ok(f.write_symbol(dpu, name, bytes)?),
+        }
     }
 
     /// Writes a `u32` symbol on many DPUs (one request in virtualized
@@ -376,7 +247,15 @@ impl RankChannel {
         entries: &[(u32, u32)],
         cm: &CostModel,
     ) -> Result<OpReport, SdkError> {
-        self.transfer(Transfer::Scatter { name, entries }, cm)
+        match self {
+            RankChannel::Native(p) => {
+                for (dpu, v) in entries {
+                    p.write_symbol(*dpu as usize, name, &v.to_le_bytes())?;
+                }
+                Ok(OpReport::of(cm.ci_op().saturating_mul(entries.len() as u64)))
+            }
+            RankChannel::Virt(f) => Ok(f.scatter_symbol(name, entries)?),
+        }
     }
 
     /// Reads a host symbol from one DPU.
@@ -476,28 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn transfer_serial_roundtrips_through_mram() {
+    fn write_serial_roundtrips_through_mram() {
         let ch = native_channel();
         let cm = CostModel::default();
         let data = [7u8; 64];
-        let r = ch
-            .transfer(Transfer::Serial { dpu: 0, offset: 4096, data: &data }, &cm)
-            .unwrap();
+        let r = ch.write_serial(0, 4096, &data, &cm).unwrap();
         assert!(r.duration() > VirtualNanos::ZERO);
+        assert_eq!(r.rank_ops(), 1);
         let (back, _) = ch.read_serial(0, 4096, 64, &cm).unwrap();
         assert_eq!(back, data);
-    }
-
-    #[test]
-    fn wrappers_match_transfer_costs() {
-        let ch = native_channel();
-        let cm = CostModel::default();
-        let bufs = [5u8; 128];
-        let entries: Vec<(u32, u64, &[u8])> =
-            (0..4u32).map(|d| (d, 0u64, &bufs[..])).collect();
-        let via_enum = ch.transfer(Transfer::Matrix(&entries), &cm).unwrap();
-        let via_wrapper = ch.write_matrix(&entries, &cm).unwrap();
-        assert_eq!(via_enum.duration(), via_wrapper.duration());
-        assert_eq!(via_enum.rank_ops(), via_wrapper.rank_ops());
     }
 }

@@ -45,6 +45,6 @@ pub mod channel;
 pub mod error;
 pub mod set;
 
-pub use channel::{PendingMatrixRead, PendingMatrixWrite, RankChannel, Transfer};
+pub use channel::{PendingMatrix, RankChannel};
 pub use error::SdkError;
 pub use set::DpuSet;

@@ -10,7 +10,7 @@ use upmem_sim::ci::CiStatus;
 use vpim::frontend::Frontend;
 use vpim::OpReport;
 
-use crate::channel::{PendingMatrixRead, PendingMatrixWrite, RankChannel};
+use crate::channel::{PendingMatrix, RankChannel};
 use crate::error::SdkError;
 
 /// True when a channel error means "the VM's bounded transport resources
@@ -265,6 +265,70 @@ impl DpuSet {
         Ok(())
     }
 
+    /// One matrix transfer per rank, shared by both push directions.
+    /// `begin(channel, cost model, the channel's DPUs, global index of its
+    /// first DPU)` starts a rank's transfer. Every rank is begun before any
+    /// is finished: under parallel dispatch the per-rank transfers
+    /// genuinely overlap in wall-clock time (§4.2's overlapped multi-rank
+    /// `dpu_push_xfer`); under sequential dispatch begin runs the handler
+    /// inline, so the two modes produce identical reports. Returns the read
+    /// outputs in DPU order (none for a write).
+    fn push_xfer(
+        &mut self,
+        seg: DriverSegment,
+        begin: impl Fn(&RankChannel, &CostModel, &[u32], usize) -> Result<PendingMatrix, SdkError>,
+    ) -> Result<Vec<Vec<u8>>, SdkError> {
+        let mut pendings: Vec<(&RankChannel, PendingMatrix)> =
+            Vec::with_capacity(self.channels.len());
+        let mut reports = Vec::with_capacity(self.channels.len());
+        let mut outputs = Vec::new();
+        let mut begin_err: Option<SdkError> = None;
+        let mut finish_err: Option<SdkError> = None;
+        // Results stay in channel order however early a rank is finished.
+        let mut finish_all = |pendings: &mut Vec<(&RankChannel, PendingMatrix)>| {
+            for (c, p) in pendings.drain(..) {
+                match c.finish_matrix(p) {
+                    Ok((mut outs, r)) => {
+                        outputs.append(&mut outs);
+                        reports.push(r);
+                    }
+                    Err(e) => {
+                        finish_err.get_or_insert(e);
+                    }
+                }
+            }
+        };
+        let mut first = 0usize;
+        for (c, dpus) in self.channels.iter().zip(&self.per_channel) {
+            let mut attempt = begin(c, &self.cm, dpus, first);
+            if matches!(&attempt, Err(e) if is_backpressure(e)) && !pendings.is_empty() {
+                // Earlier ranks' in-flight transfers hold the VM-wide
+                // bounce pool: reclaim by finishing them, then retry this
+                // rank once.
+                finish_all(&mut pendings);
+                attempt = begin(c, &self.cm, dpus, first);
+            }
+            first += dpus.len();
+            match attempt {
+                Ok(p) => pendings.push((c, p)),
+                Err(e) => {
+                    begin_err = Some(e);
+                    break;
+                }
+            }
+        }
+        // Always finish what was begun (reclaims guest pages and queue
+        // slots); report the first error in channel order, as a serial loop
+        // would.
+        finish_all(&mut pendings);
+        if let Some(e) = finish_err.or(begin_err) {
+            return Err(e);
+        }
+        let merged = self.compose(reports);
+        self.charge(seg, &merged);
+        Ok(outputs)
+    }
+
     /// Parallel transfer of per-DPU buffers into the MRAM heap at `offset`
     /// (`dpu_push_xfer(DPU_XFER_TO_DPU)`). `bufs[i]` goes to DPU `i`;
     /// `bufs.len()` must equal the set size.
@@ -279,63 +343,11 @@ impl DpuSet {
                 got: bufs.len(),
             });
         }
-        // Begin the write on every rank before finishing any: under
-        // parallel dispatch the per-rank transfers genuinely overlap in
-        // wall-clock time (§4.2's overlapped multi-rank dpu_push_xfer);
-        // under sequential dispatch begin runs the handler inline, so the
-        // two modes produce identical reports.
-        let mut pendings: Vec<(usize, PendingMatrixWrite)> =
-            Vec::with_capacity(self.channels.len());
-        let mut reports = Vec::with_capacity(self.channels.len());
-        let mut begin_err: Option<SdkError> = None;
-        let mut finish_err: Option<SdkError> = None;
-        let mut cursor = 0usize;
-        for (ci, dpus) in self.per_channel.iter().enumerate() {
-            let entries: Vec<(u32, u64, &[u8])> = dpus
-                .iter()
-                .enumerate()
-                .map(|(k, d)| (*d, offset, bufs[cursor + k].as_slice()))
-                .collect();
-            cursor += dpus.len();
-            let mut attempt = self.channels[ci].begin_write_matrix(&entries, &self.cm);
-            if matches!(&attempt, Err(e) if is_backpressure(e)) && !pendings.is_empty() {
-                // Earlier ranks' in-flight transfers hold the VM-wide
-                // bounce pool: reclaim by finishing them (reports stay in
-                // channel order), then retry this rank once.
-                for (pci, p) in pendings.drain(..) {
-                    match self.channels[pci].finish_write_matrix(p) {
-                        Ok(r) => reports.push(r),
-                        Err(e) => {
-                            finish_err.get_or_insert(e);
-                        }
-                    }
-                }
-                attempt = self.channels[ci].begin_write_matrix(&entries, &self.cm);
-            }
-            match attempt {
-                Ok(p) => pendings.push((ci, p)),
-                Err(e) => {
-                    begin_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Always finish what was begun (reclaims guest pages and queue
-        // slots); report the first error in channel order, as the serial
-        // loop would.
-        for (ci, p) in pendings {
-            match self.channels[ci].finish_write_matrix(p) {
-                Ok(r) => reports.push(r),
-                Err(e) => {
-                    finish_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = finish_err.or(begin_err) {
-            return Err(e);
-        }
-        let merged = self.compose(reports);
-        self.charge(DriverSegment::WriteRank, &merged);
+        self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
+            let entries: Vec<(u32, u64, &[u8])> =
+                dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b.as_slice())).collect();
+            c.begin_write_matrix(&entries, cm)
+        })?;
         Ok(())
     }
 
@@ -346,58 +358,11 @@ impl DpuSet {
     ///
     /// Hardware/transport failures.
     pub fn push_from_heap(&mut self, offset: u64, len: usize) -> Result<Vec<Vec<u8>>, SdkError> {
-        // Same begin-all / finish-all split as `push_to_heap`: overlapped
-        // retrieval across ranks, identical reports in either mode, and the
-        // same finish-and-retry response to bounce-pool exhaustion.
-        let mut pendings: Vec<(usize, PendingMatrixRead)> =
-            Vec::with_capacity(self.channels.len());
-        let mut reports = Vec::with_capacity(self.channels.len());
-        let mut outputs = Vec::with_capacity(self.nr_dpus());
-        let mut begin_err: Option<SdkError> = None;
-        let mut finish_err: Option<SdkError> = None;
-        for (ci, dpus) in self.per_channel.iter().enumerate() {
+        self.push_xfer(DriverSegment::ReadRank, |c, cm, dpus, _| {
             let reqs: Vec<(u32, u64, u64)> =
                 dpus.iter().map(|d| (*d, offset, len as u64)).collect();
-            let mut attempt = self.channels[ci].begin_read_matrix(&reqs, &self.cm);
-            if matches!(&attempt, Err(e) if is_backpressure(e)) && !pendings.is_empty() {
-                for (pci, p) in pendings.drain(..) {
-                    match self.channels[pci].finish_read_matrix(p) {
-                        Ok((mut outs, r)) => {
-                            outputs.append(&mut outs);
-                            reports.push(r);
-                        }
-                        Err(e) => {
-                            finish_err.get_or_insert(e);
-                        }
-                    }
-                }
-                attempt = self.channels[ci].begin_read_matrix(&reqs, &self.cm);
-            }
-            match attempt {
-                Ok(p) => pendings.push((ci, p)),
-                Err(e) => {
-                    begin_err = Some(e);
-                    break;
-                }
-            }
-        }
-        for (ci, p) in pendings {
-            match self.channels[ci].finish_read_matrix(p) {
-                Ok((mut outs, r)) => {
-                    outputs.append(&mut outs);
-                    reports.push(r);
-                }
-                Err(e) => {
-                    finish_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = finish_err.or(begin_err) {
-            return Err(e);
-        }
-        let merged = self.compose(reports);
-        self.charge(DriverSegment::ReadRank, &merged);
-        Ok(outputs)
+            c.begin_read_matrix(&reqs, cm)
+        })
     }
 
     /// Serial write to one DPU's heap (`dpu_copy_to`): the slow path PrIM

@@ -35,10 +35,11 @@ fn config(parallel: bool) -> VpimConfig {
 
 /// Per-DPU payload: deterministic, unique per (rank, dpu).
 fn payload(rank: usize, dpu: u32) -> Vec<u8> {
-    let seed = (rank * 97 + dpu as usize * 13 + 5) as u32;
-    (0..BYTES_PER_DPU)
-        .map(|i| (seed.wrapping_mul(48271).wrapping_add(i as u32) >> 7) as u8)
-        .collect()
+    pattern((rank * 97 + dpu as usize * 13 + 5) as u32, BYTES_PER_DPU)
+}
+
+fn pattern(seed: u32, len: usize) -> Vec<u8> {
+    (0..len).map(|i| (seed.wrapping_mul(48271).wrapping_add(i as u32) >> 7) as u8).collect()
 }
 
 /// One multi-rank workload directly against the frontends: write a matrix
@@ -149,6 +150,154 @@ fn modes_agree_on_everything_but_the_overlap_model() {
     let last_seq = seq.3.last().unwrap().1;
     let last_par = par.3.last().unwrap().1;
     assert!(last_seq >= last_par, "seq {last_seq} vs par {last_par}");
+}
+
+// ------------------------------------------------------------ backpressure
+//
+// A guest too small for an op's bounce pages must change nothing but the
+// overlap: same bytes, same virtual-time figures as a roomy guest, and
+// every page and queue slot back where it was.
+
+/// A booted VM plus what must be unchanged once an op has finished.
+struct Guest {
+    sys: VpimSystem,
+    vm: vpim::VpimVm,
+    before: (usize, Vec<i64>),
+}
+
+/// Free guest pages and the per-device `transferq` depth gauges.
+fn resources(sys: &VpimSystem, vm: &vpim::VpimVm) -> (usize, Vec<i64>) {
+    let depths = (0..vm.frontends().len())
+        .map(|i| sys.registry().gauge(&format!("virtio.queue.depth.rank{i}")).get())
+        .collect();
+    (vm.vm().memory().free_pages(), depths)
+}
+
+impl Guest {
+    /// `tight_for = Some(n)`: the smallest guest the VMM boots, with all
+    /// but 1.5 n of its pages in use elsewhere — room for the bounce pages
+    /// of one n-page transfer, not two. `None`: the default 512 MiB.
+    fn boot(parallel: bool, devices: usize, tight_for: Option<usize>) -> Guest {
+        let sys = VpimSystem::start(host(), config(parallel), StartOpts::default());
+        let mem_mib = if tight_for.is_some() { 16 } else { 512 };
+        let vm = sys.launch(TenantSpec::new("bp").devices(devices).mem_mib(mem_mib)).unwrap();
+        if let Some(n) = tight_for {
+            let mem = vm.vm().memory();
+            mem.alloc_pages(mem.free_pages() - n * 3 / 2).unwrap();
+        }
+        let before = resources(&sys, &vm);
+        Guest { sys, vm, before }
+    }
+
+    fn assert_reclaimed_and_shutdown(self) {
+        assert_eq!(
+            resources(&self.sys, &self.vm),
+            self.before,
+            "guest pages / queue slots not reclaimed"
+        );
+        drop(self.vm);
+        self.sys.shutdown();
+    }
+}
+
+/// A 2-rank push of 20 pages per DPU: 160 bounce pages per rank.
+const PUSH_RANKS: usize = 2;
+const PUSH_BYTES_PER_DPU: usize = 80_000;
+const PUSH_RANK_PAGES: usize = DPUS_PER_RANK * 20;
+
+/// `push_to_heap` then `push_from_heap` over two ranks; returns the bytes
+/// read back, the timeline, and both ops' per-rank completion offsets.
+fn run_push(parallel: bool, tight: bool) -> (Vec<Vec<u8>>, simkit::Timeline, Vec<Vec<(usize, u64)>>) {
+    let guest = Guest::boot(parallel, PUSH_RANKS, tight.then_some(PUSH_RANK_PAGES));
+    let mut set = DpuSet::alloc_vm(
+        guest.vm.frontends(),
+        PUSH_RANKS * DPUS_PER_RANK,
+        CostModel::default(),
+    )
+    .unwrap();
+    let bufs: Vec<Vec<u8>> =
+        (0..PUSH_RANKS * DPUS_PER_RANK).map(|i| pattern(i as u32, PUSH_BYTES_PER_DPU)).collect();
+    let offsets = |set: &DpuSet| -> Vec<(usize, u64)> {
+        set.last_per_rank().iter().map(|(i, d)| (*i, d.as_nanos())).collect()
+    };
+    set.push_to_heap(4096, &bufs).unwrap();
+    let mut per_rank = vec![offsets(&set)];
+    let back = set.push_from_heap(4096, PUSH_BYTES_PER_DPU).unwrap();
+    per_rank.push(offsets(&set));
+    assert_eq!(back, bufs, "parallel {parallel} tight {tight}");
+    let timeline = set.take_timeline();
+    drop(set);
+    guest.assert_reclaimed_and_shutdown();
+    (back, timeline, per_rank)
+}
+
+#[test]
+fn set_level_backpressure_changes_no_byte_and_no_figure() {
+    let mut by_mode = Vec::new();
+    for parallel in [false, true] {
+        let tight = run_push(parallel, true);
+        let roomy = run_push(parallel, false);
+        assert_eq!(tight.1, roomy.1, "timeline (parallel {parallel})");
+        assert_eq!(tight.2, roomy.2, "per-rank offsets (parallel {parallel})");
+        by_mode.push(tight);
+    }
+    // Across modes only the overlap model differs (see above).
+    let (seq, par) = (&by_mode[0], &by_mode[1]);
+    assert_eq!(seq.0, par.0);
+    assert_eq!(seq.1.messages(), par.1.messages());
+    assert_eq!(seq.1.rank_ops(), par.1.rank_ops());
+}
+
+/// 17 three-page entries on each of 8 DPUs: three chunks (64 + 64 + 8) of
+/// which a full one takes 192 bounce pages.
+const MC_ENTRIES_PER_DPU: usize = 17;
+const MC_ENTRY_BYTES: usize = 12_000;
+const MC_ENTRY_STRIDE: u64 = 3 * 4096;
+const MC_CHUNK_PAGES: usize = 64 * 3;
+
+/// One multi-chunk write and read on a single frontend, synchronous
+/// (one chunk in flight) and split-phase (as many as fit, oldest absorbed
+/// first on backpressure). Returns the four reports and the bytes read.
+fn run_multi_chunk(parallel: bool, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>) {
+    let guest = Guest::boot(parallel, 1, tight.then_some(MC_CHUNK_PAGES));
+    let fe = guest.vm.frontend(0);
+    let datas: Vec<Vec<u8>> =
+        (0..DPUS_PER_RANK * MC_ENTRIES_PER_DPU).map(|i| pattern(i as u32, MC_ENTRY_BYTES)).collect();
+    let place = |i: usize| -> (u32, u64) {
+        ((i % DPUS_PER_RANK) as u32, 4096 + (i / DPUS_PER_RANK) as u64 * MC_ENTRY_STRIDE)
+    };
+    let entries: Vec<(u32, u64, &[u8])> = datas
+        .iter()
+        .enumerate()
+        .map(|(i, d)| (place(i).0, place(i).1, d.as_slice()))
+        .collect();
+    let reqs: Vec<(u32, u64, u64)> =
+        (0..datas.len()).map(|i| (place(i).0, place(i).1, MC_ENTRY_BYTES as u64)).collect();
+
+    let mut reports = vec![fe.write_rank(&entries).unwrap()];
+    let (sync_out, r) = fe.read_rank(&reqs).unwrap();
+    reports.push(r);
+    let (none, r) = fe.finish_rank(fe.begin_write_rank(&entries).unwrap()).unwrap();
+    assert!(none.is_empty(), "a write gathers nothing");
+    reports.push(r);
+    let (split_out, r) = fe.finish_rank(fe.begin_read_rank(&reqs).unwrap()).unwrap();
+    reports.push(r);
+
+    assert_eq!(sync_out, datas, "parallel {parallel} tight {tight}");
+    assert_eq!(split_out, datas, "request order survives early absorption");
+    assert_eq!(reports[0], reports[2], "in-flight depth leaked into the write report");
+    assert_eq!(reports[1], reports[3], "in-flight depth leaked into the read report");
+    assert_eq!(reports[0].rank_ops(), 3, "three chunks");
+    guest.assert_reclaimed_and_shutdown();
+    (reports, split_out)
+}
+
+#[test]
+fn frontend_level_backpressure_changes_no_byte_and_no_figure() {
+    let reference = run_multi_chunk(false, false);
+    for parallel in [false, true] {
+        assert_eq!(run_multi_chunk(parallel, true), reference, "parallel {parallel}");
+    }
 }
 
 #[test]
