@@ -7,15 +7,17 @@
 # then the concurrency stress/determinism and scheduler oversubscription
 # suites under varied harness parallelism, the zero-copy data-path
 # integrity/leak gate, the fault-injection chaos gate with its seed
-# matrix, the sharded-control-plane gate (oracle differential + exact
-# end-state churn accounting + the contention bench, refreshes
+# matrix, the shard gate (rank-table oracle differential + exact
+# end-state churn accounting + the table contention bench, refreshes
 # BENCH_control_plane.json), the load gate (1k-session service-level
 # smoke, bit-identical LoadReport across thread counts, refreshes
 # BENCH_load.json), the cluster gate (migration determinism under
 # varied harness parallelism plus the 1/2/4-host consolidation bench,
 # refreshes BENCH_cluster.json), and the pheap gate (crash-consistency
 # suites under varied harness parallelism, the 8-seed chaos sweep, the
-# durability bench, refreshes BENCH_pheap.json).
+# durability bench, refreshes BENCH_pheap.json). Every varied-parallelism
+# leg goes through ci/threads-gate.sh and every seed matrix (chaos, shard,
+# pheap) through ci/seed-sweep.sh.
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism

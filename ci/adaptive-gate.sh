@@ -9,9 +9,9 @@
 #      the two files must compare byte for byte (harness scheduling must
 #      not reach virtual time);
 #   3. the static-vs-adaptive ablation (`figures adaptive`): RED's
-#      Inter-DPU gather and HST-S's DPU->CPU readout must improve >= 2x,
-#      checksum / index-search / GEMV must stay within 5% (the asserts
-#      live in the experiment itself);
+#      Inter-DPU gather must improve >= 2x, checksum / index-search /
+#      GEMV must stay within 5% (the asserts live in the experiment
+#      itself);
 #   4. on success the ablation is published as BENCH_adaptive.json at the
 #      repo root (the regression trajectory).
 #

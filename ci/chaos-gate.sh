@@ -15,9 +15,6 @@ cd "$(dirname "$0")/.."
 sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
 
 echo "== chaos gate: seed matrix =="
-for seed in 1 2 3 5 8 13 21 34; do
-    echo "== chaos gate: CHAOS_SEED=$seed =="
-    CHAOS_SEED=$seed cargo test --release --offline -q --test chaos_suite
-done
+sh ci/seed-sweep.sh CHAOS_SEED chaos_suite
 
 echo "== chaos gate: OK =="

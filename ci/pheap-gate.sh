@@ -26,10 +26,8 @@ cd "$(dirname "$0")/.."
 sh ci/threads-gate.sh pheap pheap_properties pheap_crash rank_checkpoint
 
 echo "== pheap gate: 8-seed chaos sweep =="
-for seed in 3 17 111 1009 4242 31337 77777 900001; do
-    echo "-- CHAOS_SEED=$seed"
-    CHAOS_SEED=$seed cargo test --release --offline -q --test chaos_suite -- pheap
-done
+SEEDS="3 17 111 1009 4242 31337 77777 900001" \
+    sh ci/seed-sweep.sh CHAOS_SEED chaos_suite -- pheap
 
 echo "== pheap gate: durability bench =="
 OUT_DIR="${TMPDIR:-/tmp}"

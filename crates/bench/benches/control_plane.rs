@@ -1,17 +1,12 @@
-//! Criterion: the sharded control plane against its single-lock baseline
-//! under thread churn (ISSUE 7's tentpole acceptance bench).
+//! Criterion: the sharded rank table against its single-lock baseline
+//! under thread churn (ISSUE 7's tentpole acceptance bench), measured at
+//! 8–64 threads.
 //!
-//! Two legs, each measured at 8–64 threads:
-//!
-//! * **table** — rank-table churn in the manager's real mix: mostly state
-//!   reads (the observer sweep / stats-poll shape) plus alloc → recycle
-//!   write bursts. The baseline is [`ReferenceTable`] (the seed's one
-//!   table-wide mutex, retained verbatim); the contender is the sharded
-//!   [`TableState`], whose reads ride the seqlock publish path without
-//!   taking any lock.
-//! * **queue** — admission push/pop churn. The baseline is the retained
-//!   [`AdmissionQueue`] behind one mutex; the contender is the
-//!   [`ShardedAdmissionQueue`] with per-shard locks and lock-free depth.
+//! The churn is the manager's real mix: mostly state reads (the observer
+//! sweep / stats-poll shape) plus alloc → recycle write bursts. The
+//! baseline is [`ReferenceTable`] (the seed's one table-wide mutex,
+//! retained verbatim); the contender is the sharded [`TableState`], whose
+//! reads ride the seqlock publish path without taking any lock.
 //!
 //! Wall-clock results are printed per thread count and, when
 //! `CONTROL_PLANE_BENCH_OUT` is set, published as a JSON document (the
@@ -21,18 +16,15 @@
 //! not from parallelism, so the gate records the ratios rather than
 //! hard-failing on them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
 use vpim::manager::reference::ReferenceTable;
 use vpim::manager::table::TableState;
-use vpim::sched::{AdmissionQueue, SchedPolicy, ShardedAdmissionQueue};
 
 const RANKS: usize = 8;
 /// Reads per round: the control plane is read-dominated (observer sweeps,
@@ -113,54 +105,6 @@ fn table_sharded_run(threads: usize) -> Duration {
     })
 }
 
-/// Depth polls per admission round — `queue_depth()` feeds the stats
-/// surface and the `sched.queue.depth` mirror, so reads outnumber
-/// structural ops in the live scheduler.
-const DEPTH_POLLS_PER_ROUND: usize = 4;
-/// One in this many rounds probes the merged head (the wake-path probe;
-/// the grant path itself removes the waiter's *own* ticket).
-const HEAD_PROBE_PERIOD: usize = 8;
-
-fn queue_single_run(threads: usize) -> Duration {
-    let queue = Arc::new(Mutex::new(AdmissionQueue::new(SchedPolicy::Fifo)));
-    let tickets = Arc::new(AtomicU64::new(0));
-    timed(threads, move |t| {
-        let tenant = format!("vm-{t}");
-        for i in 0..ROUNDS {
-            let ticket = {
-                let mut q = queue.lock();
-                let ticket = tickets.fetch_add(1, Ordering::Relaxed);
-                q.push(&tenant, ticket, i as u64);
-                ticket
-            };
-            for _ in 0..DEPTH_POLLS_PER_ROUND {
-                let _ = queue.lock().len();
-            }
-            if i % HEAD_PROBE_PERIOD == 0 {
-                let _ = queue.lock().head().map(|w| w.ticket);
-            }
-            queue.lock().remove(ticket);
-        }
-    })
-}
-
-fn queue_sharded_run(threads: usize) -> Duration {
-    let queue = Arc::new(ShardedAdmissionQueue::new(SchedPolicy::Fifo));
-    timed(threads, move |t| {
-        let tenant = format!("vm-{t}");
-        for i in 0..ROUNDS {
-            let ticket = queue.push(&tenant, i as u64);
-            for _ in 0..DEPTH_POLLS_PER_ROUND {
-                let _ = queue.len();
-            }
-            if i % HEAD_PROBE_PERIOD == 0 {
-                let _ = queue.head().map(|w| w.ticket);
-            }
-            queue.remove_of(&tenant, ticket);
-        }
-    })
-}
-
 struct Row {
     threads: usize,
     single: Duration,
@@ -173,13 +117,17 @@ impl Row {
     }
 }
 
-fn sweep(name: &str, single: fn(usize) -> Duration, sharded: fn(usize) -> Duration) -> Vec<Row> {
+fn sweep() -> Vec<Row> {
     THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let row = Row { threads, single: single(threads), sharded: sharded(threads) };
+            let row = Row {
+                threads,
+                single: table_single_run(threads),
+                sharded: table_sharded_run(threads),
+            };
             println!(
-                "control_plane/{name}/{threads}t: single-lock {:?}, sharded {:?} -> {:.2}x",
+                "control_plane/table/{threads}t: single-lock {:?}, sharded {:?} -> {:.2}x",
                 row.single,
                 row.sharded,
                 row.speedup()
@@ -213,22 +161,18 @@ fn bench_control_plane(c: &mut Criterion) {
     group.finish();
 
     // The full sweep the gate publishes.
-    let table = sweep("table", table_single_run, table_sharded_run);
-    let queue = sweep("queue", queue_single_run, queue_sharded_run);
-    for rows in [&table, &queue] {
-        for r in rows {
-            assert!(
-                r.speedup() > 0.5,
-                "sharded control plane pathologically slower at {} threads: {:.2}x",
-                r.threads,
-                r.speedup()
-            );
-        }
+    let table = sweep();
+    for r in &table {
+        assert!(
+            r.speedup() > 0.5,
+            "sharded rank table pathologically slower at {} threads: {:.2}x",
+            r.threads,
+            r.speedup()
+        );
     }
     let json = format!(
-        "{{\"bench\":\"control_plane\",\"ranks\":{RANKS},\"rounds\":{ROUNDS},\"table\":{},\"queue\":{}}}",
-        json_leg(&table),
-        json_leg(&queue)
+        "{{\"bench\":\"control_plane\",\"ranks\":{RANKS},\"rounds\":{ROUNDS},\"table\":{}}}",
+        json_leg(&table)
     );
     println!("{json}");
     if let Ok(path) = std::env::var("CONTROL_PLANE_BENCH_OUT") {

@@ -109,9 +109,10 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// Creates a backend for one vUPMEM device owned by `owner` (the VM
-    /// tag; used for manager requests and driver claims). Counters go into
-    /// a private registry; use [`Self::with_registry`] to publish them.
+    /// Creates a standalone backend for one vUPMEM device owned by `owner`
+    /// (the VM tag; used for manager requests and driver claims), with a
+    /// private registry, worker pool, scheduler and scratch pool. A host
+    /// shares all four across its backends: see [`Self::with_parts`].
     #[must_use]
     pub fn new(
         driver: Arc<UpmemDriver>,
@@ -120,67 +121,20 @@ impl Backend {
         cm: CostModel,
         owner: String,
     ) -> Self {
-        Self::with_registry(driver, manager, vcfg, cm, owner, &MetricsRegistry::new())
-    }
-
-    /// Creates a backend whose request counters live in `registry` (as
-    /// `backend.writes` / `backend.reads` / `backend.ci`, shared with every
-    /// other backend on the same registry).
-    #[must_use]
-    pub fn with_registry(
-        driver: Arc<UpmemDriver>,
-        manager: ManagerClient,
-        vcfg: VpimConfig,
-        cm: CostModel,
-        owner: String,
-        registry: &MetricsRegistry,
-    ) -> Self {
+        let registry = MetricsRegistry::new();
         let pool = Arc::new(WorkerPool::new(cm.backend_threads));
-        Self::with_pool(driver, manager, vcfg, cm, owner, registry, pool)
+        let sched = Scheduler::new(driver.clone(), manager, vcfg.sched, cm.clone(), &registry);
+        let scratch = BytePool::with_registry(&registry, "datapath.pool");
+        Self::with_parts(driver, sched, vcfg, cm, owner, &registry, pool, scratch)
     }
 
-    /// [`with_registry`](Self::with_registry), sharing an existing worker
-    /// pool instead of spawning a private one — the system wiring hands
-    /// every backend of a VM the same pool, mirroring the paper's single
-    /// 8-thread pool for all DPU operations (§4.2).
-    #[must_use]
-    pub fn with_pool(
-        driver: Arc<UpmemDriver>,
-        manager: ManagerClient,
-        vcfg: VpimConfig,
-        cm: CostModel,
-        owner: String,
-        registry: &MetricsRegistry,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
-        let sched = Scheduler::new(driver.clone(), manager, vcfg.sched, cm.clone(), registry);
-        Self::with_scheduler(driver, sched, vcfg, cm, owner, registry, pool)
-    }
-
-    /// [`with_pool`](Self::with_pool), sharing an existing [`Scheduler`]
-    /// instead of wrapping the manager client in a private one. The system
-    /// wiring hands every backend on a host the same scheduler — required
-    /// for correctness under oversubscription (admission and preemption
-    /// decisions must see all tenants).
-    #[must_use]
-    pub fn with_scheduler(
-        driver: Arc<UpmemDriver>,
-        sched: Scheduler,
-        vcfg: VpimConfig,
-        cm: CostModel,
-        owner: String,
-        registry: &MetricsRegistry,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
-        let scratch = BytePool::with_registry(registry, "datapath.pool");
-        Self::with_parts(driver, sched, vcfg, cm, owner, registry, pool, scratch)
-    }
-
-    /// [`with_scheduler`](Self::with_scheduler), sharing an existing
-    /// scratch-buffer [`BytePool`] instead of creating a private one. The
-    /// system wiring hands every backend and frontend of a system the same
-    /// pool, so a buffer released by the serializer is reusable by any
-    /// backend worker.
+    /// A backend on a host's shared parts. Every backend on a host must
+    /// share one [`Scheduler`] (admission and preemption decisions must see
+    /// all tenants); the system wiring also shares the registry (request
+    /// counters aggregate as `backend.writes` / `backend.reads` /
+    /// `backend.ci`), the single 8-thread pool for all DPU operations
+    /// (§4.2), and the scratch [`BytePool`], so a buffer released by the
+    /// frontend serializer is reusable by any backend worker.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn with_parts(
@@ -324,7 +278,10 @@ impl Backend {
             Request::WriteSymbol { dpu, name, len } => {
                 self.handle_write_symbol(mem, &middle, dpu, &name, len)
             }
-            Request::ReadSymbol { dpu, name, len } => self.handle_read_symbol(dpu, &name, len),
+            Request::ReadSymbol { dpu, name, len } => {
+                let status = chain.descriptors.last().expect("length checked above");
+                self.handle_read_symbol(dpu, &name, len, status.len)
+            }
             Request::ScatterSymbol { name, entries } => self.handle_scatter(&name, &entries),
             Request::ReleaseRank => {
                 self.unlink();
@@ -626,8 +583,22 @@ impl Backend {
         })
     }
 
-    fn handle_read_symbol(&self, dpu: u32, name: &str, len: u32) -> Result<Response, VpimError> {
+    /// `reply_len` is the status descriptor's length: `len` comes straight
+    /// from the guest, so it is bounded by what the reply can carry before
+    /// anything is allocated for it.
+    fn handle_read_symbol(
+        &self,
+        dpu: u32,
+        name: &str,
+        len: u32,
+        reply_len: u32,
+    ) -> Result<Response, VpimError> {
         self.counters.ci.inc();
+        if len as usize > (reply_len as usize).saturating_sub(Response::FIXED_LEN) {
+            return Err(VpimError::BadRequest(format!(
+                "read-symbol of {len} bytes does not fit the {reply_len}-byte status buffer"
+            )));
+        }
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
         let mut bytes = vec![0u8; len as usize];
@@ -799,5 +770,14 @@ mod tests {
         let chain = r.device_q.pop().unwrap().unwrap();
         let resp = r.backend.process(&r.mem, &chain);
         assert_eq!(resp.status, STATUS_BAD);
+    }
+
+    #[test]
+    fn oversized_read_symbol_is_rejected_before_allocating() {
+        let mut r = rig();
+        let req = Request::ReadSymbol { dpu: 0, name: "sym".to_string(), len: u32::MAX };
+        let resp = send(&mut r, &req, &[]);
+        assert_eq!(resp.status, STATUS_BAD);
+        assert!(send(&mut r, &Request::Configure, &[]).is_ok(), "rank still usable");
     }
 }

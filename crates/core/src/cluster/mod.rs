@@ -53,12 +53,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simkit::lockorder::{ordered, LockLevel};
 use simkit::telemetry::{Counter, Gauge, MetricsRegistry, TimeCounter, VtHistogram};
-use simkit::{CostModel, FaultPlane, InjectCell, VirtualNanos, WorkerPool};
+use simkit::{CostModel, FaultPlane, InjectCell, VirtualNanos};
 use upmem_sim::PimConfig;
 
 use crate::config::VpimConfig;
 use crate::error::VpimError;
-use crate::load::session::{run_session, Admission, SessionRun, FAILED_OP};
+use crate::load::session::{run_sessions, Admission, SessionRun, FAILED_OP};
 use crate::load::{rate_milli_per_sec, LatencySummary, LoadSpec, TenantMix};
 use crate::sched::SnapshotStore;
 use crate::system::{StartOpts, TenantSpec, VpimVm};
@@ -552,8 +552,6 @@ impl Fleet {
     /// across execution modes, dispatch modes, and thread counts.
     #[must_use]
     pub fn load_run(&self, spec: &LoadSpec, mix: &TenantMix) -> FleetLoadReport {
-        use crate::load::Execution;
-
         let n = spec.n_sessions();
         let m = self.hosts.len();
         let assignment = self.session_assignment(n);
@@ -561,30 +559,10 @@ impl Fleet {
             spec.arrival_process().times(spec.seed(), n).iter().map(|t| t.as_nanos()).collect();
 
         // Phase A: run every session against its assigned host.
-        let runs: Vec<SessionRun> = match spec.execution_mode() {
-            Execution::Sequential => (0..n)
-                .map(|i| run_session(self.hosts[assignment[i]].system(), mix, spec.seed(), i))
-                .collect(),
-            Execution::Pooled => {
-                let servers = self.hosts.iter().map(FleetHost::rank_count).sum::<usize>();
-                let workers = if spec.worker_threads() == 0 {
-                    servers.min(8).max(1)
-                } else {
-                    spec.worker_threads()
-                };
-                let pool = WorkerPool::new(workers);
-                let mix = Arc::new(mix.clone());
-                let jobs = (0..n)
-                    .map(|i| {
-                        let sys = self.hosts[assignment[i]].system().clone();
-                        let mix = mix.clone();
-                        let seed = spec.seed();
-                        move || run_session(&sys, &mix, seed, i)
-                    })
-                    .collect::<Vec<_>>();
-                pool.run_all(jobs)
-            }
-        };
+        let fleet_ranks = self.hosts.iter().map(FleetHost::rank_count).sum::<usize>();
+        let runs = run_sessions(spec, mix, fleet_ranks.min(8), |i| {
+            self.hosts[assignment[i]].system()
+        });
 
         // Phase B: an independent virtual queue per host.
         let session_hist = VtHistogram::new();

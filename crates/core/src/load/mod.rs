@@ -69,10 +69,10 @@ pub use tenant::{OpFn, OpOutcome, TenantMix, TenantOp, TenantProfile};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use simkit::{VirtualNanos, VtHistogram, WorkerPool};
+use simkit::{VirtualNanos, VtHistogram};
 
 use crate::system::VpimSystem;
-use session::{run_session, simulate_queue, Admission, FAILED_OP};
+use session::{run_sessions, simulate_queue, Admission, FAILED_OP};
 
 /// How phase A executes the session bodies. Both modes must produce the
 /// same [`LoadReport`]; `Pooled` is simply faster on the wall clock.
@@ -215,31 +215,13 @@ impl LoadHarness {
         let n = spec.sessions;
         let servers = if spec.servers == 0 { sys.driver().rank_count() } else { spec.servers };
         let servers = servers.max(1);
-        let workers = if spec.workers == 0 { servers.min(8) } else { spec.workers }.max(1);
 
         // Offered trace (pure in the seed).
         let arrivals: Vec<u64> =
             spec.arrival.times(spec.seed, n).iter().map(|t| t.as_nanos()).collect();
 
         // Phase A: execute every session body, order-free.
-        let runs = match spec.exec {
-            Execution::Sequential => {
-                (0..n).map(|i| run_session(sys, mix, spec.seed, i)).collect::<Vec<_>>()
-            }
-            Execution::Pooled => {
-                let pool = WorkerPool::new(workers);
-                let mix = Arc::new(mix.clone());
-                let jobs = (0..n)
-                    .map(|i| {
-                        let sys = sys.clone();
-                        let mix = mix.clone();
-                        let seed = spec.seed;
-                        move || run_session(&sys, &mix, seed, i)
-                    })
-                    .collect::<Vec<_>>();
-                pool.run_all(jobs)
-            }
-        };
+        let runs = run_sessions(spec, mix, servers.min(8), |_| sys);
 
         // Phase B: the virtual-time queue.
         let q = simulate_queue(

@@ -15,10 +15,12 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
-use simkit::SimRng;
+use simkit::{SimRng, WorkerPool};
 
 use crate::load::tenant::TenantMix;
+use crate::load::{Execution, LoadSpec};
 use crate::system::VpimSystem;
 
 /// How long phase A keeps retrying a launch that races the asynchronous
@@ -49,12 +51,7 @@ pub(crate) const FAILED_OP: u64 = u64::MAX;
 /// Executes session `idx`: profile draw, VM launch, scripted ops with
 /// closed-loop think gaps, release. Never panics on workload errors —
 /// failures are recorded in the result so the report stays total.
-pub(crate) fn run_session(
-    sys: &VpimSystem,
-    mix: &TenantMix,
-    seed: u64,
-    idx: usize,
-) -> SessionRun {
+fn run_session(sys: &VpimSystem, mix: &TenantMix, seed: u64, idx: usize) -> SessionRun {
     let mut rng = SimRng::stream(seed, idx as u64);
     let pi = mix.pick(&mut rng);
     let profile = &mix.profiles()[pi];
@@ -113,6 +110,37 @@ pub(crate) fn run_session(
     let _ = vm.release_all();
     drop(vm);
     SessionRun { profile: pi, service_ns, op_costs, checksum, launch_failed: false }
+}
+
+/// Phase A for a whole run: executes every session body of `spec` on the
+/// host `host_of(session index)` names, in the spec's execution mode.
+/// `default_workers` sizes the pool when the spec leaves it on auto.
+pub(crate) fn run_sessions<'a>(
+    spec: &LoadSpec,
+    mix: &TenantMix,
+    default_workers: usize,
+    host_of: impl Fn(usize) -> &'a Arc<VpimSystem>,
+) -> Vec<SessionRun> {
+    let (n, seed) = (spec.n_sessions(), spec.seed());
+    match spec.execution_mode() {
+        Execution::Sequential => (0..n).map(|i| run_session(host_of(i), mix, seed, i)).collect(),
+        Execution::Pooled => {
+            let workers = match spec.worker_threads() {
+                0 => default_workers,
+                w => w,
+            };
+            let pool = WorkerPool::new(workers.max(1));
+            let mix = Arc::new(mix.clone());
+            let jobs = (0..n)
+                .map(|i| {
+                    let sys = host_of(i).clone();
+                    let mix = mix.clone();
+                    move || run_session(&sys, &mix, seed, i)
+                })
+                .collect::<Vec<_>>();
+            pool.run_all(jobs)
+        }
+    }
 }
 
 /// The queueing model's verdict on one session.

@@ -52,10 +52,6 @@ pub struct ManagerConfig {
     pub retry_timeout: Duration,
     /// Attempts before a request is abandoned.
     pub max_attempts: usize,
-    /// Rank groups the rank table is split into (clamped to the rank
-    /// count). `1` degenerates to the pre-sharding single-lock layout —
-    /// the configuration the load harness byte-compares against.
-    pub rank_shards: usize,
 }
 
 impl Default for ManagerConfig {
@@ -64,7 +60,6 @@ impl Default for ManagerConfig {
             pool_threads: 8,
             retry_timeout: Duration::from_millis(200),
             max_attempts: 5,
-            rank_shards: RANK_SHARDS,
         }
     }
 }
@@ -180,7 +175,7 @@ impl Manager {
         registry: &simkit::MetricsRegistry,
     ) -> Self {
         let state = Arc::new(
-            TableState::new_with_shards(driver.clone(), cm, cfg.rank_shards)
+            TableState::new(driver.clone(), cm)
                 .with_transition_counter(registry.counter("manager.rank_state.transitions")),
         );
         let stop = Arc::new(AtomicBool::new(false));

@@ -11,7 +11,7 @@
 //!   exhaustion semantics of the paper are unchanged — the Nth+1 tenant's
 //!   request is abandoned with [`VpimError::NoRankAvailable`].
 //! * **Oversubscribed mode**: acquire enqueues the tenant in a
-//!   [`ShardedAdmissionQueue`] (FIFO or weighted-fair) and blocks. The queue head
+//!   [`AdmissionQueue`] (FIFO or weighted-fair) and blocks. The queue head
 //!   probes the manager; when the machine is exhausted it *preempts* a
 //!   running tenant: wait for the victim's **safe point** (its per-device
 //!   rank slot unlocked, i.e. no in-flight operation, and every DPU idle),
@@ -33,11 +33,10 @@
 pub mod queue;
 pub mod store;
 
-pub use queue::{AdmissionQueue, SchedPolicy, ShardedAdmissionQueue, Waiter, QUEUE_SHARDS};
+pub use queue::{AdmissionQueue, SchedPolicy, ShardedAdmissionQueue, Waiter};
 pub use store::{SnapshotStore, StoreError};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -51,10 +50,6 @@ use upmem_driver::{PerfMapping, UpmemDriver};
 use crate::config::SchedSection;
 use crate::error::VpimError;
 use crate::manager::ManagerClient;
-
-/// Default shard count for the scheduler's control-plane state (tenant
-/// accounts/leases and the admission queue alike).
-pub const CONTROL_SHARDS: usize = 8;
 
 /// Fault point for the scheduler's checkpoint path: firing stalls the
 /// preempter ~2 ms of wall-clock time at the safe point (slot locked,
@@ -146,14 +141,20 @@ impl Default for Account {
     }
 }
 
-/// One tenant-hash shard of the scheduler's mutable state: the leases and
-/// fair-share accounts of the tenants that hash here. Keeping both maps
-/// under one lock means `charge` — the hottest control-plane call, issued
-/// once per completed operation — takes exactly one shard lock.
-#[derive(Debug, Default)]
-struct TenantShard {
+/// Everything the scheduler mutates, under its one lock
+/// ([`LockLevel::SchedState`]). `charge` — issued once per completed
+/// operation — and every queue operation take this lock and nothing else.
+#[derive(Debug)]
+struct State {
+    queue: AdmissionQueue,
+    /// Next arrival ticket, so tickets are the global arrival order.
+    next_ticket: u64,
     running: HashMap<String, Lease>,
     accounts: HashMap<String, Account>,
+    /// Next grant-order sequence number.
+    next_grant: u64,
+    /// Total charged virtual nanoseconds (the scheduler's virtual clock).
+    vclock: u64,
 }
 
 #[derive(Debug)]
@@ -180,25 +181,11 @@ struct Inner {
     manager: ManagerClient,
     cfg: SchedSection,
     cm: CostModel,
-    /// Tenant-hash shards of leases + accounts. Locked at
-    /// [`LockLevel::SchedState`] with the shard index, so multi-shard
-    /// holders (preemption's victim scan) must lock in ascending order.
-    tenants: Vec<Mutex<TenantShard>>,
-    /// The sharded admission queue (its shard locks sit at the same
-    /// lock level, index-offset above the tenant shards).
-    queue: ShardedAdmissionQueue,
-    /// Grant-order sequence; atomically drawn, no lock.
-    grant_seq: AtomicU64,
-    /// Total charged virtual nanoseconds (the scheduler's virtual clock).
-    vclock: AtomicU64,
-    /// Change generation for waiters: bumped by [`Scheduler::wake`]
-    /// before notifying, re-checked under `notify` before blocking — the
-    /// lost-wakeup guard now that state updates are not serialized by one
-    /// mutex.
-    generation: AtomicU64,
-    /// The dedicated condvar mutex ([`LockLevel::Notify`], the hierarchy
-    /// leaf). Waiters hold *only* this while blocked.
-    notify: Mutex<()>,
+    state: Mutex<State>,
+    /// Signalled after each change a waiter may be blocked on (a waiter
+    /// leaving the queue, a lease ending, a charge while tenants wait).
+    /// Waiters block on it holding `state`, so a change made under that
+    /// lock cannot fall between a waiter's check and its wait.
     changed: Condvar,
     store: SnapshotStore,
     metrics: SchedMetrics,
@@ -231,8 +218,7 @@ impl std::fmt::Debug for Scheduler {
 
 impl Scheduler {
     /// A scheduler driving `manager` under the policy in `cfg`, publishing
-    /// `sched.*` metrics into `registry`, with [`CONTROL_SHARDS`] state
-    /// shards.
+    /// `sched.*` metrics into `registry`.
     #[must_use]
     pub fn new(
         driver: Arc<UpmemDriver>,
@@ -241,35 +227,19 @@ impl Scheduler {
         cm: CostModel,
         registry: &MetricsRegistry,
     ) -> Self {
-        Self::new_with_shards(driver, manager, cfg, cm, registry, CONTROL_SHARDS)
-    }
-
-    /// [`new`](Self::new) with an explicit control-plane shard count
-    /// (clamped to ≥ 1), applied to both the tenant-state shards and the
-    /// admission queue. `1` reproduces the pre-sharding single-lock
-    /// serialization order exactly — the load harness byte-compares the
-    /// two configurations.
-    #[must_use]
-    pub fn new_with_shards(
-        driver: Arc<UpmemDriver>,
-        manager: ManagerClient,
-        cfg: SchedSection,
-        cm: CostModel,
-        registry: &MetricsRegistry,
-        shards: usize,
-    ) -> Self {
-        let n = shards.max(1);
         Scheduler {
             inner: Arc::new(Inner {
                 driver,
                 manager,
                 cm,
-                tenants: (0..n).map(|_| Mutex::new(TenantShard::default())).collect(),
-                queue: ShardedAdmissionQueue::new_with_shards(cfg.policy, n),
-                grant_seq: AtomicU64::new(0),
-                vclock: AtomicU64::new(0),
-                generation: AtomicU64::new(0),
-                notify: Mutex::new(()),
+                state: Mutex::new(State {
+                    queue: AdmissionQueue::new(cfg.policy),
+                    next_ticket: 0,
+                    running: HashMap::new(),
+                    accounts: HashMap::new(),
+                    next_grant: 0,
+                    vclock: 0,
+                }),
                 changed: Condvar::new(),
                 store: SnapshotStore::with_registry(
                     cfg.park_budget_mib.saturating_mul(1 << 20),
@@ -285,32 +255,10 @@ impl Scheduler {
         }
     }
 
-    /// Locks tenant-state shard `i` (ordered at [`LockLevel::SchedState`]).
-    fn lock_shard(&self, i: usize) -> (LockToken, MutexGuard<'_, TenantShard>) {
-        let token = ordered(LockLevel::SchedState, i);
-        (token, self.inner.tenants[i].lock())
-    }
-
-    /// Locks the shard owning `tenant`'s lease and account.
-    fn lock_tenant(&self, tenant: &str) -> (LockToken, MutexGuard<'_, TenantShard>) {
-        let i = (queue::fnv1a(tenant) % self.inner.tenants.len() as u64) as usize;
-        self.lock_shard(i)
-    }
-
-    /// Bumps the change generation and pokes every blocked waiter. The
-    /// notify mutex is taken (briefly, at the hierarchy leaf) and dropped
-    /// before notifying: a waiter that read the old generation is either
-    /// already inside its re-check — where it sees the new value or holds
-    /// the mutex we must wait for — or has yet to block, and will observe
-    /// the bump. Either way the wakeup cannot be lost.
-    fn wake(&self) {
-        let inner = &*self.inner;
-        inner.generation.fetch_add(1, Ordering::Release);
-        {
-            let _t = ordered(LockLevel::Notify, 0);
-            drop(inner.notify.lock());
-        }
-        inner.changed.notify_all();
+    /// Locks the scheduler state (ordered at [`LockLevel::SchedState`]).
+    fn lock_state(&self) -> (LockToken, MutexGuard<'_, State>) {
+        let token = ordered(LockLevel::SchedState, 0);
+        (token, self.inner.state.lock())
     }
 
     /// Installs the fault-injection plane consulted by the checkpoint path
@@ -338,27 +286,24 @@ impl Scheduler {
         &self.inner.store
     }
 
-    /// Tenants currently waiting for a rank (lock-free: folded per-shard
-    /// depth counters).
+    /// Tenants currently waiting for a rank.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.len()
+        self.lock_state().1.queue.len()
     }
 
     /// Point-in-time statistics.
     #[must_use]
     pub fn stats(&self) -> SchedStats {
-        let running = (0..self.inner.tenants.len())
-            .map(|i| self.lock_shard(i).1.running.len())
-            .sum();
+        let (_t, st) = self.lock_state();
         SchedStats {
             grants: self.inner.metrics.grants.get(),
             preemptions: self.inner.metrics.preemptions.get(),
             restores: self.inner.metrics.restores.get(),
-            queued: self.inner.queue.len(),
-            running,
+            queued: st.queue.len(),
+            running: st.running.len(),
             parked_bytes: self.inner.store.used_bytes(),
-            vclock_ns: self.inner.vclock.load(Ordering::Relaxed),
+            vclock_ns: st.vclock,
         }
     }
 
@@ -366,15 +311,15 @@ impl Scheduler {
     /// (Exposed for the equivalence and stress suites.)
     #[must_use]
     pub fn vruntime_of(&self, tenant: &str) -> Option<u64> {
-        self.lock_tenant(tenant).1.accounts.get(tenant).map(|a| a.vruntime)
+        self.lock_state().1.accounts.get(tenant).map(|a| a.vruntime)
     }
 
     /// Sets `tenant`'s weighted-fair share weight (clamped to ≥ 1; the
     /// default is 1). Twice the weight means vruntime grows half as fast,
     /// i.e. twice the rank time under contention.
     pub fn set_weight(&self, tenant: &str, weight: u64) {
-        let (_t, mut sh) = self.lock_tenant(tenant);
-        sh.accounts.entry(tenant.to_string()).or_default().weight = weight.max(1);
+        let (_t, mut st) = self.lock_state();
+        st.accounts.entry(tenant.to_string()).or_default().weight = weight.max(1);
     }
 
     /// Acquires a rank for `tenant`, whose (empty) slot the caller must
@@ -413,7 +358,7 @@ impl Scheduler {
         let outcome = outcome?;
         let mapping = inner.driver.open_perf(outcome.rank, tenant)?;
         let wait_vt = inner.cm.manager_alloc() + backoff_vt;
-        self.register_grant(tenant, outcome.rank, slot);
+        Self::register_grant(&mut self.lock_state().1, tenant, outcome.rank, slot);
         inner.metrics.grants.inc();
         inner.registry.histogram(&format!("sched.wait.{tenant}")).record(wait_vt);
         Ok(RankGrant { rank: outcome.rank, reused: outcome.reused, restored: false, wait_vt, mapping })
@@ -427,43 +372,33 @@ impl Scheduler {
         let inner = &*self.inner;
         let deadline = Instant::now() + Duration::from_millis(inner.cfg.admission_timeout_ms);
         let mut wait_vt = VirtualNanos::ZERO;
+        let mut held = self.lock_state();
         let ticket = {
-            let vruntime = {
-                let (_t, mut sh) = self.lock_tenant(tenant);
-                sh.accounts.entry(tenant.to_string()).or_default().vruntime
-            };
-            let ticket = inner.queue.push(tenant, vruntime);
-            inner.metrics.queue_depth.add(1);
+            let st = &mut *held.1;
+            let vruntime = st.accounts.entry(tenant.to_string()).or_default().vruntime;
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
+            st.queue.push(tenant, ticket, vruntime);
             ticket
         };
-        self.wake();
+        inner.metrics.queue_depth.add(1);
         let policy = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc);
         let mut transient_left = policy.max_attempts.max(1);
         let mut transient_n = 0u32;
         loop {
-            // Read the generation *before* probing: any state change after
-            // the probe bumps it, so the blocked re-check below cannot
-            // sleep through the wakeup that would have changed the answer.
-            let generation = inner.generation.load(Ordering::Acquire);
             // Only the policy's head probes the manager: at most one
             // admission request occupies the manager pool at a time, and
             // grants leave in policy order.
-            let is_head = inner.queue.head().map(|w| w.ticket) == Some(ticket);
-            if is_head {
-                match inner.manager.alloc(tenant) {
+            if held.1.queue.head().map(|w| w.ticket) == Some(ticket) {
+                // The probe and a preemption run unlocked: preemption takes
+                // a victim's RankSlot, which sits below SchedState.
+                drop(held);
+                // `true`: a rank is being recycled, re-probe without waiting.
+                let reprobe = match inner.manager.alloc(tenant) {
                     Ok(outcome) => {
                         return self.finish_grant(tenant, ticket, &outcome, wait_vt, slot);
                     }
-                    Err(VpimError::NoRankAvailable) => {
-                        match self.try_preempt(tenant, &mut wait_vt) {
-                            Ok(true) => continue, // a rank is being recycled; re-probe
-                            Ok(false) => {}       // nothing preemptable right now
-                            Err(e) => {
-                                self.dequeue(tenant, ticket);
-                                return Err(e);
-                            }
-                        }
-                    }
+                    Err(VpimError::NoRankAvailable) => self.try_preempt(tenant, &mut wait_vt),
                     Err(e) if e.is_transient() && transient_left > 1 => {
                         // Injected manager fault: keep the ticket and
                         // re-probe after a bounded, deterministic backoff
@@ -474,28 +409,32 @@ impl Scheduler {
                         wait_vt += b;
                         inner.retry.attempts.inc();
                         inner.retry.backoff_vt.add(b);
+                        false
                     }
                     Err(e) => {
                         if e.is_transient() {
                             inner.retry.giveups.inc();
                         }
-                        self.dequeue(tenant, ticket);
+                        self.dequeue(ticket);
                         return Err(e);
                     }
+                };
+                held = self.lock_state();
+                if reprobe {
+                    continue;
                 }
             }
             if Instant::now() >= deadline {
-                self.dequeue(tenant, ticket);
+                drop(held);
+                self.dequeue(ticket);
                 return Err(VpimError::AdmissionTimeout(tenant.to_string()));
             }
-            // Block on the notify mutex only (the hierarchy leaf); the
-            // generation re-check under the mutex closes the window
-            // between the probe above and the wait.
-            let _t = ordered(LockLevel::Notify, 0);
-            let mut g = inner.notify.lock();
-            if inner.generation.load(Ordering::Acquire) == generation {
-                let _ = inner.changed.wait_for(&mut g, WAIT_TICK);
-            }
+            // Who is head changes only under the lock held here, so a
+            // non-head waiter cannot sleep through becoming head. The
+            // head's probe also depends on state outside this lock (the
+            // manager's table, which the observer recycles unannounced),
+            // hence the bounded tick.
+            let _ = inner.changed.wait_for(&mut held.1, WAIT_TICK);
         }
     }
 
@@ -511,7 +450,7 @@ impl Scheduler {
         let mapping = match inner.driver.open_perf(outcome.rank, tenant) {
             Ok(m) => m,
             Err(e) => {
-                self.dequeue(tenant, ticket);
+                self.dequeue(ticket);
                 return Err(e.into());
             }
         };
@@ -529,101 +468,79 @@ impl Scheduler {
                     // back (same-tenant park cannot exceed the budget) and
                     // fail the grant rather than resume from a torn rank.
                     let _ = inner.store.park(tenant, snap);
-                    self.dequeue(tenant, ticket);
+                    self.dequeue(ticket);
                     return Err(e.into());
                 }
             }
         }
-        if inner.queue.remove_of(tenant, ticket) {
-            inner.metrics.queue_depth.sub(1);
+        {
+            let (_t, mut st) = self.lock_state();
+            if st.queue.remove(ticket) {
+                inner.metrics.queue_depth.sub(1);
+            }
+            Self::register_grant(&mut st, tenant, outcome.rank, slot);
         }
-        self.register_grant(tenant, outcome.rank, slot);
         inner.metrics.grants.inc();
         if restored {
             inner.metrics.restores.inc();
         }
         inner.registry.histogram(&format!("sched.wait.{tenant}")).record(wait_vt);
-        self.wake();
+        inner.changed.notify_all();
         Ok(RankGrant { rank: outcome.rank, reused: outcome.reused, restored, wait_vt, mapping })
     }
 
-    fn register_grant(&self, tenant: &str, rank: usize, slot: &RankSlot) {
-        let seq = self.inner.grant_seq.fetch_add(1, Ordering::Relaxed);
-        let (_t, mut sh) = self.lock_tenant(tenant);
-        sh.running.insert(
+    fn register_grant(st: &mut State, tenant: &str, rank: usize, slot: &RankSlot) {
+        let grant_seq = st.next_grant;
+        st.next_grant += 1;
+        st.running.insert(
             tenant.to_string(),
-            Lease {
-                slot: Arc::downgrade(slot),
-                rank,
-                grant_seq: seq,
-                used_vt: 0,
-                preempting: false,
-            },
+            Lease { slot: Arc::downgrade(slot), rank, grant_seq, used_vt: 0, preempting: false },
         );
     }
 
-    fn dequeue(&self, tenant: &str, ticket: u64) {
+    fn dequeue(&self, ticket: u64) {
         let inner = &*self.inner;
-        if inner.queue.remove_of(tenant, ticket) {
+        if self.lock_state().1.queue.remove(ticket) {
             inner.metrics.queue_depth.sub(1);
         }
-        self.wake();
+        inner.changed.notify_all();
     }
 
-    /// Picks a victim and checkpoints it. `Ok(true)` means a rank was (or
+    /// Picks a victim and checkpoints it. `true` means a rank was (or
     /// is being) freed and the caller should re-probe the manager;
-    /// `Ok(false)` means nothing was preemptable and the caller should
+    /// `false` means nothing was preemptable and the caller should
     /// block until the next change.
     ///
     /// Victim order: leases that exhausted their quantum first, then the
     /// oldest grant — so an idle long-holder is eventually preempted even
     /// if it never spends its quantum, which is what makes the admission
     /// queue deadlock-free.
-    fn try_preempt(&self, me: &str, wait_vt: &mut VirtualNanos) -> Result<bool, VpimError> {
+    fn try_preempt(&self, me: &str, wait_vt: &mut VirtualNanos) -> bool {
         let inner = &*self.inner;
         let quantum_ns = inner.cfg.quantum_ms.saturating_mul(1_000_000);
-        let picked = {
-            // Victim selection needs a consistent view of *every* lease:
-            // lock all tenant shards, in ascending index order per the
-            // lock hierarchy. This is the one cold multi-shard path; the
-            // hot paths (charge, grant) stay single-shard.
-            let mut guards: Vec<_> =
-                (0..inner.tenants.len()).map(|i| self.lock_shard(i)).collect();
-            let pick = guards
-                .iter()
-                .enumerate()
-                .flat_map(|(si, (_t, sh))| {
-                    sh.running
-                        .iter()
-                        .filter(|(t, l)| t.as_str() != me && !l.preempting)
-                        .map(move |(t, l)| {
-                            ((u64::from(l.used_vt < quantum_ns), l.grant_seq), si, t.clone())
-                        })
-                })
-                .min_by_key(|(key, _, _)| *key)
-                .map(|(_, si, t)| (si, t));
-            match pick {
-                Some((si, t)) => {
-                    let lease =
-                        guards[si].1.running.get_mut(&t).expect("picked from running");
-                    lease.preempting = true;
-                    Some((t, lease.slot.clone(), lease.rank))
-                }
-                None => None,
-            }
-        };
+        let picked = self
+            .lock_state()
+            .1
+            .running
+            .iter_mut()
+            .filter(|(t, l)| t.as_str() != me && !l.preempting)
+            .min_by_key(|(_, l)| (u64::from(l.used_vt < quantum_ns), l.grant_seq))
+            .map(|(t, lease)| {
+                lease.preempting = true;
+                (t.clone(), lease.slot.clone(), lease.rank)
+            });
         let Some((victim, weak_slot, rank)) = picked else {
-            return Ok(false);
+            return false;
         };
         let Some(slot) = weak_slot.upgrade() else {
             // The victim's backend is gone; its claim dropped with it.
             self.reap(&victim);
-            return Ok(true);
+            return true;
         };
         // Safe point: taking the slot lock waits out any in-flight
         // operation (operations hold the lock for their full duration).
-        // All tenant-shard locks were dropped above — RankSlot sits below
-        // SchedState in the hierarchy.
+        // The state lock was dropped above — RankSlot sits below SchedState
+        // in the hierarchy.
         let _slot_order = ordered(LockLevel::RankSlot, 0);
         let mut guard = slot.lock();
         if inner.inject.hit(CKPT_STALL_POINT) {
@@ -636,7 +553,7 @@ impl Scheduler {
             // The victim released on its own while we were picking it.
             drop(guard);
             self.reap(&victim);
-            return Ok(true);
+            return true;
         };
         let snap = match mapping.rank().snapshot_quiescent() {
             Ok(s) => s,
@@ -645,7 +562,7 @@ impl Scheduler {
                 // the victim finish.
                 drop(guard);
                 self.clear_preempting(&victim);
-                return Ok(false);
+                return false;
             }
         };
         let bytes = snap.resident_bytes() as u64;
@@ -654,17 +571,14 @@ impl Scheduler {
             // safe move (parked state is the victim's sole copy).
             drop(guard);
             self.clear_preempting(&victim);
-            return Ok(false);
+            return false;
         }
         // ALLO → CKPT in the rank table, then drop the victim's claim so
         // the observer sees the release and recycles the rank.
         let _ = inner.manager.mark_ckpt(rank);
         *guard = None;
         drop(guard);
-        {
-            let (_t, mut sh) = self.lock_tenant(&victim);
-            sh.running.remove(&victim);
-        }
+        self.lock_state().1.running.remove(&victim);
         inner.metrics.preemptions.inc();
         *wait_vt = *wait_vt
             + inner.cm.rank_snapshot(bytes)
@@ -672,23 +586,18 @@ impl Scheduler {
         // Expedite observe + reset instead of waiting for the 50 ms
         // observer sweep.
         inner.manager.sync();
-        self.wake();
-        Ok(true)
+        inner.changed.notify_all();
+        true
     }
 
     fn reap(&self, tenant: &str) {
-        let inner = &*self.inner;
-        {
-            let (_t, mut sh) = self.lock_tenant(tenant);
-            sh.running.remove(tenant);
-        }
-        inner.manager.sync();
-        self.wake();
+        self.lock_state().1.running.remove(tenant);
+        self.inner.manager.sync();
+        self.inner.changed.notify_all();
     }
 
     fn clear_preempting(&self, tenant: &str) {
-        let (_t, mut sh) = self.lock_tenant(tenant);
-        if let Some(l) = sh.running.get_mut(tenant) {
+        if let Some(l) = self.lock_state().1.running.get_mut(tenant) {
             l.preempting = false;
         }
     }
@@ -697,24 +606,20 @@ impl Scheduler {
     /// The backend calls this once per successfully completed operation
     /// with the operation's modeled duration, so scheduling accounts are
     /// identical under Sequential and Parallel dispatch.
-    ///
-    /// This is the control plane's hottest call (once per operation): it
-    /// takes exactly one tenant-shard lock plus one atomic add, so charges
-    /// by tenants on different shards never serialize.
     pub fn charge(&self, tenant: &str, vt: VirtualNanos) {
-        let inner = &*self.inner;
         let ns = vt.as_nanos();
-        {
-            let (_t, mut sh) = self.lock_tenant(tenant);
-            let acct = sh.accounts.entry(tenant.to_string()).or_default();
+        let waiters = {
+            let (_t, mut st) = self.lock_state();
+            let acct = st.accounts.entry(tenant.to_string()).or_default();
             acct.vruntime = acct.vruntime.saturating_add(ns / acct.weight.max(1));
-            if let Some(l) = sh.running.get_mut(tenant) {
+            if let Some(l) = st.running.get_mut(tenant) {
                 l.used_vt = l.used_vt.saturating_add(ns);
             }
-        }
-        inner.vclock.fetch_add(ns, Ordering::Relaxed);
-        if !inner.queue.is_empty() {
-            self.wake();
+            st.vclock = st.vclock.saturating_add(ns);
+            !st.queue.is_empty()
+        };
+        if waiters {
+            self.inner.changed.notify_all();
         }
     }
 
@@ -723,16 +628,13 @@ impl Scheduler {
     /// discarded, and waiters are woken.
     pub fn notify_release(&self, tenant: &str) {
         let inner = &*self.inner;
-        {
-            let (_t, mut sh) = self.lock_tenant(tenant);
-            sh.running.remove(tenant);
-        }
+        self.lock_state().1.running.remove(tenant);
         inner.store.evict(tenant);
         if inner.cfg.oversubscription {
             // Expedite rank recycling for the waiters we are about to wake.
             inner.manager.sync();
         }
-        self.wake();
+        inner.changed.notify_all();
     }
 }
 
@@ -858,10 +760,7 @@ mod tests {
         // Make vm-a unpreemptable (as if another preempter already owned
         // it): vm-b can then neither allocate nor preempt, and must time
         // out cleanly.
-        {
-            let (_t, mut sh) = s.lock_tenant("vm-a");
-            sh.running.get_mut("vm-a").unwrap().preempting = true;
-        }
+        s.lock_state().1.running.get_mut("vm-a").unwrap().preempting = true;
         let slot_b: RankSlot = Arc::new(Mutex::new(None));
         let _g = slot_b.lock();
         assert!(matches!(

@@ -1,25 +1,11 @@
 //! The admission queue: tenants waiting for a rank, ordered by policy.
 //!
-//! Two implementations live here:
-//!
-//! * [`AdmissionQueue`] — the original single-structure queue, externally
-//!   locked. It is retained verbatim as the **differential-testing
-//!   oracle**: `tests/control_plane_equivalence.rs` replays identical op
-//!   sequences against it and the sharded queue and asserts identical
-//!   head orders.
-//! * [`ShardedAdmissionQueue`] — the internally-synchronized queue the
-//!   [`Scheduler`](crate::sched::Scheduler) uses. Waiters are striped
-//!   across tenant-hash shards, each under its own mutex, so pushes and
-//!   removals by different tenants never contend. The merged policy head
-//!   is computed with an epoch-validated scan (a seqlock over the shard
-//!   set) and falls back to locking every shard in ascending order when
-//!   writers keep invalidating the scan.
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! [`AdmissionQueue`] is a plain single-structure queue with no lock of
+//! its own: the [`Scheduler`](crate::sched::Scheduler) keeps it inside its
+//! one state mutex, next to the ticket counter, leases and accounts.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use simkit::{ordered, LockLevel};
 
 /// Ordering policy for the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -112,260 +98,36 @@ impl AdmissionQueue {
     }
 }
 
-/// Default shard count for [`ShardedAdmissionQueue`].
-pub const QUEUE_SHARDS: usize = 8;
-
-/// Lock-order index base for queue shard locks. Queue shards share
-/// [`LockLevel::SchedState`] with the scheduler's tenant shards; offsetting
-/// their indices keeps `tenant shard → queue shard` nesting legal (indices
-/// are non-decreasing) while flagging the reverse order as a violation.
-const QUEUE_LOCK_BASE: usize = 1 << 10;
-
-/// Stable FNV-1a hash — the shard routing function, shared with the
-/// scheduler's tenant shards so one tenant's queue entry and account live
-/// on like-numbered shards. Deliberately not `DefaultHasher`, whose output
-/// may change across Rust releases; shard placement feeds the bench and
-/// stress suites and must be reproducible.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// How many epoch-validated head scans to attempt before falling back to
-/// locking every shard.
-const HEAD_SCAN_RETRIES: usize = 8;
-
-/// The sharded admission queue: per-tenant-hash shards, each independently
-/// locked, with a global arrival-ticket counter and an epoch-validated
-/// merged head.
-///
-/// # Semantics vs the oracle
-///
-/// Applied sequentially, every operation is indistinguishable from
-/// [`AdmissionQueue`]: tickets are handed out in call order and `head()`
-/// is the same policy minimum over the same waiter set. Under concurrency
-/// the *ticket assignment* order across shards can differ from the order
-/// in which pushes become visible — but any such inversion is equivalent
-/// to the two pushes arriving in the other order, which concurrent
-/// arrivals always permit. Within one tenant (one shard) FIFO order is
-/// exact, because the ticket is drawn while holding the tenant's shard
-/// lock.
+/// Name kept only for `benchmark/src/replay.rs` (frozen for this PR),
+/// whose `host.sched.queue_op_ns` row calls exactly these four methods: an
+/// [`AdmissionQueue`] and its ticket counter behind one mutex — the lock +
+/// push/head/remove shape the scheduler executes. Nothing else may use it;
+/// the next benchmark PR deletes it (ROADMAP item 3).
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct ShardedAdmissionQueue {
-    policy: SchedPolicy,
-    shards: Vec<Mutex<Vec<Waiter>>>,
-    /// Per-shard waiter counts, so `len()` never takes a lock.
-    depths: Vec<AtomicUsize>,
-    /// Next arrival ticket; drawn inside the owning shard's lock.
-    next_ticket: AtomicU64,
-    /// Mutation epoch: bumped (under the mutated shard's lock) by every
-    /// push/removal. `head()` treats an unchanged epoch across its scan as
-    /// proof the merged minimum is consistent.
-    epoch: AtomicU64,
-}
+pub struct ShardedAdmissionQueue(Mutex<(AdmissionQueue, u64)>);
 
 impl ShardedAdmissionQueue {
-    /// An empty queue ordered by `policy` with [`QUEUE_SHARDS`] shards.
     #[must_use]
     pub fn new(policy: SchedPolicy) -> Self {
-        Self::new_with_shards(policy, QUEUE_SHARDS)
+        ShardedAdmissionQueue(Mutex::new((AdmissionQueue::new(policy), 0)))
     }
 
-    /// An empty queue with an explicit shard count (clamped to ≥ 1).
-    /// `1` degenerates to a mutex-wrapped [`AdmissionQueue`] — the
-    /// configuration the load harness byte-compares against.
-    #[must_use]
-    pub fn new_with_shards(policy: SchedPolicy, shards: usize) -> Self {
-        let n = shards.max(1);
-        ShardedAdmissionQueue {
-            policy,
-            shards: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            depths: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            next_ticket: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// The queue's policy.
-    #[must_use]
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `tenant`'s waiters live on.
-    #[must_use]
-    pub fn shard_of(&self, tenant: &str) -> usize {
-        (fnv1a(tenant) % self.shards.len() as u64) as usize
-    }
-
-    fn lock_shard(&self, i: usize) -> (simkit::LockToken, parking_lot::MutexGuard<'_, Vec<Waiter>>) {
-        let token = ordered(LockLevel::SchedState, QUEUE_LOCK_BASE + i);
-        (token, self.shards[i].lock())
-    }
-
-    /// Enqueues `tenant` and returns its arrival ticket. The ticket is
-    /// drawn while the owning shard's lock is held, so per-tenant FIFO
-    /// order is exact.
     pub fn push(&self, tenant: &str, vruntime: u64) -> u64 {
-        let i = self.shard_of(tenant);
-        let (_t, mut shard) = self.lock_shard(i);
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        shard.push(Waiter { tenant: tenant.to_string(), ticket, vruntime });
-        self.depths[i].fetch_add(1, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
+        let (queue, next_ticket) = &mut *self.0.lock();
+        let ticket = *next_ticket;
+        *next_ticket += 1;
+        queue.push(tenant, ticket, vruntime);
         ticket
     }
 
-    /// Removes `tenant`'s waiter with `ticket`, touching only the owning
-    /// shard. Returns whether it was present.
-    pub fn remove_of(&self, tenant: &str, ticket: u64) -> bool {
-        let i = self.shard_of(tenant);
-        let (_t, mut shard) = self.lock_shard(i);
-        match shard.iter().position(|w| w.ticket == ticket) {
-            Some(p) => {
-                shard.remove(p);
-                self.depths[i].fetch_sub(1, Ordering::Relaxed);
-                self.epoch.fetch_add(1, Ordering::Release);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes the waiter with `ticket` wherever it lives (scans shards in
-    /// ascending order). Prefer [`remove_of`](Self::remove_of) when the
-    /// tenant is known.
-    pub fn remove(&self, ticket: u64) -> bool {
-        for i in 0..self.shards.len() {
-            let (_t, mut shard) = self.lock_shard(i);
-            if let Some(p) = shard.iter().position(|w| w.ticket == ticket) {
-                shard.remove(p);
-                self.depths[i].fetch_sub(1, Ordering::Relaxed);
-                self.epoch.fetch_add(1, Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-
-    fn shard_min(&self, shard: &[Waiter]) -> Option<Waiter> {
-        match self.policy {
-            SchedPolicy::Fifo => shard.iter().min_by_key(|w| w.ticket).cloned(),
-            SchedPolicy::WeightedFair => {
-                shard.iter().min_by_key(|w| (w.vruntime, w.ticket)).cloned()
-            }
-        }
-    }
-
-    fn better(&self, a: &Waiter, b: &Waiter) -> bool {
-        match self.policy {
-            SchedPolicy::Fifo => a.ticket < b.ticket,
-            SchedPolicy::WeightedFair => (a.vruntime, a.ticket) < (b.vruntime, b.ticket),
-        }
-    }
-
-    /// The waiter the policy serves next, if any — the merged minimum over
-    /// all shards. Fast path: scan each shard under its own (brief) lock
-    /// and validate with the mutation epoch; if writers keep racing the
-    /// scan, fall back to locking every shard in ascending order, which is
-    /// trivially consistent.
     #[must_use]
     pub fn head(&self) -> Option<Waiter> {
-        for _ in 0..HEAD_SCAN_RETRIES {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            let mut best: Option<Waiter> = None;
-            for i in 0..self.shards.len() {
-                let (_t, shard) = self.lock_shard(i);
-                if let Some(m) = self.shard_min(&shard) {
-                    if best.as_ref().is_none_or(|b| self.better(&m, b)) {
-                        best = Some(m);
-                    }
-                }
-            }
-            if self.epoch.load(Ordering::Acquire) == e1 {
-                return best;
-            }
-        }
-        // Locked fallback: hold every shard at once (ascending index, per
-        // the lock hierarchy).
-        let guards: Vec<_> = (0..self.shards.len()).map(|i| self.lock_shard(i)).collect();
-        let mut best: Option<Waiter> = None;
-        for (_, shard) in &guards {
-            if let Some(m) = self.shard_min(shard) {
-                if best.as_ref().is_none_or(|b| self.better(&m, b)) {
-                    best = Some(m);
-                }
-            }
-        }
-        best
+        self.0.lock().0.head().cloned()
     }
 
-    /// Pops the policy minimum of one shard — the **work-stealing** entry
-    /// point: a consumer drains its own stripe first and steals from
-    /// others only when its stripe is empty, never contending on a global
-    /// lock. Out of range or empty shards return `None`.
-    pub fn pop_from(&self, shard: usize) -> Option<Waiter> {
-        if shard >= self.shards.len() {
-            return None;
-        }
-        let (_t, mut guard) = self.lock_shard(shard);
-        let pos = match self.policy {
-            SchedPolicy::Fifo => {
-                guard.iter().enumerate().min_by_key(|(_, w)| w.ticket).map(|(p, _)| p)
-            }
-            SchedPolicy::WeightedFair => guard
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| (w.vruntime, w.ticket))
-                .map(|(p, _)| p),
-        }?;
-        let w = guard.remove(pos);
-        self.depths[shard].fetch_sub(1, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-        Some(w)
-    }
-
-    /// Pops the merged policy head (the [`head`](Self::head) waiter),
-    /// retrying when a racing consumer wins it first.
-    pub fn pop_head(&self) -> Option<Waiter> {
-        loop {
-            let h = self.head()?;
-            if self.remove_of(&h.tenant, h.ticket) {
-                return Some(h);
-            }
-        }
-    }
-
-    /// Number of queued waiters (sum of per-shard depth counters; exact
-    /// whenever no push/removal is concurrently in flight).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.depths.iter().map(|d| d.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `ticket` is queued (scans all shards).
-    #[must_use]
-    pub fn contains(&self, ticket: u64) -> bool {
-        (0..self.shards.len()).any(|i| {
-            let (_t, shard) = self.lock_shard(i);
-            shard.iter().any(|w| w.ticket == ticket)
-        })
+    pub fn remove_of(&self, _tenant: &str, ticket: u64) -> bool {
+        self.0.lock().0.remove(ticket)
     }
 }
 
@@ -403,103 +165,5 @@ mod tests {
         assert!(q.head().is_none());
         assert!(q.is_empty());
         assert!(!q.contains(7));
-    }
-
-    #[test]
-    fn sharded_fifo_matches_oracle_sequentially() {
-        let q = ShardedAdmissionQueue::new(SchedPolicy::Fifo);
-        let mut oracle = AdmissionQueue::new(SchedPolicy::Fifo);
-        for (t, vrt) in [("b", 0), ("a", 999), ("c", 0), ("aa", 7)] {
-            let ticket = q.push(t, vrt);
-            oracle.push(t, ticket, vrt);
-        }
-        assert_eq!(q.len(), oracle.len());
-        while let Some(h) = oracle.head().cloned() {
-            let sh = q.head().expect("sharded head present while oracle non-empty");
-            assert_eq!((sh.tenant.as_str(), sh.ticket), (h.tenant.as_str(), h.ticket));
-            assert!(oracle.remove(h.ticket));
-            assert!(q.remove_of(&h.tenant, h.ticket));
-        }
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn sharded_weighted_fair_merges_across_shards() {
-        let q = ShardedAdmissionQueue::new_with_shards(SchedPolicy::WeightedFair, 4);
-        let t_greedy = q.push("greedy", 5_000);
-        let t_starved = q.push("starved", 100);
-        assert_eq!(q.head().unwrap().tenant, "starved");
-        // Equal vruntime falls back to global ticket order.
-        let t_tied = q.push("tied", 100);
-        assert!(t_tied > t_starved);
-        assert_eq!(q.head().unwrap().ticket, t_starved);
-        assert!(q.remove(t_starved));
-        assert_eq!(q.head().unwrap().tenant, "tied");
-        assert!(q.contains(t_greedy));
-        assert!(!q.contains(t_starved));
-    }
-
-    #[test]
-    fn pop_from_steals_only_the_named_shard() {
-        let q = ShardedAdmissionQueue::new_with_shards(SchedPolicy::Fifo, 4);
-        let tickets: Vec<u64> = (0..16).map(|i| q.push(&format!("t{i}"), 0)).collect();
-        assert_eq!(q.len(), 16);
-        // Drain via work-stealing: sweep every shard until all are empty.
-        let mut popped = Vec::new();
-        while !q.is_empty() {
-            for s in 0..q.shard_count() {
-                while let Some(w) = q.pop_from(s) {
-                    assert_eq!(q.shard_of(&w.tenant), s, "stolen from the owning shard");
-                    popped.push(w.ticket);
-                }
-            }
-        }
-        popped.sort_unstable();
-        assert_eq!(popped, tickets);
-        assert!(q.pop_from(99).is_none(), "out-of-range shard is None");
-    }
-
-    #[test]
-    fn pop_head_drains_in_policy_order() {
-        let q = ShardedAdmissionQueue::new(SchedPolicy::Fifo);
-        for t in ["x", "y", "z"] {
-            q.push(t, 0);
-        }
-        let order: Vec<String> =
-            std::iter::from_fn(|| q.pop_head().map(|w| w.tenant)).collect();
-        assert_eq!(order, ["x", "y", "z"]);
-    }
-
-    #[test]
-    fn single_shard_degenerates_to_oracle_layout() {
-        let q = ShardedAdmissionQueue::new_with_shards(SchedPolicy::Fifo, 1);
-        assert_eq!(q.shard_count(), 1);
-        assert_eq!(q.shard_of("anything"), 0);
-        q.push("a", 0);
-        q.push("b", 0);
-        assert_eq!(q.head().unwrap().tenant, "a");
-    }
-
-    #[test]
-    fn concurrent_push_remove_keeps_exact_depth() {
-        use std::sync::Arc;
-        let q = Arc::new(ShardedAdmissionQueue::new(SchedPolicy::Fifo));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let tenant = format!("vm-{t}");
-                    for _ in 0..200 {
-                        let ticket = q.push(&tenant, 0);
-                        assert!(q.remove_of(&tenant, ticket));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(q.len(), 0, "every push was matched by a removal");
-        assert!(q.head().is_none());
     }
 }

@@ -24,9 +24,6 @@ use crate::sched::Scheduler;
 pub struct StartOpts {
     cost_model: CostModel,
     manager: ManagerConfig,
-    /// `None` leaves each layer on its own default shard count
-    /// ([`crate::manager::RANK_SHARDS`], [`crate::sched::CONTROL_SHARDS`]).
-    control_shards: Option<usize>,
 }
 
 impl StartOpts {
@@ -47,19 +44,6 @@ impl StartOpts {
     #[must_use]
     pub fn manager(mut self, mcfg: ManagerConfig) -> Self {
         self.manager = mcfg;
-        self
-    }
-
-    /// Shard count for the host's control plane (clamped to ≥ 1): the
-    /// manager's rank table, the scheduler's tenant state, and the
-    /// admission queue. Unset, each layer uses its own default
-    /// ([`crate::manager::RANK_SHARDS`] / [`crate::sched::CONTROL_SHARDS`]).
-    /// `1` reproduces the pre-sharding single-lock serialization exactly —
-    /// the load harness byte-compares reports across this knob to prove
-    /// sharding changes no observable behavior.
-    #[must_use]
-    pub fn control_shards(mut self, shards: usize) -> Self {
-        self.control_shards = Some(shards.max(1));
         self
     }
 }
@@ -184,20 +168,11 @@ impl VpimSystem {
     /// `StartOpts::default()` reproduces the old two-argument `start`.
     #[must_use]
     pub fn start(driver: Arc<UpmemDriver>, vcfg: VpimConfig, opts: StartOpts) -> Self {
-        let StartOpts { cost_model: cm, manager: mut mcfg, control_shards } = opts;
-        if let Some(n) = control_shards {
-            mcfg.rank_shards = n;
-        }
+        let StartOpts { cost_model: cm, manager: mcfg } = opts;
         let registry = MetricsRegistry::new();
         let manager = Manager::start_with_registry(driver.clone(), cm.clone(), mcfg, &registry);
-        let sched = Scheduler::new_with_shards(
-            driver.clone(),
-            manager.client(),
-            vcfg.sched,
-            cm.clone(),
-            &registry,
-            control_shards.unwrap_or(crate::sched::CONTROL_SHARDS),
-        );
+        let sched =
+            Scheduler::new(driver.clone(), manager.client(), vcfg.sched, cm.clone(), &registry);
         let data_pool = Arc::new(WorkerPool::new(cm.backend_threads));
         let scratch = BytePool::with_registry(&registry, "datapath.pool");
         let inject = if vcfg.inject.enabled {

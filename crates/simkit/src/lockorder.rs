@@ -1,8 +1,8 @@
 //! The system-wide lock hierarchy, enforced in debug builds.
 //!
 //! The sharded control plane multiplies the number of locks in flight:
-//! per-group rank-table shards, per-group sysfs board shards, per-tenant
-//! scheduler shards, plus the pre-existing frontend, device-queue and
+//! per-group rank-table shards and per-group sysfs board shards, next to
+//! the scheduler's state mutex and the frontend, device-queue and
 //! rank-slot mutexes. A silent deadlock between any two of them would be
 //! the worst kind of regression — rare, timing-dependent, invisible to
 //! the differential suites. This module pins the **one legal acquisition
@@ -23,7 +23,7 @@
 //! | 4     | `DeviceQueue`  | virtio device queue + guest-memory cell             |
 //! | 5     | `RankSlot`     | a backend's rank mapping slot (sched safe point)    |
 //! | 6     | `Link`         | inter-host network link serialization               |
-//! | 7     | `SchedState`   | scheduler tenant shards (accounts/leases)           |
+//! | 7     | `SchedState`   | scheduler state (queue, leases, accounts)           |
 //! | 8     | `ManagerTable` | manager rank-table shards                           |
 //! | 9     | `SysfsBoard`   | sysfs status-board shards                           |
 //! | 10    | `Notify`       | condvar pairing mutexes (always leaf)               |
@@ -36,8 +36,10 @@
 //! snapshots over the link while the source ranks are quiesced under
 //! their slot locks (5→6), a backend charges the scheduler from inside
 //! its slot (5→7), the manager probes the sysfs claim counters while
-//! holding a table shard (8→9), and every condvar wait parks on a
-//! dedicated notify mutex holding nothing else (→10).
+//! holding a table shard (8→9), and the table's and the board's condvar
+//! waits park on a dedicated notify mutex holding nothing else (→10).
+//! The scheduler's admission wait is the exception: it parks on the
+//! `SchedState` mutex itself, the one lock its wait condition lives under.
 //!
 //! `Link` sits *inside* `RankSlot` rather than alongside the other
 //! cluster locks because transfer time is charged while the shipped
@@ -80,7 +82,7 @@ pub enum LockLevel {
     RankSlot = 5,
     /// Inter-host link serialization (taken with source slots quiesced).
     Link = 6,
-    /// Scheduler tenant shards (accounts and leases).
+    /// The scheduler's state mutex (queue, leases and accounts).
     SchedState = 7,
     /// Manager rank-table shards.
     ManagerTable = 8,

@@ -1,26 +1,21 @@
-//! Differential (oracle-backed) suite for the sharded control plane.
+//! Differential (oracle-backed) suite for the sharded rank table.
 //!
-//! PR 7 sharded the manager's rank table, the scheduler's admission
-//! queue, and the scheduler's tenant state. The pre-sharding single-lock
-//! implementations were retained verbatim —
-//! [`vpim::manager::reference::ReferenceTable`] and
-//! [`vpim::sched::AdmissionQueue`] — and this suite replays generated op
-//! sequences against both implementations, asserting identical grant
-//! orders, rank states, head orders, statistics and `sched.*` registry
-//! totals. Any semantic drift introduced by sharding fails here first.
+//! PR 7 sharded the manager's rank table and retained the pre-sharding
+//! single-lock implementation verbatim as
+//! [`vpim::manager::reference::ReferenceTable`]. This suite replays
+//! generated op sequences against both, asserting identical alloc
+//! outcomes, rank states, statistics and transition counts. Any semantic
+//! drift introduced by sharding fails here first.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use simkit::{CostModel, MetricsRegistry};
+use simkit::CostModel;
 use upmem_driver::{RankStatus, UpmemDriver};
 use upmem_sim::{PimConfig, PimMachine};
 use vpim::manager::reference::ReferenceTable;
 use vpim::manager::table::TableState;
-use vpim::manager::{Manager, ManagerConfig, RankState};
-use vpim::sched::{AdmissionQueue, RankSlot, SchedPolicy, Scheduler, ShardedAdmissionQueue};
-use vpim::SchedSection;
 
 const RANKS: usize = 5;
 
@@ -134,175 +129,5 @@ proptest! {
         }
         prop_assert_eq!(sharded.stats(), oracle.stats());
         prop_assert_eq!(sharded.transitions(), oracle.transitions());
-    }
-}
-
-fn run_queue_pair(policy: SchedPolicy, ops: &[(u8, u8)]) -> Result<(), TestCaseError> {
-    let sharded = ShardedAdmissionQueue::new(policy);
-    let mut oracle = AdmissionQueue::new(policy);
-    let mut live: Vec<(String, u64)> = Vec::new();
-    for &(op, arg) in ops {
-        match op {
-            0 | 1 => {
-                // Push: the sharded queue assigns the ticket (drawn inside
-                // the owning shard's lock); the oracle is fed the same one.
-                let tenant = format!("vm-{}", arg % 6);
-                let vruntime = u64::from(arg) * 17;
-                let ticket = sharded.push(&tenant, vruntime);
-                oracle.push(&tenant, ticket, vruntime);
-                live.push((tenant, ticket));
-            }
-            2 => {
-                if live.is_empty() {
-                    continue;
-                }
-                let (tenant, ticket) = live.swap_remove(arg as usize % live.len());
-                prop_assert!(sharded.remove_of(&tenant, ticket));
-                prop_assert!(oracle.remove(ticket));
-            }
-            _ => {
-                // Pop the merged head; the oracle must agree on who it was.
-                let popped = sharded.pop_head();
-                let want = oracle.head().cloned();
-                match (&popped, &want) {
-                    (Some(p), Some(w)) => {
-                        prop_assert_eq!(p.ticket, w.ticket);
-                        prop_assert_eq!(&p.tenant, &w.tenant);
-                        prop_assert!(oracle.remove(w.ticket));
-                        live.retain(|(_, t)| *t != p.ticket);
-                    }
-                    (None, None) => {}
-                    _ => {
-                        return Err(TestCaseError::fail(format!(
-                            "pop diverged: sharded={popped:?} oracle={want:?}"
-                        )));
-                    }
-                }
-            }
-        }
-        // Invariants after every op: same head, same depth, same tickets.
-        let want = oracle.head().cloned();
-        let got = sharded.head();
-        prop_assert_eq!(
-            got.as_ref().map(|w| (w.tenant.clone(), w.ticket)),
-            want.map(|w| (w.tenant.clone(), w.ticket))
-        );
-        prop_assert_eq!(sharded.len(), oracle.len());
-        for (_, ticket) in &live {
-            prop_assert!(sharded.contains(*ticket));
-            prop_assert!(oracle.contains(*ticket));
-        }
-    }
-    Ok(())
-}
-
-proptest! {
-    /// The sharded admission queue serves exactly the oracle's head — for
-    /// both policies — under any push/remove/pop interleaving.
-    #[test]
-    fn sharded_queue_matches_oracle_under_both_policies(
-        ops in proptest::collection::vec((0u8..4, 0u8..64), 1..60),
-    ) {
-        run_queue_pair(SchedPolicy::Fifo, &ops)?;
-        run_queue_pair(SchedPolicy::WeightedFair, &ops)?;
-    }
-}
-
-struct SchedHost {
-    _driver: Arc<UpmemDriver>,
-    mgr: Manager,
-    sched: Scheduler,
-    registry: MetricsRegistry,
-    slots: Vec<RankSlot>,
-}
-
-fn sched_host(ranks: usize, shards: usize, tenants: usize) -> SchedHost {
-    let cfg = PimConfig {
-        ranks,
-        functional_dpus: vec![2; ranks],
-        mram_size: 1 << 14,
-        ..PimConfig::small()
-    };
-    let driver = Arc::new(UpmemDriver::new(PimMachine::new(cfg)));
-    let mcfg = ManagerConfig {
-        retry_timeout: Duration::from_millis(2),
-        max_attempts: 1,
-        ..ManagerConfig::default()
-    };
-    let registry = MetricsRegistry::new();
-    let mgr = Manager::start(driver.clone(), CostModel::default(), mcfg);
-    let sched = Scheduler::new_with_shards(
-        driver.clone(),
-        mgr.client(),
-        SchedSection::default(),
-        CostModel::default(),
-        &registry,
-        shards,
-    );
-    let slots = (0..tenants).map(|_| vpim::sched::empty_slot()).collect();
-    SchedHost { _driver: driver, mgr, sched, registry, slots }
-}
-
-impl SchedHost {
-    /// Applies one acquire-or-release touch; returns the grant's rank (or
-    /// None on error/release) so grant orders can be compared.
-    fn touch(&self, t: usize) -> Option<usize> {
-        let tenant = format!("vm-{t}");
-        let mut guard = self.slots[t].lock();
-        if guard.is_none() {
-            match self.sched.acquire(&tenant, &self.slots[t]) {
-                Ok(grant) => {
-                    let rank = grant.rank;
-                    *guard = Some(grant.mapping);
-                    Some(rank)
-                }
-                Err(_) => None,
-            }
-        } else {
-            let mapping = guard.take().expect("linked");
-            let rank = mapping.rank_id();
-            drop(mapping);
-            drop(guard);
-            self.sched.notify_release(&tenant);
-            // Expedite observe → reset → NAAV so the next touch sees a
-            // deterministic table regardless of observer timing.
-            self.mgr.sync_now();
-            assert!(
-                self.mgr.wait_for_state(rank, RankState::Naav, Duration::from_secs(5)),
-                "released rank must recycle"
-            );
-            None
-        }
-    }
-}
-
-proptest! {
-    /// A scheduler with 8 control shards and one with a single shard
-    /// (the pre-sharding degenerate) hand out identical grant sequences
-    /// and end with identical `sched.*` registry totals for any sequence
-    /// of dedicated-mode touches.
-    #[test]
-    fn sharded_scheduler_matches_single_shard_grants_and_totals(
-        touches in proptest::collection::vec(0usize..4, 1..24),
-    ) {
-        let many = sched_host(2, 8, 4);
-        let one = sched_host(2, 1, 4);
-        for &t in &touches {
-            let a = many.touch(t);
-            let b = one.touch(t);
-            prop_assert_eq!(a, b);
-        }
-        let (snap_many, snap_one) = (many.registry.snapshot(), one.registry.snapshot());
-        for name in ["sched.grants", "sched.preemptions", "sched.restores"] {
-            prop_assert_eq!(snap_many.count(name), snap_one.count(name));
-        }
-        for t in 0..4 {
-            let wait = format!("sched.wait.vm-{t}");
-            prop_assert_eq!(snap_many.get(&wait).cloned(), snap_one.get(&wait).cloned());
-        }
-        prop_assert_eq!(many.sched.queue_depth(), 0);
-        prop_assert_eq!(one.sched.queue_depth(), 0);
-        many.mgr.shutdown();
-        one.mgr.shutdown();
     }
 }

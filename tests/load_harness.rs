@@ -20,14 +20,10 @@ use vpim::load::{
 use vpim::{FaultSite, StartOpts, TenantSpec, VpimConfig, VpimSystem};
 use vpim_system::loadmix;
 
-fn host_with_opts(vcfg: VpimConfig, ranks: usize, opts: StartOpts) -> Arc<VpimSystem> {
+fn host_with(vcfg: VpimConfig, ranks: usize) -> Arc<VpimSystem> {
     let machine = PimMachine::new(loadmix::load_host_config(ranks));
     loadmix::register_workloads(&machine);
-    Arc::new(VpimSystem::start(Arc::new(UpmemDriver::new(machine)), vcfg, opts))
-}
-
-fn host_with(vcfg: VpimConfig, ranks: usize) -> Arc<VpimSystem> {
-    host_with_opts(vcfg, ranks, StartOpts::default())
+    Arc::new(VpimSystem::start(Arc::new(UpmemDriver::new(machine)), vcfg, StartOpts::default()))
 }
 
 fn host(ranks: usize) -> Arc<VpimSystem> {
@@ -83,42 +79,6 @@ fn seed_sweep_is_bit_identical_across_execution_and_dispatch() {
         assert_eq!(seq.to_json(), pooled.to_json());
         assert_eq!(seq.seed, seed);
         assert_eq!(seq.completed, 10);
-    }
-}
-
-/// PR 7's sharded-control-plane variant: the number of control-plane
-/// shards (manager rank-table groups + scheduler tenant/queue shards) is
-/// a pure concurrency knob — for any fixed seed the report produced with
-/// the default shard count and with `control_shards(1)` (the pre-sharding
-/// single-lock serialization) must byte-compare equal, under both host
-/// dispatch modes.
-#[test]
-fn control_plane_sharding_is_invisible_to_the_report() {
-    for seed in [7u64, 0xC0DE, 99] {
-        let spec = LoadSpec::new(seed, 10).arrival(Arrival::Poisson { mean_gap_ns: 3_000 });
-        let mix = loadmix::smoke_mix(4);
-        let sharded = LoadHarness::run(&host(2), &spec, &mix);
-        let single = LoadHarness::run(
-            &host_with_opts(VpimConfig::full(), 2, StartOpts::default().control_shards(1)),
-            &spec,
-            &mix,
-        );
-        let single_seq_dispatch = LoadHarness::run(
-            &host_with_opts(sequential_dispatch(), 2, StartOpts::default().control_shards(1)),
-            &spec,
-            &mix,
-        );
-        assert_eq!(
-            sharded, single,
-            "seed {seed}: control-plane shard count leaked into the report"
-        );
-        assert_eq!(
-            sharded.to_json(),
-            single.to_json(),
-            "seed {seed}: serialized reports must be byte-identical"
-        );
-        assert_eq!(sharded.to_json(), single_seq_dispatch.to_json());
-        assert_eq!(sharded.completed, 10);
     }
 }
 

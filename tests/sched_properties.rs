@@ -1,9 +1,9 @@
 //! Property tests for the rank scheduler: no double-grant under churn,
 //! bit-identical checkpoint/restore round trips, and FIFO admission order
-//! regardless of queue churn.
+//! regardless of queue churn — at the queue and through the scheduler.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -34,6 +34,49 @@ fn host(ranks: usize) -> (Arc<UpmemDriver>, Manager) {
     (driver, mgr)
 }
 
+fn oversubscribed(driver: &Arc<UpmemDriver>, mgr: &Manager) -> Scheduler {
+    Scheduler::new(
+        driver.clone(),
+        mgr.client(),
+        SchedSection { oversubscription: true, quantum_ms: 0, ..SchedSection::default() },
+        CostModel::default(),
+        &MetricsRegistry::new(),
+    )
+}
+
+/// Queues `tickets`' tenants, in that order, behind a busy holder on a
+/// one-rank FIFO scheduler and returns the order the grants left in.
+fn grant_order(tickets: &[u64]) -> Vec<u64> {
+    let (driver, mgr) = host(1);
+    let sched = oversubscribed(&driver, &mgr);
+    let holder = empty_slot();
+    // A locked slot is an operation in flight: nobody can preempt the
+    // holder until `busy` drops, so every tenant below has to queue.
+    let mut busy = holder.lock();
+    *busy = Some(sched.acquire("holder", &holder).unwrap().mapping);
+    let order = Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for (queued, &ticket) in tickets.iter().enumerate() {
+            let (sched, order) = (&sched, &order);
+            s.spawn(move || {
+                let slot = empty_slot();
+                let mut guard = slot.lock();
+                let grant = sched.acquire(&format!("tenant-{ticket}"), &slot).unwrap();
+                order.lock().unwrap().push(ticket);
+                *guard = Some(grant.mapping);
+            });
+            // The next tenant arrives only once this one holds its place.
+            while sched.queue_depth() <= queued {
+                std::thread::yield_now();
+            }
+        }
+        drop(busy);
+    });
+    holder.lock().take();
+    mgr.shutdown();
+    order.into_inner().unwrap()
+}
+
 proptest! {
     /// Any sequence of tenant touches on an oversubscribed host keeps two
     /// invariants: (a) no two live mappings ever point at the same rank
@@ -45,13 +88,7 @@ proptest! {
         touches in proptest::collection::vec(0usize..4, 1..28),
     ) {
         let (driver, mgr) = host(2);
-        let sched = Scheduler::new(
-            driver.clone(),
-            mgr.client(),
-            SchedSection { oversubscription: true, quantum_ms: 0, ..SchedSection::default() },
-            CostModel::default(),
-            &MetricsRegistry::new(),
-        );
+        let sched = oversubscribed(&driver, &mgr);
         let tenants = ["t0", "t1", "t2", "t3"];
         let slots: Vec<RankSlot> = (0..4).map(|_| empty_slot()).collect();
         let mut expected: HashMap<usize, Vec<u8>> = HashMap::new();
@@ -131,7 +168,9 @@ proptest! {
     }
 
     /// Under arbitrary push/remove churn, a FIFO queue always serves the
-    /// oldest surviving ticket.
+    /// oldest surviving ticket — and when the survivors (topped up to more
+    /// than 8 distinct tenants) then queue on one rank, the scheduler grants
+    /// them in exactly that global ticket order.
     #[test]
     fn fifo_head_is_always_oldest_surviving_ticket(
         ops in proptest::collection::vec((any::<bool>(), 0u64..24), 1..48),
@@ -155,5 +194,10 @@ proptest! {
                 None => prop_assert!(alive.is_empty()),
             }
         }
+        while alive.len() <= 8 {
+            alive.push(next);
+            next += 1;
+        }
+        prop_assert_eq!(grant_order(&alive), alive);
     }
 }

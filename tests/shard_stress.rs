@@ -1,10 +1,11 @@
-//! Multi-threaded churn over the sharded control plane with *exact*
-//! end-state accounting.
+//! Multi-threaded churn over the control plane with *exact* end-state
+//! accounting.
 //!
 //! Unlike the differential suite (`control_plane_equivalence.rs`), which
-//! proves the sharded implementations equal their single-lock oracles
-//! sequentially, this suite hammers them from 8–64 real threads and then
-//! checks closed-form invariants that sharding must not break:
+//! proves the sharded rank table equal to its single-lock oracle
+//! sequentially, this suite hammers the table, the scheduler and the
+//! striped metrics from 8–64 real threads and then checks closed-form
+//! invariants that no interleaving may break:
 //!
 //! * no rank is lost or double-granted across any interleaving,
 //! * `sched.queue.depth` folds back to exactly 0,
@@ -15,7 +16,7 @@
 //! sweeps it together with `RUST_TEST_THREADS` the way the chaos gate does.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -24,7 +25,7 @@ use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
 use vpim::manager::table::TableState;
 use vpim::manager::{Manager, ManagerConfig, RankState};
-use vpim::sched::{empty_slot, SchedPolicy, Scheduler, ShardedAdmissionQueue};
+use vpim::sched::{empty_slot, Scheduler};
 use vpim::SchedSection;
 
 /// The interleaving seed: swept by `ci/shard-gate.sh`, defaulting to a
@@ -130,52 +131,6 @@ fn table_churn_8_threads_loses_no_ranks() {
 #[test]
 fn table_churn_64_threads_loses_no_ranks() {
     table_churn(64, 12);
-}
-
-/// 8 pushers and 4 poppers race on one sharded queue; every pushed ticket
-/// is popped exactly once and every depth counter folds back to zero.
-#[test]
-fn queue_concurrent_push_pop_exact_accounting() {
-    const PUSHERS: usize = 8;
-    const PER_PUSHER: usize = 200;
-    const TOTAL: usize = PUSHERS * PER_PUSHER;
-    let q = Arc::new(ShardedAdmissionQueue::new(SchedPolicy::Fifo));
-    let popped = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let taken = Arc::new(AtomicUsize::new(0));
-    let seed = shard_seed();
-    let mut workers = Vec::new();
-    for t in 0..PUSHERS {
-        let q = q.clone();
-        workers.push(std::thread::spawn(move || {
-            let mut rng = seed ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f);
-            for _ in 0..PER_PUSHER {
-                let tenant = format!("vm-{}", next_rand(&mut rng) % 23);
-                q.push(&tenant, next_rand(&mut rng) % 1_000);
-            }
-        }));
-    }
-    for _ in 0..4 {
-        let (q, popped, taken) = (q.clone(), popped.clone(), taken.clone());
-        workers.push(std::thread::spawn(move || loop {
-            if let Some(w) = q.pop_head() {
-                popped.lock().unwrap().push(w.ticket);
-                taken.fetch_add(1, Ordering::Relaxed);
-            } else if taken.load(Ordering::Relaxed) >= TOTAL {
-                return;
-            } else {
-                std::thread::yield_now();
-            }
-        }));
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-    let tickets = popped.lock().unwrap();
-    assert_eq!(tickets.len(), TOTAL, "every push popped exactly once");
-    assert_eq!(tickets.iter().collect::<HashSet<_>>().len(), TOTAL, "no ticket served twice");
-    assert_eq!(q.len(), 0, "per-shard depth counters must fold to zero");
-    assert!(q.is_empty());
-    assert!(q.head().is_none());
 }
 
 /// 8 tenant threads time-share 2 ranks through the oversubscribed
