@@ -5,7 +5,9 @@
 
 # The repo's tier-1 gate (ROADMAP.md): release build + full test suite,
 # then the concurrency stress/determinism and scheduler oversubscription
-# suites under varied harness parallelism, the zero-copy data-path
+# suites (the latter with the multi-VM and migration suites, which drive
+# the same backend -> scheduler -> rank-table call path) under varied
+# harness parallelism, the zero-copy data-path
 # integrity/leak gate, the fault-injection chaos gate with its seed
 # matrix, the shard gate (rank-table oracle differential + exact
 # end-state churn accounting + the table contention bench, refreshes
@@ -16,12 +18,13 @@
 # refreshes BENCH_cluster.json), and the pheap gate (crash-consistency
 # suites under varied harness parallelism, the 8-seed chaos sweep, the
 # durability bench, refreshes BENCH_pheap.json). Every varied-parallelism
-# leg goes through ci/threads-gate.sh and every seed matrix (chaos, shard,
-# pheap) through ci/seed-sweep.sh.
+# leg goes through ci/threads-gate.sh, every seed matrix (chaos, shard,
+# pheap) through ci/seed-sweep.sh and every BENCH_*.json refresh through
+# ci/publish.sh.
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism
-	sh ci/threads-gate.sh sched oversubscription sched_properties
+	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration
 	sh ci/perf-gate.sh
 	sh ci/chaos-gate.sh
 	sh ci/shard-gate.sh

@@ -42,10 +42,7 @@ echo "== adaptive gate: cross-thread-count bit-identity =="
 cmp "$T1" "$T8"
 
 echo "== adaptive gate: static-vs-adaptive ablation =="
-BENCH_OUT="$OUT_DIR/vpim-adaptive-bench.json"
-rm -f "$BENCH_OUT"
 cargo build --release --offline -p vpim-bench
-ADAPTIVE_BENCH_OUT="$BENCH_OUT" ./target/release/figures adaptive
+sh ci/publish.sh ADAPTIVE_BENCH_OUT BENCH_adaptive.json -- ./target/release/figures adaptive
 
-cp "$BENCH_OUT" BENCH_adaptive.json
-echo "== adaptive gate: OK (BENCH_adaptive.json refreshed) =="
+echo "== adaptive gate: OK =="

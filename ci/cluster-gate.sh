@@ -21,11 +21,7 @@ cd "$(dirname "$0")/.."
 sh ci/threads-gate.sh cluster cluster_migration
 
 echo "== cluster gate: consolidation bench (1 vs 2 vs 4 hosts) =="
-OUT_DIR="${TMPDIR:-/tmp}"
-BENCH_OUT="$OUT_DIR/vpim-cluster-bench.json"
-rm -f "$BENCH_OUT"
-CLUSTER_BENCH_OUT="$BENCH_OUT" \
+sh ci/publish.sh CLUSTER_BENCH_OUT BENCH_cluster.json -- \
     cargo bench --offline -p vpim-bench --bench cluster
 
-cp "$BENCH_OUT" BENCH_cluster.json
-echo "== cluster gate: OK (BENCH_cluster.json refreshed) =="
+echo "== cluster gate: OK =="

@@ -19,23 +19,20 @@ cd "$(dirname "$0")/.."
 echo "== load gate: harness determinism suite =="
 cargo test --release --offline -q --test load_harness
 
-OUT_DIR="${TMPDIR:-/tmp}"
-T1="$OUT_DIR/vpim-load-t1.json"
-T8="$OUT_DIR/vpim-load-t8.json"
-rm -f "$T1" "$T8"
-
-echo "== load gate: 1k-session smoke (RUST_TEST_THREADS=1) =="
-LOAD_REPORT_OUT="$T1" RUST_TEST_THREADS=1 \
-    cargo test --release --offline -q --test load_harness -- \
-    --include-ignored thousand_concurrent_sessions_smoke
+T8="${TMPDIR:-/tmp}/vpim-load-t8.json"
+rm -f "$T8"
 
 echo "== load gate: 1k-session smoke (RUST_TEST_THREADS=8) =="
 LOAD_REPORT_OUT="$T8" RUST_TEST_THREADS=8 \
     cargo test --release --offline -q --test load_harness -- \
     --include-ignored thousand_concurrent_sessions_smoke
 
-echo "== load gate: cross-thread-count bit-identity =="
-cmp "$T1" "$T8"
+echo "== load gate: 1k-session smoke (RUST_TEST_THREADS=1, published) =="
+RUST_TEST_THREADS=1 sh ci/publish.sh LOAD_REPORT_OUT BENCH_load.json -- \
+    cargo test --release --offline -q --test load_harness -- \
+    --include-ignored thousand_concurrent_sessions_smoke
 
-cp "$T1" BENCH_load.json
-echo "== load gate: OK (BENCH_load.json refreshed) =="
+echo "== load gate: cross-thread-count bit-identity =="
+cmp BENCH_load.json "$T8"
+
+echo "== load gate: OK =="

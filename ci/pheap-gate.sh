@@ -30,11 +30,7 @@ SEEDS="3 17 111 1009 4242 31337 77777 900001" \
     sh ci/seed-sweep.sh CHAOS_SEED chaos_suite -- pheap
 
 echo "== pheap gate: durability bench =="
-OUT_DIR="${TMPDIR:-/tmp}"
-BENCH_OUT="$OUT_DIR/vpim-pheap-bench.json"
-rm -f "$BENCH_OUT"
 cargo build --release --offline -p vpim-bench
-PHEAP_BENCH_OUT="$BENCH_OUT" ./target/release/figures pheap
+sh ci/publish.sh PHEAP_BENCH_OUT BENCH_pheap.json -- ./target/release/figures pheap
 
-cp "$BENCH_OUT" BENCH_pheap.json
-echo "== pheap gate: OK (BENCH_pheap.json refreshed) =="
+echo "== pheap gate: OK =="

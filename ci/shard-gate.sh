@@ -29,11 +29,7 @@ echo "== shard gate: SHARD_SEED sweep =="
 RUST_TEST_THREADS=8 sh ci/seed-sweep.sh SHARD_SEED shard_stress
 
 echo "== shard gate: control-plane contention bench =="
-OUT_DIR="${TMPDIR:-/tmp}"
-BENCH_OUT="$OUT_DIR/vpim-control-plane-bench.json"
-rm -f "$BENCH_OUT"
-CONTROL_PLANE_BENCH_OUT="$BENCH_OUT" \
+sh ci/publish.sh CONTROL_PLANE_BENCH_OUT BENCH_control_plane.json -- \
     cargo bench --offline -p vpim-bench --bench control_plane
 
-cp "$BENCH_OUT" BENCH_control_plane.json
-echo "== shard gate: OK (BENCH_control_plane.json refreshed) =="
+echo "== shard gate: OK =="

@@ -9,7 +9,9 @@
 # (multi-VM/multi-rank integrity, Sequential vs Parallel bit-identity,
 # transport backpressure) and the sched leg (8 VMs time-shared over 4
 # ranks read back exactly the bytes a dedicated 8-rank run produces, under
-# constant checkpoint/restore churn, in both dispatch modes).
+# constant checkpoint/restore churn, in both dispatch modes; plus the
+# multi-VM and migration suites, whose allocations call the rank table
+# from the requesting thread).
 #
 # Usage: ci/threads-gate.sh <label> <test>...
 set -eu

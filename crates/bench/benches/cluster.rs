@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use simkit::JsonObject;
 use vpim::cluster::{Fleet, FleetLoadReport, FleetSpec};
 use vpim::load::{Arrival, LoadSpec, OpOutcome, TenantMix, TenantOp, TenantProfile};
 use vpim::{TenantSpec, VpimConfig};
@@ -137,19 +138,22 @@ fn bench_cluster(c: &mut Criterion) {
         );
     }
 
-    let cells: Vec<String> = curve
-        .iter()
-        .map(|r| {
-            format!(
-                "\"{}\":{{\"max_sessions\":{},\"consolidation_milli\":{},\"p99_ns\":{},\"makespan_ns\":{}}}",
-                r.hosts, r.max_sessions, r.consolidation_milli, r.p99_ns, r.makespan_ns
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"cluster\",\"seed\":{SEED},\"p99_bound_ns\":{p99_bound_ns},\"hosts\":{{{}}}}}",
-        cells.join(",")
-    );
+    let hosts = curve.iter().fold(JsonObject::new(), |hosts, r| {
+        hosts.obj(
+            &r.hosts.to_string(),
+            JsonObject::new()
+                .num("max_sessions", r.max_sessions)
+                .num("consolidation_milli", r.consolidation_milli)
+                .num("p99_ns", r.p99_ns)
+                .num("makespan_ns", r.makespan_ns),
+        )
+    });
+    let json = JsonObject::new()
+        .str("bench", "cluster")
+        .num("seed", SEED)
+        .num("p99_bound_ns", p99_bound_ns)
+        .obj("hosts", hosts)
+        .finish();
     println!("{json}");
     if let Ok(path) = std::env::var("CLUSTER_BENCH_OUT") {
         std::fs::write(&path, &json).expect("write CLUSTER_BENCH_OUT");

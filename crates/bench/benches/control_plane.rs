@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use simkit::CostModel;
+use simkit::{CostModel, JsonObject};
 use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
 use vpim::manager::reference::ReferenceTable;
@@ -137,20 +137,16 @@ fn sweep() -> Vec<Row> {
         .collect()
 }
 
-fn json_leg(rows: &[Row]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "\"{}\":{{\"single_ns\":{},\"sharded_ns\":{},\"speedup\":{:.3}}}",
-                r.threads,
-                r.single.as_nanos(),
-                r.sharded.as_nanos(),
-                r.speedup()
-            )
-        })
-        .collect();
-    format!("{{{}}}", cells.join(","))
+fn json_leg(rows: &[Row]) -> JsonObject {
+    rows.iter().fold(JsonObject::new(), |legs, r| {
+        legs.obj(
+            &r.threads.to_string(),
+            JsonObject::new()
+                .num("single_ns", r.single.as_nanos() as u64)
+                .num("sharded_ns", r.sharded.as_nanos() as u64)
+                .num("speedup_milli", (r.speedup() * 1000.0) as u64),
+        )
+    })
 }
 
 fn bench_control_plane(c: &mut Criterion) {
@@ -170,10 +166,12 @@ fn bench_control_plane(c: &mut Criterion) {
             r.speedup()
         );
     }
-    let json = format!(
-        "{{\"bench\":\"control_plane\",\"ranks\":{RANKS},\"rounds\":{ROUNDS},\"table\":{}}}",
-        json_leg(&table)
-    );
+    let json = JsonObject::new()
+        .str("bench", "control_plane")
+        .num("ranks", RANKS as u64)
+        .num("rounds", ROUNDS as u64)
+        .obj("table", json_leg(&table))
+        .finish();
     println!("{json}");
     if let Ok(path) = std::env::var("CONTROL_PLANE_BENCH_OUT") {
         std::fs::write(&path, &json).expect("write CONTROL_PLANE_BENCH_OUT");

@@ -8,7 +8,7 @@ use pim_virtio::{GuestMemory, SegCache};
 use simkit::cost::DataPath;
 use simkit::BytePool;
 use upmem_sim::{interleave, PimConfig, Rank};
-use vpim::backend::datapath::{self, transform_roundtrip};
+use vpim::backend::datapath::{self, transform_fused};
 use vpim::frontend::PrefetchCache;
 use vpim::matrix::TransferMatrix;
 
@@ -51,7 +51,7 @@ fn bench_roundtrip_paths(c: &mut Criterion) {
     for path in DataPath::ALL {
         let mut data: Vec<u8> = (0..size).map(|i| (i % 255) as u8).collect();
         group.bench_function(format!("{path:?}"), move |b| {
-            b.iter(|| transform_roundtrip(&mut data, path));
+            b.iter(|| transform_fused(&mut data, path));
         });
     }
     group.finish();

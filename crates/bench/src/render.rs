@@ -2,7 +2,8 @@
 
 use simkit::stats::TextTable;
 use simkit::{
-    AppSegment, DriverSegment, MetricValue, MetricsSnapshot, Timeline, VirtualNanos, WriteStep,
+    AppSegment, DriverSegment, JsonObject, MetricValue, MetricsSnapshot, Timeline, VirtualNanos,
+    WriteStep,
 };
 
 use crate::experiments::{
@@ -491,21 +492,16 @@ pub fn adaptive(rows: &[AdaptiveRow]) -> String {
 /// the document float-free and byte-stable.
 #[must_use]
 pub fn adaptive_json(rows: &[AdaptiveRow]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"leg\":\"{}\",\"segment\":\"{}\",\"static_ns\":{},\"adaptive_ns\":{},\"speedup_milli\":{},\"pathology\":{}}}",
-                r.leg,
-                r.metric,
-                r.static_t.as_nanos(),
-                r.adaptive_t.as_nanos(),
-                (r.speedup() * 1000.0) as u64,
-                r.pathology
-            )
-        })
-        .collect();
-    format!("{{\"bench\":\"adaptive\",\"rows\":[{}]}}", cells.join(","))
+    let rows = rows.iter().map(|r| {
+        JsonObject::new()
+            .str("leg", r.leg)
+            .str("segment", r.metric)
+            .num("static_ns", r.static_t.as_nanos())
+            .num("adaptive_ns", r.adaptive_t.as_nanos())
+            .num("speedup_milli", (r.speedup() * 1000.0) as u64)
+            .bool("pathology", r.pathology)
+    });
+    JsonObject::new().str("bench", "adaptive").arr("rows", rows).finish()
 }
 
 /// Renders the persistent-heap durability bench (DESIGN.md §17).
@@ -539,21 +535,16 @@ pub fn pheap(rows: &[PheapRow]) -> String {
 /// the document float-free and byte-stable.
 #[must_use]
 pub fn pheap_json(rows: &[PheapRow]) -> String {
-    let cells: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"leg\":\"{}\",\"objects\":{},\"value_bytes\":{},\"payload_bytes\":{},\"persists\":{},\"persist_ns\":{},\"recover_ns\":{},\"mbps_milli\":{}}}",
-                r.leg,
-                r.objects,
-                r.value_bytes,
-                r.payload_bytes(),
-                r.persists,
-                r.persist_t.as_nanos(),
-                r.recover_t.as_nanos(),
-                (r.mbps() * 1000.0) as u64
-            )
-        })
-        .collect();
-    format!("{{\"bench\":\"pheap\",\"rows\":[{}]}}", cells.join(","))
+    let rows = rows.iter().map(|r| {
+        JsonObject::new()
+            .str("leg", r.leg)
+            .num("objects", r.objects)
+            .num("value_bytes", r.value_bytes)
+            .num("payload_bytes", r.payload_bytes())
+            .num("persists", r.persists)
+            .num("persist_ns", r.persist_t.as_nanos())
+            .num("recover_ns", r.recover_t.as_nanos())
+            .num("mbps_milli", (r.mbps() * 1000.0) as u64)
+    });
+    JsonObject::new().str("bench", "pheap").arr("rows", rows).finish()
 }

@@ -70,12 +70,6 @@ pub fn transform_fused(data: &mut [u8], path: DataPath) {
     }
 }
 
-/// Compatibility name for [`transform_fused`] (the pre-fusion API took the
-/// same arguments but staged through full-size heap temporaries).
-pub fn transform_roundtrip(data: &mut [u8], path: DataPath) {
-    transform_fused(data, path);
-}
-
 /// Modeled duration of interleaving `bytes` once on the given path.
 #[must_use]
 pub fn interleave_cost(cm: &CostModel, bytes: u64, path: DataPath) -> VirtualNanos {
@@ -198,7 +192,7 @@ mod tests {
         for path in DataPath::ALL {
             let original: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
             let mut data = original.clone();
-            transform_roundtrip(&mut data, path);
+            transform_fused(&mut data, path);
             assert_eq!(data, original, "{path:?}");
         }
     }

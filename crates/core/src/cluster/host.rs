@@ -20,10 +20,10 @@ pub struct FleetHost {
 
 impl FleetHost {
     /// Boots host `id` on a fresh machine built from `pim`.
-    pub(crate) fn boot(id: usize, pim: &PimConfig, vcfg: crate::config::VpimConfig, opts: StartOpts) -> Self {
+    pub(crate) fn boot(id: usize, pim: &PimConfig, vcfg: crate::config::VpimConfig) -> Self {
         let machine = PimMachine::new(pim.clone());
         let driver = Arc::new(UpmemDriver::new(machine));
-        let sys = Arc::new(VpimSystem::start(driver, vcfg, opts));
+        let sys = Arc::new(VpimSystem::start(driver, vcfg, StartOpts::default()));
         FleetHost { id, sys }
     }
 

@@ -7,8 +7,8 @@
 //!
 //! * a **placement/admission plane** ([`placement`]): every
 //!   [`TenantSpec`] launch routes through [`Fleet::launch`], which picks
-//!   a host under a [`PlacementPolicy`] (first-fit, least-loaded,
-//!   weighted spread) against per-host rank capacity;
+//!   a host under a [`PlacementPolicy`] (first-fit, least-loaded)
+//!   against per-host rank capacity;
 //! * a **modeled inter-host network** ([`link`]): snapshot bytes ship
 //!   over a serialized [`Link`] whose transfer time is pure integer
 //!   virtual time, so fleet-level reports stay bit-identical across
@@ -27,7 +27,7 @@
 //!
 //! The fleet-level load harness ([`Fleet::load_run`]) reuses the
 //! single-host session engine: host assignment is precomputed as a pure
-//! function of the spec (weighted round-robin, ties to the lowest host),
+//! function of the spec (round-robin over the hosts),
 //! phase A executes sessions against their assigned hosts, and phase B
 //! replays each host's queue independently — so a [`FleetLoadReport`] is
 //! bit-identical for a given seed, which is what lets
@@ -47,44 +47,41 @@ pub use migrate::{MigrateMode, MigrateOpts, MigrationReport, MIGRATE_STALL_POINT
 pub use placement::PlacementPolicy;
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simkit::lockorder::{ordered, LockLevel};
 use simkit::telemetry::{Counter, Gauge, MetricsRegistry, TimeCounter, VtHistogram};
-use simkit::{CostModel, FaultPlane, InjectCell, VirtualNanos};
+use simkit::{CostModel, FaultPlane, InjectCell, JsonObject, VirtualNanos};
 use upmem_sim::PimConfig;
 
 use crate::config::VpimConfig;
 use crate::error::VpimError;
-use crate::load::session::{run_sessions, Admission, SessionRun, FAILED_OP};
+use crate::load::session::{peaks, run_sessions, serve_group};
 use crate::load::{rate_milli_per_sec, LatencySummary, LoadSpec, TenantMix};
 use crate::sched::SnapshotStore;
-use crate::system::{StartOpts, TenantSpec, VpimVm};
+use crate::system::{TenantSpec, VpimVm};
 use placement::PlacementTable;
 
-/// How to build a [`Fleet`]: host count and geometry, per-host system
-/// options, the placement policy, the link model, and migration budgets.
+/// How to build a [`Fleet`]: host count and geometry, the per-host
+/// configuration, the placement policy, the link model, and migration
+/// budgets.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     hosts: usize,
     pim: PimConfig,
     vcfg: VpimConfig,
-    opts: StartOpts,
     policy: PlacementPolicy,
     link: LinkSpec,
-    weights: Vec<u64>,
     oversub_factor: usize,
     inflight_budget_mib: u64,
 }
 
 impl FleetSpec {
     /// `hosts` homogeneous hosts, each a [`PimConfig::small`] machine
-    /// running [`VpimConfig::full`] with default [`StartOpts`],
-    /// least-loaded placement, the default datacenter link, equal spread
-    /// weights, no logical oversubscription, and an unlimited in-flight
-    /// snapshot budget.
+    /// running [`VpimConfig::full`] with default [`crate::system::StartOpts`],
+    /// least-loaded placement, the default datacenter link, no logical
+    /// oversubscription, and an unlimited in-flight snapshot budget.
     #[must_use]
     pub fn new(hosts: usize) -> Self {
         let hosts = hosts.max(1);
@@ -92,10 +89,8 @@ impl FleetSpec {
             hosts,
             pim: PimConfig::small(),
             vcfg: VpimConfig::full(),
-            opts: StartOpts::default(),
             policy: PlacementPolicy::default(),
             link: LinkSpec::default(),
-            weights: vec![1; hosts],
             oversub_factor: 1,
             inflight_budget_mib: 0,
         }
@@ -118,13 +113,6 @@ impl FleetSpec {
         self
     }
 
-    /// Per-host start options (cost model, manager tuning, shards).
-    #[must_use]
-    pub fn start_opts(mut self, opts: StartOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// The placement policy.
     #[must_use]
     pub fn policy(mut self, p: PlacementPolicy) -> Self {
@@ -136,19 +124,6 @@ impl FleetSpec {
     #[must_use]
     pub fn link(mut self, l: LinkSpec) -> Self {
         self.link = l;
-        self
-    }
-
-    /// Spread weight for `host` (default 1 everywhere; used by
-    /// [`PlacementPolicy::WeightedSpread`] and the load harness's session
-    /// assignment).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `host` is out of range.
-    #[must_use]
-    pub fn host_weight(mut self, host: usize, w: u64) -> Self {
-        self.weights[host] = w;
         self
     }
 
@@ -283,11 +258,11 @@ impl Fleet {
     pub fn start(spec: FleetSpec) -> Self {
         let registry = MetricsRegistry::new();
         let hosts: Vec<FleetHost> = (0..spec.hosts)
-            .map(|id| FleetHost::boot(id, &spec.pim, spec.vcfg, spec.opts.clone()))
+            .map(|id| FleetHost::boot(id, &spec.pim, spec.vcfg))
             .collect();
         let capacity: Vec<usize> =
             hosts.iter().map(|h| h.rank_count() * spec.oversub_factor).collect();
-        let placement = Mutex::new(PlacementTable::new(capacity, spec.weights.clone()));
+        let placement = Mutex::new(PlacementTable::new(capacity));
         let link = Link::with_registry(spec.link, &registry);
         let inflight = SnapshotStore::with_registry(
             spec.inflight_budget_mib.saturating_mul(1 << 20),
@@ -492,13 +467,6 @@ impl Fleet {
         self.placement.lock().placements()
     }
 
-    /// Number of placed tenants.
-    #[must_use]
-    pub fn tenant_count(&self) -> usize {
-        let _ord = ordered(LockLevel::Placement, 0);
-        self.placement.lock().len()
-    }
-
     /// Releases every tenant and consumes the fleet (the hosts' manager
     /// daemons stop when their systems drop).
     pub fn shutdown(self) {
@@ -516,31 +484,11 @@ impl Fleet {
     // ------------------------------------------------------------------
 
     /// The pure per-session host assignment the load harness uses:
-    /// weighted least-assigned, ties to the lowest host index (equal
-    /// weights degrade to round-robin). A function of `(n, weights)`
-    /// only — never of runtime load — so fleet reports are seed-stable.
+    /// round-robin over the hosts. A function of `n` only — never of
+    /// runtime load — so fleet reports are seed-stable.
     #[must_use]
     pub fn session_assignment(&self, n: usize) -> Vec<usize> {
-        let m = self.hosts.len();
-        let weights: Vec<u64> = {
-            let _ord = ordered(LockLevel::Placement, 0);
-            let table = self.placement.lock();
-            (0..m).map(|h| table.weight(h).max(1)).collect()
-        };
-        let mut counts = vec![0u64; m];
-        (0..n)
-            .map(|_| {
-                let h = (0..m)
-                    .min_by(|&a, &b| {
-                        let la = u128::from(counts[a]) * u128::from(weights[b]);
-                        let lb = u128::from(counts[b]) * u128::from(weights[a]);
-                        la.cmp(&lb).then(a.cmp(&b))
-                    })
-                    .expect("fleet has at least one host");
-                counts[h] += 1;
-                h
-            })
-            .collect()
+        (0..n).map(|i| i % self.hosts.len()).collect()
     }
 
     /// Runs `spec` × `mix` across the fleet and reports. Sessions are
@@ -573,78 +521,38 @@ impl Fleet {
         let mut op_failures = 0u64;
         let mut checksum = 0u64;
         let mut makespan = 0u64;
-        // (time, Δin_system) events for the fleet-wide concurrency peak;
-        // same-instant departures sort before arrivals.
-        let mut events: Vec<(u64, i64)> = Vec::with_capacity(n * 2);
+        // Every host's queue steps, for the fleet-wide concurrency peak.
+        let mut events = Vec::with_capacity(n * 3);
         let mut per_host = Vec::with_capacity(m);
         for h in 0..m {
             let idx: Vec<usize> = (0..n).filter(|&i| assignment[i] == h).collect();
-            let h_arrivals: Vec<u64> = idx.iter().map(|&i| arrivals[i]).collect();
-            let h_runs: Vec<SessionRun> = idx.iter().map(|&i| runs[i].clone()).collect();
-            let servers = if spec.server_count() == 0 {
-                self.hosts[h].rank_count()
-            } else {
-                spec.server_count()
-            }
-            .max(1);
-            let q = crate::load::session::simulate_queue(
-                &h_arrivals,
-                &h_runs,
-                servers,
-                spec.patience_limit().map(|p| p.as_nanos()),
-            );
-            let host_hist = VtHistogram::new();
-            let mut h_completed = 0u64;
-            let mut h_giveups = 0u64;
-            let mut h_failures = 0u64;
-            let mut h_checksum = 0u64;
-            for (k, run) in h_runs.iter().enumerate() {
-                match q.admissions[k] {
-                    Admission::Failed => {
-                        launch_failures += 1;
-                        h_failures += 1;
-                    }
-                    Admission::GaveUp(left) => {
-                        giveups += 1;
-                        h_giveups += 1;
-                        events.push((h_arrivals[k], 1));
-                        events.push((left, -1));
-                    }
-                    Admission::Served(_, depart) => {
-                        completed += 1;
-                        h_completed += 1;
-                        checksum = checksum.wrapping_add(run.checksum);
-                        h_checksum = h_checksum.wrapping_add(run.checksum);
-                        let sojourn = VirtualNanos::from_nanos(depart - h_arrivals[k]);
-                        session_hist.record(sojourn);
-                        host_hist.record(sojourn);
-                        events.push((h_arrivals[k], 1));
-                        events.push((depart, -1));
-                        for &cost in &run.op_costs {
-                            ops_run += 1;
-                            op_failures += u64::from(cost == FAILED_OP);
-                        }
-                    }
-                }
-            }
-            makespan = makespan.max(q.makespan_ns);
+            let servers = match spec.server_count() {
+                0 => self.hosts[h].rank_count(),
+                s => s,
+            };
+            let patience = spec.patience_limit().map(|p| p.as_nanos());
+            let g = serve_group(&idx, &arrivals, &runs, servers, patience, |_, _, _| {});
+            completed += g.completed;
+            giveups += g.queue.giveups;
+            launch_failures += g.launch_failures;
+            ops_run += g.ops_run;
+            op_failures += g.op_failures;
+            checksum = checksum.wrapping_add(g.checksum);
+            makespan = makespan.max(g.queue.makespan_ns);
+            session_hist.merge_from(&g.sojourn);
+            events.extend_from_slice(&g.queue.events);
             per_host.push(HostLoad {
                 host: h as u64,
                 sessions: idx.len() as u64,
-                completed: h_completed,
-                giveups: h_giveups,
-                launch_failures: h_failures,
-                checksum: h_checksum,
-                makespan: VirtualNanos::from_nanos(q.makespan_ns),
-                session_latency: LatencySummary::of(&host_hist),
+                completed: g.completed,
+                giveups: g.queue.giveups,
+                launch_failures: g.launch_failures,
+                checksum: g.checksum,
+                makespan: VirtualNanos::from_nanos(g.queue.makespan_ns),
+                session_latency: LatencySummary::of(&g.sojourn),
             });
         }
-        events.sort_unstable();
-        let (mut in_sys, mut peak) = (0i64, 0i64);
-        for (_, d) in events {
-            in_sys += d;
-            peak = peak.max(in_sys);
-        }
+        let (peak, _) = peaks(&mut events);
 
         let horizon = arrivals.last().copied().unwrap_or(0);
         let report = FleetLoadReport {
@@ -657,7 +565,7 @@ impl Fleet {
             ops_run,
             op_failures,
             checksum,
-            peak_concurrent: peak.max(0) as u64,
+            peak_concurrent: peak,
             horizon: VirtualNanos::from_nanos(horizon),
             makespan: VirtualNanos::from_nanos(makespan),
             offered_mps: rate_milli_per_sec(n as u64, horizon),
@@ -744,53 +652,38 @@ impl FleetLoadReport {
     /// whitespace — equal reports serialize to identical bytes.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(768);
-        let _ = write!(
-            out,
-            "{{\"seed\":{},\"hosts\":{},\"sessions\":{},\"completed\":{},\"giveups\":{},\
-             \"launch_failures\":{},\"ops_run\":{},\"op_failures\":{},\"checksum\":{},\
-             \"peak_concurrent\":{},\"horizon_ns\":{},\"makespan_ns\":{},\"offered_mps\":{},\
-             \"sustained_mps\":{},\"consolidation_milli\":{}",
-            self.seed,
-            self.hosts,
-            self.sessions,
-            self.completed,
-            self.giveups,
-            self.launch_failures,
-            self.ops_run,
-            self.op_failures,
-            self.checksum,
-            self.peak_concurrent,
-            self.horizon.as_nanos(),
-            self.makespan.as_nanos(),
-            self.offered_mps,
-            self.sustained_mps,
-            self.consolidation_milli
-        );
-        out.push_str(",\"session_latency\":");
-        self.session_latency.json(&mut out);
-        out.push_str(",\"per_host\":[");
-        for (i, h) in self.per_host.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"host\":{},\"sessions\":{},\"completed\":{},\"giveups\":{},\
-                 \"launch_failures\":{},\"checksum\":{},\"makespan_ns\":{},\"session_latency\":",
-                h.host,
-                h.sessions,
-                h.completed,
-                h.giveups,
-                h.launch_failures,
-                h.checksum,
-                h.makespan.as_nanos()
-            );
-            h.session_latency.json(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        JsonObject::new()
+            .num("seed", self.seed)
+            .num("hosts", self.hosts)
+            .num("sessions", self.sessions)
+            .num("completed", self.completed)
+            .num("giveups", self.giveups)
+            .num("launch_failures", self.launch_failures)
+            .num("ops_run", self.ops_run)
+            .num("op_failures", self.op_failures)
+            .num("checksum", self.checksum)
+            .num("peak_concurrent", self.peak_concurrent)
+            .num("horizon_ns", self.horizon.as_nanos())
+            .num("makespan_ns", self.makespan.as_nanos())
+            .num("offered_mps", self.offered_mps)
+            .num("sustained_mps", self.sustained_mps)
+            .num("consolidation_milli", self.consolidation_milli)
+            .obj("session_latency", self.session_latency.json())
+            .arr(
+                "per_host",
+                self.per_host.iter().map(|h| {
+                    JsonObject::new()
+                        .num("host", h.host)
+                        .num("sessions", h.sessions)
+                        .num("completed", h.completed)
+                        .num("giveups", h.giveups)
+                        .num("launch_failures", h.launch_failures)
+                        .num("checksum", h.checksum)
+                        .num("makespan_ns", h.makespan.as_nanos())
+                        .obj("session_latency", h.session_latency.json())
+                }),
+            )
+            .finish()
     }
 }
 
@@ -811,7 +704,7 @@ mod tests {
         assert_eq!(fleet.launch(TenantSpec::new("b").mem_mib(16)).unwrap(), 0);
         assert_eq!(fleet.launch(TenantSpec::new("c").mem_mib(16)).unwrap(), 1);
         assert_eq!(fleet.live_ranks(0), 2);
-        assert_eq!(fleet.tenant_count(), 3);
+        assert_eq!(fleet.placements().len(), 3);
         // Duplicate tags are refused before touching any host.
         assert!(matches!(
             fleet.launch(TenantSpec::new("a")),
@@ -856,14 +749,9 @@ mod tests {
     }
 
     #[test]
-    fn session_assignment_is_weighted_round_robin() {
+    fn session_assignment_is_round_robin() {
         let fleet = small_fleet(3);
         assert_eq!(fleet.session_assignment(6), vec![0, 1, 2, 0, 1, 2]);
-        let weighted = Fleet::start(FleetSpec::new(2).host_weight(1, 3));
-        let a = weighted.session_assignment(8);
-        assert_eq!(a.iter().filter(|&&h| h == 1).count(), 6);
-        // Pure: same n, same assignment.
-        assert_eq!(a, weighted.session_assignment(8));
-        weighted.shutdown();
+        fleet.shutdown();
     }
 }

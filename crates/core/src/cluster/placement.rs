@@ -28,10 +28,6 @@ pub enum PlacementPolicy {
     /// lowest index.
     #[default]
     LeastLoaded,
-    /// The host with the lowest committed-ranks-to-weight ratio (compared
-    /// by integer cross-multiplication, no floats); ties go to the lowest
-    /// index. Weight 0 never receives placements.
-    WeightedSpread,
 }
 
 /// Tenant homes plus per-host committed-rank accounting.
@@ -40,8 +36,6 @@ pub(crate) struct PlacementTable {
     /// Rank capacity per host (physical ranks × the fleet's logical
     /// oversubscription factor).
     capacity: Vec<usize>,
-    /// Spread weight per host (used by [`PlacementPolicy::WeightedSpread`]).
-    weights: Vec<u64>,
     /// Ranks committed per host (reservations included).
     live: Vec<usize>,
     /// Tenant → home host.
@@ -49,10 +43,9 @@ pub(crate) struct PlacementTable {
 }
 
 impl PlacementTable {
-    pub(crate) fn new(capacity: Vec<usize>, weights: Vec<u64>) -> Self {
-        debug_assert_eq!(capacity.len(), weights.len());
+    pub(crate) fn new(capacity: Vec<usize>) -> Self {
         let live = vec![0; capacity.len()];
-        PlacementTable { capacity, weights, live, homes: HashMap::new() }
+        PlacementTable { capacity, live, homes: HashMap::new() }
     }
 
     /// Picks a host for `tenant` under `policy`, commits `need` ranks on
@@ -75,14 +68,6 @@ impl PlacementTable {
             PlacementPolicy::LeastLoaded => {
                 (0..n).filter(|&h| fits(h)).min_by_key(|&h| (self.live[h], h))
             }
-            PlacementPolicy::WeightedSpread => (0..n)
-                .filter(|&h| fits(h) && self.weights[h] > 0)
-                .min_by(|&a, &b| {
-                    // live[a]/w[a] <?> live[b]/w[b], cross-multiplied.
-                    let la = self.live[a] as u128 * u128::from(self.weights[b]);
-                    let lb = self.live[b] as u128 * u128::from(self.weights[a]);
-                    la.cmp(&lb).then(a.cmp(&b))
-                }),
         };
         let host = host.ok_or(VpimError::NoRankAvailable)?;
         self.live[host] += need;
@@ -140,11 +125,6 @@ impl PlacementTable {
         self.capacity[host]
     }
 
-    /// Spread weight of `host`.
-    pub(crate) fn weight(&self, host: usize) -> u64 {
-        self.weights[host]
-    }
-
     /// Every (tenant, home) pair, sorted by tenant for determinism.
     pub(crate) fn placements(&self) -> Vec<(String, usize)> {
         let mut out: Vec<_> = self.homes.iter().map(|(t, &h)| (t.clone(), h)).collect();
@@ -152,10 +132,6 @@ impl PlacementTable {
         out
     }
 
-    /// Number of placed tenants.
-    pub(crate) fn len(&self) -> usize {
-        self.homes.len()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +139,7 @@ mod tests {
     use super::*;
 
     fn table() -> PlacementTable {
-        PlacementTable::new(vec![4, 4, 4], vec![1, 1, 1])
+        PlacementTable::new(vec![4, 4, 4])
     }
 
     #[test]
@@ -187,25 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_spread_respects_weights() {
-        let mut t = PlacementTable::new(vec![8, 8], vec![1, 3]);
-        // Host 1 has 3× the weight: it should absorb ~3 of every 4 ranks.
-        let mut on1 = 0;
-        for i in 0..8 {
-            let h = t.place(PlacementPolicy::WeightedSpread, &format!("t{i}"), 1).unwrap();
-            on1 += usize::from(h == 1);
-        }
-        assert_eq!(on1, 6, "weight-3 host takes 3/4 of placements");
-        // A zero-weight host is never chosen.
-        let mut z = PlacementTable::new(vec![8, 8], vec![0, 1]);
-        for i in 0..4 {
-            assert_eq!(z.place(PlacementPolicy::WeightedSpread, &format!("t{i}"), 1).unwrap(), 1);
-        }
-    }
-
-    #[test]
     fn duplicate_and_full_are_refused() {
-        let mut t = PlacementTable::new(vec![1], vec![1]);
+        let mut t = PlacementTable::new(vec![1]);
         t.place(PlacementPolicy::FirstFit, "a", 1).unwrap();
         assert!(matches!(
             t.place(PlacementPolicy::FirstFit, "a", 1),
@@ -229,13 +188,13 @@ mod tests {
         assert_eq!(t.live_ranks(0), 0);
         assert_eq!(t.live_ranks(1), 2);
         t.release("a", 1, 2);
-        assert_eq!(t.len(), 0);
+        assert_eq!(t.homes.len(), 0);
         assert_eq!(t.live_ranks(1), 0);
     }
 
     #[test]
     fn reserve_respects_capacity() {
-        let mut t = PlacementTable::new(vec![2], vec![1]);
+        let mut t = PlacementTable::new(vec![2]);
         t.reserve(0, 2).unwrap();
         assert!(matches!(t.reserve(0, 1), Err(VpimError::NoRankAvailable)));
         t.unreserve(0, 2);

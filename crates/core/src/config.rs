@@ -170,64 +170,23 @@ impl Default for SchedSection {
     }
 }
 
-/// The adaptive frontend controller's knobs (the `adapt` section of
+/// The adaptive frontend controller's switch (the `adapt` section of
 /// [`VpimConfig`]).
 ///
 /// Disabled by default: the frontend runs the paper's static policies
 /// (fixed prefetch window, capacity-triggered batch flush) and is
 /// byte-identical to a build without the controller. Enabling it closes
-/// the telemetry loop (DESIGN.md §16): the prefetch window resizes within
-/// `[min_window_pages, max_window_pages]` from observed fetch utilization,
-/// write-then-read-back patterns toggle prefetch off per DPU, and the
-/// batch flush threshold tracks inter-op virtual gaps. Every decision is a
-/// pure function of virtual-time observations, so Sequential and Parallel
-/// dispatch stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// the telemetry loop (DESIGN.md §16): the prefetch window resizes from
+/// observed fetch utilization, write-then-read-back patterns toggle
+/// prefetch off per DPU, and the batch flush threshold tracks inter-op
+/// virtual gaps. Its bounds and thresholds are the constants of
+/// [`crate::frontend::policy`]. Every decision is a pure function of
+/// virtual-time observations, so Sequential and Parallel dispatch stay
+/// bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdaptSection {
     /// Run the feedback controller (off = exact static-policy passthrough).
     pub enabled: bool,
-    /// Smallest prefetch window in pages per DPU the controller may pick.
-    pub min_window_pages: u32,
-    /// Largest prefetch window in pages per DPU the controller may pick.
-    pub max_window_pages: u32,
-    /// Consecutive same-DPU hits that mark a stream; the next contiguous
-    /// overrun miss then doubles the window.
-    pub grow_hit_run: u32,
-    /// A retired fetch that served less than this percentage of its bytes
-    /// shrinks the window to the observed need.
-    pub shrink_waste_pct: u32,
-    /// Floor for the adaptive batch flush threshold, in pages per DPU.
-    pub min_batch_pages: u32,
-    /// Ceiling for the adaptive batch flush threshold, in pages per DPU
-    /// (also the allocated buffer capacity while the controller runs).
-    pub max_batch_pages: u32,
-    /// Consecutive sub-`burst_gap_us` appends before the flush threshold
-    /// doubles (the tenant is bursting; widen the window).
-    pub burst_grow_run: u32,
-    /// An inter-append virtual gap at or above this many microseconds
-    /// means the tenant went idle: flush pending writes early and halve
-    /// the threshold.
-    pub idle_gap_us: u64,
-    /// An inter-append virtual gap at or below this many microseconds
-    /// counts toward a burst run.
-    pub burst_gap_us: u64,
-}
-
-impl Default for AdaptSection {
-    fn default() -> Self {
-        AdaptSection {
-            enabled: false,
-            min_window_pages: 1,
-            max_window_pages: 64,
-            grow_hit_run: 8,
-            shrink_waste_pct: 25,
-            min_batch_pages: 16,
-            max_batch_pages: 256,
-            burst_grow_run: 32,
-            idle_gap_us: 200,
-            burst_gap_us: 5,
-        }
-    }
 }
 
 /// The named configurations evaluated in §5.4 (Table 2 of the paper).
@@ -321,7 +280,7 @@ pub struct VpimConfig {
     pub sched: SchedSection,
     /// Deterministic fault-injection knobs (disabled by default).
     pub inject: InjectSection,
-    /// Adaptive frontend-controller knobs (disabled by default).
+    /// Adaptive frontend-controller switch (disabled by default).
     pub adapt: AdaptSection,
 }
 
@@ -485,28 +444,6 @@ impl VpimConfigBuilder {
     #[must_use]
     pub fn adaptive(mut self, on: bool) -> Self {
         self.cfg.adapt.enabled = on;
-        self
-    }
-
-    /// Sets the controller's prefetch-window bounds in pages per DPU (and
-    /// enables the controller).
-    ///
-    /// # Panics
-    ///
-    /// When `min` is zero or greater than `max`.
-    #[must_use]
-    pub fn adapt_window_pages(mut self, min: u32, max: u32) -> Self {
-        assert!(min >= 1 && min <= max, "window bounds must satisfy 1 <= min <= max");
-        self.cfg.adapt.enabled = true;
-        self.cfg.adapt.min_window_pages = min;
-        self.cfg.adapt.max_window_pages = max;
-        self
-    }
-
-    /// Replaces the whole `adapt` section.
-    #[must_use]
-    pub fn adapt(mut self, adapt: AdaptSection) -> Self {
-        self.cfg.adapt = adapt;
         self
     }
 
@@ -738,30 +675,12 @@ mod tests {
         // policies untouched (byte-identical to the pre-controller system).
         let cfg = VpimConfig::builder().build();
         assert!(!cfg.adapt.enabled);
-        assert_eq!(cfg.adapt.min_window_pages, 1);
-        assert_eq!(cfg.adapt.max_window_pages, 64);
-        assert_eq!(cfg.adapt.shrink_waste_pct, 25);
-        assert_eq!(cfg.adapt.min_batch_pages, 16);
-        assert_eq!(cfg.adapt.max_batch_pages, 256);
 
         let cfg = VpimConfig::builder().adaptive(true).build();
         assert!(cfg.adapt.enabled);
         // Flag-wise this is still the full variant: adapt tunes the data
         // path, it does not change which Table 2 row we are on.
         assert_eq!(cfg.variant(), Variant::Vpim);
-
-        let cfg = VpimConfig::builder().adapt_window_pages(2, 32).build();
-        assert!(cfg.adapt.enabled);
-        assert_eq!(cfg.adapt.min_window_pages, 2);
-        assert_eq!(cfg.adapt.max_window_pages, 32);
-
-        // Whole-section replacement mirrors sched()/inject().
-        let section = AdaptSection { enabled: true, grow_hit_run: 4, ..AdaptSection::default() };
-        let cfg = VpimConfig::builder().adapt(section).build();
-        assert_eq!(cfg.adapt, section);
-        // Still Copy + Eq with the new section in place.
-        let copy = cfg;
-        assert_eq!(copy, cfg);
     }
 
     #[test]

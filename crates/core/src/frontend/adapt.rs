@@ -28,7 +28,6 @@
 
 use simkit::{Counter, Gauge, MetricsRegistry};
 
-use crate::config::AdaptSection;
 
 use super::policy::{BatchAction, BatchPolicy, WindowMove, WindowPolicy, PAGE};
 
@@ -113,18 +112,16 @@ pub struct AdaptState {
 }
 
 impl AdaptState {
-    /// Builds the controller from the config section, starting from the
-    /// static policies' sizes.
+    /// Builds the controller, starting from the static policies' sizes.
     #[must_use]
     pub fn new(
-        s: &AdaptSection,
         initial_window_pages: u32,
         initial_batch_pages: u32,
         nr_dpus: usize,
         metrics: AdaptMetrics,
     ) -> Self {
-        let window = WindowPolicy::new(initial_window_pages, s);
-        let batch = BatchPolicy::new(initial_batch_pages, s);
+        let window = WindowPolicy::new(initial_window_pages);
+        let batch = BatchPolicy::new(initial_batch_pages);
         metrics.window_pages.set(i64::from(window.window_pages()));
         metrics.batch_pages.set(i64::from(batch.threshold_pages()));
         AdaptState {
@@ -275,12 +272,6 @@ impl AdaptState {
         }
     }
 
-    /// Whether prefetch is currently suppressed for `dpu`.
-    #[must_use]
-    pub fn prefetch_suppressed(&self, dpu: u32) -> bool {
-        self.dpus.get(dpu as usize).is_some_and(|d| d.prefetch_off)
-    }
-
     /// A launch/release barrier: DPU programs rewrite MRAM, so dirty
     /// extents and read-back suppression reset, and every resident fetch
     /// retires (feeding the window its utilization). Learned levels — the
@@ -328,9 +319,8 @@ mod tests {
     use super::*;
 
     fn state(nr_dpus: usize) -> AdaptState {
-        let s = AdaptSection { enabled: true, ..AdaptSection::default() };
         let reg = MetricsRegistry::new();
-        AdaptState::new(&s, 16, 64, nr_dpus, AdaptMetrics::from_registry(&reg, 0))
+        AdaptState::new(16, 64, nr_dpus, AdaptMetrics::from_registry(&reg, 0))
     }
 
     #[test]
@@ -357,13 +347,13 @@ mod tests {
         a.note_write(0, 1000, 500);
         let p = a.on_miss(0, 1200, 64, None);
         assert_eq!(p, MissPlan { fetch_bytes: 64, install: false });
-        assert!(a.prefetch_suppressed(0));
+        assert!(a.dpus[0].prefetch_off);
         // The other DPU is unaffected.
-        assert!(!a.prefetch_suppressed(1));
+        assert!(!a.dpus[1].prefetch_off);
         // A clean miss on DPU 0 clears the pattern and fetches windowed.
         let p = a.on_miss(0, 1_000_000, 64, None);
         assert!(p.install);
-        assert!(!a.prefetch_suppressed(0));
+        assert!(!a.dpus[0].prefetch_off);
     }
 
     #[test]
@@ -375,7 +365,7 @@ mod tests {
         assert_eq!(a.window_pages(), 1);
         a.note_write(0, 0, 128);
         a.on_barrier();
-        assert!(!a.prefetch_suppressed(0));
+        assert!(!a.dpus[0].prefetch_off);
         // Dirty extent gone: a read over the old extent is a normal miss.
         let p = a.on_miss(0, 0, 256, None);
         assert!(p.install);

@@ -95,18 +95,6 @@ impl BatchBuffer {
         self.entries.is_empty()
     }
 
-    /// Buffered bytes in total.
-    #[must_use]
-    pub fn pending_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.data.len() as u64).sum()
-    }
-
-    /// Buffered write count.
-    #[must_use]
-    pub fn pending_writes(&self) -> usize {
-        self.entries.len()
-    }
-
     /// True when `dpu`'s buffer cannot take `len` more bytes.
     #[must_use]
     pub fn would_overflow(&self, dpu: u32, len: u64) -> bool {
@@ -176,8 +164,8 @@ mod tests {
         assert!(b.append(0, 0, &[1u8; 4000]));
         assert!(!b.append(0, 4000, &[1u8; 100]));
         assert!(b.append(1, 0, &[2u8; 4096]));
-        assert_eq!(b.pending_writes(), 2);
-        assert_eq!(b.pending_bytes(), 8096);
+        let lens: Vec<usize> = b.drain().iter().map(|e| e.data.len()).collect();
+        assert_eq!(lens, [4000, 4096]);
     }
 
     #[test]

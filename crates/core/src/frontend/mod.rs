@@ -394,14 +394,12 @@ impl Frontend {
             .metrics
             .prefetch_cache(cfg.nr_dpus as usize, self.vcfg.prefetch_pages_per_dpu);
         if self.vcfg.adapt.enabled {
-            let a = &self.vcfg.adapt;
             // Allocate the buffer at the controller's ceiling; the static
             // capacity becomes the starting flush threshold.
             let alloc_pages =
-                (a.max_batch_pages as usize).max(self.vcfg.batch_pages_per_dpu);
+                (policy::MAX_BATCH_PAGES as usize).max(self.vcfg.batch_pages_per_dpu);
             st.batch = self.metrics.batch_buffer(cfg.nr_dpus as usize, alloc_pages);
             let adapt = AdaptState::new(
-                a,
                 self.vcfg.prefetch_pages_per_dpu as u32,
                 self.vcfg.batch_pages_per_dpu as u32,
                 cfg.nr_dpus as usize,
@@ -617,27 +615,19 @@ impl Frontend {
     /// re-reads it. All backoff is virtual time charged to the op's report;
     /// no thread sleeps for it, so Sequential and Parallel dispatch agree.
     fn complete(&self, op: PendingOp) -> Result<(Response, OpReport), VpimError> {
-        let policy = RetryPolicy::for_class(&self.cm, TimeoutClass::VirtioRoundTrip);
-        let seed = self.vcfg.inject.seed;
-        let mut backoff = VirtualNanos::ZERO;
-        let mut n = 0u32;
+        // One budget for both loops: a kick retry leaves less for the
+        // status read.
+        let mut budget = RetryPolicy::for_class(&self.cm, TimeoutClass::VirtioRoundTrip)
+            .budget(self.vcfg.inject.seed, Some(&self.retry));
 
         let mut kick_result = op.kick.wait().map_err(VpimError::from);
         while let Err(e) = &kick_result {
-            if !e.is_transient() || n + 1 >= policy.max_attempts {
-                if e.is_transient() {
-                    self.retry.giveups.inc();
-                }
+            if !budget.retry(e.is_transient()) {
                 // Giving up on an undispatched chain abandons its queue
                 // slot and pages: the device may still process the chain
                 // if a later op kicks, so they must not be recycled.
                 break;
             }
-            let b = policy.backoff(seed, n);
-            backoff += b;
-            self.retry.attempts.inc();
-            self.retry.backoff_vt.add(b);
-            n += 1;
             self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
             kick_result = self
                 .em
@@ -653,21 +643,13 @@ impl Frontend {
                 Ok(raw) => break raw,
                 Err(e) => {
                     let e = VpimError::from(e);
-                    if !e.is_transient() || n + 1 >= policy.max_attempts {
-                        if e.is_transient() {
-                            self.retry.giveups.inc();
-                        }
+                    if !budget.retry(e.is_transient()) {
                         // The chain has drained, so the device is done
                         // with the pages: reclaim them even though the
                         // status read failed.
                         let _ = self.mem.free_pages_back(&op.pages);
                         return Err(e);
                     }
-                    let b = policy.backoff(seed, n);
-                    backoff += b;
-                    self.retry.attempts.inc();
-                    self.retry.backoff_vt.add(b);
-                    n += 1;
                 }
             }
         };
@@ -677,7 +659,7 @@ impl Frontend {
         let mut report = OpReport::default();
         report.add_messages(1);
         report.step(WriteStep::Interrupt, self.cm.virtio_round_trip());
-        report.add_duration(backoff);
+        report.add_duration(budget.backoff());
         if resp.is_ok() {
             Ok((resp, report))
         } else {

@@ -9,10 +9,32 @@
 //! dispatch and under any worker-thread count. It also makes the machines
 //! directly drivable by property tests, with no system around them.
 
-use crate::config::AdaptSection;
-
 /// Bytes per MRAM page (the policy granule throughout the frontend).
 pub const PAGE: u64 = 4096;
+
+/// Smallest prefetch window, in pages per DPU, the controller may pick.
+pub const MIN_WINDOW_PAGES: u32 = 1;
+/// Largest prefetch window, in pages per DPU, the controller may pick.
+pub const MAX_WINDOW_PAGES: u32 = 64;
+/// Consecutive same-DPU hits that mark a stream; the next contiguous
+/// overrun miss then doubles the window.
+pub const GROW_HIT_RUN: u32 = 8;
+/// A retired fetch that served less than this percentage of its bytes
+/// shrinks the window to the observed need.
+pub const SHRINK_WASTE_PCT: u64 = 25;
+/// Floor for the adaptive batch flush threshold, in pages per DPU.
+pub const MIN_BATCH_PAGES: u32 = 16;
+/// Ceiling for the adaptive batch flush threshold, in pages per DPU (also
+/// the allocated buffer capacity while the controller runs).
+pub const MAX_BATCH_PAGES: u32 = 256;
+/// Consecutive burst-gap appends before the flush threshold doubles (the
+/// tenant is bursting; widen the window).
+pub const BURST_GROW_RUN: u32 = 32;
+/// An inter-append virtual gap at or above this means the tenant went
+/// idle: flush pending writes early and halve the threshold.
+pub const IDLE_GAP_NS: u64 = 200_000;
+/// An inter-append virtual gap at or below this counts toward a burst run.
+pub const BURST_GAP_NS: u64 = 5_000;
 
 /// Pages needed to hold `bytes` (at least one).
 #[must_use]
@@ -25,23 +47,19 @@ pub fn pages_for(bytes: u64) -> u32 {
 /// The window is the number of pages a cacheable miss fetches per DPU.
 /// Two signals move it, and they cannot fire on the same event:
 ///
-/// * **shrink** — a retired fetch served less than `shrink_waste_pct`% of
+/// * **shrink** — a retired fetch served less than [`SHRINK_WASTE_PCT`]% of
 ///   its bytes; the window jumps down to the observed need (the RED /
 ///   HST-S pathology: 256 B read once out of a 64 KiB fetch);
 /// * **grow** — a miss lands exactly at the end of a DPU's resident
-///   segment after a run of `grow_hit_run` hits on that DPU (a stream has
+///   segment after a run of [`GROW_HIT_RUN`] hits on that DPU (a stream has
 ///   outrun the window); the window doubles.
 ///
-/// The window never leaves `[min_pages, max_pages]`, and on a steady
-/// trace (constant served size, or pure streaming) it converges and stays
-/// put — see the property tests in `tests/adapt_determinism.rs`.
+/// The window never leaves `[MIN_WINDOW_PAGES, MAX_WINDOW_PAGES]`, and on
+/// a steady trace (constant served size, or pure streaming) it converges
+/// and stays put — see the property tests in `tests/adapt_determinism.rs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowPolicy {
-    min_pages: u32,
-    max_pages: u32,
     window_pages: u32,
-    grow_hit_run: u32,
-    shrink_waste_pct: u32,
     /// Consecutive hits on `run_dpu` since its last miss.
     hit_run: u32,
     run_dpu: Option<u32>,
@@ -59,18 +77,11 @@ pub enum WindowMove {
 }
 
 impl WindowPolicy {
-    /// Creates the resizer at `initial_pages` (clamped into the section's
-    /// bounds).
+    /// Creates the resizer at `initial_pages` (clamped into the bounds).
     #[must_use]
-    pub fn new(initial_pages: u32, s: &AdaptSection) -> Self {
-        let min = s.min_window_pages.max(1);
-        let max = s.max_window_pages.max(min);
+    pub fn new(initial_pages: u32) -> Self {
         WindowPolicy {
-            min_pages: min,
-            max_pages: max,
-            window_pages: initial_pages.clamp(min, max),
-            grow_hit_run: s.grow_hit_run.max(1),
-            shrink_waste_pct: s.shrink_waste_pct.min(100),
+            window_pages: initial_pages.clamp(MIN_WINDOW_PAGES, MAX_WINDOW_PAGES),
             hit_run: 0,
             run_dpu: None,
         }
@@ -102,11 +113,11 @@ impl WindowPolicy {
     /// After a long enough hit run on that DPU this is a stream outrunning
     /// the window: double it.
     pub fn on_overrun_miss(&mut self, dpu: u32) -> WindowMove {
-        let streaming = self.run_dpu == Some(dpu) && self.hit_run >= self.grow_hit_run;
+        let streaming = self.run_dpu == Some(dpu) && self.hit_run >= GROW_HIT_RUN;
         self.run_dpu = None;
         self.hit_run = 0;
-        if streaming && self.window_pages < self.max_pages {
-            self.window_pages = (self.window_pages.saturating_mul(2)).min(self.max_pages);
+        if streaming && self.window_pages < MAX_WINDOW_PAGES {
+            self.window_pages = (self.window_pages.saturating_mul(2)).min(MAX_WINDOW_PAGES);
             WindowMove::Grew(self.window_pages)
         } else {
             WindowMove::Hold
@@ -125,8 +136,8 @@ impl WindowPolicy {
         if fetched == 0 {
             return WindowMove::Hold;
         }
-        let wasted = served.saturating_mul(100) < fetched.saturating_mul(self.shrink_waste_pct as u64);
-        let need = pages_for(served.max(1)).max(self.min_pages);
+        let wasted = served.saturating_mul(100) < fetched.saturating_mul(SHRINK_WASTE_PCT);
+        let need = pages_for(served.max(1)).max(MIN_WINDOW_PAGES);
         if wasted && need < self.window_pages {
             self.window_pages = need;
             WindowMove::Shrank(self.window_pages)
@@ -139,20 +150,15 @@ impl WindowPolicy {
 /// The batch-flush-threshold adapter.
 ///
 /// The frontend reports the virtual gap between consecutive batched
-/// writes. A gap of `idle_gap` or more means the tenant went idle with
-/// writes parked in the buffer — flush them now and halve the threshold
-/// so the next idle period parks less. A run of `burst_grow_run` gaps at
-/// or under `burst_gap` means the tenant is bursting — double the
-/// threshold (up to `max_pages`, the allocated capacity) so more writes
-/// ride one interrupt.
+/// writes. A gap of [`IDLE_GAP_NS`] or more means the tenant went idle
+/// with writes parked in the buffer — flush them now and halve the
+/// threshold so the next idle period parks less. A run of
+/// [`BURST_GROW_RUN`] gaps at or under [`BURST_GAP_NS`] means the tenant is
+/// bursting — double the threshold (up to [`MAX_BATCH_PAGES`], the
+/// allocated capacity) so more writes ride one interrupt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPolicy {
-    min_pages: u32,
-    max_pages: u32,
     threshold_pages: u32,
-    burst_grow_run: u32,
-    idle_gap_ns: u64,
-    burst_gap_ns: u64,
     burst_run: u32,
 }
 
@@ -166,19 +172,11 @@ pub enum BatchAction {
 }
 
 impl BatchPolicy {
-    /// Creates the adapter at `initial_pages` (clamped into the section's
-    /// bounds).
+    /// Creates the adapter at `initial_pages` (clamped into the bounds).
     #[must_use]
-    pub fn new(initial_pages: u32, s: &AdaptSection) -> Self {
-        let min = s.min_batch_pages.max(1);
-        let max = s.max_batch_pages.max(min);
+    pub fn new(initial_pages: u32) -> Self {
         BatchPolicy {
-            min_pages: min,
-            max_pages: max,
-            threshold_pages: initial_pages.clamp(min, max),
-            burst_grow_run: s.burst_grow_run.max(1),
-            idle_gap_ns: s.idle_gap_us.saturating_mul(1_000),
-            burst_gap_ns: s.burst_gap_us.saturating_mul(1_000),
+            threshold_pages: initial_pages.clamp(MIN_BATCH_PAGES, MAX_BATCH_PAGES),
             burst_run: 0,
         }
     }
@@ -198,19 +196,17 @@ impl BatchPolicy {
     /// Observes the virtual gap (nanoseconds) since the previous batched
     /// write; `has_pending` is whether writes are parked in the buffer.
     pub fn on_append_gap(&mut self, gap_ns: u64, has_pending: bool) -> BatchAction {
-        if gap_ns >= self.idle_gap_ns {
+        if gap_ns >= IDLE_GAP_NS {
             self.burst_run = 0;
-            if self.threshold_pages > self.min_pages {
-                self.threshold_pages = (self.threshold_pages / 2).max(self.min_pages);
-            }
+            self.threshold_pages = (self.threshold_pages / 2).max(MIN_BATCH_PAGES);
             if has_pending {
                 return BatchAction::FlushFirst;
             }
-        } else if gap_ns <= self.burst_gap_ns {
+        } else if gap_ns <= BURST_GAP_NS {
             self.burst_run += 1;
-            if self.burst_run >= self.burst_grow_run {
+            if self.burst_run >= BURST_GROW_RUN {
                 self.burst_run = 0;
-                self.threshold_pages = self.threshold_pages.saturating_mul(2).min(self.max_pages);
+                self.threshold_pages = self.threshold_pages.saturating_mul(2).min(MAX_BATCH_PAGES);
             }
         } else {
             self.burst_run = 0;
@@ -223,13 +219,9 @@ impl BatchPolicy {
 mod tests {
     use super::*;
 
-    fn section() -> AdaptSection {
-        AdaptSection { enabled: true, ..AdaptSection::default() }
-    }
-
     #[test]
     fn wasted_fetch_jumps_window_to_need() {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         // RED shape: 64 KiB fetched, 256 B served once.
         assert_eq!(w.on_fetch_retired(16 * PAGE, 256), WindowMove::Shrank(1));
         assert_eq!(w.window_pages(), 1);
@@ -239,14 +231,14 @@ mod tests {
 
     #[test]
     fn well_used_fetch_holds_the_window() {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         assert_eq!(w.on_fetch_retired(16 * PAGE, 8 * PAGE), WindowMove::Hold);
         assert_eq!(w.window_pages(), 16);
     }
 
     #[test]
     fn streaming_overrun_doubles_until_max() {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         for round in 0..4 {
             for _ in 0..8 {
                 w.on_hit(3);
@@ -261,7 +253,7 @@ mod tests {
 
     #[test]
     fn overrun_without_a_hit_run_is_not_a_stream() {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         w.on_hit(0);
         assert_eq!(w.on_overrun_miss(0), WindowMove::Hold);
         // A run on a different DPU does not qualify either.
@@ -274,7 +266,7 @@ mod tests {
 
     #[test]
     fn plain_miss_breaks_the_run() {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         for _ in 0..8 {
             w.on_hit(0);
         }
@@ -284,7 +276,7 @@ mod tests {
 
     #[test]
     fn idle_gap_flushes_and_halves() {
-        let mut b = BatchPolicy::new(64, &section());
+        let mut b = BatchPolicy::new(64);
         assert_eq!(b.on_append_gap(200_000, true), BatchAction::FlushFirst);
         assert_eq!(b.threshold_pages(), 32);
         // Nothing pending: threshold still adapts, no flush requested.
@@ -299,7 +291,7 @@ mod tests {
 
     #[test]
     fn burst_runs_widen_the_threshold() {
-        let mut b = BatchPolicy::new(64, &section());
+        let mut b = BatchPolicy::new(64);
         for _ in 0..32 {
             assert_eq!(b.on_append_gap(1_000, true), BatchAction::Keep);
         }

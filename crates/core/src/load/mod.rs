@@ -72,7 +72,7 @@ use std::sync::Arc;
 use simkit::{VirtualNanos, VtHistogram};
 
 use crate::system::VpimSystem;
-use session::{run_sessions, simulate_queue, Admission, FAILED_OP};
+use session::{run_sessions, serve_group, FAILED_OP};
 
 /// How phase A executes the session bodies. Both modes must produce the
 /// same [`LoadReport`]; `Pooled` is simply faster on the wall clock.
@@ -223,68 +223,40 @@ impl LoadHarness {
         // Phase A: execute every session body, order-free.
         let runs = run_sessions(spec, mix, servers.min(8), |_| sys);
 
-        // Phase B: the virtual-time queue.
-        let q = simulate_queue(
-            &arrivals,
-            &runs,
-            servers,
-            spec.patience.map(|p| p.as_nanos()),
-        );
-
-        // Aggregate. Only *served* sessions contribute latency samples and
-        // checksums; giveups and launch failures are counted apart.
-        let session_hist = VtHistogram::new();
+        // Phase B: the virtual-time queue, all sessions in one group.
         let op_hist = VtHistogram::new();
         let mut per_op: BTreeMap<&str, (VtHistogram, u64)> = BTreeMap::new();
-        let mut completed = 0u64;
-        let mut launch_failures = 0u64;
-        let mut ops_run = 0u64;
-        let mut op_failures = 0u64;
-        let mut checksum = 0u64;
-        for (i, run) in runs.iter().enumerate() {
-            match q.admissions[i] {
-                Admission::Failed => launch_failures += 1,
-                Admission::GaveUp(_) => {}
-                Admission::Served(_, depart) => {
-                    completed += 1;
-                    checksum = checksum.wrapping_add(run.checksum);
-                    session_hist.record(VirtualNanos::from_nanos(depart - arrivals[i]));
-                    let profile = &mix.profiles()[run.profile];
-                    for (j, &cost) in run.op_costs.iter().enumerate() {
-                        ops_run += 1;
-                        let name = profile.ops()[j].name();
-                        let entry =
-                            per_op.entry(name).or_insert_with(|| (VtHistogram::new(), 0));
-                        if cost == FAILED_OP {
-                            op_failures += 1;
-                            entry.1 += 1;
-                        } else {
-                            let d = VirtualNanos::from_nanos(cost);
-                            op_hist.record(d);
-                            entry.0.record(d);
-                        }
-                    }
-                }
+        let all: Vec<usize> = (0..n).collect();
+        let patience = spec.patience.map(|p| p.as_nanos());
+        let g = serve_group(&all, &arrivals, &runs, servers, patience, |run, j, cost| {
+            let name = mix.profiles()[run.profile].ops()[j].name();
+            let entry = per_op.entry(name).or_insert_with(|| (VtHistogram::new(), 0));
+            if cost == FAILED_OP {
+                entry.1 += 1;
+            } else {
+                let d = VirtualNanos::from_nanos(cost);
+                op_hist.record(d);
+                entry.0.record(d);
             }
-        }
+        });
 
         let horizon = arrivals.last().copied().unwrap_or(0);
         let report = LoadReport {
             seed: spec.seed,
             sessions: n as u64,
-            completed,
-            giveups: q.giveups,
-            launch_failures,
-            ops_run,
-            op_failures,
-            checksum,
-            peak_concurrent: q.peak_in_system,
-            peak_queue_depth: q.peak_queue_depth,
+            completed: g.completed,
+            giveups: g.queue.giveups,
+            launch_failures: g.launch_failures,
+            ops_run: g.ops_run,
+            op_failures: g.op_failures,
+            checksum: g.checksum,
+            peak_concurrent: g.queue.peak_in_system,
+            peak_queue_depth: g.queue.peak_queue_depth,
             horizon: VirtualNanos::from_nanos(horizon),
-            makespan: VirtualNanos::from_nanos(q.makespan_ns),
+            makespan: VirtualNanos::from_nanos(g.queue.makespan_ns),
             offered_mps: rate_milli_per_sec(n as u64, horizon),
-            sustained_mps: rate_milli_per_sec(completed, q.makespan_ns),
-            session_latency: LatencySummary::of(&session_hist),
+            sustained_mps: rate_milli_per_sec(g.completed, g.queue.makespan_ns),
+            session_latency: LatencySummary::of(&g.sojourn),
             op_latency: LatencySummary::of(&op_hist),
             per_op: per_op
                 .into_iter()
@@ -299,7 +271,7 @@ impl LoadHarness {
         // Host-registry mirror (cumulative, observability only — the
         // report above is the determinism oracle).
         let reg = sys.registry();
-        reg.histogram("load.session.latency").merge_from(&session_hist);
+        reg.histogram("load.session.latency").merge_from(&g.sojourn);
         reg.histogram("load.op.latency").merge_from(&op_hist);
         reg.counter("load.sessions.offered").add(report.sessions);
         reg.counter("load.sessions.completed").add(report.completed);

@@ -5,9 +5,7 @@
 //! compares runs across thread counts byte for byte. Every field is
 //! integer-valued virtual time, so bit-identity is meaningful.
 
-use std::fmt::Write as _;
-
-use simkit::{VirtualNanos, VtHistogram};
+use simkit::{JsonObject, VirtualNanos, VtHistogram};
 
 /// Latency percentiles plus mass, lifted from a [`VtHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,16 +35,13 @@ impl LatencySummary {
         }
     }
 
-    pub(crate) fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{}}}",
-            self.count,
-            self.total.as_nanos(),
-            self.p50.as_nanos(),
-            self.p99.as_nanos(),
-            self.p999.as_nanos()
-        );
+    pub(crate) fn json(&self) -> JsonObject {
+        JsonObject::new()
+            .num("count", self.count)
+            .num("total_ns", self.total.as_nanos())
+            .num("p50_ns", self.p50.as_nanos())
+            .num("p99_ns", self.p99.as_nanos())
+            .num("p999_ns", self.p999.as_nanos())
     }
 }
 
@@ -110,43 +105,33 @@ impl LoadReport {
     /// whitespace — two equal reports serialize to identical bytes.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"seed\":{},\"sessions\":{},\"completed\":{},\"giveups\":{},\
-             \"launch_failures\":{},\"ops_run\":{},\"op_failures\":{},\"checksum\":{},\
-             \"peak_concurrent\":{},\"peak_queue_depth\":{},\"horizon_ns\":{},\
-             \"makespan_ns\":{},\"offered_mps\":{},\"sustained_mps\":{}",
-            self.seed,
-            self.sessions,
-            self.completed,
-            self.giveups,
-            self.launch_failures,
-            self.ops_run,
-            self.op_failures,
-            self.checksum,
-            self.peak_concurrent,
-            self.peak_queue_depth,
-            self.horizon.as_nanos(),
-            self.makespan.as_nanos(),
-            self.offered_mps,
-            self.sustained_mps
-        );
-        out.push_str(",\"session_latency\":");
-        self.session_latency.json(&mut out);
-        out.push_str(",\"op_latency\":");
-        self.op_latency.json(&mut out);
-        out.push_str(",\"per_op\":[");
-        for (i, op) in self.per_op.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":{:?},\"failures\":{},\"latency\":", op.name, op.failures);
-            op.latency.json(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        JsonObject::new()
+            .num("seed", self.seed)
+            .num("sessions", self.sessions)
+            .num("completed", self.completed)
+            .num("giveups", self.giveups)
+            .num("launch_failures", self.launch_failures)
+            .num("ops_run", self.ops_run)
+            .num("op_failures", self.op_failures)
+            .num("checksum", self.checksum)
+            .num("peak_concurrent", self.peak_concurrent)
+            .num("peak_queue_depth", self.peak_queue_depth)
+            .num("horizon_ns", self.horizon.as_nanos())
+            .num("makespan_ns", self.makespan.as_nanos())
+            .num("offered_mps", self.offered_mps)
+            .num("sustained_mps", self.sustained_mps)
+            .obj("session_latency", self.session_latency.json())
+            .obj("op_latency", self.op_latency.json())
+            .arr(
+                "per_op",
+                self.per_op.iter().map(|op| {
+                    JsonObject::new()
+                        .str("name", &op.name)
+                        .num("failures", op.failures)
+                        .obj("latency", op.latency.json())
+                }),
+            )
+            .finish()
     }
 }
 

@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use simkit::{SimRng, WorkerPool};
+use simkit::{SimRng, VirtualNanos, VtHistogram, WorkerPool};
 
 use crate::load::tenant::TenantMix;
 use crate::load::{Execution, LoadSpec};
@@ -165,34 +165,47 @@ pub(crate) struct QueueOutcome {
     pub peak_queue_depth: u64,
     /// Virtual time of the last departure (or giveup).
     pub makespan_ns: u64,
+    /// The `(time, Δin_system, Δqueue)` steps behind the two peaks, so
+    /// several queues can be folded into one fleet-wide peak.
+    pub events: Vec<(u64, i64, i64)>,
 }
 
-/// Replays the sessions through `servers` FCFS virtual servers.
-/// `arrivals[i]` and `runs[i].service_ns` describe session `i`; sessions
-/// with `launch_failed` are skipped. Pure integer math.
-pub(crate) fn simulate_queue(
-    arrivals: &[u64],
-    runs: &[SessionRun],
+/// The `(in_system, queue)` peaks of a set of `(time, Δin_system, Δqueue)`
+/// steps. Sorting puts same-instant departures (negative deltas) before
+/// arrivals — a fixed, conservative tie break that keeps the peaks
+/// deterministic.
+pub(crate) fn peaks(events: &mut [(u64, i64, i64)]) -> (u64, u64) {
+    events.sort_unstable();
+    let (mut in_sys, mut queued) = (0i64, 0i64);
+    let (mut peak_in_system, mut peak_queue_depth) = (0i64, 0i64);
+    for &(_, ds, dq) in events.iter() {
+        in_sys += ds;
+        queued += dq;
+        peak_in_system = peak_in_system.max(in_sys);
+        peak_queue_depth = peak_queue_depth.max(queued);
+    }
+    (peak_in_system.max(0) as u64, peak_queue_depth.max(0) as u64)
+}
+
+/// Replays `(arrival, run)` sessions through `servers` FCFS virtual
+/// servers; sessions with `launch_failed` are skipped. Pure integer math.
+pub(crate) fn simulate_queue<'a>(
+    sessions: impl Iterator<Item = (u64, &'a SessionRun)>,
     servers: usize,
     patience_ns: Option<u64>,
 ) -> QueueOutcome {
-    assert_eq!(arrivals.len(), runs.len());
     let servers = servers.max(1);
     // Earliest-free-first server pool.
     let mut free: BinaryHeap<Reverse<u64>> = (0..servers).map(|_| Reverse(0u64)).collect();
-    let mut admissions = Vec::with_capacity(runs.len());
+    let mut admissions = Vec::new();
     let mut giveups = 0u64;
     let mut makespan_ns = 0u64;
-    // (time, Δin_system, Δqueue); sorted so same-instant departures
-    // (negative deltas) precede arrivals — a fixed, conservative tie
-    // break that keeps the peaks deterministic.
-    let mut events: Vec<(u64, i64, i64)> = Vec::with_capacity(runs.len() * 3);
-    for (i, run) in runs.iter().enumerate() {
+    let mut events: Vec<(u64, i64, i64)> = Vec::new();
+    for (a, run) in sessions {
         if run.launch_failed {
             admissions.push(Admission::Failed);
             continue;
         }
-        let a = arrivals[i];
         let Reverse(f) = free.pop().expect("server pool is non-empty");
         let start = a.max(f);
         if let Some(p) = patience_ns {
@@ -215,22 +228,69 @@ pub(crate) fn simulate_queue(
         events.push((start, 0, -1));
         events.push((depart, -1, 0));
     }
-    events.sort_unstable();
-    let (mut in_sys, mut queued) = (0i64, 0i64);
-    let (mut peak_in_system, mut peak_queue_depth) = (0i64, 0i64);
-    for (_, ds, dq) in events {
-        in_sys += ds;
-        queued += dq;
-        peak_in_system = peak_in_system.max(in_sys);
-        peak_queue_depth = peak_queue_depth.max(queued);
+    let (peak_in_system, peak_queue_depth) = peaks(&mut events);
+    QueueOutcome { admissions, giveups, peak_in_system, peak_queue_depth, makespan_ns, events }
+}
+
+/// Phase B for one group of sessions sharing a queue — a whole run on one
+/// host, or one host's share of a fleet run.
+#[derive(Debug)]
+pub(crate) struct GroupOutcome {
+    /// Sessions served to completion.
+    pub completed: u64,
+    /// Sessions whose VM never launched.
+    pub launch_failures: u64,
+    /// Ops executed by served sessions, and how many of them failed.
+    pub ops_run: u64,
+    pub op_failures: u64,
+    /// Commutative fold of the served sessions' checksums.
+    pub checksum: u64,
+    /// Arrival-to-departure latency of the served sessions.
+    pub sojourn: VtHistogram,
+    /// Giveups, peaks and makespan of the group's queue.
+    pub queue: QueueOutcome,
+}
+
+/// Replays the sessions `idx` (indices into `arrivals` / `runs`, in arrival
+/// order) through `servers` virtual servers and tallies the outcome. Only
+/// *served* sessions contribute latency samples, checksums and op counts;
+/// `on_op(run, op index, cost)` sees each of their ops.
+pub(crate) fn serve_group(
+    idx: &[usize],
+    arrivals: &[u64],
+    runs: &[SessionRun],
+    servers: usize,
+    patience_ns: Option<u64>,
+    mut on_op: impl FnMut(&SessionRun, usize, u64),
+) -> GroupOutcome {
+    let queue = simulate_queue(idx.iter().map(|&i| (arrivals[i], &runs[i])), servers, patience_ns);
+    let mut g = GroupOutcome {
+        completed: 0,
+        launch_failures: 0,
+        ops_run: 0,
+        op_failures: 0,
+        checksum: 0,
+        sojourn: VtHistogram::new(),
+        queue,
+    };
+    for (&i, admission) in idx.iter().zip(&g.queue.admissions) {
+        match *admission {
+            Admission::Failed => g.launch_failures += 1,
+            Admission::GaveUp(_) => {}
+            Admission::Served(_, depart) => {
+                let run = &runs[i];
+                g.completed += 1;
+                g.checksum = g.checksum.wrapping_add(run.checksum);
+                g.sojourn.record(VirtualNanos::from_nanos(depart - arrivals[i]));
+                for (j, &cost) in run.op_costs.iter().enumerate() {
+                    g.ops_run += 1;
+                    g.op_failures += u64::from(cost == FAILED_OP);
+                    on_op(run, j, cost);
+                }
+            }
+        }
     }
-    QueueOutcome {
-        admissions,
-        giveups,
-        peak_in_system: peak_in_system.max(0) as u64,
-        peak_queue_depth: peak_queue_depth.max(0) as u64,
-        makespan_ns,
-    }
+    g
 }
 
 #[cfg(test)]
@@ -249,9 +309,9 @@ mod tests {
 
     #[test]
     fn single_server_serializes() {
-        let arrivals = vec![0, 10, 20];
-        let runs = vec![run(100), run(100), run(100)];
-        let q = simulate_queue(&arrivals, &runs, 1, None);
+        let arrivals = [0, 10, 20];
+        let runs = [run(100), run(100), run(100)];
+        let q = simulate_queue(arrivals.iter().copied().zip(&runs), 1, None);
         assert_eq!(
             q.admissions,
             vec![
@@ -267,9 +327,9 @@ mod tests {
 
     #[test]
     fn two_servers_overlap() {
-        let arrivals = vec![0, 10, 20];
-        let runs = vec![run(100), run(100), run(100)];
-        let q = simulate_queue(&arrivals, &runs, 2, None);
+        let arrivals = [0, 10, 20];
+        let runs = [run(100), run(100), run(100)];
+        let q = simulate_queue(arrivals.iter().copied().zip(&runs), 2, None);
         assert_eq!(
             q.admissions,
             vec![
@@ -283,9 +343,9 @@ mod tests {
 
     #[test]
     fn patience_sheds_the_tail() {
-        let arrivals = vec![0, 1, 2];
-        let runs = vec![run(1000), run(1000), run(1000)];
-        let q = simulate_queue(&arrivals, &runs, 1, Some(500));
+        let arrivals = [0, 1, 2];
+        let runs = [run(1000), run(1000), run(1000)];
+        let q = simulate_queue(arrivals.iter().copied().zip(&runs), 1, Some(500));
         assert_eq!(q.giveups, 2);
         assert_eq!(q.admissions[1], Admission::GaveUp(501));
         assert_eq!(q.admissions[2], Admission::GaveUp(502));
@@ -297,9 +357,9 @@ mod tests {
     fn failed_sessions_never_occupy_servers() {
         let mut failed = run(9999);
         failed.launch_failed = true;
-        let arrivals = vec![0, 5];
-        let runs = vec![failed, run(10)];
-        let q = simulate_queue(&arrivals, &runs, 1, None);
+        let arrivals = [0, 5];
+        let runs = [failed, run(10)];
+        let q = simulate_queue(arrivals.iter().copied().zip(&runs), 1, None);
         assert_eq!(q.admissions[0], Admission::Failed);
         assert_eq!(q.admissions[1], Admission::Served(5, 15));
     }

@@ -9,15 +9,24 @@
 //!   the same requester (skips the reset), else a `NAAV` rank by
 //!   round-robin, else wait for a `NANA` reset to finish, else retry with a
 //!   configurable timeout up to a configurable attempt count, then abandon;
-//!   requests are served FIFO by a thread pool (8 threads in the paper);
 //! * an **observer thread** that watches the driver's sysfs rank-status
 //!   files: VMs do *not* tell the manager when they release a rank — the
-//!   observer detects the release, moves the rank to `NANA` and triggers
-//!   the content-reset worker (~597 ms per 4 GiB rank), after which the
-//!   rank becomes `NAAV`;
+//!   observer detects the release, moves the rank to `NANA` and erases its
+//!   content (~597 ms per 4 GiB rank), after which the rank becomes `NAAV`;
 //! * seamless coexistence with **native host applications**: a rank claimed
 //!   directly through the driver shows up in sysfs and is marked `ALLO` by
 //!   the observer, so the manager never double-allocates it.
+//!
+//! The paper's manager is a daemon: requests arrive over a UNIX domain
+//! socket and are served FIFO by an 8-thread pool. Here that transport is
+//! two things and no code: its **cost** is the cost model's
+//! `manager_alloc` constant (~36 ms, charged in virtual time to every
+//! grant), and its **failure mode** is the [`MANAGER_RPC_POINT`] fault
+//! point (a dropped message). A [`ManagerClient`] call therefore runs the
+//! table operation on the caller's own thread — the table has been safely
+//! concurrent by itself since it was sharded, so a pool in front of it
+//! would serialise nothing — and the manager owns exactly one thread, the
+//! observer.
 
 pub mod reference;
 pub mod table;
@@ -29,7 +38,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use simkit::{CostModel, FaultPlane, InjectCell, VirtualNanos};
 use upmem_driver::UpmemDriver;
 
@@ -39,15 +47,13 @@ use table::TableState;
 /// Fault point for manager RPCs ([`ManagerClient::alloc`],
 /// [`ManagerClient::sync`], [`ManagerClient::mark_ckpt`]): firing makes
 /// the call fail typed (or, for the fire-and-wait `sync`, skip the sweep)
-/// before reaching the manager — the simulated analogue of a dropped
+/// before reaching the table — the simulated analogue of a dropped
 /// domain-socket message. Counter-based across all RPC kinds.
 pub const MANAGER_RPC_POINT: &str = "manager.rpc";
 
 /// Tuning knobs of the manager (§3.5 defaults).
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// Worker threads serving allocation requests (paper: 8).
-    pub pool_threads: usize,
     /// How long one allocation attempt waits before retrying.
     pub retry_timeout: Duration,
     /// Attempts before a request is abandoned.
@@ -56,35 +62,38 @@ pub struct ManagerConfig {
 
 impl Default for ManagerConfig {
     fn default() -> Self {
-        ManagerConfig {
-            pool_threads: 8,
-            retry_timeout: Duration::from_millis(200),
-            max_attempts: 5,
-        }
+        ManagerConfig { retry_timeout: Duration::from_millis(200), max_attempts: 5 }
     }
 }
 
-enum Msg {
-    Alloc { owner: String, reply: Sender<Result<AllocOutcome, VpimError>> },
-    /// One synchronous observe-and-reset sweep (scheduler: expedite rank
-    /// recycling after a preemption instead of waiting for the observer).
-    Sync { reply: Sender<()> },
-    /// Flip an `ALLO` rank to `CKPT` (scheduler checkpointed its owner).
-    MarkCkpt { rank: usize, reply: Sender<bool> },
-    Stop,
-}
-
-/// A cheap handle for sending requests to the manager (the "UNIX domain
-/// socket" client side).
+/// A cheap handle for issuing requests to the manager (the "UNIX domain
+/// socket" client side). Every call runs on the caller's thread.
 #[derive(Debug, Clone)]
 pub struct ManagerClient {
-    tx: Sender<Msg>,
+    state: Arc<TableState>,
+    cfg: ManagerConfig,
+    /// Set by [`Manager::shutdown`]; a client kept past it gets
+    /// [`VpimError::ManagerDown`].
+    stop: Arc<AtomicBool>,
     /// Shared across clones (`Arc`), so installing a plane on the manager
     /// covers every client handed out before or after.
     inject: Arc<InjectCell>,
 }
 
 impl ManagerClient {
+    /// The checks every RPC starts with: the fault point first (a message
+    /// dropped on the way never learns the daemon is gone), then the stop
+    /// flag.
+    fn rpc(&self) -> Result<(), VpimError> {
+        if self.inject.hit(MANAGER_RPC_POINT) {
+            return Err(VpimError::Injected { point: MANAGER_RPC_POINT });
+        }
+        if self.stop.load(Ordering::Acquire) {
+            return Err(VpimError::ManagerDown);
+        }
+        Ok(())
+    }
+
     /// Requests a rank for `owner`, blocking until the manager decides.
     ///
     /// # Errors
@@ -93,28 +102,18 @@ impl ManagerClient {
     /// [`VpimError::ManagerDown`] if the manager stopped, or a typed
     /// [`VpimError::Injected`] when [`MANAGER_RPC_POINT`] fires.
     pub fn alloc(&self, owner: &str) -> Result<AllocOutcome, VpimError> {
-        if self.inject.hit(MANAGER_RPC_POINT) {
-            return Err(VpimError::Injected { point: MANAGER_RPC_POINT });
-        }
-        let (reply_tx, reply_rx) = unbounded();
-        self.tx
-            .send(Msg::Alloc { owner: owner.to_string(), reply: reply_tx })
-            .map_err(|_| VpimError::ManagerDown)?;
-        reply_rx.recv().map_err(|_| VpimError::ManagerDown)?
+        self.rpc()?;
+        self.state.alloc(owner, self.cfg.retry_timeout, self.cfg.max_attempts)
     }
 
-    /// Runs one synchronous observe-and-reset sweep in the manager and
-    /// waits for it: released ranks become `NANA`, then reset to `NAAV`,
-    /// before this returns. A no-op result if the manager stopped, or if
-    /// [`MANAGER_RPC_POINT`] fires (the sweep is skipped — callers already
-    /// tolerate the observer being late, so this degrades gracefully).
+    /// Runs one synchronous observe-and-reset sweep: released ranks become
+    /// `NANA`, then reset to `NAAV`, before this returns. A no-op if the
+    /// manager stopped, or if [`MANAGER_RPC_POINT`] fires (the sweep is
+    /// skipped — callers already tolerate the observer being late, so this
+    /// degrades gracefully).
     pub fn sync(&self) {
-        if self.inject.hit(MANAGER_RPC_POINT) {
-            return;
-        }
-        let (reply_tx, reply_rx) = unbounded();
-        if self.tx.send(Msg::Sync { reply: reply_tx }).is_ok() {
-            let _ = reply_rx.recv();
+        if self.rpc().is_ok() {
+            self.state.sync_now();
         }
     }
 
@@ -126,40 +125,27 @@ impl ManagerClient {
     /// [`VpimError::ManagerDown`] if the manager stopped, or a typed
     /// [`VpimError::Injected`] when [`MANAGER_RPC_POINT`] fires.
     pub fn mark_ckpt(&self, rank: usize) -> Result<bool, VpimError> {
-        if self.inject.hit(MANAGER_RPC_POINT) {
-            return Err(VpimError::Injected { point: MANAGER_RPC_POINT });
-        }
-        let (reply_tx, reply_rx) = unbounded();
-        self.tx
-            .send(Msg::MarkCkpt { rank, reply: reply_tx })
-            .map_err(|_| VpimError::ManagerDown)?;
-        reply_rx.recv().map_err(|_| VpimError::ManagerDown)
+        self.rpc()?;
+        Ok(self.state.mark_ckpt(rank))
     }
 }
 
-/// The running manager daemon.
+/// The running manager: the rank table plus its sysfs observer thread.
 pub struct Manager {
     client: ManagerClient,
-    state: Arc<TableState>,
-    stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    tx: Sender<Msg>,
-    cfg: ManagerConfig,
+    observer: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Manager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Manager")
-            .field("threads", &self.threads.len())
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("Manager").field("stats", &self.stats()).finish()
     }
 }
 
 impl Manager {
-    /// Starts the manager on a host: spawns the worker pool, the sysfs
-    /// observer and the reset worker. Telemetry goes into a private
-    /// registry; use [`Self::start_with_registry`] to publish it.
+    /// Starts the manager on a host: builds the rank table and spawns the
+    /// sysfs observer. Telemetry goes into a private registry; use
+    /// [`Self::start_with_registry`] to publish it.
     #[must_use]
     pub fn start(driver: Arc<UpmemDriver>, cm: CostModel, cfg: ManagerConfig) -> Self {
         Self::start_with_registry(driver, cm, cfg, &simkit::MetricsRegistry::new())
@@ -179,75 +165,21 @@ impl Manager {
                 .with_transition_counter(registry.counter("manager.rank_state.transitions")),
         );
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx): (Sender<Msg>, Receiver<Msg>) = unbounded();
-        let (reset_tx, reset_rx) = unbounded::<usize>();
-
-        let mut threads = Vec::new();
-        // Worker pool (FIFO service of allocation requests).
-        for _ in 0..cfg.pool_threads.max(1) {
-            let rx = rx.clone();
-            let state = Arc::clone(&state);
-            let cfg = cfg.clone();
-            threads.push(std::thread::spawn(move || loop {
-                match rx.recv() {
-                    Ok(Msg::Alloc { owner, reply }) => {
-                        let result = state.alloc(&owner, cfg.retry_timeout, cfg.max_attempts);
-                        let _ = reply.send(result);
-                    }
-                    Ok(Msg::Sync { reply }) => {
-                        state.sync_now();
-                        let _ = reply.send(());
-                    }
-                    Ok(Msg::MarkCkpt { rank, reply }) => {
-                        let _ = reply.send(state.mark_ckpt(rank));
-                    }
-                    Ok(Msg::Stop) | Err(_) => break,
-                }
-            }));
-        }
-        // Observer thread: detect releases via sysfs and external claims.
-        // The sweep is sharded — each board rank group is snapshotted and
-        // reconciled independently, so a sweep never holds more than one
-        // board shard and one table shard at a time.
-        {
+        // Observer: on every sysfs change (or 50 ms, whichever is first)
+        // run the same observe-and-reset sweep `ManagerClient::sync` runs.
+        let observer = {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
-            let reset_tx = reset_tx.clone();
-            let driver = driver.clone();
-            threads.push(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 let mut seen = driver.sysfs().generation();
-                while !stop.load(Ordering::Relaxed) {
-                    seen = driver
-                        .sysfs()
-                        .wait_for_change(seen, Duration::from_millis(50));
-                    let board = driver.sysfs();
-                    for group in 0..board.shard_count() {
-                        let Some((base, entries)) = board.snapshot_group(group) else {
-                            continue;
-                        };
-                        for rank in state.sync_group_sweep(base, &entries) {
-                            let _ = reset_tx.send(rank);
-                        }
-                    }
+                while !stop.load(Ordering::Acquire) {
+                    seen = driver.sysfs().wait_for_change(seen, Duration::from_millis(50));
+                    state.sync_now();
                 }
-            }));
-        }
-        // Reset worker: erase released ranks (NANA → NAAV).
-        {
-            let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || {
-                while let Ok(rank) = reset_rx.recv() {
-                    if rank == usize::MAX {
-                        break; // shutdown sentinel
-                    }
-                    state.reset_rank(rank);
-                }
-            }));
-        }
-        let client = ManagerClient { tx: tx.clone(), inject: Arc::new(InjectCell::new()) };
-        // Keep a sender for the reset channel alive in state for shutdown.
-        state.set_reset_sender(reset_tx);
-        Manager { client, state, stop, threads, tx, cfg }
+            })
+        };
+        let client = ManagerClient { state, cfg, stop, inject: Arc::new(InjectCell::new()) };
+        Manager { client, observer }
     }
 
     /// A client handle for issuing requests.
@@ -266,46 +198,40 @@ impl Manager {
     /// Current state of every rank (diagnostics / figures).
     #[must_use]
     pub fn rank_states(&self) -> Vec<RankState> {
-        self.state.states()
+        self.client.state.states()
     }
 
     /// Aggregate statistics (allocations, resets, virtual reset time).
     #[must_use]
     pub fn stats(&self) -> ManagerStats {
-        self.state.stats()
+        self.client.state.stats()
     }
 
     /// Rank state-machine edges walked (NAAV↔ALLO↔NANA, Fig. 5).
     #[must_use]
     pub fn state_transitions(&self) -> u64 {
-        self.state.transitions()
+        self.client.state.transitions()
     }
 
     /// The modeled duration of one allocation round trip when a NAAV rank
     /// is immediately available (§4.2: ~36 ms).
     #[must_use]
     pub fn alloc_cost(&self) -> VirtualNanos {
-        self.state.alloc_cost()
+        self.client.state.alloc_cost()
     }
 
-    /// Stops every manager thread and waits for them.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for _ in 0..self.cfg.pool_threads.max(1) {
-            let _ = self.tx.send(Msg::Stop);
-        }
-        self.state.shutdown();
-        // Wake the observer (a claim/release bump would also do it; the
-        // wait has a 50 ms timeout so it exits promptly).
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Stops the observer and waits for it (its wait has a 50 ms timeout,
+    /// so it exits promptly). Clients kept past this get
+    /// [`VpimError::ManagerDown`].
+    pub fn shutdown(self) {
+        self.client.stop.store(true, Ordering::Release);
+        let _ = self.observer.join();
     }
 
     /// Synchronizes the table with sysfs immediately (test hook; the
     /// observer thread does this continuously).
     pub fn sync_now(&self) {
-        self.state.sync_now();
+        self.client.state.sync_now();
     }
 
     /// Blocks until `rank` reaches `want` (up to `timeout`); returns
@@ -313,7 +239,7 @@ impl Manager {
     /// waiter, so this replaces sleep-poll loops in tests and tooling.
     #[must_use]
     pub fn wait_for_state(&self, rank: usize, want: RankState, timeout: Duration) -> bool {
-        self.state.wait_for_state(rank, want, timeout)
+        self.client.state.wait_for_state(rank, want, timeout)
     }
 }
 
@@ -348,7 +274,6 @@ mod tests {
             let cfg = ManagerConfig {
                 retry_timeout: Duration::from_millis(5),
                 max_attempts: 2,
-                ..ManagerConfig::default()
             };
             let mgr = Manager::start(driver.clone(), CostModel::default(), cfg);
             (driver, mgr)
@@ -407,7 +332,7 @@ mod tests {
         }
         // Re-request quickly from the same owner; if the rank is still in
         // NANA the manager hands it back without resetting. (Timing-
-        // dependent: the reset worker may win the race, in which case the
+        // dependent: the observer's reset may win the race, in which case the
         // allocation is a normal NAAV one — both are valid outcomes.)
         let again = c.alloc("vm-a").unwrap();
         if again.rank == a.rank && again.reused {
@@ -442,6 +367,93 @@ mod tests {
         let _ = c.alloc("x").unwrap();
         assert_eq!(mgr.stats().allocations, 1);
         assert_eq!(mgr.alloc_cost().as_millis(), 36);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn table_calls_never_queue_behind_parked_allocs() {
+        // Nine requests park on a full 2-rank machine — one more than the
+        // paper's pool has threads. `mark_ckpt` and `sync` must still
+        // return at once, and as ranks are released every parked request is
+        // served in turn (none abandoned).
+        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
+        let cfg = ManagerConfig { retry_timeout: Duration::from_secs(3), max_attempts: 1000 };
+        let mgr = Manager::start(driver.clone(), CostModel::default(), cfg);
+        let c = mgr.client();
+        let a = c.alloc("a").unwrap();
+        let b = c.alloc("b").unwrap();
+        let held_a = driver.open_perf(a.rank, "a").unwrap();
+        let held_b = driver.open_perf(b.rank, "b").unwrap();
+        let start = std::sync::Barrier::new(10);
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..9)
+                .map(|i| {
+                    let (c, driver, start) = (&c, &driver, &start);
+                    s.spawn(move || {
+                        let owner = format!("w{i}");
+                        start.wait();
+                        let got = c.alloc(&owner)?;
+                        // Claim and release, so the rank cycles on.
+                        drop(driver.open_perf(got.rank, &owner).unwrap());
+                        Ok::<_, VpimError>(got.rank)
+                    })
+                })
+                .collect();
+            start.wait();
+            let t = std::time::Instant::now();
+            assert!(c.mark_ckpt(b.rank).unwrap());
+            c.sync();
+            assert!(t.elapsed() < Duration::from_secs(1), "queued behind parked allocs");
+            drop(held_a); // the observer recycles rank a to a parked request
+            for w in waiters {
+                assert_eq!(w.join().unwrap().unwrap(), a.rank);
+            }
+        });
+        assert_eq!(mgr.stats().abandoned, 0);
+        drop(held_b);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn client_kept_past_shutdown_sees_manager_down() {
+        let (driver, mgr) = host();
+        let c = mgr.client();
+        mgr.shutdown();
+        assert!(matches!(c.alloc("late"), Err(VpimError::ManagerDown)));
+        assert!(matches!(c.mark_ckpt(0), Err(VpimError::ManagerDown)));
+        // `sync` is a no-op: an external claim is no longer observed.
+        let _native = driver.open_perf(0, "native:late").unwrap();
+        c.sync();
+        assert_eq!(c.state.state_of(0), Some(RankState::Naav));
+        assert_eq!(c.state.stats().allocations, 0);
+    }
+
+    #[test]
+    fn started_manager_owns_exactly_one_thread() {
+        let (_driver, mgr) = host();
+        // Every manager thread shares the table; besides the manager's own
+        // client that is the observer and nobody else.
+        let _: &JoinHandle<()> = &mgr.observer;
+        assert_eq!(Arc::strong_count(&mgr.client.state), 2);
+        mgr.shutdown();
+    }
+
+    #[test]
+    fn rpc_fault_fails_typed_before_reaching_the_table() {
+        let (_driver, mgr) = host();
+        let c = mgr.client();
+        let plane = Arc::new(FaultPlane::new(7));
+        plane.arm(MANAGER_RPC_POINT, simkit::FaultPlan::Nth(1));
+        mgr.install_fault_plane(plane);
+        assert!(matches!(
+            c.alloc("vm"),
+            Err(VpimError::Injected { point: MANAGER_RPC_POINT })
+        ));
+        assert_eq!(mgr.stats().allocations, 0);
+        assert_eq!(mgr.rank_states(), vec![RankState::Naav; 2]);
+        // The plan is spent: the retry goes through.
+        assert_eq!(c.alloc("vm").unwrap().rank, 0);
+        assert_eq!(mgr.stats().allocations, 1);
         mgr.shutdown();
     }
 }

@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use simkit::lockorder::{ordered, LockLevel};
 use simkit::{CostModel, Counter, VirtualNanos};
@@ -41,8 +40,8 @@ use upmem_driver::{RankStatus, UpmemDriver};
 
 use crate::error::VpimError;
 
-/// Number of contiguous rank groups the table is split into (matches the
-/// manager's 8 pool threads — one group per steady-state worker).
+/// Number of contiguous rank groups the table is split into (clamped to
+/// the rank count, so a small machine gets one rank per group).
 pub const RANK_SHARDS: usize = 8;
 
 /// Public view of a rank's state.
@@ -138,7 +137,7 @@ struct Entry {
     /// the alloc-decision → device-open window and catching claim/release
     /// cycles that happen entirely between two observer sweeps.
     claims_at_alloc: u64,
-    /// A reset worker currently owns this rank.
+    /// A [`TableState::reset_rank`] call currently owns this rank.
     resetting: bool,
 }
 
@@ -157,9 +156,9 @@ struct Stats {
     reset_virtual_ns: AtomicU64,
 }
 
-/// Shared manager state: the sharded rank table plus reset/statistics
-/// plumbing. Public so the differential suites and the `control_plane`
-/// bench can drive the table directly against the single-lock oracle.
+/// Shared manager state: the sharded rank table plus its statistics.
+/// Public so the differential suites and the `control_plane` bench can
+/// drive the table directly against the single-lock oracle.
 #[derive(Debug)]
 pub struct TableState {
     driver: Arc<UpmemDriver>,
@@ -186,23 +185,15 @@ pub struct TableState {
     stats: Stats,
     /// NAAV↔ALLO↔NANA edges walked (Fig. 5), one tick per rank per edge.
     transitions: Counter,
-    reset_tx: Mutex<Option<Sender<usize>>>,
 }
 
 impl TableState {
-    /// A table over `driver`'s ranks split into [`RANK_SHARDS`] groups.
+    /// A table over `driver`'s ranks split into [`RANK_SHARDS`] groups
+    /// (fewer when the machine has fewer ranks).
     #[must_use]
     pub fn new(driver: Arc<UpmemDriver>, cm: CostModel) -> Self {
-        Self::new_with_shards(driver, cm, RANK_SHARDS)
-    }
-
-    /// A table split into `shard_count` groups (clamped to `1..=ranks`).
-    /// `shard_count == 1` degenerates to the pre-sharding single-lock
-    /// layout — the configuration the load harness byte-compares against.
-    #[must_use]
-    pub fn new_with_shards(driver: Arc<UpmemDriver>, cm: CostModel, shard_count: usize) -> Self {
         let n = driver.rank_count();
-        let span = n.div_ceil(shard_count.max(1)).max(1);
+        let span = n.div_ceil(RANK_SHARDS).max(1);
         let shards = n.div_ceil(span).max(1);
         TableState {
             driver,
@@ -231,7 +222,6 @@ impl TableState {
             changed: Condvar::new(),
             stats: Stats::default(),
             transitions: Counter::new(),
-            reset_tx: Mutex::new(None),
         }
     }
 
@@ -281,17 +271,6 @@ impl TableState {
     /// State-machine edges walked so far.
     pub fn transitions(&self) -> u64 {
         self.transitions.get()
-    }
-
-    pub(crate) fn set_reset_sender(&self, tx: Sender<usize>) {
-        *self.reset_tx.lock() = Some(tx);
-    }
-
-    pub(crate) fn shutdown(&self) {
-        if let Some(tx) = self.reset_tx.lock().take() {
-            let _ = tx.send(usize::MAX);
-        }
-        self.wake();
     }
 
     /// The modeled duration of one allocation round trip.
@@ -346,7 +325,7 @@ impl TableState {
         true
     }
 
-    /// The allocation strategy of §3.5, executed FIFO by pool workers.
+    /// The allocation strategy of §3.5, run on the requester's thread.
     /// Scan order is identical to the single-lock oracle: NANA-reuse by
     /// lowest rank index, then NAAV round-robin from the global cursor —
     /// the published cells only pre-filter which shards are worth locking.
@@ -401,7 +380,7 @@ impl TableState {
     /// `base` is the first rank the slice describes; the slice must not
     /// cross a group boundary. Returns ranks that were just released and
     /// need a content reset.
-    pub fn sync_group(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
+    fn sync_group(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
         let mut to_reset = Vec::new();
         if base >= self.ranks || slice.is_empty() {
             return to_reset;
@@ -451,15 +430,7 @@ impl TableState {
     /// claim counter per rank), group by group; returns ranks that were
     /// just released and need a content reset.
     pub fn sync_with_sysfs(&self, snapshot: &[(RankStatus, u64)]) -> Vec<usize> {
-        let mut to_reset = Vec::new();
-        let limit = snapshot.len().min(self.ranks);
-        let mut base = 0;
-        while base < limit {
-            let end = (base + self.span - base % self.span).min(limit);
-            to_reset.extend(self.sync_group(base, &snapshot[base..end]));
-            base = end;
-        }
-        to_reset
+        self.sync_group_sweep(0, snapshot)
     }
 
     /// Flips an `ALLO` rank to `CKPT` (the scheduler checkpointed its
@@ -485,9 +456,12 @@ impl TableState {
 
     /// One synchronous observe-and-reset sweep: reconcile the table with
     /// sysfs group by group and reset every just-released rank inline.
-    /// The observer and reset threads do this continuously; the scheduler
-    /// calls it to expedite recycling after a preemption instead of
-    /// waiting out the observer's 50 ms poll.
+    /// The one recycle path: the observer thread runs it on every sysfs
+    /// change, and the scheduler calls it to expedite recycling after a
+    /// preemption instead of waiting out the observer's 50 ms poll. Each
+    /// board rank group is snapshotted and reconciled independently, so a
+    /// sweep never holds more than one board shard and one table shard at
+    /// a time.
     pub fn sync_now(&self) {
         let board = self.driver.sysfs();
         for group in 0..board.shard_count() {
@@ -499,10 +473,10 @@ impl TableState {
     }
 
     /// [`Self::sync_with_sysfs`] for a slice starting at `base` — the
-    /// observer's per-group sweep unit (the board's group span need not
+    /// sweep's per-group unit (the board's group span need not
     /// match the table's; the slice is re-chunked on table boundaries).
     /// Returns ranks that were just released and need a content reset.
-    pub fn sync_group_sweep(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
+    fn sync_group_sweep(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
         let mut to_reset = Vec::new();
         let limit = (base + slice.len()).min(self.ranks);
         let mut at = base;
@@ -544,8 +518,9 @@ impl TableState {
         }
     }
 
-    /// Erases a NANA rank's content and promotes it to NAAV (the reset
-    /// worker's job). Skips ranks that were re-allocated meanwhile.
+    /// Erases a NANA rank's content and promotes it to NAAV. Skips ranks
+    /// that were re-allocated meanwhile, or that another sweep is already
+    /// erasing.
     pub fn reset_rank(&self, rank: usize) {
         if rank >= self.ranks {
             return;
@@ -556,7 +531,7 @@ impl TableState {
             let (_tok, mut shard) = self.lock_shard(g);
             let e = &mut shard.entries[slot];
             if e.state != State::Nana || e.resetting {
-                return; // re-allocated to its previous owner, or already queued
+                return; // re-allocated to its previous owner, or being erased
             }
             e.resetting = true;
             let e = &shard.entries[slot];
@@ -721,7 +696,7 @@ mod tests {
         let to_reset = s.sync_with_sysfs(&[free(1), free(0)]);
         assert_eq!(to_reset, vec![a.rank]);
         assert_eq!(s.states()[a.rank], RankState::Nana);
-        // Reset worker runs.
+        // The sweep's reset half runs.
         s.reset_rank(a.rank);
         assert_eq!(s.states()[a.rank], RankState::Naav);
         assert_eq!(s.stats().resets, 1);
@@ -807,12 +782,11 @@ mod tests {
 
     #[test]
     fn shard_count_clamps_to_rank_count() {
-        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
-        let wide = TableState::new_with_shards(driver.clone(), CostModel::default(), 64);
-        assert!(wide.shard_count() <= driver.rank_count().max(1));
-        let single = TableState::new_with_shards(driver, CostModel::default(), 1);
-        assert_eq!(single.shard_count(), 1);
-        let a = single.alloc("x", quick(), 1).unwrap();
-        assert_eq!(a.rank, 0);
+        // A 2-rank driver cannot fill RANK_SHARDS groups: one rank each.
+        let s = state();
+        assert_eq!(s.shard_count(), 2);
+        assert!(s.shard_count() < RANK_SHARDS);
+        assert_eq!(s.alloc("x", quick(), 1).unwrap().rank, 0);
+        assert_eq!(s.alloc("y", quick(), 1).unwrap().rank, 1);
     }
 }

@@ -98,18 +98,6 @@ impl OpReport {
             .collect()
     }
 
-    /// Time recorded for one write step.
-    #[must_use]
-    pub fn step_time(&self, step: WriteStep) -> VirtualNanos {
-        self.metrics.get_time(step.metric_name())
-    }
-
-    /// Sum of the recorded step contributions.
-    #[must_use]
-    pub fn steps_total(&self) -> VirtualNanos {
-        self.metrics.time_under("write")
-    }
-
     /// The backing metric set.
     #[must_use]
     pub fn metrics(&self) -> &MetricSet {
@@ -202,9 +190,10 @@ mod tests {
         r.step(WriteStep::Serialize, VirtualNanos::from_nanos(10));
         r.step(WriteStep::TransferData, VirtualNanos::from_nanos(30));
         assert_eq!(r.duration().as_nanos(), 40);
-        assert_eq!(r.steps_total().as_nanos(), 40);
-        assert_eq!(r.steps().len(), 2);
-        assert_eq!(r.step_time(WriteStep::Serialize).as_nanos(), 10);
+        assert_eq!(r.steps(), vec![
+            (WriteStep::Serialize, VirtualNanos::from_nanos(10)),
+            (WriteStep::TransferData, VirtualNanos::from_nanos(30)),
+        ]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   request is abandoned with [`VpimError::NoRankAvailable`].
 //! * **Oversubscribed mode**: acquire enqueues the tenant in a
 //!   [`AdmissionQueue`] (FIFO or weighted-fair) and blocks. The queue head
-//!   probes the manager; when the machine is exhausted it *preempts* a
-//!   running tenant: wait for the victim's **safe point** (its per-device
+//!   probes the manager (a call into its rank table on this thread); when
+//!   the machine is exhausted it *preempts* a running tenant: wait for the victim's **safe point** (its per-device
 //!   rank slot unlocked, i.e. no in-flight operation, and every DPU idle),
 //!   checkpoint the rank with [`Rank::snapshot_quiescent`], park the
 //!   checkpoint in a budgeted [`SnapshotStore`], flip the rank's table
@@ -307,13 +307,6 @@ impl Scheduler {
         }
     }
 
-    /// `tenant`'s weighted virtual runtime so far, if it has an account.
-    /// (Exposed for the equivalence and stress suites.)
-    #[must_use]
-    pub fn vruntime_of(&self, tenant: &str) -> Option<u64> {
-        self.lock_state().1.accounts.get(tenant).map(|a| a.vruntime)
-    }
-
     /// Sets `tenant`'s weighted-fair share weight (clamped to ≥ 1; the
     /// default is 1). Twice the weight means vruntime grows half as fast,
     /// i.e. twice the rank time under contention.
@@ -348,20 +341,11 @@ impl Scheduler {
         // Transient (injected) manager failures are retried under the
         // allocation timeout class; backoff is charged to the grant's
         // virtual wait so both dispatch modes report identical timelines.
-        let policy = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc);
-        let (outcome, backoff_vt) = policy.run(
-            self.retry_seed(),
-            Some(&inner.retry),
-            VpimError::is_transient,
-            |_| inner.manager.alloc(tenant),
-        );
-        let outcome = outcome?;
-        let mapping = inner.driver.open_perf(outcome.rank, tenant)?;
-        let wait_vt = inner.cm.manager_alloc() + backoff_vt;
-        Self::register_grant(&mut self.lock_state().1, tenant, outcome.rank, slot);
-        inner.metrics.grants.inc();
-        inner.registry.histogram(&format!("sched.wait.{tenant}")).record(wait_vt);
-        Ok(RankGrant { rank: outcome.rank, reused: outcome.reused, restored: false, wait_vt, mapping })
+        let (outcome, backoff_vt) = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc)
+            .run(self.retry_seed(), Some(&inner.retry), VpimError::is_transient, |_| {
+                inner.manager.alloc(tenant)
+            });
+        self.finish_grant(tenant, None, &outcome?, backoff_vt, slot)
     }
 
     fn acquire_oversubscribed(
@@ -382,13 +366,14 @@ impl Scheduler {
             ticket
         };
         inner.metrics.queue_depth.add(1);
-        let policy = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc);
-        let mut transient_left = policy.max_attempts.max(1);
-        let mut transient_n = 0u32;
+        // Injected manager faults keep the ticket and re-probe after a
+        // bounded, deterministic backoff charged to the grant's virtual
+        // wait.
+        let mut transient = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc)
+            .budget(self.retry_seed(), Some(&inner.retry));
         loop {
-            // Only the policy's head probes the manager: at most one
-            // admission request occupies the manager pool at a time, and
-            // grants leave in policy order.
+            // Only the policy's head probes the manager, so grants leave
+            // in policy order.
             if held.1.queue.head().map(|w| w.ticket) == Some(ticket) {
                 // The probe and a preemption run unlocked: preemption takes
                 // a victim's RankSlot, which sits below SchedState.
@@ -396,25 +381,12 @@ impl Scheduler {
                 // `true`: a rank is being recycled, re-probe without waiting.
                 let reprobe = match inner.manager.alloc(tenant) {
                     Ok(outcome) => {
-                        return self.finish_grant(tenant, ticket, &outcome, wait_vt, slot);
+                        let wait_vt = wait_vt + transient.backoff();
+                        return self.finish_grant(tenant, Some(ticket), &outcome, wait_vt, slot);
                     }
                     Err(VpimError::NoRankAvailable) => self.try_preempt(tenant, &mut wait_vt),
-                    Err(e) if e.is_transient() && transient_left > 1 => {
-                        // Injected manager fault: keep the ticket and
-                        // re-probe after a bounded, deterministic backoff
-                        // charged to the grant's virtual wait.
-                        transient_left -= 1;
-                        let b = policy.backoff(self.retry_seed(), transient_n);
-                        transient_n += 1;
-                        wait_vt += b;
-                        inner.retry.attempts.inc();
-                        inner.retry.backoff_vt.add(b);
-                        false
-                    }
+                    Err(e) if transient.retry(e.is_transient()) => false,
                     Err(e) => {
-                        if e.is_transient() {
-                            inner.retry.giveups.inc();
-                        }
                         self.dequeue(ticket);
                         return Err(e);
                     }
@@ -438,55 +410,66 @@ impl Scheduler {
         }
     }
 
+    /// The tail of every grant: claim the rank, restore the tenant's parked
+    /// checkpoint if it has one, register the lease and record the wait.
+    /// `ticket` is the tenant's admission-queue entry (`None` in dedicated
+    /// mode, which never queues); it leaves the queue whether or not the
+    /// grant succeeds. `wait_vt` is what the wait cost before the manager
+    /// answered.
     fn finish_grant(
         &self,
         tenant: &str,
-        ticket: u64,
+        ticket: Option<u64>,
         outcome: &crate::manager::AllocOutcome,
         mut wait_vt: VirtualNanos,
         slot: &RankSlot,
     ) -> Result<RankGrant, VpimError> {
         let inner = &*self.inner;
-        let mapping = match inner.driver.open_perf(outcome.rank, tenant) {
-            Ok(m) => m,
-            Err(e) => {
-                self.dequeue(ticket);
+        let claim = || -> Result<(PerfMapping, Option<VirtualNanos>), VpimError> {
+            let mapping = inner.driver.open_perf(outcome.rank, tenant)?;
+            let Some(snap) = inner.store.take(tenant) else {
+                return Ok((mapping, None));
+            };
+            let bytes = snap.resident_bytes() as u64;
+            if let Err(e) = mapping.rank().restore(&snap) {
+                // The parked copy is the tenant's only state: put it back
+                // (same-tenant park cannot exceed the budget) and fail the
+                // grant rather than resume from a torn rank.
+                let _ = inner.store.park(tenant, snap);
                 return Err(e.into());
             }
+            Ok((mapping, Some(inner.cm.rank_restore(bytes))))
         };
-        wait_vt += inner.cm.manager_alloc();
-        let mut restored = false;
-        if let Some(snap) = inner.store.take(tenant) {
-            let bytes = snap.resident_bytes() as u64;
-            match mapping.rank().restore(&snap) {
-                Ok(()) => {
-                    restored = true;
-                    wait_vt += inner.cm.rank_restore(bytes);
-                }
-                Err(e) => {
-                    // The parked copy is the tenant's only state: put it
-                    // back (same-tenant park cannot exceed the budget) and
-                    // fail the grant rather than resume from a torn rank.
-                    let _ = inner.store.park(tenant, snap);
+        let (mapping, restore_vt) = match claim() {
+            Ok(claimed) => claimed,
+            Err(e) => {
+                if let Some(ticket) = ticket {
                     self.dequeue(ticket);
-                    return Err(e.into());
                 }
+                return Err(e);
             }
-        }
+        };
+        wait_vt += inner.cm.manager_alloc() + restore_vt.unwrap_or(VirtualNanos::ZERO);
         {
             let (_t, mut st) = self.lock_state();
-            if st.queue.remove(ticket) {
+            if ticket.is_some_and(|t| st.queue.remove(t)) {
                 inner.metrics.queue_depth.sub(1);
             }
             Self::register_grant(&mut st, tenant, outcome.rank, slot);
         }
         inner.metrics.grants.inc();
-        if restored {
+        if restore_vt.is_some() {
             inner.metrics.restores.inc();
         }
         inner.registry.histogram(&format!("sched.wait.{tenant}")).record(wait_vt);
         inner.changed.notify_all();
-        Ok(RankGrant { rank: outcome.rank, reused: outcome.reused, restored, wait_vt, mapping })
+        Ok(RankGrant {
+            rank: outcome.rank,
+            reused: outcome.reused,
+            restored: restore_vt.is_some(),
+            wait_vt,
+            mapping,
+        })
     }
 
     fn register_grant(st: &mut State, tenant: &str, rank: usize, slot: &RankSlot) {
@@ -648,7 +631,6 @@ mod tests {
         ManagerConfig {
             retry_timeout: Duration::from_millis(5),
             max_attempts: 1,
-            ..ManagerConfig::default()
         }
     }
 
@@ -788,7 +770,7 @@ mod tests {
             let grant = s.acquire("greedy", &slot).unwrap();
             *g = Some(grant.mapping);
         }
-        assert!(s.vruntime_of("greedy").unwrap() >= 1_000_000);
+        assert!(s.lock_state().1.accounts["greedy"].vruntime >= 1_000_000);
         mgr.shutdown();
     }
 }

@@ -134,13 +134,6 @@ impl SnapshotStore {
         parked.is_some()
     }
 
-    /// The accounted size of `tenant`'s parked checkpoint, if any — the
-    /// byte count migration charges against the inter-host link.
-    #[must_use]
-    pub fn bytes_of(&self, tenant: &str) -> Option<u64> {
-        self.inner.lock().get(tenant).map(|p| p.bytes)
-    }
-
     /// Whether `tenant` has a parked checkpoint.
     #[must_use]
     pub fn contains(&self, tenant: &str) -> bool {
@@ -214,17 +207,6 @@ mod tests {
         assert!(store.evict("vm-a"));
         assert!(!store.evict("vm-a"));
         assert_eq!(store.used_bytes(), 0);
-    }
-
-    #[test]
-    fn bytes_of_reports_accounted_size() {
-        let store = SnapshotStore::new(0);
-        let snap = snap_with_bytes(512);
-        let bytes = store.park("vm-a", snap).unwrap();
-        assert_eq!(store.bytes_of("vm-a"), Some(bytes));
-        assert_eq!(store.bytes_of("vm-b"), None);
-        let _ = store.take("vm-a");
-        assert_eq!(store.bytes_of("vm-a"), None);
     }
 
     #[test]

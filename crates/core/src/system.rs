@@ -17,7 +17,7 @@ use crate::manager::{Manager, ManagerConfig};
 use crate::sched::Scheduler;
 
 /// Host-level options for [`VpimSystem::start`]: the cost model every
-/// layer charges against and the manager daemon's tuning. The default is
+/// layer charges against and the manager's tuning. The default is
 /// what `start` used before the options struct existed, so
 /// `StartOpts::default()` is always a safe argument.
 #[derive(Debug, Clone, Default)]
@@ -40,7 +40,7 @@ impl StartOpts {
         self
     }
 
-    /// Uses `mcfg` as the manager daemon tuning.
+    /// Uses `mcfg` as the manager tuning.
     #[must_use]
     pub fn manager(mut self, mcfg: ManagerConfig) -> Self {
         self.manager = mcfg;
@@ -123,15 +123,9 @@ impl TenantSpec {
     pub fn guest_mem_mib(&self) -> u64 {
         self.mem_mib
     }
-
-    /// The scheduler weight.
-    #[must_use]
-    pub fn sched_weight(&self) -> u64 {
-        self.weight
-    }
 }
 
-/// A host running vPIM: the driver, the manager daemon, and the knobs every
+/// A host running vPIM: the driver, the manager, and the knobs every
 /// VM launched on this host inherits. All layers record into one
 /// [`MetricsRegistry`] (see [`Self::registry`]).
 #[derive(Debug)]
@@ -220,7 +214,7 @@ impl VpimSystem {
         &self.driver
     }
 
-    /// The manager daemon.
+    /// The manager.
     ///
     /// # Panics
     ///
@@ -358,7 +352,7 @@ impl VpimSystem {
         Ok(VpimVm { vm, devices, frontends, boot, live: self.tenants_live.clone() })
     }
 
-    /// Stops the manager daemon and consumes the system.
+    /// Stops the manager and consumes the system.
     pub fn shutdown(mut self) {
         if let Some(m) = self.manager.take() {
             m.shutdown();

@@ -107,16 +107,6 @@ pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
         .collect()
 }
 
-/// Converts `u64`s to little-endian bytes.
-#[must_use]
-pub fn u64s_to_bytes(vals: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
 /// Splits `total` items into `parts` balanced contiguous ranges.
 #[must_use]
 pub fn partition(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {

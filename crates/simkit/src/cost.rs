@@ -261,13 +261,6 @@ impl CostModel {
         VirtualNanos::from_nanos(ns.min(u64::MAX as u128) as u64)
     }
 
-    /// DPU cycles consumed by one MRAM↔WRAM DMA of `bytes`.
-    #[must_use]
-    pub fn mram_dma_cycles(&self, bytes: u64) -> u64 {
-        self.mram_dma_fixed_cycles
-            .saturating_add(bytes.div_ceil(8).saturating_mul(self.mram_dma_cycles_per_8_bytes))
-    }
-
     /// One full guest↔VMM transition: kick (vmexit + dispatch) plus the
     /// completion IRQ — the paper's dominant virtualization cost.
     #[must_use]
@@ -392,13 +385,6 @@ mod tests {
             ..CostModel::default()
         };
         assert!(cm.memcpy(1).is_saturated());
-    }
-
-    #[test]
-    fn dma_cycles_include_fixed_part() {
-        let cm = CostModel::default();
-        assert_eq!(cm.mram_dma_cycles(0), cm.mram_dma_fixed_cycles);
-        assert!(cm.mram_dma_cycles(8) > cm.mram_dma_cycles(0));
     }
 
     #[test]

@@ -183,8 +183,7 @@ mod tests {
 
     #[test]
     fn blocking_jobs_overlap_in_wall_clock() {
-        // Even on a single CPU, sleeping jobs overlap — this is the property
-        // the backend relies on for DDR-occupancy emulation.
+        // Even on a single CPU, sleeping jobs overlap.
         let pool = WorkerPool::new(4);
         let start = Instant::now();
         let jobs: Vec<_> = (0..4)

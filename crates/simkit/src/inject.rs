@@ -180,12 +180,6 @@ impl FaultPlane {
         self.seed
     }
 
-    /// True once any point is armed (the hot-path switch).
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        self.on.load(Ordering::Relaxed)
-    }
-
     /// Arms `point` with `plan` (replacing any previous plan and resetting
     /// its counters) and turns the plane on.
     pub fn arm(&self, point: &str, plan: FaultPlan) {
@@ -266,12 +260,6 @@ impl FaultPlane {
             suppressed: p.suppressed.load(Ordering::Relaxed),
         })
     }
-
-    /// Total fires across all points since construction.
-    #[must_use]
-    pub fn total_fired(&self) -> u64 {
-        self.fired.get()
-    }
 }
 
 /// A late-bindable slot for a shared [`FaultPlane`].
@@ -342,10 +330,10 @@ mod tests {
     #[test]
     fn unarmed_plane_never_fires() {
         let plane = FaultPlane::new(42);
-        assert!(!plane.is_armed());
+        assert!(!plane.on.load(Ordering::Relaxed));
         assert!(!plane.hit("anything"));
         assert!(!plane.hit_keyed("anything", 7));
-        assert_eq!(plane.total_fired(), 0);
+        assert_eq!(plane.fired.get(), 0);
     }
 
     #[test]
@@ -404,14 +392,14 @@ mod tests {
         plane.arm("p", FaultPlan::EveryK(1));
         assert!(plane.hit("p"));
         plane.disarm("p");
-        assert!(!plane.is_armed());
+        assert!(!plane.on.load(Ordering::Relaxed));
         assert!(!plane.hit("p"));
         plane.arm("a", FaultPlan::EveryK(1));
         plane.arm("b", FaultPlan::EveryK(1));
         plane.disarm("a");
-        assert!(plane.is_armed(), "one point still armed");
+        assert!(plane.on.load(Ordering::Relaxed), "one point still armed");
         plane.disarm_all();
-        assert!(!plane.is_armed());
+        assert!(!plane.on.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub mod cost;
 pub mod error;
 pub mod executor;
 pub mod inject;
+pub mod json;
 pub mod lockorder;
 pub mod pool;
 pub mod retry;
@@ -55,13 +56,14 @@ pub use cost::CostModel;
 pub use error::{ErrorKind, HasErrorKind};
 pub use executor::{JobHandle, WorkerPool};
 pub use inject::{FaultPlan, FaultPlane, InjectCell, PointStats};
+pub use json::JsonObject;
 pub use lockorder::{ordered, LockLevel, LockToken};
 pub use pool::{BytePool, PoolGuard};
-pub use retry::{RetryMetrics, RetryPolicy, TimeoutClass};
+pub use retry::{RetryBudget, RetryMetrics, RetryPolicy, TimeoutClass};
 pub use rng::SimRng;
 pub use telemetry::{
-    Counter, Gauge, Instrument, MetricSet, MetricValue, MetricsRegistry, MetricsSnapshot, Span,
-    TimeCounter, VtHistogram,
+    Counter, Gauge, MetricSet, MetricValue, MetricsRegistry, MetricsSnapshot, TimeCounter,
+    VtHistogram,
 };
 pub use time::VirtualNanos;
 pub use timeline::{AppSegment, DriverSegment, Timeline, WriteStep};

@@ -117,6 +117,15 @@ impl RetryPolicy {
         VirtualNanos::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
+    /// A fresh [`RetryBudget`] over this policy: the attempt counter and
+    /// backoff total of one operation, for call sites whose retry is a
+    /// different action from the first try (or that share one budget
+    /// between two loops) and so cannot hand [`run`](Self::run) a closure.
+    #[must_use]
+    pub fn budget<'a>(&self, seed: u64, metrics: Option<&'a RetryMetrics>) -> RetryBudget<'a> {
+        RetryBudget { policy: *self, seed, metrics, n: 0, backoff: VirtualNanos::ZERO }
+    }
+
     /// Runs `op` under this policy. `op` receives the 0-based attempt
     /// index; `transient` decides whether a failure is worth retrying.
     /// Returns the final result plus the total virtual backoff accrued —
@@ -131,32 +140,59 @@ impl RetryPolicy {
         mut transient: impl FnMut(&E) -> bool,
         mut op: impl FnMut(u32) -> Result<T, E>,
     ) -> (Result<T, E>, VirtualNanos) {
-        let budget = self.max_attempts.max(1);
-        let mut backoff_total = VirtualNanos::ZERO;
-        let mut n = 0u32;
+        let mut budget = self.budget(seed, metrics);
         loop {
-            match op(n) {
-                Ok(v) => return (Ok(v), backoff_total),
-                Err(e) => {
-                    if !transient(&e) {
-                        return (Err(e), backoff_total);
-                    }
-                    if n + 1 >= budget {
-                        if let Some(m) = metrics {
-                            m.giveups.inc();
-                        }
-                        return (Err(e), backoff_total);
-                    }
-                    let b = self.backoff(seed, n);
-                    backoff_total += b;
-                    if let Some(m) = metrics {
-                        m.attempts.inc();
-                        m.backoff_vt.add(b);
-                    }
-                    n += 1;
-                }
+            match op(budget.n) {
+                Err(e) if budget.retry(transient(&e)) => {}
+                done => return (done, budget.backoff),
             }
         }
+    }
+}
+
+/// One operation's retry bookkeeping under a [`RetryPolicy`]: how many
+/// retries were spent, the virtual backoff they accrued, and the `retry.*`
+/// metrics that go with them.
+#[derive(Debug)]
+pub struct RetryBudget<'a> {
+    policy: RetryPolicy,
+    seed: u64,
+    metrics: Option<&'a RetryMetrics>,
+    /// Retries granted so far (the next attempt's 0-based index).
+    n: u32,
+    backoff: VirtualNanos,
+}
+
+impl RetryBudget<'_> {
+    /// Accounts one failed attempt and says whether to try again. A
+    /// permanent failure (`transient == false`) never retries and is not a
+    /// giveup; a transient one retries — charging the next backoff step and
+    /// bumping `attempts` — until the policy's attempts are spent, then
+    /// bumps `giveups`.
+    pub fn retry(&mut self, transient: bool) -> bool {
+        if !transient {
+            return false;
+        }
+        if self.n + 1 >= self.policy.max_attempts.max(1) {
+            if let Some(m) = self.metrics {
+                m.giveups.inc();
+            }
+            return false;
+        }
+        let b = self.policy.backoff(self.seed, self.n);
+        self.backoff += b;
+        if let Some(m) = self.metrics {
+            m.attempts.inc();
+            m.backoff_vt.add(b);
+        }
+        self.n += 1;
+        true
+    }
+
+    /// Total virtual backoff charged so far.
+    #[must_use]
+    pub fn backoff(&self) -> VirtualNanos {
+        self.backoff
     }
 }
 

@@ -26,17 +26,6 @@ pub fn overhead(measured: VirtualNanos, baseline: VirtualNanos) -> f64 {
     measured.ratio(baseline)
 }
 
-/// Geometric mean of a set of overhead factors (1.0 for an empty slice).
-/// Non-positive entries are ignored.
-#[must_use]
-pub fn geomean(factors: &[f64]) -> f64 {
-    let logs: Vec<f64> = factors.iter().copied().filter(|f| *f > 0.0).map(f64::ln).collect();
-    if logs.is_empty() {
-        return 1.0;
-    }
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
-
 /// Arithmetic mean of a set of factors (the paper reports arithmetic
 /// averages, e.g. "an average of 1.24×").
 #[must_use]
@@ -133,14 +122,6 @@ mod tests {
         let slow = VirtualNanos::from_nanos(153);
         assert!((overhead(slow, base) - 1.53).abs() < 1e-9);
         assert_eq!(overhead(slow, VirtualNanos::ZERO), f64::INFINITY);
-    }
-
-    #[test]
-    fn geomean_basics() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 1.0);
-        // Non-positive values are ignored, not fatal.
-        assert!((geomean(&[4.0, 0.0, -1.0]) - 4.0).abs() < 1e-9);
     }
 
     #[test]

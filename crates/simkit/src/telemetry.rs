@@ -1,5 +1,5 @@
-//! Lock-cheap telemetry: a metrics registry, typed instruments, and
-//! hierarchical spans over the virtual clock.
+//! Lock-cheap telemetry: a metrics registry and typed instruments over
+//! the virtual clock.
 //!
 //! The vPIM paper argues almost entirely through *event counts and segment
 //! times* — vmexits, IRQ injections, CI operations, prefetch hits, batch
@@ -17,37 +17,21 @@
 //!   per-worker cache-padded stripes (the [`crate::pool::BytePool`] shard
 //!   idiom via [`crate::stripe`]) folded on read — concurrent data-path
 //!   increments are uncontended and totals stay exact.
-//! * [`Span`] — a named position in a dot-separated hierarchy
-//!   (`"sdk.launch.driver.ci"`). Recording into a span charges its own
-//!   [`TimeCounter`], bumps its event counter, and feeds its latency
-//!   histogram; `child()` nests one level deeper over the same registry.
 //! * [`MetricSet`] — a small, *unshared* bag of named counts and virtual
 //!   times. Per-operation reports ([`crate::Timeline`], the core crate's
 //!   `OpReport`) are thin views over a `MetricSet`; `flush_into` publishes
 //!   a set into a registry in one call.
-//! * [`Instrument`] — the one trait every layer records through: anything
-//!   that can name its registry gets `count`/`charge`/`observe`/`span` for
-//!   free.
 //!
 //! # Example
 //!
 //! ```
-//! use simkit::telemetry::{Instrument, MetricsRegistry};
+//! use simkit::telemetry::MetricsRegistry;
 //! use simkit::VirtualNanos;
 //!
-//! struct Frontend {
-//!     reg: MetricsRegistry,
-//! }
-//! impl Instrument for Frontend {
-//!     fn registry(&self) -> &MetricsRegistry {
-//!         &self.reg
-//!     }
-//! }
-//!
-//! let fe = Frontend { reg: MetricsRegistry::new() };
-//! fe.count("frontend.prefetch.hits", 3);
-//! fe.charge("frontend.write", VirtualNanos::from_micros(7));
-//! let snap = fe.registry().snapshot();
+//! let reg = MetricsRegistry::new();
+//! reg.counter("frontend.prefetch.hits").add(3);
+//! reg.time("frontend.write").add(VirtualNanos::from_micros(7));
+//! let snap = reg.snapshot();
 //! assert_eq!(snap.count("frontend.prefetch.hits"), 3);
 //! assert_eq!(snap.time("frontend.write").as_micros(), 7);
 //! ```
@@ -557,21 +541,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers an existing gauge cell under `name` (see
-    /// [`Self::bind_counter`]).
-    pub fn bind_gauge(&self, name: &str, gauge: &Gauge) -> Gauge {
-        match self.slot(name, || Slot::Gauge(gauge.clone())) {
-            Slot::Gauge(g) => g,
-            other => panic!("metric {name:?} is a {}, not a gauge", other.type_name()),
-        }
-    }
-
-    /// A root [`Span`] named `name`.
-    #[must_use]
-    pub fn span(&self, name: &str) -> Span {
-        Span::new(self.clone(), name.to_string())
-    }
-
     /// Copies every registered metric into an ordered snapshot, folding
     /// each instrument's per-worker stripes into its exact total.
     #[must_use]
@@ -601,82 +570,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn names(&self) -> Vec<String> {
         self.slots.read().keys().cloned().collect()
-    }
-}
-
-/// A named position in the metric hierarchy, recording over the virtual
-/// clock.
-///
-/// A span owns three co-named instruments: `<path>` (a [`TimeCounter`]
-/// holding total charged time), `<path>.events` (a [`Counter`]), and
-/// `<path>.latency` (a [`VtHistogram`] of per-record durations). Children
-/// extend the dotted path, giving `Timeline`-style segment trees:
-///
-/// ```
-/// use simkit::telemetry::MetricsRegistry;
-/// use simkit::VirtualNanos;
-///
-/// let reg = MetricsRegistry::new();
-/// let launch = reg.span("sdk.launch");
-/// let ci = launch.child("ci");
-/// ci.record(VirtualNanos::from_micros(4));
-/// launch.record(VirtualNanos::from_micros(10));
-/// let snap = reg.snapshot();
-/// assert_eq!(snap.time("sdk.launch.ci").as_micros(), 4);
-/// assert_eq!(snap.count("sdk.launch.events"), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Span {
-    registry: MetricsRegistry,
-    path: String,
-    elapsed: TimeCounter,
-    events: Counter,
-    latency: VtHistogram,
-}
-
-impl Span {
-    fn new(registry: MetricsRegistry, path: String) -> Self {
-        let elapsed = registry.time(&path);
-        let events = registry.counter(&format!("{path}.events"));
-        let latency = registry.histogram(&format!("{path}.latency"));
-        Span { registry, path, elapsed, events, latency }
-    }
-
-    /// The dotted path of this span.
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// A child span one level deeper.
-    #[must_use]
-    pub fn child(&self, name: &str) -> Span {
-        Span::new(self.registry.clone(), format!("{}.{name}", self.path))
-    }
-
-    /// Records one event of duration `d` against this span.
-    pub fn record(&self, d: VirtualNanos) {
-        self.elapsed.add(d);
-        self.events.inc();
-        self.latency.record(d);
-    }
-
-    /// Charges time without counting an event (merging a sub-report whose
-    /// events were already counted elsewhere).
-    pub fn charge(&self, d: VirtualNanos) {
-        self.elapsed.add(d);
-    }
-
-    /// Total time charged to this span.
-    #[must_use]
-    pub fn elapsed(&self) -> VirtualNanos {
-        self.elapsed.get()
-    }
-
-    /// Events recorded on this span.
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events.get()
     }
 }
 
@@ -712,15 +605,6 @@ impl MetricSet {
         if d > VirtualNanos::ZERO {
             let slot = self.times.entry(name.to_string()).or_insert(VirtualNanos::ZERO);
             *slot += d;
-        }
-    }
-
-    /// Sets the count named `name` (overwrites).
-    pub fn set_count(&mut self, name: &str, n: u64) {
-        if n == 0 {
-            self.counts.remove(name);
-        } else {
-            self.counts.insert(name.to_string(), n);
         }
     }
 
@@ -801,48 +685,6 @@ impl MetricSet {
         for (name, d) in &self.times {
             registry.time(&full(name)).add(*d);
         }
-    }
-}
-
-/// The one trait every layer records telemetry through.
-///
-/// Implementors only name their registry; recording methods come for free.
-/// Keeping the trait this small means any component that can reach a
-/// [`MetricsRegistry`] — frontend, backend, manager, device model, event
-/// manager, SDK set — instruments identically.
-pub trait Instrument {
-    /// The registry this component records into.
-    fn registry(&self) -> &MetricsRegistry;
-
-    /// Adds `n` events to the counter `name`.
-    fn count(&self, name: &str, n: u64) {
-        self.registry().counter(name).add(n);
-    }
-
-    /// Charges virtual time to the accumulator `name`.
-    fn charge(&self, name: &str, d: VirtualNanos) {
-        self.registry().time(name).add(d);
-    }
-
-    /// Records a duration sample into the histogram `name`.
-    fn observe(&self, name: &str, d: VirtualNanos) {
-        self.registry().histogram(name).record(d);
-    }
-
-    /// Moves the gauge `name` by `delta` (negative moves down).
-    fn gauge_add(&self, name: &str, delta: i64) {
-        self.registry().gauge(name).add(delta);
-    }
-
-    /// Opens (or re-opens) the span at `name`.
-    fn span(&self, name: &str) -> Span {
-        self.registry().span(name)
-    }
-}
-
-impl Instrument for MetricsRegistry {
-    fn registry(&self) -> &MetricsRegistry {
-        self
     }
 }
 
@@ -937,27 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn span_hierarchy_records_time_events_latency() {
-        let reg = MetricsRegistry::new();
-        let launch = reg.span("sdk.launch");
-        let ci = launch.child("ci");
-        ci.record(VirtualNanos::from_micros(4));
-        ci.record(VirtualNanos::from_micros(6));
-        launch.charge(VirtualNanos::from_micros(10));
-        assert_eq!(ci.elapsed().as_micros(), 10);
-        assert_eq!(ci.events(), 2);
-        assert_eq!(launch.events(), 0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.time("sdk.launch.ci").as_micros(), 10);
-        assert_eq!(snap.count("sdk.launch.ci.events"), 2);
-        assert_eq!(snap.time("sdk.launch").as_micros(), 10);
-        match snap.get("sdk.launch.ci.latency") {
-            Some(MetricValue::Histogram { count: 2, .. }) => {}
-            other => panic!("unexpected latency value: {other:?}"),
-        }
-    }
-
-    #[test]
     fn snapshot_prefix_iteration_is_boundary_aware() {
         let reg = MetricsRegistry::new();
         reg.counter("frontend.batch.merges").inc();
@@ -995,34 +816,9 @@ mod tests {
         s.count("a", 0);
         s.charge("b", VirtualNanos::ZERO);
         assert!(s.is_empty());
-        s.set_count("c", 3);
-        s.set_count("c", 0);
         s.set_time("d", VirtualNanos::from_nanos(1));
         s.set_time("d", VirtualNanos::ZERO);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn instrument_default_methods_record() {
-        struct Layer {
-            reg: MetricsRegistry,
-        }
-        impl Instrument for Layer {
-            fn registry(&self) -> &MetricsRegistry {
-                &self.reg
-            }
-        }
-        let l = Layer { reg: MetricsRegistry::new() };
-        l.count("c", 2);
-        l.charge("t", VirtualNanos::from_nanos(9));
-        l.observe("h", VirtualNanos::from_nanos(4));
-        l.gauge_add("g", -3);
-        l.span("s").record(VirtualNanos::from_nanos(1));
-        let snap = l.reg.snapshot();
-        assert_eq!(snap.count("c"), 2);
-        assert_eq!(snap.time("t").as_nanos(), 9);
-        assert_eq!(snap.level("g"), -3);
-        assert_eq!(snap.count("s.events"), 1);
     }
 
     #[test]

@@ -232,11 +232,6 @@ impl Timeline {
         self.metrics.count(METRIC_MESSAGES, n);
     }
 
-    /// Records one rank operation issued to the hardware.
-    pub fn count_rank_op(&mut self) {
-        self.metrics.count(METRIC_RANK_OPS, 1);
-    }
-
     /// Records `n` rank operations.
     pub fn add_rank_ops(&mut self, n: u64) {
         self.metrics.count(METRIC_RANK_OPS, n);
@@ -265,18 +260,6 @@ impl Timeline {
     #[must_use]
     pub fn app_total(&self) -> VirtualNanos {
         self.metrics.time_under("app")
-    }
-
-    /// Total over the driver-centric segments.
-    #[must_use]
-    pub fn driver_total(&self) -> VirtualNanos {
-        self.metrics.time_under("driver")
-    }
-
-    /// Total over the `write-to-rank` steps.
-    #[must_use]
-    pub fn write_total(&self) -> VirtualNanos {
-        self.metrics.time_under("write")
     }
 
     /// Number of guest↔VMM message exchanges recorded.
@@ -343,9 +326,9 @@ mod tests {
         tl.charge_driver(DriverSegment::WriteRank, VirtualNanos::from_nanos(9));
         tl.charge_write_step(WriteStep::TransferData, VirtualNanos::from_nanos(7));
         tl.charge_write_step(WriteStep::Interrupt, VirtualNanos::from_nanos(2));
-        assert_eq!(tl.driver_total().as_nanos(), 9);
-        assert_eq!(tl.write_total().as_nanos(), 9);
+        assert_eq!(tl.driver(DriverSegment::WriteRank).as_nanos(), 9);
         assert_eq!(tl.write_step(WriteStep::TransferData).as_nanos(), 7);
+        assert_eq!(tl.write_step(WriteStep::Interrupt).as_nanos(), 2);
     }
 
     #[test]
@@ -356,7 +339,7 @@ mod tests {
         let mut b = Timeline::new();
         b.charge_app(AppSegment::Dpu, VirtualNanos::from_nanos(4));
         b.count_message();
-        b.count_rank_op();
+        b.add_rank_ops(1);
         a.merge(&b);
         assert_eq!(a.app(AppSegment::Dpu).as_nanos(), 7);
         assert_eq!(a.messages(), 2);

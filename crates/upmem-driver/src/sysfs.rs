@@ -148,20 +148,6 @@ impl StatusBoard {
         out
     }
 
-    /// Snapshot of every entry together with its claim counter, so a
-    /// watcher can tell that a rank was claimed and released entirely
-    /// between two sweeps.
-    #[must_use]
-    pub fn snapshot_with_claims(&self) -> Vec<(RankStatus, u64)> {
-        let mut out = Vec::with_capacity(self.ranks);
-        for (g, shard) in self.shards.iter().enumerate() {
-            let _ord = ordered(LockLevel::SysfsBoard, g);
-            let st = shard.lock();
-            out.extend(st.entries.iter().cloned().zip(st.claims.iter().copied()));
-        }
-        out
-    }
-
     /// Snapshot of one rank group: `(base_rank, entries)` where slot `i`
     /// describes rank `base_rank + i`. `None` when `group` is out of
     /// range. This is the sharded sweep's unit of work — one group's
@@ -348,7 +334,12 @@ mod tests {
         let _a = board.claim(0, "a").unwrap();
         let _b = board.claim(7, "b").unwrap();
         let _c = board.claim(18, "c").unwrap();
-        let flat = board.snapshot_with_claims();
+        let flat: Vec<(RankStatus, u64)> = board
+            .snapshot()
+            .into_iter()
+            .enumerate()
+            .map(|(rank, status)| (status, board.claim_count(rank)))
+            .collect();
         let mut tiled: Vec<(RankStatus, u64)> = Vec::new();
         for g in 0..board.shard_count() {
             let (base, entries) = board.snapshot_group(g).unwrap();

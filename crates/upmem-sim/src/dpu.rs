@@ -546,33 +546,6 @@ impl<'a> TaskletCtx<'a> {
         self.mram_write(addr, &raw)
     }
 
-    /// Reads little-endian `u64`s from MRAM.
-    ///
-    /// # Errors
-    ///
-    /// Faults on an out-of-bounds MRAM access.
-    pub fn mram_read_u64s(&mut self, addr: u64, dst: &mut [u64]) -> Result<(), DpuFault> {
-        let mut raw = vec![0u8; dst.len() * 8];
-        self.mram_read(addr, &mut raw)?;
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w = u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("8-byte chunk"));
-        }
-        Ok(())
-    }
-
-    /// Writes little-endian `u64`s to MRAM.
-    ///
-    /// # Errors
-    ///
-    /// Faults on an out-of-bounds MRAM access.
-    pub fn mram_write_u64s(&mut self, addr: u64, src: &[u64]) -> Result<(), DpuFault> {
-        let mut raw = Vec::with_capacity(src.len() * 8);
-        for w in src {
-            raw.extend_from_slice(&w.to_le_bytes());
-        }
-        self.mram_write(addr, &raw)
-    }
-
     /// Accounts a WRAM allocation of `bytes` (`mem_alloc`). The payload
     /// itself lives in an ordinary `Vec` owned by the kernel.
     ///
@@ -585,12 +558,6 @@ impl<'a> TaskletCtx<'a> {
             .wram
             .alloc(bytes)
             .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
-    }
-
-    /// Resets the WRAM heap (`mem_reset`), usually from tasklet 0.
-    pub fn wram_reset(&mut self) {
-        self.charge(1);
-        self.dpu.wram.reset();
     }
 
     /// Reads a `u32` host symbol.
@@ -630,19 +597,6 @@ impl<'a> TaskletCtx<'a> {
     pub fn add_host_u32(&mut self, name: &str, v: u32) -> Result<(), DpuFault> {
         let cur = self.host_u32(name)?;
         self.charge(3); // lock, add, unlock
-        self.dpu
-            .write_symbol(name, &cur.wrapping_add(v).to_le_bytes())
-            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
-    }
-
-    /// Atomically adds to a `u64` host symbol.
-    ///
-    /// # Errors
-    ///
-    /// Faults if the symbol is missing or not 8 bytes.
-    pub fn add_host_u64(&mut self, name: &str, v: u64) -> Result<(), DpuFault> {
-        let cur = self.host_u64(name)?;
-        self.charge(3);
         self.dpu
             .write_symbol(name, &cur.wrapping_add(v).to_le_bytes())
             .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))

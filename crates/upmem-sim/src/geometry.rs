@@ -62,16 +62,6 @@ pub struct PimConfig {
     /// (roundtrip-verified); when false only its cost is charged. Benches
     /// with large payloads disable it for wall-clock speed.
     pub verify_interleave: bool,
-    /// Emulated DDR-bus occupancy for rank transfers, in wall-clock
-    /// nanoseconds per KiB moved (0 = off, the default). When set, each
-    /// `write_dpu`/`read_dpu` blocks the calling OS thread for
-    /// `len * ddr_busy_ns_per_kb / 1024` ns, modeling the time a host
-    /// thread is stuck driving the DDR bus on real UPMEM DIMMs. This is
-    /// **wall-clock only** — virtual-time accounting never reads it — and
-    /// exists so benches can demonstrate that parallel dispatch genuinely
-    /// overlaps bus occupancy across ranks.
-    #[serde(default)]
-    pub ddr_busy_ns_per_kb: u64,
 }
 
 impl PimConfig {
@@ -87,7 +77,6 @@ impl PimConfig {
             iram_size: IRAM_SIZE,
             freq_mhz: 350,
             verify_interleave: true,
-            ddr_busy_ns_per_kb: 0,
         }
     }
 
@@ -102,7 +91,6 @@ impl PimConfig {
             iram_size: IRAM_SIZE,
             freq_mhz: 350,
             verify_interleave: true,
-            ddr_busy_ns_per_kb: 0,
         }
     }
 

@@ -13,7 +13,7 @@ use simkit::{FaultPlane, InjectCell};
 use crate::ci::{CiCommand, CiCounters, CiStatus};
 use crate::dpu::{Dpu, DpuState, LaunchReport};
 use crate::error::{DpuFault, SimError};
-use crate::geometry::{PimConfig, DPUS_PER_CHIP, MAX_RANK_XFER};
+use crate::geometry::{PimConfig, MAX_RANK_XFER};
 use crate::interleave;
 use crate::kernel::{KernelImage, KernelRegistry};
 
@@ -73,8 +73,8 @@ impl RankSnapshot {
 /// DPUs are individually locked so backend worker threads can operate on
 /// different DPUs of the same rank concurrently (vPIM's 8-thread DPU
 /// operation pool, §4.2). There is deliberately **no rank-wide lock**: the
-/// interleave transform and DDR-occupancy emulation run *outside* the DPU
-/// mutex, so a DPU's critical section is only the MRAM memcpy itself.
+/// interleave transform runs *outside* the DPU mutex, so a DPU's critical
+/// section is only the MRAM memcpy itself.
 /// Concurrent operations on the *same* DPU serialize on its mutex;
 /// operations on distinct DPUs — even in the same chip — proceed in
 /// parallel. CI counters are atomics and need no lock.
@@ -177,29 +177,6 @@ impl Rank {
         }
     }
 
-    /// The PIM chip holding `dpu` (DPUs are numbered chip-major: DPU `d`
-    /// lives on chip `d / 8`). Useful to callers partitioning work so that
-    /// no two workers contend on one chip's DPUs.
-    #[must_use]
-    pub fn chip_of(dpu: usize) -> usize {
-        dpu / DPUS_PER_CHIP
-    }
-
-    /// Blocks the calling thread for the emulated DDR-bus occupancy of a
-    /// `len`-byte transfer (no-op when `ddr_busy_ns_per_kb` is 0). Runs
-    /// outside any DPU lock: it models the *host thread* being busy on the
-    /// bus, not the MRAM bank being held.
-    fn emulate_ddr_busy(&self, len: usize) {
-        let per_kb = self.config.ddr_busy_ns_per_kb;
-        if per_kb == 0 || len == 0 {
-            return;
-        }
-        let ns = (len as u64).saturating_mul(per_kb) / 1024;
-        if ns > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        }
-    }
-
     /// Writes host bytes into one DPU's MRAM at `offset` — the data half of
     /// a `write-to-rank`. When the config enables interleave verification
     /// the buffer really goes through the interleave/deinterleave pair the
@@ -220,7 +197,6 @@ impl Rank {
             self.check_dpu(dpu)?;
             Self::check_len(data.len() as u64)?;
             self.injected_dma(dpu)?;
-            self.emulate_ddr_busy(data.len());
             self.dpus[dpu].lock().mram_mut().write(offset, data)
         }
     }
@@ -238,7 +214,6 @@ impl Rank {
         self.check_dpu(dpu)?;
         Self::check_len(data.len() as u64)?;
         self.injected_dma(dpu)?;
-        self.emulate_ddr_busy(data.len());
         if self.config.verify_interleave {
             // Transform outside the DPU lock: the critical section is only
             // the MRAM write itself.
@@ -260,7 +235,6 @@ impl Rank {
         self.check_dpu(dpu)?;
         Self::check_len(dst.len() as u64)?;
         self.injected_dma(dpu)?;
-        self.emulate_ddr_busy(dst.len());
         self.dpus[dpu].lock().mram().read(offset, dst)?;
         if self.config.verify_interleave {
             // Transform outside the DPU lock (see write_dpu_inplace).
@@ -391,15 +365,6 @@ impl Rank {
         }
     }
 
-    /// Whether no DPU is currently executing a program. A rank is at a
-    /// **safe point** for checkpointing only when it is quiescent: a
-    /// Running DPU has live execution state (PC, tasklet contexts) that a
-    /// [`snapshot`](Self::snapshot) would not capture.
-    #[must_use]
-    pub fn is_quiescent(&self) -> bool {
-        self.dpus.iter().all(|d| !matches!(d.lock().state(), DpuState::Running))
-    }
-
     /// [`snapshot`](Self::snapshot), refusing to capture a non-quiescent
     /// rank — the safe-point hook used by checkpointing schedulers.
     ///
@@ -446,20 +411,6 @@ impl Rank {
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         self.dpus.iter().map(|d| d.lock().mram().resident_bytes()).sum()
-    }
-
-    /// Runs `f` with exclusive access to one DPU (driver-internal paths).
-    ///
-    /// # Errors
-    ///
-    /// Invalid DPU index.
-    pub fn with_dpu<T>(
-        &self,
-        dpu: usize,
-        f: impl FnOnce(&mut Dpu) -> T,
-    ) -> Result<T, SimError> {
-        self.check_dpu(dpu)?;
-        Ok(f(&mut self.dpus[dpu].lock()))
     }
 }
 
@@ -586,14 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn chip_numbering_is_chip_major() {
-        assert_eq!(Rank::chip_of(0), 0);
-        assert_eq!(Rank::chip_of(7), 0);
-        assert_eq!(Rank::chip_of(8), 1);
-        assert_eq!(Rank::chip_of(63), 7);
-    }
-
-    #[test]
     fn distinct_dpus_accept_concurrent_operations() {
         // Two threads each hold one DPU's lock and rendezvous on a barrier
         // while holding it — this deadlocks unless locking is per-DPU.
@@ -605,11 +548,9 @@ mod tests {
                 let r = Arc::clone(&r);
                 let b = Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    r.with_dpu(d, |dpu| {
-                        b.wait();
-                        dpu.mram_mut().write(0, &[d as u8; 32]).unwrap();
-                    })
-                    .unwrap();
+                    let mut dpu = r.dpus[d].lock();
+                    b.wait();
+                    dpu.mram_mut().write(0, &[d as u8; 32]).unwrap();
                 })
             })
             .collect();
@@ -647,25 +588,6 @@ mod tests {
                 assert_eq!(back, vec![d as u8 ^ round; 512], "dpu {d} round {round}");
             }
         }
-    }
-
-    #[test]
-    fn ddr_busy_emulation_blocks_proportionally_and_defaults_off() {
-        use std::time::Instant;
-        let cfg = PimConfig::small();
-        assert_eq!(cfg.ddr_busy_ns_per_kb, 0);
-        let slow = Rank::new(
-            0,
-            &PimConfig { ddr_busy_ns_per_kb: 2_000_000, ..PimConfig::small() },
-        );
-        let start = Instant::now();
-        slow.write_dpu(0, 0, &[7u8; 4096]).unwrap(); // 4 KiB → 8 ms
-        assert!(start.elapsed() >= std::time::Duration::from_millis(8));
-        let mut back = [0u8; 4096];
-        let start = Instant::now();
-        slow.read_dpu(0, 0, &mut back).unwrap();
-        assert!(start.elapsed() >= std::time::Duration::from_millis(8));
-        assert_eq!(back, [7u8; 4096]);
     }
 
     #[test]

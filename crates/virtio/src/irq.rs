@@ -76,14 +76,6 @@ impl IrqLine {
         self.injections.get()
     }
 
-    /// The counter cell behind [`injections`](Self::injections); clones of
-    /// this line share it, so it can be bound into a `MetricsRegistry`
-    /// (e.g. as `virtio.irq.injections`).
-    #[must_use]
-    pub fn injection_counter(&self) -> &Counter {
-        &self.injections
-    }
-
     /// Installs the fault-injection plane shared by every clone of this
     /// line; [`assert_irq`](Self::assert_irq) then consults
     /// [`IRQ_DELAY_POINT`].

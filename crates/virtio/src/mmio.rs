@@ -77,7 +77,6 @@ struct State {
     status: u32,
     driver_features: u32,
     interrupt_status: u32,
-    notifications: Vec<u32>,
 }
 
 /// The MMIO register block of one virtio device.
@@ -104,7 +103,6 @@ impl MmioBlock {
                 status: 0,
                 driver_features: 0,
                 interrupt_status: 0,
-                notifications: Vec::new(),
             }),
         }
     }
@@ -162,7 +160,8 @@ impl MmioBlock {
                     q.ready = value == 1;
                 }
             }
-            reg::QUEUE_NOTIFY => st.notifications.push(value),
+            // The kick itself travels through the VMM's event manager.
+            reg::QUEUE_NOTIFY => {}
             reg::INTERRUPT_ACK => st.interrupt_status &= !value,
             reg::STATUS => st.status = value,
             reg::QUEUE_DESC_LOW => {
@@ -217,17 +216,6 @@ impl MmioBlock {
         self.state.lock().queues.get(i).copied()
     }
 
-    /// Whether the driver completed initialization (`DRIVER_OK` set).
-    #[must_use]
-    pub fn driver_ok(&self) -> bool {
-        self.state.lock().status & status::DRIVER_OK != 0
-    }
-
-    /// Drains queue-notify writes received so far (device side).
-    #[must_use]
-    pub fn take_notifications(&self) -> Vec<u32> {
-        std::mem::take(&mut self.state.lock().notifications)
-    }
 }
 
 #[cfg(test)]
@@ -258,13 +246,13 @@ mod tests {
             status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK,
         )
         .unwrap();
-        assert!(!b.driver_ok());
+        assert_eq!(b.read(reg::STATUS).unwrap() & status::DRIVER_OK, 0);
         b.write(
             reg::STATUS,
             status::ACKNOWLEDGE | status::DRIVER | status::FEATURES_OK | status::DRIVER_OK,
         )
         .unwrap();
-        assert!(b.driver_ok());
+        assert_ne!(b.read(reg::STATUS).unwrap() & status::DRIVER_OK, 0);
     }
 
     #[test]
@@ -288,8 +276,6 @@ mod tests {
         let b = block();
         b.write(reg::QUEUE_NOTIFY, 0).unwrap();
         b.write(reg::QUEUE_NOTIFY, 1).unwrap();
-        assert_eq!(b.take_notifications(), vec![0, 1]);
-        assert_eq!(b.take_notifications(), Vec::<u32>::new());
         b.raise_interrupt();
         assert_eq!(b.read(reg::INTERRUPT_STATUS).unwrap(), 1);
         b.write(reg::INTERRUPT_ACK, 1).unwrap();

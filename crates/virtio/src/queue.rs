@@ -156,28 +156,6 @@ pub struct DescChain {
     pub descriptors: Vec<Descriptor>,
 }
 
-impl DescChain {
-    /// Total bytes across device-readable descriptors.
-    #[must_use]
-    pub fn readable_bytes(&self) -> u64 {
-        self.descriptors
-            .iter()
-            .filter(|d| !d.is_write_only())
-            .map(|d| u64::from(d.len))
-            .sum()
-    }
-
-    /// Total bytes across device-writable descriptors.
-    #[must_use]
-    pub fn writable_bytes(&self) -> u64 {
-        self.descriptors
-            .iter()
-            .filter(|d| d.is_write_only())
-            .map(|d| u64::from(d.len))
-            .sum()
-    }
-}
-
 /// The guest-driver-side view of a queue: adds chains, reaps completions.
 #[derive(Debug)]
 pub struct DriverQueue {
@@ -418,7 +396,7 @@ mod tests {
         let chain = device.pop().unwrap().unwrap();
         assert_eq!(chain.head, head);
         assert_eq!(chain.descriptors.len(), 1);
-        assert_eq!(chain.readable_bytes(), 7);
+        assert_eq!(chain.descriptors[0].len, 7);
         let content = mem
             .with_slice(chain.descriptors[0].addr, 7, |s| s.to_vec())
             .unwrap();
@@ -439,8 +417,7 @@ mod tests {
         let chain = device.pop().unwrap().unwrap();
         assert_eq!(chain.head, head);
         assert_eq!(chain.descriptors.len(), 3);
-        assert_eq!(chain.readable_bytes(), 48);
-        assert_eq!(chain.writable_bytes(), 64);
+        assert_eq!(chain.descriptors.iter().map(|d| d.len).collect::<Vec<_>>(), [16, 32, 64]);
         assert!(chain.descriptors[0].has_next());
         assert!(!chain.descriptors[2].has_next());
         assert!(chain.descriptors[2].is_write_only());

@@ -12,20 +12,17 @@
 //!   [`EventManager::kick_async`] exposes the split-phase form (dispatch
 //!   now, collect completion later) that lets multi-rank `dpu_push_xfer`
 //!   kicks genuinely overlap in wall-clock time;
-//! * temporally — [`EventManager::completion_schedule`] maps per-request
-//!   virtual durations to per-request completion offsets: cumulative sums
-//!   in sequential mode, individual durations in parallel mode. These are
-//!   exactly the two curves of Fig. 16.
+//! * temporally — not here: callers compose per-request virtual durations
+//!   with `simkit::sequential` (cumulative sums) or `simkit::parallel`
+//!   (the slowest lane), the two curves of Fig. 16.
 //!
 //! Parallel dispatch never feeds back into virtual time: reported
-//! durations come from the completion schedules above, so sequential and
+//! durations come from those composition rules, so sequential and
 //! parallel modes return bit-identical results and timings.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-use simkit::{Counter, FaultPlane, JobHandle, VirtualNanos, WorkerPool};
+use simkit::{Counter, FaultPlane, JobHandle, WorkerPool};
 
 use crate::device::{VirtioDevice, VmmError};
 
@@ -36,43 +33,9 @@ pub const DISPATCH_WORKERS: usize = 8;
 /// The fault point consulted by [`EventManager::kick_async`]: firing
 /// *drops* the guest kick — the vmexit is counted, but the device handler
 /// never runs and the resulting [`KickHandle`] resolves to
-/// [`VmmError::KickDropped`]. Nothing is dispatched and nothing is left
-/// pending, so callers recover by simply re-notifying the queue.
+/// [`VmmError::KickDropped`]. Nothing is dispatched, so callers recover by
+/// simply re-notifying the queue.
 pub const KICK_DROP_POINT: &str = "vmm.kick.drop";
-
-/// In-flight notifications for one device: a count plus a condvar so
-/// callers can await quiescence.
-#[derive(Debug, Default)]
-struct Pending {
-    count: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Pending {
-    fn enter(&self) {
-        *self.count.lock() += 1;
-    }
-
-    fn exit(&self) {
-        let mut c = self.count.lock();
-        *c -= 1;
-        if *c == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn current(&self) -> u64 {
-        *self.count.lock()
-    }
-
-    fn wait_zero(&self, timeout: Duration) -> bool {
-        let mut c = self.count.lock();
-        if *c > 0 {
-            let _ = self.cv.wait_for(&mut c, timeout);
-        }
-        *c == 0
-    }
-}
 
 /// How the event loop dispatches virtio request events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +51,6 @@ pub enum DispatchMode {
 #[derive(Clone)]
 pub struct EventManager {
     devices: Vec<Arc<dyn VirtioDevice>>,
-    pending: Vec<Arc<Pending>>,
     mode: DispatchMode,
     kicks: Counter,
     pool: Option<Arc<WorkerPool>>,
@@ -146,7 +108,6 @@ impl EventManager {
     pub fn with_workers(mode: DispatchMode, workers: usize) -> Self {
         EventManager {
             devices: Vec::new(),
-            pending: Vec::new(),
             mode,
             kicks: Counter::new(),
             pool: match mode {
@@ -166,7 +127,6 @@ impl EventManager {
     /// Registers a device and returns its index.
     pub fn register(&mut self, device: Arc<dyn VirtioDevice>) -> usize {
         self.devices.push(device);
-        self.pending.push(Arc::new(Pending::default()));
         self.devices.len() - 1
     }
 
@@ -180,13 +140,6 @@ impl EventManager {
     #[must_use]
     pub fn kicks(&self) -> u64 {
         self.kicks.get()
-    }
-
-    /// The counter cell behind [`kicks`](Self::kicks). Clones share the
-    /// cell, so it can be bound into a `MetricsRegistry`.
-    #[must_use]
-    pub fn kick_counter(&self) -> &Counter {
-        &self.kicks
     }
 
     /// Replaces the kick counter (used to install a registry-owned cell,
@@ -213,8 +166,7 @@ impl EventManager {
     /// pool and this call returns immediately — the paper's event loop
     /// "marks the event complete and lets the worker inject the IRQ". The
     /// *functional* result is identical in both modes; only wall-clock
-    /// overlap and the temporal model
-    /// (see [`completion_schedule`](Self::completion_schedule)) differ.
+    /// overlap differs.
     ///
     /// # Errors
     ///
@@ -229,8 +181,7 @@ impl EventManager {
             .clone();
         if let Some(plane) = &self.inject {
             if plane.hit(KICK_DROP_POINT) {
-                // Dropped before dispatch: the handler never runs and no
-                // pending entry is taken, so wait_idle stays truthful.
+                // Dropped before dispatch: the handler never runs.
                 return Ok(KickHandle {
                     inner: KickInner::Ready(Err(VmmError::KickDropped)),
                 });
@@ -238,13 +189,7 @@ impl EventManager {
         }
         let inner = match (&self.pool, self.mode) {
             (Some(pool), DispatchMode::Parallel) => {
-                let pending = Arc::clone(&self.pending[idx]);
-                pending.enter();
-                KickInner::Pooled(pool.submit(move || {
-                    let r = device.handle_notify(queue);
-                    pending.exit();
-                    r
-                }))
+                KickInner::Pooled(pool.submit(move || device.handle_notify(queue)))
             }
             _ => KickInner::Ready(device.handle_notify(queue)),
         };
@@ -261,107 +206,6 @@ impl EventManager {
     pub fn kick(&self, idx: usize, queue: u32) -> Result<(), VmmError> {
         self.kick_async(idx, queue)?.wait()
     }
-
-    /// Delivers notifications for several devices "at once" (one request
-    /// per device, e.g. a multi-rank `dpu_push_xfer`). Sequential mode
-    /// processes them in order on the event loop; parallel mode dispatches
-    /// all of them onto the pool before collecting any completion, so the
-    /// handlers genuinely overlap in wall-clock time. Errors are reported
-    /// in `idxs` order (first failing index), independent of which handler
-    /// finished first.
-    ///
-    /// # Errors
-    ///
-    /// First device failure in `idxs` order.
-    pub fn kick_all(&self, idxs: &[usize], queue: u32) -> Result<(), VmmError> {
-        match self.mode {
-            DispatchMode::Sequential => {
-                for &i in idxs {
-                    self.kick(i, queue)?;
-                }
-                Ok(())
-            }
-            DispatchMode::Parallel => {
-                let handles: Vec<KickHandle> = idxs
-                    .iter()
-                    .map(|&i| self.kick_async(i, queue))
-                    .collect::<Result<_, _>>()?;
-                let mut first_err = None;
-                for h in handles {
-                    if let Err(e) = h.wait() {
-                        first_err.get_or_insert(e);
-                    }
-                }
-                first_err.map_or(Ok(()), Err)
-            }
-        }
-    }
-
-    /// Notifications currently in flight for device `idx` (0 for unknown
-    /// indices and always 0 in sequential mode, where handlers run inline).
-    #[must_use]
-    pub fn pending(&self, idx: usize) -> u64 {
-        self.pending.get(idx).map_or(0, |p| p.current())
-    }
-
-    /// Blocks until device `idx` has no in-flight notifications (or
-    /// `timeout` passes); returns whether the device went idle. Useful for
-    /// draining async kicks before tearing a device down.
-    #[must_use]
-    pub fn wait_idle(&self, idx: usize, timeout: Duration) -> bool {
-        self.pending.get(idx).map_or(true, |p| p.wait_zero(timeout))
-    }
-
-    /// Blocks until *every* registered device has no in-flight
-    /// notifications (or `timeout` passes); returns whether the whole VM
-    /// went idle. The scheduler's safe-point definition requires no
-    /// in-flight transfer anywhere in a VM before its ranks are lent out,
-    /// so teardown and oversubscription tests drain with this instead of
-    /// polling each device.
-    #[must_use]
-    pub fn wait_idle_all(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        for idx in 0..self.pending.len() {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return self.pending[idx..].iter().all(|p| p.current() == 0);
-            }
-            if !self.wait_idle(idx, deadline - now) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Virtual-time completion offsets for a batch of requests with the
-    /// given processing durations — Fig. 16's two curves.
-    ///
-    /// Sequential: request *i* completes at `Σ_{j≤i} d_j`.
-    /// Parallel: request *i* completes at `d_i`.
-    #[must_use]
-    pub fn completion_schedule(&self, durations: &[VirtualNanos]) -> Vec<VirtualNanos> {
-        match self.mode {
-            DispatchMode::Sequential => {
-                let mut acc = VirtualNanos::ZERO;
-                durations
-                    .iter()
-                    .map(|d| {
-                        acc += *d;
-                        acc
-                    })
-                    .collect()
-            }
-            DispatchMode::Parallel => durations.to_vec(),
-        }
-    }
-
-    /// The batch's overall completion time: last completion offset.
-    #[must_use]
-    pub fn batch_completion(&self, durations: &[VirtualNanos]) -> VirtualNanos {
-        self.completion_schedule(durations)
-            .into_iter()
-            .fold(VirtualNanos::ZERO, VirtualNanos::max)
-    }
 }
 
 #[cfg(test)]
@@ -370,6 +214,7 @@ mod tests {
     use pim_virtio::mmio::MmioBlock;
     use pim_virtio::{GuestMemory, IrqLine};
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     struct Probe {
         mmio: MmioBlock,
@@ -416,7 +261,7 @@ mod tests {
             let probe = Arc::new(Probe::new());
             let idx = mgr.register(probe.clone());
             mgr.kick(idx, 0).unwrap();
-            mgr.kick_all(&[idx], 0).unwrap();
+            mgr.kick(idx, 0).unwrap();
             assert_eq!(probe.notifies.load(Ordering::Relaxed), 2);
             assert_eq!(mgr.kicks(), 2);
         }
@@ -426,23 +271,6 @@ mod tests {
     fn unknown_device_errors() {
         let mgr = EventManager::new(DispatchMode::Sequential);
         assert!(mgr.kick(0, 0).is_err());
-    }
-
-    #[test]
-    fn schedules_match_fig16() {
-        let ds: Vec<VirtualNanos> = [10, 10, 10].map(VirtualNanos::from_nanos).into();
-        let seq = EventManager::new(DispatchMode::Sequential);
-        let par = EventManager::new(DispatchMode::Parallel);
-        assert_eq!(
-            seq.completion_schedule(&ds),
-            [10, 20, 30].map(VirtualNanos::from_nanos).to_vec()
-        );
-        assert_eq!(
-            par.completion_schedule(&ds),
-            [10, 10, 10].map(VirtualNanos::from_nanos).to_vec()
-        );
-        assert_eq!(seq.batch_completion(&ds).as_nanos(), 30);
-        assert_eq!(par.batch_completion(&ds).as_nanos(), 10);
     }
 
     struct SlowProbe {
@@ -479,11 +307,10 @@ mod tests {
         }
     }
 
-    /// Regression for the spawn-then-join bug: parallel `kick_all` used to
-    /// join each worker before results could overlap end to end; two slow
-    /// handlers must now complete in roughly one handler's wall-clock time.
+    /// Async kicks dispatched before either is awaited overlap end to end:
+    /// two slow handlers complete in roughly one handler's wall-clock time.
     #[test]
-    fn parallel_kick_all_overlaps_slow_handlers_in_wall_clock() {
+    fn parallel_kick_async_overlaps_slow_handlers_in_wall_clock() {
         let delay = Duration::from_millis(60);
         let mut par = EventManager::new(DispatchMode::Parallel);
         let a = Arc::new(SlowProbe::new(delay));
@@ -491,7 +318,9 @@ mod tests {
         let ia = par.register(a.clone());
         let ib = par.register(b.clone());
         let start = std::time::Instant::now();
-        par.kick_all(&[ia, ib], 0).unwrap();
+        let (ha, hb) = (par.kick_async(ia, 0).unwrap(), par.kick_async(ib, 0).unwrap());
+        ha.wait().unwrap();
+        hb.wait().unwrap();
         let wall = start.elapsed();
         assert!(
             wall < delay * 2,
@@ -507,39 +336,10 @@ mod tests {
         let ic = seq.register(c.clone());
         let id = seq.register(d.clone());
         let start = std::time::Instant::now();
-        seq.kick_all(&[ic, id], 0).unwrap();
+        let (hc, hd) = (seq.kick_async(ic, 0).unwrap(), seq.kick_async(id, 0).unwrap());
+        hc.wait().unwrap();
+        hd.wait().unwrap();
         assert!(start.elapsed() >= delay * 2);
-    }
-
-    #[test]
-    fn kick_async_tracks_per_device_completion() {
-        let mut mgr = EventManager::new(DispatchMode::Parallel);
-        let slow = Arc::new(SlowProbe::new(Duration::from_millis(40)));
-        let idx = mgr.register(slow.clone());
-        let h = mgr.kick_async(idx, 0).unwrap();
-        assert_eq!(mgr.pending(idx), 1);
-        assert!(mgr.wait_idle(idx, Duration::from_secs(5)));
-        assert_eq!(mgr.pending(idx), 0);
-        h.wait().unwrap();
-        assert_eq!(slow.inner.notifies.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn wait_idle_all_drains_every_device() {
-        let mut mgr = EventManager::new(DispatchMode::Parallel);
-        let a = Arc::new(SlowProbe::new(Duration::from_millis(30)));
-        let b = Arc::new(SlowProbe::new(Duration::from_millis(30)));
-        let ia = mgr.register(a.clone());
-        let ib = mgr.register(b.clone());
-        let ha = mgr.kick_async(ia, 0).unwrap();
-        let hb = mgr.kick_async(ib, 0).unwrap();
-        assert!(mgr.wait_idle_all(Duration::from_secs(5)));
-        assert_eq!(mgr.pending(ia), 0);
-        assert_eq!(mgr.pending(ib), 0);
-        ha.wait().unwrap();
-        hb.wait().unwrap();
-        // An idle manager reports idle immediately.
-        assert!(mgr.wait_idle_all(Duration::from_millis(1)));
     }
 
     #[test]
@@ -548,9 +348,8 @@ mod tests {
         let probe = Arc::new(Probe::new());
         let idx = mgr.register(probe.clone());
         let h = mgr.kick_async(idx, 0).unwrap();
-        // Handler already ran: inline dispatch leaves nothing pending.
+        // Handler already ran.
         assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
-        assert_eq!(mgr.pending(idx), 0);
         h.wait().unwrap();
     }
 
@@ -564,29 +363,14 @@ mod tests {
             mgr.set_fault_plane(plane);
             let probe = Arc::new(Probe::new());
             let idx = mgr.register(probe.clone());
-            // First kick is dropped: counted as a vmexit, handler unrun,
-            // nothing pending (wait_idle stays truthful).
+            // First kick is dropped: counted as a vmexit, handler unrun.
             let h = mgr.kick_async(idx, 0).unwrap();
             assert!(matches!(h.wait(), Err(VmmError::KickDropped)));
             assert_eq!(probe.notifies.load(Ordering::Relaxed), 0);
-            assert_eq!(mgr.pending(idx), 0);
             assert_eq!(mgr.kicks(), 1);
             // Re-notifying recovers: Nth(1) is spent.
             mgr.kick(idx, 0).unwrap();
             assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
         }
-    }
-
-    #[test]
-    fn kick_all_parallel_counts_every_kick() {
-        let mut mgr = EventManager::new(DispatchMode::Parallel);
-        let a = Arc::new(Probe::new());
-        let b = Arc::new(Probe::new());
-        let ia = mgr.register(a.clone());
-        let ib = mgr.register(b.clone());
-        mgr.kick_all(&[ia, ib], 0).unwrap();
-        assert_eq!(mgr.kicks(), 2);
-        assert_eq!(a.notifies.load(Ordering::Relaxed), 1);
-        assert_eq!(b.notifies.load(Ordering::Relaxed), 1);
     }
 }

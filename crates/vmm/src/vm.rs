@@ -89,12 +89,6 @@ impl Vm {
         &self.event_manager
     }
 
-    /// Whether `boot` has completed.
-    #[must_use]
-    pub fn is_booted(&self) -> bool {
-        self.booted
-    }
-
     /// MMIO window base for device slot `i`.
     #[must_use]
     pub fn mmio_base(i: usize) -> u64 {
@@ -204,7 +198,6 @@ mod tests {
         vm.event_manager_mut().register(Arc::new(Stub::block()));
         vm.event_manager_mut().register(Arc::new(Stub::pim()));
         let report = vm.boot(&cm).unwrap();
-        assert!(vm.is_booted());
         assert!(report.cmdline.contains("virtio_mmio.device=4K@0xd0000000:32"));
         assert!(report.cmdline.contains("virtio_mmio.device=4K@0xd0002000:34"));
         // Two PIM devices, 2 ms each (§3.2: "up to 2 ms" per device).

@@ -14,8 +14,11 @@ use microbench::Checksum;
 use proptest::prelude::*;
 use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
-use vpim::frontend::policy::{BatchPolicy, WindowPolicy, PAGE};
-use vpim::{AdaptSection, OpReport, StartOpts, TenantSpec, VpimConfig, VpimSystem};
+use vpim::frontend::policy::{
+    BatchPolicy, WindowPolicy, GROW_HIT_RUN, MAX_BATCH_PAGES, MAX_WINDOW_PAGES, MIN_BATCH_PAGES,
+    MIN_WINDOW_PAGES, PAGE,
+};
+use vpim::{OpReport, StartOpts, TenantSpec, VpimConfig, VpimSystem};
 
 const RANKS: usize = 2;
 const DPUS: u32 = 8;
@@ -215,10 +218,6 @@ fn canonical_adapt_report() {
     }
 }
 
-fn section() -> AdaptSection {
-    AdaptSection { enabled: true, ..AdaptSection::default() }
-}
-
 proptest! {
     /// The window never leaves `[min, max]` under any event sequence.
     #[test]
@@ -226,7 +225,7 @@ proptest! {
         initial in 1u32..65,
         events in proptest::collection::vec((0u8..4, 0u32..8, 0u64..(128 * 4096)), 0..256),
     ) {
-        let mut w = WindowPolicy::new(initial, &section());
+        let mut w = WindowPolicy::new(initial);
         for (kind, dpu, served) in events {
             match kind {
                 0 => w.on_hit(dpu),
@@ -234,7 +233,7 @@ proptest! {
                 2 => w.on_plain_miss(),
                 _ => { w.on_fetch_retired(w.window_bytes(), served); }
             }
-            prop_assert!((1..=64).contains(&w.window_pages()),
+            prop_assert!((MIN_WINDOW_PAGES..=MAX_WINDOW_PAGES).contains(&w.window_pages()),
                 "window escaped bounds: {}", w.window_pages());
         }
     }
@@ -247,7 +246,7 @@ proptest! {
         initial in 1u32..65,
         served in 1u64..(64 * 4096 + 1),
     ) {
-        let mut w = WindowPolicy::new(initial, &section());
+        let mut w = WindowPolicy::new(initial);
         let mut moves = 0;
         for _ in 0..100 {
             let before = w.window_pages();
@@ -266,15 +265,15 @@ proptest! {
     /// Streaming growth is monotone up to the cap and stays there.
     #[test]
     fn window_policy_growth_is_monotone(rounds in 1usize..12) {
-        let mut w = WindowPolicy::new(16, &section());
+        let mut w = WindowPolicy::new(16);
         let mut prev = w.window_pages();
         for _ in 0..rounds {
-            for _ in 0..8 {
+            for _ in 0..GROW_HIT_RUN {
                 w.on_hit(0);
             }
             w.on_overrun_miss(0);
             prop_assert!(w.window_pages() >= prev);
-            prop_assert!(w.window_pages() <= 64);
+            prop_assert!(w.window_pages() <= MAX_WINDOW_PAGES);
             prev = w.window_pages();
         }
     }
@@ -284,12 +283,11 @@ proptest! {
     fn batch_policy_stays_in_bounds(
         gaps in proptest::collection::vec((0u64..1_000_000, any::<bool>()), 0..256),
     ) {
-        let mut b = BatchPolicy::new(64, &section());
-        let s = section();
+        let mut b = BatchPolicy::new(64);
         for (gap, pending) in gaps {
             b.on_append_gap(gap, pending);
             let pages = (b.threshold_bytes() / PAGE) as u32;
-            prop_assert!(pages >= s.min_batch_pages && pages <= s.max_batch_pages,
+            prop_assert!((MIN_BATCH_PAGES..=MAX_BATCH_PAGES).contains(&pages),
                 "threshold escaped bounds: {pages} pages");
         }
     }

@@ -79,7 +79,6 @@ fn rank_exhaustion_is_reported_then_recovers() {
     let sys = VpimSystem::start(driver, VpimConfig::full(), StartOpts::new().cost_model(CostModel::default()).manager(vpim::manager::ManagerConfig {
             retry_timeout: Duration::from_millis(10),
             max_attempts: 2,
-            ..Default::default()
         }));
     let vm = sys.launch(TenantSpec::new("holder")).unwrap();
     match sys.launch(TenantSpec::new("hopeful")) {
@@ -142,7 +141,7 @@ fn concurrent_allocation_requests_get_distinct_ranks() {
 fn nana_reuse_keeps_content_for_the_same_tenant() {
     // §3.5's optimization: the previous owner can get its dirty rank back
     // without a reset. Exercise through the public API; both outcomes
-    // (reuse won the race, or the reset worker did) are valid — but if the
+    // (reuse won the race, or the observer's reset did) are valid — but if the
     // manager claims reuse, the content must still be there.
     let driver = host(1);
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());

@@ -38,7 +38,6 @@ fn snappy() -> ManagerConfig {
     ManagerConfig {
         retry_timeout: Duration::from_millis(5),
         max_attempts: 1,
-        ..ManagerConfig::default()
     }
 }
 

@@ -18,7 +18,6 @@ fn snappy() -> ManagerConfig {
     ManagerConfig {
         retry_timeout: Duration::from_millis(2),
         max_attempts: 1,
-        ..ManagerConfig::default()
     }
 }
 

@@ -146,7 +146,6 @@ fn oversubscribed_churn_settles_queue_depth_and_grants() {
     let mcfg = ManagerConfig {
         retry_timeout: Duration::from_millis(2),
         max_attempts: 1,
-        ..ManagerConfig::default()
     };
     let registry = MetricsRegistry::new();
     let mgr = Manager::start(driver.clone(), CostModel::default(), mcfg);
