@@ -7,11 +7,12 @@
 # then the concurrency stress/determinism and scheduler oversubscription
 # suites (the latter with the multi-VM and migration suites, which drive
 # the same backend -> scheduler -> rank-table call path) under varied
-# harness parallelism, the zero-copy data-path
-# integrity/leak gate, the fault-injection chaos gate with its seed
-# matrix, the shard gate (rank-table oracle differential + exact
-# end-state churn accounting + the table contention bench, refreshes
-# BENCH_control_plane.json), the load gate (1k-session service-level
+# harness parallelism, the zero-copy data-path integrity/leak gate, the
+# chaos leg (fault-injection suites under varied harness parallelism, then
+# the chaos suite over the CHAOS_SEED matrix), the shard leg (rank-table
+# properties + exact end-state churn accounting under varied harness
+# parallelism, then the churn suite over the SHARD_SEED matrix, which
+# varies every per-thread op mix), the load gate (1k-session service-level
 # smoke, bit-identical LoadReport across thread counts, refreshes
 # BENCH_load.json), the cluster gate (migration determinism under
 # varied harness parallelism plus the 1/2/4-host consolidation bench,
@@ -26,8 +27,10 @@ tier1:
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration
 	sh ci/perf-gate.sh
-	sh ci/chaos-gate.sh
-	sh ci/shard-gate.sh
+	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
+	sh ci/seed-sweep.sh CHAOS_SEED chaos_suite
+	sh ci/threads-gate.sh shard rank_table_properties shard_stress
+	RUST_TEST_THREADS=8 sh ci/seed-sweep.sh SHARD_SEED shard_stress
 	sh ci/load-gate.sh
 	sh ci/cluster-gate.sh
 	sh ci/adaptive-gate.sh

@@ -7,11 +7,15 @@
 # scheduling. Every tier-1 gate with a varied-parallelism leg runs it
 # through this script; `make tier1` calls it directly for the stress leg
 # (multi-VM/multi-rank integrity, Sequential vs Parallel bit-identity,
-# transport backpressure) and the sched leg (8 VMs time-shared over 4
+# transport backpressure), the sched leg (8 VMs time-shared over 4
 # ranks read back exactly the bytes a dedicated 8-rank run produces, under
 # constant checkpoint/restore churn, in both dispatch modes; plus the
 # multi-VM and migration suites, whose allocations call the rank table
-# from the requesting thread).
+# from the requesting thread), the chaos leg (every injected fault
+# surfaces typed or is recovered transparently, payloads stay
+# bit-identical, `inject.*` / `retry.*` totals are exact in both dispatch
+# modes) and the shard leg (rank-table properties, exact end-state
+# accounting of 8-64-thread control-plane churn).
 #
 # Usage: ci/threads-gate.sh <label> <test>...
 set -eu

@@ -2,13 +2,11 @@
 //! driver, manager, scheduler, and metrics registry.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
 
-use crate::error::VpimError;
-use crate::system::{StartOpts, TenantSpec, VpimSystem, VpimVm};
+use crate::system::{StartOpts, VpimSystem};
 
 /// A host in the fleet. Owns its [`VpimSystem`] (and through it the
 /// simulated machine); the fleet addresses it by index.
@@ -43,26 +41,5 @@ impl FleetHost {
     #[must_use]
     pub fn rank_count(&self) -> usize {
         self.sys.driver().rank_count()
-    }
-
-    /// Launches `spec` on this host, absorbing the transient
-    /// `NoRankAvailable`/`NotLinked` window while recently released ranks
-    /// finish their reset sweep (the placement table has already
-    /// guaranteed capacity — only recycle lag can stand in the way).
-    pub(crate) fn launch_with_retry(&self, spec: &TenantSpec) -> Result<VpimVm, VpimError> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match self.sys.launch(spec.clone()) {
-                Ok(vm) => return Ok(vm),
-                Err(e @ (VpimError::NoRankAvailable | VpimError::NotLinked)) => {
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                    self.sys.sync_ranks();
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 }

@@ -340,7 +340,7 @@ impl Fleet {
 
         // Destination VM + restore. The tenant stays frozen (entry lock);
         // this whole window is downtime.
-        let dst = match self.hosts()[to].launch_with_retry(&state.spec) {
+        let dst = match self.hosts()[to].system().launch_with_retry(&state.spec) {
             Ok(vm) => vm,
             Err(e) => {
                 evict_inflight(need);

@@ -358,7 +358,7 @@ impl Fleet {
                 }
             }
         };
-        let vm = match self.hosts[host].launch_with_retry(&spec) {
+        let vm = match self.hosts[host].system().launch_with_retry(&spec) {
             Ok(vm) => vm,
             Err(e) => {
                 let _ord = ordered(LockLevel::Placement, 0);

@@ -23,10 +23,6 @@ use crate::load::tenant::TenantMix;
 use crate::load::{Execution, LoadSpec};
 use crate::system::VpimSystem;
 
-/// How long phase A keeps retrying a launch that races the asynchronous
-/// rank-recycling observer before declaring the session failed.
-const LAUNCH_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
-
 /// What phase A measured for one session. Everything here is a pure
 /// function of `(base seed, session index, mix)`.
 #[derive(Debug, Clone)]
@@ -69,21 +65,9 @@ fn run_session(sys: &VpimSystem, mix: &TenantMix, seed: u64, idx: usize) -> Sess
         .template()
         .clone()
         .retag(format!("{}-s{idx}", profile.name()));
-    let deadline = std::time::Instant::now() + LAUNCH_DEADLINE;
-    let vm = loop {
-        match sys.launch(spec.clone()) {
-            Ok(vm) => break Some(vm),
-            // Released ranks come back through an asynchronous observer;
-            // admission can transiently find none available.
-            Err(crate::error::VpimError::NoRankAvailable | crate::error::VpimError::NotLinked)
-                if std::time::Instant::now() < deadline =>
-            {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            Err(_) => break None,
-        }
-    };
-    let Some(vm) = vm else {
+    // Released ranks come back through an asynchronous observer; admission
+    // can transiently find none available.
+    let Ok(vm) = sys.launch_with_retry(&spec) else {
         return SessionRun {
             profile: pi,
             service_ns: 0,

@@ -23,15 +23,13 @@
 //! `manager_alloc` constant (~36 ms, charged in virtual time to every
 //! grant), and its **failure mode** is the [`MANAGER_RPC_POINT`] fault
 //! point (a dropped message). A [`ManagerClient`] call therefore runs the
-//! table operation on the caller's own thread — the table has been safely
-//! concurrent by itself since it was sharded, so a pool in front of it
-//! would serialise nothing — and the manager owns exactly one thread, the
-//! observer.
+//! table operation on the caller's own thread — the table's own lock
+//! already serialises its callers, so a pool in front of it would add
+//! nothing — and the manager owns exactly one thread, the observer.
 
-pub mod reference;
 pub mod table;
 
-pub use table::{AllocOutcome, ManagerStats, RankState, RANK_SHARDS};
+pub use table::{AllocOutcome, ManagerStats, RankState};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -298,15 +296,11 @@ mod tests {
             drop(h); // release: sysfs flips, observer must notice
         }
         // Wait until the reset pipeline brings the rank back to NAAV.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let st = mgr.rank_states();
-            if st[a.rank] == RankState::Naav {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "rank never reset: {st:?}");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        assert!(
+            mgr.wait_for_state(a.rank, RankState::Naav, Duration::from_secs(5)),
+            "rank never reset: {:?}",
+            mgr.rank_states()
+        );
         // Content was erased.
         let rank = driver.machine().rank(a.rank).unwrap();
         let mut buf = [1u8; 64];

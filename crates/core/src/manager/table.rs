@@ -1,48 +1,23 @@
-//! The rank table and its state machine (Fig. 5), sharded by rank group.
+//! The rank table and its state machine (Fig. 5).
 //!
-//! PR 7 (ROADMAP item 3) split the previously single-mutex table into
-//! [`RANK_SHARDS`] contiguous, independently-locked rank groups with a
-//! **lock-free published-state fast path**:
-//!
-//! * every rank's `(state, resetting)` pair is mirrored into a per-rank
-//!   atomic cell the moment it changes (inside the owning shard's
-//!   critical section), so state lookups ([`TableState::state_of`]) and
-//!   scan pre-filters never take a lock;
-//! * a global seqlock epoch brackets each publish, so
-//!   [`TableState::states`] can assemble a *consistent* cross-shard
-//!   snapshot from the atomic cells and only falls back to locking all
-//!   shards (in ascending order, per `simkit::lockorder`) under
-//!   pathological churn;
-//! * writes — allocation claims, sysfs reconciliation, checkpoint marks,
-//!   resets — lock only the owning shard, so churn on different rank
-//!   groups never contends;
-//! * the allocation scan walks rank indices in exactly the pre-sharding
-//!   order (NANA-reuse by lowest index, then NAAV round-robin from a
-//!   global cursor), filtering on the published cells and confirming
-//!   under the owning shard's lock, so sequential behavior is identical
-//!   to the retained single-lock oracle
-//!   ([`crate::manager::reference::ReferenceTable`]) — the property
-//!   `tests/control_plane_equivalence.rs` proves over generated op
-//!   interleavings.
-//!
-//! Waiters (allocation retries, [`TableState::wait_for_state`]) park on a
-//! dedicated notify mutex + condvar pair (never held while touching
-//! entries); every completed transition bumps the epoch and wakes them.
+//! One mutex guards the whole table (a host has 8 ranks, §3.5) and one
+//! condvar, paired with that mutex, carries every wakeup: allocation
+//! retries and [`TableState::wait_for_state`] park on it holding the table
+//! lock, so a transition made under the lock can never slip between a
+//! waiter's check and its wait. The lock is `LockLevel::ManagerTable`;
+//! the only lock taken inside it is the sysfs board's, for the claim
+//! counter an allocation records.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use simkit::lockorder::{ordered, LockLevel};
+use simkit::lockorder::{ordered, LockLevel, LockToken};
 use simkit::{CostModel, Counter, VirtualNanos};
 use upmem_driver::{RankStatus, UpmemDriver};
 
 use crate::error::VpimError;
-
-/// Number of contiguous rank groups the table is split into (clamped to
-/// the rank count, so a small machine gets one rank per group).
-pub const RANK_SHARDS: usize = 8;
 
 /// Public view of a rank's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,30 +79,6 @@ impl State {
     }
 }
 
-/// Encoding of the published per-rank cell: low 2 bits are the state
-/// discriminant, bit 2 is the `resetting` flag.
-const PUB_STATE_MASK: u8 = 0b011;
-const PUB_RESETTING: u8 = 0b100;
-
-fn encode(state: RankState, resetting: bool) -> u8 {
-    let s = match state {
-        RankState::Naav => 0,
-        RankState::Allo => 1,
-        RankState::Ckpt => 2,
-        RankState::Nana => 3,
-    };
-    s | if resetting { PUB_RESETTING } else { 0 }
-}
-
-fn decode_state(cell: u8) -> RankState {
-    match cell & PUB_STATE_MASK {
-        0 => RankState::Naav,
-        1 => RankState::Allo,
-        2 => RankState::Ckpt,
-        _ => RankState::Nana,
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
     state: State,
@@ -141,10 +92,11 @@ struct Entry {
     resetting: bool,
 }
 
-/// One contiguous rank group; entry `i` describes rank `base + i`.
 #[derive(Debug)]
-struct Shard {
+struct Table {
     entries: Vec<Entry>,
+    /// Where the NAAV round-robin scan starts.
+    rr_cursor: usize,
 }
 
 #[derive(Debug, Default)]
@@ -156,31 +108,14 @@ struct Stats {
     reset_virtual_ns: AtomicU64,
 }
 
-/// Shared manager state: the sharded rank table plus its statistics.
-/// Public so the differential suites and the `control_plane` bench can
-/// drive the table directly against the single-lock oracle.
+/// Shared manager state: the rank table plus its statistics. Public so
+/// the property and stress suites can drive the table directly.
 #[derive(Debug)]
 pub struct TableState {
     driver: Arc<UpmemDriver>,
     cm: CostModel,
-    /// Contiguous rank groups, each behind its own mutex
-    /// (`LockLevel::ManagerTable`, ordered by shard index).
-    shards: Vec<Mutex<Shard>>,
-    /// Ranks per shard (the last shard may be short).
-    span: usize,
-    ranks: usize,
-    /// Lock-free mirror of each rank's `(state, resetting)` pair,
-    /// republished inside the owning shard's critical section.
-    published: Vec<AtomicU8>,
-    /// Seqlock epoch bracketing every publish: odd while a publish is in
-    /// flight, even and advanced once it lands.
-    epoch: AtomicU64,
-    /// Global round-robin cursor for the NAAV scan (atomic so concurrent
-    /// allocs keep rotating; under sequential ops it advances exactly as
-    /// the single-lock cursor did).
-    rr_cursor: AtomicUsize,
-    /// Pairing mutex for `changed` — held only around waits and wakeups.
-    notify: Mutex<()>,
+    table: Mutex<Table>,
+    /// Paired with `table`; notified after every transition.
     changed: Condvar,
     stats: Stats,
     /// NAAV↔ALLO↔NANA edges walked (Fig. 5), one tick per rank per edge.
@@ -188,37 +123,24 @@ pub struct TableState {
 }
 
 impl TableState {
-    /// A table over `driver`'s ranks split into [`RANK_SHARDS`] groups
-    /// (fewer when the machine has fewer ranks).
+    /// A table over `driver`'s ranks, all `NAAV`.
     #[must_use]
     pub fn new(driver: Arc<UpmemDriver>, cm: CostModel) -> Self {
         let n = driver.rank_count();
-        let span = n.div_ceil(RANK_SHARDS).max(1);
-        let shards = n.div_ceil(span).max(1);
         TableState {
             driver,
             cm,
-            shards: (0..shards)
-                .map(|g| {
-                    let len = span.min(n.saturating_sub(g * span));
-                    Mutex::new(Shard {
-                        entries: (0..len)
-                            .map(|_| Entry {
-                                state: State::Naav,
-                                last_owner: None,
-                                claims_at_alloc: 0,
-                                resetting: false,
-                            })
-                            .collect(),
+            table: Mutex::new(Table {
+                entries: (0..n)
+                    .map(|_| Entry {
+                        state: State::Naav,
+                        last_owner: None,
+                        claims_at_alloc: 0,
+                        resetting: false,
                     })
-                })
-                .collect(),
-            span,
-            ranks: n,
-            published: (0..n).map(|_| AtomicU8::new(encode(RankState::Naav, false))).collect(),
-            epoch: AtomicU64::new(0),
-            rr_cursor: AtomicUsize::new(0),
-            notify: Mutex::new(()),
+                    .collect(),
+                rr_cursor: 0,
+            }),
             changed: Condvar::new(),
             stats: Stats::default(),
             transitions: Counter::new(),
@@ -233,39 +155,9 @@ impl TableState {
         self
     }
 
-    /// Number of rank groups the table is split into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `rank` (caller guarantees `rank < ranks`).
-    fn shard_of(&self, rank: usize) -> usize {
-        rank / self.span
-    }
-
-    /// Locks the shard owning `rank`, with lock-order tracking.
-    fn lock_shard(&self, group: usize) -> (simkit::LockToken, MutexGuard<'_, Shard>) {
-        let tok = ordered(LockLevel::ManagerTable, group);
-        (tok, self.shards[group].lock())
-    }
-
-    /// Republishes `rank`'s cell from its entry. Must be called inside
-    /// the owning shard's critical section; brackets the store with
-    /// seqlock epoch bumps so concurrent snapshot readers retry.
-    fn publish(&self, rank: usize, e: &Entry) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.published[rank].store(encode(e.state.public(), e.resetting), Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Wakes blocked waiters (alloc retries, `wait_for_state`). Briefly
-    /// takes the notify mutex so a waiter between its check and its wait
-    /// cannot miss the wakeup.
-    fn wake(&self) {
-        let _ord = ordered(LockLevel::Notify, 0);
-        drop(self.notify.lock());
-        self.changed.notify_all();
+    /// Locks the table, with lock-order tracking.
+    fn lock(&self) -> (LockToken, MutexGuard<'_, Table>) {
+        (ordered(LockLevel::ManagerTable, 0), self.table.lock())
     }
 
     /// State-machine edges walked so far.
@@ -279,56 +171,13 @@ impl TableState {
         self.cm.manager_alloc()
     }
 
-    /// Lock-free state lookup — the published-cell fast path.
+    /// One rank's state (`None` past the last rank).
     #[must_use]
     pub fn state_of(&self, rank: usize) -> Option<RankState> {
-        self.published.get(rank).map(|c| decode_state(c.load(Ordering::Acquire)))
-    }
-
-    /// Tries to claim rank `rank` (which the published pre-filter said is
-    /// a NANA rank last owned by `owner`) under its shard lock. Returns
-    /// whether the claim stuck.
-    fn try_claim_nana(&self, rank: usize, owner: &str) -> bool {
-        let g = self.shard_of(rank);
-        let (_tok, mut shard) = self.lock_shard(g);
-        let e = &mut shard.entries[rank - g * self.span];
-        if e.state != State::Nana || e.resetting || e.last_owner.as_deref() != Some(owner) {
-            return false;
-        }
-        e.state = State::Allo { owner: owner.to_string() };
-        e.claims_at_alloc = self.driver.sysfs().claim_count(rank);
-        e.last_owner = Some(owner.to_string());
-        self.transitions.inc(); // NANA -> ALLO
-        self.stats.allocations.fetch_add(1, Ordering::Relaxed);
-        self.stats.reuses.fetch_add(1, Ordering::Relaxed);
-        let e = &shard.entries[rank - g * self.span];
-        self.publish(rank, e);
-        true
-    }
-
-    /// Tries to claim a published-NAAV rank under its shard lock.
-    fn try_claim_naav(&self, rank: usize, owner: &str) -> bool {
-        let g = self.shard_of(rank);
-        let (_tok, mut shard) = self.lock_shard(g);
-        let e = &mut shard.entries[rank - g * self.span];
-        if e.state != State::Naav || e.resetting {
-            return false;
-        }
-        self.rr_cursor.store((rank + 1) % self.ranks.max(1), Ordering::Relaxed);
-        e.state = State::Allo { owner: owner.to_string() };
-        e.claims_at_alloc = self.driver.sysfs().claim_count(rank);
-        e.last_owner = Some(owner.to_string());
-        self.transitions.inc(); // NAAV -> ALLO
-        self.stats.allocations.fetch_add(1, Ordering::Relaxed);
-        let e = &shard.entries[rank - g * self.span];
-        self.publish(rank, e);
-        true
+        self.lock().1.entries.get(rank).map(|e| e.state.public())
     }
 
     /// The allocation strategy of §3.5, run on the requester's thread.
-    /// Scan order is identical to the single-lock oracle: NANA-reuse by
-    /// lowest rank index, then NAAV round-robin from the global cursor —
-    /// the published cells only pre-filter which shards are worth locking.
     ///
     /// # Errors
     ///
@@ -340,208 +189,158 @@ impl TableState {
         retry_timeout: Duration,
         max_attempts: usize,
     ) -> Result<AllocOutcome, VpimError> {
+        let (_ord, mut t) = self.lock();
         for _attempt in 0..max_attempts.max(1) {
-            let epoch_before = self.epoch.load(Ordering::Acquire);
+            let n = t.entries.len();
             // 1. A NANA rank previously used by this owner: no reset needed.
-            for rank in 0..self.ranks {
-                let cell = self.published[rank].load(Ordering::Acquire);
-                if cell == encode(RankState::Nana, false) && self.try_claim_nana(rank, owner) {
-                    self.wake();
-                    return Ok(AllocOutcome { rank, reused: true });
+            let reuse = t.entries.iter().position(|e| {
+                e.state == State::Nana && !e.resetting && e.last_owner.as_deref() == Some(owner)
+            });
+            // 2. A NAAV rank by round-robin from the cursor.
+            let fresh = || {
+                (0..n)
+                    .map(|k| (t.rr_cursor + k) % n)
+                    .find(|&i| t.entries[i].state == State::Naav && !t.entries[i].resetting)
+            };
+            if let Some(rank) = reuse.or_else(fresh) {
+                let reused = reuse.is_some();
+                if reused {
+                    self.stats.reuses.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    t.rr_cursor = (rank + 1) % n;
                 }
-            }
-            // 2. A NAAV rank by round-robin from the global cursor.
-            let cursor = self.rr_cursor.load(Ordering::Relaxed);
-            for k in 0..self.ranks {
-                let rank = (cursor + k) % self.ranks.max(1);
-                let cell = self.published[rank].load(Ordering::Acquire);
-                if decode_state(cell) == RankState::Naav
-                    && cell & PUB_RESETTING == 0
-                    && self.try_claim_naav(rank, owner)
-                {
-                    self.wake();
-                    return Ok(AllocOutcome { rank, reused: false });
-                }
+                let e = &mut t.entries[rank];
+                e.state = State::Allo { owner: owner.to_string() };
+                e.claims_at_alloc = self.driver.sysfs().claim_count(rank);
+                e.last_owner = Some(owner.to_string());
+                self.transitions.inc(); // NANA/NAAV -> ALLO
+                self.stats.allocations.fetch_add(1, Ordering::Relaxed);
+                drop(t);
+                self.changed.notify_all();
+                return Ok(AllocOutcome { rank, reused });
             }
             // 3. Wait: either for a NANA reset to complete or for any
-            //    release, then retry. If the table already moved during
-            //    the scan, retry immediately.
-            let _ord = ordered(LockLevel::Notify, 0);
-            let mut guard = self.notify.lock();
-            if self.epoch.load(Ordering::Acquire) == epoch_before {
-                let _ = self.changed.wait_for(&mut guard, retry_timeout);
-            }
+            //    release, then retry.
+            let _ = self.changed.wait_for(&mut t, retry_timeout);
         }
         self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
         Err(VpimError::NoRankAvailable)
     }
 
-    /// Reconciles one rank group with its slice of a sysfs sweep.
-    /// `base` is the first rank the slice describes; the slice must not
-    /// cross a group boundary. Returns ranks that were just released and
-    /// need a content reset.
-    fn sync_group(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
+    /// Reconciles the table with a sysfs snapshot (status + claim counter
+    /// per rank); returns ranks that were just released and need a
+    /// content reset.
+    pub fn sync_with_sysfs(&self, snapshot: &[(RankStatus, u64)]) -> Vec<usize> {
         let mut to_reset = Vec::new();
-        if base >= self.ranks || slice.is_empty() {
-            return to_reset;
-        }
-        let g = self.shard_of(base);
         let mut changed_any = false;
-        {
-            let (_tok, mut shard) = self.lock_shard(g);
-            for (off, (status, claims)) in slice.iter().enumerate() {
-                let rank = base + off;
-                let Some(e) = shard.entries.get_mut(rank - g * self.span) else { continue };
-                match (status, &e.state) {
-                    (RankStatus::InUse { owner }, State::Naav) => {
-                        // A native host application claimed the rank directly
-                        // through the driver (R3: coexistence without app
-                        // changes). Manager reset claims never hit this arm
-                        // because resets only run on NANA ranks.
-                        e.state = State::Allo { owner: owner.clone() };
-                        e.last_owner = Some(owner.clone());
-                        e.claims_at_alloc = claims.saturating_sub(1);
-                        self.transitions.inc(); // NAAV -> ALLO (external claim)
-                        let e = &shard.entries[rank - g * self.span];
-                        self.publish(rank, e);
-                        changed_any = true;
-                    }
-                    (RankStatus::Free, State::Allo { .. } | State::Ckpt { .. })
-                        if *claims > e.claims_at_alloc =>
-                    {
-                        e.state = State::Nana;
-                        self.transitions.inc(); // ALLO/CKPT -> NANA (release observed)
-                        to_reset.push(rank);
-                        let e = &shard.entries[rank - g * self.span];
-                        self.publish(rank, e);
-                        changed_any = true;
-                    }
-                    _ => {}
+        let (_ord, mut t) = self.lock();
+        for (rank, ((status, claims), e)) in snapshot.iter().zip(&mut t.entries).enumerate() {
+            match (status, &e.state) {
+                (RankStatus::InUse { owner }, State::Naav) => {
+                    // A native host application claimed the rank directly
+                    // through the driver (R3: coexistence without app
+                    // changes). Manager reset claims never hit this arm
+                    // because resets only run on NANA ranks.
+                    e.state = State::Allo { owner: owner.clone() };
+                    e.last_owner = Some(owner.clone());
+                    e.claims_at_alloc = claims.saturating_sub(1);
+                    self.transitions.inc(); // NAAV -> ALLO (external claim)
+                    changed_any = true;
                 }
+                (RankStatus::Free, State::Allo { .. } | State::Ckpt { .. })
+                    if *claims > e.claims_at_alloc =>
+                {
+                    e.state = State::Nana;
+                    self.transitions.inc(); // ALLO/CKPT -> NANA (release observed)
+                    to_reset.push(rank);
+                    changed_any = true;
+                }
+                _ => {}
             }
         }
+        drop(t);
         if changed_any {
-            self.wake();
+            self.changed.notify_all();
         }
         to_reset
-    }
-
-    /// Reconciles the whole table with a full sysfs snapshot (status +
-    /// claim counter per rank), group by group; returns ranks that were
-    /// just released and need a content reset.
-    pub fn sync_with_sysfs(&self, snapshot: &[(RankStatus, u64)]) -> Vec<usize> {
-        self.sync_group_sweep(0, snapshot)
     }
 
     /// Flips an `ALLO` rank to `CKPT` (the scheduler checkpointed its
     /// owner at a safe point and will drop the claim next); returns
     /// whether the transition happened.
     pub fn mark_ckpt(&self, rank: usize) -> bool {
-        if rank >= self.ranks {
-            return false;
-        }
-        let g = self.shard_of(rank);
-        {
-            let (_tok, mut shard) = self.lock_shard(g);
-            let e = &mut shard.entries[rank - g * self.span];
-            let State::Allo { owner } = &e.state else { return false };
-            e.state = State::Ckpt { owner: owner.clone() };
-            self.transitions.inc(); // ALLO -> CKPT (preemption)
-            let e = &shard.entries[rank - g * self.span];
-            self.publish(rank, e);
-        }
-        self.wake();
+        let (_ord, mut t) = self.lock();
+        let Some(e) = t.entries.get_mut(rank) else { return false };
+        let State::Allo { owner } = &e.state else { return false };
+        e.state = State::Ckpt { owner: owner.clone() };
+        self.transitions.inc(); // ALLO -> CKPT (preemption)
+        drop(t);
+        self.changed.notify_all();
         true
     }
 
     /// One synchronous observe-and-reset sweep: reconcile the table with
-    /// sysfs group by group and reset every just-released rank inline.
-    /// The one recycle path: the observer thread runs it on every sysfs
+    /// a sysfs snapshot and reset every just-released rank inline. The
+    /// one recycle path: the observer thread runs it on every sysfs
     /// change, and the scheduler calls it to expedite recycling after a
-    /// preemption instead of waiting out the observer's 50 ms poll. Each
-    /// board rank group is snapshotted and reconciled independently, so a
-    /// sweep never holds more than one board shard and one table shard at
-    /// a time.
+    /// preemption instead of waiting out the observer's 50 ms poll.
     pub fn sync_now(&self) {
-        let board = self.driver.sysfs();
-        for group in 0..board.shard_count() {
-            let Some((base, entries)) = board.snapshot_group(group) else { continue };
-            for rank in self.sync_group_sweep(base, &entries) {
-                self.reset_rank(rank);
-            }
+        let snapshot = self.driver.sysfs().snapshot();
+        for rank in self.sync_with_sysfs(&snapshot) {
+            self.reset_rank(rank);
         }
-    }
-
-    /// [`Self::sync_with_sysfs`] for a slice starting at `base` — the
-    /// sweep's per-group unit (the board's group span need not
-    /// match the table's; the slice is re-chunked on table boundaries).
-    /// Returns ranks that were just released and need a content reset.
-    fn sync_group_sweep(&self, base: usize, slice: &[(RankStatus, u64)]) -> Vec<usize> {
-        let mut to_reset = Vec::new();
-        let limit = (base + slice.len()).min(self.ranks);
-        let mut at = base;
-        while at < limit {
-            let end = (at + self.span - at % self.span).min(limit);
-            to_reset.extend(self.sync_group(at, &slice[at - base..end - base]));
-            at = end;
-        }
-        to_reset
     }
 
     /// Blocks until `rank` is in state `want` (or already is), up to
-    /// `timeout`; returns whether the state was reached. The check is a
-    /// lock-free published-cell read; every table transition wakes the
-    /// waiter.
+    /// `timeout`; returns whether the state was reached. Every table
+    /// transition wakes the waiter.
     #[must_use]
     pub fn wait_for_state(&self, rank: usize, want: RankState, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
+        let (_ord, mut t) = self.lock();
         loop {
-            match self.state_of(rank) {
-                Some(s) if s == want => return true,
+            match t.entries.get(rank) {
                 None => return false,
-                _ => {}
+                Some(e) if e.state.public() == want => return true,
+                Some(_) => {}
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return false;
             }
-            let _ord = ordered(LockLevel::Notify, 0);
-            let mut guard = self.notify.lock();
-            // Re-check under the notify mutex: a transition between the
-            // check above and this lock would otherwise be missed.
-            match self.state_of(rank) {
-                Some(s) if s == want => return true,
-                None => return false,
-                _ => {}
-            }
-            let _ = self.changed.wait_for(&mut guard, deadline - now);
+            let _ = self.changed.wait_for(&mut t, left);
         }
+    }
+
+    /// Clears `rank`'s `resetting` mark once its erase attempt is over;
+    /// `erased` promotes a rank that is still NANA to NAAV.
+    fn finish_reset(&self, rank: usize, erased: bool) {
+        let (_ord, mut t) = self.lock();
+        let e = &mut t.entries[rank];
+        e.resetting = false;
+        if erased && e.state == State::Nana {
+            e.state = State::Naav;
+            self.transitions.inc(); // NANA -> NAAV (reset done)
+        }
+        drop(t);
+        self.changed.notify_all();
     }
 
     /// Erases a NANA rank's content and promotes it to NAAV. Skips ranks
     /// that were re-allocated meanwhile, or that another sweep is already
     /// erasing.
     pub fn reset_rank(&self, rank: usize) {
-        if rank >= self.ranks {
-            return;
-        }
-        let g = self.shard_of(rank);
-        let slot = rank - g * self.span;
         {
-            let (_tok, mut shard) = self.lock_shard(g);
-            let e = &mut shard.entries[slot];
+            let (_ord, mut t) = self.lock();
+            let Some(e) = t.entries.get_mut(rank) else { return };
             if e.state != State::Nana || e.resetting {
                 return; // re-allocated to its previous owner, or being erased
             }
             e.resetting = true;
-            let e = &shard.entries[slot];
-            self.publish(rank, e);
         }
-        // Claim the rank so natives/backends cannot grab it mid-erase
-        // (board lock sits above the table shard in the hierarchy, and no
-        // table lock is held here anyway).
-        let claim = self.driver.open_perf(rank, "manager-reset");
-        match claim {
+        // Claim the rank so natives/backends cannot grab it mid-erase (no
+        // table lock is held across the erase).
+        match self.driver.open_perf(rank, "manager-reset") {
             Ok(handle) => {
                 if let Ok(r) = self.driver.machine().rank(rank) {
                     r.reset_content();
@@ -554,87 +353,37 @@ impl TableState {
                 self.stats
                     .reset_virtual_ns
                     .fetch_add(reset_ns.as_nanos(), Ordering::Relaxed);
-                let (_tok, mut shard) = self.lock_shard(g);
-                let e = &mut shard.entries[slot];
-                e.resetting = false;
-                if e.state == State::Nana {
-                    e.state = State::Naav;
-                    self.transitions.inc(); // NANA -> NAAV (reset done)
-                }
-                let e = &shard.entries[slot];
-                self.publish(rank, e);
+                self.finish_reset(rank, true);
             }
-            Err(_) => {
-                // Someone (a native app) grabbed the rank between release
-                // and reset; give up — the observer will re-detect the next
-                // release and re-queue the reset.
-                let (_tok, mut shard) = self.lock_shard(g);
-                let e = &mut shard.entries[slot];
-                e.resetting = false;
-                let e = &shard.entries[slot];
-                self.publish(rank, e);
-            }
+            // Someone (a native app) grabbed the rank between release and
+            // reset; give up — the observer will re-detect the next
+            // release and re-queue the reset.
+            Err(_) => self.finish_reset(rank, false),
         }
-        self.wake();
     }
 
     /// Directly returns an `ALLO`/`CKPT` rank to `NAAV`, bypassing the
     /// sysfs release → observe → reset pipeline. A churn hook for the
-    /// `control_plane` bench and the shard stress suite — alloc/free
-    /// cycles without device round-trips; production recycling always
-    /// goes through the observer. Returns whether the rank changed state.
+    /// benchmark and the stress suite — alloc/free cycles without device
+    /// round-trips; production recycling always goes through the
+    /// observer. Returns whether the rank changed state.
     pub fn recycle(&self, rank: usize) -> bool {
-        if rank >= self.ranks {
+        let (_ord, mut t) = self.lock();
+        let Some(e) = t.entries.get_mut(rank) else { return false };
+        if !matches!(e.state, State::Allo { .. } | State::Ckpt { .. }) {
             return false;
         }
-        let g = self.shard_of(rank);
-        let changed = {
-            let (_tok, mut shard) = self.lock_shard(g);
-            let e = &mut shard.entries[rank - g * self.span];
-            match e.state {
-                State::Allo { .. } | State::Ckpt { .. } => {
-                    e.state = State::Naav;
-                    self.transitions.inc(); // ALLO/CKPT -> NAAV (direct recycle)
-                    let e = &shard.entries[rank - g * self.span];
-                    self.publish(rank, e);
-                    true
-                }
-                _ => false,
-            }
-        };
-        if changed {
-            self.wake();
-        }
-        changed
+        e.state = State::Naav;
+        self.transitions.inc(); // ALLO/CKPT -> NAAV (direct recycle)
+        drop(t);
+        self.changed.notify_all();
+        true
     }
 
-    /// A consistent snapshot of every rank's state, read lock-free from
-    /// the published cells under the seqlock epoch; falls back to locking
-    /// every shard (ascending) if publishes keep racing the scan.
+    /// Current state of every rank.
     #[must_use]
     pub fn states(&self) -> Vec<RankState> {
-        for _ in 0..8 {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 % 2 != 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let snap: Vec<RankState> = self
-                .published
-                .iter()
-                .map(|c| decode_state(c.load(Ordering::Acquire)))
-                .collect();
-            if self.epoch.load(Ordering::Acquire) == e1 {
-                return snap;
-            }
-        }
-        // Locked fallback: ascending shard order per the lock hierarchy.
-        let mut out = Vec::with_capacity(self.ranks);
-        let guards: Vec<_> = (0..self.shards.len()).map(|g| self.lock_shard(g)).collect();
-        for (_, shard) in &guards {
-            out.extend(shard.entries.iter().map(|e| e.state.public()));
-        }
-        out
+        self.lock().1.entries.iter().map(|e| e.state.public()).collect()
     }
 
     /// Aggregate statistics.
@@ -770,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn state_of_is_lock_free_and_current() {
+    fn state_of_follows_every_transition() {
         let s = state();
         assert_eq!(s.state_of(0), Some(RankState::Naav));
         let a = s.alloc("vm", quick(), 1).unwrap();
@@ -781,12 +530,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_clamps_to_rank_count() {
-        // A 2-rank driver cannot fill RANK_SHARDS groups: one rank each.
+    fn wait_for_state_wakes_on_the_transition_and_times_out_without_one() {
         let s = state();
-        assert_eq!(s.shard_count(), 2);
-        assert!(s.shard_count() < RANK_SHARDS);
-        assert_eq!(s.alloc("x", quick(), 1).unwrap().rank, 0);
-        assert_eq!(s.alloc("y", quick(), 1).unwrap().rank, 1);
+        let a = s.alloc("vm", quick(), 1).unwrap();
+        assert!(!s.wait_for_state(a.rank, RankState::Ckpt, quick()));
+        assert!(!s.wait_for_state(999, RankState::Naav, quick()));
+        std::thread::scope(|scope| {
+            let waiter =
+                scope.spawn(|| s.wait_for_state(a.rank, RankState::Ckpt, Duration::from_secs(30)));
+            assert!(s.mark_ckpt(a.rank));
+            assert!(waiter.join().unwrap());
+        });
     }
 }

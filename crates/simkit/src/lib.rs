@@ -46,7 +46,6 @@ pub mod pool;
 pub mod retry;
 pub mod rng;
 pub mod stats;
-pub mod stripe;
 pub mod telemetry;
 pub mod time;
 pub mod timeline;

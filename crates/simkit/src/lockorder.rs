@@ -1,11 +1,11 @@
 //! The system-wide lock hierarchy, enforced in debug builds.
 //!
-//! The sharded control plane multiplies the number of locks in flight:
-//! per-group rank-table shards and per-group sysfs board shards, next to
-//! the scheduler's state mutex and the frontend, device-queue and
-//! rank-slot mutexes. A silent deadlock between any two of them would be
-//! the worst kind of regression — rare, timing-dependent, invisible to
-//! the differential suites. This module pins the **one legal acquisition
+//! One request crosses many locks: the frontend, device-queue and
+//! rank-slot mutexes on the data path, then the scheduler's state mutex,
+//! the manager's rank table and the sysfs board on the control path. A
+//! silent deadlock between any two of them would be the worst kind of
+//! regression — rare, timing-dependent, invisible to the property
+//! suites. This module pins the **one legal acquisition
 //! order** and, under `cfg(debug_assertions)`, panics the moment any
 //! thread acquires out of order, so every debug test run doubles as a
 //! lock-order audit.
@@ -24,9 +24,8 @@
 //! | 5     | `RankSlot`     | a backend's rank mapping slot (sched safe point)    |
 //! | 6     | `Link`         | inter-host network link serialization               |
 //! | 7     | `SchedState`   | scheduler state (queue, leases, accounts)           |
-//! | 8     | `ManagerTable` | manager rank-table shards                           |
-//! | 9     | `SysfsBoard`   | sysfs status-board shards                           |
-//! | 10    | `Notify`       | condvar pairing mutexes (always leaf)               |
+//! | 8     | `ManagerTable` | manager rank table                                  |
+//! | 9     | `SysfsBoard`   | sysfs status board (always leaf)                    |
 //!
 //! This mirrors the real call chains: the fleet plane pins a tenant's
 //! entry before reserving placement capacity (1→2) and before driving
@@ -35,20 +34,19 @@
 //! while entering a backend rank slot (4→5), live migration ships
 //! snapshots over the link while the source ranks are quiesced under
 //! their slot locks (5→6), a backend charges the scheduler from inside
-//! its slot (5→7), the manager probes the sysfs claim counters while
-//! holding a table shard (8→9), and the table's and the board's condvar
-//! waits park on a dedicated notify mutex holding nothing else (→10).
-//! The scheduler's admission wait is the exception: it parks on the
-//! `SchedState` mutex itself, the one lock its wait condition lives under.
+//! its slot (5→7), and the manager probes the sysfs claim counters while
+//! holding the rank table (8→9). Every condvar wait (scheduler admission,
+//! rank-table allocation retries, board watchers) parks on the mutex its
+//! wait condition lives under; there are no separate pairing mutexes.
 //!
 //! `Link` sits *inside* `RankSlot` rather than alongside the other
 //! cluster locks because transfer time is charged while the shipped
 //! ranks are frozen — that hold window *is* the migration downtime.
 //!
-//! **Same-level rule:** shards of one structure are ordered by shard
+//! **Same-level rule:** several locks of one level (the fleet's tenant
+//! map and its entries, a migration's source rank slots) are ordered by
 //! index; acquiring the same level again is legal only with a
-//! non-decreasing index (how `lock_all`-style sweeps take every shard
-//! in ascending order).
+//! non-decreasing index.
 //!
 //! # Usage
 //!
@@ -57,13 +55,12 @@
 //!
 //! ```
 //! use simkit::lockorder::{ordered, LockLevel};
-//! let _ord = ordered(LockLevel::ManagerTable, 3);
-//! // ... shard 3's mutex is locked here ...
+//! let _ord = ordered(LockLevel::ManagerTable, 0);
+//! // ... the rank table's mutex is locked here ...
 //! // token drop ends the tracked hold
 //! ```
 //!
-//! In release builds `ordered` compiles to a unit token — zero cost on
-//! the hot paths the sharding exists to speed up.
+//! In release builds `ordered` compiles to a unit token and costs nothing.
 
 /// A level in the system-wide lock hierarchy (ascending acquisition
 /// order; see the module docs for the full table).
@@ -84,12 +81,10 @@ pub enum LockLevel {
     Link = 6,
     /// The scheduler's state mutex (queue, leases and accounts).
     SchedState = 7,
-    /// Manager rank-table shards.
+    /// The manager's rank table.
     ManagerTable = 8,
-    /// Sysfs status-board shards.
+    /// The sysfs status board — always the innermost lock.
     SysfsBoard = 9,
-    /// Condvar pairing mutexes — always the innermost lock.
-    Notify = 10,
 }
 
 #[cfg(debug_assertions)]
@@ -159,7 +154,7 @@ mod imp {
 
 pub use imp::LockToken;
 
-/// Registers an intent to acquire a lock at `level` (shard `index`) and
+/// Registers an intent to acquire lock `index` of `level` and
 /// returns a token that must live for the duration of the hold. Panics in
 /// debug builds when the acquisition violates the hierarchy; free in
 /// release builds.
@@ -181,12 +176,12 @@ mod tests {
         drop(b);
         drop(c);
         // Fresh sequence after release.
-        let _x = ordered(LockLevel::Notify, 0);
+        let _x = ordered(LockLevel::SysfsBoard, 0);
     }
 
     #[test]
     fn same_level_ascending_index_is_legal() {
-        let _g: Vec<_> = (0..4).map(|i| ordered(LockLevel::ManagerTable, i)).collect();
+        let _g: Vec<_> = (0..4).map(|i| ordered(LockLevel::RankSlot, i)).collect();
     }
 
     #[test]
@@ -241,7 +236,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn same_level_descending_index_panics_in_debug() {
-        let _three = ordered(LockLevel::ManagerTable, 3);
-        let _one = ordered(LockLevel::ManagerTable, 1);
+        let _three = ordered(LockLevel::RankSlot, 3);
+        let _one = ordered(LockLevel::RankSlot, 1);
     }
 }

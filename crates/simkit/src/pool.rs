@@ -33,12 +33,13 @@
 //!   `hits + misses` (total takes), `bytes`, and the drained `outstanding`
 //!   level are deterministic quantities.
 
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::stripe;
 use crate::telemetry::{Counter, Gauge, MetricsRegistry};
 
 /// Smallest size class, log2 (64 B — one DDR burst line).
@@ -67,13 +68,20 @@ fn class_size(class: usize) -> usize {
     1usize << (class as u32 + MIN_CLASS_SHIFT)
 }
 
-/// The shard the calling thread parks buffers on (assigned round-robin on
-/// first use, so worker pools spread evenly over the shards). The
-/// assignment is the process-wide [`stripe::thread_slot`] — the same
-/// placement the striped telemetry cells and the sharded control plane
-/// use, so one thread's hot structures stay co-located.
+/// The shard the calling thread parks buffers on: threads draw a ticket
+/// round-robin on first use, so worker pools spread evenly over the shards,
+/// and keep it for life.
 fn shard_index() -> usize {
-    stripe::thread_slot(SHARDS)
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static TICKET: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    TICKET.with(|t| {
+        if t.get() == usize::MAX {
+            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get() % SHARDS
+    })
 }
 
 #[derive(Debug)]

@@ -13,10 +13,7 @@
 //! * [`Counter`], [`Gauge`], [`TimeCounter`], [`VtHistogram`] — typed
 //!   instruments. Handles are `Arc`-backed clones of the registered slot,
 //!   so a component can keep a hot local handle and the registry still sees
-//!   every update. Counters, gauges and time counters accumulate into
-//!   per-worker cache-padded stripes (the [`crate::pool::BytePool`] shard
-//!   idiom via [`crate::stripe`]) folded on read — concurrent data-path
-//!   increments are uncontended and totals stay exact.
+//!   every update. A counter, gauge or time counter is one atomic cell.
 //! * [`MetricSet`] — a small, *unshared* bag of named counts and virtual
 //!   times. Per-operation reports ([`crate::Timeline`], the core crate's
 //!   `OpReport`) are thin views over a `MetricSet`; `flush_into` publishes
@@ -43,79 +40,14 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::stripe::{thread_slot, STRIPES};
 use crate::time::VirtualNanos;
-
-/// One cache line's worth of unsigned accumulator — padded so adjacent
-/// stripes of one instrument never share a line (false sharing is the
-/// whole cost striping exists to remove).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-/// One cache line's worth of signed accumulator.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedI64(AtomicI64);
-
-/// A `u64` accumulator striped over [`STRIPES`] cache-padded cells.
-///
-/// Writers land on their thread's stripe ([`thread_slot`]) so concurrent
-/// increments from a worker pool touch disjoint cache lines; readers fold
-/// the stripes by summation, which is **exact**: the total is the sum of
-/// per-stripe sums regardless of which thread wrote where.
-#[derive(Debug, Default)]
-struct StripedU64 {
-    cells: [PaddedU64; STRIPES],
-}
-
-impl StripedU64 {
-    fn add(&self, n: u64) {
-        self.cells[thread_slot(STRIPES)].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// An `i64` accumulator striped like [`StripedU64`].
-#[derive(Debug, Default)]
-struct StripedI64 {
-    cells: [PaddedI64; STRIPES],
-}
-
-impl StripedI64 {
-    fn add(&self, n: i64) {
-        self.cells[thread_slot(STRIPES)].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> i64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Forces the folded level to `v`: the calling thread's stripe takes
-    /// the whole value, every other stripe is zeroed. Exact when no
-    /// writer races the set (the only supported use — level resets happen
-    /// at quiesce points).
-    fn set(&self, v: i64) {
-        let home = thread_slot(STRIPES);
-        for (i, cell) in self.cells.iter().enumerate() {
-            cell.0.store(if i == home { v } else { 0 }, Ordering::Relaxed);
-        }
-    }
-}
 
 /// A monotonically increasing event counter.
 ///
-/// Cloning shares the underlying cells, so the same counter can live in a
-/// component's hot path and in the registry simultaneously. Increments
-/// are striped per worker thread over cache-padded cells (the
-/// [`crate::pool::BytePool`] shard idiom) and folded on [`Counter::get`],
-/// so data-path increments from concurrent workers are uncontended while
-/// totals stay exact.
+/// Cloning shares the underlying cell, so the same counter can live in a
+/// component's hot path and in the registry simultaneously.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<StripedU64>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A fresh, unregistered counter (register it with
@@ -132,25 +64,21 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.0.add(n);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value (folds the per-worker stripes; exact).
+    /// Current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.0.sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// An instantaneous level that can move both ways (queue depths, pool
-/// occupancy).
-///
-/// Striped like [`Counter`]: `add`/`sub` touch only the calling thread's
-/// cache-padded stripe, and the folded level is exact because additions
-/// commute. Balanced add/sub sequences therefore fold back to zero no
-/// matter which threads performed them.
+/// occupancy). Balanced add/sub sequences return it to where it started
+/// no matter which threads performed them.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<StripedI64>);
+pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
     /// A fresh, unregistered gauge.
@@ -159,34 +87,31 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Sets the level. Only exact when no `add`/`sub` races it — use it
-    /// at quiesce points; prefer delta updates on concurrent paths.
+    /// Sets the level.
     pub fn set(&self, v: i64) {
-        self.0.set(v);
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Moves the level up by `n`.
     pub fn add(&self, n: i64) {
-        self.0.add(n);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Moves the level down by `n`.
     pub fn sub(&self, n: i64) {
-        // Wrapping negation matches the old fetch_sub semantics at the
-        // i64::MIN edge.
-        self.0.add(n.wrapping_neg());
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
-    /// Current level (folds the per-worker stripes; exact).
+    /// Current level.
     #[must_use]
     pub fn get(&self) -> i64 {
-        self.0.sum()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// An accumulator of virtual time, striped like [`Counter`].
+/// An accumulator of virtual time.
 #[derive(Debug, Clone, Default)]
-pub struct TimeCounter(Arc<StripedU64>);
+pub struct TimeCounter(Arc<AtomicU64>);
 
 impl TimeCounter {
     /// A fresh, unregistered time counter.
@@ -195,18 +120,18 @@ impl TimeCounter {
         TimeCounter::default()
     }
 
-    /// Accumulates a duration (saturating).
+    /// Accumulates a duration.
     pub fn add(&self, d: VirtualNanos) {
-        // A relaxed striped add is fine because the only way to overflow
-        // u64 nanoseconds is a pre-saturated input, which VirtualNanos
+        // A wrapping add is fine because the only way to overflow u64
+        // nanoseconds is a pre-saturated input, which VirtualNanos
         // arithmetic already flags upstream.
-        self.0.add(d.as_nanos());
+        self.0.fetch_add(d.as_nanos(), Ordering::Relaxed);
     }
 
-    /// Accumulated total (folds the per-worker stripes; exact).
+    /// Accumulated total.
     #[must_use]
     pub fn get(&self) -> VirtualNanos {
-        VirtualNanos::from_nanos(self.0.sum())
+        VirtualNanos::from_nanos(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -462,7 +387,7 @@ impl MetricsSnapshot {
 /// Looking up an existing handle takes a read lock (shared, so concurrent
 /// workers resolving handles don't serialize); only the *first* creation
 /// of a name takes the write lock. Recording through a handle is a single
-/// uncontended striped atomic. Names are dot-separated paths
+/// atomic operation. Names are dot-separated paths
 /// (`"frontend.prefetch.hits"`). Re-requesting a name returns a handle to
 /// the same cell.
 ///
@@ -541,8 +466,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Copies every registered metric into an ordered snapshot, folding
-    /// each instrument's per-worker stripes into its exact total.
+    /// Copies every registered metric into an ordered snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.read();
@@ -822,14 +746,14 @@ mod tests {
     }
 
     #[test]
-    fn striped_totals_fold_exactly_across_threads() {
-        // The closed-form oracle for the striped cells: T threads each add
-        // K ones to a counter, K nanos to a time counter, and a balanced
-        // +1/-1 pair to a gauge. Totals must fold to exactly T*K / T*K / 0
-        // regardless of which stripe each thread landed on.
+    fn totals_are_exact_across_threads() {
+        // T threads each add K ones to a counter, K nanos to a time
+        // counter, and a balanced +1/-1 pair to a gauge preset to 5.
         let c = Counter::new();
         let t = TimeCounter::new();
         let g = Gauge::new();
+        g.add(7);
+        g.set(5);
         const T: usize = 16;
         const K: u64 = 1000;
         std::thread::scope(|s| {
@@ -847,17 +771,7 @@ mod tests {
         });
         assert_eq!(c.get(), T as u64 * K);
         assert_eq!(t.get().as_nanos(), T as u64 * K);
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn gauge_set_overrides_folded_level() {
-        let g = Gauge::new();
-        g.add(7);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-        g.set(-1);
-        assert_eq!(g.get(), -1);
+        assert_eq!(g.get(), 5);
     }
 
     #[test]

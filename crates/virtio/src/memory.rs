@@ -388,32 +388,23 @@ impl GuestMemory {
     /// [`VirtioError::OutOfPages`] if no contiguous run of `n` pages exists.
     pub fn alloc_contiguous(&self, n: usize) -> Result<Gpa, VirtioError> {
         let mut alloc = self.inner.allocator.lock();
-        let free: Vec<u64> = alloc.free.iter().copied().collect();
-        let mut run_start = 0usize;
-        let mut run_len = 0usize;
-        for (i, &p) in free.iter().enumerate() {
-            if run_len == 0 || p == free[i - 1] + 1 {
-                if run_len == 0 {
-                    run_start = i;
-                }
-                run_len += 1;
-                if run_len == n {
-                    let pages: Vec<u64> = free[run_start..=i].to_vec();
-                    for p in &pages {
-                        alloc.free.remove(p);
-                    }
-                    return Ok(Gpa(pages[0] * PAGE_SIZE));
-                }
+        // First fit: the lowest-addressed run of `n` consecutive free pages.
+        let (mut start, mut len) = (0u64, 0usize);
+        let found = alloc.free.iter().any(|&p| {
+            if len > 0 && p == start + len as u64 {
+                len += 1;
             } else {
-                run_start = i;
-                run_len = 1;
-                if run_len == n {
-                    alloc.free.remove(&p);
-                    return Ok(Gpa(p * PAGE_SIZE));
-                }
+                (start, len) = (p, 1);
             }
+            len == n
+        });
+        if !found {
+            return Err(VirtioError::OutOfPages { requested: n, free: alloc.free.len() });
         }
-        Err(VirtioError::OutOfPages { requested: n, free: alloc.free.len() })
+        for p in start..start + n as u64 {
+            alloc.free.remove(&p);
+        }
+        Ok(Gpa(start * PAGE_SIZE))
     }
 
     /// Returns pages to the allocator.
@@ -626,6 +617,56 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             prop_assert_eq!(sorted.len(), held.len());
+        }
+
+        /// `alloc_contiguous(n)` is first fit over a naive page map: it
+        /// returns the lowest `start` with `start..start + n` all free,
+        /// takes exactly those pages, and fails iff no such run exists.
+        #[test]
+        fn contiguous_allocation_is_lowest_address_first_fit(
+            ops in proptest::collection::vec((0u8..3, 0usize..6, 0usize..32), 1..60),
+        ) {
+            const PAGES: usize = 32;
+            let mem = GuestMemory::new(PAGES as u64 * PAGE_SIZE);
+            let mut free = [true; PAGES];
+            for (op, n, at) in ops {
+                match op {
+                    0 => {
+                        let want = (0..=PAGES - n)
+                            .find(|&s| n > 0 && free[s..s + n].iter().all(|f| *f));
+                        match (mem.alloc_contiguous(n), want) {
+                            (Ok(base), Some(start)) => {
+                                prop_assert_eq!(base, Gpa(start as u64 * PAGE_SIZE));
+                                free[start..start + n].fill(false);
+                            }
+                            (Err(VirtioError::OutOfPages { requested, free: left }), None) => {
+                                prop_assert_eq!(requested, n);
+                                prop_assert_eq!(left, free.iter().filter(|f| **f).count());
+                            }
+                            (got, want) => {
+                                return Err(TestCaseError::fail(format!(
+                                    "alloc_contiguous({n}) = {got:?}, model expects {want:?}"
+                                )));
+                            }
+                        }
+                    }
+                    1 => {
+                        // Scattered allocation punches holes from the low end.
+                        if let Ok(pages) = mem.alloc_pages(n) {
+                            for g in pages {
+                                prop_assert!(std::mem::replace(&mut free[g.page() as usize], false));
+                            }
+                        }
+                    }
+                    _ => {
+                        // A double free is rejected and changes nothing.
+                        let freed = mem.free_pages_back(&[Gpa(at as u64 * PAGE_SIZE)]);
+                        prop_assert_eq!(freed.is_ok(), !free[at]);
+                        free[at] = true;
+                    }
+                }
+                prop_assert_eq!(mem.free_pages(), free.iter().filter(|f| **f).count());
+            }
         }
     }
 }

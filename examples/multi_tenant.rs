@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
@@ -42,7 +42,7 @@ fn main() {
     native_app.write_dpu(0, 0, b"native tenant data").expect("native write");
 
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
-    std::thread::sleep(Duration::from_millis(100)); // observer notices the native claim
+    sys.sync_ranks(); // the sweep the observer runs: notices the native claim
     println!("after native app claim:   {}", states(&sys));
 
     // Two VMs book ranks through the manager.
@@ -60,11 +60,8 @@ fn main() {
 
     // The manager's observer detects the release (no RPC from the VM!),
     // resets the content, and brings the rank back to NAAV.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while sys.manager().rank_states()[a_rank] != RankState::Naav {
-        assert!(Instant::now() < deadline, "rank was never recycled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let recycled = sys.manager().wait_for_state(a_rank, RankState::Naav, Duration::from_secs(5));
+    assert!(recycled, "rank was never recycled");
     println!("after tenant A released:  {}", states(&sys));
 
     // The next tenant cannot see tenant A's data.

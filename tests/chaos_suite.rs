@@ -10,7 +10,7 @@
 //!     Sequential and Parallel dispatch (injection decisions are derived
 //!     from seeded hashes and virtual time, never wall clock).
 //!
-//! The sweep seed comes from `CHAOS_SEED` (see `ci/chaos-gate.sh`'s
+//! The sweep seed comes from `CHAOS_SEED` (see `make tier1`'s
 //! fixed-seed matrix), so a failing seed reproduces with
 //! `CHAOS_SEED=<n> cargo test --test chaos_suite`.
 

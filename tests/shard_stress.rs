@@ -1,19 +1,18 @@
 //! Multi-threaded churn over the control plane with *exact* end-state
 //! accounting.
 //!
-//! Unlike the differential suite (`control_plane_equivalence.rs`), which
-//! proves the sharded rank table equal to its single-lock oracle
-//! sequentially, this suite hammers the table, the scheduler and the
-//! striped metrics from 8–64 real threads and then checks closed-form
-//! invariants that no interleaving may break:
+//! Unlike the property suite (`rank_table_properties.rs`), which walks the
+//! rank table's state machine sequentially, this suite hammers the table,
+//! the scheduler and the metric cells from 8–64 real threads and then
+//! checks closed-form invariants that no interleaving may break:
 //!
 //! * no rank is lost or double-granted across any interleaving,
-//! * `sched.queue.depth` folds back to exactly 0,
+//! * `sched.queue.depth` returns to exactly 0,
 //! * transition/grant counters match arithmetic over the per-thread tallies,
-//! * striped metric cells fold to exact totals.
+//! * metric cells hold exact totals.
 //!
-//! `SHARD_SEED` (env) varies the per-thread operation mix; `ci/shard-gate.sh`
-//! sweeps it together with `RUST_TEST_THREADS` the way the chaos gate does.
+//! `SHARD_SEED` (env) varies the per-thread operation mix; `make tier1`
+//! sweeps it together with `RUST_TEST_THREADS` the way the chaos leg does.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +27,7 @@ use vpim::manager::{Manager, ManagerConfig, RankState};
 use vpim::sched::{empty_slot, Scheduler};
 use vpim::SchedSection;
 
-/// The interleaving seed: swept by `ci/shard-gate.sh`, defaulting to a
+/// The interleaving seed: swept by `make tier1`, defaulting to a
 /// fixed value so a bare `cargo test` stays reproducible.
 fn shard_seed() -> u64 {
     std::env::var("SHARD_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5eed)
@@ -54,8 +53,7 @@ fn driver(ranks: usize) -> Arc<UpmemDriver> {
     Arc::new(UpmemDriver::new(PimMachine::new(cfg)))
 }
 
-/// `threads` workers churn alloc → (maybe ckpt) → recycle on one sharded
-/// table. End state: every rank NAAV, nothing lost, nothing double-granted,
+/// `threads` workers churn alloc → (maybe ckpt) → recycle on one table. End state: every rank NAAV, nothing lost, nothing double-granted,
 /// and the transition counter equals its closed form
 /// `2·allocs + ckpts` (each alloc is one edge, each recycle one, each
 /// checkpoint one).
@@ -102,7 +100,7 @@ fn table_churn(threads: usize, rounds: usize) {
     for w in workers {
         w.join().unwrap();
     }
-    // No rank lost: all 8 come back NAAV and the lock-free view agrees.
+    // No rank lost: all 8 come back NAAV.
     let states = table.states();
     assert_eq!(states.len(), 8);
     for (r, s) in states.iter().enumerate() {
@@ -137,7 +135,7 @@ fn table_churn_64_threads_loses_no_ranks() {
 /// scheduler (grants, preemptions, checkpoint park/restore, voluntary
 /// releases racing). Afterwards the accounting must be *exact*: the
 /// `sched.grants` counter equals the threads' own success tally, the
-/// queue-depth gauge folds to 0, and no lease or parked state survives.
+/// queue-depth gauge is back at 0, and no lease or parked state survives.
 #[test]
 fn oversubscribed_churn_settles_queue_depth_and_grants() {
     const TENANTS: usize = 8;
@@ -225,25 +223,33 @@ fn oversubscribed_churn_settles_queue_depth_and_grants() {
     mgr.shutdown();
 }
 
-/// Striped metric cells fold to exact closed-form totals no matter which
-/// threads performed the updates (the tentpole's telemetry leg).
+/// Metric cells hold exact closed-form totals no matter which threads
+/// performed the updates — including a gauge `set` to a level before the
+/// threads move it both ways.
 #[test]
-fn striped_metrics_fold_to_closed_forms() {
+fn metrics_hold_closed_form_totals() {
     const THREADS: usize = 16;
     const PER_THREAD: u64 = 10_000;
+    const LEVEL: i64 = 41;
     let registry = MetricsRegistry::new();
     let counter = registry.counter("stress.count");
     let gauge = registry.gauge("stress.level");
     let time = registry.time("stress.time");
     let hist = registry.histogram("stress.hist");
+    let preset = registry.gauge("stress.preset");
+    preset.add(7);
+    preset.set(LEVEL);
     let workers: Vec<_> = (0..THREADS)
         .map(|_| {
             let (c, g, t, h) = (counter.clone(), gauge.clone(), time.clone(), hist.clone());
+            let p = preset.clone();
             std::thread::spawn(move || {
                 for _ in 0..PER_THREAD {
                     c.inc();
                     g.add(3);
                     g.sub(3);
+                    p.add(2);
+                    p.sub(1);
                     t.add(VirtualNanos::from_nanos(2));
                     h.record(VirtualNanos::from_nanos(1));
                 }
@@ -255,7 +261,8 @@ fn striped_metrics_fold_to_closed_forms() {
     }
     let n = THREADS as u64 * PER_THREAD;
     assert_eq!(counter.get(), n);
-    assert_eq!(gauge.get(), 0, "balanced add/sub must fold to zero across threads");
+    assert_eq!(gauge.get(), 0, "balanced add/sub must return to zero across threads");
+    assert_eq!(preset.get(), LEVEL + n as i64, "a set level is the base the deltas move");
     assert_eq!(time.get(), VirtualNanos::from_nanos(2 * n));
     assert_eq!(hist.count(), n);
     let snap = registry.snapshot();
