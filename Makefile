@@ -40,7 +40,7 @@ build:
 	cargo build --offline --workspace
 
 test:
-	cargo test --offline -q
+	cargo test --release --offline -q --workspace
 
 # Regenerate the paper's tables and figures (quick scale).
 figures:

@@ -13,7 +13,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 offline gate: build (release) =="
 cargo build --release --offline --workspace
 
+# --workspace: the root manifest is a package and a workspace, so a bare
+# `cargo test` runs the root package's suites only.
 echo "== tier-1 offline gate: test =="
-cargo test --offline -q
+cargo test --release --offline -q --workspace
 
 echo "== tier-1 offline gate: OK =="

@@ -255,11 +255,11 @@ impl std::fmt::Display for Variant {
 /// use vpim::{Variant, VpimConfig};
 ///
 /// let full = VpimConfig::full();
-/// assert_eq!(full.variant(), Variant::Vpim);
+/// assert_eq!(full, VpimConfig::variant_config(Variant::Vpim));
 /// let rust = VpimConfig::variant_config(Variant::VpimRust);
 /// assert!(!rust.prefetch_cache);
 /// let custom = VpimConfig::builder().prefetch(false).parallel(false).build();
-/// assert_eq!(custom.variant(), Variant::VpimB);
+/// assert_eq!(custom, VpimConfig::variant_config(Variant::VpimB));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VpimConfig {
@@ -382,27 +382,6 @@ impl VpimConfigBuilder {
         self
     }
 
-    /// Sets the snapshot-store budget in MiB (0 = unlimited).
-    #[must_use]
-    pub fn park_budget_mib(mut self, mib: u64) -> Self {
-        self.cfg.sched.park_budget_mib = mib;
-        self
-    }
-
-    /// Sets the wall-clock admission timeout in milliseconds.
-    #[must_use]
-    pub fn admission_timeout_ms(mut self, ms: u64) -> Self {
-        self.cfg.sched.admission_timeout_ms = ms;
-        self
-    }
-
-    /// Replaces the whole `sched` section.
-    #[must_use]
-    pub fn sched(mut self, sched: SchedSection) -> Self {
-        self.cfg.sched = sched;
-        self
-    }
-
     /// Enables fault injection with the given seed (the sole randomness
     /// source for probability plans and retry jitter).
     #[must_use]
@@ -430,13 +409,6 @@ impl VpimConfigBuilder {
             .find(|s| s.is_none())
             .expect("all 8 configured fault slots are taken");
         *slot = Some(FaultSpec { site, plan });
-        self
-    }
-
-    /// Replaces the whole `inject` section.
-    #[must_use]
-    pub fn inject(mut self, inject: InjectSection) -> Self {
-        self.cfg.inject = inject;
         self
     }
 
@@ -499,27 +471,6 @@ impl VpimConfig {
         .build()
     }
 
-    /// The Table 2 variant this configuration corresponds to (closest named
-    /// row; exact for configurations produced by [`variant_config`]).
-    ///
-    /// [`variant_config`]: VpimConfig::variant_config
-    #[must_use]
-    pub fn variant(&self) -> Variant {
-        match (
-            self.data_path,
-            self.prefetch_cache,
-            self.request_batching,
-            self.parallel_handling,
-        ) {
-            (DataPath::Scalar, _, _, _) => Variant::VpimRust,
-            (_, false, false, _) => Variant::VpimC,
-            (_, true, false, _) => Variant::VpimP,
-            (_, false, true, _) => Variant::VpimB,
-            (_, true, true, false) => Variant::VpimPB,
-            (_, true, true, true) => Variant::Vpim,
-        }
-    }
-
     /// Prefetch cache capacity in bytes per DPU.
     #[must_use]
     pub fn prefetch_bytes(&self) -> u64 {
@@ -571,17 +522,6 @@ mod tests {
             assert_eq!(cfg.prefetch_cache, p, "{v}");
             assert_eq!(cfg.request_batching, b, "{v}");
             assert_eq!(cfg.parallel_handling, par, "{v}");
-        }
-    }
-
-    #[test]
-    fn variant_roundtrip_except_seq_alias() {
-        for v in Variant::ALL {
-            let back = VpimConfig::variant_config(v).variant();
-            // vPIM-Seq and vPIM+PB share the same flag set (Table 2);
-            // the canonical name for that set is VpimPB.
-            let expect = if v == Variant::VpimSeq { Variant::VpimPB } else { v };
-            assert_eq!(back, expect);
         }
     }
 
@@ -680,7 +620,10 @@ mod tests {
         assert!(cfg.adapt.enabled);
         // Flag-wise this is still the full variant: adapt tunes the data
         // path, it does not change which Table 2 row we are on.
-        assert_eq!(cfg.variant(), Variant::Vpim);
+        assert_eq!(
+            VpimConfig { adapt: AdaptSection::default(), ..cfg },
+            VpimConfig::full()
+        );
     }
 
     #[test]
@@ -698,16 +641,9 @@ mod tests {
             .oversubscription(true)
             .sched_policy(crate::sched::SchedPolicy::WeightedFair)
             .sched_quantum_ms(7)
-            .park_budget_mib(32)
-            .admission_timeout_ms(1_500)
             .build();
         assert!(cfg.sched.oversubscription);
         assert_eq!(cfg.sched.policy, crate::sched::SchedPolicy::WeightedFair);
         assert_eq!(cfg.sched.quantum_ms, 7);
-        assert_eq!(cfg.sched.park_budget_mib, 32);
-        assert_eq!(cfg.sched.admission_timeout_ms, 1_500);
-        // Whole-section replacement wins over the defaults too.
-        let section = SchedSection { oversubscription: true, ..SchedSection::default() };
-        assert_eq!(VpimConfig::builder().sched(section).build().sched, section);
     }
 }

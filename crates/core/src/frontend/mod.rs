@@ -45,8 +45,10 @@ pub const SMALL_WRITE_MAX: u64 = 4096;
 
 /// Chunks the synchronous calls keep in flight. One, as they always have:
 /// the batch buffer drains overlapping small writes in arrival order and
-/// relies on chunk *k* reaching the rank before chunk *k + 1*, which
-/// concurrent handlers under parallel dispatch do not promise.
+/// relies on chunk *k* reaching the rank before chunk *k + 1*. A device's
+/// lane keeps kick order, but a one-device VM has no lane: its handlers
+/// run on the kicking threads, and several guest threads sharing the
+/// frontend still run them concurrently.
 const SYNC_WINDOW: usize = 1;
 
 #[derive(Debug)]
@@ -498,9 +500,10 @@ impl Frontend {
     }
 
     /// Submits one request chain and kicks the device, without waiting for
-    /// completion. In sequential dispatch the handler runs inline during
-    /// the kick; in parallel dispatch it runs on the VMM's worker pool and
-    /// the returned op is genuinely in flight.
+    /// completion. In sequential dispatch, and in a one-device VM, the
+    /// handler runs inline during the kick; in parallel dispatch with
+    /// several devices it runs on this device's lane and the returned op
+    /// is genuinely in flight.
     fn submit(&self, req: &Request, extra: &[(Gpa, u32, bool)]) -> Result<PendingOp, VpimError> {
         let pages = self.mem.alloc_pages(2)?;
         let (req_page, status_page) = (pages[0], pages[1]);
@@ -715,8 +718,9 @@ impl Frontend {
     /// transfers across several ranks: begin on every channel first, then
     /// finish them all. Small writes are absorbed by the batch buffer when
     /// batching is enabled, returning an op with nothing left in flight. In
-    /// `DispatchMode::Sequential` the device handler runs inline during
-    /// begin; begin + finish is byte- and report-identical to
+    /// `DispatchMode::Sequential`, and in a one-device VM (nothing to
+    /// overlap with), the device handler runs inline during begin; begin +
+    /// finish is byte- and report-identical to
     /// [`write_rank`](Self::write_rank) in either mode.
     ///
     /// Bounce pages and virtqueue slots are bounded: when submitting a

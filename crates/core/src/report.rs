@@ -2,14 +2,13 @@
 //!
 //! Every vPIM operation returns an [`OpReport`] describing its virtual-time
 //! cost, its guest↔VMM message count, and its contribution to the paper's
-//! write-step breakdown (Fig. 13). Since the telemetry redesign the report
-//! is a thin view over a [`simkit::MetricSet`]: every quantity lives under a
-//! stable metric name, so reports can be merged, folded into a
-//! [`simkit::Timeline`], or published into a [`simkit::MetricsRegistry`]
-//! without per-field plumbing. The SDK folds reports into a timeline; the
-//! figure harness reads the registry.
+//! write-step breakdown (Fig. 13). The key set is closed, so the report is
+//! a plain struct — four scalars and one time per [`WriteStep`] — that can
+//! be merged, folded into a [`simkit::Timeline`], or published into a
+//! [`simkit::MetricsRegistry`] under stable metric names. The SDK folds
+//! reports into a timeline; the figure harness reads the registry.
 
-use simkit::{MetricSet, MetricsRegistry, VirtualNanos, WriteStep};
+use simkit::{MetricsRegistry, VirtualNanos, WriteStep};
 
 /// Metric name for the end-to-end operation duration.
 pub const METRIC_DURATION: &str = "op.duration";
@@ -22,13 +21,16 @@ pub const METRIC_RANK_OPS: &str = "op.rank_ops";
 
 /// The cost accounting of one vPIM (or native) operation.
 ///
-/// A thin view over a [`MetricSet`]: the duration, message count, rank-op
-/// count, DDR share, and Fig. 13 write-step contributions are all metric
-/// entries; only quantities with non-additive merge semantics (the max-of
-/// `launch_cycles`, the positional `per_rank` offsets) stay as plain fields.
+/// The duration, message count, rank-op count, DDR share and Fig. 13
+/// write-step contributions add under [`absorb`](Self::absorb); the
+/// max-of `launch_cycles` and the positional `per_rank` offsets do not.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OpReport {
-    metrics: MetricSet,
+    duration: VirtualNanos,
+    ddr: VirtualNanos,
+    messages: u64,
+    rank_ops: u64,
+    steps: [VirtualNanos; WriteStep::ALL.len()],
     launch_cycles: u64,
     per_rank: Vec<(usize, VirtualNanos)>,
 }
@@ -37,9 +39,7 @@ impl OpReport {
     /// A report with only a duration.
     #[must_use]
     pub fn of(duration: VirtualNanos) -> Self {
-        let mut r = OpReport::default();
-        r.add_duration(duration);
-        r
+        OpReport { duration, ..OpReport::default() }
     }
 
     // ------------------------------------------------------------- reading
@@ -48,20 +48,20 @@ impl OpReport {
     /// caller (guest application).
     #[must_use]
     pub fn duration(&self) -> VirtualNanos {
-        self.metrics.get_time(METRIC_DURATION)
+        self.duration
     }
 
     /// Guest↔VMM message exchanges this operation performed (0 when served
     /// from the prefetch cache or absorbed by the batch buffer).
     #[must_use]
     pub fn messages(&self) -> u64 {
-        self.metrics.get_count(METRIC_MESSAGES)
+        self.messages
     }
 
     /// Hardware rank operations issued.
     #[must_use]
     pub fn rank_ops(&self) -> u64 {
-        self.metrics.get_count(METRIC_RANK_OPS)
+        self.rank_ops
     }
 
     /// The portion of the duration that occupies the shared DDR bus (rank
@@ -69,7 +69,7 @@ impl OpReport {
     /// *except* this part — the ranks share one memory controller.
     #[must_use]
     pub fn ddr(&self) -> VirtualNanos {
-        self.metrics.get_time(METRIC_DDR)
+        self.ddr
     }
 
     /// For launches: the slowest DPU's cycle count.
@@ -91,62 +91,54 @@ impl OpReport {
     pub fn steps(&self) -> Vec<(WriteStep, VirtualNanos)> {
         WriteStep::ALL
             .iter()
-            .filter_map(|&s| {
-                let d = self.metrics.get_time(s.metric_name());
-                (d > VirtualNanos::ZERO).then_some((s, d))
-            })
+            .map(|&s| (s, self.steps[s as usize]))
+            .filter(|&(_, d)| d > VirtualNanos::ZERO)
             .collect()
-    }
-
-    /// The backing metric set.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricSet {
-        &self.metrics
     }
 
     // ------------------------------------------------------------ recording
 
     /// Adds a write-step contribution and extends the duration.
     pub fn step(&mut self, step: WriteStep, d: VirtualNanos) {
-        self.metrics.charge(step.metric_name(), d);
+        self.step_only(step, d);
         self.add_duration(d);
     }
 
     /// Records a write-step contribution without extending the duration
     /// (used when the duration is composed separately).
     pub fn step_only(&mut self, step: WriteStep, d: VirtualNanos) {
-        self.metrics.charge(step.metric_name(), d);
+        self.steps[step as usize] += d;
     }
 
     /// Extends the duration.
     pub fn add_duration(&mut self, d: VirtualNanos) {
-        self.metrics.charge(METRIC_DURATION, d);
+        self.duration += d;
     }
 
     /// Overwrites the duration (parallel composition picks a maximum
     /// rather than a sum).
     pub fn set_duration(&mut self, d: VirtualNanos) {
-        self.metrics.set_time(METRIC_DURATION, d);
+        self.duration = d;
     }
 
     /// Records message exchanges.
     pub fn add_messages(&mut self, n: u64) {
-        self.metrics.count(METRIC_MESSAGES, n);
+        self.messages += n;
     }
 
     /// Records rank operations.
     pub fn add_rank_ops(&mut self, n: u64) {
-        self.metrics.count(METRIC_RANK_OPS, n);
+        self.rank_ops += n;
     }
 
     /// Extends the DDR-bus share of the duration.
     pub fn add_ddr(&mut self, d: VirtualNanos) {
-        self.metrics.charge(METRIC_DDR, d);
+        self.ddr += d;
     }
 
     /// Overwrites the DDR-bus share.
     pub fn set_ddr(&mut self, d: VirtualNanos) {
-        self.metrics.set_time(METRIC_DDR, d);
+        self.ddr = d;
     }
 
     /// Records the slowest DPU's cycle count for a launch.
@@ -163,20 +155,22 @@ impl OpReport {
     /// and times add; `launch_cycles` takes the maximum (the slowest DPU
     /// bounds the launch); `per_rank` keeps this report's offsets.
     pub fn absorb(&mut self, other: &OpReport) {
-        self.metrics.merge(&other.metrics);
+        self.duration += other.duration;
+        self.ddr += other.ddr;
+        self.messages += other.messages;
+        self.rank_ops += other.rank_ops;
+        self.steps.iter_mut().zip(&other.steps).for_each(|(a, b)| *a += *b);
         self.launch_cycles = self.launch_cycles.max(other.launch_cycles);
     }
 
-    /// Publishes this report's metrics into `registry`, prefixing every
-    /// name with `prefix.`.
+    /// Publishes this report's non-zero metrics into `registry`, prefixing
+    /// every name with `prefix.`.
     pub fn flush_into(&self, registry: &MetricsRegistry, prefix: &str) {
-        self.metrics.flush_into(registry, prefix);
-    }
-}
-
-impl From<OpReport> for MetricSet {
-    fn from(r: OpReport) -> Self {
-        r.metrics
+        let times = [(METRIC_DURATION, self.duration), (METRIC_DDR, self.ddr)]
+            .into_iter()
+            .chain(WriteStep::ALL.iter().map(|&s| (s.metric_name(), self.steps[s as usize])));
+        let counts = [(METRIC_MESSAGES, self.messages), (METRIC_RANK_OPS, self.rank_ops)];
+        registry.publish(prefix, counts, times);
     }
 }
 

@@ -61,8 +61,7 @@ pub use pool::{BytePool, PoolGuard};
 pub use retry::{RetryBudget, RetryMetrics, RetryPolicy, TimeoutClass};
 pub use rng::SimRng;
 pub use telemetry::{
-    Counter, Gauge, MetricSet, MetricValue, MetricsRegistry, MetricsSnapshot, TimeCounter,
-    VtHistogram,
+    Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot, TimeCounter, VtHistogram,
 };
 pub use time::VirtualNanos;
 pub use timeline::{AppSegment, DriverSegment, Timeline, WriteStep};

@@ -14,10 +14,9 @@
 //!   instruments. Handles are `Arc`-backed clones of the registered slot,
 //!   so a component can keep a hot local handle and the registry still sees
 //!   every update. A counter, gauge or time counter is one atomic cell.
-//! * [`MetricSet`] — a small, *unshared* bag of named counts and virtual
-//!   times. Per-operation reports ([`crate::Timeline`], the core crate's
-//!   `OpReport`) are thin views over a `MetricSet`; `flush_into` publishes
-//!   a set into a registry in one call.
+//! * [`MetricsRegistry::publish`] — how a finished per-operation report
+//!   ([`crate::Timeline`], the core crate's `OpReport`: plain structs of
+//!   scalars and per-segment arrays) lands in a registry in one call.
 //!
 //! # Example
 //!
@@ -495,107 +494,16 @@ impl MetricsRegistry {
     pub fn names(&self) -> Vec<String> {
         self.slots.read().keys().cloned().collect()
     }
-}
 
-/// A small, unshared bag of named counts and virtual times — the storage
-/// behind per-operation reports.
-///
-/// Unlike [`MetricsRegistry`] handles, a `MetricSet` is plain data: cheap
-/// to create per operation, cloneable, mergeable, and comparable in tests.
-/// [`Self::flush_into`] publishes it into a registry (counts into
-/// counters, times into time counters) in one call.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricSet {
-    counts: BTreeMap<String, u64>,
-    times: BTreeMap<String, VirtualNanos>,
-}
-
-impl MetricSet {
-    /// An empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricSet::default()
-    }
-
-    /// Adds `n` to the count named `name`.
-    pub fn count(&mut self, name: &str, n: u64) {
-        if n != 0 {
-            *self.counts.entry(name.to_string()).or_insert(0) += n;
-        }
-    }
-
-    /// Adds `d` to the time named `name`.
-    pub fn charge(&mut self, name: &str, d: VirtualNanos) {
-        if d > VirtualNanos::ZERO {
-            let slot = self.times.entry(name.to_string()).or_insert(VirtualNanos::ZERO);
-            *slot += d;
-        }
-    }
-
-    /// Sets the time named `name` (overwrites).
-    pub fn set_time(&mut self, name: &str, d: VirtualNanos) {
-        if d == VirtualNanos::ZERO {
-            self.times.remove(name);
-        } else {
-            self.times.insert(name.to_string(), d);
-        }
-    }
-
-    /// The count named `name` (0 when absent).
-    #[must_use]
-    pub fn get_count(&self, name: &str) -> u64 {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// The time named `name` (zero when absent).
-    #[must_use]
-    pub fn get_time(&self, name: &str) -> VirtualNanos {
-        self.times.get(name).copied().unwrap_or(VirtualNanos::ZERO)
-    }
-
-    /// Accumulates every count and time of `other` into `self`.
-    pub fn merge(&mut self, other: &MetricSet) {
-        for (name, n) in &other.counts {
-            *self.counts.entry(name.clone()).or_insert(0) += n;
-        }
-        for (name, d) in &other.times {
-            let slot = self.times.entry(name.clone()).or_insert(VirtualNanos::ZERO);
-            *slot += *d;
-        }
-    }
-
-    /// Iterates counts in name order.
-    pub fn counts(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Iterates times in name order.
-    pub fn times(&self) -> impl Iterator<Item = (&str, VirtualNanos)> {
-        self.times.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Sum of the times under a dot-separated `prefix` (or the exact name).
-    #[must_use]
-    pub fn time_under(&self, prefix: &str) -> VirtualNanos {
-        self.times
-            .iter()
-            .filter(|(name, _)| {
-                name.strip_prefix(prefix)
-                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
-            })
-            .map(|(_, d)| *d)
-            .sum()
-    }
-
-    /// True when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty() && self.times.is_empty()
-    }
-
-    /// Publishes every count and time into `registry`, optionally under a
-    /// dotted `prefix`.
-    pub fn flush_into(&self, registry: &MetricsRegistry, prefix: &str) {
+    /// Publishes a finished report: adds every count (into counters) and
+    /// time (into time counters) under `{prefix}.{name}`, or `name` alone
+    /// when `prefix` is empty. A zero entry registers no name.
+    pub fn publish<'a>(
+        &self,
+        prefix: &str,
+        counts: impl IntoIterator<Item = (&'a str, u64)>,
+        times: impl IntoIterator<Item = (&'a str, VirtualNanos)>,
+    ) {
         let full = |name: &str| {
             if prefix.is_empty() {
                 name.to_string()
@@ -603,14 +511,19 @@ impl MetricSet {
                 format!("{prefix}.{name}")
             }
         };
-        for (name, n) in &self.counts {
-            registry.counter(&full(name)).add(*n);
+        for (name, n) in counts {
+            if n != 0 {
+                self.counter(&full(name)).add(n);
+            }
         }
-        for (name, d) in &self.times {
-            registry.time(&full(name)).add(*d);
+        for (name, d) in times {
+            if d > VirtualNanos::ZERO {
+                self.time(&full(name)).add(d);
+            }
         }
     }
 }
+
 
 #[cfg(test)]
 mod tests {
@@ -711,38 +624,6 @@ mod tests {
         let snap = reg.snapshot();
         let under: Vec<_> = snap.with_prefix("frontend.batch").map(|(n, _)| n).collect();
         assert_eq!(under, vec!["frontend.batch.flush", "frontend.batch.merges"]);
-    }
-
-    #[test]
-    fn metric_set_records_merges_and_flushes() {
-        let mut a = MetricSet::new();
-        a.count("messages", 2);
-        a.charge("write.ser", VirtualNanos::from_nanos(100));
-        let mut b = MetricSet::new();
-        b.count("messages", 1);
-        b.charge("write.ser", VirtualNanos::from_nanos(50));
-        b.charge("write.page", VirtualNanos::from_nanos(7));
-        a.merge(&b);
-        assert_eq!(a.get_count("messages"), 3);
-        assert_eq!(a.get_time("write.ser").as_nanos(), 150);
-        assert_eq!(a.time_under("write").as_nanos(), 157);
-
-        let reg = MetricsRegistry::new();
-        a.flush_into(&reg, "op");
-        let snap = reg.snapshot();
-        assert_eq!(snap.count("op.messages"), 3);
-        assert_eq!(snap.time("op.write.page").as_nanos(), 7);
-    }
-
-    #[test]
-    fn metric_set_zero_entries_are_not_stored() {
-        let mut s = MetricSet::new();
-        s.count("a", 0);
-        s.charge("b", VirtualNanos::ZERO);
-        assert!(s.is_empty());
-        s.set_time("d", VirtualNanos::from_nanos(1));
-        s.set_time("d", VirtualNanos::ZERO);
-        assert!(s.is_empty());
     }
 
     #[test]

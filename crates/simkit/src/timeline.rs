@@ -15,7 +15,7 @@ use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::telemetry::{MetricSet, MetricsRegistry};
+use crate::telemetry::MetricsRegistry;
 use crate::time::VirtualNanos;
 
 /// Application-centric segment of an UPMEM program's execution.
@@ -168,15 +168,14 @@ impl fmt::Display for WriteStep {
     }
 }
 
-/// A segmented virtual-time accumulator for one benchmark run — a typed
-/// view over a [`MetricSet`].
+/// A segmented virtual-time accumulator for one benchmark run.
 ///
 /// Both of the paper's breakdowns plus message counters are tracked so a
 /// single run can be rendered as Fig. 8-style (application) or Fig. 12/13
-/// style (driver) output. Every charge lands in the underlying metric set
-/// under the segment's [`AppSegment::metric_name`] (and friends), so a
-/// timeline can be published into a [`MetricsRegistry`] wholesale with
-/// [`Timeline::flush_into`] and queried back by name.
+/// style (driver) output. The key set is closed, so the storage is one
+/// array per breakdown, indexed by the segment; [`Timeline::flush_into`]
+/// publishes a timeline into a [`MetricsRegistry`] wholesale under each
+/// segment's [`AppSegment::metric_name`] (and friends).
 ///
 /// # Example
 ///
@@ -188,11 +187,14 @@ impl fmt::Display for WriteStep {
 /// tl.count_message();
 /// assert_eq!(tl.app(AppSegment::Dpu).as_millis(), 2);
 /// assert_eq!(tl.messages(), 1);
-/// assert_eq!(tl.metrics().get_time("app.dpu").as_millis(), 2);
 /// ```
 #[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Timeline {
-    metrics: MetricSet,
+    app: [VirtualNanos; AppSegment::ALL.len()],
+    driver: [VirtualNanos; DriverSegment::ALL.len()],
+    write: [VirtualNanos; WriteStep::ALL.len()],
+    messages: u64,
+    rank_ops: u64,
 }
 
 /// Metric name of the guest↔VMM message exchange count.
@@ -209,98 +211,92 @@ impl Timeline {
 
     /// Adds `d` to an application-centric segment.
     pub fn charge_app(&mut self, seg: AppSegment, d: VirtualNanos) {
-        self.metrics.charge(seg.metric_name(), d);
+        self.app[seg as usize] += d;
     }
 
     /// Adds `d` to a driver-centric segment.
     pub fn charge_driver(&mut self, seg: DriverSegment, d: VirtualNanos) {
-        self.metrics.charge(seg.metric_name(), d);
+        self.driver[seg as usize] += d;
     }
 
     /// Adds `d` to a `write-to-rank` step.
     pub fn charge_write_step(&mut self, step: WriteStep, d: VirtualNanos) {
-        self.metrics.charge(step.metric_name(), d);
+        self.write[step as usize] += d;
     }
 
     /// Records one guest↔VMM message exchange.
     pub fn count_message(&mut self) {
-        self.metrics.count(METRIC_MESSAGES, 1);
+        self.messages += 1;
     }
 
     /// Records `n` guest↔VMM message exchanges.
     pub fn add_messages(&mut self, n: u64) {
-        self.metrics.count(METRIC_MESSAGES, n);
+        self.messages += n;
     }
 
     /// Records `n` rank operations.
     pub fn add_rank_ops(&mut self, n: u64) {
-        self.metrics.count(METRIC_RANK_OPS, n);
+        self.rank_ops += n;
     }
 
     /// Accumulated time in one application-centric segment.
     #[must_use]
     pub fn app(&self, seg: AppSegment) -> VirtualNanos {
-        self.metrics.get_time(seg.metric_name())
+        self.app[seg as usize]
     }
 
     /// Accumulated time in one driver-centric segment.
     #[must_use]
     pub fn driver(&self, seg: DriverSegment) -> VirtualNanos {
-        self.metrics.get_time(seg.metric_name())
+        self.driver[seg as usize]
     }
 
     /// Accumulated time in one `write-to-rank` step.
     #[must_use]
     pub fn write_step(&self, step: WriteStep) -> VirtualNanos {
-        self.metrics.get_time(step.metric_name())
+        self.write[step as usize]
     }
 
     /// Total over the application-centric segments — the paper's headline
     /// "execution time".
     #[must_use]
     pub fn app_total(&self) -> VirtualNanos {
-        self.metrics.time_under("app")
+        self.app.iter().copied().sum()
     }
 
     /// Number of guest↔VMM message exchanges recorded.
     #[must_use]
     pub fn messages(&self) -> u64 {
-        self.metrics.get_count(METRIC_MESSAGES)
+        self.messages
     }
 
     /// Number of rank operations recorded.
     #[must_use]
     pub fn rank_ops(&self) -> u64 {
-        self.metrics.get_count(METRIC_RANK_OPS)
+        self.rank_ops
     }
 
     /// Merges another timeline into this one (summing every bucket).
     pub fn merge(&mut self, other: &Timeline) {
-        self.metrics.merge(&other.metrics);
+        let sum = |into: &mut [VirtualNanos], from: &[VirtualNanos]| {
+            into.iter_mut().zip(from).for_each(|(a, b)| *a += *b);
+        };
+        sum(&mut self.app, &other.app);
+        sum(&mut self.driver, &other.driver);
+        sum(&mut self.write, &other.write);
+        self.messages += other.messages;
+        self.rank_ops += other.rank_ops;
     }
 
-    /// The underlying metric set.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricSet {
-        &self.metrics
-    }
-
-    /// Consumes the timeline, returning its metric set.
-    #[must_use]
-    pub fn into_metrics(self) -> MetricSet {
-        self.metrics
-    }
-
-    /// Publishes every segment and counter into `registry` under `prefix`
-    /// (pass `""` for none).
+    /// Publishes every non-zero segment and counter into `registry` under
+    /// `prefix` (pass `""` for none).
     pub fn flush_into(&self, registry: &MetricsRegistry, prefix: &str) {
-        self.metrics.flush_into(registry, prefix);
-    }
-}
-
-impl From<Timeline> for MetricSet {
-    fn from(tl: Timeline) -> MetricSet {
-        tl.into_metrics()
+        let app = AppSegment::ALL.iter().map(|&s| (s.metric_name(), self.app(s)));
+        let times = app
+            .chain(DriverSegment::ALL.iter().map(|&s| (s.metric_name(), self.driver(s))))
+            .chain(WriteStep::ALL.iter().map(|&s| (s.metric_name(), self.write_step(s))));
+        let counts = [(METRIC_MESSAGES, self.messages), (METRIC_RANK_OPS, self.rank_ops)];
+        registry.publish(prefix, counts, times);
     }
 }
 
@@ -344,6 +340,25 @@ mod tests {
         assert_eq!(a.app(AppSegment::Dpu).as_nanos(), 7);
         assert_eq!(a.messages(), 2);
         assert_eq!(a.rank_ops(), 1);
+    }
+
+    #[test]
+    fn flush_publishes_non_zero_entries_under_their_metric_names() {
+        let mut tl = Timeline::new();
+        tl.charge_app(AppSegment::Dpu, VirtualNanos::from_nanos(3));
+        tl.charge_driver(DriverSegment::Ci, VirtualNanos::from_nanos(4));
+        tl.charge_write_step(WriteStep::Serialize, VirtualNanos::from_nanos(5));
+        tl.charge_write_step(WriteStep::PageMgmt, VirtualNanos::ZERO);
+        tl.add_messages(2);
+        let reg = MetricsRegistry::new();
+        tl.flush_into(&reg, "");
+        assert_eq!(reg.names(), ["app.dpu", "driver.ci", "messages", "write.serialize"]);
+        tl.flush_into(&reg, "run");
+        let snap = reg.snapshot();
+        assert_eq!(snap.time("run.app.dpu").as_nanos(), 3);
+        assert_eq!(snap.time("run.driver.ci").as_nanos(), 4);
+        assert_eq!(snap.time("write.serialize").as_nanos(), 5);
+        assert_eq!(snap.count("run.messages"), 2);
     }
 
     #[test]

@@ -76,12 +76,10 @@ impl MramBank {
     /// [`SimError::MramOutOfBounds`] if the read exceeds the capacity.
     pub fn read(&self, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
         self.check(offset, dst.len() as u64)?;
-        let start = offset as usize;
-        let resident_end = self.data.len();
-        for (i, d) in dst.iter_mut().enumerate() {
-            let pos = start + i;
-            *d = if pos < resident_end { self.data[pos] } else { 0 };
-        }
+        let start = (offset as usize).min(self.data.len());
+        let resident = (self.data.len() - start).min(dst.len());
+        dst[..resident].copy_from_slice(&self.data[start..start + resident]);
+        dst[resident..].fill(0);
         Ok(())
     }
 
@@ -149,7 +147,18 @@ mod tests {
             bank.write(offset, &data).unwrap();
             let mut back = vec![0u8; data.len()];
             bank.read(offset, &mut back).unwrap();
-            prop_assert_eq!(back, data);
+            prop_assert_eq!(&back, &data);
+
+            // Windows that straddle the high-water mark, and one wholly
+            // above it, read the zero-extended image.
+            let mut model = vec![0u8; 16 << 10];
+            model[offset as usize..][..data.len()].copy_from_slice(&data);
+            let high_water = offset as usize + data.len();
+            for start in [high_water.saturating_sub(7), high_water + 3] {
+                let mut window = vec![0xAAu8; 64];
+                bank.read(start as u64, &mut window).unwrap();
+                prop_assert_eq!(&window[..], &model[start..start + 64]);
+            }
         }
 
         /// Non-overlapping writes do not disturb each other.

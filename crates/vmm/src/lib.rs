@@ -10,9 +10,10 @@
 //!   (§3.2: cmdline advertisement, driver probe, per-device boot cost);
 //! * [`EventManager`] — Firecracker's event loop. The original
 //!   implementation handles virtio events *sequentially*; vPIM's parallel
-//!   operation handling dispatches each request to a dedicated thread
-//!   (§4.2, Fig. 15/16). Both modes are provided, along with the virtual-
-//!   time completion schedule each mode produces.
+//!   operation handling takes each request off the loop's thread so that
+//!   requests to different ranks overlap (§4.2, Fig. 15/16) — here, one
+//!   FIFO lane per device. Both modes are provided, along with the
+//!   virtual-time completion schedule each mode produces.
 //!
 //! Trap/IRQ accounting lives here because the guest↔VMM transition count is
 //! the paper's dominant overhead driver.

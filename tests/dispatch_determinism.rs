@@ -42,12 +42,12 @@ fn pattern(seed: u32, len: usize) -> Vec<u8> {
     (0..len).map(|i| (seed.wrapping_mul(48271).wrapping_add(i as u32) >> 7) as u8).collect()
 }
 
-/// One multi-rank workload directly against the frontends: write a matrix
-/// to every rank, read it back. Returns every per-request report and every
-/// payload read back.
-fn run_rank_ops(parallel: bool) -> (Vec<OpReport>, Vec<Vec<Vec<u8>>>) {
+/// One workload directly against the frontends of a `devices`-rank VM:
+/// write a matrix to every rank, read it back. Returns every per-request
+/// report and every payload read back.
+fn run_rank_ops(parallel: bool, devices: usize) -> (Vec<OpReport>, Vec<Vec<Vec<u8>>>) {
     let sys = VpimSystem::start(host(), config(parallel), StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("det").devices(RANKS)).unwrap();
+    let vm = sys.launch(TenantSpec::new("det").devices(devices)).unwrap();
     let mut reports = Vec::new();
     let mut outputs = Vec::new();
     for (r, fe) in vm.frontends().iter().enumerate() {
@@ -73,8 +73,16 @@ fn run_rank_ops(parallel: bool) -> (Vec<OpReport>, Vec<Vec<Vec<u8>>>) {
 
 #[test]
 fn per_request_reports_and_payloads_identical_across_dispatch_modes() {
-    let (seq_reports, seq_out) = run_rank_ops(false);
-    let (par_reports, par_out) = run_rank_ops(true);
+    // One lane per device; a one-device VM has none and runs Parallel
+    // handlers on the kicking thread, held to the same reports.
+    for devices in [RANKS, 1] {
+        reports_and_payloads_identical_across_dispatch_modes(devices);
+    }
+}
+
+fn reports_and_payloads_identical_across_dispatch_modes(devices: usize) {
+    let (seq_reports, seq_out) = run_rank_ops(false, devices);
+    let (par_reports, par_out) = run_rank_ops(true, devices);
     // Payloads bit-identical.
     assert_eq!(seq_out, par_out);
     // Every virtual-time field of every request: duration, DDR share,
@@ -84,6 +92,7 @@ fn per_request_reports_and_payloads_identical_across_dispatch_modes() {
         assert_eq!(s, p, "request {i}: dispatch mode leaked into virtual time");
     }
     // And the data read back is what was written.
+    assert_eq!(seq_out.len(), devices);
     for (r, outs) in seq_out.iter().enumerate() {
         for (d, out) in outs.iter().enumerate() {
             assert_eq!(out, &payload(r, d as u32), "rank {r} dpu {d}");
