@@ -4,7 +4,9 @@
 .PHONY: tier1 build test figures bench clean
 
 # The repo's tier-1 gate (ROADMAP.md): release build + full test suite,
-# then the concurrency stress/determinism and scheduler oversubscription
+# then the benchmark smoke (the frozen benchmark/ crate still builds against
+# this tree and every virt_fingerprint equals benchmark/baseline.json), the
+# concurrency stress/determinism and scheduler oversubscription
 # suites (the latter with the multi-VM and migration suites, which drive
 # the same backend -> scheduler -> rank-table call path) under varied
 # harness parallelism, the zero-copy data-path integrity/leak gate, the
@@ -24,6 +26,7 @@
 # ci/publish.sh.
 tier1:
 	sh ci/offline-gate.sh
+	sh ci/bench-smoke.sh
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration
 	sh ci/perf-gate.sh

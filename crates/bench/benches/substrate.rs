@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pim_virtio::queue::{DeviceQueue, DriverQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory};
+use simkit::BytePool;
 use vpim::matrix::TransferMatrix;
 use vpim::spec::{Request, Response};
 
@@ -31,6 +32,7 @@ fn bench_virtqueue_cycle(c: &mut Criterion) {
 
 fn bench_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("matrix");
+    let pool = BytePool::new();
     for dpus in [1usize, 16, 64] {
         let mem = GuestMemory::new(64 << 20);
         let data = vec![0xA5u8; 16 << 10];
@@ -40,7 +42,7 @@ fn bench_matrix(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("build+serialize", dpus), &bufs, |b, bufs| {
             b.iter(|| {
                 let (matrix, dl) = TransferMatrix::from_user_buffers(&mem, bufs).unwrap();
-                let (bufs2, ml) = matrix.serialize(&mem).unwrap();
+                let (bufs2, ml) = matrix.serialize_pooled(&mem, &pool).unwrap();
                 assert!(!bufs2.is_empty());
                 ml.release();
                 dl.release();
@@ -48,7 +50,7 @@ fn bench_matrix(c: &mut Criterion) {
         });
         // Deserialize + gather (the backend side).
         let (matrix, _dl) = TransferMatrix::from_user_buffers(&mem, &bufs).unwrap();
-        let (sbufs, _ml) = matrix.serialize(&mem).unwrap();
+        let (sbufs, _ml) = matrix.serialize_pooled(&mem, &pool).unwrap();
         let flat: Vec<(Gpa, u32)> = sbufs.iter().map(|(g, l, _)| (*g, *l)).collect();
         group.bench_with_input(BenchmarkId::new("deserialize+gather", dpus), &flat, |b, flat| {
             b.iter(|| {

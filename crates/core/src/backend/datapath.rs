@@ -82,7 +82,7 @@ pub fn interleave_cost(cm: &CostModel, bytes: u64, path: DataPath) -> VirtualNan
 /// With interleave verification on, the payload is gathered into a pooled
 /// scratch buffer, swizzled in place, and handed to the rank's in-place
 /// writer — zero heap allocations once the pool is warm. With verification
-/// off, each guest page is a borrowed [`GuestMemory::with_slice`] view
+/// off, each guest page is a borrowed [`GuestMemory::walk_pages`] view
 /// written straight into MRAM — no staging buffer at all. Either way the
 /// per-request [`SegCache`] elides repeated page bounds checks.
 ///
@@ -101,7 +101,6 @@ pub fn write_entry(
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    use pim_virtio::memory::PAGE_SIZE;
     maybe_stall(plane, key);
     if let Some(plane) = plane {
         if plane.hit_keyed(CHUNK_TORN_WRITE_POINT, key) {
@@ -119,17 +118,10 @@ pub fn write_entry(
         }
     }
     if !verify {
-        let dpu = entry.dpu as usize;
-        for (i, page) in entry.pages.iter().enumerate() {
-            let lo = i as u64 * PAGE_SIZE;
-            let hi = ((i as u64 + 1) * PAGE_SIZE).min(entry.len);
-            if lo >= hi {
-                break;
-            }
-            mem.with_slice_cached(cache, *page, hi - lo, |s| {
-                rank.write_dpu(dpu, entry.mram_offset + lo, s)
-            })??;
-        }
+        mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
+            rank.write_dpu(entry.dpu as usize, entry.mram_offset + offset, s)
+                .map_err(VpimError::from)
+        })?;
         return Ok(entry.len);
     }
     let mut data = pool.take(entry.len as usize);
@@ -159,20 +151,12 @@ pub fn read_entry(
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    use pim_virtio::memory::PAGE_SIZE;
     maybe_stall(plane, key);
     if !verify {
-        let dpu = entry.dpu as usize;
-        for (i, page) in entry.pages.iter().enumerate() {
-            let lo = i as u64 * PAGE_SIZE;
-            let hi = ((i as u64 + 1) * PAGE_SIZE).min(entry.len);
-            if lo >= hi {
-                break;
-            }
-            mem.with_slice_mut_cached(cache, *page, hi - lo, |s| {
-                rank.read_dpu(dpu, entry.mram_offset + lo, s)
-            })??;
-        }
+        mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
+            rank.read_dpu(entry.dpu as usize, entry.mram_offset + offset, s)
+                .map_err(VpimError::from)
+        })?;
         return Ok(entry.len);
     }
     let mut data = pool.take(entry.len as usize);

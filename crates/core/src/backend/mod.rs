@@ -258,9 +258,8 @@ impl Backend {
             return Err(VpimError::BadRequest("chain needs request + status".into()));
         }
         let req_desc = &chain.descriptors[0];
-        let req_bytes =
-            mem.with_slice(req_desc.addr, u64::from(req_desc.len), <[u8]>::to_vec)?;
-        let request = Request::decode(&req_bytes)?;
+        // Decoded where it lies: the descriptor length is the guest's.
+        let request = mem.with_slice(req_desc.addr, u64::from(req_desc.len), Request::decode)??;
 
         // Middle descriptors (between request and status) carry payloads.
         let middle: Vec<(Gpa, u32)> = chain.descriptors[1..chain.descriptors.len() - 1]
@@ -563,6 +562,8 @@ impl Backend {
         if blen < len {
             return Err(VpimError::BadRequest("symbol payload shorter than declared".into()));
         }
+        // Copied out: guest RAM must not stay borrowed while `ensure_linked`
+        // may block on admission.
         let bytes = mem.with_slice(gpa, u64::from(len), <[u8]>::to_vec)?;
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
@@ -673,8 +674,7 @@ mod tests {
         let enc = resp.encode();
         rig.mem.write(status_page, &enc).unwrap();
         rig.device_q.push_used(chain.head, enc.len() as u32).unwrap();
-        let back = rig.mem.with_slice(status_page, 4096, <[u8]>::to_vec).unwrap();
-        let decoded = Response::decode(&back).unwrap();
+        let decoded = rig.mem.with_slice(status_page, 4096, Response::decode).unwrap().unwrap();
         rig.mem.free_pages_back(&[req_page, status_page]).unwrap();
         assert_eq!(decoded, resp);
         resp
@@ -702,7 +702,7 @@ mod tests {
         let data = vec![0x5Au8; 6000];
         let (matrix, dl) =
             TransferMatrix::from_user_buffers(&r.mem, &[(2, 128, &data)]).unwrap();
-        let (bufs, ml) = matrix.serialize(&r.mem).unwrap();
+        let (bufs, ml) = matrix.serialize_pooled(&r.mem, &BytePool::new()).unwrap();
         let resp = send(&mut r, &Request::WriteRank { nr_dpus: 1 }, &bufs);
         assert!(resp.is_ok(), "{}", resp.error);
         assert!(resp.transfer_ns > 0);
@@ -712,7 +712,7 @@ mod tests {
 
         // Read it back through a ReadRank request.
         let (rmatrix, rl) = TransferMatrix::alloc_read_buffers(&r.mem, &[(2, 128, 6000)]).unwrap();
-        let (rbufs, rml) = rmatrix.serialize(&r.mem).unwrap();
+        let (rbufs, rml) = rmatrix.serialize_pooled(&r.mem, &BytePool::new()).unwrap();
         let resp = send(&mut r, &Request::ReadRank { nr_dpus: 1 }, &rbufs);
         assert!(resp.is_ok(), "{}", resp.error);
         let got = TransferMatrix::gather(&r.mem, &rmatrix.entries[0]).unwrap();
@@ -729,7 +729,7 @@ mod tests {
         let mut r = rig();
         let data = vec![1u8; 64];
         let (matrix, dl) = TransferMatrix::from_user_buffers(&r.mem, &[(0, 0, &data)]).unwrap();
-        let (bufs, ml) = matrix.serialize(&r.mem).unwrap();
+        let (bufs, ml) = matrix.serialize_pooled(&r.mem, &BytePool::new()).unwrap();
         let resp = send(&mut r, &Request::WriteRank { nr_dpus: 2 }, &bufs);
         assert_eq!(resp.status, STATUS_BAD);
         ml.release();
@@ -743,7 +743,7 @@ mod tests {
         let data = vec![1u8; 64];
         let (matrix, dl) =
             TransferMatrix::from_user_buffers(&r.mem, &[(0, 1 << 30, &data)]).unwrap();
-        let (bufs, ml) = matrix.serialize(&r.mem).unwrap();
+        let (bufs, ml) = matrix.serialize_pooled(&r.mem, &BytePool::new()).unwrap();
         let resp = send(&mut r, &Request::WriteRank { nr_dpus: 1 }, &bufs);
         assert_eq!(resp.status, STATUS_HW);
         assert!(resp.error.contains("out of bounds"));
@@ -779,5 +779,22 @@ mod tests {
         let resp = send(&mut r, &req, &[]);
         assert_eq!(resp.status, STATUS_BAD);
         assert!(send(&mut r, &Request::Configure, &[]).is_ok(), "rank still usable");
+    }
+
+    #[test]
+    fn hostile_page_count_is_rejected_before_allocating() {
+        let mut r = rig();
+        let page = r.mem.alloc_pages(1).unwrap()[0];
+        for nb_pages in [crate::matrix::MAX_PAGES_PER_DPU as u64 + 1, 1 << 40, 1 << 61, u64::MAX] {
+            // [nr_dpus = 1][dpu 0, offset 0, len 0, nb_pages][page list…]
+            let words = [1, 0, 0, 0, nb_pages];
+            let raw: Vec<u8> = words.iter().flat_map(|w: &u64| w.to_le_bytes()).collect();
+            r.mem.write(page, &raw).unwrap();
+            let bufs = [(page, 8, false), (page.add(8), 32, false), (page.add(40), 4056, false)];
+            for req in [Request::WriteRank { nr_dpus: 1 }, Request::ReadRank { nr_dpus: 1 }] {
+                assert_eq!(send(&mut r, &req, &bufs).status, STATUS_BAD, "nb_pages {nb_pages}");
+            }
+            assert!(send(&mut r, &Request::Configure, &[]).is_ok(), "backend still serving");
+        }
     }
 }

@@ -17,7 +17,7 @@ pub use adapt::AdaptState;
 pub use batch::{BatchBuffer, PendingWrite};
 pub use prefetch::PrefetchCache;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -137,14 +137,15 @@ struct PendingOp {
 /// submitted as generation `g` of head `h` is complete exactly when
 /// `drained[h] > g`. Cumulative counters make the check race-free: a later
 /// op can never mistake an earlier op's completion for its own, and
-/// nothing is removed so no entry can be overwritten or lost.
-#[derive(Debug, Default)]
+/// nothing is removed so no entry can be overwritten or lost. Heads are
+/// descriptor indices, so both clocks are arrays of the queue's size.
+#[derive(Debug)]
 struct HeadClocks {
     /// Ops submitted per head so far (a submit takes the current value as
     /// its 0-based generation).
-    submitted: HashMap<u16, u64>,
+    submitted: Vec<u64>,
     /// Used-ring entries drained per head so far.
-    drained: HashMap<u16, u64>,
+    drained: Vec<u64>,
 }
 
 /// The payload of one matrix transfer, in either direction.
@@ -355,6 +356,9 @@ impl Frontend {
 
         let metrics = FrontMetrics::from_registry(&registry, device_idx, vcfg.adapt.enabled);
         let retry = RetryMetrics::from_registry(&registry);
+        let heads = usize::from(layout.size);
+        let clocks =
+            Mutex::new(HeadClocks { submitted: vec![0; heads], drained: vec![0; heads] });
         Ok(Frontend {
             device,
             device_idx,
@@ -373,7 +377,7 @@ impl Frontend {
             metrics,
             retry,
             scratch,
-            clocks: Mutex::new(HeadClocks::default()),
+            clocks,
         })
     }
 
@@ -537,9 +541,8 @@ impl Frontend {
         let gen = {
             let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
             let mut clk = self.clocks.lock();
-            let c = clk.submitted.entry(head).or_insert(0);
-            let g = *c;
-            *c += 1;
+            let g = clk.submitted[usize::from(head)];
+            clk.submitted[usize::from(head)] += 1;
             g
         };
         self.metrics.queue_depth.add(1);
@@ -568,7 +571,7 @@ impl Frontend {
             let drained = {
                 let _order =
                     simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
-                self.clocks.lock().drained.get(&head).copied().unwrap_or(0)
+                self.clocks.lock().drained[usize::from(head)]
             };
             if drained > gen {
                 self.metrics.queue_depth.sub(1);
@@ -599,7 +602,7 @@ impl Frontend {
                         simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
                     let mut clk = self.clocks.lock();
                     for (h, _len) in found {
-                        *clk.drained.entry(h).or_insert(0) += 1;
+                        clk.drained[usize::from(h)] += 1;
                     }
                 }
                 self.device.irq().nudge();
@@ -641,9 +644,10 @@ impl Frontend {
         kick_result?;
         self.wait_used(op.head, op.gen)?;
 
-        let raw = loop {
-            match self.mem.with_slice(op.status_page, 4096, <[u8]>::to_vec) {
-                Ok(raw) => break raw,
+        // Decoded where it lies, inside the borrow of the status page.
+        let decoded = loop {
+            match self.mem.with_slice(op.status_page, 4096, Response::decode) {
+                Ok(decoded) => break decoded,
                 Err(e) => {
                     let e = VpimError::from(e);
                     if !budget.retry(e.is_transient()) {
@@ -656,8 +660,9 @@ impl Frontend {
                 }
             }
         };
-        let resp = Response::decode(&raw)?;
+        // The pages go back before a decode error can propagate.
         self.mem.free_pages_back(&op.pages)?;
+        let resp = decoded?;
 
         let mut report = OpReport::default();
         report.add_messages(1);

@@ -139,11 +139,7 @@ impl TransferMatrix {
                 )));
             }
             let pages = lease.grow(n)?;
-            for (i, page) in pages.iter().enumerate() {
-                let lo = i * PAGE_SIZE as usize;
-                let hi = ((i + 1) * PAGE_SIZE as usize).min(data.len());
-                mem.write(*page, &data[lo..hi])?;
-            }
+            mem.write_pages(&pages, data)?;
             entries.push(DpuXfer {
                 dpu: *dpu,
                 mram_offset: *offset,
@@ -204,17 +200,12 @@ impl TransferMatrix {
     /// *data pages* will be marked device-writable by the caller; the
     /// serialization buffers themselves are always device-readable.
     ///
-    /// # Errors
-    ///
-    /// Guest allocator exhaustion or out-of-bounds writes.
-    pub fn serialize(&self, mem: &GuestMemory) -> Result<SerializedMatrix, VpimError> {
-        let total = self.serialized_bytes() as usize;
-        let mut scratch = vec![0u8; total];
-        self.serialize_via(mem, &mut scratch)
-    }
-
-    /// [`serialize`](Self::serialize) staging through a pooled scratch
-    /// buffer — the steady-state path allocates nothing.
+    /// The whole flat layout — matrix meta (8 B), then per DPU its meta
+    /// (32 B) and pages (8 B each), each buffer 8-byte aligned, densely
+    /// packed — is assembled in a scratch buffer from `pool` (every byte
+    /// written, so dirty pooled buffers are fine; the steady-state path
+    /// allocates nothing), then lands in guest memory with **one** bulk
+    /// write into contiguous pages.
     ///
     /// # Errors
     ///
@@ -224,36 +215,12 @@ impl TransferMatrix {
         mem: &GuestMemory,
         pool: &BytePool,
     ) -> Result<SerializedMatrix, VpimError> {
-        let total = self.serialized_bytes() as usize;
+        let total = 8 + self.entries.iter().map(|e| 32 + 8 * e.pages.len()).sum::<usize>();
         let mut scratch = pool.take(total);
-        self.serialize_via(mem, &mut scratch)
-    }
-
-    /// Total serialized size: matrix meta (8 B) then per DPU meta (32 B) +
-    /// pages (8 B each), each buffer 8-byte aligned, densely packed.
-    fn serialized_bytes(&self) -> u64 {
-        let mut total = 8u64;
-        for e in &self.entries {
-            total += 32 + 8 * e.pages.len() as u64;
-        }
-        total
-    }
-
-    /// Assembles the whole flat layout in `scratch` (every byte written, so
-    /// dirty pooled buffers are fine), then lands it in guest memory with
-    /// **one** bulk write into contiguous pages — instead of the seed's one
-    /// `write_u64` VM access per field.
-    fn serialize_via(
-        &self,
-        mem: &GuestMemory,
-        scratch: &mut [u8],
-    ) -> Result<SerializedMatrix, VpimError> {
-        let total = scratch.len();
         let npages = (total as u64).div_ceil(PAGE_SIZE) as usize;
-        let base = mem.alloc_contiguous(npages.max(1))?;
-        let lease_pages: Vec<Gpa> = (0..npages.max(1))
-            .map(|i| Gpa(base.0 + i as u64 * PAGE_SIZE))
-            .collect();
+        let base = mem.alloc_contiguous(npages)?;
+        let lease_pages: Vec<Gpa> =
+            (0..npages).map(|i| Gpa(base.0 + i as u64 * PAGE_SIZE)).collect();
 
         fn put(scratch: &mut [u8], off: &mut usize, v: u64) {
             scratch[*off..*off + 8].copy_from_slice(&v.to_le_bytes());
@@ -264,28 +231,28 @@ impl TransferMatrix {
         let mut off = 0usize;
 
         // Matrix metadata buffer: [nr_dpus].
-        put(scratch, &mut off, self.entries.len() as u64);
+        put(&mut scratch, &mut off, self.entries.len() as u64);
         bufs.push((base, 8, false));
 
         for e in &self.entries {
             // Per-DPU metadata buffer: [dpu, mram_offset, len, nb_pages].
             bufs.push((base.add(off as u64), 32, false));
-            put(scratch, &mut off, u64::from(e.dpu));
-            put(scratch, &mut off, e.mram_offset);
-            put(scratch, &mut off, e.len);
-            put(scratch, &mut off, e.pages.len() as u64);
+            put(&mut scratch, &mut off, u64::from(e.dpu));
+            put(&mut scratch, &mut off, e.mram_offset);
+            put(&mut scratch, &mut off, e.len);
+            put(&mut scratch, &mut off, e.pages.len() as u64);
 
             // Page buffer: the GPAs of the data pages.
             if !e.pages.is_empty() {
                 bufs.push((base.add(off as u64), (8 * e.pages.len()) as u32, false));
             }
             for p in &e.pages {
-                put(scratch, &mut off, p.0);
+                put(&mut scratch, &mut off, p.0);
             }
         }
         debug_assert_eq!(off, total);
         debug_assert!(bufs.len() < MAX_BUFFERS);
-        mem.write(base, scratch)?;
+        mem.write(base, &scratch)?;
         Ok((bufs, PageLease { mem: mem.clone(), pages: lease_pages }))
     }
 
@@ -308,41 +275,54 @@ impl TransferMatrix {
         if meta_len < 8 {
             return Err(VpimError::BadRequest("matrix metadata too short".into()));
         }
-        let nr_dpus = mem.read_u64(meta_gpa)? as usize;
-        if nr_dpus > MAX_DPUS {
+        // Every record moves whole: one `read` each for the matrix meta, a
+        // DPU's 32-byte meta and its page list.
+        fn word(record: &[u8], k: usize) -> u64 {
+            u64::from_le_bytes(record[8 * k..8 * k + 8].try_into().expect("8 bytes"))
+        }
+        let mut meta = [0u8; 8];
+        mem.read(meta_gpa, &mut meta)?;
+        let nr_dpus = word(&meta, 0);
+        if nr_dpus > MAX_DPUS as u64 {
             return Err(VpimError::BadRequest(format!("{nr_dpus} dpus in matrix")));
         }
-        let mut entries = Vec::with_capacity(nr_dpus);
-        let mut i = 1usize;
+        let mut entries = Vec::with_capacity(nr_dpus as usize);
+        let mut rest = bufs[1..].iter().copied();
         for _ in 0..nr_dpus {
-            let (dm_gpa, dm_len) = *bufs
-                .get(i)
+            let (dm_gpa, dm_len) = rest
+                .next()
                 .ok_or_else(|| VpimError::BadRequest("missing dpu metadata buffer".into()))?;
             if dm_len < 32 {
                 return Err(VpimError::BadRequest("dpu metadata too short".into()));
             }
-            let dpu = mem.read_u64(dm_gpa)? as u32;
-            let mram_offset = mem.read_u64(dm_gpa.add(8))?;
-            let len = mem.read_u64(dm_gpa.add(16))?;
-            let nb_pages = mem.read_u64(dm_gpa.add(24))? as usize;
-            i += 1;
-            let mut pages = Vec::with_capacity(nb_pages);
-            if nb_pages > 0 {
-                let (pg_gpa, pg_len) = *bufs
-                    .get(i)
-                    .ok_or_else(|| VpimError::BadRequest("missing page buffer".into()))?;
-                if (pg_len as usize) < 8 * nb_pages {
-                    return Err(VpimError::BadRequest("page buffer too short".into()));
-                }
-                for k in 0..nb_pages {
-                    pages.push(Gpa(mem.read_u64(pg_gpa.add(8 * k as u64))?));
-                }
-                i += 1;
+            let mut dm = [0u8; 32];
+            mem.read(dm_gpa, &mut dm)?;
+            let (dpu, mram_offset, len, nb_pages) =
+                (word(&dm, 0) as u32, word(&dm, 1), word(&dm, 2), word(&dm, 3));
+            // `nb_pages` is the guest's number: bound it by the bank and by
+            // the buffer that must hold the list before anything is sized
+            // by it (paper R2).
+            if nb_pages > MAX_PAGES_PER_DPU as u64 {
+                return Err(VpimError::BadRequest(format!(
+                    "dpu {dpu}: {nb_pages} pages exceed the 64 MB bank"
+                )));
             }
-            if len > (nb_pages as u64) * PAGE_SIZE {
+            if len.div_ceil(PAGE_SIZE) > nb_pages {
                 return Err(VpimError::BadRequest(format!(
                     "dpu {dpu}: {len} bytes do not fit {nb_pages} pages"
                 )));
+            }
+            let mut pages = Vec::new();
+            if nb_pages > 0 {
+                let (pg_gpa, pg_len) = rest
+                    .next()
+                    .ok_or_else(|| VpimError::BadRequest("missing page buffer".into()))?;
+                if nb_pages > u64::from(pg_len / 8) {
+                    return Err(VpimError::BadRequest("page buffer too short".into()));
+                }
+                let mut list = vec![0u8; 8 * nb_pages as usize];
+                mem.read(pg_gpa, &mut list)?;
+                pages = list.chunks_exact(8).map(|g| Gpa(word(g, 0))).collect();
             }
             entries.push(DpuXfer { dpu, mram_offset, len, pages });
         }
@@ -382,17 +362,10 @@ impl TransferMatrix {
                 entry.len
             )));
         }
-        for (i, page) in entry.pages.iter().enumerate() {
-            let lo = i * PAGE_SIZE as usize;
-            let hi = ((i + 1) * PAGE_SIZE as usize).min(entry.len as usize);
-            if lo >= hi {
-                break;
-            }
-            mem.with_slice_cached(cache, *page, (hi - lo) as u64, |s| {
-                out[lo..hi].copy_from_slice(s);
-            })?;
-        }
-        Ok(())
+        mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
+            out[offset as usize..][..s.len()].copy_from_slice(s);
+            Ok(())
+        })
     }
 
     /// Scatters contiguous data into one entry's guest pages (the backend's
@@ -424,17 +397,10 @@ impl TransferMatrix {
                 entry.len
             )));
         }
-        for (i, page) in entry.pages.iter().enumerate() {
-            let lo = i * PAGE_SIZE as usize;
-            let hi = ((i + 1) * PAGE_SIZE as usize).min(data.len());
-            if lo >= hi {
-                break;
-            }
-            mem.with_slice_mut_cached(cache, *page, (hi - lo) as u64, |s| {
-                s.copy_from_slice(&data[lo..hi]);
-            })?;
-        }
-        Ok(())
+        mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
+            s.copy_from_slice(&data[offset as usize..][..s.len()]);
+            Ok(())
+        })
     }
 }
 
@@ -457,7 +423,7 @@ mod tests {
         assert_eq!(matrix.total_bytes(), 5100);
         assert_eq!(matrix.total_pages(), 3);
 
-        let (bufs, meta_lease) = matrix.serialize(&mem).unwrap();
+        let (bufs, meta_lease) = matrix.serialize_pooled(&mem, &BytePool::new()).unwrap();
         // matrix meta + 2 × (dpu meta + page buffer)
         assert_eq!(bufs.len(), 1 + 2 * 2);
 
@@ -508,7 +474,7 @@ mod tests {
         let mem = GuestMemory::new(16 << 20);
         let reqs: Vec<(u32, u64, u64)> = (0..64).map(|d| (d, 0, 4096)).collect();
         let (matrix, lease) = TransferMatrix::alloc_read_buffers(&mem, &reqs).unwrap();
-        let (bufs, meta_lease) = matrix.serialize(&mem).unwrap();
+        let (bufs, meta_lease) = matrix.serialize_pooled(&mem, &BytePool::new()).unwrap();
         assert_eq!(bufs.len(), 129);
         assert!(bufs.len() + 1 <= MAX_BUFFERS);
         meta_lease.release();
@@ -521,11 +487,35 @@ mod tests {
         assert!(TransferMatrix::deserialize(&mem, &[]).is_err());
         // Claim 1 DPU but provide no metadata buffer.
         let page = mem.alloc_pages(1).unwrap()[0];
-        mem.write_u64(page, 1).unwrap();
+        mem.write(page, &1u64.to_le_bytes()).unwrap();
         assert!(TransferMatrix::deserialize(&mem, &[(page, 8)]).is_err());
         // Claim an absurd DPU count.
-        mem.write_u64(page, 1000).unwrap();
+        mem.write(page, &1000u64.to_le_bytes()).unwrap();
         assert!(TransferMatrix::deserialize(&mem, &[(page, 8)]).is_err());
+        // A guest-chosen page count must never size an allocation: past the
+        // bank, past what the page buffer holds, or so large that
+        // `nb_pages * PAGE_SIZE` wraps (here to exactly `len`).
+        let wraps = (1u64 << 52) + 1;
+        let hostile = [
+            (MAX_PAGES_PER_DPU as u64 + 1, 0),
+            (1 << 40, 0),
+            (1 << 61, 0),
+            (u64::MAX, 0),
+            (wraps, wraps.wrapping_mul(PAGE_SIZE)),
+            (MAX_PAGES_PER_DPU as u64, 0), // in the bank, not in the 4 KiB buffer
+            (1, PAGE_SIZE + 1),
+        ];
+        for (nb_pages, len) in hostile {
+            let dm: Vec<u8> =
+                [0, 0, len, nb_pages].iter().flat_map(|w: &u64| w.to_le_bytes()).collect();
+            mem.write(page, &1u64.to_le_bytes()).unwrap();
+            mem.write(page.add(8), &dm).unwrap();
+            let bufs = [(page, 8), (page.add(8), 32), (page.add(40), 4056)];
+            assert!(
+                matches!(TransferMatrix::deserialize(&mem, &bufs), Err(VpimError::BadRequest(_))),
+                "nb_pages {nb_pages}, len {len}"
+            );
+        }
     }
 
     #[test]
@@ -535,7 +525,7 @@ mod tests {
         let data = vec![0u8; 3 * PAGE_SIZE as usize];
         let (matrix, data_lease) =
             TransferMatrix::from_user_buffers(&mem, &[(0, 0, &data)]).unwrap();
-        let (_bufs, meta_lease) = matrix.serialize(&mem).unwrap();
+        let (_bufs, meta_lease) = matrix.serialize_pooled(&mem, &BytePool::new()).unwrap();
         assert!(mem.free_pages() < before);
         meta_lease.release();
         data_lease.release();
@@ -580,7 +570,7 @@ mod tests {
                 .map(|(i, d)| (i as u32, (i * 4096) as u64, d.as_slice()))
                 .collect();
             let (matrix, dl) = TransferMatrix::from_user_buffers(&mem, &bufs).unwrap();
-            let (sbufs, ml) = matrix.serialize(&mem).unwrap();
+            let (sbufs, ml) = matrix.serialize_pooled(&mem, &BytePool::new()).unwrap();
             let flat: Vec<(Gpa, u32)> = sbufs.iter().map(|(g, l, _)| (*g, *l)).collect();
             let back = TransferMatrix::deserialize(&mem, &flat).unwrap();
             for (entry, want) in back.entries.iter().zip(&datas) {
@@ -621,7 +611,7 @@ mod tests {
                 TransferMatrix::scatter(&mem, entry, data).unwrap();
             }
 
-            let (sbufs, ml) = matrix.serialize(&mem).unwrap();
+            let (sbufs, ml) = matrix.serialize_pooled(&mem, &BytePool::new()).unwrap();
             let flat: Vec<(Gpa, u32)> = sbufs.iter().map(|(g, l, _)| (*g, *l)).collect();
             let back = TransferMatrix::deserialize(&mem, &flat).unwrap();
             prop_assert_eq!(&back, &matrix);

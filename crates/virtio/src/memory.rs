@@ -8,6 +8,13 @@
 //! backend a borrowed window of guest RAM, which is exactly the capability
 //! an mmap'ed HVA provides.
 //!
+//! This module is the only place that knows how a run of guest pages maps
+//! to bytes (page size, partial last page, bounds check, fault point, the
+//! RAM lock): data spread over a page list goes through
+//! [`GuestMemory::walk_pages`]/[`GuestMemory::walk_pages_mut`] (device
+//! side) or [`GuestMemory::write_pages`] (guest side), never through a
+//! hand-written loop over `PAGE_SIZE` elsewhere.
+//!
 //! The crate also provides a page allocator used by the simulated guest
 //! userspace to place application buffers (the pages whose GPAs the
 //! frontend serializes into the transfer matrix).
@@ -24,10 +31,12 @@ use crate::error::VirtioError;
 pub const PAGE_SIZE: u64 = 4096;
 
 /// The fault point consulted on every scoped data access
-/// ([`GuestMemory::with_slice`] and friends): firing raises a transient
-/// [`VirtioError::Eio`]. The raw/typed accessors (`read`/`write`/`read_u16`
-/// …) are deliberately *not* instrumented — they carry virtqueue ring
-/// bookkeeping, which a transient data-path EIO must never tear.
+/// ([`GuestMemory::with_slice`]/[`GuestMemory::with_slice_mut`], and once
+/// per visited page by the page walkers): firing raises a transient
+/// [`VirtioError::Eio`]. The raw accessors (`read`/`write`/`read_u16`/
+/// `write_u16`/`write_pages`) are deliberately *not* instrumented — they
+/// carry virtqueue ring and matrix records and the guest's own buffer
+/// fill, which a transient data-path EIO must never tear.
 pub const MEM_EIO_POINT: &str = "virtio.mem.eio";
 
 /// A guest physical address.
@@ -51,6 +60,9 @@ impl Gpa {
 #[derive(Debug)]
 struct Inner {
     ram: RwLock<Vec<u8>>,
+    /// `ram.len()`, fixed at [`GuestMemory::new`]: bounds checks read it
+    /// without the lock.
+    size: u64,
     allocator: Mutex<PageAllocator>,
     /// Late-bound fault plane; empty (pure passthrough) until a system
     /// with injection enabled installs its plane.
@@ -135,6 +147,7 @@ impl GuestMemory {
         GuestMemory {
             inner: Arc::new(Inner {
                 ram: RwLock::new(vec![0u8; bytes as usize]),
+                size: bytes,
                 allocator: Mutex::new(PageAllocator {
                     free: (0..pages).collect(),
                     total: pages,
@@ -147,7 +160,7 @@ impl GuestMemory {
     /// Total bytes of guest RAM.
     #[must_use]
     pub fn size(&self) -> u64 {
-        self.inner.ram.read().len() as u64
+        self.inner.size
     }
 
     /// Free pages currently available to the allocator.
@@ -226,46 +239,6 @@ impl GuestMemory {
         Ok(u16::from_le_bytes(b))
     }
 
-    /// Writes a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn write_u32(&self, gpa: Gpa, v: u32) -> Result<(), VirtioError> {
-        self.write(gpa, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn read_u32(&self, gpa: Gpa) -> Result<u32, VirtioError> {
-        let mut b = [0u8; 4];
-        self.read(gpa, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Writes a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn write_u64(&self, gpa: Gpa, v: u64) -> Result<(), VirtioError> {
-        self.write(gpa, &v.to_le_bytes())
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn read_u64(&self, gpa: Gpa) -> Result<u64, VirtioError> {
-        let mut b = [0u8; 8];
-        self.read(gpa, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// GPA→HVA access: runs `f` over a borrowed view of guest RAM — the
     /// zero-copy window an mmap'ed HVA gives Firecracker.
     ///
@@ -304,11 +277,7 @@ impl GuestMemory {
     /// [`check`](Self::check) through a [`SegCache`]: a range inside the
     /// cache's validated extent skips the full bounds check; a miss
     /// validates normally and admits the surrounding page-aligned extent.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn check_cached(&self, cache: &mut SegCache, gpa: Gpa, len: u64) -> Result<(), VirtioError> {
+    fn check_cached(&self, cache: &mut SegCache, gpa: Gpa, len: u64) -> Result<(), VirtioError> {
         if cache.covers(gpa, len) {
             cache.hits += 1;
             return Ok(());
@@ -322,41 +291,80 @@ impl GuestMemory {
         Ok(())
     }
 
-    /// [`with_slice`](Self::with_slice) with the bounds check served from a
-    /// [`SegCache`] — the zero-copy read window of the pooled data path.
-    ///
-    /// # Errors
-    ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn with_slice_cached<T>(
+    /// The page walk behind both walkers: `len` bytes laid over `pages`
+    /// in order, a full page each except a partial last one, stopping at
+    /// `len` or at the end of the list, whichever comes first. Each visited
+    /// page consults [`MEM_EIO_POINT`] and then the bounds check, exactly
+    /// as one [`with_slice`](Self::with_slice) per page would, so an armed
+    /// fault schedule fires on the same page; the first error ends the walk.
+    fn walk<E: From<VirtioError>>(
         &self,
         cache: &mut SegCache,
-        gpa: Gpa,
+        pages: &[Gpa],
         len: u64,
-        f: impl FnOnce(&[u8]) -> T,
-    ) -> Result<T, VirtioError> {
-        self.injected_eio()?;
-        self.check_cached(cache, gpa, len)?;
-        let ram = self.inner.ram.read();
-        Ok(f(&ram[gpa.0 as usize..(gpa.0 + len) as usize]))
+        mut visit: impl FnMut(u64, std::ops::Range<usize>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for (page, offset) in pages.iter().zip((0..len).step_by(PAGE_SIZE as usize)) {
+            let n = (len - offset).min(PAGE_SIZE);
+            self.injected_eio()?;
+            self.check_cached(cache, *page, n)?;
+            visit(offset, page.0 as usize..(page.0 + n) as usize)?;
+        }
+        Ok(())
     }
 
-    /// Mutable [`with_slice_cached`](Self::with_slice_cached).
+    /// Zero-copy read of `len` bytes spread over `pages`: calls
+    /// `f(offset, bytes)` for each page in order under **one** borrow of
+    /// guest RAM, with the per-page fault point and [`SegCache`]-served
+    /// bounds check of [`walk`](Self::walk).
     ///
     /// # Errors
     ///
-    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
-    pub fn with_slice_mut_cached<T>(
+    /// [`VirtioError::Eio`] / [`VirtioError::OutOfBounds`] for the first
+    /// page that faults or lies outside RAM (pages before it were visited),
+    /// or whatever `f` returns.
+    pub fn walk_pages<E: From<VirtioError>>(
         &self,
         cache: &mut SegCache,
-        gpa: Gpa,
+        pages: &[Gpa],
         len: u64,
-        f: impl FnOnce(&mut [u8]) -> T,
-    ) -> Result<T, VirtioError> {
-        self.injected_eio()?;
-        self.check_cached(cache, gpa, len)?;
+        mut f: impl FnMut(u64, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let ram = self.inner.ram.read();
+        self.walk(cache, pages, len, |offset, range| f(offset, &ram[range]))
+    }
+
+    /// Mutable [`walk_pages`](Self::walk_pages).
+    ///
+    /// # Errors
+    ///
+    /// As [`walk_pages`](Self::walk_pages).
+    pub fn walk_pages_mut<E: From<VirtioError>>(
+        &self,
+        cache: &mut SegCache,
+        pages: &[Gpa],
+        len: u64,
+        mut f: impl FnMut(u64, &mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut ram = self.inner.ram.write();
-        Ok(f(&mut ram[gpa.0 as usize..(gpa.0 + len) as usize]))
+        self.walk(cache, pages, len, |offset, range| f(offset, &mut ram[range]))
+    }
+
+    /// Copies `data` into `pages`, one page's worth each (the last may be
+    /// partial), under one borrow of guest RAM — the guest userspace
+    /// filling its own buffer, so like [`write`](Self::write) it consults
+    /// no fault point. Stops at the end of the shorter of the two.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
+    pub fn write_pages(&self, pages: &[Gpa], data: &[u8]) -> Result<(), VirtioError> {
+        let mut ram = self.inner.ram.write();
+        for (page, chunk) in pages.iter().zip(data.chunks(PAGE_SIZE as usize)) {
+            self.check(*page, chunk.len() as u64)?;
+            ram[page.0 as usize..][..chunk.len()].copy_from_slice(chunk);
+        }
+        Ok(())
     }
 
     /// Allocates `n` guest pages (not necessarily contiguous), returning
@@ -478,20 +486,30 @@ mod tests {
         mem.write(Gpa(128), &[7u8; 16]).unwrap();
         // First access misses and admits the page; the rest of the page hits.
         for off in (0u64..PAGE_SIZE).step_by(64) {
-            let v = mem.with_slice_cached(&mut cache, Gpa(off), 16, |s| s[0]).unwrap();
+            let mut first = 0;
+            mem.walk_pages(&mut cache, &[Gpa(off)], 16, |_, s| {
+                first = s[0];
+                Ok::<(), VirtioError>(())
+            })
+            .unwrap();
             if off == 128 {
-                assert_eq!(v, 7);
+                assert_eq!(first, 7);
             }
         }
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), PAGE_SIZE / 64 - 1);
         // Leaving the extent re-validates and re-admits.
-        mem.with_slice_cached(&mut cache, Gpa(3 * PAGE_SIZE), 8, |_| ()).unwrap();
+        let nop = |_: u64, _: &[u8]| Ok::<(), VirtioError>(());
+        mem.walk_pages(&mut cache, &[Gpa(3 * PAGE_SIZE)], 8, nop).unwrap();
         assert_eq!(cache.misses(), 2);
         // Out-of-bounds stays rejected no matter what the cache holds.
-        assert!(mem.with_slice_cached(&mut cache, Gpa(4 * PAGE_SIZE - 4), 8, |_| ()).is_err());
+        assert!(mem.walk_pages(&mut cache, &[Gpa(4 * PAGE_SIZE - 4)], 8, nop).is_err());
         // Mutations through the cached window land in RAM.
-        mem.with_slice_mut_cached(&mut cache, Gpa(100), 4, |s| s.fill(9)).unwrap();
+        mem.walk_pages_mut(&mut cache, &[Gpa(100)], 4, |_, s| {
+            s.fill(9);
+            Ok::<(), VirtioError>(())
+        })
+        .unwrap();
         let mut back = [0u8; 4];
         mem.read(Gpa(100), &mut back).unwrap();
         assert_eq!(back, [9u8; 4]);
@@ -516,10 +534,6 @@ mod tests {
         let mem = GuestMemory::new(PAGE_SIZE);
         mem.write_u16(Gpa(0), 0xBEEF).unwrap();
         assert_eq!(mem.read_u16(Gpa(0)).unwrap(), 0xBEEF);
-        mem.write_u32(Gpa(8), 0xDEAD_BEEF).unwrap();
-        assert_eq!(mem.read_u32(Gpa(8)).unwrap(), 0xDEAD_BEEF);
-        mem.write_u64(Gpa(16), u64::MAX - 1).unwrap();
-        assert_eq!(mem.read_u64(Gpa(16)).unwrap(), u64::MAX - 1);
     }
 
     #[test]
@@ -588,13 +602,14 @@ mod tests {
         let mut b = [0u8; 3];
         assert!(mem.read(Gpa(0), &mut b).is_ok());
         assert!(mem.write_u16(Gpa(8), 7).is_ok());
+        assert!(mem.write_pages(&[Gpa(0), Gpa(PAGE_SIZE)], &[5u8; 5000]).is_ok());
         let mut cache = SegCache::new();
         assert!(matches!(
-            mem.with_slice_cached(&mut cache, Gpa(0), 2, |_| ()),
+            mem.walk_pages(&mut cache, &[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
             Err(VirtioError::Eio { .. })
         ));
         assert!(matches!(
-            mem.with_slice_mut_cached(&mut cache, Gpa(0), 2, |_| ()),
+            mem.walk_pages_mut(&mut cache, &[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
             Err(VirtioError::Eio { .. })
         ));
         // Clones share the installed plane.
@@ -602,7 +617,127 @@ mod tests {
         assert!(clone.with_slice(Gpa(0), 1, |_| ()).is_err());
     }
 
+    /// What a walk saw: the `(offset, bytes)` of every visited page, then
+    /// how it ended.
+    type Visits = (Vec<(u64, Vec<u8>)>, Result<(), VirtioError>);
+
+    /// The walkers' specification: one `with_slice` per page.
+    fn model_walk(mem: &GuestMemory, pages: &[Gpa], len: u64) -> Visits {
+        let mut seen = Vec::new();
+        for (i, page) in pages.iter().enumerate() {
+            let lo = i as u64 * PAGE_SIZE;
+            let hi = (lo + PAGE_SIZE).min(len);
+            if lo >= hi {
+                break;
+            }
+            match mem.with_slice(*page, hi - lo, <[u8]>::to_vec) {
+                Ok(bytes) => seen.push((lo, bytes)),
+                Err(e) => return (seen, Err(e)),
+            }
+        }
+        (seen, Ok(()))
+    }
+
+    fn walked(mem: &GuestMemory, pages: &[Gpa], len: u64, mutable: bool) -> Visits {
+        let mut seen = Vec::new();
+        let mut cache = SegCache::new();
+        let end = if mutable {
+            mem.walk_pages_mut(&mut cache, pages, len, |off, s| {
+                seen.push((off, s.to_vec()));
+                Ok(())
+            })
+        } else {
+            mem.walk_pages(&mut cache, pages, len, |off, s| {
+                seen.push((off, s.to_vec()));
+                Ok(())
+            })
+        };
+        (seen, end)
+    }
+
+    fn has_repeats(pages: &[Gpa]) -> bool {
+        let mut sorted: Vec<u64> = pages.iter().map(|p| p.0).collect();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|w| w[0] == w[1])
+    }
+
     proptest! {
+        /// Both walkers visit exactly the `(offset, bytes)` sequence of a
+        /// per-page `with_slice` model — over non-contiguous and repeated
+        /// pages, the last RAM page, a page outside RAM (which fails with
+        /// `OutOfBounds` after the pages before it were visited), and any
+        /// `len` (0, whole pages, partial last page, shorter or longer than
+        /// the list covers) — and consult `MEM_EIO_POINT` once per visited
+        /// page, in page order.
+        #[test]
+        fn walkers_match_the_per_page_model(
+            picks in proptest::collection::vec(0u64..9, 0..12),
+            whole in 0u64..14,
+            // `exact == 0` (one case in three) makes `len` a whole number
+            // of pages.
+            exact in 0u8..3,
+            tail in 1u64..PAGE_SIZE,
+            fill in proptest::collection::vec(any::<u8>(), 0..3 * PAGE_SIZE as usize),
+            nth in 1u64..14,
+        ) {
+            const PAGES: u64 = 8;
+            let mem = GuestMemory::new(PAGES * PAGE_SIZE);
+            // Pick 8 lies outside RAM; the others include the last page.
+            let pages: Vec<Gpa> = picks.iter().map(|p| Gpa(p * PAGE_SIZE)).collect();
+            let len = whole * PAGE_SIZE + if exact == 0 { 0 } else { tail };
+            let in_ram = pages.iter().take_while(|p| p.page() < PAGES).count();
+
+            // `write_pages` lands what the walkers then read back.
+            let filled = mem.write_pages(&pages, &fill);
+            let covered = fill.len().div_ceil(PAGE_SIZE as usize).min(pages.len());
+            prop_assert_eq!(filled.is_ok(), covered <= in_ram);
+            if in_ram == pages.len() && !has_repeats(&pages) {
+                let (seen, end) = walked(&mem, &pages, fill.len() as u64, false);
+                prop_assert!(end.is_ok());
+                let back: Vec<u8> = seen.into_iter().flat_map(|(_, b)| b).collect();
+                let covered_bytes = fill.len().min(pages.len() * PAGE_SIZE as usize);
+                prop_assert_eq!(&back[..], &fill[..covered_bytes]);
+            }
+
+            let want = model_walk(&mem, &pages, len);
+            let visits = len.div_ceil(PAGE_SIZE).min(pages.len() as u64);
+            prop_assert_eq!(want.1.is_ok(), visits <= in_ram as u64);
+            if want.1.is_err() {
+                prop_assert_eq!(want.0.len(), in_ram);
+                let out_of_bounds = matches!(want.1, Err(VirtioError::OutOfBounds { .. }));
+                prop_assert!(out_of_bounds);
+            }
+            for mutable in [false, true] {
+                prop_assert_eq!(&walked(&mem, &pages, len, mutable), &want);
+            }
+
+            // Armed, the plane is hit once per visited page (an out-of-RAM
+            // page is consulted before it is refused); `Nth(k)` stops the
+            // walk at the k-th page, `EveryK(1)` at the first.
+            let consulted = want.0.len() as u64 + u64::from(want.1.is_err());
+            let plane = Arc::new(simkit::FaultPlane::new(1));
+            mem.install_fault_plane(plane.clone());
+            for mutable in [false, true] {
+                plane.arm(MEM_EIO_POINT, simkit::FaultPlan::Nth(nth));
+                let (seen, end) = walked(&mem, &pages, len, mutable);
+                let hits = plane.point_stats(MEM_EIO_POINT).expect("armed").hits;
+                if nth <= consulted {
+                    prop_assert_eq!(end, Err(VirtioError::Eio { point: MEM_EIO_POINT }));
+                    prop_assert_eq!(hits, nth);
+                    prop_assert_eq!(&seen[..], &want.0[..nth as usize - 1]);
+                } else {
+                    prop_assert_eq!(hits, consulted);
+                    prop_assert_eq!(&(seen, end), &want);
+                }
+                plane.arm(MEM_EIO_POINT, simkit::FaultPlan::EveryK(1));
+                let (seen, end) = walked(&mem, &pages, len, mutable);
+                prop_assert_eq!(end.is_err(), visits > 0);
+                prop_assert!(seen.is_empty());
+                let hits = plane.point_stats(MEM_EIO_POINT).expect("armed").hits;
+                prop_assert_eq!(hits, visits.min(1));
+            }
+        }
+
         /// Allocator never hands out the same page twice while held.
         #[test]
         fn allocator_uniqueness(takes in proptest::collection::vec(1usize..4, 1..8)) {

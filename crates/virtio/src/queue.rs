@@ -48,6 +48,26 @@ impl Descriptor {
     pub fn has_next(&self) -> bool {
         self.flags & VIRTQ_DESC_F_NEXT != 0
     }
+
+    /// The 16-byte table record: `{ addr: u64, len: u32, flags: u16, next: u16 }`,
+    /// little-endian.
+    fn encode(&self) -> [u8; 16] {
+        let mut b = [0u8; 16];
+        b[..8].copy_from_slice(&self.addr.0.to_le_bytes());
+        b[8..12].copy_from_slice(&self.len.to_le_bytes());
+        b[12..14].copy_from_slice(&self.flags.to_le_bytes());
+        b[14..].copy_from_slice(&self.next.to_le_bytes());
+        b
+    }
+
+    fn decode(b: &[u8; 16]) -> Descriptor {
+        Descriptor {
+            addr: Gpa(u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))),
+            len: u32::from_le_bytes(b[8..12].try_into().expect("4 bytes")),
+            flags: u16::from_le_bytes([b[12], b[13]]),
+            next: u16::from_le_bytes([b[14], b[15]]),
+        }
+    }
 }
 
 /// Addresses of a queue's three rings inside guest memory.
@@ -119,13 +139,9 @@ impl QueueLayout {
     ///
     /// Out-of-bounds guest access.
     pub fn read_desc(&self, mem: &GuestMemory, i: u16) -> Result<Descriptor, VirtioError> {
-        let base = self.desc_gpa(i);
-        Ok(Descriptor {
-            addr: Gpa(mem.read_u64(base)?),
-            len: mem.read_u32(base.add(8))?,
-            flags: mem.read_u16(base.add(12))?,
-            next: mem.read_u16(base.add(14))?,
-        })
+        let mut record = [0u8; 16];
+        mem.read(self.desc_gpa(i), &mut record)?;
+        Ok(Descriptor::decode(&record))
     }
 
     /// Writes descriptor `i` into guest memory.
@@ -139,11 +155,7 @@ impl QueueLayout {
         i: u16,
         d: &Descriptor,
     ) -> Result<(), VirtioError> {
-        let base = self.desc_gpa(i);
-        mem.write_u64(base, d.addr.0)?;
-        mem.write_u32(base.add(8), d.len)?;
-        mem.write_u16(base.add(12), d.flags)?;
-        mem.write_u16(base.add(14), d.next)
+        mem.write(self.desc_gpa(i), &d.encode())
     }
 }
 
@@ -251,29 +263,32 @@ impl DriverQueue {
     ///
     /// # Errors
     ///
-    /// Guest memory errors while reading the rings.
+    /// Guest memory errors while reading the rings;
+    /// [`VirtioError::BadDescriptor`] for a used element naming a head
+    /// outside the queue.
     pub fn poll_used(&mut self) -> Result<Option<(u16, u32)>, VirtioError> {
         let used_idx = self.mem.read_u16(self.layout.used_idx_gpa())?;
         if used_idx == self.last_used {
             return Ok(None);
         }
         let slot = self.last_used % self.layout.size;
-        let entry = self.layout.used_ring_gpa(slot);
-        let head = self.mem.read_u32(entry)? as u16;
-        let len = self.mem.read_u32(entry.add(4))?;
+        // One used element: `{ id: u32, len: u32 }`.
+        let mut elem = [0u8; 8];
+        self.mem.read(self.layout.used_ring_gpa(slot), &mut elem)?;
+        let head = u32::from_le_bytes(elem[..4].try_into().expect("4 bytes")) as u16;
+        let len = u32::from_le_bytes(elem[4..].try_into().expect("4 bytes"));
+        if head >= self.layout.size {
+            return Err(VirtioError::BadDescriptor(head));
+        }
         self.last_used = self.last_used.wrapping_add(1);
 
-        // Recycle the chain: walk it to find its descriptors.
+        // Recycle the chain. Its descriptors were carved off the free list
+        // in `next_free` order and nothing relinks a descriptor in flight,
+        // so the driver's own links lead to the tail: the descriptor table
+        // in guest memory, which the guest may have scribbled on since, is
+        // not consulted.
         let chain = self.chain_len[head as usize].max(1);
-        let mut idx = head;
-        let mut tail = head;
-        for _ in 0..chain {
-            tail = idx;
-            let d = self.layout.read_desc(&self.mem, idx)?;
-            if d.has_next() {
-                idx = d.next;
-            }
-        }
+        let tail = (1..chain).fold(head, |idx, _| self.next_free[idx as usize]);
         // Link chain back into the free list.
         match self.free_head {
             Some(old_head) => self.next_free[tail as usize] = old_head,
@@ -357,9 +372,10 @@ impl DeviceQueue {
     /// Guest memory errors.
     pub fn push_used(&mut self, head: u16, written_len: u32) -> Result<(), VirtioError> {
         let slot = self.used_idx % self.layout.size;
-        let entry = self.layout.used_ring_gpa(slot);
-        self.mem.write_u32(entry, u32::from(head))?;
-        self.mem.write_u32(entry.add(4), written_len)?;
+        let mut elem = [0u8; 8];
+        elem[..4].copy_from_slice(&u32::from(head).to_le_bytes());
+        elem[4..].copy_from_slice(&written_len.to_le_bytes());
+        self.mem.write(self.layout.used_ring_gpa(slot), &elem)?;
         self.used_idx = self.used_idx.wrapping_add(1);
         self.mem.write_u16(self.layout.used_idx_gpa(), self.used_idx)
     }

@@ -58,6 +58,65 @@ proptest! {
         }
     }
 
+    /// Recycling never trusts guest memory: with several chains of different
+    /// lengths in flight, completed out of submission order, and the guest
+    /// scribbling over the `flags`/`next` fields of its in-flight
+    /// descriptors before reaping, every descriptor comes back exactly once
+    /// — a following chain that needs all of them is accepted and pops whole.
+    #[test]
+    fn recycling_survives_out_of_order_completion_and_scribbled_descriptors(
+        chains in proptest::collection::vec((1usize..8, any::<u64>()), 2..8),
+        junk in proptest::collection::vec(any::<u16>(), 2..9),
+    ) {
+        const SIZE: u16 = 64;
+        let mem = GuestMemory::new(4 << 20);
+        let layout = QueueLayout::alloc(&mem, SIZE).unwrap();
+        let mut driver = DriverQueue::new(mem.clone(), layout.clone());
+        let mut device = DeviceQueue::new(mem.clone(), layout.clone());
+        let page = mem.alloc_pages(1).unwrap()[0];
+        for round in 0..3 {
+            for (len, _) in &chains {
+                driver.add_chain(&vec![(page, 8, false); *len]).unwrap();
+            }
+            let in_flight: usize = chains.iter().map(|(len, _)| len).sum();
+            prop_assert_eq!(usize::from(driver.free_descriptors()), usize::from(SIZE) - in_flight);
+            let mut popped = Vec::new();
+            while let Some(chain) = device.pop().unwrap() {
+                popped.push(chain);
+            }
+            prop_assert_eq!(popped.len(), chains.len());
+            // Complete in an order unrelated to submission.
+            let mut order: Vec<usize> = (0..popped.len()).collect();
+            order.sort_by_key(|&i| chains[(i + round) % chains.len()].1);
+            for &i in &order {
+                device.push_used(popped[i].head, 0).unwrap();
+            }
+            // The guest overwrites `flags` and `next` of every in-flight
+            // descriptor (indices: the head, then each `next` the device saw).
+            let mut junk = junk.iter().cycle();
+            for chain in &popped {
+                let mut idx = chain.head;
+                for d in &chain.descriptors {
+                    let record = layout.desc.add(16 * u64::from(idx));
+                    mem.write_u16(record.add(12), *junk.next().unwrap()).unwrap();
+                    mem.write_u16(record.add(14), *junk.next().unwrap()).unwrap();
+                    idx = d.next;
+                }
+            }
+            for &i in &order {
+                let (head, _) = driver.poll_used().unwrap().unwrap();
+                prop_assert_eq!(head, popped[i].head);
+            }
+            prop_assert_eq!(driver.free_descriptors(), SIZE);
+            // Every descriptor is on the free list exactly once.
+            let all = driver.add_chain(&vec![(page, 8, false); usize::from(SIZE)]).unwrap();
+            let chain = device.pop().unwrap().unwrap();
+            prop_assert_eq!(chain.descriptors.len(), usize::from(SIZE));
+            device.push_used(all, 0).unwrap();
+            prop_assert_eq!(driver.poll_used().unwrap(), Some((all, 0)));
+        }
+    }
+
     /// Payload bytes cross the queue intact for arbitrary contents.
     #[test]
     fn payload_integrity(payload in proptest::collection::vec(any::<u8>(), 1..4096)) {

@@ -118,3 +118,31 @@ fn frontend_reports_costs_for_every_operation() {
     drop(vm);
     sys.shutdown();
 }
+
+#[test]
+fn every_operation_returns_its_guest_pages() {
+    let (sys, vm) = stack();
+    let fe = vm.frontend(0).clone();
+    fe.load_program(microbench::Checksum::KERNEL, &[]).unwrap();
+    let mem = vm.vm().memory();
+    let before = mem.free_pages();
+
+    let big = vec![7u8; 3 * 4096 + 5];
+    fe.write_rank(&[(0, 0, &big), (1, 4096, &big)]).unwrap();
+    fe.write_rank(&[(0, 64, &[1u8; 128])]).unwrap(); // batched, flushed by the read
+    let (cached, _) = fe.read_rank(&[(0, 0, 256)]).unwrap();
+    assert_eq!(cached[0], [&[7u8; 64][..], &[1u8; 128], &[7u8; 64]].concat());
+    let (uncached, _) = fe.read_rank(&[(0, 0, big.len() as u64), (1, 4096, 100)]).unwrap();
+    assert_eq!(uncached[0][256..], big[256..]);
+    assert_eq!(uncached[1], big[..100]);
+    fe.write_symbol(0, "nbytes", &4096u32.to_le_bytes()).unwrap();
+    fe.poll_status(0).unwrap();
+    // Backend errors: an unknown symbol, and a transfer past the MRAM bank.
+    assert!(fe.write_symbol(0, "no_such_symbol", &[0u8; 4]).is_err());
+    assert!(fe.write_rank(&[(0, 1 << 40, &big)]).is_err());
+    assert!(fe.read_rank(&[(0, 1 << 40, big.len() as u64)]).is_err());
+
+    assert_eq!(mem.free_pages(), before);
+    drop(vm);
+    sys.shutdown();
+}
