@@ -6,17 +6,18 @@
 # The repo's tier-1 gate (ROADMAP.md): release build + full test suite,
 # then the benchmark smoke (the frozen benchmark/ crate still builds against
 # this tree and every virt_fingerprint equals benchmark/baseline.json), the
-# concurrency stress/determinism and scheduler oversubscription
-# suites (the latter with the multi-VM and migration suites, which drive
-# the same backend -> scheduler -> rank-table call path) under varied
-# harness parallelism, the zero-copy data-path integrity/leak gate, the
-# chaos leg (fault-injection suites under varied harness parallelism, then
-# the chaos suite over the CHAOS_SEED matrix), the shard leg (rank-table
-# properties + exact end-state churn accounting under varied harness
-# parallelism, then the churn suite over the SHARD_SEED matrix, which
-# varies every per-thread op mix), the load gate (1k-session service-level
-# smoke, bit-identical LoadReport across thread counts, refreshes
-# BENCH_load.json), the cluster gate (migration determinism under
+# concurrency stress/determinism suites (inline vs lane dispatch
+# bit-identity) and scheduler oversubscription suites (the latter with the
+# multi-VM and migration suites, which drive the same backend -> scheduler
+# -> rank-table call path) under varied harness parallelism and pinned to
+# one CPU (a one-worker data pool), the zero-copy data-path integrity/leak
+# gate, the chaos leg (fault-injection suites under varied harness
+# parallelism, then the chaos suite over the CHAOS_SEED matrix), the shard
+# leg (rank-table properties + exact end-state churn accounting under
+# varied harness parallelism, then the churn suite over the SHARD_SEED
+# matrix, which varies every per-thread op mix), the load gate (1k-session
+# service-level smoke, bit-identical LoadReport across thread counts,
+# refreshes BENCH_load.json), the cluster gate (migration determinism under
 # varied harness parallelism plus the 1/2/4-host consolidation bench,
 # refreshes BENCH_cluster.json), and the pheap gate (crash-consistency
 # suites under varied harness parallelism, the 8-seed chaos sweep, the

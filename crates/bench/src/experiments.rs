@@ -413,10 +413,7 @@ pub fn boot_experiment(env: &BenchEnv) -> Vec<(usize, VirtualNanos)> {
         .map(|n| {
             if n == 0 {
                 // A VM without vUPMEM devices boots at the base time.
-                let mut vm = pim_vmm::Vm::new(
-                    pim_vmm::VmConfig::builder().vupmem_devices(0).build(),
-                    pim_vmm::DispatchMode::Sequential,
-                );
+                let mut vm = pim_vmm::Vm::new(pim_vmm::VmConfig::builder().vupmem_devices(0).build());
                 let report = vm.boot(env.cost_model()).expect("boot");
                 (0, report.vupmem_boot_time)
             } else {
@@ -524,11 +521,36 @@ mod tests {
         let seq_max = f.per_rank_seq.iter().map(|(_, d)| *d).max().unwrap();
         assert!(par_max < seq_max);
     }
+
+    /// `backend_threads` is a model parameter only: the sweep's virtual
+    /// times are pinned to the values they had when the same number also
+    /// sized an OS thread pool, whatever width the host's pool now runs.
+    #[test]
+    fn backend_threads_ablation_is_a_virtual_sweep() {
+        let env = BenchEnv::new(Scale::Quick);
+        let got: Vec<(usize, u64)> = ablation_backend_threads(&env)
+            .into_iter()
+            .map(|(threads, t)| (threads, t.as_nanos()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, 109_787_900),
+                (2, 103_234_310),
+                (4, 99_957_515),
+                (8, 98_428_344),
+                (16, 97_554_532),
+                (32, 97_117_626),
+            ]
+        );
+    }
 }
 
 /// Ablation: backend DPU-operation thread count (§4.2 — "We empirically
 /// validate that using more than 8 threads does not provide additional
-/// benefits"). Reports checksum write-to-rank time per thread count.
+/// benefits"). Reports checksum write-to-rank time per modelled width. The
+/// sweep is virtual only: the host's data pool is sized by its CPUs,
+/// whatever `backend_threads` says.
 #[must_use]
 pub fn ablation_backend_threads(env: &BenchEnv) -> Vec<(usize, VirtualNanos)> {
     [1usize, 2, 4, 8, 16, 32]
@@ -782,8 +804,9 @@ pub fn ablation_adaptive(env: &BenchEnv) -> Vec<AdaptiveRow> {
 /// seeded write/persist workload on [`vpim::Pheap`], a simulated crash
 /// (the handle drops, taking the resident window with it), and recovery.
 /// Costs are virtual-time MRAM traffic drained from the heap's cost
-/// accumulator; the row reports the Sequential run after asserting the
-/// Parallel-dispatch run produced bit-identical state and timings.
+/// accumulator; the row reports a one-device VM's run (handler on the
+/// kicking thread) after asserting a two-device VM's run (handler on the
+/// heap device's lane) produced bit-identical state and timings.
 #[derive(Debug, Clone)]
 pub struct PheapRow {
     /// Workload short name.
@@ -825,12 +848,12 @@ fn pheap_value(seed: u64, i: u64, len: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Runs one pheap leg under one dispatch mode and returns
+/// Runs one pheap leg on device 0 of a `devices`-device VM and returns
 /// `(persist_t, recover_t, digest)` where `digest` folds every recovered
-/// byte (so any divergence across modes poisons the comparison).
+/// byte (so any divergence across dispatch poisons the comparison).
 fn pheap_leg(
     env: &BenchEnv,
-    parallel: bool,
+    devices: usize,
     seed: u64,
     objects: u64,
     value_bytes: u64,
@@ -838,12 +861,12 @@ fn pheap_leg(
 ) -> (VirtualNanos, VirtualNanos, u64) {
     let sys = vpim::VpimSystem::start(
         env.driver().clone(),
-        vpim::VpimConfig::builder().parallel(parallel).build(),
+        vpim::VpimConfig::full(),
         vpim::StartOpts::new()
             .cost_model(env.cost_model().clone())
             .manager(vpim::manager::ManagerConfig::default()),
     );
-    let vm = sys.launch(vpim::TenantSpec::new("pheap-bench").mem_mib(16)).expect("vm");
+    let vm = sys.launch(vpim::TenantSpec::new("pheap-bench").devices(devices).mem_mib(16)).expect("vm");
     let opts = vpim::PheapOptions::new().attach(&sys);
 
     let mut heap = vpim::Pheap::format(vm.frontend(0).clone(), opts.clone()).expect("format");
@@ -878,7 +901,7 @@ fn pheap_leg(
     let mut digest = 0xcbf2_9ce4_8422_2325u64 ^ persists;
     for (i, &id) in ids.iter().enumerate() {
         let got = rec.read(id, 0, value_bytes).expect("read");
-        assert_eq!(got, pheap_value(seed, i as u64, value_bytes), "{} object {i} diverged", if parallel { "par" } else { "seq" });
+        assert_eq!(got, pheap_value(seed, i as u64, value_bytes), "{devices} devices: object {i} diverged");
         digest = got.iter().fold(digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
     }
     drop(rec);
@@ -890,11 +913,11 @@ fn pheap_leg(
 /// The persistent-heap durability bench (DESIGN.md §17), feeding
 /// `ci/pheap-gate.sh` and `BENCH_pheap.json`. Three workload shapes —
 /// a small-value KV store, a large-value blob store, and a log-style
-/// append stream — each run under both dispatch modes with the
-/// acceptance bars asserted here so the figures binary and the gate both
-/// trip on a regression: recovery is lossless and repair-free after a
-/// clean crash, bit-identical across Sequential/Parallel dispatch (state
-/// *and* virtual-time costs), and never costs zero.
+/// append stream — each run inline and on a lane with the acceptance bars
+/// asserted here so the figures binary and the gate both trip on a
+/// regression: recovery is lossless and repair-free after a clean crash,
+/// bit-identical across inline and lane dispatch (state *and*
+/// virtual-time costs), and never costs zero.
 #[must_use]
 pub fn bench_pheap(env: &BenchEnv) -> Vec<PheapRow> {
     let mut rows = Vec::new();
@@ -904,10 +927,10 @@ pub fn bench_pheap(env: &BenchEnv) -> Vec<PheapRow> {
         ("log-append", 48, 1024, 6),
     ] {
         let seed = 0x17_u64.wrapping_mul(objects) ^ value_bytes;
-        let seq = pheap_leg(env, false, seed, objects, value_bytes, batch);
-        let par = pheap_leg(env, true, seed, objects, value_bytes, batch);
-        assert_eq!(seq, par, "{leg}: dispatch modes must agree on state and virtual time");
-        let (persist_t, recover_t, _) = seq;
+        let inline = pheap_leg(env, 1, seed, objects, value_bytes, batch);
+        let lanes = pheap_leg(env, 2, seed, objects, value_bytes, batch);
+        assert_eq!(inline, lanes, "{leg}: dispatch must not reach state or virtual time");
+        let (persist_t, recover_t, _) = inline;
         assert!(persist_t > VirtualNanos::ZERO && recover_t > VirtualNanos::ZERO);
         rows.push(PheapRow {
             leg,

@@ -27,8 +27,8 @@ use crate::matrix::{DpuXfer, TransferMatrix};
 
 /// Fault point for a torn per-DPU chunk write ([`write_entry`] only): the
 /// entry's first half lands in MRAM, then the op fails typed. Keyed by the
-/// entry's index in its request, so both dispatch modes and any worker
-/// interleaving observe the identical schedule.
+/// entry's index in its request, so any dispatch, data-pool width or
+/// worker interleaving observes the identical schedule.
 pub const CHUNK_TORN_WRITE_POINT: &str = "backend.chunk.torn_write";
 
 /// Fault point for a stalled chunk worker ([`write_entry`] and

@@ -1,13 +1,13 @@
 //! Per-DPU chunking of a transfer matrix for the backend worker pool.
 //!
-//! The backend spreads a `write-to-rank` / `read-from-rank` over
-//! `backend_threads` OS workers (§4.2's 8-thread DPU operation pool). The
+//! The backend spreads a `write-to-rank` / `read-from-rank` over the
+//! host's data pool, one OS worker per CPU the process may run on. The
 //! unit of distribution is a **DPU**, never a single entry: all entries
 //! targeting one DPU stay in one chunk, in their original matrix order, so
 //! no two workers ever touch the same MRAM bank and same-DPU writes keep
 //! their program order. Chunks are balanced by byte count with a
 //! deterministic greedy rule, so the partition is a pure function of the
-//! matrix (execution order never feeds back into it).
+//! matrix and the pool width (execution order never feeds back into it).
 
 use crate::matrix::DpuXfer;
 

@@ -3,8 +3,8 @@
 //! Transfer time is **virtual**: a pure integer function of the byte
 //! count and the link's `(latency, bandwidth)` spec, charged through the
 //! same virtual-clock accounting as every other cost in the system — so
-//! migration reports are bit-identical across Sequential/Parallel
-//! dispatch and thread counts, exactly like [`LoadReport`]s.
+//! migration reports are bit-identical across inline and lane dispatch
+//! and thread counts, exactly like [`LoadReport`]s.
 //!
 //! The link is *serialized*: one transfer occupies it at a time (its
 //! mutex orders at [`LockLevel::Link`], **inside** `RankSlot` — shipping

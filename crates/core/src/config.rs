@@ -181,7 +181,7 @@ impl Default for SchedSection {
 /// prefetch off per DPU, and the batch flush threshold tracks inter-op
 /// virtual gaps. Its bounds and thresholds are the constants of
 /// [`crate::frontend::policy`]. Every decision is a pure function of
-/// virtual-time observations, so Sequential and Parallel dispatch stay
+/// virtual-time observations, so inline and lane dispatch stay
 /// bit-identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdaptSection {
@@ -270,7 +270,11 @@ pub struct VpimConfig {
     pub prefetch_cache: bool,
     /// Frontend request batching for small writes (64 pages per DPU).
     pub request_batching: bool,
-    /// Parallel operation handling across ranks in the event manager.
+    /// Parallel operation handling across ranks (§4.2): whether a
+    /// multi-rank operation's per-rank times overlap (vPIM) or add up
+    /// back to back (`vPIM-Seq`, stock Firecracker's single event loop).
+    /// A model parameter read by `DpuSet::alloc_vm`'s composition; the
+    /// host's own dispatch follows the device count, not this flag.
     pub parallel_handling: bool,
     /// Prefetch cache capacity in pages per DPU (paper: 16).
     pub prefetch_pages_per_dpu: usize,
@@ -353,7 +357,8 @@ impl VpimConfigBuilder {
         self
     }
 
-    /// Enables or disables parallel operation handling across ranks.
+    /// Enables or disables parallel operation handling across ranks (the
+    /// modelled overlap of a multi-rank operation).
     #[must_use]
     pub fn parallel(mut self, on: bool) -> Self {
         self.cfg.parallel_handling = on;

@@ -619,7 +619,7 @@ impl Frontend {
     /// chain — it is still pending in the avail ring — so the guest
     /// re-notifies and re-kicks; an injected EIO on the status page simply
     /// re-reads it. All backoff is virtual time charged to the op's report;
-    /// no thread sleeps for it, so Sequential and Parallel dispatch agree.
+    /// no thread sleeps for it, so inline and lane dispatch agree.
     fn complete(&self, op: PendingOp) -> Result<(Response, OpReport), VpimError> {
         // One budget for both loops: a kick retry leaves less for the
         // status read.
@@ -723,10 +723,10 @@ impl Frontend {
     /// transfers across several ranks: begin on every channel first, then
     /// finish them all. Small writes are absorbed by the batch buffer when
     /// batching is enabled, returning an op with nothing left in flight. In
-    /// `DispatchMode::Sequential`, and in a one-device VM (nothing to
-    /// overlap with), the device handler runs inline during begin; begin +
-    /// finish is byte- and report-identical to
-    /// [`write_rank`](Self::write_rank) in either mode.
+    /// a one-device VM (nothing to overlap with) the device handler runs
+    /// inline during begin; with two or more devices it runs on the
+    /// device's lane. Begin + finish is byte- and report-identical to
+    /// [`write_rank`](Self::write_rank) either way.
     ///
     /// Bounce pages and virtqueue slots are bounded: when submitting a
     /// chunk hits that limit, the oldest in-flight chunk is completed (its

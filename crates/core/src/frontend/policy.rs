@@ -5,8 +5,8 @@
 //! misses, retired fetches, inter-append virtual gaps). That purity is the
 //! determinism argument of DESIGN.md §16 — the per-frontend event stream
 //! is fixed by the workload's program order and virtual-time costs, so the
-//! policies reach identical decisions under Sequential and Parallel
-//! dispatch and under any worker-thread count. It also makes the machines
+//! policies reach identical decisions under inline and lane dispatch and
+//! under any worker-thread count. It also makes the machines
 //! directly drivable by property tests, with no system around them.
 
 /// Bytes per MRAM page (the policy granule throughout the frontend).

@@ -16,9 +16,10 @@
 //!   **request batching** (64 pages/DPU) optimizations (§4.1);
 //! * the **[`backend`]** — the device model inside Firecracker that decodes
 //!   requests, translates guest page addresses (GPA→HVA) with a thread
-//!   pool, and performs rank operations in performance mode with an
-//!   8-thread DPU-operation pool and a selectable scalar/vectorized data
-//!   path (§4.2, the "C enhancement");
+//!   pool, and performs rank operations in performance mode with a
+//!   DPU-operation pool (modelled 8 wide, §4.2; run as wide as the host's
+//!   CPUs) and a selectable scalar/vectorized data path (§4.2, the "C
+//!   enhancement");
 //! * the **[`manager`]** — a host userspace daemon that owns the
 //!   rank-sharing policy: the {NAAV, ALLO, NANA} state machine, round-robin
 //!   allocation, FIFO queuing, an observer thread over sysfs, and content

@@ -23,7 +23,7 @@
 //!
 //! The determinism invariant follows: **same seed ⇒ bit-identical
 //! [`LoadReport`]** across [`Execution::Sequential`] vs.
-//! [`Execution::Pooled`] phase-A execution, across host dispatch modes,
+//! [`Execution::Pooled`] phase-A execution, across host data-pool widths,
 //! and across `RUST_TEST_THREADS` settings. `ci/load-gate.sh` enforces
 //! exactly that, and "thousands of concurrent sessions" is measured where
 //! it is meaningful — in virtual time, as overlapping

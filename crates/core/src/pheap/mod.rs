@@ -559,7 +559,7 @@ impl Pheap {
         }
 
         // Intent + data pages. A torn append writes a strict prefix of
-        // the body (cut derived from seq, so both dispatch modes tear
+        // the body (cut derived from seq, so every host mechanism tears
         // identically) and fails before the commit record can exist.
         if self.site_fires(PHEAP_WAL_TORN_POINT, seq - 1) {
             let cut = 8 + (splitmix(seq) % (body.len() as u64 - 8)) as usize;

@@ -23,10 +23,10 @@
 //!   before the grant returns.
 //!
 //! All accounting is in **virtual time** — the backend charges each
-//! completed operation's modeled duration via [`Scheduler::charge`], so a
-//! Sequential and a Parallel dispatch of the same workload observe
-//! identical vruntime growth and (policy inputs being equal) identical
-//! schedules, preserving the virtual-clock determinism rule.
+//! completed operation's modeled duration via [`Scheduler::charge`], so
+//! the same workload observes identical vruntime growth and (policy
+//! inputs being equal) identical schedules whether its requests ran
+//! inline or on lanes, preserving the virtual-clock determinism rule.
 //!
 //! [`Rank::snapshot_quiescent`]: upmem_sim::Rank::snapshot_quiescent
 
@@ -340,7 +340,7 @@ impl Scheduler {
         let inner = &*self.inner;
         // Transient (injected) manager failures are retried under the
         // allocation timeout class; backoff is charged to the grant's
-        // virtual wait so both dispatch modes report identical timelines.
+        // virtual wait so every host mechanism reports identical timelines.
         let (outcome, backoff_vt) = RetryPolicy::for_class(&inner.cm, TimeoutClass::ManagerAlloc)
             .run(self.retry_seed(), Some(&inner.retry), VpimError::is_transient, |_| {
                 inner.manager.alloc(tenant)
@@ -588,7 +588,7 @@ impl Scheduler {
     /// Charges `vt` of virtual time against `tenant`'s lease and account.
     /// The backend calls this once per successfully completed operation
     /// with the operation's modeled duration, so scheduling accounts are
-    /// identical under Sequential and Parallel dispatch.
+    /// identical whether requests ran inline or on lanes.
     pub fn charge(&self, tenant: &str, vt: VirtualNanos) {
         let ns = vt.as_nanos();
         let waiters = {

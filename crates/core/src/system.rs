@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pim_vmm::{BootReport, DispatchMode, VirtioDevice, Vm, VmConfig};
+use pim_vmm::{BootReport, VirtioDevice, Vm, VmConfig};
 use simkit::{BytePool, CostModel, Counter, FaultPlane, Gauge, MetricsRegistry, WorkerPool};
 use upmem_driver::UpmemDriver;
 
@@ -139,9 +139,9 @@ pub struct VpimSystem {
     vcfg: VpimConfig,
     cm: CostModel,
     registry: MetricsRegistry,
-    /// The host's DPU-operation thread pool (§4.2's 8 threads), shared by
-    /// every backend on this host so the worker count reflects the machine,
-    /// not the number of attached devices.
+    /// The host's data pool, one worker per CPU the process may run on,
+    /// shared by every backend on this host so the worker count reflects
+    /// the machine, not the number of attached devices or the model.
     data_pool: Arc<WorkerPool>,
     /// The host's scratch-buffer pool for the zero-copy data path, shared
     /// by every frontend serializer and backend worker (telemetry under
@@ -168,7 +168,7 @@ impl VpimSystem {
         let manager = Manager::start_with_registry(driver.clone(), cm.clone(), mcfg, &registry);
         let sched =
             Scheduler::new(driver.clone(), manager.client(), vcfg.sched, cm.clone(), &registry);
-        let data_pool = Arc::new(WorkerPool::new(cm.backend_threads));
+        let data_pool = crate::backend::host_data_pool();
         let scratch = BytePool::with_registry(&registry, "datapath.pool");
         let inject = if vcfg.inject.enabled {
             let plane = Arc::new(FaultPlane::with_registry(vcfg.inject.seed, &registry));
@@ -275,16 +275,11 @@ impl VpimSystem {
     /// Boot or device initialization failures.
     pub fn launch(&self, spec: TenantSpec) -> Result<VpimVm, VpimError> {
         let TenantSpec { tag, devices: n_devices, mem_mib, weight } = spec;
-        let dispatch = if self.vcfg.parallel_handling {
-            DispatchMode::Parallel
-        } else {
-            DispatchMode::Sequential
-        };
         let cfg = VmConfig::builder()
             .vupmem_devices(n_devices)
             .mem_mib(mem_mib)
             .build();
-        let mut vm = Vm::new(cfg, dispatch);
+        let mut vm = Vm::new(cfg);
         // Guest kicks from every VM on this host aggregate into one
         // `vmm.vmexits` cell (install before the manager is cloned below).
         vm.event_manager_mut()
@@ -475,6 +470,20 @@ mod tests {
         let r0 = vm.devices()[0].backend().linked_rank().unwrap();
         let r1 = vm.devices()[1].backend().linked_rank().unwrap();
         assert_ne!(r0, r1);
+        sys.shutdown();
+    }
+
+    /// The data pool is sized by the CPUs the process may run on; the
+    /// model's `backend_threads` never reaches it.
+    #[test]
+    fn data_pool_is_sized_by_the_host_not_the_model() {
+        let cm = CostModel { backend_threads: 32, ..CostModel::default() };
+        let machine = PimMachine::new(PimConfig::small());
+        let opts = StartOpts::new().cost_model(cm);
+        let sys = VpimSystem::start(Arc::new(UpmemDriver::new(machine)), VpimConfig::full(), opts);
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(sys.data_pool.workers(), cpus);
+        assert_eq!(sys.cost_model().backend_threads, 32, "the model keeps its width");
         sys.shutdown();
     }
 

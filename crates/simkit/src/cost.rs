@@ -83,14 +83,6 @@ pub struct CostModel {
     // ---------------------------------------------------------------- DPU
     /// DPU clock frequency in MHz (the evaluation hardware runs at 350 MHz).
     pub dpu_freq_mhz: u64,
-    /// Fixed cycles per MRAM↔WRAM DMA transfer issued by a tasklet.
-    pub mram_dma_fixed_cycles: u64,
-    /// DMA cycles charged per 8 transferred bytes (≈0.5 cycles/byte ⇒
-    /// ~700 MB/s per DPU at 350 MHz, matching UPMEM measurements).
-    pub mram_dma_cycles_per_8_bytes: u64,
-    /// Cycles for a DPU program launch handshake (boot tasklets, fault
-    /// checks) charged once per launch.
-    pub dpu_launch_fixed_cycles: u64,
 
     // ---------------------------------------------------------------- virtio / VMM
     /// Guest→host notification: vmexit through KVM plus Firecracker event
@@ -130,8 +122,9 @@ pub struct CostModel {
     /// Additional VM boot time contributed by one vUPMEM device (§3.2
     /// reports "up to 2 ms").
     pub vupmem_boot_ns: u64,
-    /// Number of worker threads the backend uses for DPU operations
-    /// (the paper empirically settles on 8 = one per chip).
+    /// Modelled width of the backend's per-DPU copy schedule (the paper's
+    /// testbed settles on 8 threads = one per chip). Virtual only: no OS
+    /// thread count derives from it.
     pub backend_threads: usize,
     /// Number of threads used for GPA→HVA translation in the backend.
     pub translate_threads: usize,
@@ -153,9 +146,6 @@ impl Default for CostModel {
             interleave_vectorized_bw_mbps: 2_500,
 
             dpu_freq_mhz: 350,
-            mram_dma_fixed_cycles: 77,
-            mram_dma_cycles_per_8_bytes: 4,
-            dpu_launch_fixed_cycles: 6_000,
 
             virtio_kick_ns: 14_000,
             irq_inject_ns: 11_000,

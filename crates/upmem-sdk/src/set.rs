@@ -89,8 +89,10 @@ impl DpuSet {
     }
 
     /// Allocates `nr_dpus` DPUs inside a VM, one vUPMEM frontend per rank.
-    /// Rank-overlap behaviour follows the vPIM configuration
-    /// (`parallel_handling`).
+    /// How a multi-rank operation's per-rank times compose — overlapped, or
+    /// back to back as in `vPIM-Seq` — is the model's `parallel_handling`
+    /// flag, read here and nowhere else. It never depends on how the host
+    /// ran the requests.
     ///
     /// On an oversubscribed host (`sched.oversubscription`) the physical
     /// rank behind a device may be lent to another tenant between this
@@ -731,7 +733,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_rank_per_rank_offsets_follow_dispatch_mode() {
+    fn multi_rank_per_rank_offsets_follow_the_overlap_model() {
         let driver = Arc::new(upmem_driver::UpmemDriver::new(machine()));
         // Sequential variant (vPIM-Seq): completion offsets accumulate.
         let sys = VpimSystem::start(driver.clone(), vpim::VpimConfig::variant_config(vpim::Variant::VpimSeq), StartOpts::default());

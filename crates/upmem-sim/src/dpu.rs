@@ -40,6 +40,13 @@ pub const MRAM_HEAP_BASE: u64 = 0;
 /// are split (and charged) in 2 KiB chunks like the hardware's `mram_read`.
 pub const DMA_MAX: usize = 2048;
 
+/// DMA cycles the DPU charges per transfer of up to [`DMA_MAX`] bytes.
+/// This is the DPU's own constant; nothing in `simkit::CostModel` sets it.
+const DMA_FIXED_CYCLES: u64 = 77;
+/// DMA cycles the DPU charges per 8 bytes moved (≈0.5 cycles/byte, so
+/// ~700 MB/s per DPU at 350 MHz). Also the DPU's own constant.
+const DMA_CYCLES_PER_8_BYTES: u64 = 4;
+
 /// Lifecycle state of a DPU, as visible through the control interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DpuState {
@@ -480,15 +487,11 @@ impl<'a> TaskletCtx<'a> {
     }
 
     fn charge_dma(&mut self, bytes: usize) {
-        // Cost model mirror: fixed cost per <=2 KiB transfer + per-8-byte
-        // cost; constants are mirrored in `simkit::CostModel` for the
-        // host-side conversion to time.
+        // A fixed cost per <=2 KiB transfer plus a per-8-byte cost.
         let chunks = bytes.div_ceil(DMA_MAX).max(1) as u64;
-        let fixed = 77u64;
-        let per8 = 4u64;
-        self.dma_cycles = self
-            .dma_cycles
-            .saturating_add(chunks * fixed + (bytes as u64).div_ceil(8) * per8);
+        self.dma_cycles = self.dma_cycles.saturating_add(
+            chunks * DMA_FIXED_CYCLES + (bytes as u64).div_ceil(8) * DMA_CYCLES_PER_8_BYTES,
+        );
         // Issuing a DMA also costs a handful of pipeline instructions.
         self.charge(4 * chunks);
     }

@@ -71,8 +71,8 @@ impl RankSnapshot {
 /// # Lock sharding
 ///
 /// DPUs are individually locked so backend worker threads can operate on
-/// different DPUs of the same rank concurrently (vPIM's 8-thread DPU
-/// operation pool, §4.2). There is deliberately **no rank-wide lock**: the
+/// different DPUs of the same rank concurrently (vPIM's DPU operation
+/// pool, §4.2). There is deliberately **no rank-wide lock**: the
 /// interleave transform runs *outside* the DPU mutex, so a DPU's critical
 /// section is only the MRAM memcpy itself.
 /// Concurrent operations on the *same* DPU serialize on its mutex;

@@ -1,32 +1,26 @@
-//! Firecracker's event loop, in its original and vPIM-optimized forms.
+//! Firecracker's event loop, with vPIM's parallel operation handling.
 //!
 //! §4.2, "Parallel operations handling": in stock Firecracker a single loop
 //! handles virtio request events sequentially. vPIM spawns a thread per
 //! request, marks the event complete, and lets the worker inject the IRQ
 //! when the operation finishes — so requests to different ranks overlap.
 //!
-//! The manager models both behaviours:
-//!
-//! * functionally — [`EventManager::kick`] runs the device's notify handler
-//!   inline (sequential) or on that device's lane (parallel);
-//!   [`EventManager::kick_async`] exposes the split-phase form (dispatch
-//!   now, collect completion later) that lets multi-rank `dpu_push_xfer`
-//!   kicks genuinely overlap in wall-clock time;
-//! * temporally — not here: callers compose per-request virtual durations
-//!   with `simkit::sequential` (cumulative sums) or `simkit::parallel`
-//!   (the slowest lane), the two curves of Fig. 16.
-//!
 //! A request holds its device's rank for its whole duration, so a VM with
-//! *n* devices never has more than *n* handlers making progress. Parallel
-//! dispatch therefore follows the devices: a manager with *n* ≥ 2 devices
-//! owns *n* lanes — one thread each, serving one device's kicks in kick
-//! order — and a manager with one device has nothing to overlap and runs
-//! the handler on the kicking thread, exactly as sequential dispatch does.
-//! The choice reads only the registered-device count.
+//! *n* devices never has more than *n* handlers making progress. Dispatch
+//! therefore follows the devices: a manager with *n* ≥ 2 devices owns *n*
+//! lanes — one thread each, serving one device's kicks in kick order — and
+//! a manager with one device has nothing to overlap and runs the handler
+//! on the kicking thread. The choice reads only the registered-device
+//! count; no configuration selects it.
 //!
-//! Parallel dispatch never feeds back into virtual time: reported
-//! durations come from those composition rules, so sequential and
-//! parallel modes return bit-identical results and timings.
+//! [`EventManager::kick_async`] is the split-phase form (dispatch now,
+//! collect completion later) that lets multi-rank `dpu_push_xfer` kicks
+//! overlap in wall-clock time. Virtual time is not decided here: callers
+//! compose per-request durations with `simkit::sequential` (cumulative
+//! sums, stock Firecracker) or `simkit::parallel` (the slowest lane), the
+//! two curves of Fig. 16, and that choice is a model parameter. Lanes
+//! never feed back into it, so a one-device VM (inline) and a multi-device
+//! VM (lanes) report bit-identical results for the same requests.
 
 use std::sync::{Arc, OnceLock};
 
@@ -41,21 +35,10 @@ use crate::device::{VirtioDevice, VmmError};
 /// simply re-notifying the queue.
 pub const KICK_DROP_POINT: &str = "vmm.kick.drop";
 
-/// How the event loop dispatches virtio request events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchMode {
-    /// Stock Firecracker: one loop, one request at a time (`vPIM-Seq`).
-    Sequential,
-    /// vPIM: requests leave the loop's thread so that different ranks
-    /// overlap (`vPIM` with parallel operation handling).
-    Parallel,
-}
-
 /// The VMM event loop.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct EventManager {
     devices: Vec<Arc<dyn VirtioDevice>>,
-    mode: DispatchMode,
     kicks: Counter,
     /// One single-threaded FIFO per device, built by the first kick that
     /// needs one and shared by every clone made after the last
@@ -94,7 +77,6 @@ impl std::fmt::Debug for EventManager {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventManager")
             .field("devices", &self.devices.len())
-            .field("mode", &self.mode)
             .field("lanes", &self.lanes.get().map_or(0, Vec::len))
             .field("kicks", &self.kicks.get())
             .finish()
@@ -102,17 +84,11 @@ impl std::fmt::Debug for EventManager {
 }
 
 impl EventManager {
-    /// Creates an event manager in the given dispatch mode. It owns no
-    /// thread until a parallel-mode kick finds two or more devices.
+    /// Creates an event manager with no devices. It owns no thread until a
+    /// kick finds two or more devices.
     #[must_use]
-    pub fn new(mode: DispatchMode) -> Self {
-        EventManager {
-            devices: Vec::new(),
-            mode,
-            kicks: Counter::new(),
-            lanes: Arc::default(),
-            inject: None,
-        }
+    pub fn new() -> Self {
+        EventManager::default()
     }
 
     /// Registers a device and returns its index. Register every device
@@ -125,10 +101,9 @@ impl EventManager {
     }
 
     /// Device `idx`'s lane, or `None` when its handler runs on the kicking
-    /// thread: sequential dispatch, or a single device with nothing to
-    /// overlap with.
+    /// thread: a single device has nothing to overlap with.
     fn lane(&self, idx: usize) -> Option<&WorkerPool> {
-        if self.mode == DispatchMode::Sequential || self.devices.len() < 2 {
+        if self.devices.len() < 2 {
             return None;
         }
         let lanes = self
@@ -167,14 +142,12 @@ impl EventManager {
     /// Dispatches a queue notification for device `idx` and returns a
     /// [`KickHandle`] tracking its completion.
     ///
-    /// In [`DispatchMode::Sequential`] the handler runs inline before this
-    /// returns (stock Firecracker's single event loop); in
-    /// [`DispatchMode::Parallel`] with two or more devices it is enqueued
-    /// on the device's lane and this call returns immediately — the
-    /// paper's event loop "marks the event complete and lets the worker
-    /// inject the IRQ" — and a device's kicks reach its handler in kick
-    /// order. The *functional* result is identical in both modes; only
-    /// wall-clock overlap differs.
+    /// With one device the handler runs inline before this returns; with
+    /// two or more it is enqueued on the device's lane and this call
+    /// returns immediately — the paper's event loop "marks the event
+    /// complete and lets the worker inject the IRQ" — and a device's kicks
+    /// reach its handler in kick order. The *functional* result is the
+    /// same either way; only wall-clock overlap differs.
     ///
     /// # Errors
     ///
@@ -204,7 +177,7 @@ impl EventManager {
 
     /// Delivers a queue notification for device `idx` and waits for the
     /// handler to finish — [`kick_async`](Self::kick_async) + wait.
-    /// Concurrent callers in parallel mode still overlap across lanes.
+    /// Concurrent callers still overlap across lanes.
     ///
     /// # Errors
     ///
@@ -281,11 +254,14 @@ mod tests {
     }
 
     #[test]
-    fn kick_dispatches_in_both_modes() {
-        for mode in [DispatchMode::Sequential, DispatchMode::Parallel] {
-            let mut mgr = EventManager::new(mode);
+    fn kick_dispatches_inline_and_on_lanes() {
+        for devices in [1, 2] {
+            let mut mgr = EventManager::new();
             let probe = Arc::new(Probe::new());
             let idx = mgr.register(probe.clone());
+            for _ in 1..devices {
+                mgr.register(Arc::new(Probe::new()));
+            }
             mgr.kick(idx, 0).unwrap();
             mgr.kick(idx, 0).unwrap();
             assert_eq!(probe.notifies.load(Ordering::Relaxed), 2);
@@ -295,16 +271,17 @@ mod tests {
 
     #[test]
     fn unknown_device_errors() {
-        let mgr = EventManager::new(DispatchMode::Sequential);
+        let mgr = EventManager::new();
         assert!(mgr.kick(0, 0).is_err());
     }
 
-    /// Async kicks dispatched before either is awaited overlap end to end:
-    /// two slow handlers complete in roughly one handler's wall-clock time.
+    /// Async kicks to two devices dispatched before either is awaited
+    /// overlap end to end: two slow handlers complete in roughly one
+    /// handler's wall-clock time.
     #[test]
-    fn parallel_kick_async_overlaps_slow_handlers_in_wall_clock() {
+    fn kick_async_overlaps_slow_handlers_in_wall_clock() {
         let delay = Duration::from_millis(60);
-        let mut par = EventManager::new(DispatchMode::Parallel);
+        let mut par = EventManager::new();
         let a = Arc::new(Probe::slow(delay));
         let b = Arc::new(Probe::slow(delay));
         let ia = par.register(a.clone());
@@ -323,42 +300,25 @@ mod tests {
         );
         assert_eq!(a.notifies.load(Ordering::Relaxed), 1);
         assert_eq!(b.notifies.load(Ordering::Relaxed), 1);
-
-        // Sequential mode really serializes them (Fig. 16's other curve)
-        // and owns no thread to do it.
-        let mut seq = EventManager::new(DispatchMode::Sequential);
-        let ic = seq.register(Arc::new(Probe::slow(delay)));
-        let id = seq.register(Arc::new(Probe::slow(delay)));
-        let start = std::time::Instant::now();
-        let (hc, hd) = (
-            seq.kick_async(ic, 0).unwrap(),
-            seq.kick_async(id, 0).unwrap(),
-        );
-        hc.wait().unwrap();
-        hd.wait().unwrap();
-        assert!(start.elapsed() >= delay * 2);
-        assert_eq!(lane_count(&seq), 0);
     }
 
-    /// One device has nothing to overlap with: in either mode the handler
-    /// has already run, on the kicking thread, when `kick_async` returns,
-    /// and the manager owns no thread.
+    /// One device has nothing to overlap with: the handler has already
+    /// run, on the kicking thread, when `kick_async` returns, and the
+    /// manager owns no thread.
     #[test]
     fn one_device_kick_async_resolves_on_the_kicking_thread() {
-        for mode in [DispatchMode::Sequential, DispatchMode::Parallel] {
-            let mut mgr = EventManager::new(mode);
-            let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
-            let log = ran_on.clone();
-            let probe = Arc::new(Probe::with_hook(move |_| {
-                log.lock().unwrap().push(std::thread::current().id());
-            }));
-            let idx = mgr.register(probe.clone());
-            let h = mgr.kick_async(idx, 0).unwrap();
-            assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
-            h.wait().unwrap();
-            assert_eq!(*ran_on.lock().unwrap(), [std::thread::current().id()]);
-            assert_eq!(lane_count(&mgr), 0);
-        }
+        let mut mgr = EventManager::new();
+        let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let log = ran_on.clone();
+        let probe = Arc::new(Probe::with_hook(move |_| {
+            log.lock().unwrap().push(std::thread::current().id());
+        }));
+        let idx = mgr.register(probe.clone());
+        let h = mgr.kick_async(idx, 0).unwrap();
+        assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
+        h.wait().unwrap();
+        assert_eq!(*ran_on.lock().unwrap(), [std::thread::current().id()]);
+        assert_eq!(lane_count(&mgr), 0);
     }
 
     /// Three devices, three lanes, shared with clones. Device 0's first
@@ -385,7 +345,7 @@ mod tests {
         let dev1_ran = Mutex::new(dev1_ran);
         let dev1 = Probe::with_hook(move |_| dev1_ran.lock().unwrap().send(()).unwrap());
 
-        let mut mgr = EventManager::new(DispatchMode::Parallel);
+        let mut mgr = EventManager::new();
         let i0 = mgr.register(Arc::new(dev0));
         let i1 = mgr.register(Arc::new(dev1));
         mgr.register(Arc::new(Probe::new()));
@@ -413,26 +373,24 @@ mod tests {
     #[test]
     fn dropped_kick_never_reaches_the_handler() {
         use simkit::{FaultPlan, FaultPlane};
-        for mode in [DispatchMode::Sequential, DispatchMode::Parallel] {
-            for devices in [1, 2] {
-                let mut mgr = EventManager::new(mode);
-                let plane = Arc::new(FaultPlane::new(7));
-                plane.arm(KICK_DROP_POINT, FaultPlan::Nth(1));
-                mgr.set_fault_plane(plane);
-                let probe = Arc::new(Probe::new());
-                let idx = mgr.register(probe.clone());
-                for _ in 1..devices {
-                    mgr.register(Arc::new(Probe::new()));
-                }
-                // First kick is dropped: counted as a vmexit, handler unrun.
-                let h = mgr.kick_async(idx, 0).unwrap();
-                assert!(matches!(h.wait(), Err(VmmError::KickDropped)));
-                assert_eq!(probe.notifies.load(Ordering::Relaxed), 0);
-                assert_eq!(mgr.kicks(), 1);
-                // Re-notifying recovers: Nth(1) is spent.
-                mgr.kick(idx, 0).unwrap();
-                assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
+        for devices in [1, 2] {
+            let mut mgr = EventManager::new();
+            let plane = Arc::new(FaultPlane::new(7));
+            plane.arm(KICK_DROP_POINT, FaultPlan::Nth(1));
+            mgr.set_fault_plane(plane);
+            let probe = Arc::new(Probe::new());
+            let idx = mgr.register(probe.clone());
+            for _ in 1..devices {
+                mgr.register(Arc::new(Probe::new()));
             }
+            // First kick is dropped: counted as a vmexit, handler unrun.
+            let h = mgr.kick_async(idx, 0).unwrap();
+            assert!(matches!(h.wait(), Err(VmmError::KickDropped)));
+            assert_eq!(probe.notifies.load(Ordering::Relaxed), 0);
+            assert_eq!(mgr.kicks(), 1);
+            // Re-notifying recovers: Nth(1) is spent.
+            mgr.kick(idx, 0).unwrap();
+            assert_eq!(probe.notifies.load(Ordering::Relaxed), 1);
         }
     }
 }

@@ -14,7 +14,7 @@ use simkit::{CostModel, VirtualNanos};
 
 use crate::config::VmConfig;
 use crate::device::{VirtioDevice, VmmError};
-use crate::event::{DispatchMode, EventManager};
+use crate::event::EventManager;
 
 /// MMIO base address of the first virtio device slot.
 pub const MMIO_BASE: u64 = 0xd000_0000;
@@ -54,14 +54,14 @@ pub struct Vm {
 
 impl Vm {
     /// Provisions a VM from an API configuration (allocates guest memory,
-    /// prepares the event loop in the requested dispatch mode).
+    /// prepares the event loop).
     #[must_use]
-    pub fn new(config: VmConfig, dispatch: DispatchMode) -> Self {
+    pub fn new(config: VmConfig) -> Self {
         let mem = GuestMemory::new(config.mem_mib * (1 << 20));
         Vm {
             config,
             mem,
-            event_manager: EventManager::new(dispatch),
+            event_manager: EventManager::new(),
             booted: false,
         }
     }
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn boot_advertises_devices_and_charges_vupmem_time() {
         let cm = CostModel::default();
-        let mut vm = Vm::new(VmConfig::default(), DispatchMode::Sequential);
+        let mut vm = Vm::new(VmConfig::default());
         vm.event_manager_mut().register(Arc::new(Stub::pim()));
         vm.event_manager_mut().register(Arc::new(Stub::block()));
         vm.event_manager_mut().register(Arc::new(Stub::pim()));
@@ -208,17 +208,14 @@ mod tests {
     #[test]
     fn double_boot_rejected() {
         let cm = CostModel::default();
-        let mut vm = Vm::new(VmConfig::default(), DispatchMode::Sequential);
+        let mut vm = Vm::new(VmConfig::default());
         vm.boot(&cm).unwrap();
         assert!(matches!(vm.boot(&cm), Err(VmmError::BadState(_))));
     }
 
     #[test]
     fn memory_sized_from_config() {
-        let vm = Vm::new(
-            VmConfig::builder().mem_mib(64).build(),
-            DispatchMode::Sequential,
-        );
+        let vm = Vm::new(VmConfig::builder().mem_mib(64).build());
         assert_eq!(vm.memory().size(), 64 << 20);
     }
 

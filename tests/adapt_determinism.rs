@@ -1,8 +1,9 @@
 //! Adaptive-controller determinism (DESIGN.md §16): the controller is a
 //! pure function of virtual-time observations, so with `adapt` enabled the
 //! same workload must produce bit-identical payloads, per-request reports,
-//! and `frontend.adapt.*` telemetry under `DispatchMode::Sequential` and
-//! `DispatchMode::Parallel`, and under any test-harness thread count (the
+//! and `frontend.adapt.*` telemetry whether the device's handler runs on
+//! the kicking thread (a one-device VM) or on its lane (a two-device VM),
+//! and under any test-harness thread count (the
 //! gate runs `canonical_adapt_report` under `RUST_TEST_THREADS=1` and `=8`
 //! and byte-compares the JSON). Property tests pin the policy machines:
 //! the window never leaves its bounds and converges on steady traces
@@ -34,15 +35,15 @@ fn host() -> Arc<UpmemDriver> {
     Arc::new(UpmemDriver::new(machine))
 }
 
-/// Deterministic per-(rank, dpu, byte) payload.
-fn payload(rank: usize, dpu: u32, len: usize) -> Vec<u8> {
-    let seed = (rank * 131 + dpu as usize * 17 + 7) as u32;
+/// Deterministic per-(dpu, byte) payload.
+fn payload(dpu: u32, len: usize) -> Vec<u8> {
+    let seed = dpu * 17 + 7;
     (0..len)
         .map(|i| (seed.wrapping_mul(48271).wrapping_add(i as u32) >> 5) as u8)
         .collect()
 }
 
-/// Everything a run produces that must be bit-identical across modes.
+/// Everything a run produces that must be bit-identical across dispatch.
 #[derive(Debug, PartialEq)]
 struct MixResult {
     reports: Vec<OpReport>,
@@ -50,71 +51,70 @@ struct MixResult {
     adapt: Vec<(String, i64)>,
 }
 
-/// A workload hitting every controller path: direct writes, a kernel
-/// launch barrier, the RED-shaped one-small-read-per-DPU scatter, a
-/// streaming walk, the write-then-read-back pattern, and a batched
-/// small-write burst.
-fn run_adaptive_mix(parallel: bool) -> MixResult {
-    let cfg = VpimConfig::builder().adaptive(true).parallel(parallel).build();
+/// A workload hitting every controller path, on device 0 of a
+/// `devices`-device VM: direct writes, a kernel launch barrier, the
+/// RED-shaped one-small-read-per-DPU scatter, a streaming walk, the
+/// write-then-read-back pattern, and a batched small-write burst.
+fn run_adaptive_mix(devices: usize) -> MixResult {
+    let cfg = VpimConfig::builder().adaptive(true).build();
     let sys = VpimSystem::start(host(), cfg, StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("adapt-det").devices(RANKS)).unwrap();
+    let vm = sys.launch(TenantSpec::new("adapt-det").devices(devices)).unwrap();
     let mut reports = Vec::new();
     let mut outputs = Vec::new();
     let all: Vec<u32> = (0..DPUS).collect();
 
-    for (r, fe) in vm.frontends().iter().enumerate() {
-        assert_eq!(fe.adapt_window_pages(), Some(16), "controller must start static");
+    let fe = vm.frontend(0);
+    assert_eq!(fe.adapt_window_pages(), Some(16), "controller must start static");
 
-        // Direct writes seed every DPU's MRAM.
-        let datas: Vec<Vec<u8>> = (0..DPUS).map(|d| payload(r, d, 16 << 10)).collect();
-        let entries: Vec<(u32, u64, &[u8])> =
-            datas.iter().enumerate().map(|(d, p)| (d as u32, 0, p.as_slice())).collect();
-        reports.push(fe.write_rank(&entries).unwrap());
+    // Direct writes seed every DPU's MRAM.
+    let datas: Vec<Vec<u8>> = (0..DPUS).map(|d| payload(d, 16 << 10)).collect();
+    let entries: Vec<(u32, u64, &[u8])> =
+        datas.iter().enumerate().map(|(d, p)| (d as u32, 0, p.as_slice())).collect();
+    reports.push(fe.write_rank(&entries).unwrap());
 
-        // A real launch: flushes, invalidates, and hits the controller's
-        // barrier path.
-        reports.push(fe.load_program(Checksum::KERNEL, &all).unwrap());
-        let nbytes: Vec<(u32, u32)> = all.iter().map(|d| (*d, 4096)).collect();
-        reports.push(fe.scatter_symbol("nbytes", &nbytes).unwrap());
-        reports.push(fe.launch(&all, 16).unwrap());
-        let (_, poll) = fe.poll_status(0).unwrap();
-        reports.push(poll);
+    // A real launch: flushes, invalidates, and hits the controller's
+    // barrier path.
+    reports.push(fe.load_program(Checksum::KERNEL, &all).unwrap());
+    let nbytes: Vec<(u32, u32)> = all.iter().map(|d| (*d, 4096)).collect();
+    reports.push(fe.scatter_symbol("nbytes", &nbytes).unwrap());
+    reports.push(fe.launch(&all, 16).unwrap());
+    let (_, poll) = fe.poll_status(0).unwrap();
+    reports.push(poll);
 
-        // RED shape: one 256 B read per DPU — the static over-fetch
-        // pathology the controller learns across DPUs.
-        for d in 0..DPUS {
-            let (outs, rep) = fe.read_rank(&[(d, 8192, 256)]).unwrap();
-            outputs.extend(outs);
-            reports.push(rep);
-        }
-
-        // Streaming walk on DPU 0: hit runs and overrun misses.
-        for i in 0..64u64 {
-            let (outs, rep) = fe.read_rank(&[(0, i * 256, 256)]).unwrap();
-            outputs.extend(outs);
-            reports.push(rep);
-        }
-
-        // Write-then-read-back: a batched small write immediately read
-        // back — the dirty-region miss that flips prefetch off per-DPU.
-        reports.push(fe.write_rank(&[(1, 8192, &[0xAA; 128])]).unwrap());
-        for _ in 0..2 {
-            let (outs, rep) = fe.read_rank(&[(1, 8192, 128)]).unwrap();
-            assert_eq!(outs[0], vec![0xAA; 128], "read-back must stay coherent");
-            outputs.extend(outs);
-            reports.push(rep);
-        }
-        reports.push(fe.launch(&all, 16).unwrap()); // barrier clears the flip
-
-        // Batched small-write burst, flushed by a read.
-        for i in 0..32u64 {
-            reports
-                .push(fe.write_rank(&[((i % 4) as u32, 32768 + (i / 4) * 256, &[9u8; 256])]).unwrap());
-        }
-        let (outs, rep) = fe.read_rank(&[(0, 32768, 256)]).unwrap();
+    // RED shape: one 256 B read per DPU — the static over-fetch
+    // pathology the controller learns across DPUs.
+    for d in 0..DPUS {
+        let (outs, rep) = fe.read_rank(&[(d, 8192, 256)]).unwrap();
         outputs.extend(outs);
         reports.push(rep);
     }
+
+    // Streaming walk on DPU 0: hit runs and overrun misses.
+    for i in 0..64u64 {
+        let (outs, rep) = fe.read_rank(&[(0, i * 256, 256)]).unwrap();
+        outputs.extend(outs);
+        reports.push(rep);
+    }
+
+    // Write-then-read-back: a batched small write immediately read
+    // back — the dirty-region miss that flips prefetch off per-DPU.
+    reports.push(fe.write_rank(&[(1, 8192, &[0xAA; 128])]).unwrap());
+    for _ in 0..2 {
+        let (outs, rep) = fe.read_rank(&[(1, 8192, 128)]).unwrap();
+        assert_eq!(outs[0], vec![0xAA; 128], "read-back must stay coherent");
+        outputs.extend(outs);
+        reports.push(rep);
+    }
+    reports.push(fe.launch(&all, 16).unwrap()); // barrier clears the flip
+
+    // Batched small-write burst, flushed by a read.
+    for i in 0..32u64 {
+        reports
+            .push(fe.write_rank(&[((i % 4) as u32, 32768 + (i / 4) * 256, &[9u8; 256])]).unwrap());
+    }
+    let (outs, rep) = fe.read_rank(&[(0, 32768, 256)]).unwrap();
+    outputs.extend(outs);
+    reports.push(rep);
 
     let snap = sys.registry().snapshot();
     let mut adapt = Vec::new();
@@ -130,11 +130,9 @@ fn run_adaptive_mix(parallel: bool) -> MixResult {
     ] {
         adapt.push((name.to_string(), snap.count(name) as i64));
     }
-    for device in 0..RANKS {
-        for kind in ["window", "batch"] {
-            let name = format!("frontend.adapt.{kind}.pages.rank{device}");
-            adapt.push((name.clone(), snap.level(&name)));
-        }
+    for kind in ["window", "batch"] {
+        let name = format!("frontend.adapt.{kind}.pages.rank0");
+        adapt.push((name.clone(), snap.level(&name)));
     }
     drop(vm);
     sys.shutdown();
@@ -143,8 +141,8 @@ fn run_adaptive_mix(parallel: bool) -> MixResult {
 
 #[test]
 fn adaptive_runs_identical_across_dispatch_modes() {
-    let seq = run_adaptive_mix(false);
-    let par = run_adaptive_mix(true);
+    let seq = run_adaptive_mix(1);
+    let par = run_adaptive_mix(2);
     assert_eq!(seq.outputs, par.outputs, "payloads diverged");
     assert_eq!(seq.reports.len(), par.reports.len());
     for (i, (s, p)) in seq.reports.iter().zip(&par.reports).enumerate() {
@@ -164,7 +162,7 @@ fn adaptive_runs_identical_across_dispatch_modes() {
 
 #[test]
 fn adaptive_parallel_run_is_self_identical() {
-    assert_eq!(run_adaptive_mix(true), run_adaptive_mix(true));
+    assert_eq!(run_adaptive_mix(2), run_adaptive_mix(2));
 }
 
 /// The default (static) configuration must not register any
@@ -176,7 +174,7 @@ fn static_config_registers_no_adapt_metrics() {
     let sys = VpimSystem::start(host(), VpimConfig::full(), StartOpts::default());
     let vm = sys.launch(TenantSpec::new("static-reg").devices(RANKS)).unwrap();
     let fe = &vm.frontends()[0];
-    fe.write_rank(&[(0, 4096, payload(0, 0, 256).as_slice())]).unwrap();
+    fe.write_rank(&[(0, 4096, payload(0, 256).as_slice())]).unwrap();
     assert_eq!(fe.adapt_window_pages(), None);
     let snap = sys.registry().snapshot();
     assert_eq!(
@@ -198,13 +196,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The gate's artifact: one canonical parallel run serialized to JSON.
+/// The gate's artifact: one canonical run on a lane serialized to JSON.
 /// `ci/adaptive-gate.sh` runs this under `RUST_TEST_THREADS=1` and `=8`
 /// and byte-compares the two files — harness scheduling must not reach
 /// virtual time or the controller.
 #[test]
 fn canonical_adapt_report() {
-    let mix = run_adaptive_mix(true);
+    let mix = run_adaptive_mix(2);
     let reports_hash = fnv1a(format!("{:?}", mix.reports).as_bytes());
     let outputs_hash = fnv1a(format!("{:?}", mix.outputs).as_bytes());
     let cells: Vec<String> =

@@ -1,14 +1,16 @@
 //! Cross-layer chaos suite: seeded fault sweeps over every fault point in
-//! the stack, in both dispatch modes.
+//! the stack.
 //!
 //! For every fault point the suite proves the ISSUE-5 contract:
 //! (a) an induced fault either surfaces as a typed `ErrorKind` or is
 //!     recovered transparently — never a panic, hang, or corrupted state;
 //! (b) the system stays usable afterwards, and a follow-up clean run
 //!     produces bit-identical payloads;
-//! (c) `inject.*` / `retry.*` telemetry totals are exact and identical in
-//!     Sequential and Parallel dispatch (injection decisions are derived
-//!     from seeded hashes and virtual time, never wall clock).
+//! (c) `inject.*` / `retry.*` telemetry totals are exact and identical
+//!     whether the device's handler runs on the kicking thread (a
+//!     one-device VM) or on its lane (a two-device VM): injection
+//!     decisions are derived from seeded hashes and virtual time, never
+//!     wall clock.
 //!
 //! The sweep seed comes from `CHAOS_SEED` (see `make tier1`'s
 //! fixed-seed matrix), so a failing seed reproduces with
@@ -42,8 +44,11 @@ impl DpuKernel for OkKernel {
     }
 }
 
+/// Three ranks: a two-device VM plus the fresh VM a crash scenario
+/// relaunches while the first one's ranks are still being recycled.
 fn host() -> Arc<UpmemDriver> {
-    let machine = PimMachine::new(PimConfig::small());
+    let machine =
+        PimMachine::new(PimConfig { ranks: 3, functional_dpus: vec![8; 3], ..PimConfig::small() });
     machine.register_kernel(Arc::new(OkKernel));
     Arc::new(UpmemDriver::new(machine))
 }
@@ -58,18 +63,14 @@ fn sweep_seed() -> u64 {
         .unwrap_or(0xC4A0_5EED)
 }
 
-/// A system with injection enabled (seeded, nothing armed yet) and one VM
-/// booted. Scenarios arm their point *after* launch so boot-time traffic
-/// (Configure round trip) does not consume hits.
-fn chaos_system(parallel: bool, seed: u64) -> (VpimSystem, VpimVm, Arc<FaultPlane>) {
-    let vcfg = VpimConfig::builder()
-        .batching(false)
-        .prefetch(false)
-        .parallel(parallel)
-        .inject_seed(seed)
-        .build();
+/// A system with injection enabled (seeded, nothing armed yet) and one
+/// `devices`-device VM booted; scenarios drive its device 0. Scenarios arm
+/// their point *after* launch so boot-time traffic (Configure round trips)
+/// does not consume hits.
+fn chaos_system(devices: usize, seed: u64) -> (VpimSystem, VpimVm, Arc<FaultPlane>) {
+    let vcfg = VpimConfig::builder().batching(false).prefetch(false).inject_seed(seed).build();
     let sys = VpimSystem::start(host(), vcfg, StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("chaos")).unwrap();
+    let vm = sys.launch(TenantSpec::new("chaos").devices(devices)).unwrap();
     let plane = sys.fault_plane().expect("inject enabled").clone();
     (sys, vm, plane)
 }
@@ -91,18 +92,18 @@ fn payload(dpu: u32, len: usize, salt: u64) -> Vec<u8> {
 fn dropped_kick_is_retried_transparently() {
     let seed = sweep_seed();
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         plane.arm(FaultSite::KickDrop.name(), FaultPlan::Nth(1));
         let fe = vm.frontend(0);
         let data = payload(0, 8192, seed);
         // The very next kick is dropped; the write must still land.
         fe.write_rank(&[(0, 0, &data)]).unwrap();
         let (out, _) = fe.read_rank(&[(0, 0, data.len() as u64)]).unwrap();
-        assert_eq!(out[0], data, "parallel={parallel}");
+        assert_eq!(out[0], data, "devices={devices}");
 
         let stats = plane.point_stats(FaultSite::KickDrop.name()).unwrap();
-        assert_eq!(stats.fired, 1, "parallel={parallel}: {stats:?}");
+        assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
         let snap = sys.registry().snapshot();
         assert_eq!(snap.count("inject.fired"), 1);
         assert_eq!(snap.count("retry.attempts"), 1, "one re-kick");
@@ -121,17 +122,17 @@ fn dropped_kick_is_retried_transparently() {
 fn delayed_irq_is_recovered_by_the_wait_slice() {
     let seed = sweep_seed();
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         plane.arm(FaultSite::IrqDelay.name(), FaultPlan::Nth(1));
         let fe = vm.frontend(0);
         let data = payload(1, 4096, seed);
         fe.write_rank(&[(1, 64, &data)]).unwrap();
         let (out, _) = fe.read_rank(&[(1, 64, data.len() as u64)]).unwrap();
-        assert_eq!(out[0], data, "parallel={parallel}");
+        assert_eq!(out[0], data, "devices={devices}");
 
         let stats = plane.point_stats(FaultSite::IrqDelay.name()).unwrap();
-        assert_eq!(stats.fired, 1, "parallel={parallel}: {stats:?}");
+        assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
         let snap = sys.registry().snapshot();
         // Recovery is the waiter's own timeout slice: not a retry.
         assert_eq!(snap.count("retry.attempts"), 0);
@@ -153,13 +154,13 @@ fn transient_mem_eio_is_typed_and_the_system_stays_usable() {
     let seed = sweep_seed();
     let plan = FaultPlan::EveryK(7);
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         plane.arm(FaultSite::MemEio.name(), plan);
         let fe = vm.frontend(0);
         let mut typed_errors = 0u64;
-        // Single-DPU ops only: their data path is identical in both
-        // dispatch modes, so the access (= hit) sequence is too.
+        // Single-DPU ops only: one entry is one in-order page walk at any
+        // data-pool width, so the access (= hit) sequence is fixed.
         for i in 0..6u64 {
             let data = payload(0, 2048, seed ^ i);
             match fe.write_rank(&[(0, i * 4096, &data)]) {
@@ -182,7 +183,7 @@ fn transient_mem_eio_is_typed_and_the_system_stays_usable() {
         assert_eq!(
             stats.fired,
             plan.count_fires(seed, FaultSite::MemEio.name(), stats.hits),
-            "parallel={parallel}: {stats:?}"
+            "devices={devices}: {stats:?}"
         );
         assert!(stats.fired > 0, "EveryK(7) over {} hits must fire", stats.hits);
 
@@ -212,8 +213,8 @@ fn torn_chunk_write_is_typed_and_heals_on_rewrite() {
     let seed = sweep_seed();
     let plan = FaultPlan::Nth(2); // fires for entry key 1 of each request
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         plane.arm(FaultSite::ChunkTornWrite.name(), plan);
         let fe = vm.frontend(0);
         let datas: Vec<Vec<u8>> = (0..4).map(|d| payload(d, 8192, seed)).collect();
@@ -223,10 +224,13 @@ fn torn_chunk_write_is_typed_and_heals_on_rewrite() {
         assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
 
         let stats = plane.point_stats(FaultSite::ChunkTornWrite.name()).unwrap();
-        // Keyed point: each of the 4 entries was consulted with its own
-        // index; exactly the plan's key (1) fires.
-        assert_eq!(stats.hits, 4, "parallel={parallel}: {stats:?}");
-        assert_eq!(stats.fired, 1, "parallel={parallel}: {stats:?}");
+        // Keyed point: entries are consulted with their own index and
+        // exactly the plan's key (1) fires. Entries 0 and 1 are always
+        // consulted; whether 2 and 3 are depends on how many chunks the
+        // host's data pool cut the matrix into (a chunk stops at its first
+        // error), as does which of them landed.
+        assert!((2..=4).contains(&stats.hits), "devices={devices}: {stats:?}");
+        assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
 
         // Same keys re-fire on retry by design: recovery is disarm (or a
         // plan that expires), then rewrite.
@@ -252,37 +256,35 @@ fn torn_chunk_write_is_typed_and_heals_on_rewrite() {
 #[test]
 fn stalled_chunk_worker_does_not_perturb_virtual_time() {
     let seed = sweep_seed();
-    for parallel in [false, true] {
-        // Reference: no faults armed.
-        let (ref_sys, ref_vm, _plane) = chaos_system(parallel, seed);
-        let fe = ref_vm.frontend(0);
-        let datas: Vec<Vec<u8>> = (0..4).map(|d| payload(d, 8192, seed)).collect();
-        let writes: Vec<(u32, u64, &[u8])> =
-            datas.iter().enumerate().map(|(d, v)| (d as u32, 0, v.as_slice())).collect();
-        let ref_report = fe.write_rank(&writes).unwrap();
-        let reads: Vec<(u32, u64, u64)> = (0..4).map(|d| (d, 0, 8192)).collect();
-        let (ref_outs, _) = fe.read_rank(&reads).unwrap();
-        drop(ref_vm);
-        ref_sys.shutdown();
+    // Reference: no faults armed.
+    let (ref_sys, ref_vm, _plane) = chaos_system(1, seed);
+    let fe = ref_vm.frontend(0);
+    let datas: Vec<Vec<u8>> = (0..4).map(|d| payload(d, 8192, seed)).collect();
+    let writes: Vec<(u32, u64, &[u8])> =
+        datas.iter().enumerate().map(|(d, v)| (d as u32, 0, v.as_slice())).collect();
+    let ref_report = fe.write_rank(&writes).unwrap();
+    let reads: Vec<(u32, u64, u64)> = (0..4).map(|d| (d, 0, 8192)).collect();
+    let (ref_outs, _) = fe.read_rank(&reads).unwrap();
+    drop(ref_vm);
+    ref_sys.shutdown();
 
-        // Stalled: every chunk worker sleeps ~2 ms of wall time.
-        let (sys, vm, plane) = chaos_system(parallel, seed);
-        plane.arm(FaultSite::ChunkStall.name(), FaultPlan::EveryK(1));
-        let fe = vm.frontend(0);
-        let report = fe.write_rank(&writes).unwrap();
-        let (outs, _) = fe.read_rank(&reads).unwrap();
-        assert_eq!(outs, ref_outs, "parallel={parallel}: payloads diverged");
-        assert_eq!(
-            report.duration(),
-            ref_report.duration(),
-            "parallel={parallel}: wall stalls must not leak into virtual time"
-        );
-        let stats = plane.point_stats(FaultSite::ChunkStall.name()).unwrap();
-        assert_eq!(stats.fired, stats.hits, "EveryK(1) fires on every hit");
-        assert_eq!(stats.hits, 8, "4 write entries + 4 read entries");
-        drop(vm);
-        sys.shutdown();
-    }
+    // Stalled: every chunk worker sleeps ~2 ms of wall time.
+    let (sys, vm, plane) = chaos_system(1, seed);
+    plane.arm(FaultSite::ChunkStall.name(), FaultPlan::EveryK(1));
+    let fe = vm.frontend(0);
+    let report = fe.write_rank(&writes).unwrap();
+    let (outs, _) = fe.read_rank(&reads).unwrap();
+    assert_eq!(outs, ref_outs, "payloads diverged");
+    assert_eq!(
+        report.duration(),
+        ref_report.duration(),
+        "wall stalls must not leak into virtual time"
+    );
+    let stats = plane.point_stats(FaultSite::ChunkStall.name()).unwrap();
+    assert_eq!(stats.fired, stats.hits, "EveryK(1) fires on every hit");
+    assert_eq!(stats.hits, 8, "4 write entries + 4 read entries");
+    drop(vm);
+    sys.shutdown();
 }
 
 // ------------------------------------------------------------- sim layer
@@ -292,19 +294,17 @@ fn stalled_chunk_worker_does_not_perturb_virtual_time() {
 #[test]
 fn injected_ci_op_fault_is_typed_and_passes_after_the_plan() {
     let seed = sweep_seed();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
-        plane.arm(FaultSite::CiOp.name(), FaultPlan::Nth(1));
-        let fe = vm.frontend(0);
-        let err = fe.poll_status(0).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Injected, "parallel={parallel}: {err}");
-        // Nth(1) has fired; the very next CI op is clean.
-        let (_status, _) = fe.poll_status(0).unwrap();
-        let stats = plane.point_stats(FaultSite::CiOp.name()).unwrap();
-        assert_eq!((stats.hits, stats.fired), (2, 1));
-        drop(vm);
-        sys.shutdown();
-    }
+    let (sys, vm, plane) = chaos_system(1, seed);
+    plane.arm(FaultSite::CiOp.name(), FaultPlan::Nth(1));
+    let fe = vm.frontend(0);
+    let err = fe.poll_status(0).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+    // Nth(1) has fired; the very next CI op is clean.
+    let (_status, _) = fe.poll_status(0).unwrap();
+    let stats = plane.point_stats(FaultSite::CiOp.name()).unwrap();
+    assert_eq!((stats.hits, stats.fired), (2, 1));
+    drop(vm);
+    sys.shutdown();
 }
 
 /// Injected MRAM DMA failures are keyed by DPU: the plan's DPU fails
@@ -313,30 +313,28 @@ fn injected_ci_op_fault_is_typed_and_passes_after_the_plan() {
 #[test]
 fn injected_mram_dma_fault_is_per_dpu_deterministic() {
     let seed = sweep_seed();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
-        plane.arm(FaultSite::MramDma.name(), FaultPlan::Nth(1)); // key 0 = dpu 0
-        let fe = vm.frontend(0);
-        let data = payload(0, 4096, seed);
-        // DPU 0 fails, typed…
-        let err = fe.write_rank(&[(0, 0, &data)]).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
-        // …and fails again on retry: keyed decisions are pure in the key.
-        let err = fe.write_rank(&[(0, 0, &data)]).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
-        // Other DPUs are untouched.
-        let other = payload(2, 4096, seed);
-        fe.write_rank(&[(2, 0, &other)]).unwrap();
-        let (out, _) = fe.read_rank(&[(2, 0, other.len() as u64)]).unwrap();
-        assert_eq!(out[0], other);
-        // Disarm: DPU 0 heals completely.
-        plane.disarm(FaultSite::MramDma.name());
-        fe.write_rank(&[(0, 0, &data)]).unwrap();
-        let (out, _) = fe.read_rank(&[(0, 0, data.len() as u64)]).unwrap();
-        assert_eq!(out[0], data, "parallel={parallel}");
-        drop(vm);
-        sys.shutdown();
-    }
+    let (sys, vm, plane) = chaos_system(1, seed);
+    plane.arm(FaultSite::MramDma.name(), FaultPlan::Nth(1)); // key 0 = dpu 0
+    let fe = vm.frontend(0);
+    let data = payload(0, 4096, seed);
+    // DPU 0 fails, typed…
+    let err = fe.write_rank(&[(0, 0, &data)]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+    // …and fails again on retry: keyed decisions are pure in the key.
+    let err = fe.write_rank(&[(0, 0, &data)]).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+    // Other DPUs are untouched.
+    let other = payload(2, 4096, seed);
+    fe.write_rank(&[(2, 0, &other)]).unwrap();
+    let (out, _) = fe.read_rank(&[(2, 0, other.len() as u64)]).unwrap();
+    assert_eq!(out[0], other);
+    // Disarm: DPU 0 heals completely.
+    plane.disarm(FaultSite::MramDma.name());
+    fe.write_rank(&[(0, 0, &data)]).unwrap();
+    let (out, _) = fe.read_rank(&[(0, 0, data.len() as u64)]).unwrap();
+    assert_eq!(out[0], data);
+    drop(vm);
+    sys.shutdown();
 }
 
 /// An injected launch fault surfaces as a DPU fault (the paper's §3.4
@@ -344,22 +342,20 @@ fn injected_mram_dma_fault_is_per_dpu_deterministic() {
 #[test]
 fn injected_launch_fault_surfaces_as_a_dpu_fault() {
     let seed = sweep_seed();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
-        let fe = vm.frontend(0);
-        let dpus: Vec<u32> = (0..4).collect();
-        fe.load_program("chaos_ok", &dpus).unwrap();
-        plane.arm(FaultSite::LaunchFault.name(), FaultPlan::Nth(1));
-        let err = fe.launch(&dpus, 4).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Fault, "parallel={parallel}: {err}");
-        assert!(err.to_string().contains("sim.launch.fault"), "{err}");
-        // Nth(1) expired: the relaunch is clean.
-        fe.launch(&dpus, 4).unwrap();
-        let stats = plane.point_stats(FaultSite::LaunchFault.name()).unwrap();
-        assert_eq!((stats.hits, stats.fired), (2, 1));
-        drop(vm);
-        sys.shutdown();
-    }
+    let (sys, vm, plane) = chaos_system(1, seed);
+    let fe = vm.frontend(0);
+    let dpus: Vec<u32> = (0..4).collect();
+    fe.load_program("chaos_ok", &dpus).unwrap();
+    plane.arm(FaultSite::LaunchFault.name(), FaultPlan::Nth(1));
+    let err = fe.launch(&dpus, 4).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Fault, "{err}");
+    assert!(err.to_string().contains("sim.launch.fault"), "{err}");
+    // Nth(1) expired: the relaunch is clean.
+    fe.launch(&dpus, 4).unwrap();
+    let stats = plane.point_stats(FaultSite::LaunchFault.name()).unwrap();
+    assert_eq!((stats.hits, stats.fired), (2, 1));
+    drop(vm);
+    sys.shutdown();
 }
 
 // ----------------------------------------------------------- manager layer
@@ -371,17 +367,17 @@ fn injected_launch_fault_surfaces_as_a_dpu_fault() {
 fn transient_manager_rpc_is_retried_during_linking() {
     let seed = sweep_seed();
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
+    for devices in [1, 2] {
         let vcfg = VpimConfig::builder()
             .batching(false)
             .prefetch(false)
-            .parallel(parallel)
             .inject_seed(seed)
             .inject_fault(FaultSite::ManagerRpc, FaultPlan::Nth(1))
             .build();
         let sys = VpimSystem::start(host(), vcfg, StartOpts::default());
-        // The very first alloc RPC fails injected; the retry links anyway.
-        let vm = sys.launch(TenantSpec::new("chaos")).unwrap();
+        // The very first alloc RPC fails injected; the retry links anyway,
+        // and a second device links without a retry.
+        let vm = sys.launch(TenantSpec::new("chaos").devices(devices)).unwrap();
         let fe = vm.frontend(0);
         let data = payload(0, 4096, seed);
         fe.write_rank(&[(0, 0, &data)]).unwrap();
@@ -390,7 +386,7 @@ fn transient_manager_rpc_is_retried_during_linking() {
 
         let plane = sys.fault_plane().unwrap();
         let stats = plane.point_stats(FaultSite::ManagerRpc.name()).unwrap();
-        assert_eq!(stats.fired, 1, "parallel={parallel}: {stats:?}");
+        assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
         let snap = sys.registry().snapshot();
         assert_eq!(snap.count("retry.attempts"), 1);
         assert_eq!(snap.count("retry.giveups"), 0);
@@ -448,52 +444,50 @@ fn seeded_probability_storm_only_ever_fails_typed() {
         FaultSite::CiOp,
         FaultSite::ManagerRpc,
     ];
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
-        for p in points {
-            plane.arm(p.name(), plan);
-        }
-        let fe = vm.frontend(0);
-        let mut failures = 0u64;
-        for i in 0..12u64 {
-            let data = payload(0, 2048, seed ^ i);
-            match fe.write_rank(&[(0, (i % 4) * 4096, &data)]) {
-                Ok(_) => {}
-                Err(e) => {
-                    assert_eq!(e.kind(), ErrorKind::Injected, "untyped storm error: {e}");
-                    failures += 1;
-                }
-            }
-            match fe.read_rank(&[(0, (i % 4) * 4096, 2048)]) {
-                Ok(_) => {}
-                Err(e) => {
-                    assert_eq!(e.kind(), ErrorKind::Injected, "untyped storm error: {e}");
-                    failures += 1;
-                }
-            }
-        }
-        for p in points {
-            let stats = plane.point_stats(p.name()).unwrap();
-            assert_eq!(
-                stats.fired,
-                plan.count_fires(seed, p.name(), stats.hits),
-                "parallel={parallel} point {}: {stats:?}",
-                p.name()
-            );
-            assert_eq!(stats.hits, stats.fired + stats.suppressed, "{stats:?}");
-        }
-        // (b) after the storm: disarm everything, clean bit-identical run.
-        plane.disarm_all();
-        let data = payload(0, 8192, !seed);
-        fe.write_rank(&[(0, 0, &data)]).unwrap();
-        let (out, _) = fe.read_rank(&[(0, 0, data.len() as u64)]).unwrap();
-        assert_eq!(out[0], data, "parallel={parallel} after {failures} storm failures");
-        let snap = sys.registry().snapshot();
-        assert_eq!(snap.level("virtio.queue.depth.rank0"), 0);
-        assert_eq!(snap.level("datapath.pool.outstanding"), 0);
-        drop(vm);
-        sys.shutdown();
+    let (sys, vm, plane) = chaos_system(1, seed);
+    for p in points {
+        plane.arm(p.name(), plan);
     }
+    let fe = vm.frontend(0);
+    let mut failures = 0u64;
+    for i in 0..12u64 {
+        let data = payload(0, 2048, seed ^ i);
+        match fe.write_rank(&[(0, (i % 4) * 4096, &data)]) {
+            Ok(_) => {}
+            Err(e) => {
+                assert_eq!(e.kind(), ErrorKind::Injected, "untyped storm error: {e}");
+                failures += 1;
+            }
+        }
+        match fe.read_rank(&[(0, (i % 4) * 4096, 2048)]) {
+            Ok(_) => {}
+            Err(e) => {
+                assert_eq!(e.kind(), ErrorKind::Injected, "untyped storm error: {e}");
+                failures += 1;
+            }
+        }
+    }
+    for p in points {
+        let stats = plane.point_stats(p.name()).unwrap();
+        assert_eq!(
+            stats.fired,
+            plan.count_fires(seed, p.name(), stats.hits),
+            "point {}: {stats:?}",
+            p.name()
+        );
+        assert_eq!(stats.hits, stats.fired + stats.suppressed, "{stats:?}");
+    }
+    // (b) after the storm: disarm everything, clean bit-identical run.
+    plane.disarm_all();
+    let data = payload(0, 8192, !seed);
+    fe.write_rank(&[(0, 0, &data)]).unwrap();
+    let (out, _) = fe.read_rank(&[(0, 0, data.len() as u64)]).unwrap();
+    assert_eq!(out[0], data, "after {failures} storm failures");
+    let snap = sys.registry().snapshot();
+    assert_eq!(snap.level("virtio.queue.depth.rank0"), 0);
+    assert_eq!(snap.level("datapath.pool.outstanding"), 0);
+    drop(vm);
+    sys.shutdown();
 }
 
 /// Injection disabled (the default) is a zero-overhead passthrough: no
@@ -532,15 +526,15 @@ fn pheap_opts(sys: &VpimSystem) -> PheapOptions {
 /// A torn WAL append surfaces typed, the `inject.*` totals are exact
 /// (persist attempts are keyed by sequence number, so `Nth(2)` spares
 /// the first persist and tears the second), and recovery discards the
-/// torn tail — the committed payload survives bit-identically in both
-/// dispatch modes.
+/// torn tail — the committed payload survives bit-identically whether
+/// the handler runs inline or on a lane.
 #[test]
 fn torn_pheap_wal_append_is_typed_and_recovery_discards_the_tail() {
     let seed = sweep_seed();
     let plan = FaultPlan::Nth(2);
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         let mut heap = Pheap::format(vm.frontend(0).clone(), pheap_opts(&sys)).unwrap();
         plane.arm(PHEAP_WAL_TORN_POINT, plan);
 
@@ -552,7 +546,7 @@ fn torn_pheap_wal_append_is_typed_and_recovery_discards_the_tail() {
         assert_eq!(err.kind(), ErrorKind::Injected, "untyped error: {err}");
 
         let stats = plane.point_stats(PHEAP_WAL_TORN_POINT).unwrap();
-        assert_eq!((stats.hits, stats.fired), (2, 1), "parallel={parallel}");
+        assert_eq!((stats.hits, stats.fired), (2, 1), "devices={devices}");
         assert_eq!(stats.fired, plan.count_fires(seed, PHEAP_WAL_TORN_POINT, stats.hits));
         let snap = sys.registry().snapshot();
         assert_eq!(snap.count("inject.fired"), 1);
@@ -585,8 +579,8 @@ fn dropped_pheap_commit_discards_a_fully_written_body() {
     let seed = sweep_seed();
     let plan = FaultPlan::Nth(2);
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm, plane) = chaos_system(parallel, seed);
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
         let mut heap = Pheap::format(vm.frontend(0).clone(), pheap_opts(&sys)).unwrap();
         plane.arm(PHEAP_PERSIST_DROP_POINT, plan);
 
@@ -600,7 +594,7 @@ fn dropped_pheap_commit_discards_a_fully_written_body() {
         assert_eq!(err.kind(), ErrorKind::Injected, "untyped error: {err}");
 
         let stats = plane.point_stats(PHEAP_PERSIST_DROP_POINT).unwrap();
-        assert_eq!((stats.hits, stats.fired), (2, 1), "parallel={parallel}");
+        assert_eq!((stats.hits, stats.fired), (2, 1), "devices={devices}");
         assert_eq!(
             stats.fired,
             plan.count_fires(seed, PHEAP_PERSIST_DROP_POINT, stats.hits)
@@ -630,7 +624,7 @@ fn dropped_pheap_commit_discards_a_fully_written_body() {
 /// deterministic write/persist stream until the injected crash, kills
 /// the VM via rank snapshot, restores into a fresh VM, and recovers.
 /// The recovered heap must equal the committed prefix bit-for-bit, with
-/// exact injection totals, identically in both dispatch modes.
+/// exact injection totals, identically inline and on a lane.
 #[test]
 fn pheap_crash_matrix_recovers_committed_state_across_seeds() {
     let base = sweep_seed();
@@ -639,8 +633,8 @@ fn pheap_crash_matrix_recovers_committed_state_across_seeds() {
         let site = if seed & 1 == 0 { PHEAP_WAL_TORN_POINT } else { PHEAP_PERSIST_DROP_POINT };
         let plan = FaultPlan::Nth(1 + seed % 4);
         let mut per_mode = Vec::new();
-        for parallel in [false, true] {
-            let (sys, vm, plane) = chaos_system(parallel, seed);
+        for devices in [1, 2] {
+            let (sys, vm, plane) = chaos_system(devices, seed);
             let mut heap = Pheap::format(vm.frontend(0).clone(), pheap_opts(&sys)).unwrap();
             let a = heap.alloc(512).unwrap();
             let b = heap.alloc(512).unwrap();

@@ -1,5 +1,5 @@
 //! The fleet plane's contract (ISSUE 8): placement invariants, live
-//! migration bit-identity across dispatch modes, rollback on injected
+//! migration bit-identity inline and on a lane, rollback on injected
 //! mid-migration faults, and exact `cluster.*` / `migrate.*` telemetry.
 //!
 //! The chaos sweep seed set is fixed (eight seeds, in-loop) so a failure
@@ -21,9 +21,9 @@ fn payload(dpu: u32, len: usize, salt: u64) -> Vec<u8> {
         .collect()
 }
 
-/// A lean per-host config: no soft-state caches, selectable dispatch.
-fn lean_vcfg(parallel: bool) -> VpimConfig {
-    VpimConfig::builder().batching(false).prefetch(false).parallel(parallel).build()
+/// A lean per-host config: no soft-state caches.
+fn lean_vcfg() -> VpimConfig {
+    VpimConfig::builder().batching(false).prefetch(false).build()
 }
 
 /// Writes a distinct payload to every DPU of the tenant's device 0.
@@ -53,25 +53,25 @@ fn read_state(fleet: &Fleet, tenant: &str, len: usize) -> (Vec<Vec<u8>>, Virtual
 // ------------------------------------------------------------ bit identity
 
 /// The tentpole contract: a migrated tenant's rank state and op costs are
-/// bit-identical to a never-migrated control, in both dispatch modes, and
-/// the migration reports themselves agree across modes.
+/// bit-identical to a never-migrated control, whether device 0's handler
+/// runs inline (a one-device tenant) or on its lane (a two-device tenant),
+/// and the state and costs agree across the two.
 #[test]
 fn migration_is_bit_identical_across_dispatch_modes() {
     let seed = 0x5EED_0001u64;
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let spec = || {
-            FleetSpec::new(2).config(lean_vcfg(parallel)).policy(PlacementPolicy::FirstFit)
-        };
+    for devices in [1, 2] {
+        let spec = || FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit);
         let migrated = Fleet::start(spec());
         let control = Fleet::start(spec());
         for fleet in [&migrated, &control] {
-            assert_eq!(fleet.launch(TenantSpec::new("t")).unwrap(), 0);
+            assert_eq!(fleet.launch(TenantSpec::new("t").devices(devices)).unwrap(), 0);
             write_state(fleet, "t", 8192, seed);
         }
 
         let report = migrated.migrate("t", 1, MigrateOpts::default()).unwrap();
         assert_eq!((report.from, report.to, report.rounds), (0, 1, 1));
+        assert_eq!(report.ranks_moved, devices, "{report:?}");
         assert_eq!(report.mode, MigrateMode::StopAndCopy);
         assert_eq!(migrated.host_of("t"), Some(1));
         assert!(report.bytes_shipped >= 4 * 8192, "{report:?}");
@@ -82,8 +82,8 @@ fn migration_is_bit_identical_across_dispatch_modes() {
         // post-migration write (the moved rank is fully writable).
         let (m_out, m_cost) = read_state(&migrated, "t", 8192);
         let (c_out, c_cost) = read_state(&control, "t", 8192);
-        assert_eq!(m_out, c_out, "parallel={parallel}: migrated state diverged");
-        assert_eq!(m_cost, c_cost, "parallel={parallel}: op cost diverged");
+        assert_eq!(m_out, c_out, "devices={devices}: migrated state diverged");
+        assert_eq!(m_cost, c_cost, "devices={devices}: op cost diverged");
         let m2 = write_state(&migrated, "t", 2048, !seed);
         let c2 = write_state(&control, "t", 2048, !seed);
         assert_eq!(m2, c2);
@@ -102,7 +102,7 @@ fn migration_is_bit_identical_across_dispatch_modes() {
         assert_eq!(snap.level("migrate.inflight.bytes"), 0, "no snapshot left in flight");
         assert_eq!(migrated.registry().histogram("migrate.downtime").count(), 1);
 
-        per_mode.push((m_out, m_cost, m_out2, report));
+        per_mode.push((m_out, m_cost, m_out2));
         migrated.shutdown();
         control.shutdown();
     }
@@ -116,7 +116,7 @@ fn migration_is_bit_identical_across_dispatch_modes() {
 #[test]
 fn precopy_ships_warm_bytes_and_shrinks_downtime() {
     let seed = 0x5EED_0002u64;
-    let spec = || FleetSpec::new(2).config(lean_vcfg(false)).policy(PlacementPolicy::FirstFit);
+    let spec = || FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit);
     let sac = Fleet::start(spec());
     let pre = Fleet::start(spec());
     for fleet in [&sac, &pre] {
@@ -201,7 +201,7 @@ fn link_drop_aborts_and_rolls_back_then_retry_succeeds() {
 #[test]
 fn migrate_stall_never_perturbs_virtual_time() {
     let clean = Fleet::start(
-        FleetSpec::new(2).config(lean_vcfg(false)).policy(PlacementPolicy::FirstFit),
+        FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit),
     );
     let stalled_vcfg = VpimConfig::builder()
         .batching(false)
@@ -235,7 +235,7 @@ fn migrate_stall_never_perturbs_virtual_time() {
 fn inflight_budget_violation_aborts_cleanly() {
     let fleet = Fleet::start(
         FleetSpec::new(2)
-            .config(lean_vcfg(false))
+            .config(lean_vcfg())
             .policy(PlacementPolicy::FirstFit)
             .inflight_budget_mib(1),
     );
@@ -279,7 +279,7 @@ fn eight_seed_chaos_sweep_aborts_always_roll_back() {
         let fleet =
             Fleet::start(FleetSpec::new(2).config(vcfg).policy(PlacementPolicy::FirstFit));
         let baseline = Fleet::start(
-            FleetSpec::new(2).config(lean_vcfg(false)).policy(PlacementPolicy::FirstFit),
+            FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit),
         );
         for f in [&fleet, &baseline] {
             f.launch(TenantSpec::new("t")).unwrap();
@@ -348,7 +348,7 @@ proptest! {
     fn placement_invariants_hold_under_churn(
         ops in proptest::collection::vec((0u8..3, 0u8..4, 0u8..3), 1..8),
     ) {
-        let fleet = Fleet::start(FleetSpec::new(3).config(lean_vcfg(false)));
+        let fleet = Fleet::start(FleetSpec::new(3).config(lean_vcfg()));
         // tenant -> (home, committed ranks) — the oracle.
         let mut model: HashMap<String, (usize, usize)> = HashMap::new();
         for (kind, t, h) in ops {

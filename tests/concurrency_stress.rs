@@ -52,7 +52,7 @@ fn stress_many_vms_many_ranks_many_client_threads() {
     let driver = host(VMS * DEVICES_PER_VM);
     // Direct requests only (no batching/prefetch absorption) so every
     // client call maps to exactly one virtqueue request.
-    let vcfg = VpimConfig::builder().batching(false).prefetch(false).parallel(true).build();
+    let vcfg = VpimConfig::builder().batching(false).prefetch(false).build();
     let sys = VpimSystem::start(driver, vcfg, StartOpts::default());
 
     let mut vms = Vec::new();
@@ -159,8 +159,8 @@ fn stress_many_vms_many_ranks_many_client_threads() {
     }
     // Zero-copy data path, to the byte: each thread-round moves
     // DPUS_PER_THREAD payloads on the write and, on the read, one 4-byte
-    // result word plus the full payload per DPU. (The hit/miss split is
-    // shard-dependent under parallel dispatch, but the moved-bytes total
+    // result word plus the full payload per DPU. (The hit/miss split
+    // depends on which thread ran which chunk, but the moved-bytes total
     // and the guard drop balance are deterministic.)
     let per_round =
         DPUS_PER_THREAD * BYTES_PER_DPU + DPUS_PER_THREAD * (4 + BYTES_PER_DPU);
@@ -187,7 +187,7 @@ fn concurrent_threads_share_one_frontend_without_losing_completions() {
     // Tight loop on a single device: many threads, small distinct regions,
     // maximal contention on the shared completions map and used ring.
     let driver = host(1);
-    let vcfg = VpimConfig::builder().batching(false).prefetch(false).parallel(true).build();
+    let vcfg = VpimConfig::builder().batching(false).prefetch(false).build();
     let sys = VpimSystem::start(driver, vcfg, StartOpts::default());
     let vm = sys.launch(TenantSpec::new("contend")).unwrap();
     let fe = vm.frontend(0);

@@ -1,9 +1,16 @@
 //! Two-clock determinism: real OS-thread parallelism must never leak into
-//! virtual time. The same multi-rank workload run under
-//! `DispatchMode::Sequential` and `DispatchMode::Parallel` produces
-//! bit-identical payloads and per-request virtual-time reports, and a
-//! parallel run repeated is bit-identical to itself (no wall-clock
-//! interleaving feeds back into the figures).
+//! virtual time. Two kinds of comparison run here.
+//!
+//! * *Model fixed, mechanism perturbed.* The same checksum application on
+//!   device 0 of a one-device VM (its handler runs on the kicking thread)
+//!   and of a two-device VM (its handler runs on device 0's lane) produces
+//!   bit-identical payloads, whole timelines, per-rank offsets and
+//!   registry totals. A guest too small for an op's bounce pages changes
+//!   nothing but the overlap, under either dispatch.
+//! * *Model perturbed.* `parallel_handling` picks how a multi-rank op's
+//!   per-rank times compose (Fig. 15/16: back-to-back vs overlapped). Each
+//!   composition repeats bit-identically, and the two agree on everything
+//!   but the composed durations.
 
 use std::sync::Arc;
 
@@ -16,7 +23,6 @@ use vpim::{OpReport, StartOpts, TenantSpec, VpimConfig, VpimSystem};
 
 const RANKS: usize = 4;
 const DPUS_PER_RANK: usize = 8;
-const BYTES_PER_DPU: usize = 12_000;
 
 fn host() -> Arc<UpmemDriver> {
     let machine = PimMachine::new(PimConfig {
@@ -33,71 +39,58 @@ fn config(parallel: bool) -> VpimConfig {
     VpimConfig::builder().batching(false).prefetch(false).parallel(parallel).build()
 }
 
-/// Per-DPU payload: deterministic, unique per (rank, dpu).
-fn payload(rank: usize, dpu: u32) -> Vec<u8> {
-    pattern((rank * 97 + dpu as usize * 13 + 5) as u32, BYTES_PER_DPU)
-}
-
 fn pattern(seed: u32, len: usize) -> Vec<u8> {
     (0..len).map(|i| (seed.wrapping_mul(48271).wrapping_add(i as u32) >> 7) as u8).collect()
 }
 
-/// One workload directly against the frontends of a `devices`-rank VM:
-/// write a matrix to every rank, read it back. Returns every per-request
-/// report and every payload read back.
-fn run_rank_ops(parallel: bool, devices: usize) -> (Vec<OpReport>, Vec<Vec<Vec<u8>>>) {
-    let sys = VpimSystem::start(host(), config(parallel), StartOpts::default());
+/// What one run of the checksum application over device 0's DPUs
+/// observes: verification, checksum value, the data region read back, the
+/// whole timeline, the Fig. 16 per-rank offsets, and what the run added to
+/// `backend.{writes,reads,ci}`, `datapath.bytes.zero_copy` and
+/// `vmm.vmexits`.
+type Device0Run = (bool, u32, Vec<Vec<u8>>, simkit::Timeline, Vec<(usize, u64)>, Vec<u64>);
+
+/// The registry totals [`Device0Run`] compares.
+const TOTALS: [&str; 5] =
+    ["backend.writes", "backend.reads", "backend.ci", "datapath.bytes.zero_copy", "vmm.vmexits"];
+
+/// Runs the checksum application on a `devices`-device VM, with the set
+/// allocated over device 0's DPUs only so the model is the same whatever
+/// `devices` is. Totals are counted from after launch: booting a second
+/// device costs its own Configure round trip.
+fn run_on_device0(devices: usize) -> Device0Run {
+    let sys = VpimSystem::start(host(), VpimConfig::full(), StartOpts::default());
     let vm = sys.launch(TenantSpec::new("det").devices(devices)).unwrap();
-    let mut reports = Vec::new();
-    let mut outputs = Vec::new();
-    for (r, fe) in vm.frontends().iter().enumerate() {
-        let datas: Vec<Vec<u8>> =
-            (0..DPUS_PER_RANK as u32).map(|d| payload(r, d)).collect();
-        let entries: Vec<(u32, u64, &[u8])> = datas
-            .iter()
-            .enumerate()
-            .map(|(d, data)| (d as u32, 4096, data.as_slice()))
-            .collect();
-        reports.push(fe.write_rank(&entries).unwrap());
-        let reqs: Vec<(u32, u64, u64)> = (0..DPUS_PER_RANK as u32)
-            .map(|d| (d, 4096, BYTES_PER_DPU as u64))
-            .collect();
-        let (outs, r) = fe.read_rank(&reqs).unwrap();
-        reports.push(r);
-        outputs.push(outs);
-    }
+    let totals = || -> Vec<u64> {
+        let snap = sys.registry().snapshot();
+        TOTALS.iter().map(|name| snap.count(name)).collect()
+    };
+    let before = totals();
+    let mut set = DpuSet::alloc_vm(vm.frontends(), DPUS_PER_RANK, CostModel::default()).unwrap();
+    assert_eq!(set.nr_ranks(), 1, "the set spans device 0 only");
+    let run = Checksum::run(&mut set, 16_384, 7).unwrap();
+    let data = set.push_from_heap(checksum::DATA_OFFSET, 16_384).unwrap();
+    let per_rank: Vec<(usize, u64)> =
+        set.last_per_rank().iter().map(|(i, d)| (*i, d.as_nanos())).collect();
+    let timeline = set.take_timeline();
+    drop(set);
+    let moved: Vec<u64> = totals().iter().zip(&before).map(|(a, b)| a - b).collect();
     drop(vm);
     sys.shutdown();
-    (reports, outputs)
+    (run.verified, run.value, data, timeline, per_rank, moved)
 }
 
 #[test]
-fn per_request_reports_and_payloads_identical_across_dispatch_modes() {
-    // One lane per device; a one-device VM has none and runs Parallel
-    // handlers on the kicking thread, held to the same reports.
-    for devices in [RANKS, 1] {
-        reports_and_payloads_identical_across_dispatch_modes(devices);
-    }
-}
-
-fn reports_and_payloads_identical_across_dispatch_modes(devices: usize) {
-    let (seq_reports, seq_out) = run_rank_ops(false, devices);
-    let (par_reports, par_out) = run_rank_ops(true, devices);
-    // Payloads bit-identical.
-    assert_eq!(seq_out, par_out);
-    // Every virtual-time field of every request: duration, DDR share,
-    // message count, rank ops, and the full Fig. 13 step breakdown.
-    assert_eq!(seq_reports.len(), par_reports.len());
-    for (i, (s, p)) in seq_reports.iter().zip(&par_reports).enumerate() {
-        assert_eq!(s, p, "request {i}: dispatch mode leaked into virtual time");
-    }
-    // And the data read back is what was written.
-    assert_eq!(seq_out.len(), devices);
-    for (r, outs) in seq_out.iter().enumerate() {
-        for (d, out) in outs.iter().enumerate() {
-            assert_eq!(out, &payload(r, d as u32), "rank {r} dpu {d}");
-        }
-    }
+fn inline_and_lane_dispatch_agree_on_whole_reports_and_totals() {
+    let inline = run_on_device0(1);
+    let lanes = run_on_device0(2);
+    assert!(inline.0, "checksum must verify");
+    assert_eq!(inline.1, lanes.1, "checksum value");
+    assert_eq!(inline.2, lanes.2, "payloads read back");
+    assert_eq!(inline.3, lanes.3, "whole timeline");
+    assert_eq!(inline.4, lanes.4, "per-rank completion offsets (Fig. 16)");
+    assert_eq!(inline.5, lanes.5, "registry totals {TOTALS:?}");
+    assert!(inline.5.iter().all(|&n| n > 0), "the run moved every total: {:?}", inline.5);
 }
 
 /// The full checksum application over every rank through the SDK; returns
@@ -141,9 +134,9 @@ fn sequential_runs_are_bit_identical_across_repeats() {
 
 #[test]
 fn modes_agree_on_everything_but_the_overlap_model() {
-    // Results and counters match across modes; only the composed duration
-    // model differs (sequential back-to-back vs parallel max/DDR-bound —
-    // Fig. 15/16), and it differs deterministically.
+    // Results and counters match across the two composition models; only
+    // the composed durations differ (sequential back-to-back vs parallel
+    // max/DDR-bound — Fig. 15/16), and they differ deterministically.
     let seq = run_checksum(false);
     let par = run_checksum(true);
     assert_eq!(seq.1, par.1, "checksum value is mode-independent");
@@ -242,16 +235,16 @@ fn run_push(parallel: bool, tight: bool) -> (Vec<Vec<u8>>, simkit::Timeline, Vec
 
 #[test]
 fn set_level_backpressure_changes_no_byte_and_no_figure() {
-    let mut by_mode = Vec::new();
+    let mut by_model = Vec::new();
     for parallel in [false, true] {
         let tight = run_push(parallel, true);
         let roomy = run_push(parallel, false);
         assert_eq!(tight.1, roomy.1, "timeline (parallel {parallel})");
         assert_eq!(tight.2, roomy.2, "per-rank offsets (parallel {parallel})");
-        by_mode.push(tight);
+        by_model.push(tight);
     }
-    // Across modes only the overlap model differs (see above).
-    let (seq, par) = (&by_mode[0], &by_mode[1]);
+    // Across models only the composed durations differ (see above).
+    let (seq, par) = (&by_model[0], &by_model[1]);
     assert_eq!(seq.0, par.0);
     assert_eq!(seq.1.messages(), par.1.messages());
     assert_eq!(seq.1.rank_ops(), par.1.rank_ops());
@@ -264,11 +257,12 @@ const MC_ENTRY_BYTES: usize = 12_000;
 const MC_ENTRY_STRIDE: u64 = 3 * 4096;
 const MC_CHUNK_PAGES: usize = 64 * 3;
 
-/// One multi-chunk write and read on a single frontend, synchronous
-/// (one chunk in flight) and split-phase (as many as fit, oldest absorbed
-/// first on backpressure). Returns the four reports and the bytes read.
-fn run_multi_chunk(parallel: bool, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>) {
-    let guest = Guest::boot(parallel, 1, tight.then_some(MC_CHUNK_PAGES));
+/// One multi-chunk write and read on device 0 of a `devices`-device VM,
+/// synchronous (one chunk in flight) and split-phase (as many as fit,
+/// oldest absorbed first on backpressure). Returns the four reports and
+/// the bytes read.
+fn run_multi_chunk(devices: usize, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>) {
+    let guest = Guest::boot(true, devices, tight.then_some(MC_CHUNK_PAGES));
     let fe = guest.vm.frontend(0);
     let datas: Vec<Vec<u8>> =
         (0..DPUS_PER_RANK * MC_ENTRIES_PER_DPU).map(|i| pattern(i as u32, MC_ENTRY_BYTES)).collect();
@@ -292,7 +286,7 @@ fn run_multi_chunk(parallel: bool, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>)
     let (split_out, r) = fe.finish_rank(fe.begin_read_rank(&reqs).unwrap()).unwrap();
     reports.push(r);
 
-    assert_eq!(sync_out, datas, "parallel {parallel} tight {tight}");
+    assert_eq!(sync_out, datas, "devices {devices} tight {tight}");
     assert_eq!(split_out, datas, "request order survives early absorption");
     assert_eq!(reports[0], reports[2], "in-flight depth leaked into the write report");
     assert_eq!(reports[1], reports[3], "in-flight depth leaked into the read report");
@@ -303,9 +297,10 @@ fn run_multi_chunk(parallel: bool, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>)
 
 #[test]
 fn frontend_level_backpressure_changes_no_byte_and_no_figure() {
-    let reference = run_multi_chunk(false, false);
-    for parallel in [false, true] {
-        assert_eq!(run_multi_chunk(parallel, true), reference, "parallel {parallel}");
+    // Inline (one device) and on device 0's lane (two devices).
+    let reference = run_multi_chunk(1, false);
+    for devices in [1, 2] {
+        assert_eq!(run_multi_chunk(devices, true), reference, "devices {devices}");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Load-harness integration (ISSUE 6): seed-sweep determinism across
-//! phase-A execution modes and host dispatch modes, exact closed-loop
+//! phase-A execution modes, exact closed-loop
 //! totals, a chaos variant (fault plane armed, throughput degrades but
 //! the report stays deterministic), and the 1k-session smoke behind
 //! `ci/load-gate.sh`.
@@ -30,12 +30,6 @@ fn host(ranks: usize) -> Arc<VpimSystem> {
     host_with(VpimConfig::full(), ranks)
 }
 
-/// `VpimConfig::full()` with parallel operation handling turned off — the
-/// "Sequential dispatch" axis of the determinism matrix.
-fn sequential_dispatch() -> VpimConfig {
-    VpimConfig::builder().parallel(false).build()
-}
-
 /// A one-profile mix with a fixed two-op script, for exact-total
 /// assertions (every served session contributes exactly two ops).
 fn two_op_mix() -> TenantMix {
@@ -62,20 +56,14 @@ fn two_op_mix() -> TenantMix {
 }
 
 #[test]
-fn seed_sweep_is_bit_identical_across_execution_and_dispatch() {
+fn seed_sweep_is_bit_identical_across_execution_modes() {
     for seed in [1u64, 42, 0xF00D] {
         let spec = LoadSpec::new(seed, 10).arrival(Arrival::Poisson { mean_gap_ns: 3_000 });
         let seq =
             LoadHarness::run(&host(2), &spec.execution(Execution::Sequential), &loadmix::smoke_mix(4));
         let pooled =
             LoadHarness::run(&host(2), &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
-        let seq_dispatch = LoadHarness::run(
-            &host_with(sequential_dispatch(), 2),
-            &spec.execution(Execution::Pooled),
-            &loadmix::smoke_mix(4),
-        );
         assert_eq!(seq, pooled, "seed {seed}: phase-A execution mode leaked into the report");
-        assert_eq!(seq, seq_dispatch, "seed {seed}: host dispatch mode leaked into the report");
         assert_eq!(seq.to_json(), pooled.to_json());
         assert_eq!(seq.seed, seed);
         assert_eq!(seq.completed, 10);
@@ -150,12 +138,8 @@ fn chaos_variant_degrades_but_stays_deterministic() {
     // (pure in the request's chunk key, not a serial counter), so the
     // injection decisions — and hence the report — cannot depend on
     // thread interleaving.
-    let chaos_host = |parallel: bool| {
-        let mut b = VpimConfig::builder().inject_seed(0xBAD_5EED);
-        if !parallel {
-            b = b.parallel(false);
-        }
-        let sys = host_with(b.build(), 2);
+    let chaos_host = || {
+        let sys = host_with(VpimConfig::builder().inject_seed(0xBAD_5EED).build(), 2);
         sys.fault_plane()
             .expect("inject enabled")
             .arm(FaultSite::ChunkTornWrite.name(), FaultPlan::EveryK(1));
@@ -166,11 +150,9 @@ fn chaos_variant_degrades_but_stays_deterministic() {
         burst: 4,
         off_gap_ns: 20_000,
     });
-    let a = LoadHarness::run(&chaos_host(true), &spec.execution(Execution::Sequential), &two_op_mix());
-    let b = LoadHarness::run(&chaos_host(true), &spec.execution(Execution::Pooled), &two_op_mix());
-    let c = LoadHarness::run(&chaos_host(false), &spec.execution(Execution::Pooled), &two_op_mix());
+    let a = LoadHarness::run(&chaos_host(), &spec.execution(Execution::Sequential), &two_op_mix());
+    let b = LoadHarness::run(&chaos_host(), &spec.execution(Execution::Pooled), &two_op_mix());
     assert_eq!(a, b, "chaos run depends on phase-A execution mode");
-    assert_eq!(a, c, "chaos run depends on host dispatch mode");
     assert_eq!(a.sessions, 8);
     assert!(a.op_failures > 0, "armed fault plane never bit: {a:?}");
 
@@ -181,8 +163,7 @@ fn chaos_variant_degrades_but_stays_deterministic() {
 }
 
 /// The 1k-session smoke behind `ci/load-gate.sh`: ≥ 1000 sessions live
-/// concurrently in virtual time, the report is bit-identical across host
-/// dispatch modes, and the canonical JSON is written to
+/// concurrently in virtual time, and the canonical JSON is written to
 /// `$LOAD_REPORT_OUT` so the gate can diff it across
 /// `RUST_TEST_THREADS=1` and `=8`.
 #[test]
@@ -197,12 +178,6 @@ fn thousand_concurrent_sessions_smoke() {
         &spec.execution(Execution::Pooled),
         &loadmix::smoke_mix(4),
     );
-    let seq = LoadHarness::run(
-        &host_with(sequential_dispatch(), 4),
-        &spec.execution(Execution::Pooled),
-        &loadmix::smoke_mix(4),
-    );
-    assert_eq!(par, seq, "host dispatch mode leaked into the 1k report");
     assert_eq!(par.sessions, 1_000);
     assert_eq!(par.completed + par.giveups + par.launch_failures, 1_000);
     assert!(
@@ -213,7 +188,6 @@ fn thousand_concurrent_sessions_smoke() {
     assert!(par.op_failures == 0, "clean run must verify: {par:?}");
 
     let json = par.to_json();
-    assert_eq!(json, seq.to_json());
     if let Ok(path) = std::env::var("LOAD_REPORT_OUT") {
         std::fs::write(&path, &json).expect("write LOAD_REPORT_OUT");
     }
@@ -234,7 +208,7 @@ fn persistent_kv_mix_is_deterministic_with_faults_armed() {
     // keyed purely by transaction sequence, identical in every mode)
     // while the plain tenant sails through — the report must contain both
     // failures and successes, bit-identically across phase-A execution
-    // modes and host dispatch modes.
+    // modes.
     let plain = || {
         TenantProfile::new("plain", TenantSpec::new("plain").mem_mib(16)).op(TenantOp::new(
             "write",
@@ -247,41 +221,32 @@ fn persistent_kv_mix_is_deterministic_with_faults_armed() {
     };
     let spec = LoadSpec::new(33, 10).arrival(Arrival::Poisson { mean_gap_ns: 4_000 });
 
-    let run_armed = |parallel: bool, exec: Execution| {
-        let mut b = VpimConfig::builder().inject_seed(0x9EA9_5EED);
-        if !parallel {
-            b = b.parallel(false);
-        }
-        let sys = host_with(b.build(), 2);
+    let run_armed = |exec: Execution| {
+        let sys = host_with(VpimConfig::builder().inject_seed(0x9EA9_5EED).build(), 2);
         sys.fault_plane().expect("inject enabled").arm(PHEAP_WAL_TORN_POINT, FaultPlan::Nth(4));
         let mix = TenantMix::new()
             .profile(loadmix::pheap_kv_profile(PheapOptions::new().attach(&sys)))
             .profile(plain());
         LoadHarness::run(&sys, &spec.execution(exec), &mix)
     };
-    let a = run_armed(true, Execution::Sequential);
-    let b = run_armed(true, Execution::Pooled);
-    let c = run_armed(false, Execution::Pooled);
+    let a = run_armed(Execution::Sequential);
+    let b = run_armed(Execution::Pooled);
     assert_eq!(a, b, "armed KV run depends on phase-A execution mode");
-    assert_eq!(a, c, "armed KV run depends on host dispatch mode");
     assert_eq!(a.sessions, 10);
     assert!(a.op_failures > 0, "torn persists never surfaced: {a:?}");
 
     // Clean variant: same mix without the fault plane — every episode
     // recovers and verifies, still bit-identically across modes.
-    let run_clean = |parallel: bool, exec: Execution| {
-        let sys = host_with(
-            if parallel { VpimConfig::full() } else { sequential_dispatch() },
-            2,
-        );
+    let run_clean = |exec: Execution| {
+        let sys = host(2);
         let mix = TenantMix::new()
             .profile(loadmix::pheap_kv_profile(PheapOptions::new().attach(&sys)))
             .profile(plain());
         LoadHarness::run(&sys, &spec.execution(exec), &mix)
     };
-    let x = run_clean(true, Execution::Pooled);
-    let y = run_clean(false, Execution::Sequential);
-    assert_eq!(x, y, "clean KV run depends on dispatch/execution mode");
+    let x = run_clean(Execution::Pooled);
+    let y = run_clean(Execution::Sequential);
+    assert_eq!(x, y, "clean KV run depends on phase-A execution mode");
     assert_eq!(x.op_failures, 0, "clean KV episodes must verify: {x:?}");
     assert!(x.checksum != 0);
     assert_ne!(a, x, "armed run left no trace in the report");

@@ -5,8 +5,10 @@
 //! The load-bearing assertion is *bit-identity*: every tenant's final
 //! MRAM contents after an oversubscribed run (8 VMs on 4 ranks, constant
 //! preemption churn) must equal the same tenant's contents after a
-//! dedicated run (8 VMs on 8 ranks, scheduler in pass-through mode), in
-//! both Sequential and Parallel dispatch.
+//! dedicated run (one rank per device, scheduler in pass-through mode),
+//! under both dispatch modes: sequential (one-device tenants, each handler
+//! on the kicking thread) and parallel (two-device tenants, each device's
+//! handler on its own lane).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,14 +52,15 @@ fn pattern(vm: usize, dpu: u32, round: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Runs `vms` single-device tenants over `ranks` ranks: each round every
-/// tenant appends a fresh chunk per DPU and re-reads *all* chunks it has
-/// written so far (so restored checkpoints are verified every round, not
-/// just at the end). Returns each tenant's final full read-back.
-fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize) -> Vec<Vec<Vec<u8>>> {
+/// Runs `vms` tenants of `devices` devices each over `ranks` ranks: each
+/// round every tenant appends a fresh chunk per DPU of its device 0 and
+/// re-reads *all* chunks it has written so far (so restored checkpoints
+/// are verified every round, not just at the end). Returns each tenant's
+/// final full read-back.
+fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize, devices: usize) -> Vec<Vec<Vec<u8>>> {
     let sys = VpimSystem::start(host(ranks), vcfg, StartOpts::new().cost_model(CostModel::default()).manager(snappy()));
     let tenants: Vec<_> = (0..vms)
-        .map(|v| sys.launch(TenantSpec::new(format!("vm-{v}"))).unwrap())
+        .map(|v| sys.launch(TenantSpec::new(format!("vm-{v}")).devices(devices)).unwrap())
         .collect();
     // Interleave rounds across tenants: with vms > ranks every operation
     // of an unlinked tenant preempts someone else's rank.
@@ -101,7 +104,7 @@ fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize) -> Vec<Vec<Vec<u8>>> 
         })
         .collect();
     let stats = sys.scheduler().stats();
-    if vms > ranks {
+    if vms * devices > ranks {
         assert!(
             stats.preemptions > 0,
             "oversubscribed run must have preempted: {stats:?}"
@@ -119,13 +122,14 @@ fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize) -> Vec<Vec<Vec<u8>>> 
     finals
 }
 
-fn oversub_matches_dedicated(parallel: bool) {
-    let base = VpimConfig::builder().batching(false).prefetch(false).parallel(parallel);
-    let dedicated = run_tenants(base.clone().build(), 8, 8);
+fn oversub_matches_dedicated(devices: usize) {
+    let base = VpimConfig::builder().batching(false).prefetch(false);
+    let dedicated = run_tenants(base.clone().build(), 8 * devices, 8, devices);
     let oversub = run_tenants(
         base.oversubscription(true).sched_quantum_ms(0).build(),
         4,
         8,
+        devices,
     );
     assert_eq!(
         dedicated, oversub,
@@ -135,12 +139,12 @@ fn oversub_matches_dedicated(parallel: bool) {
 
 #[test]
 fn eight_vms_on_four_ranks_sequential_dispatch() {
-    oversub_matches_dedicated(false);
+    oversub_matches_dedicated(1);
 }
 
 #[test]
 fn eight_vms_on_four_ranks_parallel_dispatch() {
-    oversub_matches_dedicated(true);
+    oversub_matches_dedicated(2);
 }
 
 #[test]
@@ -152,7 +156,7 @@ fn weighted_fair_oversubscription_completes() {
         .sched_policy(vpim::SchedPolicy::WeightedFair)
         .sched_quantum_ms(0)
         .build();
-    let finals = run_tenants(vcfg, 2, 4);
+    let finals = run_tenants(vcfg, 2, 4, 1);
     for (v, outs) in finals.iter().enumerate() {
         for (k, &d) in DPUS.iter().enumerate() {
             for r in 0..ROUNDS {

@@ -9,7 +9,8 @@
 //! prefix** of the stream — bit-for-bit equal to a pure in-memory
 //! oracle that applies only committed operations, with zero leakage of
 //! uncommitted data — and the whole scenario must be bit-identical
-//! under Sequential and Parallel dispatch.
+//! whether the heap's device handles requests on the kicking thread (a
+//! one-device VM) or on its lane (a two-device VM).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,20 +22,19 @@ use upmem_sim::{PimConfig, PimMachine};
 use vpim::prelude::*;
 use vpim::{PHEAP_PERSIST_DROP_POINT, PHEAP_WAL_TORN_POINT};
 
+/// Three ranks: a two-device VM plus the fresh VM a crash relaunches
+/// while the first one's ranks are still being recycled.
 fn host() -> Arc<UpmemDriver> {
-    Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())))
+    let pim = PimConfig { ranks: 3, functional_dpus: vec![8; 3], ..PimConfig::small() };
+    Arc::new(UpmemDriver::new(PimMachine::new(pim)))
 }
 
-/// Injection-enabled system (seeded, nothing armed yet) with one VM.
-fn crash_system(parallel: bool, seed: u64) -> (VpimSystem, VpimVm, Arc<FaultPlane>) {
-    let vcfg = VpimConfig::builder()
-        .batching(false)
-        .prefetch(false)
-        .parallel(parallel)
-        .inject_seed(seed)
-        .build();
+/// Injection-enabled system (seeded, nothing armed yet) with one
+/// `devices`-device VM; the heap lives on device 0.
+fn crash_system(devices: usize, seed: u64) -> (VpimSystem, VpimVm, Arc<FaultPlane>) {
+    let vcfg = VpimConfig::builder().batching(false).prefetch(false).inject_seed(seed).build();
     let sys = VpimSystem::start(host(), vcfg, StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("pheap-crash")).unwrap();
+    let vm = sys.launch(TenantSpec::new("pheap-crash").devices(devices)).unwrap();
     let plane = sys.fault_plane().expect("inject enabled").clone();
     (sys, vm, plane)
 }
@@ -171,7 +171,7 @@ fn dump(heap: &mut Pheap) -> BTreeMap<u64, Vec<u8>> {
         .collect()
 }
 
-/// Everything one mode's scenario produced, for cross-mode comparison.
+/// Everything one scenario produced, for the inline-vs-lane comparison.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     crashed_at: Option<usize>,
@@ -186,14 +186,14 @@ struct Outcome {
 /// that exact instant via rank snapshot, restores into a fresh VM, and
 /// recovers. Returns the full observable outcome.
 fn run_scenario(
-    parallel: bool,
+    devices: usize,
     seed: u64,
     ops: &[(u8, u64, u64, u64)],
     site: &'static str,
     nth: u64,
     salt: u64,
 ) -> Result<Outcome, String> {
-    let (sys, vm, plane) = crash_system(parallel, seed);
+    let (sys, vm, plane) = crash_system(devices, seed);
     let mut heap = Pheap::format(vm.frontend(0).clone(), opts(&sys)).unwrap();
     plane.arm(site, FaultPlan::Nth(nth));
 
@@ -272,8 +272,9 @@ fn check_outcome(o: &Outcome, site: &str) -> Result<(), String> {
 
 proptest! {
     /// Crash → restore → recover == exactly the committed prefix, for
-    /// arbitrary op streams × fault schedules × both dispatch modes —
-    /// and the two modes agree bit-for-bit on every observable.
+    /// arbitrary op streams × fault schedules × both dispatch modes
+    /// (inline and on a lane) — and the two agree bit-for-bit on every
+    /// observable.
     #[test]
     fn crash_recovery_yields_committed_prefix_in_both_modes(
         ops in proptest::collection::vec((0u8..8, any::<u64>(), 0u64..2048, 1u64..256), 4..32),
@@ -283,13 +284,13 @@ proptest! {
         salt in any::<u64>(),
     ) {
         let site = if torn { PHEAP_WAL_TORN_POINT } else { PHEAP_PERSIST_DROP_POINT };
-        let seq = run_scenario(false, seed, &ops, site, nth, salt);
+        let seq = run_scenario(1, seed, &ops, site, nth, salt);
         prop_assert!(seq.is_ok(), "{:?}", seq.err());
         let seq = seq.unwrap();
         let checked = check_outcome(&seq, site);
         prop_assert!(checked.is_ok(), "{:?}", checked.err());
 
-        let par = run_scenario(true, seed, &ops, site, nth, salt);
+        let par = run_scenario(2, seed, &ops, site, nth, salt);
         prop_assert!(par.is_ok(), "{:?}", par.err());
         prop_assert_eq!(&seq, &par.unwrap());
     }
@@ -299,39 +300,37 @@ proptest! {
 /// explicit persist, and recovery reproduces the full heap bit-exactly.
 #[test]
 fn clean_kill_recovers_everything_committed() {
-    for parallel in [false, true] {
-        let (sys, vm, plane) = crash_system(parallel, 7);
-        let mut heap = Pheap::format(vm.frontend(0).clone(), opts(&sys)).unwrap();
-        let mut oracle = Oracle::new(heap.applied_seq());
-        for i in 0..40u64 {
-            let crashed = oracle
-                .step(&mut heap, decode((i % 8) as u8, i * 3, i * 61, 1 + i * 29 % 300), 0xF0)
-                .unwrap();
-            assert!(!crashed, "nothing is armed");
-        }
-        heap.persist().unwrap();
-        assert_eq!(heap.dirty_bytes(), 0);
-        let expected = oracle.working.clone();
-        let expected_seq = heap.applied_seq();
-
-        let rid = vm.devices()[0].backend().linked_rank().unwrap();
-        let snap = sys.driver().machine().rank(rid).unwrap().snapshot();
-        drop(heap);
-        drop(vm);
-        plane.disarm_all();
-
-        let vm2 = sys.launch(TenantSpec::new("pheap-crash")).unwrap();
-        let rid2 = vm2.devices()[0].backend().linked_rank().unwrap();
-        sys.driver().machine().rank(rid2).unwrap().restore(&snap).unwrap();
-        let (mut rec, report) = Pheap::recover(vm2.frontend(0).clone(), opts(&sys)).unwrap();
-        assert_eq!(report.applied_seq, expected_seq);
-        assert!(!report.replayed);
-        assert!(!report.discarded_tail);
-        assert_eq!(dump(&mut rec), expected);
-        drop(rec);
-        drop(vm2);
-        sys.shutdown();
+    let (sys, vm, plane) = crash_system(1, 7);
+    let mut heap = Pheap::format(vm.frontend(0).clone(), opts(&sys)).unwrap();
+    let mut oracle = Oracle::new(heap.applied_seq());
+    for i in 0..40u64 {
+        let crashed = oracle
+            .step(&mut heap, decode((i % 8) as u8, i * 3, i * 61, 1 + i * 29 % 300), 0xF0)
+            .unwrap();
+        assert!(!crashed, "nothing is armed");
     }
+    heap.persist().unwrap();
+    assert_eq!(heap.dirty_bytes(), 0);
+    let expected = oracle.working.clone();
+    let expected_seq = heap.applied_seq();
+
+    let rid = vm.devices()[0].backend().linked_rank().unwrap();
+    let snap = sys.driver().machine().rank(rid).unwrap().snapshot();
+    drop(heap);
+    drop(vm);
+    plane.disarm_all();
+
+    let vm2 = sys.launch(TenantSpec::new("pheap-crash")).unwrap();
+    let rid2 = vm2.devices()[0].backend().linked_rank().unwrap();
+    sys.driver().machine().rank(rid2).unwrap().restore(&snap).unwrap();
+    let (mut rec, report) = Pheap::recover(vm2.frontend(0).clone(), opts(&sys)).unwrap();
+    assert_eq!(report.applied_seq, expected_seq);
+    assert!(!report.replayed);
+    assert!(!report.discarded_tail);
+    assert_eq!(dump(&mut rec), expected);
+    drop(rec);
+    drop(vm2);
+    sys.shutdown();
 }
 
 /// The heap is pay-for-what-you-use: a system that never constructs a

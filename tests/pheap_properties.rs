@@ -19,10 +19,10 @@ fn host() -> Arc<UpmemDriver> {
     Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())))
 }
 
-fn system(parallel: bool) -> (VpimSystem, VpimVm) {
-    let vcfg = VpimConfig::builder().parallel(parallel).build();
-    let sys = VpimSystem::start(host(), vcfg, StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("pheap")).unwrap();
+/// A host with one `devices`-device VM; the heap lives on device 0.
+fn system(devices: usize) -> (VpimSystem, VpimVm) {
+    let sys = VpimSystem::start(host(), VpimConfig::full(), StartOpts::default());
+    let vm = sys.launch(TenantSpec::new("pheap").devices(devices)).unwrap();
     (sys, vm)
 }
 
@@ -171,7 +171,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, any::<u64>(), 0u64..2048, 1u64..256), 1..40),
         salt in any::<u64>(),
     ) {
-        let (sys, vm) = system(false);
+        let (sys, vm) = system(1);
         let mut heap = Pheap::format(vm.frontend(0).clone(), opts(&sys)).unwrap();
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for &(kind, sel, off, len) in &ops {
@@ -202,14 +202,14 @@ proptest! {
     }
 }
 
-/// A fixed rich stream runs bit-identically under Sequential and
-/// Parallel dispatch (the heap's MRAM traffic is all virtual-time
-/// scheduled), including the recovered image.
+/// A fixed rich stream runs bit-identically whether device 0's handler
+/// runs inline (one device) or on its lane (two devices): the heap's MRAM
+/// traffic is all virtual-time scheduled, including the recovered image.
 #[test]
 fn dispatch_modes_agree_on_heap_state() {
     let mut per_mode = Vec::new();
-    for parallel in [false, true] {
-        let (sys, vm) = system(parallel);
+    for devices in [1, 2] {
+        let (sys, vm) = system(devices);
         let mut heap = Pheap::format(vm.frontend(0).clone(), opts(&sys)).unwrap();
         let mut model = BTreeMap::new();
         for i in 0..60u64 {
@@ -233,7 +233,7 @@ fn dispatch_modes_agree_on_heap_state() {
 /// evictions without ever exceeding the window.
 #[test]
 fn tiny_budget_forces_auto_persists_within_bounds() {
-    let (sys, vm) = system(false);
+    let (sys, vm) = system(1);
     let o = opts(&sys).resident_budget(1 << 10);
     let mut heap = Pheap::format(vm.frontend(0).clone(), o).unwrap();
     let ids: Vec<u64> = (0..8).map(|_| heap.alloc(256).unwrap()).collect();

@@ -169,15 +169,12 @@ fn host() -> Arc<UpmemDriver> {
 #[test]
 fn recovered_kick_never_double_applies_a_write() {
     for seed in [1u64, 7, 0xDEAD, 0xC4A0_5EED] {
-        for parallel in [false, true] {
-            let vcfg = VpimConfig::builder()
-                .batching(false)
-                .prefetch(false)
-                .parallel(parallel)
-                .inject_seed(seed)
-                .build();
+        // Inline (one device) and on device 0's lane (two devices).
+        for devices in [1, 2] {
+            let vcfg =
+                VpimConfig::builder().batching(false).prefetch(false).inject_seed(seed).build();
             let sys = VpimSystem::start(host(), vcfg, StartOpts::default());
-            let vm = sys.launch(TenantSpec::new("prop")).unwrap();
+            let vm = sys.launch(TenantSpec::new("prop").devices(devices)).unwrap();
             let plane = sys.fault_plane().unwrap().clone();
             plane.arm(FaultSite::KickDrop.name(), FaultPlan::Nth(1));
             let fe = vm.frontend(0);
@@ -189,13 +186,13 @@ fn recovered_kick_never_double_applies_a_write() {
             fe.write_rank(&[(0, 0, &first)]).unwrap();
             fe.write_rank(&[(0, 0, &second)]).unwrap();
             let (out, _) = fe.read_rank(&[(0, 0, 4096)]).unwrap();
-            assert_eq!(out[0], second, "seed {seed} parallel {parallel}");
+            assert_eq!(out[0], second, "seed {seed} devices {devices}");
 
             let snap = sys.registry().snapshot();
             assert_eq!(
                 snap.count("backend.writes"),
                 2,
-                "seed {seed} parallel {parallel}: a chain was double-applied"
+                "seed {seed} devices {devices}: a chain was double-applied"
             );
             assert_eq!(snap.count("retry.attempts"), 1);
             assert_eq!(snap.level("virtio.queue.depth.rank0"), 0);
