@@ -13,7 +13,22 @@ set -eu
 cd "$(dirname "$0")/.."
 
 echo "== bench smoke: build + one short run of every workload =="
-sh benchmark/run.sh --smoke >/dev/null
+# A smoke run times one iteration per workload, and CPU time is read in
+# 10 ms ticks: `bulk_write`'s ~8 ms iteration can read no CPU at all, and
+# the harness then omits `host.cpu_sys_share` ("metrics not produced") and
+# exits 2. That failure alone is retried, at most twice.
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
+attempt=1
+until sh benchmark/run.sh --smoke >/dev/null 2>"$log"; do
+    cat "$log" >&2
+    if [ "$attempt" -ge 3 ] || ! grep -q "metrics not produced: host.cpu_sys_share$" "$log"; then
+        exit 1
+    fi
+    attempt=$((attempt + 1))
+    echo "bench smoke: no CPU tick read, attempt $attempt" >&2
+done
+cat "$log" >&2
 
 # One "<workload> <failed> <virt_fingerprint>" line per workload of a
 # result file (each field sits on a line of its own under the workload).
@@ -39,13 +54,14 @@ for w in checksum_app bulk_write bulk_read nw_small_ops multirank_push session_c
         status=1
     fi
     # session_churn's smoke run is one round, its baseline a full-length
-    # run: the fingerprints cover different session counts and never
-    # match (1a15f6c3d6811df8 vs b74c422be447e91e), so only its failure
-    # count is gated here.
-    [ "$w" = session_churn ] && continue
-    if [ "$(field "$got" "$w" 3)" != "$(field "$want" "$w" 3)" ]; then
+    # run (b74c422be447e91e): the fingerprints cover different session
+    # counts, so its one-round fingerprint is pinned here instead. It is
+    # the only workload whose data path runs the interleave pair.
+    expected=$(field "$want" "$w" 3)
+    [ "$w" = session_churn ] && expected=1a15f6c3d6811df8
+    if [ "$(field "$got" "$w" 3)" != "$expected" ]; then
         echo "bench smoke: $w: virt_fingerprint $(field "$got" "$w" 3)," \
-            "baseline $(field "$want" "$w" 3)" >&2
+            "expected $expected" >&2
         status=1
     fi
 done

@@ -15,6 +15,9 @@
 //! path: payload bytes flow guest RAM → pooled scratch (or borrowed view)
 //! → in-place interleave → MRAM and back without a single fresh heap
 //! allocation in steady state (see DESIGN.md, "Zero-copy data path").
+//! They run the configured path's interleave pair and reach MRAM through
+//! the rank's raw accessors ([`Rank::write_mram`], [`Rank::read_mram`]), so
+//! each byte is interleaved once per direction.
 
 use pim_virtio::{GuestMemory, SegCache};
 use simkit::cost::DataPath;
@@ -80,15 +83,17 @@ pub fn interleave_cost(cm: &CostModel, bytes: u64, path: DataPath) -> VirtualNan
 /// `write-to-rank`), returning the bytes moved.
 ///
 /// With interleave verification on, the payload is gathered into a pooled
-/// scratch buffer, swizzled in place, and handed to the rank's in-place
-/// writer — zero heap allocations once the pool is warm. With verification
-/// off, each guest page is a borrowed [`GuestMemory::walk_pages`] view
-/// written straight into MRAM — no staging buffer at all. Either way the
+/// scratch buffer, swizzled in place on `path`, and written to MRAM — zero
+/// heap allocations once the pool is warm. With verification off, each
+/// guest page is a borrowed [`GuestMemory::walk_pages`] view written
+/// straight into MRAM — no staging buffer at all. Either way the
 /// per-request [`SegCache`] elides repeated page bounds checks.
 ///
 /// # Errors
 ///
-/// Out-of-bounds guest access, invalid DPU, or MRAM range errors.
+/// [`VpimError::BadRequest`] for a page list too short for `entry.len`
+/// (before any byte moves); out-of-bounds guest access, invalid DPU, or
+/// MRAM range errors.
 #[allow(clippy::too_many_arguments)]
 pub fn write_entry(
     mem: &GuestMemory,
@@ -101,6 +106,7 @@ pub fn write_entry(
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
+    entry.check_pages()?;
     maybe_stall(plane, key);
     if let Some(plane) = plane {
         if plane.hit_keyed(CHUNK_TORN_WRITE_POINT, key) {
@@ -112,14 +118,14 @@ pub fn write_entry(
             TransferMatrix::gather_into(mem, entry, &mut data, cache)?;
             let torn = (data.len() / 2) & !7;
             if torn > 0 {
-                rank.write_dpu(entry.dpu as usize, entry.mram_offset, &data[..torn])?;
+                rank.write_mram(entry.dpu as usize, entry.mram_offset, &data[..torn])?;
             }
             return Err(VpimError::Injected { point: CHUNK_TORN_WRITE_POINT });
         }
     }
     if !verify {
         mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
-            rank.write_dpu(entry.dpu as usize, entry.mram_offset + offset, s)
+            rank.write_mram(entry.dpu as usize, entry.mram_offset + offset, s)
                 .map_err(VpimError::from)
         })?;
         return Ok(entry.len);
@@ -127,18 +133,20 @@ pub fn write_entry(
     let mut data = pool.take(entry.len as usize);
     TransferMatrix::gather_into(mem, entry, &mut data, cache)?;
     transform_fused(&mut data, path);
-    rank.write_dpu_inplace(entry.dpu as usize, entry.mram_offset, &mut data)?;
+    rank.write_mram(entry.dpu as usize, entry.mram_offset, &data)?;
     Ok(entry.len)
 }
 
 /// Moves one matrix entry MRAM→guest (the per-DPU unit of
 /// `read-from-rank`), returning the bytes moved. Mirror of
-/// [`write_entry`]: pooled scratch + in-place swizzle when verifying,
-/// borrowed mutable page views when not.
+/// [`write_entry`]: pooled scratch + in-place swizzle on `path` when
+/// verifying, borrowed mutable page views when not.
 ///
 /// # Errors
 ///
-/// Out-of-bounds guest access, invalid DPU, or MRAM range errors.
+/// [`VpimError::BadRequest`] for a page list too short for `entry.len`
+/// (before any byte moves); out-of-bounds guest access, invalid DPU, or
+/// MRAM range errors.
 #[allow(clippy::too_many_arguments)]
 pub fn read_entry(
     mem: &GuestMemory,
@@ -151,16 +159,17 @@ pub fn read_entry(
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
+    entry.check_pages()?;
     maybe_stall(plane, key);
     if !verify {
         mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
-            rank.read_dpu(entry.dpu as usize, entry.mram_offset + offset, s)
+            rank.read_mram(entry.dpu as usize, entry.mram_offset + offset, s)
                 .map_err(VpimError::from)
         })?;
         return Ok(entry.len);
     }
     let mut data = pool.take(entry.len as usize);
-    rank.read_dpu(entry.dpu as usize, entry.mram_offset, &mut data)?;
+    rank.read_mram(entry.dpu as usize, entry.mram_offset, &mut data)?;
     transform_fused(&mut data, path);
     TransferMatrix::scatter_from(mem, entry, &data, cache)?;
     Ok(entry.len)
@@ -186,6 +195,39 @@ mod tests {
         let mut data: Vec<u8> = Vec::new();
         transform_fused(&mut data, DataPath::Scalar);
         transform_fused(&mut data, DataPath::Vectorized);
+    }
+
+    /// A page list too short for its `len` is refused before any byte
+    /// moves, verifying or not: the tail of a recycled scratch buffer never
+    /// lands in MRAM, and a read touches no guest byte.
+    #[test]
+    fn short_page_list_is_refused_before_any_byte_moves() {
+        use pim_virtio::memory::PAGE_SIZE;
+        const CANARY: u8 = 0xC5;
+        let page_len = PAGE_SIZE as usize;
+        let rank = Rank::new(0, &upmem_sim::PimConfig::small());
+        let mem = GuestMemory::new(16 * PAGE_SIZE);
+        let page = mem.alloc_pages(1).unwrap()[0];
+        mem.write(page, &vec![0x11; page_len]).unwrap();
+        let pool = BytePool::new();
+        let mut stale = pool.take(2 * page_len);
+        stale.fill(CANARY);
+        drop(stale);
+        let short = DpuXfer { dpu: 0, mram_offset: 0, len: 2 * PAGE_SIZE, pages: vec![page] };
+        for verify in [true, false] {
+            for op in [write_entry, read_entry] {
+                let mut cache = SegCache::new();
+                let path = DataPath::Vectorized;
+                let got = op(&mem, &rank, &short, verify, path, &pool, &mut cache, None, 0);
+                assert!(matches!(got, Err(VpimError::BadRequest(_))), "verify {verify}: {got:?}");
+            }
+            let mut mram = vec![0xFF; 2 * page_len];
+            rank.read_mram(0, 0, &mut mram).unwrap();
+            assert!(!mram.contains(&CANARY), "verify {verify}: stale scratch reached MRAM");
+            assert!(mram.iter().all(|b| *b == 0), "verify {verify}: MRAM written");
+            let guest = mem.with_slice(page, PAGE_SIZE, <[u8]>::to_vec).unwrap();
+            assert!(guest.iter().all(|b| *b == 0x11), "verify {verify}: guest page written");
+        }
     }
 
     #[test]

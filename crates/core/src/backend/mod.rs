@@ -6,7 +6,8 @@
 //! (mmap), and returns the payload plus its own timing breakdown. The
 //! paper's testbed spreads DPU operations over 8 threads (one per chip);
 //! that width is modelled by `CostModel::backend_threads`. The host's own
-//! data pool has one worker per CPU the process may run on.
+//! data pool has one worker per CPU the process may run on and takes only
+//! matrices large enough to pay for the hand-off (`FANOUT_MIN_BYTES`).
 
 pub mod datapath;
 pub mod partition;
@@ -52,11 +53,25 @@ type EntryOp = fn(
 /// The host's data pool: one worker per CPU this process may run on.
 /// `available_parallelism` reads the affinity mask, so a host pinned to
 /// one CPU runs every matrix on the handler's thread and an N-CPU host
-/// fans a matrix out at most N ways. Nothing in the cost model sizes it.
+/// fans a matrix out at most N ways, and only as far as
+/// [`FANOUT_MIN_BYTES`] allows. Nothing in the cost model sizes it.
 pub(crate) fn host_data_pool() -> Arc<WorkerPool> {
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     Arc::new(WorkerPool::new(cpus))
 }
+
+/// The fewest bytes a data-pool chunk carries: a matrix is cut into at
+/// most `total bytes / FANOUT_MIN_BYTES` chunks, so one under twice this
+/// size runs on the handler's thread. A hand-off costs a pool round trip,
+/// which must buy back more copying than it adds. Measured on a 2-vCPU
+/// x86-64 box: the round trip costs ≈ 33 µs per request in
+/// `session_churn`, where both CPUs already run sessions (a 4 × 4 KiB
+/// backend write takes 41.0 µs fanned out, 7.7 µs inline), and ≈ 13 µs
+/// on an idle box. One thread moves the verified data path at ≈ 2.7 GB/s
+/// and the unverified one at 13–27 GB/s, so 33 µs is ≈ 90 KiB to
+/// 400–850 KiB of copying; 256 KiB keeps `session_churn`'s 16 KiB matrices
+/// inline and lets `bulk_write`'s 30 MiB ones fan out.
+const FANOUT_MIN_BYTES: u64 = 256 << 10;
 
 /// Response status: success.
 pub const STATUS_OK: u32 = 0;
@@ -369,17 +384,20 @@ impl Backend {
         }
     }
 
-    /// Executes a data op's per-entry work on the data pool, chunked along
-    /// DPU boundaries (at most one chunk per pool worker) so no two
-    /// workers touch the same MRAM bank; a one-chunk matrix runs on the
-    /// handler's thread. Each worker draws scratch buffers from the shared
-    /// [`BytePool`] and elides bounds re-checks with a chunk-local
-    /// [`SegCache`]. On full success the bytes moved are published as
-    /// `datapath.bytes.zero_copy`. On failure the error of the **lowest
-    /// entry index** is returned — the same error a sequential in-order
-    /// walk would report — so error responses do not depend on the pool's
-    /// width. Which other entries' transfers already landed is unspecified,
-    /// as on real hardware.
+    /// Executes a data op's per-entry work, on the handler's thread unless
+    /// the matrix is large enough to pay for the data pool's hand-off: it
+    /// is cut along DPU boundaries into at most
+    /// `min(pool workers, total bytes / FANOUT_MIN_BYTES)` chunks, so no
+    /// two workers touch the same MRAM bank and every chunk carries at
+    /// least [`FANOUT_MIN_BYTES`]. A width of one, or a matrix whose DPUs
+    /// make one chunk, runs inline. Each worker draws scratch buffers from
+    /// the shared [`BytePool`] and elides bounds re-checks with a
+    /// chunk-local [`SegCache`]. On full success the bytes moved are
+    /// published as `datapath.bytes.zero_copy`. On failure the error of the
+    /// **lowest entry index** is returned — the same error a sequential
+    /// in-order walk would report — so error responses do not depend on
+    /// the pool's width. Which other entries' transfers already landed is
+    /// unspecified, as on real hardware.
     fn run_entries(
         &self,
         mem: &GuestMemory,
@@ -390,7 +408,13 @@ impl Backend {
     ) -> Result<(), VpimError> {
         let path = self.vcfg.data_path;
         let plane = self.inject.plane();
-        let chunks = partition::partition_by_dpu(&matrix.entries, self.pool.workers());
+        let chunks_worth = usize::try_from(matrix.total_bytes() / FANOUT_MIN_BYTES);
+        let width = self.pool.workers().min(chunks_worth.unwrap_or(usize::MAX));
+        let chunks = if width > 1 {
+            partition::partition_by_dpu(&matrix.entries, width)
+        } else {
+            Vec::new()
+        };
         if chunks.len() <= 1 {
             let mut cache = SegCache::new();
             let mut moved = 0u64;
@@ -724,16 +748,20 @@ mod tests {
     }
 
     /// Ten entries over all eight DPUs of a rank, DPUs 0 and 1 with two
-    /// each, of ten different lengths: `(dpu, mram_offset, bytes)`.
+    /// each, of ten different lengths: `(dpu, mram_offset, bytes)`. About
+    /// 1.3 MB in all, so a four-worker pool cuts the matrix four ways.
     fn width_entries() -> Vec<(u32, u64, Vec<u8>)> {
         (0..10u32)
             .map(|i| {
-                let len = 1000 + 1500 * i as usize;
+                let len = 90_000 + 10_001 * i as usize;
                 let bytes = (0..len).map(|b| (b as u32).wrapping_mul(7).wrapping_add(i * 31) as u8);
-                (i % 8, u64::from(i / 8) * (32 << 10), bytes.collect())
+                (i % 8, u64::from(i / 8) * (256 << 10), bytes.collect())
             })
             .collect()
     }
+
+    /// The MRAM window [`width_entries`] writes on every DPU.
+    const WIDTH_WINDOW: usize = 512 << 10;
 
     fn send_write(r: &mut Rig, entries: &[(u32, u64, Vec<u8>)]) -> Response {
         let refs: Vec<(u32, u64, &[u8])> =
@@ -758,7 +786,7 @@ mod tests {
     }
 
     /// Everything one pool width observes: the write and read responses,
-    /// the bytes read back, every DPU's first 64 KiB of MRAM, the
+    /// the bytes read back, every DPU's [`WIDTH_WINDOW`] of MRAM, the
     /// `datapath.bytes.zero_copy` total, and the responses to failing
     /// writes.
     type WidthRun = (Vec<Response>, Vec<Vec<u8>>, Vec<Vec<u8>>, u64, Vec<Response>);
@@ -777,7 +805,7 @@ mod tests {
         let rank = w.driver.machine().rank(w.rig.backend.linked_rank().unwrap()).unwrap();
         let mram: Vec<Vec<u8>> = (0..8)
             .map(|d| {
-                let mut buf = vec![0u8; 64 << 10];
+                let mut buf = vec![0u8; WIDTH_WINDOW];
                 rank.read_dpu(d, 0, &mut buf).unwrap();
                 buf
             })
@@ -823,6 +851,70 @@ mod tests {
         assert!(narrow.4[..3].iter().all(|r| r.error.contains("injected")), "{:?}", narrow.4);
         assert!(narrow.4[3].error.contains("out of bounds"), "{}", narrow.4[3].error);
         assert!(narrow.4[4].error.contains("injected"), "{}", narrow.4[4].error);
+    }
+
+    /// The threads a test [`EntryOp`] ran on: id and name, one per entry.
+    type ThreadLog = std::sync::Mutex<Vec<(std::thread::ThreadId, Option<String>)>>;
+
+    fn log_thread(log: &ThreadLog) {
+        let me = std::thread::current();
+        log.lock().unwrap().push((me.id(), me.name().map(str::to_owned)));
+    }
+
+    /// Writes `entries` through `run_entries` with `op` on a
+    /// `workers`-wide pool.
+    fn run_write_with(workers: usize, entries: &[(u32, u64, Vec<u8>)], op: EntryOp) {
+        let w = width_rig(workers);
+        let refs: Vec<(u32, u64, &[u8])> =
+            entries.iter().map(|(d, o, v)| (*d, *o, v.as_slice())).collect();
+        let (matrix, dl) = TransferMatrix::from_user_buffers(&w.rig.mem, &refs).unwrap();
+        let guard = w.rig.backend.ensure_linked().unwrap();
+        let rank = guard.as_ref().expect("linked above").rank();
+        w.rig.backend.run_entries(&w.rig.mem, rank, &matrix, rank.verify_interleave(), op).unwrap();
+        drop(guard);
+        dl.release();
+    }
+
+    /// The width oracle's matrix really is cut: on a four-worker pool every
+    /// entry runs on a pool thread, which `run_entries` only does for a
+    /// matrix of two chunks or more (how many workers pick the chunks up
+    /// is the scheduler's business).
+    #[test]
+    fn width_matrix_fans_out_over_pool_threads() {
+        static LOG: ThreadLog = ThreadLog::new(Vec::new());
+        let op: EntryOp = |mem, rank, entry, verify, path, pool, cache, plane, key| {
+            log_thread(&LOG);
+            datapath::write_entry(mem, rank, entry, verify, path, pool, cache, plane, key)
+        };
+        let entries = width_entries();
+        run_write_with(4, &entries, op);
+        let log = LOG.lock().unwrap();
+        assert_eq!(log.len(), entries.len());
+        let me = std::thread::current().id();
+        assert!(
+            log.iter().all(|(id, name)| *id != me
+                && name.as_deref().is_some_and(|n| n.starts_with("simkit-pool-"))),
+            "{log:?}"
+        );
+    }
+
+    /// A matrix under two chunks' worth of bytes runs every entry on the
+    /// handler's thread, even with four pool workers idle.
+    #[test]
+    fn small_matrix_runs_on_the_handler_thread() {
+        static LOG: ThreadLog = ThreadLog::new(Vec::new());
+        let op: EntryOp = |mem, rank, entry, verify, path, pool, cache, plane, key| {
+            log_thread(&LOG);
+            datapath::write_entry(mem, rank, entry, verify, path, pool, cache, plane, key)
+        };
+        let per_dpu = (2 * FANOUT_MIN_BYTES as usize - 1) / 8;
+        let entries: Vec<(u32, u64, Vec<u8>)> =
+            (0..8u32).map(|d| (d, 0, vec![d as u8; per_dpu])).collect();
+        run_write_with(4, &entries, op);
+        let log = LOG.lock().unwrap();
+        assert_eq!(log.len(), entries.len());
+        let me = std::thread::current().id();
+        assert!(log.iter().all(|(id, _)| *id == me), "{log:?}");
     }
 
     #[test]

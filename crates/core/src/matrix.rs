@@ -46,6 +46,27 @@ impl DpuXfer {
     fn required_pages(len: u64) -> usize {
         (len as usize).div_ceil(PAGE_SIZE as usize)
     }
+
+    /// Refuses a page list too short to hold `len` bytes. The page walk
+    /// stops at the end of the list, so without this check a short list
+    /// would leave the tail of a gather buffer unwritten (stale pooled
+    /// scratch reaching MRAM) and of a scatter unread.
+    ///
+    /// # Errors
+    ///
+    /// [`VpimError::BadRequest`] when `pages` holds fewer than
+    /// `len.div_ceil(PAGE_SIZE)` pages.
+    pub fn check_pages(&self) -> Result<(), VpimError> {
+        if (self.pages.len() as u64) < self.len.div_ceil(PAGE_SIZE) {
+            return Err(VpimError::BadRequest(format!(
+                "dpu {}: {} bytes do not fit {} pages",
+                self.dpu,
+                self.len,
+                self.pages.len()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// A transfer matrix: per-DPU metadata plus page lists.
@@ -307,11 +328,6 @@ impl TransferMatrix {
                     "dpu {dpu}: {nb_pages} pages exceed the 64 MB bank"
                 )));
             }
-            if len.div_ceil(PAGE_SIZE) > nb_pages {
-                return Err(VpimError::BadRequest(format!(
-                    "dpu {dpu}: {len} bytes do not fit {nb_pages} pages"
-                )));
-            }
             let mut pages = Vec::new();
             if nb_pages > 0 {
                 let (pg_gpa, pg_len) = rest
@@ -324,20 +340,29 @@ impl TransferMatrix {
                 mem.read(pg_gpa, &mut list)?;
                 pages = list.chunks_exact(8).map(|g| Gpa(word(g, 0))).collect();
             }
-            entries.push(DpuXfer { dpu, mram_offset, len, pages });
+            let entry = DpuXfer { dpu, mram_offset, len, pages };
+            entry.check_pages()?;
+            entries.push(entry);
         }
         Ok(TransferMatrix { entries })
     }
 
-    /// Gathers one entry's data out of its guest pages into a contiguous
-    /// buffer (the backend's access pattern for `write-to-rank`).
+    /// Gathers one entry's data out of its guest pages into a fresh
+    /// contiguous buffer (the frontend's read completion), appending page
+    /// by page so no byte is written twice.
     ///
     /// # Errors
     ///
-    /// Out-of-bounds guest access (a malicious or buggy page list).
+    /// [`VpimError::BadRequest`] for a page list too short for `len`;
+    /// out-of-bounds guest access (a malicious or buggy page list).
     pub fn gather(mem: &GuestMemory, entry: &DpuXfer) -> Result<Vec<u8>, VpimError> {
-        let mut out = vec![0u8; entry.len as usize];
-        Self::gather_into(mem, entry, &mut out, &mut SegCache::new())?;
+        entry.check_pages()?;
+        let mut out = Vec::with_capacity(entry.len as usize);
+        mem.walk_pages(&mut SegCache::new(), &entry.pages, entry.len, |_, s| {
+            out.extend_from_slice(s);
+            Ok::<(), VpimError>(())
+        })?;
+        debug_assert_eq!(out.len() as u64, entry.len);
         Ok(out)
     }
 
@@ -347,8 +372,9 @@ impl TransferMatrix {
     ///
     /// # Errors
     ///
-    /// [`VpimError::BadRequest`] on length mismatch; out-of-bounds guest
-    /// access (a malicious or buggy page list).
+    /// [`VpimError::BadRequest`] on length mismatch or a page list too
+    /// short for `len`; out-of-bounds guest access (a malicious or buggy
+    /// page list).
     pub fn gather_into(
         mem: &GuestMemory,
         entry: &DpuXfer,
@@ -362,6 +388,7 @@ impl TransferMatrix {
                 entry.len
             )));
         }
+        entry.check_pages()?;
         mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
             out[offset as usize..][..s.len()].copy_from_slice(s);
             Ok(())
@@ -379,11 +406,12 @@ impl TransferMatrix {
     }
 
     /// [`scatter`](Self::scatter) through borrowed mutable guest views with
-    /// a per-request [`SegCache`].
+    /// a per-request [`SegCache`]. Reads every byte of `data`.
     ///
     /// # Errors
     ///
-    /// [`VpimError::BadRequest`] on length mismatch; out-of-bounds access.
+    /// [`VpimError::BadRequest`] on length mismatch or a page list too
+    /// short for `len`; out-of-bounds access.
     pub fn scatter_from(
         mem: &GuestMemory,
         entry: &DpuXfer,
@@ -397,6 +425,7 @@ impl TransferMatrix {
                 entry.len
             )));
         }
+        entry.check_pages()?;
         mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
             s.copy_from_slice(&data[offset as usize..][..s.len()]);
             Ok(())
@@ -454,6 +483,20 @@ mod tests {
         let mem = mem();
         let (matrix, lease) = TransferMatrix::alloc_read_buffers(&mem, &[(0, 0, 100)]).unwrap();
         assert!(TransferMatrix::scatter(&mem, &matrix.entries[0], &[0u8; 99]).is_err());
+        lease.release();
+    }
+
+    #[test]
+    fn short_page_list_rejected_by_every_walk() {
+        let mem = mem();
+        let (matrix, lease) = TransferMatrix::alloc_read_buffers(&mem, &[(0, 0, 9000)]).unwrap();
+        let mut short = matrix.entries[0].clone();
+        short.pages.truncate(2);
+        let bad = |r: Result<(), VpimError>| matches!(r, Err(VpimError::BadRequest(_)));
+        assert!(bad(TransferMatrix::gather(&mem, &short).map(drop)));
+        let mut out = vec![0u8; 9000];
+        assert!(bad(TransferMatrix::gather_into(&mem, &short, &mut out, &mut SegCache::new())));
+        assert!(bad(TransferMatrix::scatter(&mem, &short, &out)));
         lease.release();
     }
 

@@ -178,70 +178,72 @@ impl Rank {
     }
 
     /// Writes host bytes into one DPU's MRAM at `offset` — the data half of
-    /// a `write-to-rank`. When the config enables interleave verification
-    /// the buffer really goes through the interleave/deinterleave pair the
-    /// host driver and DDR bus would apply.
+    /// a `write-to-rank` on the native path. When the config enables
+    /// interleave verification the buffer really goes through the
+    /// interleave/deinterleave pair the host driver and DDR bus would apply.
     ///
     /// # Errors
     ///
     /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
     /// MRAM range.
     pub fn write_dpu(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<(), SimError> {
-        if self.config.verify_interleave {
-            // Borrowed input, so one staging copy is unavoidable; the
-            // zero-copy data path hands us its scratch directly through
-            // write_dpu_inplace instead.
-            let mut staged = data.to_vec();
-            self.write_dpu_inplace(dpu, offset, &mut staged)
-        } else {
-            self.check_dpu(dpu)?;
-            Self::check_len(data.len() as u64)?;
-            self.injected_dma(dpu)?;
-            self.dpus[dpu].lock().mram_mut().write(offset, data)
+        if !self.config.verify_interleave {
+            return self.write_mram(dpu, offset, data);
         }
-    }
-
-    /// [`write_dpu`](Self::write_dpu) for callers that own (and may
-    /// sacrifice) the buffer: the interleave/deinterleave pair runs **in
-    /// place** on `data`, so the verify path allocates nothing. On return
-    /// `data` holds the logical bytes again (the pair is self-inverse).
-    ///
-    /// # Errors
-    ///
-    /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
-    /// MRAM range.
-    pub fn write_dpu_inplace(&self, dpu: usize, offset: u64, data: &mut [u8]) -> Result<(), SimError> {
-        self.check_dpu(dpu)?;
-        Self::check_len(data.len() as u64)?;
-        self.injected_dma(dpu)?;
-        if self.config.verify_interleave {
-            // Transform outside the DPU lock: the critical section is only
-            // the MRAM write itself.
-            interleave::interleave_inplace(data);
-            interleave::deinterleave_inplace(data);
-        }
-        self.dpus[dpu].lock().mram_mut().write(offset, data)
+        // Borrowed input, so the pair runs on one staging copy.
+        let mut staged = data.to_vec();
+        interleave::interleave_inplace(&mut staged);
+        interleave::deinterleave_inplace(&mut staged);
+        self.write_mram(dpu, offset, &staged)
     }
 
     /// Reads one DPU's MRAM into host bytes — the data half of a
-    /// `read-from-rank`. Allocation-free: the verify transform runs in
-    /// place on `dst` after the MRAM copy.
+    /// `read-from-rank` on the native path. Allocation-free: the verify
+    /// transform runs in place on `dst` after the MRAM copy.
     ///
     /// # Errors
     ///
     /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
     /// MRAM range.
     pub fn read_dpu(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
-        self.check_dpu(dpu)?;
-        Self::check_len(dst.len() as u64)?;
-        self.injected_dma(dpu)?;
-        self.dpus[dpu].lock().mram().read(offset, dst)?;
+        self.read_mram(dpu, offset, dst)?;
         if self.config.verify_interleave {
-            // Transform outside the DPU lock (see write_dpu_inplace).
+            // Transform outside the DPU lock: the critical section is only
+            // the MRAM copy itself.
             interleave::interleave_inplace(dst);
             interleave::deinterleave_inplace(dst);
         }
         Ok(())
+    }
+
+    /// The DMA half of [`write_dpu`](Self::write_dpu) with no interleave
+    /// pair: for a caller that runs the pair on its own data path (the vPIM
+    /// backend runs its configured `DataPath`'s pair), so each byte is
+    /// interleaved once. Consults [`MRAM_DMA_POINT`] like `write_dpu`.
+    ///
+    /// # Errors
+    ///
+    /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
+    /// MRAM range.
+    pub fn write_mram(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<(), SimError> {
+        self.check_dpu(dpu)?;
+        Self::check_len(data.len() as u64)?;
+        self.injected_dma(dpu)?;
+        self.dpus[dpu].lock().mram_mut().write(offset, data)
+    }
+
+    /// The DMA half of [`read_dpu`](Self::read_dpu) with no interleave
+    /// pair (see [`write_mram`](Self::write_mram)).
+    ///
+    /// # Errors
+    ///
+    /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
+    /// MRAM range.
+    pub fn read_mram(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
+        self.check_dpu(dpu)?;
+        Self::check_len(dst.len() as u64)?;
+        self.injected_dma(dpu)?;
+        self.dpus[dpu].lock().mram().read(offset, dst)
     }
 
     /// Loads a program image onto the given DPUs (all functional DPUs if

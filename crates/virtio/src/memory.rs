@@ -379,13 +379,9 @@ impl GuestMemory {
         if alloc.free.len() < n {
             return Err(VirtioError::OutOfPages { requested: n, free: alloc.free.len() });
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let page = *alloc.free.iter().next().expect("checked non-empty");
-            alloc.free.remove(&page);
-            out.push(Gpa(page * PAGE_SIZE));
-        }
-        Ok(out)
+        Ok((0..n)
+            .map(|_| Gpa(alloc.free.pop_first().expect("checked non-empty") * PAGE_SIZE))
+            .collect())
     }
 
     /// Allocates `n` *contiguous* pages and returns the base GPA (queue
