@@ -22,9 +22,10 @@
 # refreshes BENCH_cluster.json), and the pheap gate (crash-consistency
 # suites under varied harness parallelism, the 8-seed chaos sweep, the
 # durability bench, refreshes BENCH_pheap.json). Every varied-parallelism
-# leg goes through ci/threads-gate.sh, every seed matrix (chaos, shard,
-# pheap) through ci/seed-sweep.sh and every BENCH_*.json refresh through
-# ci/publish.sh.
+# leg goes through ci/threads-gate.sh (whose last leg reruns its suites in a
+# debug build, where simkit::lockorder checks every lock acquisition), every
+# seed matrix (chaos, shard, pheap) through ci/seed-sweep.sh and every
+# BENCH_*.json refresh through ci/publish.sh.
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh

@@ -9,7 +9,10 @@
 # is sized by the CPUs the process may run on, so there it is one worker
 # wide and every transfer matrix runs on the handler's thread — the
 # configuration every pinned benchmark workload measures. Without
-# `taskset` that leg prints one skip line.
+# `taskset` that leg prints one skip line. A last leg runs the suites once
+# more in a debug build, the only build in which `simkit::lockorder`
+# checks every lock acquisition against the hierarchy (release builds
+# compile the checker out).
 #
 # Every tier-1 gate with a varied-parallelism leg runs it through this
 # script; `make tier1` calls it directly for the stress leg
@@ -49,5 +52,9 @@ if command -v taskset >/dev/null 2>&1; then
 else
     echo "== $label gate: one-CPU leg skipped (no taskset) =="
 fi
+
+echo "== $label gate: RUST_TEST_THREADS=8, debug build (lock-order checker on) =="
+# shellcheck disable=SC2086 # $tests is a flag list, split on purpose
+RUST_TEST_THREADS=8 cargo test --offline -q $tests
 
 echo "== $label gate: threads OK =="

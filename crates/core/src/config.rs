@@ -15,8 +15,6 @@ pub enum FaultSite {
     /// A guest kick is dropped before the device handler runs
     /// (`vmm.kick.drop`).
     KickDrop,
-    /// A completion IRQ is delayed past its notify (`virtio.irq.delay`).
-    IrqDelay,
     /// A guest-memory data access raises a transient EIO
     /// (`virtio.mem.eio`).
     MemEio,
@@ -52,9 +50,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in stack order (guest-facing first).
-    pub const ALL: [FaultSite; 14] = [
+    pub const ALL: [FaultSite; 13] = [
         FaultSite::KickDrop,
-        FaultSite::IrqDelay,
         FaultSite::MemEio,
         FaultSite::ChunkTornWrite,
         FaultSite::ChunkStall,
@@ -74,7 +71,6 @@ impl FaultSite {
     pub const fn name(self) -> &'static str {
         match self {
             FaultSite::KickDrop => "vmm.kick.drop",
-            FaultSite::IrqDelay => "virtio.irq.delay",
             FaultSite::MemEio => "virtio.mem.eio",
             FaultSite::ChunkTornWrite => "backend.chunk.torn_write",
             FaultSite::ChunkStall => "backend.chunk.stall",

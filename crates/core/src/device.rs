@@ -4,6 +4,10 @@
 //! the virtio-mmio transport surface (register block + IRQ line) and the
 //! [`Backend`] that performs rank operations; the VMM's event manager calls
 //! [`VupmemDevice::handle_notify`] when the guest kicks `transferq`.
+//! Handlers run one at a time per device, popping and processing chains
+//! in avail-ring order until the ring is empty, so a handler that returns
+//! `Ok` has completed every chain added before its kick (§4.2: finish the
+//! rank operation, then inject the IRQ that resumes the guest).
 
 use parking_lot::Mutex;
 use pim_virtio::mmio::MmioBlock;
@@ -14,15 +18,20 @@ use pim_vmm::{VirtioDevice, VmmError};
 use crate::backend::Backend;
 use crate::spec;
 
-/// Lock-order indices for the device's mutexes, both at
+/// Lock-order indices for the device's mutexes, all at
 /// [`simkit::LockLevel::DeviceQueue`] (below the frontend, above the
-/// backend's rank slot — see `simkit::lockorder`). Neither is held while
-/// the backend processes a chain, so the descent into
-/// `RankSlot`/`SchedState`/`ManagerTable` always starts from a clean
-/// device layer.
+/// backend's rank slot — see `simkit::lockorder`).
+///
+/// * `NOTIFY` (0) — held by [`VupmemDevice::handle_notify`] across its
+///   whole pop-and-process loop, so a device runs its chains one at a
+///   time in avail-ring order, and the descent into
+///   `RankSlot`/`SchedState`/`ManagerTable` happens under it.
+/// * `MEM` (1) and `TRANSFERQ` (2) — the guest-memory cell and the device
+///   queue; taken briefly inside `NOTIFY`, never across the backend.
 mod dev_lock {
-    pub const MEM: usize = 0;
-    pub const TRANSFERQ: usize = 1;
+    pub const NOTIFY: usize = 0;
+    pub const MEM: usize = 1;
+    pub const TRANSFERQ: usize = 2;
 }
 
 /// The vUPMEM device (one per virtual rank).
@@ -32,6 +41,9 @@ pub struct VupmemDevice {
     mmio: MmioBlock,
     irq: IrqLine,
     backend: Backend,
+    /// Serializes notify handlers: when one returns, every chain added
+    /// before its kick has its status written and its used entry pushed.
+    notify: Mutex<()>,
     mem: Mutex<Option<GuestMemory>>,
     transferq: Mutex<Option<DeviceQueue>>,
 }
@@ -64,6 +76,7 @@ impl VupmemDevice {
             ),
             irq: IrqLine::with_counter(irq_number, registry.counter("virtio.irq.injections")),
             backend,
+            notify: Mutex::new(()),
             mem: Mutex::new(None),
             transferq: Mutex::new(None),
         }
@@ -161,6 +174,10 @@ impl VirtioDevice for VupmemDevice {
         if queue != spec::TRANSFERQ {
             return Ok(()); // controlq traffic carries no work in this model
         }
+        // One handler at a time: a kick that finds the queue empty because
+        // another handler popped its chain still waits for that chain.
+        let _order = simkit::ordered(simkit::LockLevel::DeviceQueue, dev_lock::NOTIFY);
+        let _serial = self.notify.lock();
         loop {
             let popped = {
                 let _order =
@@ -189,7 +206,8 @@ mod tests {
     use pim_virtio::mmio::{reg, status};
     use pim_virtio::queue::DriverQueue;
     use simkit::CostModel;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
     use upmem_driver::UpmemDriver;
     use upmem_sim::{PimConfig, PimMachine};
 
@@ -239,7 +257,7 @@ mod tests {
             .unwrap();
 
         dev.handle_notify(spec::TRANSFERQ).unwrap();
-        assert!(dev.irq().try_take());
+        assert_eq!(dev.irq().injections(), 1);
         let (h, len) = dq.poll_used().unwrap().unwrap();
         assert_eq!(h, head);
         assert!(len > 0);
@@ -247,6 +265,55 @@ mod tests {
         let resp = Response::decode(&raw).unwrap();
         assert!(resp.is_ok());
         assert!(!resp.payload.is_empty());
+        mgr.shutdown();
+    }
+
+    /// A handler that finds the queue empty because an earlier handler
+    /// popped the chain still returns only once that chain is complete.
+    #[test]
+    fn a_handled_notify_means_every_earlier_chain_is_complete() {
+        let (dev, mgr) = device();
+        let mem = GuestMemory::new(4 << 20);
+        let mut dq = program_queue(&dev, &mem);
+        dev.activate(&mem).unwrap();
+        let mut add_configure = || {
+            let pages = mem.alloc_pages(2).unwrap();
+            let enc = Request::Configure.encode();
+            mem.write(pages[0], &enc).unwrap();
+            dq.add_chain(&[(pages[0], enc.len() as u32, false), (pages[1], 4096, true)])
+                .unwrap()
+        };
+        // Link the rank, then hold its slot so the next chain blocks in
+        // the backend.
+        add_configure();
+        dev.handle_notify(spec::TRANSFERQ).unwrap();
+        let slot = dev.backend().ensure_linked().unwrap();
+        let head = add_configure();
+        let pending = || dev.transferq.lock().as_ref().unwrap().pending().unwrap();
+        let dev = &dev;
+        std::thread::scope(|s| {
+            let a = s.spawn(|| dev.handle_notify(spec::TRANSFERQ));
+            while pending() != 0 {
+                std::thread::yield_now();
+            }
+            let (returned, b_returned) = mpsc::channel();
+            let b = s.spawn(move || {
+                let r = dev.handle_notify(spec::TRANSFERQ);
+                returned.send(()).unwrap();
+                r
+            });
+            assert!(
+                b_returned.recv_timeout(Duration::from_millis(200)).is_err(),
+                "a kick returned while an earlier chain was still in the backend"
+            );
+            drop(slot);
+            a.join().unwrap().unwrap();
+            b.join().unwrap().unwrap();
+        });
+        let used: Vec<u16> = std::iter::from_fn(|| dq.poll_used().unwrap())
+            .map(|(h, _)| h)
+            .collect();
+        assert_eq!(used.last(), Some(&head), "{used:?}");
         mgr.shutdown();
     }
 

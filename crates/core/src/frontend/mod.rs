@@ -7,6 +7,13 @@
 //! and the [`BatchBuffer`] for writes. Every operation returns an
 //! [`OpReport`] carrying its virtual-time cost, message count and Fig. 13
 //! step breakdown.
+//!
+//! A request is finished when its kick has been handled. The device runs
+//! its chains one at a time in avail-ring order, so a handled kick means
+//! this request's status page is written, whichever guest thread's kick
+//! ran it; several threads can share one frontend with no completion
+//! bookkeeping of their own, and a transfer's chunks reach the rank in
+//! submission order however many are in flight.
 
 pub mod adapt;
 mod batch;
@@ -19,12 +26,11 @@ pub use prefetch::PrefetchCache;
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use pim_virtio::mmio::{reg, status as mmio_status};
 use pim_virtio::queue::{DriverQueue, QueueLayout};
-use pim_virtio::{Gpa, GuestMemory};
+use pim_virtio::{Gpa, GuestMemory, VirtioError};
 use pim_vmm::{EventManager, KickHandle, VirtioDevice};
 use simkit::{
     BytePool, CostModel, Counter, Gauge, MetricsRegistry, RetryMetrics, RetryPolicy,
@@ -42,14 +48,6 @@ use crate::spec::{self, PimDeviceConfig, Request, Response};
 /// Writes at or below this size are candidates for batching (one page —
 /// the paper batches "small-size data transfer" of a few hundred bytes).
 pub const SMALL_WRITE_MAX: u64 = 4096;
-
-/// Chunks the synchronous calls keep in flight. One, as they always have:
-/// the batch buffer drains overlapping small writes in arrival order and
-/// relies on chunk *k* reaching the rank before chunk *k + 1*. A device's
-/// lane keeps kick order, but a one-device VM has no lane: its handlers
-/// run on the kicking threads, and several guest threads sharing the
-/// frontend still run them concurrently.
-const SYNC_WINDOW: usize = 1;
 
 #[derive(Debug)]
 struct FrontState {
@@ -117,35 +115,12 @@ impl FrontMetrics {
 }
 
 /// One submitted `transferq` chain whose completion has not been
-/// collected yet.
+/// collected yet. Its kick's handler returning is its completion.
 #[derive(Debug)]
 struct PendingOp {
     pages: Vec<Gpa>,
     status_page: Gpa,
-    head: u16,
-    /// 0-based count of prior submissions that used this head. The used
-    /// ring only reports heads, and a head is recycled as soon as its
-    /// chain drains, so concurrent waiters need `(head, gen)` to know
-    /// *which* completion is theirs (see [`Frontend::wait_used`]).
-    gen: u64,
     kick: KickHandle,
-}
-
-/// Per-descriptor-head monotonic clocks pairing submissions with used-ring
-/// drains. Ops on one head are strictly serialized (a head is only handed
-/// out again after `poll_used` recycles the previous chain), so the op
-/// submitted as generation `g` of head `h` is complete exactly when
-/// `drained[h] > g`. Cumulative counters make the check race-free: a later
-/// op can never mistake an earlier op's completion for its own, and
-/// nothing is removed so no entry can be overwritten or lost. Heads are
-/// descriptor indices, so both clocks are arrays of the queue's size.
-#[derive(Debug)]
-struct HeadClocks {
-    /// Ops submitted per head so far (a submit takes the current value as
-    /// its 0-based generation).
-    submitted: Vec<u64>,
-    /// Used-ring entries drained per head so far.
-    drained: Vec<u64>,
 }
 
 /// The payload of one matrix transfer, in either direction.
@@ -270,21 +245,18 @@ impl ProbeOpts {
     }
 }
 
-/// Lock-order indices for the frontend's three mutexes, all at
+/// Lock-order indices for the frontend's two mutexes, both at
 /// [`simkit::LockLevel::Frontend`] (the top of the cross-layer hierarchy —
-/// see `simkit::lockorder`). A thread holding one of these may only take a
-/// same-level lock of equal-or-higher index, or drop into lower layers
-/// (device queue → rank slot → sched → manager → sysfs → notify):
+/// see `simkit::lockorder`). Neither is held across a kick, so the device
+/// layer below is always entered from a clean frontend:
 ///
 /// * `STATE` (0) — batching/prefetch state; a leaf in practice: never held
 ///   across the transport path or another frontend lock.
-/// * `QUEUE` (1) — the driver-side virtqueue.
-/// * `CLOCKS` (2) — submission/drain clocks; taken after `QUEUE` in the
-///   drain path, never before it.
+/// * `QUEUE` (1) — the driver-side virtqueue: adding a chain, draining
+///   the used ring.
 mod front_lock {
     pub const STATE: usize = 0;
     pub const QUEUE: usize = 1;
-    pub const CLOCKS: usize = 2;
 }
 
 /// The guest-side driver for one vUPMEM device.
@@ -305,11 +277,6 @@ pub struct Frontend {
     /// backend data path in the system wiring).
     scratch: BytePool,
     state: Mutex<FrontState>,
-    /// Submission/drain clocks letting several threads share one frontend:
-    /// whoever consumes the interrupt drains the whole used ring and
-    /// advances the drain clocks; every waiter then checks its own
-    /// `(head, gen)` against them (see [`Frontend::wait_used`]).
-    clocks: Mutex<HeadClocks>,
 }
 
 impl Frontend {
@@ -356,9 +323,6 @@ impl Frontend {
 
         let metrics = FrontMetrics::from_registry(&registry, device_idx, vcfg.adapt.enabled);
         let retry = RetryMetrics::from_registry(&registry);
-        let heads = usize::from(layout.size);
-        let clocks =
-            Mutex::new(HeadClocks { submitted: vec![0; heads], drained: vec![0; heads] });
         Ok(Frontend {
             device,
             device_idx,
@@ -377,7 +341,6 @@ impl Frontend {
             metrics,
             retry,
             scratch,
-            clocks,
         })
     }
 
@@ -504,10 +467,9 @@ impl Frontend {
     }
 
     /// Submits one request chain and kicks the device, without waiting for
-    /// completion. In sequential dispatch, and in a one-device VM, the
-    /// handler runs inline during the kick; in parallel dispatch with
-    /// several devices it runs on this device's lane and the returned op
-    /// is genuinely in flight.
+    /// completion. In a one-device VM the handler runs inline during the
+    /// kick; with several devices it runs on this device's lane and the
+    /// returned op is genuinely in flight.
     fn submit(&self, req: &Request, extra: &[(Gpa, u32, bool)]) -> Result<PendingOp, VpimError> {
         let pages = self.mem.alloc_pages(2)?;
         let (req_page, status_page) = (pages[0], pages[1]);
@@ -527,24 +489,11 @@ impl Frontend {
             let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
             self.queue.lock().add_chain(&bufs)
         };
-        let head = match added {
-            Ok(h) => h,
-            Err(e) => {
-                // Give the pages back so a backpressure retry starts clean.
-                self.mem.free_pages_back(&pages)?;
-                return Err(e.into());
-            }
-        };
-        // Safe outside the queue lock: this head cannot be handed to
-        // another submitter until our chain drains, and its previous
-        // user's drain was clocked before `add_chain` could recycle it.
-        let gen = {
-            let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
-            let mut clk = self.clocks.lock();
-            let g = clk.submitted[usize::from(head)];
-            clk.submitted[usize::from(head)] += 1;
-            g
-        };
+        if let Err(e) = added {
+            // Give the pages back so a backpressure retry starts clean.
+            self.mem.free_pages_back(&pages)?;
+            return Err(e.into());
+        }
         self.metrics.queue_depth.add(1);
 
         // The guest kick: an MMIO write that traps to the VMM.
@@ -553,64 +502,14 @@ impl Frontend {
             .em
             .kick_async(self.device_idx, spec::TRANSFERQ)
             .map_err(VpimError::from)?;
-        Ok(PendingOp { pages, status_page, head, gen, kick })
-    }
-
-    /// Blocks until generation `gen` of chain `head` has appeared in the
-    /// used ring. Several threads may wait on the same frontend
-    /// concurrently: whichever waiter consumes the interrupt drains the
-    /// whole ring, advances the drain clocks, and nudges the line so the
-    /// drained entries' owners re-check — one IRQ count can complete
-    /// several waiters, so a waiter must never treat "no interrupt" as "no
-    /// progress" (its entry may have been drained on its behalf while it
-    /// slept). The short wait slice bounds the window of a nudge racing
-    /// past a waiter that has checked the clocks but not yet blocked.
-    fn wait_used(&self, head: u16, gen: u64) -> Result<(), VpimError> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        loop {
-            let drained = {
-                let _order =
-                    simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
-                self.clocks.lock().drained[usize::from(head)]
-            };
-            if drained > gen {
-                self.metrics.queue_depth.sub(1);
-                return Ok(());
-            }
-            if !self.device.irq().wait(Duration::from_millis(50)) {
-                if std::time::Instant::now() >= deadline {
-                    return Err(VpimError::Vmm(
-                        "timeout waiting for completion irq".to_string(),
-                    ));
-                }
-                continue;
-            }
-            self.device.mmio().write(reg::INTERRUPT_ACK, 1)?;
-            let found = {
-                let _order =
-                    simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
-                let mut q = self.queue.lock();
-                let mut found = Vec::new();
-                while let Some((h, len)) = q.poll_used()? {
-                    found.push((h, len));
-                }
-                found
-            };
-            if !found.is_empty() {
-                {
-                    let _order =
-                        simkit::ordered(simkit::LockLevel::Frontend, front_lock::CLOCKS);
-                    let mut clk = self.clocks.lock();
-                    for (h, _len) in found {
-                        clk.drained[usize::from(h)] += 1;
-                    }
-                }
-                self.device.irq().nudge();
-            }
-        }
+        Ok(PendingOp { pages, status_page, kick })
     }
 
     /// Waits for a submitted op, decodes its response, and frees its pages.
+    /// The device handles its chains one at a time in avail-ring order, so
+    /// once this op's kick has been handled its status page is written,
+    /// whichever handler ran the chain; [`drain_used`](Self::drain_used)
+    /// then only recycles descriptors.
     ///
     /// Transient failures are retried under the
     /// [`TimeoutClass::VirtioRoundTrip`] policy (bounded attempts,
@@ -642,7 +541,8 @@ impl Frontend {
                 .and_then(|k| k.wait().map_err(VpimError::from));
         }
         kick_result?;
-        self.wait_used(op.head, op.gen)?;
+        self.drain_used()?;
+        self.metrics.queue_depth.sub(1);
 
         // Decoded where it lies, inside the borrow of the status page.
         let decoded = loop {
@@ -651,7 +551,7 @@ impl Frontend {
                 Err(e) => {
                     let e = VpimError::from(e);
                     if !budget.retry(e.is_transient()) {
-                        // The chain has drained, so the device is done
+                        // The kick was handled, so the device is done
                         // with the pages: reclaim them even though the
                         // status read failed.
                         let _ = self.mem.free_pages_back(&op.pages);
@@ -675,6 +575,26 @@ impl Frontend {
         }
     }
 
+    /// Acknowledges the interrupt and recycles the descriptors of every
+    /// chain in the used ring. Any thread may drain any entry: a chain
+    /// reaches the used ring only after its status page is written.
+    fn drain_used(&self) -> Result<(), VpimError> {
+        self.device.mmio().write(reg::INTERRUPT_ACK, 1)?;
+        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
+        let mut q = self.queue.lock();
+        while q.poll_used()?.is_some() {}
+        Ok(())
+    }
+
+    /// Waits out a queue whose descriptors other threads' chains hold: a
+    /// kick that adds no chain returns once the device has run every chain
+    /// added before it, and the drain then frees their descriptors.
+    fn reclaim(&self) -> Result<(), VpimError> {
+        self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
+        self.em.kick(self.device_idx, spec::TRANSFERQ)?;
+        self.drain_used()
+    }
+
     /// One full request/response exchange over `transferq`.
     fn roundtrip(
         &self,
@@ -690,8 +610,10 @@ impl Frontend {
     // One pipeline carries every matrix transfer (§4.1, overlapped across
     // ranks per §4.2): `begin` submits chunks of at most 64 entries,
     // `settle` absorbs them oldest first. Batching and the prefetch cache
-    // sit in front of it in `begin_write` / `begin_read`, and the
-    // synchronous calls are begin + finish with one chunk in flight.
+    // sit in front of it in `begin_write_rank` / `begin_read_rank`, and
+    // the synchronous calls are begin + finish. The device runs a queue's
+    // chains in avail-ring order, so chunk *k* reaches the rank before
+    // chunk *k + 1* however many are in flight.
 
     /// `write-to-rank`: writes per-DPU buffers into MRAM. Small writes are
     /// absorbed by the batch buffer when batching is enabled.
@@ -700,7 +622,7 @@ impl Frontend {
     ///
     /// Transport or hardware failures.
     pub fn write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<OpReport, VpimError> {
-        let (_, report) = self.finish_rank(self.begin_write(entries, SYNC_WINDOW)?)?;
+        let (_, report) = self.finish_rank(self.begin_write_rank(entries)?)?;
         Ok(report)
     }
 
@@ -715,18 +637,18 @@ impl Frontend {
         &self,
         reqs: &[(u32, u64, u64)],
     ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        self.finish_rank(self.begin_read(reqs, SYNC_WINDOW)?)
+        self.finish_rank(self.begin_read_rank(reqs)?)
     }
 
     /// Builds, serializes and submits a `write-to-rank` without waiting for
     /// the device. Use with [`finish_rank`](Self::finish_rank) to overlap
     /// transfers across several ranks: begin on every channel first, then
-    /// finish them all. Small writes are absorbed by the batch buffer when
-    /// batching is enabled, returning an op with nothing left in flight. In
-    /// a one-device VM (nothing to overlap with) the device handler runs
+    /// finish them all. When batching is enabled, an op made only of small
+    /// writes is absorbed by the batch buffer, returning with nothing left
+    /// in flight, and any other op flushes the batch first. In a
+    /// one-device VM (nothing to overlap with) the device handler runs
     /// inline during begin; with two or more devices it runs on the
-    /// device's lane. Begin + finish is byte- and report-identical to
-    /// [`write_rank`](Self::write_rank) either way.
+    /// device's lane; bytes and report are identical either way.
     ///
     /// Bounce pages and virtqueue slots are bounded: when submitting a
     /// chunk hits that limit, the oldest in-flight chunk is completed (its
@@ -738,20 +660,44 @@ impl Frontend {
     ///
     /// Transport or hardware failures.
     pub fn begin_write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<InFlight, VpimError> {
-        self.begin_write(entries, usize::MAX)
+        let mut op = InFlight::new();
+        if self.vcfg.request_batching
+            && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
+        {
+            self.batch_writes(entries, &mut op.report)?;
+            return Ok(op);
+        }
+        if self.vcfg.request_batching {
+            op.report.absorb(&self.flush_batch()?);
+        }
+        self.begin(Xfer::Write(entries), op)
     }
 
     /// Submits a `read-from-rank` without waiting for the device; pair with
-    /// [`finish_rank`](Self::finish_rank). A single cacheable request is
-    /// served through the prefetch cache during begin. Backpressure is
-    /// handled as in [`begin_write_rank`](Self::begin_write_rank); outputs
-    /// keep request order.
+    /// [`finish_rank`](Self::finish_rank). The batch is flushed first; a
+    /// single cacheable request is then served through the prefetch cache
+    /// during begin, anything else from the rank. Backpressure is handled
+    /// as in [`begin_write_rank`](Self::begin_write_rank); outputs keep
+    /// request order.
     ///
     /// # Errors
     ///
     /// Transport or hardware failures.
     pub fn begin_read_rank(&self, reqs: &[(u32, u64, u64)]) -> Result<InFlight, VpimError> {
-        self.begin_read(reqs, usize::MAX)
+        let mut op = InFlight::new();
+        if self.vcfg.request_batching {
+            op.report.absorb(&self.flush_batch()?);
+        }
+        // The cache serves the "host processes DPU data block by block in a
+        // loop" pattern (§4.1): small reads targeting one DPU at a time.
+        // Large parallel matrix reads bypass it.
+        if let [(dpu, offset, len)] = *reqs {
+            if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) {
+                op.outputs.push(self.read_cached(dpu, offset, len, &mut op.report)?);
+                return Ok(op);
+            }
+        }
+        self.begin(Xfer::Read(reqs), op)
     }
 
     /// Collects a transfer started by
@@ -769,47 +715,6 @@ impl Frontend {
         self.settle(&mut inflight, None)?;
         self.adapt_tick(&inflight.report);
         Ok((inflight.outputs, inflight.report))
-    }
-
-    /// The write front of the pipeline: the batching stage takes an op made
-    /// only of small writes; anything else flushes the batch and goes to
-    /// the rank with at most `window` chunks in flight.
-    fn begin_write(
-        &self,
-        entries: &[(u32, u64, &[u8])],
-        window: usize,
-    ) -> Result<InFlight, VpimError> {
-        let mut op = InFlight::new();
-        if self.vcfg.request_batching
-            && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
-        {
-            self.batch_writes(entries, &mut op.report)?;
-            return Ok(op);
-        }
-        if self.vcfg.request_batching {
-            op.report.absorb(&self.flush_batch()?);
-        }
-        self.begin(Xfer::Write(entries), window, op)
-    }
-
-    /// The read front of the pipeline: flushes the batch, then serves a
-    /// single cacheable request through the prefetch stage and anything
-    /// else from the rank with at most `window` chunks in flight.
-    fn begin_read(&self, reqs: &[(u32, u64, u64)], window: usize) -> Result<InFlight, VpimError> {
-        let mut op = InFlight::new();
-        if self.vcfg.request_batching {
-            op.report.absorb(&self.flush_batch()?);
-        }
-        // The cache serves the "host processes DPU data block by block in a
-        // loop" pattern (§4.1): small reads targeting one DPU at a time.
-        // Large parallel matrix reads bypass it.
-        if let [(dpu, offset, len)] = *reqs {
-            if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) {
-                op.outputs.push(self.read_cached(dpu, offset, len, &mut op.report)?);
-                return Ok(op);
-            }
-        }
-        self.begin(Xfer::Read(reqs), window, op)
     }
 
     /// Sends buffered writes to the backend (also triggered automatically
@@ -982,19 +887,13 @@ impl Frontend {
     /// A transfer run to completion, bypassing batching and the cache and
     /// leaving the adaptive clock alone (the op it is part of ticks once).
     fn transfer(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut inflight = self.begin(x, SYNC_WINDOW, InFlight::new())?;
+        let mut inflight = self.begin(x, InFlight::new())?;
         self.settle(&mut inflight, None)?;
         Ok((inflight.outputs, inflight.report))
     }
 
-    /// Submits every chunk of `x`, continuing `inflight`, with at most
-    /// `window` (≥ 1) chunks in flight.
-    fn begin(
-        &self,
-        x: Xfer<'_>,
-        window: usize,
-        mut inflight: InFlight,
-    ) -> Result<InFlight, VpimError> {
+    /// Submits every chunk of `x`, continuing `inflight`.
+    fn begin(&self, x: Xfer<'_>, mut inflight: InFlight) -> Result<InFlight, VpimError> {
         if let Xfer::Write(entries) = x {
             // A write can only stale the segments of the DPUs it touches;
             // launch/release keep the global invalidation path.
@@ -1006,7 +905,7 @@ impl Frontend {
                 }
             }
         }
-        if let Err(e) = self.submit_chunks(x, window, &mut inflight) {
+        if let Err(e) = self.submit_chunks(x, &mut inflight) {
             // Complete what was submitted so queue slots, gauges and guest
             // pages are reclaimed.
             self.settle(&mut inflight, Some(e))?;
@@ -1014,26 +913,27 @@ impl Frontend {
         Ok(inflight)
     }
 
-    /// The submit loop. A full window and exhausted bounce pages or queue
-    /// slots get the same response: absorb the oldest in-flight chunk, then
-    /// try this one again.
-    fn submit_chunks(
-        &self,
-        x: Xfer<'_>,
-        window: usize,
-        inflight: &mut InFlight,
-    ) -> Result<(), VpimError> {
+    /// The submit loop. Exhausted bounce pages or queue slots
+    /// (backpressure) are the only reason to absorb a chunk early: absorb
+    /// the oldest in-flight chunk, then try this one again. A queue full of
+    /// other threads' chains, with none of ours to absorb, is waited out
+    /// with [`reclaim`](Self::reclaim).
+    fn submit_chunks(&self, x: Xfer<'_>, inflight: &mut InFlight) -> Result<(), VpimError> {
         for chunk in x.chunks() {
             loop {
-                if inflight.chunks.len() < window {
-                    match self.submit_chunk(chunk) {
-                        Ok(c) => break inflight.chunks.push_back(c),
-                        Err(e) if e.is_backpressure() && !inflight.chunks.is_empty() => {}
-                        Err(e) => return Err(e),
-                    }
+                match self.submit_chunk(chunk) {
+                    Ok(c) => break inflight.chunks.push_back(c),
+                    Err(e) if e.is_backpressure() => match inflight.chunks.pop_front() {
+                        Some(oldest) => {
+                            self.absorb_chunk(oldest, &mut inflight.outputs, &mut inflight.report)?;
+                        }
+                        None if matches!(e, VpimError::Virtio(VirtioError::QueueFull)) => {
+                            self.reclaim()?;
+                        }
+                        None => return Err(e),
+                    },
+                    Err(e) => return Err(e),
                 }
-                let oldest = inflight.chunks.pop_front().expect("window ≥ 1 or backpressure");
-                self.absorb_chunk(oldest, &mut inflight.outputs, &mut inflight.report)?;
             }
         }
         Ok(())
@@ -1223,13 +1123,19 @@ impl Frontend {
     ///
     /// # Errors
     ///
-    /// Unknown symbol, size mismatch, or transport failures.
+    /// Unknown symbol, size mismatch, a `len` the one-page status buffer
+    /// cannot carry, or transport failures.
     pub fn read_symbol(
         &self,
         dpu: u32,
         name: &str,
         len: usize,
     ) -> Result<(Vec<u8>, OpReport), VpimError> {
+        if len > 4096 - Response::FIXED_LEN {
+            return Err(VpimError::BadRequest(format!(
+                "symbol read of {len} bytes exceeds one status page"
+            )));
+        }
         let mut report = self.flush_batch()?;
         let (resp, rt) = self.roundtrip(
             &Request::ReadSymbol { dpu, name: name.to_string(), len: len as u32 },
@@ -1270,5 +1176,53 @@ impl Frontend {
         let polls = self.cm.launch_polls(exec_time);
         let extra = polls.saturating_sub(1);
         (extra, self.cm.virtio_round_trip().saturating_mul(extra))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use upmem_driver::UpmemDriver;
+    use upmem_sim::kernel::SymbolDef;
+    use upmem_sim::{DpuContext, DpuFault, DpuKernel, KernelImage, PimConfig, PimMachine};
+
+    use crate::config::VpimConfig;
+    use crate::error::VpimError;
+    use crate::system::{StartOpts, TenantSpec, VpimSystem};
+
+    /// A kernel that only carries one `u32` host symbol.
+    struct OneSymbol;
+
+    impl DpuKernel for OneSymbol {
+        fn image(&self) -> KernelImage {
+            KernelImage::new("one_symbol", 512).with_symbol(SymbolDef::u32("n"))
+        }
+        fn run(&self, _ctx: &mut DpuContext<'_>) -> Result<(), DpuFault> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn read_symbol_refuses_a_len_the_status_page_cannot_carry() {
+        let machine = PimMachine::new(PimConfig::small());
+        machine.register_kernel(Arc::new(OneSymbol));
+        let driver = Arc::new(UpmemDriver::new(machine));
+        let sys = VpimSystem::start(driver, VpimConfig::full(), StartOpts::default());
+        let vm = sys.launch(TenantSpec::new("vm-0")).unwrap();
+        let fe = vm.frontend(0);
+        fe.load_program("one_symbol", &[0]).unwrap();
+        fe.write_symbol(0, "n", &7u32.to_le_bytes()).unwrap();
+
+        let vmexits = || sys.registry().snapshot().count("vmm.vmexits");
+        let before = vmexits();
+        for len in [(1usize << 32) + 4, 4097] {
+            let got = fe.read_symbol(0, "n", len);
+            assert!(matches!(got, Err(VpimError::BadRequest(_))), "len {len}: {got:?}");
+        }
+        assert_eq!(vmexits(), before, "a refused read never kicks");
+        let (bytes, _) = fe.read_symbol(0, "n", 4).unwrap();
+        assert_eq!(bytes, 7u32.to_le_bytes());
+        sys.shutdown();
     }
 }

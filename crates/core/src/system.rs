@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pim_vmm::{BootReport, VirtioDevice, Vm, VmConfig};
+use pim_vmm::{BootReport, Vm, VmConfig};
 use simkit::{BytePool, CostModel, Counter, FaultPlane, Gauge, MetricsRegistry, WorkerPool};
 use upmem_driver::UpmemDriver;
 
@@ -317,10 +317,6 @@ impl VpimSystem {
                 Vm::irq_number(i),
                 &self.registry,
             ));
-            if let Some(plane) = &self.inject {
-                // Delayed completion IRQs (virtio.irq.delay).
-                device.irq().install_fault_plane(plane.clone());
-            }
             vm.event_manager_mut().register(device.clone());
             devices.push(device);
         }

@@ -20,7 +20,7 @@
 //! | 1     | `Fleet`        | cluster tenant map + per-tenant entry state         |
 //! | 2     | `Placement`    | fleet placement/admission table                     |
 //! | 3     | `Frontend`     | frontend batch/prefetch/session state               |
-//! | 4     | `DeviceQueue`  | virtio device queue + guest-memory cell             |
+//! | 4     | `DeviceQueue`  | device notify lock, virtio queue, guest-memory cell |
 //! | 5     | `RankSlot`     | a backend's rank mapping slot (sched safe point)    |
 //! | 6     | `Link`         | inter-host network link serialization               |
 //! | 7     | `SchedState`   | scheduler state (queue, leases, accounts)           |
@@ -30,9 +30,9 @@
 //! This mirrors the real call chains: the fleet plane pins a tenant's
 //! entry before reserving placement capacity (1→2) and before driving
 //! that tenant's frontends (1→3), a frontend op holds its own lock
-//! while kicking the device (3→4), device processing holds the queue
-//! while entering a backend rank slot (4→5), live migration ships
-//! snapshots over the link while the source ranks are quiesced under
+//! while kicking the device (3→4), a device's notify handler holds its
+//! notify lock while entering a backend rank slot (4→5), live migration
+//! ships snapshots over the link while the source ranks are quiesced under
 //! their slot locks (5→6), a backend charges the scheduler from inside
 //! its slot (5→7), and the manager probes the sysfs claim counters while
 //! holding the rank table (8→9). Every condvar wait (scheduler admission,
@@ -73,7 +73,7 @@ pub enum LockLevel {
     Placement = 2,
     /// Frontend batch/prefetch/session state.
     Frontend = 3,
-    /// Virtio device queue and guest-memory cell.
+    /// A device's notify lock, virtio device queue and guest-memory cell.
     DeviceQueue = 4,
     /// A backend's rank mapping slot (the sched safe point).
     RankSlot = 5,

@@ -43,5 +43,5 @@ pub mod mmio;
 pub mod queue;
 
 pub use error::VirtioError;
-pub use irq::{IrqLine, IRQ_DELAY_POINT};
+pub use irq::IrqLine;
 pub use memory::{Gpa, GuestMemory, SegCache, MEM_EIO_POINT};

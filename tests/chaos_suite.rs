@@ -116,34 +116,6 @@ fn dropped_kick_is_retried_transparently() {
     assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
 }
 
-/// A delayed completion IRQ (asserted without a wakeup) is recovered by
-/// the frontend's bounded wait slice — no retry, no error.
-#[test]
-fn delayed_irq_is_recovered_by_the_wait_slice() {
-    let seed = sweep_seed();
-    let mut per_mode = Vec::new();
-    for devices in [1, 2] {
-        let (sys, vm, plane) = chaos_system(devices, seed);
-        plane.arm(FaultSite::IrqDelay.name(), FaultPlan::Nth(1));
-        let fe = vm.frontend(0);
-        let data = payload(1, 4096, seed);
-        fe.write_rank(&[(1, 64, &data)]).unwrap();
-        let (out, _) = fe.read_rank(&[(1, 64, data.len() as u64)]).unwrap();
-        assert_eq!(out[0], data, "devices={devices}");
-
-        let stats = plane.point_stats(FaultSite::IrqDelay.name()).unwrap();
-        assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
-        let snap = sys.registry().snapshot();
-        // Recovery is the waiter's own timeout slice: not a retry.
-        assert_eq!(snap.count("retry.attempts"), 0);
-        assert_eq!(snap.count("inject.fired"), 1);
-        per_mode.push((out, stats.fired));
-        drop(vm);
-        sys.shutdown();
-    }
-    assert_eq!(per_mode[0], per_mode[1]);
-}
-
 // --------------------------------------------------------- virtio memory
 
 /// Injected guest-memory EIO either surfaces typed (`ErrorKind::Injected`)
@@ -439,7 +411,6 @@ fn seeded_probability_storm_only_ever_fails_typed() {
     // and are covered by their dedicated scenarios above).
     let points = [
         FaultSite::KickDrop,
-        FaultSite::IrqDelay,
         FaultSite::MemEio,
         FaultSite::CiOp,
         FaultSite::ManagerRpc,

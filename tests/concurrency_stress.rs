@@ -182,33 +182,53 @@ fn stress_many_vms_many_ranks_many_client_threads() {
     sys.shutdown();
 }
 
+/// Eight guest threads share one frontend, each on its own DPU. Every
+/// write is one 130-entry matrix, so three chunks (64 + 64 + 2), whose
+/// entries 65..130 rewrite the offsets of entries 0..65 with different
+/// bytes: the read-back equals the second pattern only if every thread's
+/// chunks reach the rank in submission order, whether the device's
+/// handlers run on the kicking threads (one device) or on its lane (two).
 #[test]
 fn concurrent_threads_share_one_frontend_without_losing_completions() {
-    // Tight loop on a single device: many threads, small distinct regions,
-    // maximal contention on the shared completions map and used ring.
-    let driver = host(1);
-    let vcfg = VpimConfig::builder().batching(false).prefetch(false).build();
-    let sys = VpimSystem::start(driver, vcfg, StartOpts::default());
-    let vm = sys.launch(TenantSpec::new("contend")).unwrap();
-    let fe = vm.frontend(0);
+    const HALF: usize = 65;
+    const LEN: usize = 512;
+    for devices in [1, 2] {
+        let driver = host(devices);
+        let vcfg = VpimConfig::builder().batching(false).prefetch(false).build();
+        let sys = VpimSystem::start(driver, vcfg, StartOpts::default());
+        let vm = sys.launch(TenantSpec::new("contend").devices(devices)).unwrap();
+        let fe = vm.frontend(0);
 
-    thread::scope(|s| {
-        for t in 0..8u32 {
-            let fe = fe.clone();
-            s.spawn(move || {
-                let dpu = t; // one DPU per thread
-                for round in 0..24u64 {
-                    let data = vec![(t as u8).wrapping_add(round as u8); 512];
-                    fe.write_rank(&[(dpu, 0, &data)]).unwrap();
-                    let (outs, _) = fe.read_rank(&[(dpu, 0, 512)]).unwrap();
-                    assert_eq!(outs[0], data, "thread {t} round {round}");
-                }
-            });
-        }
-    });
+        thread::scope(|s| {
+            for t in 0..8u32 {
+                let fe = fe.clone();
+                s.spawn(move || {
+                    let dpu = t; // one DPU per thread
+                    for round in 0..12usize {
+                        let first: Vec<Vec<u8>> = (0..HALF)
+                            .map(|k| vec![(t as usize * 31 + round * 7 + k) as u8; LEN])
+                            .collect();
+                        let second: Vec<Vec<u8>> =
+                            first.iter().map(|d| d.iter().map(|b| !b).collect()).collect();
+                        let entries: Vec<(u32, u64, &[u8])> = first
+                            .iter()
+                            .chain(&second)
+                            .enumerate()
+                            .map(|(i, d)| (dpu, ((i % HALF) * LEN) as u64, d.as_slice()))
+                            .collect();
+                        fe.write_rank(&entries).unwrap();
+                        let reqs: Vec<(u32, u64, u64)> =
+                            (0..HALF).map(|k| (dpu, (k * LEN) as u64, LEN as u64)).collect();
+                        let (outs, _) = fe.read_rank(&reqs).unwrap();
+                        assert_eq!(outs, second, "devices {devices} thread {t} round {round}");
+                    }
+                });
+            }
+        });
 
-    let snap = sys.registry().snapshot();
-    assert_eq!(snap.level("virtio.queue.depth.rank0"), 0, "{snap:?}");
-    drop(vm);
-    sys.shutdown();
+        let snap = sys.registry().snapshot();
+        assert_eq!(snap.level("virtio.queue.depth.rank0"), 0, "{snap:?}");
+        drop(vm);
+        sys.shutdown();
+    }
 }

@@ -5,8 +5,9 @@
 //! * every fault plan fires exactly the count its closed form predicts,
 //!   and `count_fires` is an exact oracle for serial-counter points;
 //! * keyed decisions are pure in the key (retrying the same key re-fires);
-//! * kick-drop recovery never double-applies a write (the `(head, gen)`
-//!   clocks pair each submission with exactly one used-ring drain).
+//! * kick-drop recovery never double-applies a write: a dropped kick
+//!   never reached the device, so its chain is still in the avail ring,
+//!   and the re-kick's handler runs it exactly once.
 
 use std::sync::Arc;
 
