@@ -328,13 +328,7 @@ impl Backend {
     /// bus (parallel bandwidth over the total), by the most-loaded single
     /// DPU's stream (serial bandwidth), and paying the per-region command
     /// overhead for every discontiguous entry.
-    fn rank_ddr_time(
-        &self,
-        total_bytes: u64,
-        per_dpu_bytes: &std::collections::HashMap<u32, u64>,
-        entries: u64,
-    ) -> VirtualNanos {
-        let max_dpu = per_dpu_bytes.values().copied().max().unwrap_or(0);
+    fn rank_ddr_time(&self, total_bytes: u64, max_dpu: u64, entries: u64) -> VirtualNanos {
         let bus = self.cm.rank_transfer_parallel(total_bytes);
         let stream = self.cm.rank_transfer_serial(max_dpu);
         bus.max(stream)
@@ -354,14 +348,9 @@ impl Backend {
     /// alone (in entry order) so the numbers are bit-identical no matter
     /// how execution interleaves on the worker pool.
     fn data_op_response(&self, matrix: &TransferMatrix, ndesc: u64) -> Response {
-        let mut per_entry = Vec::with_capacity(matrix.entries.len());
-        let mut total_bytes = 0u64;
-        let mut per_dpu_bytes = std::collections::HashMap::new();
-        for entry in &matrix.entries {
-            per_entry.push(self.cm.memcpy(entry.len));
-            total_bytes += entry.len;
-            *per_dpu_bytes.entry(entry.dpu).or_insert(0u64) += entry.len;
-        }
+        let per_entry: Vec<VirtualNanos> =
+            matrix.entries.iter().map(|e| self.cm.memcpy(e.len)).collect();
+        let total_bytes = matrix.total_bytes();
         let (deser, translate) = self.matrix_costs(ndesc, matrix);
         // Per-DPU copies spread over the modelled `backend_threads`-wide
         // pool (§4.2's 8, one per chip), whatever the host runs; the byte
@@ -372,7 +361,11 @@ impl Backend {
         // matrix behaves like native serial mode, and batching merges
         // messages without reducing total data-writing time (§4.1).
         let prep = pool_schedule(per_entry, self.cm.backend_threads);
-        let ddr = self.rank_ddr_time(total_bytes, &per_dpu_bytes, matrix.entries.len() as u64);
+        let ddr = self.rank_ddr_time(
+            total_bytes,
+            max_dpu_bytes(&matrix.entries),
+            matrix.entries.len() as u64,
+        );
         let transfer =
             prep + datapath::interleave_cost(&self.cm, total_bytes, self.vcfg.data_path) + ddr;
         Response {
@@ -641,6 +634,18 @@ impl Backend {
     }
 }
 
+/// The most bytes any one DPU receives from `entries` (summed per DPU id,
+/// whatever their order).
+fn max_dpu_bytes(entries: &[DpuXfer]) -> u64 {
+    let mut by_dpu: Vec<(u32, u64)> = entries.iter().map(|e| (e.dpu, e.len)).collect();
+    by_dpu.sort_unstable_by_key(|&(dpu, _)| dpu);
+    by_dpu
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| run.iter().map(|&(_, len)| len).sum())
+        .max()
+        .unwrap_or(0)
+}
+
 fn classify(e: &VpimError) -> u32 {
     match e {
         VpimError::Sim(upmem_sim::SimError::Fault(_))
@@ -660,6 +665,7 @@ mod tests {
     use super::*;
     use crate::manager::{Manager, ManagerConfig};
     use pim_virtio::queue::{DeviceQueue, DriverQueue, QueueLayout};
+    use proptest::prelude::*;
     use upmem_sim::{PimConfig, PimMachine};
 
     struct Rig {
@@ -1032,6 +1038,64 @@ mod tests {
                 assert_eq!(send(&mut r, &req, &bufs).status, STATUS_BAD, "nb_pages {nb_pages}");
             }
             assert!(send(&mut r, &Request::Configure, &[]).is_ok(), "backend still serving");
+        }
+    }
+
+    /// `data_op_response` as it was specified before it summed per-DPU
+    /// bytes by sorting: the same formulas over a `HashMap` of DPU totals.
+    fn reference_response(b: &Backend, matrix: &TransferMatrix, ndesc: u64) -> Response {
+        let cm = &b.cm;
+        let mut per_dpu = std::collections::HashMap::new();
+        for e in &matrix.entries {
+            *per_dpu.entry(e.dpu).or_insert(0u64) += e.len;
+        }
+        let total: u64 = matrix.entries.iter().map(|e| e.len).sum();
+        let max_dpu = per_dpu.values().copied().max().unwrap_or(0);
+        let ddr = cm.rank_transfer_parallel(total).max(cm.rank_transfer_serial(max_dpu))
+            + VirtualNanos::from_nanos(cm.rank_op_fixed_ns)
+                .saturating_mul((matrix.entries.len() as u64).saturating_sub(1));
+        let prep =
+            pool_schedule(matrix.entries.iter().map(|e| cm.memcpy(e.len)), cm.backend_threads);
+        let transfer = prep + datapath::interleave_cost(cm, total, b.vcfg.data_path) + ddr;
+        let pages = matrix.total_pages();
+        Response {
+            deser_ns: (cm.descriptor_walk(ndesc) + cm.deserialize_matrix(pages)).as_nanos(),
+            translate_ns: cm.gpa_translate(pages).as_nanos(),
+            transfer_ns: transfer.as_nanos(),
+            ddr_ns: ddr.as_nanos(),
+            ..Response::default()
+        }
+    }
+
+    proptest! {
+        /// Over matrices whose DPU ids repeat, arrive unsorted or lie far
+        /// apart, every field of `data_op_response` equals the `HashMap`
+        /// reference.
+        #[test]
+        fn data_op_response_matches_the_hash_map_reference(
+            entries in proptest::collection::vec(
+                // DPU id: dense (mod 4), in-rank (mod 64) or anywhere.
+                (0u8..3, any::<u32>(), 0u64..(1 << 20), 0usize..4),
+                0..64,
+            ),
+            ndesc in 0u64..200,
+        ) {
+            let r = rig();
+            let matrix = TransferMatrix {
+                entries: entries
+                    .iter()
+                    .map(|&(spread, id, len, pages)| DpuXfer {
+                        dpu: [id % 4, id % 64, id][usize::from(spread)],
+                        mram_offset: 0,
+                        len,
+                        pages: vec![Gpa(0); pages],
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(
+                r.backend.data_op_response(&matrix, ndesc),
+                reference_response(&r.backend, &matrix, ndesc)
+            );
         }
     }
 }

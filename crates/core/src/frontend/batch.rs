@@ -8,18 +8,64 @@
 //! switches in the paper).
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use simkit::Counter;
 
-/// A buffered small write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingWrite {
-    /// Target DPU.
-    pub dpu: u32,
-    /// MRAM offset.
-    pub offset: u64,
-    /// Data to write.
-    pub data: Vec<u8>,
+/// The writes one batch window buffered, in arrival order, their bytes
+/// packed into one arena.
+#[derive(Debug, Default)]
+pub struct PendingWrites {
+    /// `(dpu, mram offset, arena range)` per write.
+    writes: Vec<(u32, u64, Range<usize>)>,
+    arena: Vec<u8>,
+}
+
+impl PendingWrites {
+    /// Whether no write is buffered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.writes.is_empty()
+    }
+
+    /// `(dpu, mram offset, data)` per write, in arrival order.
+    #[must_use]
+    pub fn views(&self) -> Vec<(u32, u64, &[u8])> {
+        self.writes.iter().map(|(dpu, off, r)| (*dpu, *off, &self.arena[r.clone()])).collect()
+    }
+
+    fn push(&mut self, dpu: u32, offset: u64, data: &[u8]) {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(data);
+        self.writes.push((dpu, offset, start..self.arena.len()));
+    }
+}
+
+/// Hashes the dirty set's `(dpu, page)` keys with one multiply-rotate per
+/// word: the keys come from the guest's own writes to its own DPUs, so
+/// SipHash's flooding resistance buys nothing here.
+#[derive(Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.write_u64(u64::from(*b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 /// The per-device batch buffer.
@@ -31,11 +77,11 @@ pub struct BatchBuffer {
     /// (DESIGN.md §16) moves it within `[4096, capacity_per_dpu]`.
     flush_threshold: u64,
     used_per_dpu: Vec<u64>,
-    entries: Vec<PendingWrite>,
+    pending: PendingWrites,
     /// `(dpu, page)` pairs already touched since the last flush — an append
     /// landing entirely on dirty pages is a *merge* (it rides along for
     /// free, page-wise, when the batch flushes).
-    dirty_pages: HashSet<(u32, u64)>,
+    dirty_pages: HashSet<(u32, u64), BuildHasherDefault<PageHasher>>,
     appended: Counter,
     merges: Counter,
     flushes: Counter,
@@ -49,8 +95,8 @@ impl BatchBuffer {
             capacity_per_dpu: pages_per_dpu as u64 * 4096,
             flush_threshold: pages_per_dpu as u64 * 4096,
             used_per_dpu: vec![0; nr_dpus],
-            entries: Vec::new(),
-            dirty_pages: HashSet::new(),
+            pending: PendingWrites::default(),
+            dirty_pages: HashSet::default(),
             appended: Counter::new(),
             merges: Counter::new(),
             flushes: Counter::new(),
@@ -92,7 +138,7 @@ impl BatchBuffer {
     /// Whether the buffer holds no writes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pending.is_empty()
     }
 
     /// True when `dpu`'s buffer cannot take `len` more bytes.
@@ -122,22 +168,22 @@ impl BatchBuffer {
         if all_dirty {
             self.merges.inc();
         }
-        self.entries.push(PendingWrite { dpu, offset, data: data.to_vec() });
+        self.pending.push(dpu, offset, data);
         self.appended.inc();
         true
     }
 
     /// Drains every buffered write, in arrival order (FIFO preserves
     /// overlapping-write semantics).
-    pub fn drain(&mut self) -> Vec<PendingWrite> {
-        if !self.entries.is_empty() {
+    pub fn drain(&mut self) -> PendingWrites {
+        if !self.pending.is_empty() {
             self.flushes.inc();
         }
         for u in &mut self.used_per_dpu {
             *u = 0;
         }
         self.dirty_pages.clear();
-        std::mem::take(&mut self.entries)
+        std::mem::take(&mut self.pending)
     }
 
     /// `(appends, flushes)` counters.
@@ -164,7 +210,8 @@ mod tests {
         assert!(b.append(0, 0, &[1u8; 4000]));
         assert!(!b.append(0, 4000, &[1u8; 100]));
         assert!(b.append(1, 0, &[2u8; 4096]));
-        let lens: Vec<usize> = b.drain().iter().map(|e| e.data.len()).collect();
+        let drained = b.drain();
+        let lens: Vec<usize> = drained.views().iter().map(|(_, _, d)| d.len()).collect();
         assert_eq!(lens, [4000, 4096]);
     }
 
@@ -174,9 +221,7 @@ mod tests {
         b.append(0, 0, &[1]);
         b.append(0, 1, &[2]);
         let drained = b.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].offset, 0);
-        assert_eq!(drained[1].offset, 1);
+        assert_eq!(drained.views(), [(0, 0, &[1u8][..]), (0, 1, &[2u8][..])]);
         assert!(b.is_empty());
         // Capacity restored.
         assert!(b.append(0, 0, &[0u8; 4096]));

@@ -21,7 +21,7 @@ pub mod policy;
 mod prefetch;
 
 pub use adapt::AdaptState;
-pub use batch::{BatchBuffer, PendingWrite};
+pub use batch::{BatchBuffer, PendingWrites};
 pub use prefetch::PrefetchCache;
 
 use std::collections::VecDeque;
@@ -732,10 +732,8 @@ impl Frontend {
             self.state.lock().batch.drain()
         };
         let mut report = OpReport::default();
-        for chunk in drained.chunks(MAX_DPUS) {
-            let views: Vec<(u32, u64, &[u8])> =
-                chunk.iter().map(|w| (w.dpu, w.offset, w.data.as_slice())).collect();
-            report.absorb(&self.transfer(Xfer::Write(&views))?.1);
+        for chunk in drained.views().chunks(MAX_DPUS) {
+            report.absorb(&self.transfer(Xfer::Write(chunk))?.1);
         }
         Ok(report)
     }

@@ -131,9 +131,47 @@ impl Drop for PageLease {
 }
 
 impl TransferMatrix {
+    /// Places `(dpu, mram offset, len)` entries on freshly allocated guest
+    /// pages. One allocation serves the whole matrix: it hands out the
+    /// lowest free pages in order, so entry k gets exactly the pages one
+    /// call per entry would have given it.
+    fn place(
+        mem: &GuestMemory,
+        reqs: impl ExactSizeIterator<Item = (u32, u64, u64)> + Clone,
+        verb: &str,
+    ) -> Result<(TransferMatrix, PageLease), VpimError> {
+        if reqs.len() > MAX_DPUS {
+            return Err(VpimError::ProtocolViolation(format!(
+                "{} dpus in one matrix",
+                reqs.len()
+            )));
+        }
+        let oversized = |&(_, _, len): &(u32, u64, u64)| {
+            DpuXfer::required_pages(len) > MAX_PAGES_PER_DPU
+        };
+        if let Some((dpu, _, len)) = reqs.clone().find(oversized) {
+            return Err(VpimError::ProtocolViolation(format!(
+                "dpu {dpu} {verb} of {len} bytes exceeds the 64 MB bank"
+            )));
+        }
+        let mut lease = PageLease::new(mem);
+        let total = reqs.clone().map(|(_, _, len)| DpuXfer::required_pages(len)).sum();
+        let mut pages = lease.grow(total)?.into_iter();
+        let entries = reqs
+            .map(|(dpu, mram_offset, len)| DpuXfer {
+                dpu,
+                mram_offset,
+                len,
+                pages: pages.by_ref().take(DpuXfer::required_pages(len)).collect(),
+            })
+            .collect();
+        Ok((TransferMatrix { entries }, lease))
+    }
+
     /// Builds a write-direction matrix from user buffers, copying each
     /// buffer into freshly allocated guest pages (the guest userspace side
-    /// of `dpu_prepare_xfer` + `dpu_push_xfer`).
+    /// of `dpu_prepare_xfer` + `dpu_push_xfer`) under one borrow of guest
+    /// RAM.
     ///
     /// # Errors
     ///
@@ -143,32 +181,13 @@ impl TransferMatrix {
         mem: &GuestMemory,
         bufs: &[(u32, u64, &[u8])],
     ) -> Result<(TransferMatrix, PageLease), VpimError> {
-        if bufs.len() > MAX_DPUS {
-            return Err(VpimError::ProtocolViolation(format!(
-                "{} dpus in one matrix",
-                bufs.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(bufs.len());
-        let mut lease = PageLease::new(mem);
-        for (dpu, offset, data) in bufs {
-            let n = DpuXfer::required_pages(data.len() as u64);
-            if n > MAX_PAGES_PER_DPU {
-                return Err(VpimError::ProtocolViolation(format!(
-                    "dpu {dpu} transfer of {} bytes exceeds the 64 MB bank",
-                    data.len()
-                )));
-            }
-            let pages = lease.grow(n)?;
-            mem.write_pages(&pages, data)?;
-            entries.push(DpuXfer {
-                dpu: *dpu,
-                mram_offset: *offset,
-                len: data.len() as u64,
-                pages,
-            });
-        }
-        Ok((TransferMatrix { entries }, lease))
+        let reqs = bufs.iter().map(|(dpu, offset, data)| (*dpu, *offset, data.len() as u64));
+        let (matrix, lease) = Self::place(mem, reqs, "transfer")?;
+        mem.view_mut(|v| {
+            let mut fills = matrix.entries.iter().zip(bufs);
+            fills.try_for_each(|(e, (_, _, data))| v.write_pages(&e.pages, data))
+        })?;
+        Ok((matrix, lease))
     }
 
     /// Builds a read-direction matrix: allocates destination pages the
@@ -181,25 +200,7 @@ impl TransferMatrix {
         mem: &GuestMemory,
         reqs: &[(u32, u64, u64)],
     ) -> Result<(TransferMatrix, PageLease), VpimError> {
-        if reqs.len() > MAX_DPUS {
-            return Err(VpimError::ProtocolViolation(format!(
-                "{} dpus in one matrix",
-                reqs.len()
-            )));
-        }
-        let mut entries = Vec::with_capacity(reqs.len());
-        let mut lease = PageLease::new(mem);
-        for (dpu, offset, len) in reqs {
-            let n = DpuXfer::required_pages(*len);
-            if n > MAX_PAGES_PER_DPU {
-                return Err(VpimError::ProtocolViolation(format!(
-                    "dpu {dpu} read of {len} bytes exceeds the 64 MB bank"
-                )));
-            }
-            let pages = lease.grow(n)?;
-            entries.push(DpuXfer { dpu: *dpu, mram_offset: *offset, len: *len, pages });
-        }
-        Ok((TransferMatrix { entries }, lease))
+        Self::place(mem, reqs.iter().copied(), "read")
     }
 
     /// Total bytes the matrix moves.
@@ -296,55 +297,56 @@ impl TransferMatrix {
         if meta_len < 8 {
             return Err(VpimError::BadRequest("matrix metadata too short".into()));
         }
-        // Every record moves whole: one `read` each for the matrix meta, a
-        // DPU's 32-byte meta and its page list.
+        // Every record moves whole — one `read` each for the matrix meta, a
+        // DPU's 32-byte meta and its page list — all under one borrow.
         fn word(record: &[u8], k: usize) -> u64 {
             u64::from_le_bytes(record[8 * k..8 * k + 8].try_into().expect("8 bytes"))
         }
-        let mut meta = [0u8; 8];
-        mem.read(meta_gpa, &mut meta)?;
-        let nr_dpus = word(&meta, 0);
-        if nr_dpus > MAX_DPUS as u64 {
-            return Err(VpimError::BadRequest(format!("{nr_dpus} dpus in matrix")));
-        }
-        let mut entries = Vec::with_capacity(nr_dpus as usize);
-        let mut rest = bufs[1..].iter().copied();
-        for _ in 0..nr_dpus {
-            let (dm_gpa, dm_len) = rest
-                .next()
-                .ok_or_else(|| VpimError::BadRequest("missing dpu metadata buffer".into()))?;
-            if dm_len < 32 {
-                return Err(VpimError::BadRequest("dpu metadata too short".into()));
+        mem.view(|v| {
+            let mut meta = [0u8; 8];
+            v.read(meta_gpa, &mut meta)?;
+            let nr_dpus = word(&meta, 0);
+            if nr_dpus > MAX_DPUS as u64 {
+                return Err(VpimError::BadRequest(format!("{nr_dpus} dpus in matrix")));
             }
-            let mut dm = [0u8; 32];
-            mem.read(dm_gpa, &mut dm)?;
-            let (dpu, mram_offset, len, nb_pages) =
-                (word(&dm, 0) as u32, word(&dm, 1), word(&dm, 2), word(&dm, 3));
-            // `nb_pages` is the guest's number: bound it by the bank and by
-            // the buffer that must hold the list before anything is sized
-            // by it (paper R2).
-            if nb_pages > MAX_PAGES_PER_DPU as u64 {
-                return Err(VpimError::BadRequest(format!(
-                    "dpu {dpu}: {nb_pages} pages exceed the 64 MB bank"
-                )));
-            }
-            let mut pages = Vec::new();
-            if nb_pages > 0 {
-                let (pg_gpa, pg_len) = rest
+            let mut entries = Vec::with_capacity(nr_dpus as usize);
+            let mut rest = bufs[1..].iter().copied();
+            for _ in 0..nr_dpus {
+                let (dm_gpa, dm_len) = rest
                     .next()
-                    .ok_or_else(|| VpimError::BadRequest("missing page buffer".into()))?;
-                if nb_pages > u64::from(pg_len / 8) {
-                    return Err(VpimError::BadRequest("page buffer too short".into()));
+                    .ok_or_else(|| VpimError::BadRequest("missing dpu metadata buffer".into()))?;
+                if dm_len < 32 {
+                    return Err(VpimError::BadRequest("dpu metadata too short".into()));
                 }
-                let mut list = vec![0u8; 8 * nb_pages as usize];
-                mem.read(pg_gpa, &mut list)?;
-                pages = list.chunks_exact(8).map(|g| Gpa(word(g, 0))).collect();
+                let mut dm = [0u8; 32];
+                v.read(dm_gpa, &mut dm)?;
+                let (dpu, mram_offset, len, nb_pages) =
+                    (word(&dm, 0) as u32, word(&dm, 1), word(&dm, 2), word(&dm, 3));
+                // `nb_pages` is the guest's number: bound it by the bank and
+                // by the buffer that must hold the list before anything is
+                // sized by it (paper R2).
+                if nb_pages > MAX_PAGES_PER_DPU as u64 {
+                    return Err(VpimError::BadRequest(format!(
+                        "dpu {dpu}: {nb_pages} pages exceed the 64 MB bank"
+                    )));
+                }
+                let mut pages = Vec::new();
+                if nb_pages > 0 {
+                    let (pg_gpa, pg_len) = rest
+                        .next()
+                        .ok_or_else(|| VpimError::BadRequest("missing page buffer".into()))?;
+                    if nb_pages > u64::from(pg_len / 8) {
+                        return Err(VpimError::BadRequest("page buffer too short".into()));
+                    }
+                    let list = v.bytes(pg_gpa, 8 * nb_pages)?;
+                    pages = list.chunks_exact(8).map(|g| Gpa(word(g, 0))).collect();
+                }
+                let entry = DpuXfer { dpu, mram_offset, len, pages };
+                entry.check_pages()?;
+                entries.push(entry);
             }
-            let entry = DpuXfer { dpu, mram_offset, len, pages };
-            entry.check_pages()?;
-            entries.push(entry);
-        }
-        Ok(TransferMatrix { entries })
+            Ok(TransferMatrix { entries })
+        })
     }
 
     /// Gathers one entry's data out of its guest pages into a fresh
@@ -573,6 +575,32 @@ mod tests {
         meta_lease.release();
         data_lease.release();
         assert_eq!(mem.free_pages(), before);
+    }
+
+    #[test]
+    fn one_allocation_places_entries_as_one_call_each_would() {
+        // Two guests fragmented alike: holes at pages 1, 4..6 and 9.
+        let twins = [GuestMemory::new(64 * PAGE_SIZE), GuestMemory::new(64 * PAGE_SIZE)];
+        for mem in &twins {
+            let held = mem.alloc_pages(10).unwrap();
+            mem.free_pages_back(&[held[1], held[4], held[5], held[9]]).unwrap();
+        }
+        let datas = [vec![1u8; 5000], vec![2u8; 0], vec![3u8; 100], vec![4u8; 3 * 4096]];
+        let bufs: Vec<(u32, u64, &[u8])> =
+            datas.iter().enumerate().map(|(d, v)| (d as u32, 0, v.as_slice())).collect();
+        let (matrix, _lease) = TransferMatrix::from_user_buffers(&twins[0], &bufs).unwrap();
+        for (entry, data) in matrix.entries.iter().zip(&datas) {
+            let one_call = twins[1].alloc_pages(data.len().div_ceil(4096)).unwrap();
+            assert_eq!(entry.pages, one_call, "dpu {}", entry.dpu);
+            assert_eq!(&TransferMatrix::gather(&twins[0], entry).unwrap(), data);
+        }
+        let lens: Vec<u64> = datas.iter().map(|d| d.len() as u64).collect();
+        let reqs: Vec<(u32, u64, u64)> = (0..4).map(|d| (d, 0, lens[d as usize])).collect();
+        let (read, _lease) = TransferMatrix::alloc_read_buffers(&twins[0], &reqs).unwrap();
+        for (entry, len) in read.entries.iter().zip(lens) {
+            let one_call = twins[1].alloc_pages(len.div_ceil(4096) as usize).unwrap();
+            assert_eq!(entry.pages, one_call, "dpu {}", entry.dpu);
+        }
     }
 
     #[test]

@@ -44,4 +44,4 @@ pub mod queue;
 
 pub use error::VirtioError;
 pub use irq::IrqLine;
-pub use memory::{Gpa, GuestMemory, SegCache, MEM_EIO_POINT};
+pub use memory::{Gpa, GuestMemory, GuestView, GuestViewMut, SegCache, MEM_EIO_POINT};

@@ -15,11 +15,18 @@
 //! side) or [`GuestMemory::write_pages`] (guest side), never through a
 //! hand-written loop over `PAGE_SIZE` elsewhere.
 //!
+//! Records that live in guest RAM — virtqueue ring entries, descriptors,
+//! serialized matrix metadata — are read and written through
+//! [`GuestMemory::view`]/[`GuestMemory::view_mut`]: one RAM borrow for a
+//! whole chain or matrix, a bounds check on every access inside it, and no
+//! fault point (a transient data-path EIO must never tear a ring).
+//!
 //! The crate also provides a page allocator used by the simulated guest
 //! userspace to place application buffers (the pages whose GPAs the
-//! frontend serializes into the transfer matrix).
+//! frontend serializes into the transfer matrix): a bitmap, one bit per
+//! page, handing out the lowest free pages first.
 
-use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -34,9 +41,11 @@ pub const PAGE_SIZE: u64 = 4096;
 /// ([`GuestMemory::with_slice`]/[`GuestMemory::with_slice_mut`], and once
 /// per visited page by the page walkers): firing raises a transient
 /// [`VirtioError::Eio`]. The raw accessors (`read`/`write`/`read_u16`/
-/// `write_u16`/`write_pages`) are deliberately *not* instrumented — they
-/// carry virtqueue ring and matrix records and the guest's own buffer
-/// fill, which a transient data-path EIO must never tear.
+/// `write_u16`/`write_pages` and everything inside
+/// [`GuestMemory::view`]/[`GuestMemory::view_mut`]) are deliberately *not*
+/// instrumented — they carry virtqueue ring and matrix records and the
+/// guest's own buffer fill, which a transient data-path EIO must never
+/// tear.
 pub const MEM_EIO_POINT: &str = "virtio.mem.eio";
 
 /// A guest physical address.
@@ -121,11 +130,128 @@ impl SegCache {
     }
 }
 
+/// The guest page allocator: one bit per page, set when the page is free.
+///
+/// Every allocation takes the lowest free pages (scattered) or the lowest
+/// run (contiguous), so the GPAs a given sequence of calls returns are fixed
+/// by that sequence alone.
 #[derive(Debug)]
 struct PageAllocator {
-    /// Free page indices within the allocatable range.
-    free: BTreeSet<u64>,
+    /// Bit `p % 64` of word `p / 64` is set when page `p` is free; bits
+    /// past the last page stay clear.
+    free: Vec<u64>,
+    /// Set bits in `free`.
+    nfree: usize,
+    /// Every word below this index is zero: scans start here.
+    hint: usize,
     total: u64,
+}
+
+impl PageAllocator {
+    fn new(pages: u64) -> Self {
+        let mut free = vec![u64::MAX; pages.div_ceil(64) as usize];
+        if !pages.is_multiple_of(64) {
+            *free.last_mut().expect("pages > 0") = (1u64 << (pages % 64)) - 1;
+        }
+        PageAllocator { free, nfree: pages as usize, hint: 0, total: pages }
+    }
+
+    fn is_free(&self, page: u64) -> bool {
+        self.free[(page / 64) as usize] & (1 << (page % 64)) != 0
+    }
+
+    fn mark(&mut self, page: u64, free: bool) {
+        let (word, bit) = (&mut self.free[(page / 64) as usize], 1u64 << (page % 64));
+        if free {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
+    }
+
+    /// Moves the hint past the words allocation emptied.
+    fn advance_hint(&mut self) {
+        while self.free.get(self.hint) == Some(&0) {
+            self.hint += 1;
+        }
+    }
+
+    /// The `n` lowest free pages, in ascending order (`n <= nfree`).
+    fn take_lowest(&mut self, n: usize) -> Vec<Gpa> {
+        let mut out = Vec::with_capacity(n);
+        let mut i = self.hint;
+        while out.len() < n {
+            let word = &mut self.free[i];
+            while *word != 0 && out.len() < n {
+                out.push(Gpa((i as u64 * 64 + u64::from(word.trailing_zeros())) * PAGE_SIZE));
+                *word &= *word - 1;
+            }
+            i += 1;
+        }
+        self.nfree -= n;
+        self.advance_hint();
+        out
+    }
+
+    /// First fit: the lowest `start` with `start..start + n` all free.
+    fn find_run(&self, n: u64) -> Option<u64> {
+        let (mut start, mut len) = (0u64, 0u64);
+        for (i, &word) in self.free.iter().enumerate().skip(self.hint) {
+            let mut bit = 0u32;
+            while bit < 64 {
+                let rest = word >> bit;
+                if rest == 0 {
+                    len = 0;
+                    break;
+                }
+                let zeros = rest.trailing_zeros();
+                if zeros > 0 {
+                    len = 0;
+                    bit += zeros;
+                    continue;
+                }
+                let ones = rest.trailing_ones();
+                if len == 0 {
+                    start = i as u64 * 64 + u64::from(bit);
+                }
+                len += u64::from(ones);
+                if len >= n {
+                    return Some(start);
+                }
+                bit += ones;
+            }
+        }
+        None
+    }
+
+    /// Marks `pages` (known free) allocated.
+    fn take_range(&mut self, pages: Range<u64>) {
+        self.nfree -= (pages.end - pages.start) as usize;
+        for p in pages {
+            self.mark(p, false);
+        }
+        self.advance_hint();
+    }
+
+    /// Frees every page of `pages`, or — at the first one that is not an
+    /// allocated, aligned page of this guest (a page listed twice is free
+    /// by its second mention) — undoes this call's frees and names it.
+    fn give_back(&mut self, pages: &[Gpa]) -> Result<(), VirtioError> {
+        for (i, gpa) in pages.iter().enumerate() {
+            let page = gpa.page();
+            if gpa.0 % PAGE_SIZE != 0 || page >= self.total || self.is_free(page) {
+                for done in &pages[..i] {
+                    self.mark(done.page(), false);
+                }
+                return Err(VirtioError::BadFree(*gpa));
+            }
+            self.mark(page, true);
+            // A lower hint only widens the scan, so an undo leaves it valid.
+            self.hint = self.hint.min((page / 64) as usize);
+        }
+        self.nfree += pages.len();
+        Ok(())
+    }
 }
 
 /// The VM's physical address space.
@@ -148,10 +274,7 @@ impl GuestMemory {
             inner: Arc::new(Inner {
                 ram: RwLock::new(vec![0u8; bytes as usize]),
                 size: bytes,
-                allocator: Mutex::new(PageAllocator {
-                    free: (0..pages).collect(),
-                    total: pages,
-                }),
+                allocator: Mutex::new(PageAllocator::new(pages)),
                 inject: InjectCell::new(),
             }),
         }
@@ -166,7 +289,7 @@ impl GuestMemory {
     /// Free pages currently available to the allocator.
     #[must_use]
     pub fn free_pages(&self) -> usize {
-        self.inner.allocator.lock().free.len()
+        self.inner.allocator.lock().nfree
     }
 
     /// Installs the fault-injection plane: every clone of this memory
@@ -183,16 +306,17 @@ impl GuestMemory {
         }
     }
 
-    fn check(&self, gpa: Gpa, len: u64) -> Result<(), VirtioError> {
-        let size = self.size();
-        // `gpa.0 < size` also rejects zero-length accesses at (or past) the
-        // exact end-of-RAM boundary: no byte of `[gpa, gpa+len)` is backed
-        // by RAM there, and `with_slice` must never vend a view anchored
-        // outside the mapping.
-        match gpa.0.checked_add(len) {
-            Some(end) if end <= size && gpa.0 < size => Ok(()),
-            _ => Err(VirtioError::OutOfBounds { gpa, len }),
-        }
+    /// Runs `f` over a shared view of guest RAM for record reads: one
+    /// borrow for any number of accesses, each bounds-checked, none
+    /// consulting [`MEM_EIO_POINT`]. `f` must not call back into this
+    /// memory (the borrow is held for the whole call).
+    pub fn view<T>(&self, f: impl FnOnce(&GuestView<'_>) -> T) -> T {
+        f(&GuestView { ram: &self.inner.ram.read() })
+    }
+
+    /// Mutable [`view`](Self::view), for record writes.
+    pub fn view_mut<T>(&self, f: impl FnOnce(&mut GuestViewMut<'_>) -> T) -> T {
+        f(&mut GuestViewMut { ram: &mut self.inner.ram.write() })
     }
 
     /// Copies bytes into guest memory at `gpa`.
@@ -201,10 +325,7 @@ impl GuestMemory {
     ///
     /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
     pub fn write(&self, gpa: Gpa, data: &[u8]) -> Result<(), VirtioError> {
-        self.check(gpa, data.len() as u64)?;
-        let mut ram = self.inner.ram.write();
-        ram[gpa.0 as usize..gpa.0 as usize + data.len()].copy_from_slice(data);
-        Ok(())
+        self.view_mut(|v| v.write(gpa, data))
     }
 
     /// Copies bytes out of guest memory at `gpa`.
@@ -213,10 +334,7 @@ impl GuestMemory {
     ///
     /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
     pub fn read(&self, gpa: Gpa, dst: &mut [u8]) -> Result<(), VirtioError> {
-        self.check(gpa, dst.len() as u64)?;
-        let ram = self.inner.ram.read();
-        dst.copy_from_slice(&ram[gpa.0 as usize..gpa.0 as usize + dst.len()]);
-        Ok(())
+        self.view(|v| v.read(gpa, dst))
     }
 
     /// Writes a little-endian `u16` (virtqueue ring fields).
@@ -225,7 +343,7 @@ impl GuestMemory {
     ///
     /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
     pub fn write_u16(&self, gpa: Gpa, v: u16) -> Result<(), VirtioError> {
-        self.write(gpa, &v.to_le_bytes())
+        self.view_mut(|view| view.write_u16(gpa, v))
     }
 
     /// Reads a little-endian `u16`.
@@ -234,9 +352,7 @@ impl GuestMemory {
     ///
     /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
     pub fn read_u16(&self, gpa: Gpa) -> Result<u16, VirtioError> {
-        let mut b = [0u8; 2];
-        self.read(gpa, &mut b)?;
-        Ok(u16::from_le_bytes(b))
+        self.view(|v| v.read_u16(gpa))
     }
 
     /// GPA→HVA access: runs `f` over a borrowed view of guest RAM — the
@@ -252,9 +368,8 @@ impl GuestMemory {
         f: impl FnOnce(&[u8]) -> T,
     ) -> Result<T, VirtioError> {
         self.injected_eio()?;
-        self.check(gpa, len)?;
-        let ram = self.inner.ram.read();
-        Ok(f(&ram[gpa.0 as usize..(gpa.0 + len) as usize]))
+        let range = byte_range(self.size(), gpa, len)?;
+        Ok(f(&self.inner.ram.read()[range]))
     }
 
     /// Mutable GPA→HVA access.
@@ -269,12 +384,11 @@ impl GuestMemory {
         f: impl FnOnce(&mut [u8]) -> T,
     ) -> Result<T, VirtioError> {
         self.injected_eio()?;
-        self.check(gpa, len)?;
-        let mut ram = self.inner.ram.write();
-        Ok(f(&mut ram[gpa.0 as usize..(gpa.0 + len) as usize]))
+        let range = byte_range(self.size(), gpa, len)?;
+        Ok(f(&mut self.inner.ram.write()[range]))
     }
 
-    /// [`check`](Self::check) through a [`SegCache`]: a range inside the
+    /// The bounds check through a [`SegCache`]: a range inside the
     /// cache's validated extent skips the full bounds check; a miss
     /// validates normally and admits the surrounding page-aligned extent.
     fn check_cached(&self, cache: &mut SegCache, gpa: Gpa, len: u64) -> Result<(), VirtioError> {
@@ -282,7 +396,7 @@ impl GuestMemory {
             cache.hits += 1;
             return Ok(());
         }
-        self.check(gpa, len)?;
+        byte_range(self.size(), gpa, len)?;
         cache.misses += 1;
         if len > 0 {
             cache.lo = (gpa.0 / PAGE_SIZE) * PAGE_SIZE;
@@ -359,12 +473,7 @@ impl GuestMemory {
     ///
     /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
     pub fn write_pages(&self, pages: &[Gpa], data: &[u8]) -> Result<(), VirtioError> {
-        let mut ram = self.inner.ram.write();
-        for (page, chunk) in pages.iter().zip(data.chunks(PAGE_SIZE as usize)) {
-            self.check(*page, chunk.len() as u64)?;
-            ram[page.0 as usize..][..chunk.len()].copy_from_slice(chunk);
-        }
-        Ok(())
+        self.view_mut(|v| v.write_pages(pages, data))
     }
 
     /// Allocates `n` guest pages (not necessarily contiguous), returning
@@ -376,57 +485,127 @@ impl GuestMemory {
     /// [`VirtioError::OutOfPages`] if fewer than `n` pages are free.
     pub fn alloc_pages(&self, n: usize) -> Result<Vec<Gpa>, VirtioError> {
         let mut alloc = self.inner.allocator.lock();
-        if alloc.free.len() < n {
-            return Err(VirtioError::OutOfPages { requested: n, free: alloc.free.len() });
+        if alloc.nfree < n {
+            return Err(VirtioError::OutOfPages { requested: n, free: alloc.nfree });
         }
-        Ok((0..n)
-            .map(|_| Gpa(alloc.free.pop_first().expect("checked non-empty") * PAGE_SIZE))
-            .collect())
+        Ok(alloc.take_lowest(n))
     }
 
     /// Allocates `n` *contiguous* pages and returns the base GPA (queue
-    /// rings need contiguity).
+    /// rings need contiguity): the lowest-addressed run of `n` free pages.
     ///
     /// # Errors
     ///
-    /// [`VirtioError::OutOfPages`] if no contiguous run of `n` pages exists.
+    /// [`VirtioError::OutOfPages`] if no contiguous run of `n` pages exists
+    /// (or `n` is zero).
     pub fn alloc_contiguous(&self, n: usize) -> Result<Gpa, VirtioError> {
         let mut alloc = self.inner.allocator.lock();
-        // First fit: the lowest-addressed run of `n` consecutive free pages.
-        let (mut start, mut len) = (0u64, 0usize);
-        let found = alloc.free.iter().any(|&p| {
-            if len > 0 && p == start + len as u64 {
-                len += 1;
-            } else {
-                (start, len) = (p, 1);
-            }
-            len == n
-        });
-        if !found {
-            return Err(VirtioError::OutOfPages { requested: n, free: alloc.free.len() });
-        }
-        for p in start..start + n as u64 {
-            alloc.free.remove(&p);
-        }
+        let start = (n > 0).then(|| alloc.find_run(n as u64)).flatten();
+        let Some(start) = start else {
+            return Err(VirtioError::OutOfPages { requested: n, free: alloc.nfree });
+        };
+        alloc.take_range(start..start + n as u64);
         Ok(Gpa(start * PAGE_SIZE))
     }
 
-    /// Returns pages to the allocator.
+    /// Returns pages to the allocator: all of them, or — on an error —
+    /// none.
     ///
     /// # Errors
     ///
-    /// [`VirtioError::BadFree`] when freeing a page that is not allocated
-    /// (double free) or not page aligned.
+    /// [`VirtioError::BadFree`] naming the first page that is not
+    /// allocated (double free, or listed twice), not page aligned, or
+    /// outside guest RAM; the allocator is then unchanged.
     pub fn free_pages_back(&self, pages: &[Gpa]) -> Result<(), VirtioError> {
-        let mut alloc = self.inner.allocator.lock();
-        for gpa in pages {
-            if gpa.0 % PAGE_SIZE != 0 {
-                return Err(VirtioError::BadFree(*gpa));
-            }
-            let idx = gpa.page();
-            if idx >= alloc.total || !alloc.free.insert(idx) {
-                return Err(VirtioError::BadFree(*gpa));
-            }
+        self.inner.allocator.lock().give_back(pages)
+    }
+}
+
+/// `gpa..gpa + len` as an index range into RAM of `size` bytes.
+///
+/// `gpa < size` also rejects zero-length accesses at (or past) the exact
+/// end-of-RAM boundary: no byte of `[gpa, gpa+len)` is backed by RAM
+/// there, and no view may be anchored outside the mapping.
+fn byte_range(size: u64, gpa: Gpa, len: u64) -> Result<Range<usize>, VirtioError> {
+    match gpa.0.checked_add(len) {
+        Some(end) if end <= size && gpa.0 < size => Ok(gpa.0 as usize..end as usize),
+        _ => Err(VirtioError::OutOfBounds { gpa, len }),
+    }
+}
+
+/// A shared view of guest RAM, from [`GuestMemory::view`]: raw record
+/// reads, bounds-checked per access and uninstrumented.
+pub struct GuestView<'a> {
+    ram: &'a [u8],
+}
+
+impl<'a> GuestView<'a> {
+    /// The `len` bytes at `gpa`, borrowed for as long as the view.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
+    pub fn bytes(&self, gpa: Gpa, len: u64) -> Result<&'a [u8], VirtioError> {
+        Ok(&self.ram[byte_range(self.ram.len() as u64, gpa, len)?])
+    }
+
+    /// Copies bytes out of guest memory at `gpa`.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
+    pub fn read(&self, gpa: Gpa, dst: &mut [u8]) -> Result<(), VirtioError> {
+        dst.copy_from_slice(self.bytes(gpa, dst.len() as u64)?);
+        Ok(())
+    }
+
+    /// Reads a little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
+    pub fn read_u16(&self, gpa: Gpa) -> Result<u16, VirtioError> {
+        let mut b = [0u8; 2];
+        self.read(gpa, &mut b)?;
+        Ok(u16::from_le_bytes(b))
+    }
+}
+
+/// A mutable view of guest RAM, from [`GuestMemory::view_mut`]: raw record
+/// writes, bounds-checked per access and uninstrumented.
+pub struct GuestViewMut<'a> {
+    ram: &'a mut [u8],
+}
+
+impl GuestViewMut<'_> {
+    /// Copies bytes into guest memory at `gpa`.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
+    pub fn write(&mut self, gpa: Gpa, data: &[u8]) -> Result<(), VirtioError> {
+        let range = byte_range(self.ram.len() as u64, gpa, data.len() as u64)?;
+        self.ram[range].copy_from_slice(data);
+        Ok(())
+    }
+
+    /// Writes a little-endian `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
+    pub fn write_u16(&mut self, gpa: Gpa, v: u16) -> Result<(), VirtioError> {
+        self.write(gpa, &v.to_le_bytes())
+    }
+
+    /// [`GuestMemory::write_pages`] inside the view.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
+    pub fn write_pages(&mut self, pages: &[Gpa], data: &[u8]) -> Result<(), VirtioError> {
+        for (page, chunk) in pages.iter().zip(data.chunks(PAGE_SIZE as usize)) {
+            self.write(*page, chunk)?;
         }
         Ok(())
     }
@@ -567,6 +746,52 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_free_changes_nothing() {
+        let mem = GuestMemory::new(4 * PAGE_SIZE);
+        let pages = mem.alloc_pages(3).unwrap();
+        mem.free_pages_back(&pages[2..]).unwrap();
+        let (held, already_free) = (pages[0], pages[2]);
+        let before = mem.free_pages();
+        assert!(matches!(
+            mem.free_pages_back(&[held, already_free]),
+            Err(VirtioError::BadFree(g)) if g == already_free
+        ));
+        assert_eq!(mem.free_pages(), before);
+        // A page listed twice, an unaligned one and one past RAM are
+        // refused the same way, after pages that would have been freed.
+        for bad in [[held, held], [held, Gpa(3)], [held, Gpa(4 * PAGE_SIZE)]] {
+            assert!(mem.free_pages_back(&bad).is_err());
+            assert_eq!(mem.free_pages(), before);
+        }
+        // `held` is still allocated: the lowest free page is not it.
+        assert_eq!(mem.alloc_pages(1).unwrap(), [already_free]);
+        mem.free_pages_back(&[held, pages[1]]).unwrap();
+        assert_eq!(mem.free_pages(), 3);
+    }
+
+    #[test]
+    fn views_bounds_check_every_access() {
+        let mem = GuestMemory::new(PAGE_SIZE);
+        mem.view_mut(|v| {
+            v.write(Gpa(8), b"ring")?;
+            v.write_u16(Gpa(16), 0xBEEF)?;
+            assert!(v.write(Gpa(PAGE_SIZE - 1), &[0, 0]).is_err());
+            assert!(v.write(Gpa(PAGE_SIZE), &[]).is_err());
+            Ok::<(), VirtioError>(())
+        })
+        .unwrap();
+        mem.view(|v| {
+            let mut b = [0u8; 4];
+            v.read(Gpa(8), &mut b).unwrap();
+            assert_eq!(&b, b"ring");
+            assert_eq!(v.read_u16(Gpa(16)).unwrap(), 0xBEEF);
+            assert_eq!(v.bytes(Gpa(8), 4).unwrap(), b"ring");
+            assert!(v.bytes(Gpa(PAGE_SIZE - 2), 4).is_err());
+            assert!(v.read_u16(Gpa(u64::MAX)).is_err());
+        });
+    }
+
+    #[test]
     fn contiguous_allocation() {
         let mem = GuestMemory::new(8 * PAGE_SIZE);
         // Fragment: take pages 0..8, free 2,3,4.
@@ -599,6 +824,10 @@ mod tests {
         assert!(mem.read(Gpa(0), &mut b).is_ok());
         assert!(mem.write_u16(Gpa(8), 7).is_ok());
         assert!(mem.write_pages(&[Gpa(0), Gpa(PAGE_SIZE)], &[5u8; 5000]).is_ok());
+        assert!(mem.view(|v| v.read(Gpa(0), &mut b)).is_ok());
+        assert!(mem.view_mut(|v| v.write_pages(&[Gpa(0)], &[6u8; 10])).is_ok());
+        let hits = plane.point_stats(MEM_EIO_POINT).expect("armed").hits;
+        assert_eq!(hits, 0, "raw accessors and views consult nothing");
         let mut cache = SegCache::new();
         assert!(matches!(
             mem.walk_pages(&mut cache, &[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
@@ -750,17 +979,23 @@ mod tests {
             prop_assert_eq!(sorted.len(), held.len());
         }
 
-        /// `alloc_contiguous(n)` is first fit over a naive page map: it
-        /// returns the lowest `start` with `start..start + n` all free,
-        /// takes exactly those pages, and fails iff no such run exists.
+        /// The allocator against a naive page map, over a 200-page guest
+        /// (four bitmap words, the last partial): `alloc_contiguous(n)` is
+        /// first fit — the lowest `start` with `start..start + n` all free,
+        /// failing iff no such run exists; `alloc_pages(n)` returns exactly
+        /// the `n` lowest free pages in ascending order, the order every
+        /// GPA a request places relies on; `free_pages_back` frees a whole
+        /// list of held pages or, given any page not held (or one listed
+        /// twice), refuses it and changes nothing.
         #[test]
         fn contiguous_allocation_is_lowest_address_first_fit(
-            ops in proptest::collection::vec((0u8..3, 0usize..6, 0usize..32), 1..60),
+            ops in proptest::collection::vec((0u8..3, 0usize..70, 0usize..200), 1..80),
         ) {
-            const PAGES: usize = 32;
+            const PAGES: usize = 200;
             let mem = GuestMemory::new(PAGES as u64 * PAGE_SIZE);
             let mut free = [true; PAGES];
             for (op, n, at) in ops {
+                let free_count = free.iter().filter(|f| **f).count();
                 match op {
                     0 => {
                         let want = (0..=PAGES - n)
@@ -772,7 +1007,7 @@ mod tests {
                             }
                             (Err(VirtioError::OutOfPages { requested, free: left }), None) => {
                                 prop_assert_eq!(requested, n);
-                                prop_assert_eq!(left, free.iter().filter(|f| **f).count());
+                                prop_assert_eq!(left, free_count);
                             }
                             (got, want) => {
                                 return Err(TestCaseError::fail(format!(
@@ -783,17 +1018,43 @@ mod tests {
                     }
                     1 => {
                         // Scattered allocation punches holes from the low end.
-                        if let Ok(pages) = mem.alloc_pages(n) {
-                            for g in pages {
-                                prop_assert!(std::mem::replace(&mut free[g.page() as usize], false));
+                        let want: Vec<Gpa> = (0..PAGES)
+                            .filter(|&p| free[p])
+                            .take(n)
+                            .map(|p| Gpa(p as u64 * PAGE_SIZE))
+                            .collect();
+                        match mem.alloc_pages(n) {
+                            Ok(pages) => {
+                                prop_assert_eq!(&pages, &want);
+                                for g in pages {
+                                    free[g.page() as usize] = false;
+                                }
                             }
+                            Err(VirtioError::OutOfPages { requested, free: left }) => {
+                                prop_assert!(want.len() < n);
+                                prop_assert_eq!((requested, left), (n, free_count));
+                            }
+                            Err(e) => return Err(TestCaseError::fail(format!("{e}"))),
                         }
                     }
                     _ => {
-                        // A double free is rejected and changes nothing.
-                        let freed = mem.free_pages_back(&[Gpa(at as u64 * PAGE_SIZE)]);
-                        prop_assert_eq!(freed.is_ok(), !free[at]);
-                        free[at] = true;
+                        // Up to three pages from `at` on (the last may lie
+                        // past RAM), one time in five with `at` repeated.
+                        let repeat = n % 5 == 0;
+                        let mut list: Vec<u64> =
+                            (at..=PAGES).take(n % 3 + 1).map(|p| p as u64).collect();
+                        if repeat {
+                            list.push(at as u64);
+                        }
+                        let held = |p: &u64| (*p as usize) < PAGES && !free[*p as usize];
+                        let ok = !repeat && list.iter().all(held);
+                        let gpas: Vec<Gpa> = list.iter().map(|p| Gpa(p * PAGE_SIZE)).collect();
+                        prop_assert_eq!(mem.free_pages_back(&gpas).is_ok(), ok);
+                        if ok {
+                            for p in list {
+                                free[p as usize] = true;
+                            }
+                        }
                     }
                 }
                 prop_assert_eq!(mem.free_pages(), free.iter().filter(|f| **f).count());

@@ -13,7 +13,7 @@
 //! serialized transfer matrix (≤ 130 buffers, Fig. 7) always fits.
 
 use crate::error::VirtioError;
-use crate::memory::{Gpa, GuestMemory};
+use crate::memory::{Gpa, GuestMemory, GuestView, GuestViewMut};
 
 /// Descriptor flag: the chain continues at `next`.
 pub const VIRTQ_DESC_F_NEXT: u16 = 1;
@@ -133,29 +133,29 @@ impl QueueLayout {
         self.used.add(4 + 8 * u64::from(slot))
     }
 
-    /// Reads descriptor `i` from guest memory.
+    /// Reads descriptor `i` through a view of guest memory.
     ///
     /// # Errors
     ///
     /// Out-of-bounds guest access.
-    pub fn read_desc(&self, mem: &GuestMemory, i: u16) -> Result<Descriptor, VirtioError> {
+    pub fn read_desc(&self, view: &GuestView<'_>, i: u16) -> Result<Descriptor, VirtioError> {
         let mut record = [0u8; 16];
-        mem.read(self.desc_gpa(i), &mut record)?;
+        view.read(self.desc_gpa(i), &mut record)?;
         Ok(Descriptor::decode(&record))
     }
 
-    /// Writes descriptor `i` into guest memory.
+    /// Writes descriptor `i` through a view of guest memory.
     ///
     /// # Errors
     ///
     /// Out-of-bounds guest access.
     pub fn write_desc(
         &self,
-        mem: &GuestMemory,
+        view: &mut GuestViewMut<'_>,
         i: u16,
         d: &Descriptor,
     ) -> Result<(), VirtioError> {
-        mem.write(self.desc_gpa(i), &d.encode())
+        view.write(self.desc_gpa(i), &d.encode())
     }
 }
 
@@ -235,26 +235,30 @@ impl DriverQueue {
         };
         self.free_count -= bufs.len() as u16;
 
-        for (pos, ((gpa, len, write), &idx)) in bufs.iter().zip(indices.iter()).enumerate() {
-            let mut flags = 0u16;
-            let mut next = 0u16;
-            if pos + 1 < bufs.len() {
-                flags |= VIRTQ_DESC_F_NEXT;
-                next = indices[pos + 1];
-            }
-            if *write {
-                flags |= VIRTQ_DESC_F_WRITE;
-            }
-            self.layout
-                .write_desc(&self.mem, idx, &Descriptor { addr: *gpa, len: *len, flags, next })?;
-        }
         let head = indices[0];
-        self.chain_len[head as usize] = bufs.len() as u16;
-        // Publish in the available ring.
         let slot = self.avail_idx % self.layout.size;
-        self.mem.write_u16(self.layout.avail_ring_gpa(slot), head)?;
-        self.avail_idx = self.avail_idx.wrapping_add(1);
-        self.mem.write_u16(self.layout.avail_idx_gpa(), self.avail_idx)?;
+        let avail_idx = self.avail_idx.wrapping_add(1);
+        // The descriptors and the avail-ring entry, under one borrow.
+        let layout = &self.layout;
+        self.mem.view_mut(|v| {
+            for (pos, ((gpa, len, write), &idx)) in bufs.iter().zip(&indices).enumerate() {
+                let mut flags = 0u16;
+                let mut next = 0u16;
+                if pos + 1 < bufs.len() {
+                    flags |= VIRTQ_DESC_F_NEXT;
+                    next = indices[pos + 1];
+                }
+                if *write {
+                    flags |= VIRTQ_DESC_F_WRITE;
+                }
+                layout.write_desc(v, idx, &Descriptor { addr: *gpa, len: *len, flags, next })?;
+            }
+            // Publish in the available ring.
+            v.write_u16(layout.avail_ring_gpa(slot), head)?;
+            v.write_u16(layout.avail_idx_gpa(), avail_idx)
+        })?;
+        self.chain_len[head as usize] = bufs.len() as u16;
+        self.avail_idx = avail_idx;
         Ok(head)
     }
 
@@ -267,14 +271,20 @@ impl DriverQueue {
     /// [`VirtioError::BadDescriptor`] for a used element naming a head
     /// outside the queue.
     pub fn poll_used(&mut self) -> Result<Option<(u16, u32)>, VirtioError> {
-        let used_idx = self.mem.read_u16(self.layout.used_idx_gpa())?;
-        if used_idx == self.last_used {
-            return Ok(None);
-        }
-        let slot = self.last_used % self.layout.size;
+        let layout = &self.layout;
+        let slot = self.last_used % layout.size;
         // One used element: `{ id: u32, len: u32 }`.
         let mut elem = [0u8; 8];
-        self.mem.read(self.layout.used_ring_gpa(slot), &mut elem)?;
+        let fresh = self.mem.view(|v| {
+            let fresh = v.read_u16(layout.used_idx_gpa())? != self.last_used;
+            if fresh {
+                v.read(layout.used_ring_gpa(slot), &mut elem)?;
+            }
+            Ok::<bool, VirtioError>(fresh)
+        })?;
+        if !fresh {
+            return Ok(None);
+        }
         let head = u32::from_le_bytes(elem[..4].try_into().expect("4 bytes")) as u16;
         let len = u32::from_le_bytes(elem[4..].try_into().expect("4 bytes"));
         if head >= self.layout.size {
@@ -326,33 +336,35 @@ impl DeviceQueue {
     /// [`VirtioError::ChainTooLong`] for looping chains (defensive guard),
     /// or guest memory errors.
     pub fn pop(&mut self) -> Result<Option<DescChain>, VirtioError> {
-        let avail_idx = self.mem.read_u16(self.layout.avail_idx_gpa())?;
-        if self.next_avail == avail_idx {
-            return Ok(None);
-        }
-        let slot = self.next_avail % self.layout.size;
-        let head = self.mem.read_u16(self.layout.avail_ring_gpa(slot))?;
-        self.next_avail = self.next_avail.wrapping_add(1);
+        let layout = &self.layout;
+        let next_avail = &mut self.next_avail;
+        // The avail-ring entry and every descriptor, under one borrow.
+        self.mem.view(|v| {
+            if *next_avail == v.read_u16(layout.avail_idx_gpa())? {
+                return Ok(None);
+            }
+            let slot = *next_avail % layout.size;
+            let head = v.read_u16(layout.avail_ring_gpa(slot))?;
+            *next_avail = next_avail.wrapping_add(1);
 
-        let mut descriptors = Vec::new();
-        let mut idx = head;
-        loop {
-            if descriptors.len() > usize::from(self.layout.size) {
-                return Err(VirtioError::ChainTooLong);
+            let mut descriptors = Vec::new();
+            let mut idx = head;
+            loop {
+                if descriptors.len() > usize::from(layout.size) {
+                    return Err(VirtioError::ChainTooLong);
+                }
+                if idx >= layout.size {
+                    return Err(VirtioError::BadDescriptor(idx));
+                }
+                let d = layout.read_desc(v, idx)?;
+                descriptors.push(d);
+                if !d.has_next() {
+                    break;
+                }
+                idx = d.next;
             }
-            if idx >= self.layout.size {
-                return Err(VirtioError::BadDescriptor(idx));
-            }
-            let d = self.layout.read_desc(&self.mem, idx)?;
-            let has_next = d.has_next();
-            let next = d.next;
-            descriptors.push(d);
-            if !has_next {
-                break;
-            }
-            idx = next;
-        }
-        Ok(Some(DescChain { head, descriptors }))
+            Ok(Some(DescChain { head, descriptors }))
+        })
     }
 
     /// Number of chains currently pending (cheap peek).
@@ -375,9 +387,13 @@ impl DeviceQueue {
         let mut elem = [0u8; 8];
         elem[..4].copy_from_slice(&u32::from(head).to_le_bytes());
         elem[4..].copy_from_slice(&written_len.to_le_bytes());
-        self.mem.write(self.layout.used_ring_gpa(slot), &elem)?;
-        self.used_idx = self.used_idx.wrapping_add(1);
-        self.mem.write_u16(self.layout.used_idx_gpa(), self.used_idx)
+        let (layout, used_idx) = (&self.layout, self.used_idx.wrapping_add(1));
+        self.mem.view_mut(|v| {
+            v.write(layout.used_ring_gpa(slot), &elem)?;
+            v.write_u16(layout.used_idx_gpa(), used_idx)
+        })?;
+        self.used_idx = used_idx;
+        Ok(())
     }
 }
 

@@ -175,6 +175,89 @@ fn transient_mem_eio_is_typed_and_the_system_stays_usable() {
     assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree");
 }
 
+/// Ring entries, matrix records and the guest's buffer fill are read and
+/// written under one borrow of guest RAM per chain or matrix, and consult
+/// no fault point. With `virtio.mem.eio` and `backend.chunk.torn_write`
+/// armed, a 64-entry write and a 64-entry read hit them exactly as a
+/// per-page reference walk predicts — `virtio.mem.eio` once for the
+/// request decode, once per data page (backend walk, then a read's
+/// guest-side gather) and once for the status read; the torn point once
+/// per written entry — and a fired point fails the entry that walk names.
+#[test]
+fn one_borrow_paths_keep_the_per_page_fault_schedule() {
+    const ENTRIES: usize = 64;
+    const LEN: usize = 64;
+    let (eio, torn) = (FaultSite::MemEio.name(), FaultSite::ChunkTornWrite.name());
+    let seed = sweep_seed();
+    for devices in [1, 2] {
+        let (sys, vm, plane) = chaos_system(devices, seed);
+        let fe = vm.frontend(0);
+        // One page per entry; the host's 8 DPUs take eight entries each.
+        let at = |i: usize| ((i % 8) as u32, (i / 8) as u64 * 4096);
+        let reads: Vec<(u32, u64, u64)> =
+            (0..ENTRIES).map(|i| (at(i).0, at(i).1, LEN as u64)).collect();
+        let fill = |salt: u64| -> Vec<Vec<u8>> {
+            (0..ENTRIES).map(|i| payload(i as u32, LEN, seed ^ salt)).collect()
+        };
+        let write = |datas: &[Vec<u8>]| {
+            let writes: Vec<(u32, u64, &[u8])> =
+                datas.iter().enumerate().map(|(i, d)| (at(i).0, at(i).1, d.as_slice())).collect();
+            fe.write_rank(&writes)
+        };
+        let hits = |point: &str| plane.point_stats(point).expect("armed").hits;
+        let arm = |eio_nth: u64, torn_nth: u64| {
+            plane.arm(eio, FaultPlan::Nth(eio_nth));
+            plane.arm(torn, FaultPlan::Nth(torn_nth));
+        };
+        let read_back = || {
+            plane.disarm(eio);
+            plane.disarm(torn);
+            fe.read_rank(&reads).unwrap().0
+        };
+        const NEVER: u64 = 1 << 20;
+
+        // Armed, nothing firing: the reference counts exactly.
+        let mut mram = fill(1);
+        arm(NEVER, NEVER);
+        write(&mram).unwrap();
+        assert_eq!(hits(eio), 1 + ENTRIES as u64 + 1, "devices={devices}: write");
+        assert_eq!(hits(torn), ENTRIES as u64, "devices={devices}: write");
+        arm(NEVER, NEVER);
+        assert_eq!(fe.read_rank(&reads).unwrap().0, mram);
+        assert_eq!(hits(eio), 1 + 2 * ENTRIES as u64 + 1, "devices={devices}: read");
+        assert_eq!(hits(torn), 0, "devices={devices}: read");
+
+        // `virtio.mem.eio` fires on entry 37's page: the walk stops there,
+        // so entries before it landed and the rest did not.
+        let failing = 37;
+        let next = fill(2);
+        arm(1 + failing as u64 + 1, NEVER);
+        let err = write(&next).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+        assert_eq!(hits(eio), 1 + failing as u64 + 1 + 1, "devices={devices}");
+        assert_eq!(hits(torn), failing as u64 + 1, "devices={devices}");
+        mram[..failing].clone_from_slice(&next[..failing]);
+        assert_eq!(read_back(), mram, "devices={devices}: entries before {failing} only");
+
+        // The torn point fires on entry 21: its first half lands too.
+        let failing = 21;
+        let next = fill(3);
+        arm(NEVER, failing as u64 + 1);
+        let err = write(&next).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+        assert_eq!(hits(eio), 1 + failing as u64 + 1 + 1, "devices={devices}");
+        assert_eq!(hits(torn), failing as u64 + 1, "devices={devices}");
+        mram[..failing].clone_from_slice(&next[..failing]);
+        mram[failing][..LEN / 2].copy_from_slice(&next[failing][..LEN / 2]);
+        assert_eq!(read_back(), mram, "devices={devices}: entry {failing} torn");
+
+        let snap = sys.registry().snapshot();
+        assert_eq!(snap.level("virtio.queue.depth.rank0"), 0);
+        drop(vm);
+        sys.shutdown();
+    }
+}
+
 // --------------------------------------------------------- backend chunks
 
 /// A torn per-DPU chunk write surfaces typed, never corrupts neighbouring
