@@ -8,10 +8,10 @@
 # this tree and every virt_fingerprint equals benchmark/baseline.json), the
 # concurrency stress/determinism suites (inline vs lane dispatch
 # bit-identity) and scheduler oversubscription suites (the latter with the
-# multi-VM and migration suites, which drive the same backend -> scheduler
-# -> rank-table call path) under varied harness parallelism and pinned to
-# one CPU (a one-worker data pool), the zero-copy data-path integrity/leak
-# gate, the chaos leg (fault-injection suites under varied harness
+# multi-VM, migration and load-harness suites, which drive the same
+# backend -> scheduler -> rank-table call path) under varied harness
+# parallelism and pinned to one CPU (a one-worker data pool), the
+# zero-copy data-path integrity/leak gate, the chaos leg (fault-injection suites under varied harness
 # parallelism, then the chaos suite over the CHAOS_SEED matrix), the shard
 # leg (rank-table properties + exact end-state churn accounting under
 # varied harness parallelism, then the churn suite over the SHARD_SEED
@@ -30,7 +30,7 @@ tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism
-	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration
+	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration load_harness
 	sh ci/perf-gate.sh
 	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
 	sh ci/seed-sweep.sh CHAOS_SEED chaos_suite

@@ -20,8 +20,8 @@
 # transport backpressure), the sched leg (8 VMs time-shared over 4 ranks
 # read back exactly the bytes a dedicated run produces, under constant
 # checkpoint/restore churn, with one- and two-device tenants; plus the
-# multi-VM and migration suites, whose allocations call the rank table
-# from the requesting thread), the chaos leg (every injected fault
+# multi-VM, migration and load-harness suites, whose allocations call the
+# rank table from the requesting thread), the chaos leg (every injected fault
 # surfaces typed or is recovered transparently, payloads stay
 # bit-identical, `inject.*` / `retry.*` totals are exact inline and on a
 # lane) and the shard leg (rank-table properties, exact end-state

@@ -446,15 +446,14 @@ pub fn manager_experiment(env: &BenchEnv) -> ManagerReport {
     let reset_time = env
         .cost_model()
         .rank_reset(env.driver().machine().config().rank_mapped_bytes());
-    // Exercise: launch, release, wait for recycle.
+    // Exercise: launch, release, recycle. The sweep returns once both
+    // released ranks are reset, whether it or the observer reset them.
     let vm = sys.launch(vpim::TenantSpec::new("mgr-exercise").devices(2)).expect("vm");
     vm.release_all().expect("release");
     drop(vm);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while sys.manager().stats().resets < 2 && std::time::Instant::now() < deadline {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    sys.sync_ranks();
     let stats = sys.manager().stats();
+    assert_eq!(stats.resets, 2, "both released ranks recycled: {stats:?}");
     sys.shutdown();
     ManagerReport { alloc_latency, reset_time, stats }
 }

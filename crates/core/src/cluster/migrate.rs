@@ -21,8 +21,7 @@
 //! 5. *Restore* — launch a fresh VM for the tenant on the destination,
 //!    then [`Rank::restore`] each parked snapshot onto its linked rank.
 //! 6. *Cutover* — swap the entry's VM handle, release the source VM's
-//!    ranks, expedite the source manager's sweep, and atomically re-home
-//!    the tenant in the placement table.
+//!    ranks, and atomically re-home the tenant in the placement table.
 //!
 //! **Pre-copy** adds a warm round before step 1: snapshot the running
 //! ranks (brief slot holds, no freeze), ship the *full* bytes while the
@@ -340,7 +339,7 @@ impl Fleet {
 
         // Destination VM + restore. The tenant stays frozen (entry lock);
         // this whole window is downtime.
-        let dst = match self.hosts()[to].system().launch_with_retry(&state.spec) {
+        let dst = match self.hosts()[to].system().launch(state.spec.clone()) {
             Ok(vm) => vm,
             Err(e) => {
                 evict_inflight(need);
@@ -363,7 +362,6 @@ impl Fleet {
                 evict_inflight(need);
                 let _ = dst.release_all();
                 drop(dst);
-                self.hosts()[to].system().sync_ranks();
                 return Err(e);
             }
         }
@@ -372,7 +370,6 @@ impl Fleet {
         let old = std::mem::replace(&mut state.vm, dst);
         let _ = old.release_all();
         drop(old);
-        self.hosts()[state.host].system().sync_ranks();
         state.host = to;
         Ok((bytes_shipped, dirty_bytes, downtime))
     }

@@ -358,7 +358,7 @@ impl Fleet {
                 }
             }
         };
-        let vm = match self.hosts[host].system().launch_with_retry(&spec) {
+        let vm = match self.hosts[host].system().launch(spec.clone()) {
             Ok(vm) => vm,
             Err(e) => {
                 let _ord = ordered(LockLevel::Placement, 0);
@@ -410,8 +410,8 @@ impl Fleet {
         f(&state.vm)
     }
 
-    /// Releases a tenant: frees its ranks on its home host, expedites the
-    /// manager sweep there, and drops its placement.
+    /// Releases a tenant: frees its ranks on its home host and drops its
+    /// placement.
     ///
     /// # Errors
     ///
@@ -430,7 +430,6 @@ impl Fleet {
         let TenantState { vm, spec, host } = state;
         let _ = vm.release_all();
         drop(vm);
-        self.hosts[host].system().sync_ranks();
         {
             let _ord = ordered(LockLevel::Placement, 0);
             self.placement.lock().release(tenant, host, spec.n_devices());

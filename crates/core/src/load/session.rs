@@ -65,9 +65,7 @@ fn run_session(sys: &VpimSystem, mix: &TenantMix, seed: u64, idx: usize) -> Sess
         .template()
         .clone()
         .retag(format!("{}-s{idx}", profile.name()));
-    // Released ranks come back through an asynchronous observer; admission
-    // can transiently find none available.
-    let Ok(vm) = sys.launch_with_retry(&spec) else {
+    let Ok(vm) = sys.launch(spec) else {
         return SessionRun {
             profile: pi,
             service_ns: 0,

@@ -7,8 +7,9 @@
 //!   available: awaiting content reset) — Fig. 5;
 //! * an **allocation strategy**: prefer a `NANA` rank previously used by
 //!   the same requester (skips the reset), else a `NAAV` rank by
-//!   round-robin, else wait for a `NANA` reset to finish, else retry with a
-//!   configurable timeout up to a configurable attempt count, then abandon;
+//!   round-robin; a miss runs the observer's sweep on the requester's
+//!   thread (which waits out `NANA` resets), then waits for a release
+//!   within one wall budget of `retry_timeout × max_attempts`, then abandons;
 //! * an **observer thread** that watches the driver's sysfs rank-status
 //!   files: VMs do *not* tell the manager when they release a rank — the
 //!   observer detects the release, moves the rank to `NANA` and erases its
@@ -43,18 +44,20 @@ use crate::error::VpimError;
 use table::TableState;
 
 /// Fault point for manager RPCs ([`ManagerClient::alloc`],
-/// [`ManagerClient::sync`], [`ManagerClient::mark_ckpt`]): firing makes
-/// the call fail typed (or, for the fire-and-wait `sync`, skip the sweep)
-/// before reaching the table — the simulated analogue of a dropped
-/// domain-socket message. Counter-based across all RPC kinds.
+/// [`ManagerClient::probe`], [`ManagerClient::mark_ckpt`]): firing makes
+/// the call fail typed before reaching the table — the simulated analogue
+/// of a dropped domain-socket message. Counter-based across all RPC kinds.
 pub const MANAGER_RPC_POINT: &str = "manager.rpc";
 
-/// Tuning knobs of the manager (§3.5 defaults).
+/// Tuning knobs of the manager (§3.5 defaults): a dedicated-mode
+/// [`ManagerClient::alloc`] whose sweep found nothing waits at most
+/// `retry_timeout × max_attempts` of wall time in all (1 s), then is
+/// abandoned. [`ManagerClient::probe`] never waits.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// How long one allocation attempt waits before retrying.
+    /// The paper's per-attempt wait; one factor of the request's budget.
     pub retry_timeout: Duration,
-    /// Attempts before a request is abandoned.
+    /// The paper's attempt count; the other factor of the budget.
     pub max_attempts: usize,
 }
 
@@ -104,15 +107,15 @@ impl ManagerClient {
         self.state.alloc(owner, self.cfg.retry_timeout, self.cfg.max_attempts)
     }
 
-    /// Runs one synchronous observe-and-reset sweep: released ranks become
-    /// `NANA`, then reset to `NAAV`, before this returns. A no-op if the
-    /// manager stopped, or if [`MANAGER_RPC_POINT`] fires (the sweep is
-    /// skipped — callers already tolerate the observer being late, so this
-    /// degrades gracefully).
-    pub fn sync(&self) {
-        if self.rpc().is_ok() {
-            self.state.sync_now();
-        }
+    /// Requests a rank for `owner` without waiting (one scan, one sweep,
+    /// one rescan): the oversubscribed queue head's call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::alloc`].
+    pub fn probe(&self, owner: &str) -> Result<AllocOutcome, VpimError> {
+        self.rpc()?;
+        self.state.alloc(owner, Duration::ZERO, 1)
     }
 
     /// Marks `rank` as checkpointed (`ALLO → CKPT`); returns whether the
@@ -164,7 +167,7 @@ impl Manager {
         );
         let stop = Arc::new(AtomicBool::new(false));
         // Observer: on every sysfs change (or 50 ms, whichever is first)
-        // run the same observe-and-reset sweep `ManagerClient::sync` runs.
+        // run the same observe-and-reset sweep an allocation miss runs.
         let observer = {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
@@ -367,7 +370,7 @@ mod tests {
     #[test]
     fn table_calls_never_queue_behind_parked_allocs() {
         // Nine requests park on a full 2-rank machine — one more than the
-        // paper's pool has threads. `mark_ckpt` and `sync` must still
+        // paper's pool has threads. `mark_ckpt` and a sweep must still
         // return at once, and as ranks are released every parked request is
         // served in turn (none abandoned).
         let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
@@ -396,7 +399,7 @@ mod tests {
             start.wait();
             let t = std::time::Instant::now();
             assert!(c.mark_ckpt(b.rank).unwrap());
-            c.sync();
+            mgr.sync_now();
             assert!(t.elapsed() < Duration::from_secs(1), "queued behind parked allocs");
             drop(held_a); // the observer recycles rank a to a parked request
             for w in waiters {
@@ -415,9 +418,11 @@ mod tests {
         mgr.shutdown();
         assert!(matches!(c.alloc("late"), Err(VpimError::ManagerDown)));
         assert!(matches!(c.mark_ckpt(0), Err(VpimError::ManagerDown)));
-        // `sync` is a no-op: an external claim is no longer observed.
+        assert!(matches!(c.probe("late"), Err(VpimError::ManagerDown)));
+        // A refused request never reached the table, so it did not sweep:
+        // an external claim stays unobserved.
         let _native = driver.open_perf(0, "native:late").unwrap();
-        c.sync();
+        assert!(matches!(c.alloc("later"), Err(VpimError::ManagerDown)));
         assert_eq!(c.state.state_of(0), Some(RankState::Naav));
         assert_eq!(c.state.stats().allocations, 0);
     }

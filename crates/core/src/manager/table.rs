@@ -1,8 +1,8 @@
 //! The rank table and its state machine (Fig. 5).
 //!
 //! One mutex guards the whole table (a host has 8 ranks, §3.5) and one
-//! condvar, paired with that mutex, carries every wakeup: allocation
-//! retries and [`TableState::wait_for_state`] park on it holding the table
+//! condvar, paired with that mutex, carries every wakeup: allocations,
+//! sweeps and [`TableState::wait_for_state`] park on it holding the table
 //! lock, so a transition made under the lock can never slip between a
 //! waiter's check and its wait. The lock is `LockLevel::ManagerTable`;
 //! the only lock taken inside it is the sysfs board's, for the claim
@@ -83,12 +83,12 @@ impl State {
 struct Entry {
     state: State,
     last_owner: Option<String>,
-    /// The sysfs claim counter at allocation time. A Free sysfs entry only
-    /// means "released" once the counter moved past this value — guarding
-    /// the alloc-decision → device-open window and catching claim/release
-    /// cycles that happen entirely between two observer sweeps.
-    claims_at_alloc: u64,
-    /// A [`TableState::reset_rank`] call currently owns this rank.
+    /// The sysfs claim counter at allocation or at a finished reset. A
+    /// Free (held) or InUse (NAAV) entry only counts once the counter moved
+    /// past it — guarding the alloc-decision → device-open window, catching
+    /// claim/release cycles between sweeps, ignoring pre-reset snapshots.
+    claims_seen: u64,
+    /// A reset (a sweep's or [`TableState::reset_rank`]'s) owns this rank.
     resetting: bool,
 }
 
@@ -135,7 +135,7 @@ impl TableState {
                     .map(|_| Entry {
                         state: State::Naav,
                         last_owner: None,
-                        claims_at_alloc: 0,
+                        claims_seen: 0,
                         resetting: false,
                     })
                     .collect(),
@@ -177,20 +177,25 @@ impl TableState {
         self.lock().1.entries.get(rank).map(|e| e.state.public())
     }
 
-    /// The allocation strategy of §3.5, run on the requester's thread.
+    /// The allocation strategy of §3.5, run on the requester's thread; it
+    /// waits at most `retry_timeout × max_attempts` from its first miss.
     ///
     /// # Errors
     ///
-    /// [`VpimError::NoRankAvailable`] once `max_attempts` scans (with a
-    /// `retry_timeout` wait between them) found nothing claimable.
+    /// [`VpimError::NoRankAvailable`] once the budget ran out with nothing
+    /// claimable.
     pub fn alloc(
         &self,
         owner: &str,
         retry_timeout: Duration,
         max_attempts: usize,
     ) -> Result<AllocOutcome, VpimError> {
-        let (_ord, mut t) = self.lock();
-        for _attempt in 0..max_attempts.max(1) {
+        let attempts = max_attempts.max(1).try_into().unwrap_or(u32::MAX);
+        let budget = retry_timeout.saturating_mul(attempts);
+        let mut deadline = None;
+        let mut held = self.lock();
+        loop {
+            let t = &mut *held.1;
             let n = t.entries.len();
             // 1. A NANA rank previously used by this owner: no reset needed.
             let reuse = t.entries.iter().position(|e| {
@@ -211,17 +216,28 @@ impl TableState {
                 }
                 let e = &mut t.entries[rank];
                 e.state = State::Allo { owner: owner.to_string() };
-                e.claims_at_alloc = self.driver.sysfs().claim_count(rank);
+                e.claims_seen = self.driver.sysfs().claim_count(rank);
                 e.last_owner = Some(owner.to_string());
                 self.transitions.inc(); // NANA/NAAV -> ALLO
                 self.stats.allocations.fetch_add(1, Ordering::Relaxed);
-                drop(t);
+                drop(held);
                 self.changed.notify_all();
                 return Ok(AllocOutcome { rank, reused });
             }
-            // 3. Wait: either for a NANA reset to complete or for any
-            //    release, then retry.
-            let _ = self.changed.wait_for(&mut t, retry_timeout);
+            // 3. The first miss runs the observer's sweep, then rescans.
+            let Some(deadline) = deadline else {
+                deadline = Some(Instant::now() + budget);
+                drop(held);
+                self.sync_now();
+                held = self.lock();
+                continue;
+            };
+            // 4. Wait for a release, within the one wall budget.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            let _ = self.changed.wait_for(&mut held.1, left);
         }
         self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
         Err(VpimError::NoRankAvailable)
@@ -231,26 +247,33 @@ impl TableState {
     /// per rank); returns ranks that were just released and need a
     /// content reset.
     pub fn sync_with_sysfs(&self, snapshot: &[(RankStatus, u64)]) -> Vec<usize> {
+        self.observe(snapshot, false)
+    }
+
+    /// [`Self::sync_with_sysfs`]; `claim_resets` marks released ranks `resetting`.
+    fn observe(&self, snapshot: &[(RankStatus, u64)], claim_resets: bool) -> Vec<usize> {
         let mut to_reset = Vec::new();
         let mut changed_any = false;
         let (_ord, mut t) = self.lock();
         for (rank, ((status, claims), e)) in snapshot.iter().zip(&mut t.entries).enumerate() {
             match (status, &e.state) {
-                (RankStatus::InUse { owner }, State::Naav) => {
+                (RankStatus::InUse { owner }, State::Naav) if *claims > e.claims_seen => {
                     // A native host application claimed the rank directly
                     // through the driver (R3: coexistence without app
-                    // changes). Manager reset claims never hit this arm
-                    // because resets only run on NANA ranks.
+                    // changes). A snapshot read before the rank's last
+                    // reset — its previous owner's claim, or the reset's
+                    // own — has a counter no later than `claims_seen`.
                     e.state = State::Allo { owner: owner.clone() };
                     e.last_owner = Some(owner.clone());
-                    e.claims_at_alloc = claims.saturating_sub(1);
+                    e.claims_seen = claims.saturating_sub(1);
                     self.transitions.inc(); // NAAV -> ALLO (external claim)
                     changed_any = true;
                 }
                 (RankStatus::Free, State::Allo { .. } | State::Ckpt { .. })
-                    if *claims > e.claims_at_alloc =>
+                    if *claims > e.claims_seen =>
                 {
                     e.state = State::Nana;
+                    e.resetting = claim_resets;
                     self.transitions.inc(); // ALLO/CKPT -> NANA (release observed)
                     to_reset.push(rank);
                     changed_any = true;
@@ -280,14 +303,17 @@ impl TableState {
     }
 
     /// One synchronous observe-and-reset sweep: reconcile the table with
-    /// a sysfs snapshot and reset every just-released rank inline. The
-    /// one recycle path: the observer thread runs it on every sysfs
-    /// change, and the scheduler calls it to expedite recycling after a
-    /// preemption instead of waiting out the observer's 50 ms poll.
+    /// a sysfs snapshot, reset every just-released rank inline, then wait
+    /// out resets other sweeps have in flight. The one recycle path: the
+    /// observer runs it on every sysfs change, [`Self::alloc`] on a miss.
     pub fn sync_now(&self) {
         let snapshot = self.driver.sysfs().snapshot();
-        for rank in self.sync_with_sysfs(&snapshot) {
-            self.reset_rank(rank);
+        for rank in self.observe(&snapshot, true) {
+            self.erase(rank);
+        }
+        let (_ord, mut t) = self.lock();
+        while t.entries.iter().any(|e| e.resetting) {
+            self.changed.wait(&mut t);
         }
     }
 
@@ -313,13 +339,15 @@ impl TableState {
     }
 
     /// Clears `rank`'s `resetting` mark once its erase attempt is over;
-    /// `erased` promotes a rank that is still NANA to NAAV.
-    fn finish_reset(&self, rank: usize, erased: bool) {
+    /// `erased` (the reset claim's counter) promotes a rank that is still
+    /// NANA to NAAV.
+    fn finish_reset(&self, rank: usize, erased: Option<u64>) {
         let (_ord, mut t) = self.lock();
         let e = &mut t.entries[rank];
         e.resetting = false;
-        if erased && e.state == State::Nana {
+        if let (Some(claims), State::Nana) = (erased, &e.state) {
             e.state = State::Naav;
+            e.claims_seen = claims;
             self.transitions.inc(); // NANA -> NAAV (reset done)
         }
         drop(t);
@@ -338,10 +366,17 @@ impl TableState {
             }
             e.resetting = true;
         }
+        self.erase(rank);
+    }
+
+    /// Erases a NANA rank the caller marked `resetting`, then promotes it.
+    fn erase(&self, rank: usize) {
         // Claim the rank so natives/backends cannot grab it mid-erase (no
         // table lock is held across the erase).
         match self.driver.open_perf(rank, "manager-reset") {
             Ok(handle) => {
+                // While the claim is held, the counter is this claim's.
+                let claims = self.driver.sysfs().claim_count(rank);
                 if let Ok(r) = self.driver.machine().rank(rank) {
                     r.reset_content();
                 }
@@ -353,12 +388,12 @@ impl TableState {
                 self.stats
                     .reset_virtual_ns
                     .fetch_add(reset_ns.as_nanos(), Ordering::Relaxed);
-                self.finish_reset(rank, true);
+                self.finish_reset(rank, Some(claims));
             }
             // Someone (a native app) grabbed the rank between release and
             // reset; give up — the observer will re-detect the next
             // release and re-queue the reset.
-            Err(_) => self.finish_reset(rank, false),
+            Err(_) => self.finish_reset(rank, None),
         }
     }
 
@@ -516,6 +551,44 @@ mod tests {
         // And its eventual release is detected.
         let to_reset = s.sync_with_sysfs(&[free(1), free(0)]);
         assert_eq!(to_reset, vec![0]);
+    }
+
+    #[test]
+    fn snapshot_read_before_a_reset_is_not_an_external_claim() {
+        let s = state();
+        let a = s.alloc("vm", quick(), 1).unwrap();
+        let handle = s.driver.open_perf(a.rank, "vm").unwrap();
+        let stale = s.driver.sysfs().snapshot();
+        drop(handle);
+        // Release observed, rank reset: ALLO -> NANA -> NAAV.
+        s.sync_now();
+        assert_eq!(s.states(), vec![RankState::Naav; 2]);
+        assert_eq!(s.transitions(), 3);
+        // A sweep that read sysfs before that reset lands late: its InUse
+        // entry is the previous owner's claim, not a native one.
+        assert!(s.sync_with_sysfs(&stale).is_empty());
+        assert_eq!(s.states(), vec![RankState::Naav; 2]);
+        assert_eq!(s.transitions(), 3);
+        // A claim made after the reset still counts.
+        let _native = s.driver.open_perf(a.rank, "native:app").unwrap();
+        s.sync_now();
+        assert_eq!(s.state_of(a.rank), Some(RankState::Allo));
+    }
+
+    #[test]
+    fn a_miss_recycles_a_released_rank_itself() {
+        // No observer runs here: the request's own sweep sees the release,
+        // resets the rank and grants it.
+        let s = state();
+        let a = s.alloc("a", quick(), 1).unwrap();
+        let b = s.alloc("b", quick(), 1).unwrap();
+        drop(s.driver.open_perf(a.rank, "a").unwrap());
+        let _held = s.driver.open_perf(b.rank, "b").unwrap();
+        let c = s.alloc("c", Duration::ZERO, 1).unwrap();
+        assert_eq!((c.rank, c.reused), (a.rank, false));
+        assert_eq!(s.stats().resets, 1);
+        assert!(s.alloc("d", Duration::ZERO, 1).is_err());
+        assert_eq!(s.stats().abandoned, 1);
     }
 
     #[test]

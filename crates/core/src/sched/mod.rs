@@ -12,12 +12,13 @@
 //!   request is abandoned with [`VpimError::NoRankAvailable`].
 //! * **Oversubscribed mode**: acquire enqueues the tenant in a
 //!   [`AdmissionQueue`] (FIFO or weighted-fair) and blocks. The queue head
-//!   probes the manager (a call into its rank table on this thread); when
-//!   the machine is exhausted it *preempts* a running tenant: wait for the victim's **safe point** (its per-device
+//!   probes the manager (a call into its rank table on this thread, which
+//!   never waits); when the machine is exhausted it *preempts* a running
+//!   tenant: wait for the victim's **safe point** (its per-device
 //!   rank slot unlocked, i.e. no in-flight operation, and every DPU idle),
 //!   checkpoint the rank with [`Rank::snapshot_quiescent`], park the
 //!   checkpoint in a budgeted [`SnapshotStore`], flip the rank's table
-//!   entry to `CKPT` and drop the victim's claim so the manager's observer
+//!   entry to `CKPT` and drop the victim's claim so the head's next probe
 //!   recycles the rank (reset → `NAAV`). When a preempted tenant is next
 //!   granted a rank, its parked checkpoint is restored bit-identically
 //!   before the grant returns.
@@ -379,7 +380,7 @@ impl Scheduler {
                 // a victim's RankSlot, which sits below SchedState.
                 drop(held);
                 // `true`: a rank is being recycled, re-probe without waiting.
-                let reprobe = match inner.manager.alloc(tenant) {
+                let reprobe = match inner.manager.probe(tenant) {
                     Ok(outcome) => {
                         let wait_vt = wait_vt + transient.backoff();
                         return self.finish_grant(tenant, Some(ticket), &outcome, wait_vt, slot);
@@ -402,10 +403,8 @@ impl Scheduler {
                 return Err(VpimError::AdmissionTimeout(tenant.to_string()));
             }
             // Who is head changes only under the lock held here, so a
-            // non-head waiter cannot sleep through becoming head. The
-            // head's probe also depends on state outside this lock (the
-            // manager's table, which the observer recycles unannounced),
-            // hence the bounded tick.
+            // non-head waiter cannot sleep through becoming head. A dropped
+            // VM's release reaches sysfs, not this lock: hence the tick.
             let _ = inner.changed.wait_for(&mut held.1, WAIT_TICK);
         }
     }
@@ -489,8 +488,8 @@ impl Scheduler {
         inner.changed.notify_all();
     }
 
-    /// Picks a victim and checkpoints it. `true` means a rank was (or
-    /// is being) freed and the caller should re-probe the manager;
+    /// Picks a victim and checkpoints it. `true` means a rank was freed
+    /// and the caller should re-probe the manager, whose sweep recycles it;
     /// `false` means nothing was preemptable and the caller should
     /// block until the next change.
     ///
@@ -556,8 +555,8 @@ impl Scheduler {
             self.clear_preempting(&victim);
             return false;
         }
-        // ALLO → CKPT in the rank table, then drop the victim's claim so
-        // the observer sees the release and recycles the rank.
+        // ALLO → CKPT in the rank table, then drop the victim's claim; the
+        // caller's re-probe sees the release and recycles the rank.
         let _ = inner.manager.mark_ckpt(rank);
         *guard = None;
         drop(guard);
@@ -566,16 +565,12 @@ impl Scheduler {
         *wait_vt = *wait_vt
             + inner.cm.rank_snapshot(bytes)
             + inner.cm.rank_reset(inner.driver.machine().config().rank_mapped_bytes());
-        // Expedite observe + reset instead of waiting for the 50 ms
-        // observer sweep.
-        inner.manager.sync();
         inner.changed.notify_all();
         true
     }
 
     fn reap(&self, tenant: &str) {
         self.lock_state().1.running.remove(tenant);
-        self.inner.manager.sync();
         self.inner.changed.notify_all();
     }
 
@@ -613,10 +608,6 @@ impl Scheduler {
         let inner = &*self.inner;
         self.lock_state().1.running.remove(tenant);
         inner.store.evict(tenant);
-        if inner.cfg.oversubscription {
-            // Expedite rank recycling for the waiters we are about to wake.
-            inner.manager.sync();
-        }
         inner.changed.notify_all();
     }
 }
@@ -627,14 +618,11 @@ mod tests {
     use crate::manager::{Manager, ManagerConfig};
     use upmem_sim::{PimConfig, PimMachine};
 
-    fn snappy() -> ManagerConfig {
-        ManagerConfig {
-            retry_timeout: Duration::from_millis(5),
-            max_attempts: 1,
-        }
+    fn host(ranks: usize) -> (Arc<UpmemDriver>, Manager) {
+        host_with(ranks, ManagerConfig::default())
     }
 
-    fn host(ranks: usize) -> (Arc<UpmemDriver>, Manager) {
+    fn host_with(ranks: usize, mcfg: ManagerConfig) -> (Arc<UpmemDriver>, Manager) {
         let cfg = PimConfig {
             ranks,
             functional_dpus: vec![8; ranks],
@@ -642,7 +630,7 @@ mod tests {
             ..PimConfig::small()
         };
         let driver = Arc::new(UpmemDriver::new(PimMachine::new(cfg)));
-        let mgr = Manager::start(driver.clone(), CostModel::default(), snappy());
+        let mgr = Manager::start(driver.clone(), CostModel::default(), mcfg);
         (driver, mgr)
     }
 
@@ -662,7 +650,10 @@ mod tests {
 
     #[test]
     fn dedicated_mode_passes_exhaustion_through() {
-        let (driver, mgr) = host(1);
+        // A short wait budget: dedicated exhaustion is the manager's
+        // answer, after its wait.
+        let mcfg = ManagerConfig { retry_timeout: Duration::from_millis(5), max_attempts: 1 };
+        let (driver, mgr) = host_with(1, mcfg);
         let s = sched(&driver, &mgr, SchedSection::default());
         let slot_a: RankSlot = Arc::new(Mutex::new(None));
         let slot_b: RankSlot = Arc::new(Mutex::new(None));

@@ -2,7 +2,6 @@
 //! vUPMEM devices.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use pim_vmm::{BootReport, Vm, VmConfig};
 use simkit::{BytePool, CostModel, Counter, FaultPlane, Gauge, MetricsRegistry, WorkerPool};
@@ -233,10 +232,10 @@ impl VpimSystem {
         &self.sched
     }
 
-    /// Forces one synchronous manager rank sweep so freshly released
-    /// ranks re-enter the allocatable pool without waiting for the
-    /// background observer. The fleet plane calls this after tearing down
-    /// a migrated tenant's source VM (cross-host release → re-admit).
+    /// Forces one synchronous manager rank sweep: freshly released ranks
+    /// are reset and NAAV when this returns. Admission never needs it (a
+    /// rank request sweeps on its own miss); it is for callers that read
+    /// the table or the manager's statistics and want them settled.
     pub fn sync_ranks(&self) {
         self.manager().sync_now();
     }
@@ -344,28 +343,6 @@ impl VpimSystem {
         Ok(VpimVm { vm, devices, frontends, boot, live: self.tenants_live.clone() })
     }
 
-    /// [`launch`](Self::launch), absorbing the transient
-    /// `NoRankAvailable`/`NotLinked` window while recently released ranks
-    /// finish their recycling: each failed attempt runs the manager's
-    /// sweep itself ([`sync_ranks`](Self::sync_ranks)) instead of waiting
-    /// for the observer, for up to 10 s. For callers that know capacity
-    /// exists (the load harness's bounded workers, the fleet's placement
-    /// table), so only recycle lag can stand in the way.
-    pub(crate) fn launch_with_retry(&self, spec: &TenantSpec) -> Result<VpimVm, VpimError> {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match self.launch(spec.clone()) {
-                Err(VpimError::NoRankAvailable | VpimError::NotLinked)
-                    if Instant::now() < deadline =>
-                {
-                    self.sync_ranks();
-                    std::thread::yield_now();
-                }
-                done => return done,
-            }
-        }
-    }
-
     /// Stops the manager and consumes the system.
     pub fn shutdown(mut self) {
         if let Some(m) = self.manager.take() {
@@ -447,6 +424,7 @@ impl VpimVm {
 mod tests {
     use super::*;
     use crate::manager::RankState;
+    use std::time::Duration;
     use upmem_sim::{PimConfig, PimMachine};
 
     fn system() -> VpimSystem {

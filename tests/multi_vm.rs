@@ -93,6 +93,33 @@ fn rank_exhaustion_is_reported_then_recovers() {
     sys.shutdown();
 }
 
+/// A rank released a moment ago goes to the next launch without the
+/// observer: the manager here never waits, so only the request's own
+/// sweep can recycle the rank in time — with one device (handlers inline)
+/// and with two (handlers on lanes).
+#[test]
+fn a_released_rank_goes_to_the_next_launch_without_the_observer() {
+    for devices in [1usize, 2] {
+        let never_waits = vpim::manager::ManagerConfig {
+            retry_timeout: Duration::ZERO,
+            max_attempts: 1,
+        };
+        let sys = VpimSystem::start(
+            host(devices),
+            VpimConfig::full(),
+            StartOpts::new().manager(never_waits),
+        );
+        let a = sys.launch(TenantSpec::new("a").devices(devices).mem_mib(16)).unwrap();
+        let resets = sys.manager().stats().resets;
+        a.release_all().unwrap();
+        drop(a);
+        let b = sys.launch(TenantSpec::new("b").devices(devices).mem_mib(16)).unwrap();
+        assert_eq!(sys.manager().stats().resets, resets + devices as u64, "{devices} device(s)");
+        drop(b);
+        sys.shutdown();
+    }
+}
+
 #[test]
 fn native_applications_coexist_with_vms() {
     let driver = host(3);

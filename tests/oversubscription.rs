@@ -11,12 +11,11 @@
 //! handler on its own lane).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use simkit::{CostModel, FaultPlan};
+use simkit::FaultPlan;
 use upmem_driver::UpmemDriver;
 use upmem_sim::{PimConfig, PimMachine};
-use vpim::manager::ManagerConfig;
 use vpim::{FaultSite, StartOpts, TenantSpec, VpimConfig, VpimSystem};
 
 const ROUNDS: usize = 4;
@@ -31,16 +30,6 @@ fn host(ranks: usize) -> Arc<UpmemDriver> {
         ..PimConfig::small()
     });
     Arc::new(UpmemDriver::new(machine))
-}
-
-/// Snappy manager tuning: exhaustion probes fail in ~5 ms instead of the
-/// production 5 × 200 ms, so the admission loop reaches its preemption
-/// path quickly.
-fn snappy() -> ManagerConfig {
-    ManagerConfig {
-        retry_timeout: Duration::from_millis(5),
-        max_attempts: 1,
-    }
 }
 
 /// The bytes tenant `vm` writes for `dpu` in `round` — unique per
@@ -58,7 +47,7 @@ fn pattern(vm: usize, dpu: u32, round: usize) -> Vec<u8> {
 /// are verified every round, not just at the end). Returns each tenant's
 /// final full read-back.
 fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize, devices: usize) -> Vec<Vec<Vec<u8>>> {
-    let sys = VpimSystem::start(host(ranks), vcfg, StartOpts::new().cost_model(CostModel::default()).manager(snappy()));
+    let sys = VpimSystem::start(host(ranks), vcfg, StartOpts::default());
     let tenants: Vec<_> = (0..vms)
         .map(|v| sys.launch(TenantSpec::new(format!("vm-{v}")).devices(devices)).unwrap())
         .collect();
@@ -179,7 +168,7 @@ fn scheduler_telemetry_is_published() {
         .oversubscription(true)
         .sched_quantum_ms(0)
         .build();
-    let sys = VpimSystem::start(host(1), vcfg, StartOpts::new().cost_model(CostModel::default()).manager(snappy()));
+    let sys = VpimSystem::start(host(1), vcfg, StartOpts::default());
     let a = sys.launch(TenantSpec::new("vm-a")).unwrap();
     let b = sys.launch(TenantSpec::new("vm-b")).unwrap();
     // Bounce the rank between the tenants a few times.
@@ -225,7 +214,7 @@ fn checkpoint_stall_injection_preserves_bit_identical_time_sharing() {
         if stall {
             builder = builder.inject_fault(FaultSite::CkptStall, FaultPlan::EveryK(1));
         }
-        let sys = VpimSystem::start(host(1), builder.build(), StartOpts::new().cost_model(CostModel::default()).manager(snappy()));
+        let sys = VpimSystem::start(host(1), builder.build(), StartOpts::default());
         let a = sys.launch(TenantSpec::new("vm-a")).unwrap();
         let b = sys.launch(TenantSpec::new("vm-b")).unwrap();
         for round in 0..3usize {
@@ -279,7 +268,7 @@ fn voluntary_release_evicts_parked_checkpoint_and_unblocks_waiters() {
         .oversubscription(true)
         .sched_quantum_ms(0)
         .build();
-    let sys = VpimSystem::start(host(1), vcfg, StartOpts::new().cost_model(CostModel::default()).manager(snappy()));
+    let sys = VpimSystem::start(host(1), vcfg, StartOpts::default());
     let a = sys.launch(TenantSpec::new("vm-a")).unwrap();
     let b = sys.launch(TenantSpec::new("vm-b")).unwrap();
     a.frontend(0).write_rank(&[(0, 0, &[0xAA; 128])]).unwrap();
@@ -296,6 +285,30 @@ fn voluntary_release_evicts_parked_checkpoint_and_unblocks_waiters() {
     // vm-b still works (and still owns the rank or can reacquire it).
     let (outs, _) = b.frontend(0).read_rank(&[(0, 0, 128)]).unwrap();
     assert_eq!(outs[0], vec![0xBB; 128]);
+    drop((a, b));
+    sys.shutdown();
+}
+
+/// An oversubscribed preemption never sits in the manager's wait: under
+/// the production manager tuning (a 1 s dedicated-mode budget) the queue
+/// head's probe answers at once, so the one preemption vm-b's launch needs
+/// happens without delay.
+#[test]
+fn preemption_does_not_wait_out_the_manager_budget() {
+    let vcfg = VpimConfig::builder()
+        .batching(false)
+        .prefetch(false)
+        .oversubscription(true)
+        .sched_quantum_ms(0)
+        .build();
+    let sys = VpimSystem::start(host(1), vcfg, StartOpts::default());
+    let a = sys.launch(TenantSpec::new("vm-a").mem_mib(16)).unwrap();
+    a.frontend(0).write_rank(&[(0, 0, &[0xA5; 64])]).unwrap();
+    let t = Instant::now();
+    let b = sys.launch(TenantSpec::new("vm-b").mem_mib(16)).unwrap();
+    let took = t.elapsed();
+    assert_eq!(sys.scheduler().stats().preemptions, 1);
+    assert!(took < Duration::from_millis(500), "vm-b's launch took {took:?}");
     drop((a, b));
     sys.shutdown();
 }

@@ -4,7 +4,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use proptest::prelude::*;
 use simkit::{CostModel, MetricsRegistry};
@@ -14,13 +13,6 @@ use vpim::manager::{Manager, ManagerConfig};
 use vpim::sched::{empty_slot, AdmissionQueue, RankSlot, SchedPolicy, Scheduler};
 use vpim::SchedSection;
 
-fn snappy() -> ManagerConfig {
-    ManagerConfig {
-        retry_timeout: Duration::from_millis(2),
-        max_attempts: 1,
-    }
-}
-
 fn host(ranks: usize) -> (Arc<UpmemDriver>, Manager) {
     let cfg = PimConfig {
         ranks,
@@ -29,7 +21,7 @@ fn host(ranks: usize) -> (Arc<UpmemDriver>, Manager) {
         ..PimConfig::small()
     };
     let driver = Arc::new(UpmemDriver::new(PimMachine::new(cfg)));
-    let mgr = Manager::start(driver.clone(), CostModel::default(), snappy());
+    let mgr = Manager::start(driver.clone(), CostModel::default(), ManagerConfig::default());
     (driver, mgr)
 }
 

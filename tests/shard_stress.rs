@@ -141,12 +141,8 @@ fn oversubscribed_churn_settles_queue_depth_and_grants() {
     const TENANTS: usize = 8;
     const ROUNDS: usize = 5;
     let driver = driver(2);
-    let mcfg = ManagerConfig {
-        retry_timeout: Duration::from_millis(2),
-        max_attempts: 1,
-    };
     let registry = MetricsRegistry::new();
-    let mgr = Manager::start(driver.clone(), CostModel::default(), mcfg);
+    let mgr = Manager::start(driver.clone(), CostModel::default(), ManagerConfig::default());
     let cfg = SchedSection {
         oversubscription: true,
         quantum_ms: 1,
