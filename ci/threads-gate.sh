@@ -17,7 +17,8 @@
 # Every tier-1 gate with a varied-parallelism leg runs it through this
 # script; `make tier1` calls it directly for the stress leg
 # (multi-VM/multi-rank integrity, inline vs lane dispatch bit-identity,
-# transport backpressure), the sched leg (8 VMs time-shared over 4 ranks
+# transport backpressure, pinned guest buffers outliving their handles on
+# a lane), the sched leg (8 VMs time-shared over 4 ranks
 # read back exactly the bytes a dedicated run produces, under constant
 # checkpoint/restore churn, with one- and two-device tenants; plus the
 # multi-VM, migration and load-harness suites, whose allocations call the

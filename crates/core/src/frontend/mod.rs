@@ -28,6 +28,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use pim_virtio::memory::PAGE_SIZE;
 use pim_virtio::mmio::{reg, status as mmio_status};
 use pim_virtio::queue::{DriverQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory, VirtioError};
@@ -41,6 +42,7 @@ use upmem_sim::ci::CiStatus;
 use crate::config::VpimConfig;
 use crate::device::VupmemDevice;
 use crate::error::VpimError;
+use crate::guestbuf::GuestBuf;
 use crate::matrix::{PageLease, TransferMatrix, MAX_DPUS};
 use crate::report::OpReport;
 use crate::spec::{self, PimDeviceConfig, Request, Response};
@@ -48,6 +50,10 @@ use crate::spec::{self, PimDeviceConfig, Request, Response};
 /// Writes at or below this size are candidates for batching (one page —
 /// the paper batches "small-size data transfer" of a few hundred bytes).
 pub const SMALL_WRITE_MAX: u64 = 4096;
+
+/// Guest pages every request takes besides its matrix: the request-info
+/// page and the status page.
+const REQUEST_PAGES: usize = 2;
 
 #[derive(Debug)]
 struct FrontState {
@@ -123,11 +129,17 @@ struct PendingOp {
     kick: KickHandle,
 }
 
-/// The payload of one matrix transfer, in either direction.
+/// The payload of one matrix transfer, in either direction. A write's
+/// bytes are either the application's own memory, copied into fresh guest
+/// pages when its matrix is built (staged), or guest buffers the
+/// application filled, whose pages the matrix names in place (pinned).
+/// Everything but building the matrix is the same for both.
 #[derive(Debug, Clone, Copy)]
 enum Xfer<'a> {
-    /// `write-to-rank`: `(dpu, mram offset, data)`.
+    /// Staged `write-to-rank`: `(dpu, mram offset, data)`.
     Write(&'a [(u32, u64, &'a [u8])]),
+    /// Pinned `write-to-rank`: `(dpu, mram offset, buffer)`.
+    Pinned(&'a [(u32, u64, &'a GuestBuf)]),
     /// `read-from-rank`: `(dpu, mram offset, len)`.
     Read(&'a [(u32, u64, u64)]),
 }
@@ -137,9 +149,32 @@ impl<'a> Xfer<'a> {
     fn chunks(self) -> Vec<Xfer<'a>> {
         match self {
             Xfer::Write(w) => w.chunks(MAX_DPUS).map(Xfer::Write).collect(),
+            Xfer::Pinned(p) => p.chunks(MAX_DPUS).map(Xfer::Pinned).collect(),
             Xfer::Read(r) => r.chunks(MAX_DPUS).map(Xfer::Read).collect(),
         }
     }
+
+    /// The `(dpu, mram offset, len)` of every write entry (none for a
+    /// read).
+    fn writes(self) -> impl Iterator<Item = (u32, u64, u64)> + 'a {
+        let (staged, pinned): (&[(u32, u64, &[u8])], &[(u32, u64, &GuestBuf)]) = match self {
+            Xfer::Write(w) => (w, &[]),
+            Xfer::Pinned(p) => (&[], p),
+            Xfer::Read(_) => (&[], &[]),
+        };
+        let staged = staged.iter().map(|(d, o, b)| (*d, *o, b.len() as u64));
+        staged.chain(pinned.iter().map(|(d, o, b)| (*d, *o, b.len() as u64)))
+    }
+}
+
+/// The data pages a chunk's matrix names: staged copies the chunk owns, or
+/// the application's pinned buffers, which the chunk keeps alive until the
+/// device is done with them. Held only to be dropped.
+#[derive(Debug)]
+#[allow(dead_code)]
+enum DataPages {
+    Staged(PageLease),
+    Pinned(Vec<GuestBuf>),
 }
 
 /// One submitted matrix whose completion has not been absorbed yet. The
@@ -151,7 +186,7 @@ struct Chunk {
     /// The matrix a read gathers its outputs from; `None` for a write.
     gather: Option<TransferMatrix>,
     partial: OpReport,
-    _data_lease: PageLease,
+    _data: DataPages,
     _meta_lease: PageLease,
 }
 
@@ -471,7 +506,7 @@ impl Frontend {
     /// kick; with several devices it runs on this device's lane and the
     /// returned op is genuinely in flight.
     fn submit(&self, req: &Request, extra: &[(Gpa, u32, bool)]) -> Result<PendingOp, VpimError> {
-        let pages = self.mem.alloc_pages(2)?;
+        let pages = self.mem.alloc_pages(REQUEST_PAGES)?;
         let (req_page, status_page) = (pages[0], pages[1]);
         let enc = req.encode();
         if let Err(e) = self.mem.write(req_page, &enc) {
@@ -626,6 +661,45 @@ impl Frontend {
         Ok(report)
     }
 
+    /// [`write_rank`](Self::write_rank) from guest buffers: the matrix
+    /// names the buffers' own pages instead of copies. Report, bytes and
+    /// every counter are those of the same write from `&[u8]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_rank`](Self::write_rank); [`VpimError::BadRequest`] for a
+    /// buffer of another guest.
+    pub fn write_rank_pinned(
+        &self,
+        entries: &[(u32, u64, &GuestBuf)],
+    ) -> Result<OpReport, VpimError> {
+        let (_, report) = self.finish_rank(self.begin_write_rank_pinned(entries)?)?;
+        Ok(report)
+    }
+
+    /// Allocates a `len`-byte transfer buffer in this guest's RAM, for
+    /// [`write_rank_pinned`](Self::write_rank_pinned).
+    ///
+    /// # Errors
+    ///
+    /// `OutOfPages` when the guest cannot hold it.
+    pub fn alloc_buf(&self, len: usize) -> Result<GuestBuf, VpimError> {
+        GuestBuf::alloc(&self.mem, len)
+    }
+
+    /// Whether the guest, as it is now, has room for the request and
+    /// serialized matrix of a pinned write of `entries` buffers of `len`
+    /// bytes each (at most one matrix's worth) — everything that write
+    /// allocates besides the buffers themselves.
+    #[must_use]
+    pub fn has_room_to_pin(&self, entries: usize, len: usize) -> bool {
+        let pages = (len as u64).div_ceil(PAGE_SIZE) as usize;
+        let meta =
+            TransferMatrix::serialized_len(std::iter::repeat_n(pages, entries.min(MAX_DPUS)));
+        let meta_pages = (meta as u64).div_ceil(PAGE_SIZE) as usize;
+        self.mem.free_pages() >= meta_pages + REQUEST_PAGES
+    }
+
     /// `read-from-rank`: reads `(dpu, offset, len)` ranges, serving small
     /// reads from the prefetch cache when enabled. Returns one buffer per
     /// request plus the cost report.
@@ -671,6 +745,33 @@ impl Frontend {
             op.report.absorb(&self.flush_batch()?);
         }
         self.begin(Xfer::Write(entries), op)
+    }
+
+    /// [`begin_write_rank`](Self::begin_write_rank) from guest buffers
+    /// (see [`write_rank_pinned`](Self::write_rank_pinned)). An op made
+    /// only of small writes is batched exactly like the same bytes from
+    /// `&[u8]`: the batch buffer copies them either way.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_rank_pinned`](Self::write_rank_pinned).
+    pub fn begin_write_rank_pinned(
+        &self,
+        entries: &[(u32, u64, &GuestBuf)],
+    ) -> Result<InFlight, VpimError> {
+        if self.vcfg.request_batching
+            && entries.iter().all(|(_, _, b)| b.len() as u64 <= SMALL_WRITE_MAX)
+        {
+            let bytes: Vec<Vec<u8>> = entries.iter().map(|(_, _, b)| b.to_vec()).collect();
+            let staged: Vec<(u32, u64, &[u8])> =
+                entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, b.as_slice())).collect();
+            return self.begin_write_rank(&staged);
+        }
+        let mut op = InFlight::new();
+        if self.vcfg.request_batching {
+            op.report.absorb(&self.flush_batch()?);
+        }
+        self.begin(Xfer::Pinned(entries), op)
     }
 
     /// Submits a `read-from-rank` without waiting for the device; pair with
@@ -892,14 +993,14 @@ impl Frontend {
 
     /// Submits every chunk of `x`, continuing `inflight`.
     fn begin(&self, x: Xfer<'_>, mut inflight: InFlight) -> Result<InFlight, VpimError> {
-        if let Xfer::Write(entries) = x {
+        if !matches!(x, Xfer::Read(_)) {
             // A write can only stale the segments of the DPUs it touches;
             // launch/release keep the global invalidation path.
             let mut st = self.state.lock();
-            st.prefetch.invalidate_dpus(entries.iter().map(|(d, _, _)| *d as usize));
+            st.prefetch.invalidate_dpus(x.writes().map(|(d, _, _)| d as usize));
             if let Some(a) = st.adapt.as_mut() {
-                for (d, off, data) in entries {
-                    a.note_write(*d, *off, data.len() as u64);
+                for (d, off, len) in x.writes() {
+                    a.note_write(d, off, len);
                 }
             }
         }
@@ -953,15 +1054,22 @@ impl Frontend {
         failed.map_or(Ok(()), Err)
     }
 
+    /// Builds one chunk's matrix, the one step where staged and pinned
+    /// writes differ, then serializes and submits it.
     fn submit_chunk(&self, x: Xfer<'_>) -> Result<Chunk, VpimError> {
-        let (matrix, data_lease, req) = match x {
+        let (matrix, data, req) = match x {
             Xfer::Write(entries) => {
                 let (m, lease) = TransferMatrix::from_user_buffers(&self.mem, entries)?;
-                (m, lease, Request::WriteRank { nr_dpus: entries.len() as u32 })
+                (m, DataPages::Staged(lease), Request::WriteRank { nr_dpus: entries.len() as u32 })
+            }
+            Xfer::Pinned(entries) => {
+                let m = TransferMatrix::from_guest_bufs(&self.mem, entries)?;
+                let held = entries.iter().map(|(_, _, b)| (*b).clone()).collect();
+                (m, DataPages::Pinned(held), Request::WriteRank { nr_dpus: entries.len() as u32 })
             }
             Xfer::Read(reqs) => {
                 let (m, lease) = TransferMatrix::alloc_read_buffers(&self.mem, reqs)?;
-                (m, lease, Request::ReadRank { nr_dpus: reqs.len() as u32 })
+                (m, DataPages::Staged(lease), Request::ReadRank { nr_dpus: reqs.len() as u32 })
             }
         };
         let pages = matrix.total_pages();
@@ -971,7 +1079,7 @@ impl Frontend {
         partial.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
         let op = self.submit(&req, &bufs)?;
         let gather = matches!(x, Xfer::Read(_)).then_some(matrix);
-        Ok(Chunk { op, gather, partial, _data_lease: data_lease, _meta_lease: meta_lease })
+        Ok(Chunk { op, gather, partial, _data: data, _meta_lease: meta_lease })
     }
 
     /// Completes one chunk and folds its cost into `report`, appending a

@@ -64,6 +64,7 @@ pub mod config;
 pub mod device;
 pub mod error;
 pub mod frontend;
+pub mod guestbuf;
 pub mod load;
 pub mod manager;
 pub mod matrix;
@@ -84,6 +85,7 @@ pub use config::{
 };
 pub use error::VpimError;
 pub use frontend::{Frontend, ProbeOpts};
+pub use guestbuf::GuestBuf;
 pub use load::{LoadHarness, LoadReport, LoadSpec};
 pub use manager::MANAGER_RPC_POINT;
 pub use pheap::{
@@ -110,6 +112,7 @@ pub mod prelude {
     pub use crate::config::{AdaptSection, Variant, VpimConfig, VpimConfigBuilder};
     pub use crate::error::VpimError;
     pub use crate::frontend::{Frontend, ProbeOpts};
+    pub use crate::guestbuf::GuestBuf;
     pub use crate::load::{
         Arrival, Execution, LoadHarness, LoadReport, LoadSpec, OpOutcome, TenantMix,
         TenantProfile,

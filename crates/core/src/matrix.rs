@@ -21,6 +21,7 @@ use pim_virtio::{Gpa, GuestMemory, SegCache};
 use simkit::BytePool;
 
 use crate::error::VpimError;
+use crate::guestbuf::GuestBuf;
 
 /// Maximum DPUs one matrix may address (one rank).
 pub const MAX_DPUS: usize = 64;
@@ -110,6 +111,16 @@ impl PageLease {
         self.pages.len()
     }
 
+    /// The leased pages, in allocation order.
+    pub(crate) fn pages(&self) -> &[Gpa] {
+        &self.pages
+    }
+
+    /// The guest memory the pages belong to.
+    pub(crate) fn memory(&self) -> &GuestMemory {
+        &self.mem
+    }
+
     fn free_now(&mut self) {
         if !self.pages.is_empty() {
             let _ = self.mem.free_pages_back(&self.pages);
@@ -131,15 +142,12 @@ impl Drop for PageLease {
 }
 
 impl TransferMatrix {
-    /// Places `(dpu, mram offset, len)` entries on freshly allocated guest
-    /// pages. One allocation serves the whole matrix: it hands out the
-    /// lowest free pages in order, so entry k gets exactly the pages one
-    /// call per entry would have given it.
-    fn place(
-        mem: &GuestMemory,
-        reqs: impl ExactSizeIterator<Item = (u32, u64, u64)> + Clone,
+    /// Refuses a matrix of more than [`MAX_DPUS`] entries or an entry
+    /// larger than a bank.
+    fn check_shape(
+        mut reqs: impl ExactSizeIterator<Item = (u32, u64, u64)>,
         verb: &str,
-    ) -> Result<(TransferMatrix, PageLease), VpimError> {
+    ) -> Result<(), VpimError> {
         if reqs.len() > MAX_DPUS {
             return Err(VpimError::ProtocolViolation(format!(
                 "{} dpus in one matrix",
@@ -149,11 +157,24 @@ impl TransferMatrix {
         let oversized = |&(_, _, len): &(u32, u64, u64)| {
             DpuXfer::required_pages(len) > MAX_PAGES_PER_DPU
         };
-        if let Some((dpu, _, len)) = reqs.clone().find(oversized) {
+        if let Some((dpu, _, len)) = reqs.find(oversized) {
             return Err(VpimError::ProtocolViolation(format!(
                 "dpu {dpu} {verb} of {len} bytes exceeds the 64 MB bank"
             )));
         }
+        Ok(())
+    }
+
+    /// Places `(dpu, mram offset, len)` entries on freshly allocated guest
+    /// pages. One allocation serves the whole matrix: it hands out the
+    /// lowest free pages in order, so entry k gets exactly the pages one
+    /// call per entry would have given it.
+    fn place(
+        mem: &GuestMemory,
+        reqs: impl ExactSizeIterator<Item = (u32, u64, u64)> + Clone,
+        verb: &str,
+    ) -> Result<(TransferMatrix, PageLease), VpimError> {
+        Self::check_shape(reqs.clone(), verb)?;
         let mut lease = PageLease::new(mem);
         let total = reqs.clone().map(|(_, _, len)| DpuXfer::required_pages(len)).sum();
         let mut pages = lease.grow(total)?.into_iter();
@@ -190,6 +211,38 @@ impl TransferMatrix {
         Ok((matrix, lease))
     }
 
+    /// Builds a write-direction matrix from buffers the application
+    /// already filled in guest RAM: each entry names its buffer's own
+    /// pages (the page pinning of §4.1), so nothing is allocated or copied
+    /// here. Bytes the application never wrote are zeroed first, exactly
+    /// as a staged copy of the same buffer would carry them.
+    ///
+    /// # Errors
+    ///
+    /// [`VpimError::ProtocolViolation`] for > 64 DPUs or oversized buffers;
+    /// [`VpimError::BadRequest`] for a buffer of another guest's memory.
+    pub fn from_guest_bufs(
+        mem: &GuestMemory,
+        bufs: &[(u32, u64, &GuestBuf)],
+    ) -> Result<TransferMatrix, VpimError> {
+        let reqs = bufs.iter().map(|(dpu, offset, b)| (*dpu, *offset, b.len() as u64));
+        Self::check_shape(reqs, "transfer")?;
+        if let Some((dpu, _, _)) = bufs.iter().find(|(_, _, b)| !b.memory().same_as(mem)) {
+            return Err(VpimError::BadRequest(format!(
+                "dpu {dpu}: the buffer lives in another guest's memory"
+            )));
+        }
+        let entries = bufs
+            .iter()
+            .map(|&(dpu, mram_offset, b)| {
+                b.settle()?;
+                let pages = b.pages().to_vec();
+                Ok(DpuXfer { dpu, mram_offset, len: b.len() as u64, pages })
+            })
+            .collect::<Result<_, VpimError>>()?;
+        Ok(TransferMatrix { entries })
+    }
+
     /// Builds a read-direction matrix: allocates destination pages the
     /// backend will fill.
     ///
@@ -201,6 +254,12 @@ impl TransferMatrix {
         reqs: &[(u32, u64, u64)],
     ) -> Result<(TransferMatrix, PageLease), VpimError> {
         Self::place(mem, reqs.iter().copied(), "read")
+    }
+
+    /// Bytes of the flat layout [`serialize_pooled`](Self::serialize_pooled)
+    /// writes for entries of `page_counts` data pages each.
+    pub(crate) fn serialized_len(page_counts: impl Iterator<Item = usize>) -> usize {
+        8 + page_counts.map(|pages| 32 + 8 * pages).sum::<usize>()
     }
 
     /// Total bytes the matrix moves.
@@ -237,7 +296,7 @@ impl TransferMatrix {
         mem: &GuestMemory,
         pool: &BytePool,
     ) -> Result<SerializedMatrix, VpimError> {
-        let total = 8 + self.entries.iter().map(|e| 32 + 8 * e.pages.len()).sum::<usize>();
+        let total = Self::serialized_len(self.entries.iter().map(|e| e.pages.len()));
         let mut scratch = pool.take(total);
         let npages = (total as u64).div_ceil(PAGE_SIZE) as usize;
         let base = mem.alloc_contiguous(npages)?;

@@ -93,7 +93,9 @@ impl Checksum {
 
     /// Runs the benchmark: `file_bytes` of random data to every DPU of the
     /// set. Segments: file transfer = CPU-DPU, compute = DPU, result
-    /// retrieval = DPU-CPU.
+    /// retrieval = DPU-CPU. Each DPU's copy of the file is written into an
+    /// SDK transfer buffer, which inside a VM is guest RAM the push hands
+    /// the device without copying it again.
     ///
     /// # Errors
     ///
@@ -106,8 +108,13 @@ impl Checksum {
         set.load(Self::KERNEL)?;
         set.set_segment(AppSegment::CpuToDpu);
         let n = set.nr_dpus();
-        let bufs: Vec<Vec<u8>> = (0..n).map(|_| file.clone()).collect();
-        set.push_to_heap(DATA_OFFSET, &bufs)?;
+        let mut bufs = set.alloc_xfer_bufs(file_bytes);
+        for buf in &mut bufs {
+            buf.write(0, &file)?;
+        }
+        set.push_bufs_to_heap(DATA_OFFSET, &bufs)?;
+        // Their guest pages go back before the reads, as staged copies do.
+        drop(bufs);
         set.broadcast_symbol_u32("nbytes", file_bytes as u32)?;
 
         set.set_segment(AppSegment::Dpu);

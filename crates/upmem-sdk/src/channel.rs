@@ -7,9 +7,10 @@ use upmem_driver::PerfMapping;
 use simkit::cost::DataPath;
 use upmem_sim::ci::CiStatus;
 use vpim::frontend::{Frontend, InFlight};
-use vpim::OpReport;
+use vpim::{GuestBuf, OpReport};
 
 use crate::error::SdkError;
+use crate::xfer::XferBuf;
 
 /// One rank's transport: either the mmap'ed hardware (native) or a vUPMEM
 /// frontend (virtualized). Both expose the same operations; PrIM code never
@@ -115,6 +116,32 @@ impl RankChannel {
             }
             RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_write_rank(entries)?)),
         }
+    }
+
+    /// [`begin_write_matrix`](Self::begin_write_matrix) from transfer
+    /// buffers. On a VM channel whose buffers all live in guest RAM the
+    /// matrix names their pages; otherwise their bytes take the `&[u8]`
+    /// path (guest buffers mixed with host ones are copied out first).
+    ///
+    /// # Errors
+    ///
+    /// As [`begin_write_matrix`](Self::begin_write_matrix).
+    pub fn begin_write_bufs(
+        &self,
+        entries: &[(u32, u64, &XferBuf)],
+        cm: &CostModel,
+    ) -> Result<PendingMatrix, SdkError> {
+        if let RankChannel::Virt(f) = self {
+            let pinned: Option<Vec<(u32, u64, &GuestBuf)>> =
+                entries.iter().map(|&(d, o, b)| Some((d, o, b.as_guest()?))).collect();
+            if let Some(pinned) = pinned {
+                return Ok(PendingMatrix::Virt(f.begin_write_rank_pinned(&pinned)?));
+            }
+        }
+        let bytes: Vec<_> = entries.iter().map(|(_, _, b)| b.bytes()).collect();
+        let staged: Vec<(u32, u64, &[u8])> =
+            entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, &**b)).collect();
+        self.begin_write_matrix(&staged, cm)
     }
 
     /// Starts a parallel `read-from-rank` of per-DPU ranges without waiting

@@ -27,6 +27,15 @@ pub enum SdkError {
     },
     /// An out-of-range DPU index within the set.
     BadDpuIndex(usize),
+    /// A transfer-buffer access outside the buffer.
+    BufferRange {
+        /// First byte accessed.
+        offset: usize,
+        /// Bytes accessed.
+        len: usize,
+        /// The buffer's length.
+        size: usize,
+    },
     /// The native driver rejected an operation.
     Driver(DriverError),
     /// The simulated hardware rejected an operation.
@@ -45,6 +54,9 @@ impl fmt::Display for SdkError {
                 write!(f, "expected {expected} per-dpu buffers, got {got}")
             }
             SdkError::BadDpuIndex(i) => write!(f, "dpu index {i} is outside the set"),
+            SdkError::BufferRange { offset, len, size } => {
+                write!(f, "bytes {offset}+{len} outside a {size}-byte transfer buffer")
+            }
             SdkError::Driver(e) => write!(f, "driver: {e}"),
             SdkError::Sim(e) => write!(f, "hardware: {e}"),
             SdkError::Vpim(e) => write!(f, "vpim: {e}"),
@@ -88,6 +100,7 @@ impl HasErrorKind for SdkError {
             SdkError::BufferCountMismatch { .. } | SdkError::BadDpuIndex(_) => {
                 ErrorKind::InvalidInput
             }
+            SdkError::BufferRange { .. } => ErrorKind::OutOfBounds,
             SdkError::Driver(e) => e.kind(),
             SdkError::Sim(e) => e.kind(),
             SdkError::Vpim(e) => e.kind(),

@@ -44,7 +44,9 @@
 pub mod channel;
 pub mod error;
 pub mod set;
+pub mod xfer;
 
 pub use channel::{PendingMatrix, RankChannel};
 pub use error::SdkError;
 pub use set::DpuSet;
+pub use xfer::XferBuf;

@@ -12,6 +12,7 @@ use vpim::OpReport;
 
 use crate::channel::{PendingMatrix, RankChannel};
 use crate::error::SdkError;
+use crate::xfer::XferBuf;
 
 /// True when a channel error means "the VM's bounded transport resources
 /// (bounce pages, virtqueue slots) are exhausted by in-flight operations
@@ -339,16 +340,80 @@ impl DpuSet {
     ///
     /// Buffer-count mismatch or hardware/transport failures.
     pub fn push_to_heap(&mut self, offset: u64, bufs: &[Vec<u8>]) -> Result<(), SdkError> {
-        if bufs.len() != self.nr_dpus() {
-            return Err(SdkError::BufferCountMismatch {
-                expected: self.nr_dpus(),
-                got: bufs.len(),
-            });
-        }
+        self.check_count(bufs.len())?;
         self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
             let entries: Vec<(u32, u64, &[u8])> =
                 dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b.as_slice())).collect();
             c.begin_write_matrix(&entries, cm)
+        })?;
+        Ok(())
+    }
+
+    fn check_count(&self, got: usize) -> Result<(), SdkError> {
+        if got != self.nr_dpus() {
+            return Err(SdkError::BufferCountMismatch { expected: self.nr_dpus(), got });
+        }
+        Ok(())
+    }
+
+    /// A `len`-byte transfer buffer for
+    /// [`push_bufs_to_heap`](Self::push_bufs_to_heap), reading as zeros.
+    /// On a VM set it is allocated from the guest's RAM, so the push names
+    /// its pages instead of copying it; when the guest cannot hold it (the
+    /// only way the allocation fails), and on a native set, it is host
+    /// memory.
+    ///
+    /// Guest buffers stay out of the guest's page pool until dropped, so a
+    /// push that still has host buffers to stage may find no room for
+    /// them. For one buffer per DPU, [`alloc_xfer_bufs`](Self::alloc_xfer_bufs)
+    /// rules that out.
+    #[must_use]
+    pub fn alloc_xfer_buf(&self, len: usize) -> XferBuf {
+        match self.channels.first() {
+            Some(RankChannel::Virt(f)) => {
+                f.alloc_buf(len).map_or_else(|_| XferBuf::host(len), XferBuf::guest)
+            }
+            _ => XferBuf::host(len),
+        }
+    }
+
+    /// One `len`-byte transfer buffer per DPU of the set, all of one kind:
+    /// in guest RAM when the guest can hold every one of them and still
+    /// has room for the widest rank's request and serialized matrix (all
+    /// a [`push_bufs_to_heap`](Self::push_bufs_to_heap) of them allocates),
+    /// otherwise all in host memory, which the push stages rank by rank as
+    /// it stages `Vec`s.
+    #[must_use]
+    pub fn alloc_xfer_bufs(&self, len: usize) -> Vec<XferBuf> {
+        let n = self.nr_dpus();
+        if let Some(RankChannel::Virt(f)) = self.channels.first() {
+            let widest = self.per_channel.iter().map(Vec::len).max().unwrap_or(0);
+            let guest: Result<Vec<_>, _> = (0..n).map(|_| f.alloc_buf(len)).collect();
+            // The room is judged with every buffer held; a refused set
+            // returns its pages as it drops.
+            if let Ok(bufs) = guest {
+                if f.has_room_to_pin(widest, len) {
+                    return bufs.into_iter().map(XferBuf::guest).collect();
+                }
+            }
+        }
+        (0..n).map(|_| XferBuf::host(len)).collect()
+    }
+
+    /// [`push_to_heap`](Self::push_to_heap) from transfer buffers: `bufs[i]`
+    /// goes to DPU `i`. Guest-resident buffers reach the rank without a
+    /// copy; the bytes and every figure are those of the same push from
+    /// `Vec`s.
+    ///
+    /// # Errors
+    ///
+    /// Buffer-count mismatch or hardware/transport failures.
+    pub fn push_bufs_to_heap(&mut self, offset: u64, bufs: &[XferBuf]) -> Result<(), SdkError> {
+        self.check_count(bufs.len())?;
+        self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
+            let entries: Vec<(u32, u64, &XferBuf)> =
+                dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b)).collect();
+            c.begin_write_bufs(&entries, cm)
         })?;
         Ok(())
     }
@@ -454,12 +519,7 @@ impl DpuSet {
     ///
     /// Count mismatch or unknown symbol.
     pub fn scatter_symbol_u32(&mut self, name: &str, values: &[u32]) -> Result<(), SdkError> {
-        if values.len() != self.nr_dpus() {
-            return Err(SdkError::BufferCountMismatch {
-                expected: self.nr_dpus(),
-                got: values.len(),
-            });
-        }
+        self.check_count(values.len())?;
         let mut reports = Vec::with_capacity(self.channels.len());
         let mut cursor = 0usize;
         for (ci, dpus) in self.per_channel.iter().enumerate() {

@@ -12,8 +12,9 @@
 //! to bytes (page size, partial last page, bounds check, fault point, the
 //! RAM lock): data spread over a page list goes through
 //! [`GuestMemory::walk_pages`]/[`GuestMemory::walk_pages_mut`] (device
-//! side) or [`GuestMemory::write_pages`] (guest side), never through a
-//! hand-written loop over `PAGE_SIZE` elsewhere.
+//! side) or [`GuestMemory::write_pages`] and the view's `*_pages_at`
+//! accessors (guest side), never through a hand-written loop over
+//! `PAGE_SIZE` elsewhere.
 //!
 //! Records that live in guest RAM — virtqueue ring entries, descriptors,
 //! serialized matrix metadata — are read and written through
@@ -284,6 +285,13 @@ impl GuestMemory {
     #[must_use]
     pub fn size(&self) -> u64 {
         self.inner.size
+    }
+
+    /// Whether `other` is a handle on this same guest RAM (not merely
+    /// equal contents).
+    #[must_use]
+    pub fn same_as(&self, other: &GuestMemory) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Free pages currently available to the allocator.
@@ -569,6 +577,25 @@ impl<'a> GuestView<'a> {
         self.read(gpa, &mut b)?;
         Ok(u16::from_le_bytes(b))
     }
+
+    /// Copies bytes `offset..offset + dst.len()` of a buffer laid over
+    /// `pages` (a full page each) into `dst`, stopping at the end of the
+    /// list.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
+    pub fn read_pages_at(
+        &self,
+        pages: &[Gpa],
+        offset: u64,
+        dst: &mut [u8],
+    ) -> Result<(), VirtioError> {
+        for (gpa, at, n) in pieces(pages, offset, dst.len() as u64) {
+            self.read(gpa, &mut dst[at..at + n])?;
+        }
+        Ok(())
+    }
 }
 
 /// A mutable view of guest RAM, from [`GuestMemory::view_mut`]: raw record
@@ -609,6 +636,56 @@ impl GuestViewMut<'_> {
         }
         Ok(())
     }
+
+    /// Copies `data` into bytes `offset..` of a buffer laid over `pages`
+    /// (a full page each), stopping at the end of the list.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
+    pub fn write_pages_at(
+        &mut self,
+        pages: &[Gpa],
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(), VirtioError> {
+        for (gpa, at, n) in pieces(pages, offset, data.len() as u64) {
+            self.write(gpa, &data[at..at + n])?;
+        }
+        Ok(())
+    }
+
+    /// Zeroes bytes `offset..offset + len` of a buffer laid over `pages`,
+    /// stopping at the end of the list.
+    ///
+    /// # Errors
+    ///
+    /// [`VirtioError::OutOfBounds`] for the first page outside guest RAM.
+    pub fn zero_pages_at(
+        &mut self,
+        pages: &[Gpa],
+        offset: u64,
+        len: u64,
+    ) -> Result<(), VirtioError> {
+        for (gpa, _, n) in pieces(pages, offset, len) {
+            let range = byte_range(self.ram.len() as u64, gpa, n as u64)?;
+            self.ram[range].fill(0);
+        }
+        Ok(())
+    }
+}
+
+/// Bytes `offset..offset + len` of a buffer laid over `pages`, a full page
+/// each, split at page boundaries: `(guest address, offset within the
+/// range, length)` per piece, ending early with the list.
+fn pieces(pages: &[Gpa], offset: u64, len: u64) -> impl Iterator<Item = (Gpa, usize, usize)> + '_ {
+    let end = offset + len;
+    let first = (offset / PAGE_SIZE) as usize;
+    pages.iter().zip(0u64..).skip(first).map_while(move |(page, i)| {
+        let lo = (i * PAGE_SIZE).max(offset);
+        let hi = ((i + 1) * PAGE_SIZE).min(end);
+        (lo < hi).then(|| (page.add(lo % PAGE_SIZE), (lo - offset) as usize, (hi - lo) as usize))
+    })
 }
 
 #[cfg(test)]
@@ -961,6 +1038,41 @@ mod tests {
                 let hits = plane.point_stats(MEM_EIO_POINT).expect("armed").hits;
                 prop_assert_eq!(hits, visits.min(1));
             }
+        }
+
+        /// The offset accessors treat a page list as one flat buffer: a
+        /// write, a zeroing and a read at any offset and length inside
+        /// it do to the pages exactly what they would do to a `Vec`.
+        #[test]
+        fn offset_accessors_match_a_flat_buffer(
+            // Six pages in one of twelve orders (5 is coprime with 6).
+            rot in 0u64..6,
+            backwards in any::<bool>(),
+            at in 0usize..6 * PAGE_SIZE as usize,
+            fill in proptest::collection::vec(any::<u8>(), 0..2 * PAGE_SIZE as usize),
+            zero in (0usize..6 * PAGE_SIZE as usize, 0usize..PAGE_SIZE as usize),
+        ) {
+            const LEN: usize = 6 * PAGE_SIZE as usize;
+            let mem = GuestMemory::new(8 * PAGE_SIZE);
+            let step = if backwards { 5 } else { 1 };
+            let pages: Vec<Gpa> = (0..6).map(|i| Gpa((i * step + rot) % 6 * PAGE_SIZE)).collect();
+            let mut model = vec![0xA5u8; LEN];
+            mem.write_pages(&pages, &model).unwrap();
+            let fill = &fill[..fill.len().min(LEN - at)];
+            let (z, zlen) = (zero.0, zero.1.min(LEN - zero.0));
+            mem.view_mut(|v| {
+                v.write_pages_at(&pages, at as u64, fill)?;
+                v.zero_pages_at(&pages, z as u64, zlen as u64)
+            })
+            .unwrap();
+            model[at..at + fill.len()].copy_from_slice(fill);
+            model[z..z + zlen].fill(0);
+            let mut whole = vec![0u8; LEN];
+            mem.view(|v| v.read_pages_at(&pages, 0, &mut whole)).unwrap();
+            prop_assert_eq!(&whole, &model);
+            let mut part = vec![0u8; fill.len()];
+            mem.view(|v| v.read_pages_at(&pages, at as u64, &mut part)).unwrap();
+            prop_assert_eq!(&part[..], &model[at..at + fill.len()]);
         }
 
         /// Allocator never hands out the same page twice while held.
