@@ -6,6 +6,9 @@
 # Runs the guest-memory and virtqueue suite the one-borrow record paths
 # rest on (lowest-first page allocator, all-or-nothing frees, bounds-checked
 # views, FIFO descriptor recycling).
+# Checks that kernels reading and writing MRAM in place (no WRAM staging
+# copy) see the bytes, charge the cycles and raise the faults of the copy
+# path.
 # Also compile-checks the criterion benches so the `datapath_zero_copy`
 # comparison group (seed vs pooled, scalar vs vectorized) cannot rot.
 #
@@ -20,6 +23,9 @@ cargo test --release --offline -q --test datapath_pool
 echo "== perf gate: fused-interleave equivalence proptests =="
 cargo test --release --offline -q -p upmem-sim interleave
 cargo test --release --offline -q -p vpim datapath
+
+echo "== perf gate: in-place DPU DMA equivalence proptest =="
+cargo test --release --offline -q -p upmem-sim dma_equivalence
 
 echo "== perf gate: guest page allocator + virtqueue invariants =="
 cargo test --release --offline -q -p pim-virtio

@@ -43,16 +43,16 @@ impl DpuKernel for ChecksumKernel {
             if lo >= hi {
                 return Ok(());
             }
+            // The 2 KiB block buffer is accounted in WRAM; the sum reads
+            // each block where the DMA finds it.
             t.wram_alloc(2048)?;
-            let mut buf = vec![0u8; 2048];
             let mut pos = lo;
             let mut acc = 0u32;
             while pos < hi {
                 let take = 2048.min(hi - pos);
-                t.mram_read(DATA_OFFSET + pos as u64, &mut buf[..take])?;
-                for &b in &buf[..take] {
-                    acc = acc.wrapping_add(u32::from(b));
-                }
+                acc = t.mram_read_with(DATA_OFFSET + pos as u64, take, |block| {
+                    block.iter().fold(acc, |a, &b| a.wrapping_add(u32::from(b)))
+                })?;
                 // Byte-wise inner loop: load, extend, add, bound check,
                 // index bump, branch — ~8 instructions per byte.
                 t.charge(8 * take as u64);
@@ -93,9 +93,9 @@ impl Checksum {
 
     /// Runs the benchmark: `file_bytes` of random data to every DPU of the
     /// set. Segments: file transfer = CPU-DPU, compute = DPU, result
-    /// retrieval = DPU-CPU. Each DPU's copy of the file is written into an
-    /// SDK transfer buffer, which inside a VM is guest RAM the push hands
-    /// the device without copying it again.
+    /// retrieval = DPU-CPU. The file is written once into an SDK transfer
+    /// buffer and broadcast; inside a VM the buffer is guest RAM whose
+    /// pages every DPU's matrix entry names, so nothing copies it again.
     ///
     /// # Errors
     ///
@@ -108,13 +108,11 @@ impl Checksum {
         set.load(Self::KERNEL)?;
         set.set_segment(AppSegment::CpuToDpu);
         let n = set.nr_dpus();
-        let mut bufs = set.alloc_xfer_bufs(file_bytes);
-        for buf in &mut bufs {
-            buf.write(0, &file)?;
-        }
-        set.push_bufs_to_heap(DATA_OFFSET, &bufs)?;
-        // Their guest pages go back before the reads, as staged copies do.
-        drop(bufs);
+        let mut buf = set.alloc_broadcast_buf(file_bytes);
+        buf.write(0, &file)?;
+        set.broadcast_to_heap(DATA_OFFSET, &buf)?;
+        // Its guest pages go back before the reads, as staged copies do.
+        drop(buf);
         set.broadcast_symbol_u32("nbytes", file_bytes as u32)?;
 
         set.set_segment(AppSegment::Dpu);

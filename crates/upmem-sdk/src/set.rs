@@ -366,7 +366,8 @@ impl DpuSet {
     /// Guest buffers stay out of the guest's page pool until dropped, so a
     /// push that still has host buffers to stage may find no room for
     /// them. For one buffer per DPU, [`alloc_xfer_bufs`](Self::alloc_xfer_bufs)
-    /// rules that out.
+    /// rules that out, and for a broadcast
+    /// [`alloc_broadcast_buf`](Self::alloc_broadcast_buf).
     #[must_use]
     pub fn alloc_xfer_buf(&self, len: usize) -> XferBuf {
         match self.channels.first() {
@@ -385,10 +386,25 @@ impl DpuSet {
     /// it stages `Vec`s.
     #[must_use]
     pub fn alloc_xfer_bufs(&self, len: usize) -> Vec<XferBuf> {
-        let n = self.nr_dpus();
+        self.alloc_pinnable(self.nr_dpus(), len)
+    }
+
+    /// A `len`-byte buffer for [`broadcast_to_heap`](Self::broadcast_to_heap),
+    /// reading as zeros: in guest RAM when the guest can hold it and still
+    /// has room for the widest rank's request and the serialized matrix
+    /// that names it once per DPU, otherwise host memory.
+    #[must_use]
+    pub fn alloc_broadcast_buf(&self, len: usize) -> XferBuf {
+        self.alloc_pinnable(1, len).pop().expect("one buffer")
+    }
+
+    /// `count` buffers of `len` bytes, all in guest RAM if a pinned write
+    /// naming them on the widest rank still fits beside them, otherwise
+    /// all in host memory.
+    fn alloc_pinnable(&self, count: usize, len: usize) -> Vec<XferBuf> {
         if let Some(RankChannel::Virt(f)) = self.channels.first() {
             let widest = self.per_channel.iter().map(Vec::len).max().unwrap_or(0);
-            let guest: Result<Vec<_>, _> = (0..n).map(|_| f.alloc_buf(len)).collect();
+            let guest: Result<Vec<_>, _> = (0..count).map(|_| f.alloc_buf(len)).collect();
             // The room is judged with every buffer held; a refused set
             // returns its pages as it drops.
             if let Ok(bufs) = guest {
@@ -397,7 +413,7 @@ impl DpuSet {
                 }
             }
         }
-        (0..n).map(|_| XferBuf::host(len)).collect()
+        (0..count).map(|_| XferBuf::host(len)).collect()
     }
 
     /// [`push_to_heap`](Self::push_to_heap) from transfer buffers: `bufs[i]`
@@ -413,6 +429,25 @@ impl DpuSet {
         self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
             let entries: Vec<(u32, u64, &XferBuf)> =
                 dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b)).collect();
+            c.begin_write_bufs(&entries, cm)
+        })?;
+        Ok(())
+    }
+
+    /// Sends `buf` to the MRAM heap of every DPU at `offset`
+    /// (`dpu_broadcast_to`). On a VM set whose buffer lives in guest RAM
+    /// every matrix entry names that one buffer's pages; otherwise every
+    /// DPU is written from the one buffer's bytes. The bytes and every
+    /// figure are those of [`push_to_heap`](Self::push_to_heap) of one
+    /// equal `Vec` per DPU.
+    ///
+    /// # Errors
+    ///
+    /// Hardware/transport failures.
+    pub fn broadcast_to_heap(&mut self, offset: u64, buf: &XferBuf) -> Result<(), SdkError> {
+        self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, _| {
+            let entries: Vec<(u32, u64, &XferBuf)> =
+                dpus.iter().map(|d| (*d, offset, buf)).collect();
             c.begin_write_bufs(&entries, cm)
         })?;
         Ok(())

@@ -1,5 +1,5 @@
-//! Transfer buffers: the per-DPU memory an application fills before a
-//! push.
+//! Transfer buffers: the memory an application fills before a push or a
+//! broadcast.
 
 use std::borrow::Cow;
 
@@ -7,11 +7,13 @@ use vpim::GuestBuf;
 
 use crate::error::SdkError;
 
-/// A per-DPU transfer buffer from
-/// [`DpuSet::alloc_xfer_buf`](crate::DpuSet::alloc_xfer_buf).
+/// A transfer buffer from
+/// [`DpuSet::alloc_xfer_buf`](crate::DpuSet::alloc_xfer_buf) and its
+/// siblings.
 ///
 /// On a VM set it lives in the guest's RAM, so
-/// [`push_bufs_to_heap`](crate::DpuSet::push_bufs_to_heap) hands the
+/// [`push_bufs_to_heap`](crate::DpuSet::push_bufs_to_heap) and
+/// [`broadcast_to_heap`](crate::DpuSet::broadcast_to_heap) hand the
 /// device the buffer's own pages and no byte is copied before the rank
 /// write. On a native set, or when the guest cannot hold it, it is host
 /// memory, which a VM push copies through fresh guest pages exactly like a

@@ -233,12 +233,9 @@ impl Dpu {
     /// enable dynamic workload consolidation without hardware changes").
     #[must_use]
     pub fn snapshot(&self) -> DpuSnapshot {
-        let mut mram = vec![0u8; self.mram.resident_bytes()];
-        if !mram.is_empty() {
-            self.mram.read(0, &mut mram).expect("resident range is in bounds");
-        }
+        let mram = self.mram.view(0, self.mram.resident_bytes());
         DpuSnapshot {
-            mram,
+            mram: mram.expect("resident range is in bounds").into_owned(),
             symbols: self.symbols.clone(),
             loaded: self.loaded.clone(),
         }
@@ -522,18 +519,40 @@ impl<'a> TaskletCtx<'a> {
             .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
     }
 
+    /// DMA from MRAM that the tasklet consumes where it lies: `f` sees the
+    /// `len` bytes at `addr` and its result is returned. Charged exactly
+    /// like [`mram_read`](Self::mram_read) of `len` bytes; use that when
+    /// the kernel needs a WRAM copy it can modify.
+    ///
+    /// # Errors
+    ///
+    /// Faults on an out-of-bounds MRAM access.
+    pub fn mram_read_with<R>(
+        &mut self,
+        addr: u64,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, DpuFault> {
+        self.charge_dma(len);
+        let bytes = self
+            .dpu
+            .mram
+            .view(addr, len)
+            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))?;
+        Ok(f(&bytes))
+    }
+
     /// Reads little-endian `u32`s from MRAM.
     ///
     /// # Errors
     ///
     /// Faults on an out-of-bounds MRAM access.
     pub fn mram_read_u32s(&mut self, addr: u64, dst: &mut [u32]) -> Result<(), DpuFault> {
-        let mut raw = vec![0u8; dst.len() * 4];
-        self.mram_read(addr, &mut raw)?;
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(raw[i * 4..i * 4 + 4].try_into().expect("4-byte chunk"));
-        }
-        Ok(())
+        self.mram_read_with(addr, dst.len() * 4, |raw| {
+            for (w, b) in dst.iter_mut().zip(raw.chunks_exact(4)) {
+                *w = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+            }
+        })
     }
 
     /// Writes little-endian `u32`s to MRAM.
@@ -542,11 +561,16 @@ impl<'a> TaskletCtx<'a> {
     ///
     /// Faults on an out-of-bounds MRAM access.
     pub fn mram_write_u32s(&mut self, addr: u64, src: &[u32]) -> Result<(), DpuFault> {
-        let mut raw = Vec::with_capacity(src.len() * 4);
-        for w in src {
-            raw.extend_from_slice(&w.to_le_bytes());
+        self.charge_dma(src.len() * 4);
+        let raw = self
+            .dpu
+            .mram
+            .view_mut(addr, src.len() * 4)
+            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))?;
+        for (b, w) in raw.chunks_exact_mut(4).zip(src) {
+            b.copy_from_slice(&w.to_le_bytes());
         }
-        self.mram_write(addr, &raw)
+        Ok(())
     }
 
     /// Accounts a WRAM allocation of `bytes` (`mem_alloc`). The payload
@@ -845,5 +869,116 @@ mod tests {
         let mut s = [9u8; 4];
         d.read_symbol("partition_size", &mut s).unwrap();
         assert_eq!(u32::from_le_bytes(s), 0);
+    }
+
+    mod dma_equivalence {
+        use std::sync::Mutex;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        const CAP: u64 = 64 << 10;
+
+        /// The helper under test.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Dma {
+            ReadWith,
+            ReadU32s,
+            WriteU32s,
+        }
+
+        /// One DMA of `len` bytes at `addr`, either through the in-place
+        /// helper or through a WRAM copy moved by `mram_read` /
+        /// `mram_write` (the copy path). `seen` keeps what the kernel read.
+        struct Probe {
+            op: Dma,
+            in_place: bool,
+            addr: u64,
+            len: usize,
+            seen: Mutex<Vec<u8>>,
+        }
+
+        impl DpuKernel for Probe {
+            fn image(&self) -> KernelImage {
+                KernelImage::new("dma_probe", 64)
+            }
+
+            fn run(&self, ctx: &mut DpuContext<'_>) -> Result<(), DpuFault> {
+                let (addr, len) = (self.addr, self.len);
+                let words: Vec<u32> =
+                    (0..len as u32 / 4).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+                let encode = |w: &[u32]| w.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>();
+                let mut seen = Vec::new();
+                ctx.single(|t| {
+                    match (self.op, self.in_place) {
+                        (Dma::ReadWith, true) => {
+                            seen = t.mram_read_with(addr, len, <[u8]>::to_vec)?;
+                        }
+                        (Dma::ReadWith, false) => {
+                            seen = vec![0; len];
+                            t.mram_read(addr, &mut seen)?;
+                        }
+                        (Dma::ReadU32s, true) => {
+                            let mut w = vec![0u32; len / 4];
+                            t.mram_read_u32s(addr, &mut w)?;
+                            seen = encode(&w);
+                        }
+                        (Dma::ReadU32s, false) => {
+                            seen = vec![0; len / 4 * 4];
+                            t.mram_read(addr, &mut seen)?;
+                        }
+                        (Dma::WriteU32s, true) => t.mram_write_u32s(addr, &words)?,
+                        (Dma::WriteU32s, false) => t.mram_write(addr, &encode(&words))?,
+                    }
+                    Ok(())
+                })?;
+                *self.seen.lock().unwrap() = seen;
+                Ok(())
+            }
+        }
+
+        /// What one probe shows: its launch outcome (`cycles` and
+        /// `instructions`, or the fault text), the bytes it read, and the
+        /// bank's resident image afterwards.
+        type Seen = (Result<(u64, u64), String>, Vec<u8>, Vec<u8>);
+
+        fn observe(op: Dma, in_place: bool, high_water: usize, addr: u64, len: usize) -> Seen {
+            let mut d = Dpu::new(&PimConfig { mram_size: CAP, ..PimConfig::small() });
+            let image: Vec<u8> = (0..high_water).map(|i| (i * 7 + 3) as u8).collect();
+            d.mram_mut().write(0, &image).unwrap();
+            let probe = Probe { op, in_place, addr, len, seen: Mutex::new(Vec::new()) };
+            d.load(probe.image()).unwrap();
+            let outcome =
+                d.launch(&probe, 1).map(|r| (r.cycles, r.instructions)).map_err(|e| e.to_string());
+            let bank = d.mram().view(0, d.mram().resident_bytes()).unwrap().into_owned();
+            (outcome, probe.seen.into_inner().unwrap(), bank)
+        }
+
+        proptest! {
+            /// Reading in place and encoding straight into the bank match
+            /// the copy path on every byte, every charged cycle and every
+            /// fault, including ranges that straddle the high-water mark
+            /// and ranges that leave the bank.
+            #[test]
+            fn in_place_helpers_match_the_copy_path(
+                high_water in 0usize..CAP as usize + 1,
+                near in any::<bool>(),
+                shift in 0u64..8192,
+                len in 0usize..6000,
+            ) {
+                // Half the ranges start just below the high-water mark, the
+                // rest anywhere up to 8 KiB past the end of the bank.
+                let addr = if near {
+                    (high_water as u64).saturating_sub(shift % 4096)
+                } else {
+                    shift * ((CAP + (8 << 10)) / 8192)
+                };
+                for op in [Dma::ReadWith, Dma::ReadU32s, Dma::WriteU32s] {
+                    let copied = observe(op, false, high_water, addr, len);
+                    prop_assert_eq!((op, observe(op, true, high_water, addr, len)), (op, copied));
+                }
+            }
+        }
     }
 }

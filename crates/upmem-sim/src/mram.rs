@@ -5,6 +5,8 @@
 //! buffer that grows physically only up to its high-water mark. Reads beyond
 //! the high-water mark observe zeros, like freshly reset DRAM.
 
+use std::borrow::Cow;
+
 use crate::error::SimError;
 
 /// A lazily allocated MRAM bank with a fixed logical capacity.
@@ -59,13 +61,33 @@ impl MramBank {
     ///
     /// [`SimError::MramOutOfBounds`] if the write exceeds the capacity.
     pub fn write(&mut self, offset: u64, src: &[u8]) -> Result<(), SimError> {
-        self.check(offset, src.len() as u64)?;
-        let end = offset as usize + src.len();
+        self.view_mut(offset, src.len())?.copy_from_slice(src);
+        Ok(())
+    }
+
+    /// The `len` bytes at `offset`, to be written in place. The bank grows
+    /// to cover them exactly as [`write`](Self::write) grows it, so bytes
+    /// above the old high-water mark start as zeros.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MramOutOfBounds`] if the range exceeds the capacity.
+    pub fn view_mut(&mut self, offset: u64, len: usize) -> Result<&mut [u8], SimError> {
+        self.check(offset, len as u64)?;
+        let end = offset as usize + len;
         if self.data.len() < end {
             self.data.resize(end, 0);
         }
-        self.data[offset as usize..end].copy_from_slice(src);
-        Ok(())
+        Ok(&mut self.data[offset as usize..end])
+    }
+
+    /// Splits the `len` bytes at `offset` into the resident part and the
+    /// count of bytes above the high-water mark after it.
+    fn resident(&self, offset: u64, len: usize) -> Result<(&[u8], usize), SimError> {
+        self.check(offset, len as u64)?;
+        let start = (offset as usize).min(self.data.len());
+        let resident = (self.data.len() - start).min(len);
+        Ok((&self.data[start..start + resident], len - resident))
     }
 
     /// Reads into `dst` from `offset`. Bytes above the high-water mark read
@@ -75,12 +97,29 @@ impl MramBank {
     ///
     /// [`SimError::MramOutOfBounds`] if the read exceeds the capacity.
     pub fn read(&self, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
-        self.check(offset, dst.len() as u64)?;
-        let start = (offset as usize).min(self.data.len());
-        let resident = (self.data.len() - start).min(dst.len());
-        dst[..resident].copy_from_slice(&self.data[start..start + resident]);
-        dst[resident..].fill(0);
+        let (resident, _) = self.resident(offset, dst.len())?;
+        let (head, tail) = dst.split_at_mut(resident.len());
+        head.copy_from_slice(resident);
+        tail.fill(0);
         Ok(())
+    }
+
+    /// The `len` bytes at `offset` as [`read`](Self::read) would copy them:
+    /// borrowed when they are all resident, and copied into a zero-extended
+    /// buffer only when part of them lies above the high-water mark.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MramOutOfBounds`] if the range exceeds the capacity.
+    pub fn view(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SimError> {
+        let (resident, zeros) = self.resident(offset, len)?;
+        if zeros == 0 {
+            return Ok(Cow::Borrowed(resident));
+        }
+        let mut bytes = Vec::with_capacity(len);
+        bytes.extend_from_slice(resident);
+        bytes.resize(len, 0);
+        Ok(Cow::Owned(bytes))
     }
 
     /// Zeroes the entire bank and releases physical memory — the manager's
@@ -158,6 +197,8 @@ mod tests {
                 let mut window = vec![0xAAu8; 64];
                 bank.read(start as u64, &mut window).unwrap();
                 prop_assert_eq!(&window[..], &model[start..start + 64]);
+                let view = bank.view(start as u64, 64).unwrap();
+                prop_assert_eq!(&view[..], &model[start..start + 64]);
             }
         }
 

@@ -12,15 +12,21 @@
 //! * *Fallback.* A buffer the guest cannot hold is host memory, pushed
 //!   through the staging path and its backpressure, with no setting to
 //!   choose it.
+//! * *Broadcast.* One buffer sent to every DPU looks to the model exactly
+//!   like one equal `Vec` per DPU, natively and in a VM, from guest or
+//!   host memory, and a broadcast in flight keeps the pages of the one
+//!   buffer the application dropped.
 
 use std::sync::Arc;
 
 use microbench::checksum::Checksum;
 use simkit::{CostModel, FaultPlan, MetricValue, Timeline};
 use upmem_driver::UpmemDriver;
-use upmem_sdk::{DpuSet, XferBuf};
+use upmem_sdk::DpuSet;
 use upmem_sim::{PimConfig, PimMachine};
-use vpim::{FaultSite, GuestBuf, StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem};
+use vpim::{
+    FaultSite, GuestBuf, StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem, VpimVm,
+};
 
 fn host(ranks: usize, dpus_per_rank: usize, mram_size: u64) -> Arc<UpmemDriver> {
     let machine = PimMachine::new(PimConfig {
@@ -77,7 +83,7 @@ fn observe(
     ranks: usize,
     dpus_per_rank: usize,
     devices: usize,
-    script: impl Fn(&mut DpuSet) -> Vec<Vec<u8>>,
+    script: impl Fn(&mut DpuSet, &VpimVm) -> Vec<Vec<u8>>,
 ) -> Seen {
     let sys = VpimSystem::start(
         host(ranks, dpus_per_rank, 1 << 20),
@@ -87,7 +93,7 @@ fn observe(
     let vm = sys.launch(TenantSpec::new("pin").devices(devices)).unwrap();
     let mut set =
         DpuSet::alloc_vm(vm.frontends(), devices * dpus_per_rank, CostModel::default()).unwrap();
-    let back = script(&mut set);
+    let back = script(&mut set, &vm);
     let timeline = set.take_timeline();
     drop(set);
     let snap = sys.registry().snapshot();
@@ -107,8 +113,8 @@ fn assert_blind(
     (ranks, dpus_per_rank, devices): (usize, usize, usize),
     script: impl Fn(&mut DpuSet, Source) -> Vec<Vec<u8>>,
 ) {
-    let vecs = observe(ranks, dpus_per_rank, devices, |set| script(set, Source::Vecs));
-    let bufs = observe(ranks, dpus_per_rank, devices, |set| script(set, Source::XferBufs));
+    let vecs = observe(ranks, dpus_per_rank, devices, |set, _| script(set, Source::Vecs));
+    let bufs = observe(ranks, dpus_per_rank, devices, |set, _| script(set, Source::XferBufs));
     assert_eq!(vecs.0, bufs.0, "{what}: whole timeline");
     assert_eq!(vecs.1, bufs.1, "{what}: registry");
     assert_eq!(vecs.2, bufs.2, "{what}: MRAM bytes read back");
@@ -181,13 +187,129 @@ fn checksum_agrees_natively_and_in_a_vm_on_guest_buffers() {
     let sys = VpimSystem::start(driver, VpimConfig::full(), StartOpts::default());
     let vm = sys.launch(TenantSpec::new("ck")).unwrap();
     let mut set = DpuSet::alloc_vm(vm.frontends(), 60, CostModel::default()).unwrap();
-    assert!(set.alloc_xfer_bufs(64 << 10).iter().all(XferBuf::is_guest));
+    assert!(set.alloc_broadcast_buf(64 << 10).is_guest());
     let before = vm.vm().memory().free_pages();
     let virt = Checksum::run(&mut set, 64 << 10, 11).unwrap();
     assert!(native.verified && virt.verified);
     assert_eq!(virt.value, native.value);
     assert_eq!(vm.vm().memory().free_pages(), before, "the run's buffers are returned");
     drop(set);
+    drop(vm);
+    sys.shutdown();
+}
+
+// ------------------------------------------------------------ broadcast
+
+/// How a script sends one payload to every DPU of its set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fanout {
+    /// `push_to_heap` of one equal `Vec` per DPU.
+    Vecs,
+    /// `broadcast_to_heap` of a buffer from `alloc_broadcast_buf`.
+    Broadcast,
+    /// `broadcast_to_heap` of a host-memory buffer: a native set's, which
+    /// a VM set stages as it stages `Vec`s.
+    HostBroadcast,
+}
+
+/// Sends `data` to every DPU of `set` at `offset`, as `how` says.
+fn fan_out(set: &mut DpuSet, how: Fanout, offset: u64, data: &[u8]) {
+    let mut buf = match how {
+        Fanout::Vecs => {
+            return set.push_to_heap(offset, &vec![data.to_vec(); set.nr_dpus()]).unwrap();
+        }
+        Fanout::Broadcast => set.alloc_broadcast_buf(data.len()),
+        Fanout::HostBroadcast => {
+            let native = DpuSet::alloc_native(&host(1, 1, 1 << 20), 1, CostModel::default());
+            native.unwrap().alloc_broadcast_buf(data.len())
+        }
+    };
+    buf.write(0, data).unwrap();
+    set.broadcast_to_heap(offset, &buf).unwrap();
+}
+
+/// A script that sends `bulk` to every DPU at 0 and `small` (batch path)
+/// at `bulk.len()`, and reads both back.
+fn fan_out_and_read(set: &mut DpuSet, how: Fanout, bulk: &[u8], small: &[u8]) -> Vec<Vec<u8>> {
+    fan_out(set, how, 0, bulk);
+    fan_out(set, how, bulk.len() as u64, small);
+    let mut back = set.push_from_heap(0, bulk.len()).unwrap();
+    back.extend(set.push_from_heap(bulk.len() as u64, small.len()).unwrap());
+    let n = set.nr_dpus();
+    assert_eq!(back[..n], vec![bulk.to_vec(); n][..], "{how:?}: bulk bytes");
+    assert_eq!(back[n..], vec![small.to_vec(); n][..], "{how:?}: small bytes");
+    back
+}
+
+#[test]
+fn a_broadcast_in_a_vm_looks_like_a_push_of_equal_vecs() {
+    let (bulk, small) = (pattern(3, 64 << 10), pattern(4, 16));
+    for layout @ (ranks, dpus_per_rank, devices) in [(1, 60, 1), (2, 8, 2)] {
+        let run = |how: Fanout| {
+            observe(ranks, dpus_per_rank, devices, |set, vm| {
+                assert!(set.alloc_broadcast_buf(bulk.len()).is_guest(), "a roomy guest holds it");
+                let before = vm.vm().memory().free_pages();
+                let back = fan_out_and_read(set, how, &bulk, &small);
+                assert_eq!(vm.vm().memory().free_pages(), before, "{layout:?} {how:?}: pages");
+                back
+            })
+        };
+        let vecs = run(Fanout::Vecs);
+        assert!(vecs.0.rank_ops() > 0, "{layout:?}: the script moved data");
+        for how in [Fanout::Broadcast, Fanout::HostBroadcast] {
+            let seen = run(how);
+            assert_eq!(seen.0, vecs.0, "{layout:?} {how:?}: whole timeline");
+            assert_eq!(seen.1, vecs.1, "{layout:?} {how:?}: registry");
+            assert_eq!(seen.2, vecs.2, "{layout:?} {how:?}: MRAM bytes read back");
+        }
+    }
+}
+
+#[test]
+fn a_native_broadcast_looks_like_a_push_of_equal_vecs() {
+    let (bulk, small) = (pattern(5, 64 << 10), pattern(6, 16));
+    let run = |how: Fanout| {
+        let driver = host(2, 8, 1 << 20);
+        let mut set = DpuSet::alloc_native(&driver, 16, CostModel::default()).unwrap();
+        assert!(!set.alloc_broadcast_buf(bulk.len()).is_guest(), "a native set's buffer");
+        let back = fan_out_and_read(&mut set, how, &bulk, &small);
+        (set.take_timeline(), back)
+    };
+    assert_eq!(run(Fanout::Broadcast), run(Fanout::Vecs));
+}
+
+#[test]
+fn a_broadcast_in_flight_outlives_its_dropped_buffer() {
+    let sys =
+        VpimSystem::start(host(2, LANE_DPUS, 1 << 20), VpimConfig::full(), StartOpts::default());
+    let vm = sys.launch(TenantSpec::new("bcast").devices(2)).unwrap();
+    let mem = vm.vm().memory();
+    let before = mem.free_pages();
+    let reads: Vec<(u32, u64, u64)> =
+        (0..LANE_DPUS as u32).map(|d| (d, 0, LANE_BYTES as u64)).collect();
+    for round in 0..4 {
+        let data = pattern(round, LANE_BYTES);
+        let buf = vm.frontend(0).alloc_buf(LANE_BYTES).unwrap();
+        buf.write(0, &data).unwrap();
+        let entries: Vec<(u32, u64, &GuestBuf)> =
+            (0..LANE_DPUS as u32).map(|d| (d, 0, &buf)).collect();
+        // Both channels name the one buffer, each on its device's lane...
+        let begun: Vec<_> = vm
+            .frontends()
+            .iter()
+            .map(|fe| (fe, fe.begin_write_rank_pinned(&entries).unwrap()))
+            .collect();
+        // ...and the application's handle drops with both in flight.
+        drop(entries);
+        drop(buf);
+        for (fe, op) in begun {
+            fe.finish_rank(op).unwrap();
+        }
+        assert_eq!(mem.free_pages(), before, "round {round}: every guest page came back");
+        for fe in vm.frontends() {
+            assert_eq!(fe.read_rank(&reads).unwrap().0, vec![data.clone(); LANE_DPUS]);
+        }
+    }
     drop(vm);
     sys.shutdown();
 }
@@ -206,7 +328,7 @@ const LANE_BYTES: usize = 20_000;
 /// checking that every guest page came back.
 fn write_and_drop(
     sys: &VpimSystem,
-    vm: &vpim::VpimVm,
+    vm: &VpimVm,
     source: Source,
     concurrent: bool,
     datas: &[Vec<Vec<u8>>],
