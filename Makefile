@@ -7,8 +7,10 @@
 # then the benchmark smoke (the frozen benchmark/ crate still builds against
 # this tree and every virt_fingerprint equals benchmark/baseline.json), the
 # concurrency stress/determinism suites (inline vs lane dispatch
-# bit-identity, and pinned guest buffers: model blindness, lifetime of a
-# dropped buffer in flight, fallback) and scheduler oversubscription
+# bit-identity, pinned guest buffers: model blindness, lifetime of a
+# dropped buffer in flight, fallback; and the cross-tenant guest-RAM canary,
+# whose tests are tenants of each other's recycled RAM when run in
+# parallel) and scheduler oversubscription
 # suites (the latter with the multi-VM, migration and load-harness
 # suites, which drive the same backend -> scheduler -> rank-table call
 # path) under varied harness parallelism and pinned to one CPU (a
@@ -31,7 +33,7 @@
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh
-	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers
+	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration load_harness
 	sh ci/perf-gate.sh
 	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection

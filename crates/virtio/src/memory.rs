@@ -26,6 +26,15 @@
 //! userspace to place application buffers (the pages whose GPAs the
 //! frontend serializes into the transfer matrix): a bitmap, one bit per
 //! page, handing out the lowest free pages first.
+//!
+//! Guest RAM is recycled. Beside its bytes it carries one dirty bit per
+//! page, set by every mutable borrow that hands the page out (the
+//! [`GuestMemory::view_mut`] writes, [`GuestMemory::with_slice_mut`],
+//! [`GuestMemory::walk_pages_mut`]). When the last handle drops, the dirty
+//! pages are zeroed and the RAM goes to a process-wide free list keyed by
+//! exact byte size, where the next [`GuestMemory::new`] of that size finds
+//! it. Zeroing follows writes rather than allocations because a guest may
+//! write pages it never allocated.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -67,16 +76,77 @@ impl Gpa {
     }
 }
 
+/// Guest RAM: its bytes and one dirty bit per page. A bit is set when a
+/// mutable borrow hands its page out and stays set while the memory lives,
+/// so a clear bit means the page still holds zeros.
+#[derive(Debug, Default)]
+struct Ram {
+    bytes: Vec<u8>,
+    /// Bit `p % 64` of word `p / 64` is set once page `p` was written.
+    dirty: Vec<u64>,
+}
+
+/// Guest RAMs whose last handle dropped, zeroed, for the next
+/// [`GuestMemory::new`] of the same byte size. A RAM is only created when
+/// none of its size is here, so this never holds more RAMs than were once
+/// live at the same time. A leaf lock: nothing is locked while it is held.
+static FREE_RAM: Mutex<Vec<Ram>> = Mutex::new(Vec::new());
+
+impl Ram {
+    /// A zeroed RAM of `bytes` bytes: the one of exactly that size released
+    /// last, or a fresh allocation.
+    fn take(bytes: usize) -> Ram {
+        let mut free = FREE_RAM.lock();
+        match free.iter().rposition(|ram| ram.bytes.len() == bytes) {
+            Some(i) => free.remove(i),
+            None => Ram {
+                bytes: vec![0u8; bytes],
+                dirty: vec![0; bytes.div_ceil(PAGE_SIZE as usize).div_ceil(64)],
+            },
+        }
+    }
+
+    /// Zeroes every dirty page and clears its bit.
+    fn scrub(&mut self) {
+        let page = PAGE_SIZE as usize;
+        for (i, word) in self.dirty.iter_mut().enumerate() {
+            while *word != 0 {
+                let p = i * 64 + word.trailing_zeros() as usize;
+                self.bytes[p * page..(p + 1) * page].fill(0);
+                *word &= *word - 1;
+            }
+        }
+    }
+}
+
+/// Marks the pages under the byte range `range` dirty.
+fn mark_dirty(dirty: &mut [u64], range: &Range<usize>) {
+    let page = PAGE_SIZE as usize;
+    for p in range.start / page..range.end.div_ceil(page) {
+        dirty[p / 64] |= 1 << (p % 64);
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
-    ram: RwLock<Vec<u8>>,
-    /// `ram.len()`, fixed at [`GuestMemory::new`]: bounds checks read it
-    /// without the lock.
+    ram: RwLock<Ram>,
+    /// `ram.bytes.len()`, fixed at [`GuestMemory::new`]: bounds checks
+    /// read it without the lock.
     size: u64,
     allocator: Mutex<PageAllocator>,
     /// Late-bound fault plane; empty (pure passthrough) until a system
     /// with injection enabled installs its plane.
     inject: InjectCell,
+}
+
+impl Drop for Inner {
+    /// Zeroes what the guest wrote and keeps the RAM for the next guest of
+    /// this size: a departed tenant's bytes do not outlive it.
+    fn drop(&mut self) {
+        let mut ram = std::mem::take(&mut *self.ram.write());
+        ram.scrub();
+        FREE_RAM.lock().push(ram);
+    }
 }
 
 /// A per-request GPA→HVA segment cache.
@@ -87,11 +157,12 @@ struct Inner {
 /// to RAM) so repeated same-segment descriptors skip the bounds re-check —
 /// the moral equivalent of caching one GPA→HVA translation.
 ///
-/// Staleness cannot occur: guest RAM is allocated once at
-/// [`GuestMemory::new`] and never grows, shrinks, or moves, so an extent
-/// that was in bounds stays in bounds for the memory's lifetime. The cache
-/// is plain request-local state (`Copy`, no locks) — create one per
-/// request or per worker, never share across memories.
+/// Staleness cannot occur: a memory's RAM is fixed at [`GuestMemory::new`]
+/// and never grows, shrinks, or moves while a handle lives (it is recycled
+/// only after the last one drops, to a memory of the same size), so an
+/// extent that was in bounds stays in bounds for the memory's lifetime.
+/// The cache is plain request-local state (`Copy`, no locks) — create one
+/// per request or per worker, never share across memories.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SegCache {
     /// Validated extent start (inclusive, page-aligned).
@@ -266,14 +337,15 @@ pub struct GuestMemory {
 
 impl GuestMemory {
     /// Creates `size` bytes of guest RAM starting at GPA 0 (rounded up to a
-    /// whole number of pages).
+    /// whole number of pages), all zero: a released RAM of that size if one
+    /// is free, else a fresh one.
     #[must_use]
     pub fn new(size: u64) -> Self {
         let pages = size.div_ceil(PAGE_SIZE);
         let bytes = pages * PAGE_SIZE;
         GuestMemory {
             inner: Arc::new(Inner {
-                ram: RwLock::new(vec![0u8; bytes as usize]),
+                ram: RwLock::new(Ram::take(bytes as usize)),
                 size: bytes,
                 allocator: Mutex::new(PageAllocator::new(pages)),
                 inject: InjectCell::new(),
@@ -319,12 +391,13 @@ impl GuestMemory {
     /// consulting [`MEM_EIO_POINT`]. `f` must not call back into this
     /// memory (the borrow is held for the whole call).
     pub fn view<T>(&self, f: impl FnOnce(&GuestView<'_>) -> T) -> T {
-        f(&GuestView { ram: &self.inner.ram.read() })
+        f(&GuestView { ram: &self.inner.ram.read().bytes })
     }
 
     /// Mutable [`view`](Self::view), for record writes.
     pub fn view_mut<T>(&self, f: impl FnOnce(&mut GuestViewMut<'_>) -> T) -> T {
-        f(&mut GuestViewMut { ram: &mut self.inner.ram.write() })
+        let Ram { bytes, dirty } = &mut *self.inner.ram.write();
+        f(&mut GuestViewMut { ram: bytes, dirty })
     }
 
     /// Copies bytes into guest memory at `gpa`.
@@ -377,7 +450,7 @@ impl GuestMemory {
     ) -> Result<T, VirtioError> {
         self.injected_eio()?;
         let range = byte_range(self.size(), gpa, len)?;
-        Ok(f(&self.inner.ram.read()[range]))
+        Ok(f(&self.inner.ram.read().bytes[range]))
     }
 
     /// Mutable GPA→HVA access.
@@ -393,7 +466,9 @@ impl GuestMemory {
     ) -> Result<T, VirtioError> {
         self.injected_eio()?;
         let range = byte_range(self.size(), gpa, len)?;
-        Ok(f(&mut self.inner.ram.write()[range]))
+        let mut ram = self.inner.ram.write();
+        mark_dirty(&mut ram.dirty, &range);
+        Ok(f(&mut ram.bytes[range]))
     }
 
     /// The bounds check through a [`SegCache`]: a range inside the
@@ -453,7 +528,7 @@ impl GuestMemory {
         mut f: impl FnMut(u64, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
         let ram = self.inner.ram.read();
-        self.walk(cache, pages, len, |offset, range| f(offset, &ram[range]))
+        self.walk(cache, pages, len, |offset, range| f(offset, &ram.bytes[range]))
     }
 
     /// Mutable [`walk_pages`](Self::walk_pages).
@@ -468,8 +543,11 @@ impl GuestMemory {
         len: u64,
         mut f: impl FnMut(u64, &mut [u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut ram = self.inner.ram.write();
-        self.walk(cache, pages, len, |offset, range| f(offset, &mut ram[range]))
+        let Ram { bytes, dirty } = &mut *self.inner.ram.write();
+        self.walk(cache, pages, len, |offset, range| {
+            mark_dirty(dirty, &range);
+            f(offset, &mut bytes[range])
+        })
     }
 
     /// Copies `data` into `pages`, one page's worth each (the last may be
@@ -602,6 +680,7 @@ impl<'a> GuestView<'a> {
 /// writes, bounds-checked per access and uninstrumented.
 pub struct GuestViewMut<'a> {
     ram: &'a mut [u8],
+    dirty: &'a mut [u64],
 }
 
 impl GuestViewMut<'_> {
@@ -612,6 +691,7 @@ impl GuestViewMut<'_> {
     /// [`VirtioError::OutOfBounds`] if the range exceeds guest RAM.
     pub fn write(&mut self, gpa: Gpa, data: &[u8]) -> Result<(), VirtioError> {
         let range = byte_range(self.ram.len() as u64, gpa, data.len() as u64)?;
+        mark_dirty(self.dirty, &range);
         self.ram[range].copy_from_slice(data);
         Ok(())
     }
@@ -957,6 +1037,10 @@ mod tests {
         (seen, end)
     }
 
+    /// The sizes, in pages, of the recycling property's memories.
+    const RECYCLE_PAGES: u64 = 23;
+    const OTHER_PAGES: u64 = 29;
+
     fn has_repeats(pages: &[Gpa]) -> bool {
         let mut sorted: Vec<u64> = pages.iter().map(|p| p.0).collect();
         sorted.sort_unstable();
@@ -1073,6 +1157,71 @@ mod tests {
             let mut part = vec![0u8; fill.len()];
             mem.view(|v| v.read_pages_at(&pages, at as u64, &mut part)).unwrap();
             prop_assert_eq!(&part[..], &model[at..at + fill.len()]);
+        }
+
+        /// Recycling: whatever a memory's handles wrote, through any
+        /// mutable accessor, at allocated pages or not, on the last page or
+        /// across the end of RAM, every page left holding a byte is marked
+        /// dirty; once the last handle drops, the next memory of that size
+        /// gets the same buffer back, all zero with every page free, and a
+        /// memory of another size never gets it. The two sizes are used by
+        /// no other test in this crate, so no parallel test can take the
+        /// buffer in between.
+        #[test]
+        fn a_dropped_memory_comes_back_zeroed_to_its_size_only(
+            allocated in 0usize..RECYCLE_PAGES as usize + 1,
+            ops in proptest::collection::vec(
+                ((0u8..7, 1u8..255), 0u64..RECYCLE_PAGES + 2, 0u64..PAGE_SIZE, 0u64..3 * PAGE_SIZE),
+                1..16,
+            ),
+        ) {
+            let mem = GuestMemory::new(RECYCLE_PAGES * PAGE_SIZE);
+            let held = mem.alloc_pages(allocated).unwrap();
+            let handle = mem.clone();
+            for ((op, byte), page, at, len) in ops {
+                let gpa = Gpa(page * PAGE_SIZE + at);
+                // Two pages, in reverse order: the last page of RAM and the
+                // one past it, or both past it, are among the picks.
+                let pages = [Gpa((page + 1) * PAGE_SIZE), Gpa(page * PAGE_SIZE)];
+                let data = vec![byte; len as usize];
+                let mut cache = SegCache::new();
+                // Refused ranges are part of the input: only what lands counts.
+                let _ = match op {
+                    0 => handle.write(gpa, &data),
+                    1 => handle.write_u16(gpa, u16::from(byte) << 8 | 1),
+                    2 => handle.write_pages(&pages, &data),
+                    3 => handle.view_mut(|v| v.write_pages_at(&pages, at, &data)),
+                    4 => handle.view_mut(|v| v.zero_pages_at(&pages, at, len)),
+                    5 => handle.with_slice_mut(gpa, len, |s| s.fill(byte)),
+                    _ => handle.walk_pages_mut(&mut cache, &pages, len, |_, s| {
+                        s.fill(byte);
+                        Ok::<(), VirtioError>(())
+                    }),
+                };
+            }
+            let buffer = {
+                let ram = mem.inner.ram.read();
+                for (p, bytes) in ram.bytes.chunks(PAGE_SIZE as usize).enumerate() {
+                    let dirty = ram.dirty[p / 64] & 1 << (p % 64) != 0;
+                    prop_assert!(dirty || bytes.iter().all(|b| *b == 0), "page {p} unmarked");
+                }
+                ram.bytes.as_ptr()
+            };
+            drop(held);
+            drop(mem);
+            let same = GuestMemory::new(RECYCLE_PAGES * PAGE_SIZE);
+            prop_assert!(!same.same_as(&handle));
+            prop_assert!(same.inner.ram.read().bytes.as_ptr() != buffer, "a handle lives");
+            drop(same);
+            drop(handle);
+            let other = GuestMemory::new(OTHER_PAGES * PAGE_SIZE);
+            prop_assert_ne!(other.inner.ram.read().bytes.as_ptr(), buffer);
+            let again = GuestMemory::new(RECYCLE_PAGES * PAGE_SIZE);
+            let ram = again.inner.ram.read();
+            prop_assert_eq!(ram.bytes.as_ptr(), buffer);
+            prop_assert!(ram.bytes.iter().all(|b| *b == 0));
+            prop_assert!(ram.dirty.iter().all(|w| *w == 0));
+            prop_assert_eq!(again.free_pages(), RECYCLE_PAGES as usize);
         }
 
         /// Allocator never hands out the same page twice while held.

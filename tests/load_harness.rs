@@ -61,10 +61,16 @@ fn seed_sweep_is_bit_identical_across_execution_modes() {
         let spec = LoadSpec::new(seed, 10).arrival(Arrival::Poisson { mean_gap_ns: 3_000 });
         let seq =
             LoadHarness::run(&host(2), &spec.execution(Execution::Sequential), &loadmix::smoke_mix(4));
+        let pooled_host = host(2);
         let pooled =
-            LoadHarness::run(&host(2), &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
+            LoadHarness::run(&pooled_host, &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
         assert_eq!(seq, pooled, "seed {seed}: phase-A execution mode leaked into the report");
         assert_eq!(seq.to_json(), pooled.to_json());
+        // A second round on the same host runs its sessions on the guest
+        // RAM the first round's sessions released.
+        let recycled =
+            LoadHarness::run(&pooled_host, &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
+        assert_eq!(seq, recycled, "seed {seed}: a rerun on recycled guest RAM differs");
         assert_eq!(seq.seed, seed);
         assert_eq!(seq.completed, 10);
     }
