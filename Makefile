@@ -8,9 +8,10 @@
 # this tree and every virt_fingerprint equals benchmark/baseline.json), the
 # concurrency stress/determinism suites (inline vs lane dispatch
 # bit-identity, pinned guest buffers: model blindness, lifetime of a
-# dropped buffer in flight, fallback; and the cross-tenant guest-RAM canary,
+# dropped buffer in flight, fallback; the cross-tenant guest-RAM canary,
 # whose tests are tenants of each other's recycled RAM when run in
-# parallel) and scheduler oversubscription
+# parallel; and the cross-tenant MRAM canary over shared broadcast pages,
+# rank reset and parked checkpoints) and scheduler oversubscription
 # suites (the latter with the multi-VM, migration and load-harness
 # suites, which drive the same backend -> scheduler -> rank-table call
 # path) under varied harness parallelism and pinned to one CPU (a
@@ -33,7 +34,7 @@
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh
-	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation
+	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation mram_isolation
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration load_harness
 	sh ci/perf-gate.sh
 	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection

@@ -18,7 +18,8 @@
 # script; `make tier1` calls it directly for the stress leg
 # (multi-VM/multi-rank integrity, inline vs lane dispatch bit-identity,
 # transport backpressure, pinned guest buffers outliving their handles on
-# a lane, no tenant reading another's bytes in recycled guest RAM), the
+# a lane, no tenant reading another's bytes in recycled guest RAM or in
+# shared, reset or parked MRAM pages), the
 # sched leg (8 VMs time-shared over 4 ranks
 # read back exactly the bytes a dedicated run produces, under constant
 # checkpoint/restore churn, with one- and two-device tenants; plus the

@@ -23,6 +23,7 @@ use pim_virtio::{GuestMemory, SegCache};
 use simkit::cost::DataPath;
 use simkit::{BytePool, CostModel, FaultPlane, VirtualNanos};
 use upmem_sim::interleave;
+use upmem_sim::mram::MRAM_PAGE;
 use upmem_sim::Rank;
 
 use crate::error::VpimError;
@@ -106,6 +107,34 @@ pub fn write_entry(
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
+    begin_write(mem, rank, entry, pool, cache, plane, key)?;
+    if !verify {
+        mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
+            rank.write_mram(entry.dpu as usize, entry.mram_offset + offset, s)
+                .map_err(VpimError::from)
+        })?;
+        return Ok(entry.len);
+    }
+    let mut data = pool.take(entry.len as usize);
+    TransferMatrix::gather_into(mem, entry, &mut data, cache)?;
+    transform_fused(&mut data, path);
+    rank.write_mram(entry.dpu as usize, entry.mram_offset, &data)?;
+    Ok(entry.len)
+}
+
+/// What every guest→MRAM entry does before its bytes move: refuse a short
+/// page list, then consult [`CHUNK_STALL_POINT`] and
+/// [`CHUNK_TORN_WRITE_POINT`] for `key`. A torn write lands the entry's
+/// first half and fails typed.
+fn begin_write(
+    mem: &GuestMemory,
+    rank: &Rank,
+    entry: &DpuXfer,
+    pool: &BytePool,
+    cache: &mut SegCache,
+    plane: Option<&FaultPlane>,
+    key: u64,
+) -> Result<(), VpimError> {
     entry.check_pages()?;
     maybe_stall(plane, key);
     if let Some(plane) = plane {
@@ -123,17 +152,44 @@ pub fn write_entry(
             return Err(VpimError::Injected { point: CHUNK_TORN_WRITE_POINT });
         }
     }
-    if !verify {
-        mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
-            rank.write_mram(entry.dpu as usize, entry.mram_offset + offset, s)
-                .map_err(VpimError::from)
-        })?;
-        return Ok(entry.len);
-    }
-    let mut data = pool.take(entry.len as usize);
-    TransferMatrix::gather_into(mem, entry, &mut data, cache)?;
-    transform_fused(&mut data, path);
-    rank.write_mram(entry.dpu as usize, entry.mram_offset, &data)?;
+    Ok(())
+}
+
+/// [`write_entry`] with interleave verification off, for an entry of a
+/// broadcast whose entry 0 has landed on DPU `source`: same guest pages,
+/// same length, same page-aligned MRAM offset.
+/// Each whole page takes `source`'s MRAM page ([`Rank::share_mram_page`])
+/// instead of a second copy of the guest page; a partial last page is
+/// copied. Page for page it consults the stall, torn-write,
+/// [`pim_virtio::MEM_EIO_POINT`] and [`upmem_sim::MRAM_DMA_POINT`] fault
+/// points and bounds checks exactly as [`write_entry`] would, so MRAM,
+/// errors and fault counts come out the same.
+///
+/// # Errors
+///
+/// As [`write_entry`].
+#[allow(clippy::too_many_arguments)]
+pub fn share_entry(
+    mem: &GuestMemory,
+    rank: &Rank,
+    entry: &DpuXfer,
+    source: u32,
+    pool: &BytePool,
+    cache: &mut SegCache,
+    plane: Option<&FaultPlane>,
+    key: u64,
+) -> Result<u64, VpimError> {
+    begin_write(mem, rank, entry, pool, cache, plane, key)?;
+    mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
+        let at = entry.mram_offset + offset;
+        if s.len() == MRAM_PAGE && at.is_multiple_of(MRAM_PAGE as u64) {
+            let page = (at / MRAM_PAGE as u64) as usize;
+            rank.share_mram_page(source as usize, entry.dpu as usize, page)
+        } else {
+            rank.write_mram(entry.dpu as usize, at, s)
+        }
+        .map_err(VpimError::from)
+    })?;
     Ok(entry.len)
 }
 

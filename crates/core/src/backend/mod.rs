@@ -24,6 +24,7 @@ use simkit::{
     VirtualNanos, WorkerPool,
 };
 use upmem_driver::{PerfMapping, UpmemDriver};
+use upmem_sim::mram::MRAM_PAGE;
 use upmem_sim::Rank;
 
 use crate::config::VpimConfig;
@@ -383,10 +384,13 @@ impl Backend {
     /// `min(pool workers, total bytes / FANOUT_MIN_BYTES)` chunks, so no
     /// two workers touch the same MRAM bank and every chunk carries at
     /// least [`FANOUT_MIN_BYTES`]. A width of one, or a matrix whose DPUs
-    /// make one chunk, runs inline. Each worker draws scratch buffers from
-    /// the shared [`BytePool`] and elides bounds re-checks with a
-    /// chunk-local [`SegCache`]. On full success the bytes moved are
-    /// published as `datapath.bytes.zero_copy`. On failure the error of the
+    /// make one chunk, runs inline. So does a broadcast with a `source`
+    /// ([`broadcast_source`]): entry 0 copies its bytes, then every other
+    /// entry takes entry 0's MRAM pages, so nothing is left to fan out.
+    /// Each worker draws scratch buffers from the shared [`BytePool`] and
+    /// elides bounds re-checks with a chunk-local [`SegCache`]. On full
+    /// success the bytes moved are published as
+    /// `datapath.bytes.zero_copy`. On failure the error of the
     /// **lowest entry index** is returned — the same error a sequential
     /// in-order walk would report — so error responses do not depend on
     /// the pool's width. Which other entries' transfers already landed is
@@ -397,12 +401,16 @@ impl Backend {
         rank: &Arc<Rank>,
         matrix: &TransferMatrix,
         verify: bool,
+        source: Option<u32>,
         op: EntryOp,
     ) -> Result<(), VpimError> {
         let path = self.vcfg.data_path;
         let plane = self.inject.plane();
         let chunks_worth = usize::try_from(matrix.total_bytes() / FANOUT_MIN_BYTES);
-        let width = self.pool.workers().min(chunks_worth.unwrap_or(usize::MAX));
+        let width = match source {
+            None => self.pool.workers().min(chunks_worth.unwrap_or(usize::MAX)),
+            Some(_) => 1,
+        };
         let chunks = if width > 1 {
             partition::partition_by_dpu(&matrix.entries, width)
         } else {
@@ -411,18 +419,14 @@ impl Backend {
         if chunks.len() <= 1 {
             let mut cache = SegCache::new();
             let mut moved = 0u64;
+            let (scratch, plane) = (&self.scratch, plane.as_deref());
             for (i, entry) in matrix.entries.iter().enumerate() {
-                moved += op(
-                    mem,
-                    rank,
-                    entry,
-                    verify,
-                    path,
-                    &self.scratch,
-                    &mut cache,
-                    plane.as_deref(),
-                    i as u64,
-                )?;
+                moved += match source {
+                    Some(source) if i > 0 => datapath::share_entry(
+                        mem, rank, entry, source, scratch, &mut cache, plane, i as u64,
+                    ),
+                    _ => op(mem, rank, entry, verify, path, scratch, &mut cache, plane, i as u64),
+                }?;
             }
             self.counters.zero_copy.add(moved);
             return Ok(());
@@ -502,7 +506,8 @@ impl Backend {
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
         let verify = perf.rank().verify_interleave();
-        self.run_entries(mem, perf.rank(), &matrix, verify, datapath::write_entry)?;
+        let source = if verify { None } else { broadcast_source(&matrix.entries) };
+        self.run_entries(mem, perf.rank(), &matrix, verify, source, datapath::write_entry)?;
         Ok(self.data_op_response(&matrix, chain.descriptors.len() as u64))
     }
 
@@ -524,7 +529,7 @@ impl Backend {
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
         let verify = perf.rank().verify_interleave();
-        self.run_entries(mem, perf.rank(), &matrix, verify, datapath::read_entry)?;
+        self.run_entries(mem, perf.rank(), &matrix, verify, None, datapath::read_entry)?;
         Ok(self.data_op_response(&matrix, chain.descriptors.len() as u64))
     }
 
@@ -634,6 +639,23 @@ impl Backend {
     }
 }
 
+/// The DPU of entry 0 when an unstaged write is a broadcast as
+/// `broadcast_to_heap` builds it: two or more entries, each with entry 0's
+/// guest pages, length and page-aligned MRAM offset. Every other entry can
+/// then take that DPU's MRAM pages instead of copying the guest pages
+/// again ([`datapath::share_entry`]). Two entries may name one DPU: each
+/// writes the same bytes to the same place, so the later one rewrites what
+/// is already there, shared or copied. `None` for any other matrix, which
+/// keeps the copy path.
+fn broadcast_source(entries: &[DpuXfer]) -> Option<u32> {
+    let (first, rest) = entries.split_first()?;
+    let repeats = |e: &DpuXfer| {
+        e.len == first.len && e.mram_offset == first.mram_offset && e.pages == first.pages
+    };
+    let aligned = first.mram_offset.is_multiple_of(MRAM_PAGE as u64);
+    (!rest.is_empty() && aligned && rest.iter().all(repeats)).then_some(first.dpu)
+}
+
 /// The most bytes any one DPU receives from `entries` (summed per DPU id,
 /// whatever their order).
 fn max_dpu_bytes(entries: &[DpuXfer]) -> u64 {
@@ -733,7 +755,11 @@ mod tests {
     }
 
     fn width_rig(workers: usize) -> WidthRig {
-        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
+        rig_on(PimConfig::small(), workers)
+    }
+
+    fn rig_on(config: PimConfig, workers: usize) -> WidthRig {
+        let driver = Arc::new(UpmemDriver::new(PimMachine::new(config)));
         let mgr = Manager::start(driver.clone(), CostModel::default(), ManagerConfig::default());
         let (vcfg, cm) = (VpimConfig::full(), CostModel::default());
         let registry = MetricsRegistry::new();
@@ -838,6 +864,191 @@ mod tests {
         (vec![write, read], got, mram, zero_copy, errors)
     }
 
+    /// Bytes per DPU of the broadcast in [`broadcast_run`]: five whole
+    /// pages and a partial one. Eight of them make one inline chunk.
+    const BCAST_LEN: usize = 5 * 4096 + 1000;
+    /// Seventeen whole pages and a partial one: eight of them make
+    /// [`FANOUT_MIN_BYTES`] twice over, so a copy fans out on a wide pool.
+    const BCAST_WIDE_LEN: usize = 17 * 4096 + 1000;
+    const BCAST_AT: u64 = 4096;
+    const ALL_DPUS: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
+
+    /// What one broadcast run observes: the response, every DPU's MRAM
+    /// window, the armed points' stats and the whole registry.
+    type BroadcastRun = (Response, Vec<Vec<u8>>, Vec<Option<simkit::PointStats>>, String);
+
+    /// Two writes of `len` bytes of one image, one entry per DPU of `dpus`,
+    /// to an unstaged eight-DPU rank served by a `workers`-wide data pool:
+    /// a clean one, then one under `faults`. `shared` names one guest
+    /// buffer in every entry (a broadcast); otherwise each entry has its
+    /// own copy of the image.
+    fn broadcast_run(
+        shared: bool,
+        workers: usize,
+        len: usize,
+        dpus: &[u32],
+        faults: &[(&'static str, simkit::FaultPlan)],
+    ) -> BroadcastRun {
+        let config = PimConfig { verify_interleave: false, ..PimConfig::small() };
+        let mut w = rig_on(config, workers);
+        w.rig.mem.install_fault_plane(w.plane.clone());
+        w.driver.machine().install_fault_plane(&w.plane);
+        let write = |w: &mut WidthRig, seed: u8| {
+            let image: Vec<u8> = (0..len).map(|i| (i as u8 ^ seed).wrapping_mul(13)).collect();
+            let npages = len.div_ceil(4096);
+            let copies = if shared { 1 } else { dpus.len() };
+            let bufs: Vec<Vec<Gpa>> =
+                (0..copies).map(|_| w.rig.mem.alloc_pages(npages).unwrap()).collect();
+            for pages in &bufs {
+                w.rig.mem.write_pages(pages, &image).unwrap();
+            }
+            let entries = dpus
+                .iter()
+                .enumerate()
+                .map(|(i, &dpu)| DpuXfer {
+                    dpu,
+                    mram_offset: BCAST_AT,
+                    len: len as u64,
+                    pages: bufs[i % copies].clone(),
+                })
+                .collect();
+            let matrix = TransferMatrix { entries };
+            let (descs, lease) = matrix.serialize_pooled(&w.rig.mem, &BytePool::new()).unwrap();
+            let nr_dpus = dpus.len() as u32;
+            let resp = send(&mut w.rig, &Request::WriteRank { nr_dpus }, &descs);
+            lease.release();
+            w.rig.mem.free_pages_back(&bufs.concat()).unwrap();
+            resp
+        };
+        assert!(write(&mut w, 1).is_ok());
+        for (point, plan) in faults {
+            w.plane.arm(point, *plan);
+        }
+        let resp = write(&mut w, 2);
+        let stats = faults.iter().map(|(point, _)| w.plane.point_stats(point)).collect();
+        for (point, _) in faults {
+            w.plane.disarm(point);
+        }
+        let rank = w.driver.machine().rank(w.rig.backend.linked_rank().unwrap()).unwrap();
+        let mram = (0..8)
+            .map(|d| {
+                let mut buf = vec![0u8; BCAST_AT as usize + len + 4096];
+                rank.read_mram(d, 0, &mut buf).unwrap();
+                buf
+            })
+            .collect();
+        (resp, mram, stats, format!("{:?}", w.registry.snapshot()))
+    }
+
+    /// A broadcast whose entries share one guest buffer takes the source
+    /// DPU's MRAM pages instead of copying. On the handler's thread (a
+    /// one-worker pool, where the copy path runs inline too), with the
+    /// torn-write, stall, MRAM DMA and guest EIO points armed, alone and
+    /// together, the response (the lowest-index error), every DPU's MRAM,
+    /// the points' stats and the registry equal those of the same write
+    /// from one copy of the image per entry; also when the broadcast names
+    /// two DPUs twice.
+    #[test]
+    fn a_shared_broadcast_matches_inline_copies() {
+        use simkit::FaultPlan::{EveryK, Nth, Probability};
+        use upmem_sim::MRAM_DMA_POINT;
+        let torn = datapath::CHUNK_TORN_WRITE_POINT;
+        let (stall, eio) = (datapath::CHUNK_STALL_POINT, pim_virtio::MEM_EIO_POINT);
+        let schedules: Vec<Vec<(&'static str, simkit::FaultPlan)>> = vec![
+            vec![],
+            vec![(torn, Nth(1))],
+            vec![(torn, Nth(3))],
+            vec![(stall, EveryK(3))],
+            vec![(MRAM_DMA_POINT, Nth(4))],
+            vec![(eio, Nth(2))],
+            vec![(eio, Nth(9))],
+            vec![(eio, Nth(20))],
+            vec![(eio, Nth(29))],
+            vec![(eio, EveryK(40))],
+            vec![(torn, Nth(6)), (stall, EveryK(2)), (MRAM_DMA_POINT, Nth(8)), (eio, Nth(33))],
+            vec![
+                (torn, Probability { permille: 100 }),
+                (stall, Probability { permille: 200 }),
+                (MRAM_DMA_POINT, Probability { permille: 100 }),
+                (eio, Probability { permille: 20 }),
+            ],
+        ];
+        let mut failed = 0;
+        let (once, twice) = (ALL_DPUS.as_slice(), [0, 1, 2, 3, 4, 5, 6, 7, 3, 0]);
+        for faults in &schedules {
+            for dpus in [once, &twice] {
+                let copied = broadcast_run(false, 1, BCAST_LEN, dpus, faults);
+                let shared = broadcast_run(true, 1, BCAST_LEN, dpus, faults);
+                assert_eq!(shared.0, copied.0, "response under {faults:?} to {dpus:?}");
+                assert!(shared.1 == copied.1, "MRAM under {faults:?} to {dpus:?}");
+                assert_eq!(shared.2, copied.2, "point stats under {faults:?} to {dpus:?}");
+                assert_eq!(shared.3, copied.3, "registry under {faults:?} to {dpus:?}");
+                failed += usize::from(!shared.0.is_ok());
+            }
+        }
+        assert!(failed >= 16, "most schedules fail the write: {failed}");
+    }
+
+    /// Only a write whose entries all name entry 0's guest pages shares
+    /// MRAM: entries of equal length and offset over pages of their own
+    /// keep the copy path, and every DPU reads back its own bytes.
+    #[test]
+    fn equal_entries_over_their_own_pages_are_copied() {
+        let config = PimConfig { verify_interleave: false, ..PimConfig::small() };
+        let mut w = rig_on(config, 1);
+        let npages = BCAST_LEN.div_ceil(4096);
+        let image = |d: u32| -> Vec<u8> {
+            (0..BCAST_LEN).map(|i| (i as u8) ^ (d as u8 + 1)).collect()
+        };
+        let entries: Vec<DpuXfer> = ALL_DPUS
+            .iter()
+            .map(|&dpu| {
+                let pages = w.rig.mem.alloc_pages(npages).unwrap();
+                w.rig.mem.write_pages(&pages, &image(dpu)).unwrap();
+                DpuXfer { dpu, mram_offset: BCAST_AT, len: BCAST_LEN as u64, pages }
+            })
+            .collect();
+        assert_eq!(broadcast_source(&entries), None);
+        let mut repeated = entries.clone();
+        for e in &mut repeated[1..] {
+            e.pages.clone_from(&entries[0].pages);
+        }
+        assert_eq!(broadcast_source(&repeated), Some(0));
+        let matrix = TransferMatrix { entries };
+        let (descs, lease) = matrix.serialize_pooled(&w.rig.mem, &BytePool::new()).unwrap();
+        assert!(send(&mut w.rig, &Request::WriteRank { nr_dpus: 8 }, &descs).is_ok());
+        lease.release();
+        let rank = w.driver.machine().rank(w.rig.backend.linked_rank().unwrap()).unwrap();
+        for d in ALL_DPUS {
+            let mut got = vec![0u8; BCAST_LEN];
+            rank.read_mram(d as usize, BCAST_AT, &mut got).unwrap();
+            assert!(got == image(d), "DPU {d} reads its own bytes");
+        }
+    }
+
+    /// On a four-worker pool the copies fan out and the shared broadcast
+    /// runs inline; what is specified still matches: a successful write
+    /// (with the stall point armed) gives the same response and MRAM both
+    /// ways. After a failure, which entries landed is unspecified on
+    /// either path, so only the error's status and kind are compared.
+    #[test]
+    fn a_wide_pool_sees_the_same_shared_broadcast() {
+        use simkit::FaultPlan::{EveryK, Nth};
+        let stall = datapath::CHUNK_STALL_POINT;
+        for faults in [vec![], vec![(stall, EveryK(2))]] {
+            let copied = broadcast_run(false, 4, BCAST_WIDE_LEN, &ALL_DPUS, &faults);
+            let shared = broadcast_run(true, 4, BCAST_WIDE_LEN, &ALL_DPUS, &faults);
+            assert!(copied.0.is_ok(), "{:?}", copied.0);
+            assert_eq!(shared.0, copied.0, "response under {faults:?}");
+            assert!(shared.1 == copied.1, "MRAM under {faults:?}");
+        }
+        let faults = [(datapath::CHUNK_TORN_WRITE_POINT, Nth(1))];
+        let copied = broadcast_run(false, 4, BCAST_WIDE_LEN, &ALL_DPUS, &faults);
+        let shared = broadcast_run(true, 4, BCAST_WIDE_LEN, &ALL_DPUS, &faults);
+        assert!(!copied.0.is_ok(), "the first entry consulted tears");
+        assert_eq!((shared.0.status, shared.0.kind), (copied.0.status, copied.0.kind));
+    }
+
     /// The data pool's width is a host mechanism: a one-worker pool (every
     /// matrix on the handler's thread) and a four-worker pool give equal
     /// responses, MRAM, zero-copy totals and errors.
@@ -876,7 +1087,8 @@ mod tests {
         let (matrix, dl) = TransferMatrix::from_user_buffers(&w.rig.mem, &refs).unwrap();
         let guard = w.rig.backend.ensure_linked().unwrap();
         let rank = guard.as_ref().expect("linked above").rank();
-        w.rig.backend.run_entries(&w.rig.mem, rank, &matrix, rank.verify_interleave(), op).unwrap();
+        let verify = rank.verify_interleave();
+        w.rig.backend.run_entries(&w.rig.mem, rank, &matrix, verify, None, op).unwrap();
         drop(guard);
         dl.release();
     }

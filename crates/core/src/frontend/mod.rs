@@ -830,7 +830,13 @@ impl Frontend {
         // `STATE` stays a leaf relative to the lower layers.
         let drained = {
             let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
-            self.state.lock().batch.drain()
+            let mut st = self.state.lock();
+            if st.batch.is_empty() {
+                // Reads, launches and barriers flush first, so most calls
+                // find nothing buffered.
+                return Ok(OpReport::default());
+            }
+            st.batch.drain()
         };
         let mut report = OpReport::default();
         for chunk in drained.views().chunks(MAX_DPUS) {
@@ -1295,6 +1301,7 @@ mod tests {
 
     use crate::config::VpimConfig;
     use crate::error::VpimError;
+    use crate::report::OpReport;
     use crate::system::{StartOpts, TenantSpec, VpimSystem};
 
     /// A kernel that only carries one `u32` host symbol.
@@ -1329,6 +1336,34 @@ mod tests {
         assert_eq!(vmexits(), before, "a refused read never kicks");
         let (bytes, _) = fe.read_symbol(0, "n", 4).unwrap();
         assert_eq!(bytes, 7u32.to_le_bytes());
+        sys.shutdown();
+    }
+
+    #[test]
+    fn an_empty_flush_submits_nothing_and_counts_nothing() {
+        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
+        let sys = VpimSystem::start(driver, VpimConfig::full(), StartOpts::default());
+        let vm = sys.launch(TenantSpec::new("vm-0")).unwrap();
+        let fe = vm.frontend(0);
+        // One small write is buffered and flushed for real first, so the
+        // counters below exist and the batch has been drained once.
+        fe.write_rank(&[(0, 0, &[7u8; 64][..])]).unwrap();
+        assert_ne!(fe.flush_batch().unwrap(), OpReport::default());
+
+        let watched = || {
+            let snap = sys.registry().snapshot();
+            let batch: Vec<_> = snap
+                .with_prefix("frontend.batch")
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect();
+            (batch, snap.count("vmm.vmexits"), snap.count("backend.writes"))
+        };
+        let before = watched();
+        assert!(!before.0.is_empty(), "the batch counters are registered");
+        for _ in 0..3 {
+            assert_eq!(fe.flush_batch().unwrap(), OpReport::default());
+        }
+        assert_eq!(watched(), before, "no chain, no kick, no batch counter");
         sys.shutdown();
     }
 }

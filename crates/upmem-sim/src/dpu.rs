@@ -26,6 +26,7 @@
 //! count), above it the DPU is throughput-bound.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::{DpuFault, SimError};
 use crate::geometry::{PimConfig, MAX_TASKLETS, PIPELINE_DEPTH};
@@ -231,17 +232,19 @@ impl Dpu {
     /// the loaded image — the checkpoint half of the paper's future-work
     /// pause/resume mechanism (§7: "checkpoint-restore mechanisms could
     /// enable dynamic workload consolidation without hardware changes").
+    /// The snapshot holds handles on the bank's pages, not a copy of its
+    /// bytes; the first side to write a page afterwards copies it.
     #[must_use]
     pub fn snapshot(&self) -> DpuSnapshot {
-        let mram = self.mram.view(0, self.mram.resident_bytes());
         DpuSnapshot {
-            mram: mram.expect("resident range is in bounds").into_owned(),
+            mram: self.mram.clone(),
             symbols: self.symbols.clone(),
             loaded: self.loaded.clone(),
         }
     }
 
-    /// Restores a previously captured snapshot, replacing all content.
+    /// Restores a previously captured snapshot, replacing all content. The
+    /// bank takes the snapshot's page handles; no byte is copied.
     ///
     /// # Errors
     ///
@@ -249,9 +252,7 @@ impl Dpu {
     /// with a larger MRAM bank.
     pub fn restore(&mut self, snap: &DpuSnapshot) -> Result<(), SimError> {
         self.reset_content();
-        if !snap.mram.is_empty() {
-            self.mram.write(0, &snap.mram)?;
-        }
+        self.mram.restore_from(&snap.mram)?;
         self.symbols = snap.symbols.clone();
         self.loaded = snap.loaded.clone();
         self.state = DpuState::Idle;
@@ -269,10 +270,12 @@ impl Dpu {
     }
 }
 
-/// A captured DPU state (resident MRAM, host symbols, loaded image).
+/// A captured DPU state (resident MRAM, host symbols, loaded image). Its
+/// MRAM is a copy-on-write clone of the bank: page handles, counted by the
+/// bank's byte high-water mark as if they were copies.
 #[derive(Debug, Clone)]
 pub struct DpuSnapshot {
-    mram: Vec<u8>,
+    mram: MramBank,
     symbols: HashMap<String, Vec<u8>>,
     loaded: Option<KernelImage>,
 }
@@ -281,24 +284,18 @@ impl DpuSnapshot {
     /// Resident MRAM bytes captured.
     #[must_use]
     pub fn mram_bytes(&self) -> usize {
-        self.mram.len()
+        self.mram.resident_bytes()
     }
 
     /// Bytes that differ from `base`: the dirty set a pre-copy migration
     /// must re-send after shipping `base` as its warm round. Counts
     /// byte-wise MRAM mismatches (residency growth/shrink counts in
     /// full), changed or new host-symbol payloads, and the loaded kernel
-    /// image's IRAM footprint when the image changed.
+    /// image's IRAM footprint when the image changed. MRAM pages the two
+    /// snapshots share are not compared byte by byte.
     #[must_use]
     pub fn diff_bytes(&self, base: &DpuSnapshot) -> u64 {
-        let common = self.mram.len().min(base.mram.len());
-        let mut dirty = self.mram[..common]
-            .iter()
-            .zip(&base.mram[..common])
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        dirty += (self.mram.len() - common) as u64;
-        dirty += (base.mram.len() - common) as u64;
+        let mut dirty = self.mram.diff_bytes(&base.mram);
         for (name, payload) in &self.symbols {
             match base.symbols.get(name) {
                 Some(prev) if prev == payload => {}
@@ -542,35 +539,58 @@ impl<'a> TaskletCtx<'a> {
         Ok(f(&bytes))
     }
 
-    /// Reads little-endian `u32`s from MRAM.
+    /// Reads little-endian `u32`s from MRAM, page piece by page piece with
+    /// no staging copy. Charged exactly like [`mram_read`](Self::mram_read)
+    /// of the same bytes.
     ///
     /// # Errors
     ///
     /// Faults on an out-of-bounds MRAM access.
     pub fn mram_read_u32s(&mut self, addr: u64, dst: &mut [u32]) -> Result<(), DpuFault> {
-        self.mram_read_with(addr, dst.len() * 4, |raw| {
-            for (w, b) in dst.iter_mut().zip(raw.chunks_exact(4)) {
-                *w = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
-            }
-        })
+        self.charge_dma(dst.len() * 4);
+        self.dpu
+            .mram
+            .read_pieces(addr, dst.len() * 4, |at, piece| {
+                let words = piece_words(at, piece.len());
+                for (k, &b) in piece[..words.start].iter().enumerate() {
+                    set_le_byte(dst, at + k, b);
+                }
+                let whole = &mut dst[(at + words.start) / 4..(at + words.end) / 4];
+                for (w, b) in whole.iter_mut().zip(piece[words.clone()].chunks_exact(4)) {
+                    *w = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+                }
+                for (k, &b) in piece[words.end..].iter().enumerate() {
+                    set_le_byte(dst, at + words.end + k, b);
+                }
+            })
+            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
     }
 
-    /// Writes little-endian `u32`s to MRAM.
+    /// Writes little-endian `u32`s to MRAM, page piece by page piece with
+    /// no staging copy. Charged exactly like [`mram_write`](Self::mram_write)
+    /// of the same bytes.
     ///
     /// # Errors
     ///
     /// Faults on an out-of-bounds MRAM access.
     pub fn mram_write_u32s(&mut self, addr: u64, src: &[u32]) -> Result<(), DpuFault> {
         self.charge_dma(src.len() * 4);
-        let raw = self
-            .dpu
+        self.dpu
             .mram
-            .view_mut(addr, src.len() * 4)
-            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))?;
-        for (b, w) in raw.chunks_exact_mut(4).zip(src) {
-            b.copy_from_slice(&w.to_le_bytes());
-        }
-        Ok(())
+            .write_pieces(addr, src.len() * 4, |at, piece| {
+                let words = piece_words(at, piece.len());
+                for (k, b) in piece[..words.start].iter_mut().enumerate() {
+                    *b = le_byte(src, at + k);
+                }
+                let whole = &src[(at + words.start) / 4..(at + words.end) / 4];
+                for (b, w) in piece[words.clone()].chunks_exact_mut(4).zip(whole) {
+                    b.copy_from_slice(&w.to_le_bytes());
+                }
+                for (k, b) in piece[words.end..].iter_mut().enumerate() {
+                    *b = le_byte(src, at + words.end + k);
+                }
+            })
+            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
     }
 
     /// Accounts a WRAM allocation of `bytes` (`mem_alloc`). The payload
@@ -652,6 +672,27 @@ impl<'a> TaskletCtx<'a> {
             .write_symbol(name, &v.to_le_bytes())
             .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))
     }
+}
+
+/// The whole words inside a page piece of a `u32` transfer: `at` is the
+/// piece's byte offset in the transfer, and the result is the byte range
+/// of the piece holding whole words. A word a page boundary splits lies
+/// partly before and partly after it, and moves byte by byte.
+fn piece_words(at: usize, len: usize) -> Range<usize> {
+    let start = ((4 - at % 4) % 4).min(len);
+    start..start + (len - start) / 4 * 4
+}
+
+/// Byte `at` of the little-endian image of `words`.
+fn le_byte(words: &[u32], at: usize) -> u8 {
+    words[at / 4].to_le_bytes()[at % 4]
+}
+
+/// Sets byte `at` of the little-endian image of `words`.
+fn set_le_byte(words: &mut [u32], at: usize, b: u8) {
+    let mut bytes = words[at / 4].to_le_bytes();
+    bytes[at % 4] = b;
+    words[at / 4] = u32::from_le_bytes(bytes);
 }
 
 #[cfg(test)]

@@ -58,8 +58,11 @@ pub struct PimConfig {
     pub iram_size: usize,
     /// DPU clock in MHz (350 on the evaluation DIMMs).
     pub freq_mhz: u64,
-    /// When true, rank transfers really run the byte-interleaving transform
-    /// (roundtrip-verified); when false only its cost is charged. Benches
+    /// When true, rank transfers stage each payload and really run the
+    /// byte-interleave/deinterleave pair over it; the pair is the identity
+    /// and nothing compares its result, so it is only run, not verified.
+    /// When false only its cost is charged, payloads move straight between
+    /// guest pages and MRAM, and a broadcast shares MRAM pages. Benches
     /// with large payloads disable it for wall-clock speed.
     pub verify_interleave: bool,
 }

@@ -246,6 +246,24 @@ impl Rank {
         self.dpus[dpu].lock().mram().read(offset, dst)
     }
 
+    /// Makes MRAM page `index` of DPU `dst` the same page as DPU `src`'s,
+    /// without copying its bytes: `dst` then reads exactly as if
+    /// [`write_mram`](Self::write_mram) had copied that page over, and the
+    /// first of the two to write the page gets a private copy. Consults
+    /// [`MRAM_DMA_POINT`] for `dst` once, as that one-page copy would. The
+    /// two DPU locks are taken one after the other, never together.
+    ///
+    /// # Errors
+    ///
+    /// Invalid DPU index, or a page past the end of the bank.
+    pub fn share_mram_page(&self, src: usize, dst: usize, index: usize) -> Result<(), SimError> {
+        self.check_dpu(src)?;
+        self.check_dpu(dst)?;
+        self.injected_dma(dst)?;
+        let page = self.dpus[src].lock().mram().page(index);
+        self.dpus[dst].lock().mram_mut().install_page(index, page)
+    }
+
     /// Loads a program image onto the given DPUs (all functional DPUs if
     /// `dpus` is `None`), like `dpu_load` broadcasting an ELF to the rank.
     ///
@@ -422,6 +440,7 @@ mod tests {
     use crate::dpu::DpuContext;
     use crate::error::DpuFault;
     use crate::kernel::{DpuKernel, SymbolDef};
+    use crate::mram::MRAM_PAGE;
     use std::sync::Arc;
 
     fn rank() -> Rank {
@@ -436,6 +455,25 @@ mod tests {
         let mut back = vec![0u8; 256];
         r.read_dpu(3, 128, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn a_shared_page_reads_like_a_copy_and_diverges_on_write() {
+        let r = rank();
+        let page: Vec<u8> = (0..MRAM_PAGE).map(|i| i as u8).collect();
+        r.write_mram(0, MRAM_PAGE as u64, &page).unwrap();
+        r.share_mram_page(0, 5, 1).unwrap();
+        assert_eq!(r.resident_bytes(), 4 * MRAM_PAGE);
+        let mut back = vec![0u8; MRAM_PAGE];
+        r.read_mram(5, MRAM_PAGE as u64, &mut back).unwrap();
+        assert_eq!(back, page);
+        // A write to either side stays on that side.
+        r.write_mram(5, MRAM_PAGE as u64, &[0xEE; 16]).unwrap();
+        r.read_mram(0, MRAM_PAGE as u64, &mut back).unwrap();
+        assert_eq!(back, page);
+        let cap = r.mram_size() as usize / MRAM_PAGE;
+        assert!(matches!(r.share_mram_page(0, 5, cap), Err(SimError::MramOutOfBounds { .. })));
+        assert!(matches!(r.share_mram_page(0, 99, 1), Err(SimError::InvalidDpu(99))));
     }
 
     #[test]

@@ -29,7 +29,8 @@ pub fn register_workloads(machine: &PimMachine) {
 
 /// A host geometry sized for the mixes: `ranks` ranks of 16 DPUs with
 /// full 64 MB MRAM banks (the UPIS index needs real bank capacity;
-/// `MramBank` is sparse, so unused space costs nothing).
+/// `MramBank` allocates only the 4 KiB pages something wrote, so unused
+/// space, even below a high write, costs nothing).
 #[must_use]
 pub fn load_host_config(ranks: usize) -> PimConfig {
     PimConfig {
