@@ -4,8 +4,9 @@
 .PHONY: tier1 build test figures bench clean
 
 # The repo's tier-1 gate (ROADMAP.md): release build + full test suite,
-# then the benchmark smoke (the frozen benchmark/ crate still builds against
-# this tree and every virt_fingerprint equals benchmark/baseline.json), the
+# then the benchmark smoke (a 0.2 s timed run of every workload, no retry:
+# the frozen benchmark/ crate still builds against this tree, no operation
+# fails and all six virt_fingerprints equal benchmark/baseline.json), the
 # concurrency stress/determinism suites (inline vs lane dispatch
 # bit-identity, pinned guest buffers: model blindness, lifetime of a
 # dropped buffer in flight, fallback; the cross-tenant guest-RAM canary,

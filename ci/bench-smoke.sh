@@ -12,23 +12,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== bench smoke: build + one short run of every workload =="
-# A smoke run times one iteration per workload, and CPU time is read in
-# 10 ms ticks: `bulk_write`'s ~8 ms iteration can read no CPU at all, and
-# the harness then omits `host.cpu_sys_share` ("metrics not produced") and
-# exits 2. That failure alone is retried, at most twice.
-log=$(mktemp)
-trap 'rm -f "$log"' EXIT
-attempt=1
-until sh benchmark/run.sh --smoke >/dev/null 2>"$log"; do
-    cat "$log" >&2
-    if [ "$attempt" -ge 3 ] || ! grep -q "metrics not produced: host.cpu_sys_share$" "$log"; then
-        exit 1
-    fi
-    attempt=$((attempt + 1))
-    echo "bench smoke: no CPU tick read, attempt $attempt" >&2
-done
-cat "$log" >&2
+echo "== bench smoke: build + one short timed run of every workload =="
+# `--seconds 0.2` times whole cycles (tens of iterations; at least two of
+# `multirank_push`; `session_churn`'s whole four-round cycle), so every
+# workload reads CPU ticks. A `--smoke` run times one iteration, and CPU
+# time is read in 10 ms ticks: a short iteration can read none, and the
+# harness then exits 2 with "metrics not produced: host.cpu_sys_share".
+sh benchmark/run.sh --seconds 0.2 >/dev/null
 
 # One "<workload> <failed> <virt_fingerprint>" line per workload of a
 # result file (each field sits on a line of its own under the workload).
@@ -53,12 +43,7 @@ for w in checksum_app bulk_write bulk_read nw_small_ops multirank_push session_c
         echo "bench smoke: $w: missing from result.json or has failed operations" >&2
         status=1
     fi
-    # session_churn's smoke run is one round, its baseline a full-length
-    # run (b74c422be447e91e): the fingerprints cover different session
-    # counts, so its one-round fingerprint is pinned here instead. It is
-    # the only workload whose data path runs the interleave pair.
     expected=$(field "$want" "$w" 3)
-    [ "$w" = session_churn ] && expected=1a15f6c3d6811df8
     if [ "$(field "$got" "$w" 3)" != "$expected" ]; then
         echo "bench smoke: $w: virt_fingerprint $(field "$got" "$w" 3)," \
             "expected $expected" >&2

@@ -3,9 +3,10 @@
 //! The host generates a random file of the requested size and transfers it
 //! to **every** allocated DPU (same data everywhere — unlike PrIM there is
 //! no partitioning); each DPU checksums its copy; the host reads each
-//! DPU's result from its MRAM. Per §5.3.1, one execution issues one
-//! `write-to-rank`, one `read-from-rank` per DPU, and thousands of CI
-//! operations (the synchronous-launch status polls).
+//! DPU's result from its MRAM. One execution issues one `write-to-rank`,
+//! one `read-from-rank` per DPU and a few CI operations (the benchmark reads
+//! `virt.backend.ci` = 4 per run); §5.3.1 counts 8 000–28 000 synchronous-
+//! launch status polls, a miss ROADMAP.md item 9's count table carries.
 
 use simkit::AppSegment;
 use upmem_sdk::{DpuSet, SdkError};
@@ -51,10 +52,12 @@ impl DpuKernel for ChecksumKernel {
             while pos < hi {
                 let take = 2048.min(hi - pos);
                 acc = t.mram_read_with(DATA_OFFSET + pos as u64, take, |block| {
-                    block.iter().fold(acc, |a, &b| a.wrapping_add(u32::from(b)))
+                    byte_sum(acc, block)
                 })?;
-                // Byte-wise inner loop: load, extend, add, bound check,
-                // index bump, branch — ~8 instructions per byte.
+                // The DPU runs a byte-wise inner loop: load, extend, add,
+                // bound check, index bump, branch — ~8 instructions per
+                // byte. Only this charge is virtual time; the host sums
+                // lane-wide.
                 t.charge(8 * take as u64);
                 pos += take;
             }
@@ -67,6 +70,33 @@ impl DpuKernel for ChecksumKernel {
             Ok(())
         })
     }
+}
+
+/// Lanes of the host-side byte sum: one 32-byte row per step.
+const LANES: usize = 32;
+/// Rows added into the `u16` lanes between flushes: 255 rows of bytes
+/// ≤ 255 sum to at most 255 × 255 < 2¹⁶, so no lane overflows.
+const FLUSH_ROWS: usize = 255;
+
+/// `acc` plus every byte of `bytes`, wrapping at 2³². Bytes go into
+/// [`LANES`] `u16` lanes a row at a time, the lanes into the total every
+/// [`FLUSH_ROWS`] rows, and the short tail byte by byte; addition mod 2³²
+/// is associative and commutative, so the result is the byte-at-a-time
+/// fold's.
+fn byte_sum(acc: u32, bytes: &[u8]) -> u32 {
+    let mut total = acc;
+    for block in bytes.chunks(LANES * FLUSH_ROWS) {
+        let (rows, tail) = block.as_chunks::<LANES>();
+        let mut lanes = [0u16; LANES];
+        for row in rows {
+            for (lane, &b) in lanes.iter_mut().zip(row) {
+                *lane += u16::from(b);
+            }
+        }
+        total = lanes.iter().fold(total, |t, &l| t.wrapping_add(u32::from(l)));
+        total = tail.iter().fold(total, |t, &b| t.wrapping_add(u32::from(b)));
+    }
+    total
 }
 
 /// Outcome of one checksum execution.
@@ -137,10 +167,54 @@ impl Checksum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use simkit::CostModel;
     use std::sync::Arc;
     use upmem_driver::UpmemDriver;
     use upmem_sim::PimConfig;
+
+    /// The byte-at-a-time fold `byte_sum` replaces.
+    fn fold(acc: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(acc, |a, &b| a.wrapping_add(u32::from(b)))
+    }
+
+    /// One flush block: `FLUSH_ROWS` rows of `LANES` bytes (8 160).
+    const BLOCK: usize = LANES * FLUSH_ROWS;
+
+    /// Lengths around every boundary of `byte_sum`, by `shape`: empty,
+    /// under one row, one flush block ± 1, two to four whole blocks plus
+    /// a tail of up to a row, or anything up to five blocks.
+    fn length(shape: u8, pick: usize) -> usize {
+        match shape {
+            0 => 0,
+            1 => pick % LANES,
+            2 => BLOCK - 1 + pick % 3,
+            3 => (2 + pick % 3) * BLOCK + pick % (LANES + 1),
+            _ => pick % (5 * BLOCK),
+        }
+    }
+
+    proptest! {
+        /// `byte_sum` is the plain fold, from any starting total.
+        #[test]
+        fn byte_sum_matches_the_fold(
+            acc in any::<u32>(),
+            shape in 0..5u8,
+            pick in any::<usize>(),
+            seed in any::<u64>(),
+        ) {
+            let bytes = SimRng::seeded(seed).bytes(length(shape, pick));
+            prop_assert_eq!(byte_sum(acc, &bytes), fold(acc, &bytes));
+        }
+    }
+
+    /// Every lane at its bound: four flush blocks of 0xFF fill each `u16`
+    /// lane to 255 × 255 before every flush, and an odd tail follows.
+    #[test]
+    fn byte_sum_of_all_ones_stays_inside_the_lanes() {
+        let bytes = vec![0xFF; 4 * BLOCK + 7];
+        assert_eq!(byte_sum(u32::MAX - 3, &bytes), fold(u32::MAX - 3, &bytes));
+    }
 
     fn machine() -> PimMachine {
         let m = PimMachine::new(PimConfig::small());
@@ -171,6 +245,34 @@ mod tests {
         let virt = Checksum::run(&mut set, 16 << 10, 2).unwrap();
         assert!(virt.verified);
         assert_eq!(virt.value, native.value);
+        sys.shutdown();
+    }
+
+    /// An odd-length all-0xFF image over a tasklet count that does not
+    /// divide it: every tasklet range and its last 2 KiB block are partial,
+    /// and each DPU's result is the plain fold, on a native and a VM set.
+    #[test]
+    fn kernel_sums_a_ragged_image_on_native_and_vm_sets() {
+        const LEN: usize = 300_007;
+        const TASKLETS: usize = 11;
+        assert_ne!(LEN % TASKLETS, 0);
+        let expected = fold(0, &vec![0xFF; LEN]);
+        let check = |set: &mut DpuSet| {
+            set.load(Checksum::KERNEL).unwrap();
+            let n = set.nr_dpus();
+            set.push_to_heap(DATA_OFFSET, &vec![vec![0xFF; LEN]; n]).unwrap();
+            set.broadcast_symbol_u32("nbytes", LEN as u32).unwrap();
+            set.launch(TASKLETS).unwrap();
+            for d in 0..n {
+                let raw = set.copy_from_heap(d, RESULT_OFFSET, 4).unwrap();
+                assert_eq!(u32::from_le_bytes(raw[..4].try_into().unwrap()), expected, "DPU {d}");
+            }
+        };
+        let driver = Arc::new(UpmemDriver::new(machine()));
+        check(&mut DpuSet::alloc_native(&driver, 3, CostModel::default()).unwrap());
+        let sys = vpim::VpimSystem::start(driver, vpim::VpimConfig::full(), vpim::StartOpts::default());
+        let vm = sys.launch(vpim::TenantSpec::new("vm-ragged")).unwrap();
+        check(&mut DpuSet::alloc_vm(vm.frontends(), 3, CostModel::default()).unwrap());
         sys.shutdown();
     }
 

@@ -5,10 +5,12 @@
 //!
 //! * [`checksum`] — the host generates a file of a given size and every
 //!   DPU computes its checksum over the *same* data (no partitioning).
-//!   Each run performs one `write-to-rank`, one `read-from-rank` per DPU,
-//!   and 8 000–28 000 CI operations depending on run time (§5.3.1). Used
-//!   for Fig. 9 (vCPUs / DPUs / transfer-size sensitivity), Fig. 11–13
-//!   (Rust vs C data path) and Fig. 15/16 (parallel multi-rank handling).
+//!   Each run performs one `write-to-rank`, one `read-from-rank` per DPU
+//!   and a few CI operations: the benchmark reads `virt.backend.ci` = 4
+//!   per run, against §5.3.1's 8 000–28 000 (a row of ROADMAP.md item 9's
+//!   count table). Used for Fig. 9 (vCPUs / DPUs / transfer-size
+//!   sensitivity), Fig. 11–13 (Rust vs C data path) and Fig. 15/16
+//!   (parallel multi-rank handling).
 //! * [`index_search`] — scans an inverted index of a Wikipedia-like corpus
 //!   for phrase queries, 445 queries over 4 305 documents in batches of
 //!   128 (§5.3.2, Fig. 10). The corpus here is synthetic (the real
