@@ -1,7 +1,7 @@
-//! `vpim::cluster` — the multi-host fleet plane (ROADMAP item 1).
+//! `vpim::cluster` — the multi-host fleet plane.
 //!
 //! Everything below this module virtualizes *one* host. A [`Fleet`] owns
-//! N independent [`VpimSystem`] hosts — each with its own simulated
+//! N independent [`VpimSystem`](crate::VpimSystem) hosts — each with its own simulated
 //! machine, driver, manager, scheduler, and registry — and adds the three
 //! things a fleet needs:
 //!

@@ -73,10 +73,11 @@ impl PrefetchCache {
         len <= self.capacity_bytes
     }
 
-    /// Attempts to serve a read from the cache into `out` (appended), so
-    /// the hot hit path never allocates: callers reuse one buffer — or a
-    /// [`BytePool`](simkit::BytePool) guard — across lookups. Returns
-    /// `true` on a hit.
+    /// Attempts to serve a read from the cache. On a hit, appends the `len`
+    /// cached bytes to `out` and returns `true`; on a miss, leaves `out`
+    /// untouched and returns `false`. It allocates nothing itself: the only
+    /// allocation is `out` growing, which a caller that sized `out` for
+    /// `len` bytes up front does not pay.
     pub fn lookup_into(&mut self, dpu: usize, offset: u64, len: u64, out: &mut Vec<u8>) -> bool {
         let served = self.segments.get(dpu).and_then(Option::as_ref).and_then(|seg| {
             let end = offset.checked_add(len)?;

@@ -1,4 +1,4 @@
-//! A seeded open/closed-loop traffic harness (ROADMAP item 3).
+//! A seeded open/closed-loop traffic harness.
 //!
 //! Nothing in the reproduction measured vPIM as a *service*: every test
 //! drives a handful of VMs to completion and exits. This module generates
@@ -80,7 +80,7 @@ use session::{run_sessions, serve_group, FAILED_OP};
 pub enum Execution {
     /// One session body at a time, in index order.
     Sequential,
-    /// Fan out on a [`WorkerPool`]; at most `workers` VMs are alive at
+    /// Fan out on a [`WorkerPool`](simkit::WorkerPool); at most `workers` VMs are alive at
     /// once, so guest memory stays bounded.
     #[default]
     Pooled,

@@ -6,8 +6,8 @@
 //! guest-side library over the vPIM SDK:
 //!
 //! - Objects live at fixed MRAM home locations handed out by a
-//!   bump-then-free-list allocator ([`alloc`]).
-//! - A bounded guest-RAM **resident window** ([`object`]) holds working
+//!   bump-then-free-list allocator (module `alloc`).
+//! - A bounded guest-RAM **resident window** (module `object`) holds working
 //!   copies: at most `resident_budget` bytes at once, dirty bytes never
 //!   evicted (home locations hold only committed data), clean copies
 //!   evicted LRU. [`Pheap::pin`]/[`Pheap::unpin`] give vNV-Heap-style
@@ -16,9 +16,9 @@
 //!   and the root table are appended to a reserved write-ahead-log
 //!   region (intent + data, then a checksummed commit record written
 //!   after a [`Frontend::persist_barrier`]), then applied to their home
-//!   locations ([`wal`]). A write that would push the dirty total past
+//!   locations (module `wal`). A write that would push the dirty total past
 //!   the budget triggers the same persist automatically.
-//! - [`Pheap::recover`] rebuilds a heap from MRAM alone ([`recover`]):
+//! - [`Pheap::recover`] rebuilds a heap from MRAM alone (module `recover`):
 //!   a committed-but-unapplied transaction is replayed (idempotently);
 //!   torn tails — a tear mid-append ([`PHEAP_WAL_TORN_POINT`]) or a
 //!   dropped commit record ([`PHEAP_PERSIST_DROP_POINT`]) — are

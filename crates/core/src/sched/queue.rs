@@ -102,7 +102,7 @@ impl AdmissionQueue {
 /// whose `host.sched.queue_op_ns` row calls exactly these four methods: an
 /// [`AdmissionQueue`] and its ticket counter behind one mutex — the lock +
 /// push/head/remove shape the scheduler executes. Nothing else may use it;
-/// the next benchmark PR deletes it (ROADMAP item 3).
+/// the next benchmark PR deletes it (ROADMAP's `[benchmark]` item).
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct ShardedAdmissionQueue(Mutex<(AdmissionQueue, u64)>);

@@ -62,8 +62,6 @@ pub struct CostModel {
     /// One control-interface word operation (status poll, command write)
     /// performed natively through the mmap'ed CI, ns.
     pub ci_op_ns: u64,
-    /// One kernel entry/exit (ioctl) for safe-mode driver operations, ns.
-    pub syscall_ns: u64,
     /// Initial interval between CI status polls while the SDK waits for a
     /// synchronous launch (the wait loop backs off from here; see
     /// [`CostModel::launch_polls`]).
@@ -112,8 +110,6 @@ pub struct CostModel {
     /// End-to-end `dpu_alloc` round trip through the manager when a NAAV
     /// rank is immediately available (§4.2 reports 36 ms on average).
     pub manager_alloc_ns: u64,
-    /// One manager RPC message hop (request or reply over the UNIX socket).
-    pub manager_rpc_ns: u64,
     /// Bandwidth of the rank-content reset memset, MB/s. The paper reports
     /// ~597 ms to reset one rank (4 GiB of rank-mapped memory).
     pub rank_reset_bw_mbps: u64,
@@ -137,7 +133,6 @@ impl Default for CostModel {
             rank_parallel_bw_mbps: 6_000,
             rank_serial_bw_mbps: 700,
             ci_op_ns: 1_000,
-            syscall_ns: 1_500,
             launch_poll_interval_ns: 50_000,
             poll_curve_micro: 22_600,
 
@@ -158,7 +153,6 @@ impl Default for CostModel {
             batch_append_fixed_ns: 250,
 
             manager_alloc_ns: 36_000_000,
-            manager_rpc_ns: 25_000,
             rank_reset_bw_mbps: 7_200,
 
             vupmem_boot_ns: 2_000_000,
@@ -194,12 +188,6 @@ impl CostModel {
     #[must_use]
     pub fn ci_op(&self) -> VirtualNanos {
         VirtualNanos::from_nanos(self.ci_op_ns)
-    }
-
-    /// Duration of one safe-mode kernel entry/exit (ioctl).
-    #[must_use]
-    pub fn syscall(&self) -> VirtualNanos {
-        VirtualNanos::from_nanos(self.syscall_ns)
     }
 
     /// Number of CI status polls the SDK performs while waiting out a
@@ -307,12 +295,6 @@ impl CostModel {
     #[must_use]
     pub fn manager_alloc(&self) -> VirtualNanos {
         VirtualNanos::from_nanos(self.manager_alloc_ns)
-    }
-
-    /// One manager RPC hop.
-    #[must_use]
-    pub fn manager_rpc(&self) -> VirtualNanos {
-        VirtualNanos::from_nanos(self.manager_rpc_ns)
     }
 
     /// Resetting `bytes` of rank-mapped memory on release.

@@ -19,20 +19,16 @@ use crate::cost::CostModel;
 use crate::telemetry::{Counter, MetricsRegistry, TimeCounter};
 use crate::time::VirtualNanos;
 
-/// The operation classes a retry deadline/backoff is derived from. Each
-/// class anchors its policy to the [`CostModel`] duration of one instance
-/// of the operation, so timeouts scale with the modeled hardware instead
-/// of hard-coded wall numbers.
+/// The operation classes a retry backoff is derived from. Each class
+/// anchors its policy to the [`CostModel`] duration of one instance of the
+/// operation, so backoff scales with the modeled hardware instead of
+/// hard-coded wall numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TimeoutClass {
     /// One virtio kick + completion IRQ round trip.
     VirtioRoundTrip,
     /// A manager rank-allocation round trip (§4.2: ~36 ms).
     ManagerAlloc,
-    /// A small manager RPC (sync / mark-checkpoint).
-    ManagerRpc,
-    /// One CI word operation.
-    CiOp,
 }
 
 /// A bounded-attempt retry policy with monotone, deterministic,
@@ -51,9 +47,6 @@ pub struct RetryPolicy {
     pub jitter_pct: u8,
     /// Ceiling every backoff step is clamped to.
     pub cap: VirtualNanos,
-    /// The virtual-time budget of one attempt of this class: charged to the
-    /// operation when a wait is abandoned, so giving up has a modeled cost.
-    pub timeout: VirtualNanos,
 }
 
 impl RetryPolicy {
@@ -66,7 +59,6 @@ impl RetryPolicy {
         mult: u32,
         jitter_pct: u8,
         cap: VirtualNanos,
-        timeout: VirtualNanos,
     ) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
@@ -74,28 +66,19 @@ impl RetryPolicy {
             mult: mult.max(2),
             jitter_pct: jitter_pct.min(100),
             cap,
-            timeout,
         }
-    }
-
-    /// The single-attempt policy: never retries, never backs off.
-    #[must_use]
-    pub fn disabled() -> Self {
-        RetryPolicy::new(1, VirtualNanos::ZERO, 2, 0, VirtualNanos::ZERO, VirtualNanos::ZERO)
     }
 
     /// The default policy for `class`: 4 attempts, backoff anchored at the
     /// modeled duration of one operation, capped at 64× it, with 25%
-    /// deterministic jitter and a 256× abandonment budget.
+    /// deterministic jitter.
     #[must_use]
     pub fn for_class(cm: &CostModel, class: TimeoutClass) -> Self {
         let unit = match class {
             TimeoutClass::VirtioRoundTrip => cm.virtio_round_trip(),
             TimeoutClass::ManagerAlloc => cm.manager_alloc(),
-            TimeoutClass::ManagerRpc => cm.manager_rpc(),
-            TimeoutClass::CiOp => cm.ci_op(),
         };
-        RetryPolicy::new(4, unit, 2, 25, unit * 64, unit * 256)
+        RetryPolicy::new(4, unit, 2, 25, unit * 64)
     }
 
     /// The backoff charged before retry `n` (0-based: `backoff(seed, 0)`
@@ -240,7 +223,6 @@ mod tests {
             2,
             25,
             VirtualNanos::from_millis(10),
-            VirtualNanos::from_millis(50),
         )
     }
 
@@ -323,31 +305,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_is_one_shot() {
-        let p = RetryPolicy::disabled();
-        let mut calls = 0;
-        let (out, backoff) = p.run(0, None, |_: &()| true, |_| {
-            calls += 1;
-            Err::<(), _>(())
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 1);
-        assert_eq!(backoff, VirtualNanos::ZERO);
-    }
-
-    #[test]
     fn class_policies_anchor_to_the_cost_model() {
         let cm = CostModel::default();
         let p = RetryPolicy::for_class(&cm, TimeoutClass::ManagerAlloc);
         assert_eq!(p.base, cm.manager_alloc());
         assert_eq!(p.cap, cm.manager_alloc() * 64);
-        assert_eq!(p.timeout, cm.manager_alloc() * 256);
         let q = RetryPolicy::for_class(&cm, TimeoutClass::VirtioRoundTrip);
         assert!(q.base < p.base, "kick retries back off far faster than allocs");
-        assert_eq!(
-            RetryPolicy::for_class(&cm, TimeoutClass::ManagerRpc).base,
-            cm.manager_rpc()
-        );
-        assert_eq!(RetryPolicy::for_class(&cm, TimeoutClass::CiOp).base, cm.ci_op());
+        assert_eq!(q.base, cm.virtio_round_trip());
     }
 }

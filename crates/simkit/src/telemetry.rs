@@ -49,8 +49,8 @@ use crate::time::VirtualNanos;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// A fresh, unregistered counter (register it with
-    /// [`MetricsRegistry::bind_counter`] to make it queryable).
+    /// A fresh counter that no registry holds; [`MetricsRegistry::counter`]
+    /// hands out registered ones.
     #[must_use]
     pub fn new() -> Self {
         Counter::default()
@@ -453,18 +453,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Registers an *existing* counter cell under `name`, so a component's
-    /// pre-existing hot counter (an IRQ line's injection count, an event
-    /// manager's kick count) becomes queryable without double bookkeeping.
-    /// Returns the counter actually registered (the existing registration
-    /// wins on name collision).
-    pub fn bind_counter(&self, name: &str, counter: &Counter) -> Counter {
-        match self.slot(name, || Slot::Counter(counter.clone())) {
-            Slot::Counter(c) => c,
-            other => panic!("metric {name:?} is a {}, not a counter", other.type_name()),
-        }
-    }
-
     /// Copies every registered metric into an ordered snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -537,16 +525,6 @@ mod tests {
         a.add(2);
         b.inc();
         assert_eq!(reg.snapshot().count("x"), 3);
-    }
-
-    #[test]
-    fn bind_counter_exposes_existing_cell() {
-        let reg = MetricsRegistry::new();
-        let hot = Counter::new();
-        hot.add(5);
-        reg.bind_counter("irq.injections", &hot);
-        hot.add(2);
-        assert_eq!(reg.snapshot().count("irq.injections"), 7);
     }
 
     #[test]

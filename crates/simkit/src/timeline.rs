@@ -184,7 +184,7 @@ impl fmt::Display for WriteStep {
 ///
 /// let mut tl = Timeline::new();
 /// tl.charge_app(AppSegment::Dpu, VirtualNanos::from_millis(2));
-/// tl.count_message();
+/// tl.add_messages(1);
 /// assert_eq!(tl.app(AppSegment::Dpu).as_millis(), 2);
 /// assert_eq!(tl.messages(), 1);
 /// ```
@@ -222,11 +222,6 @@ impl Timeline {
     /// Adds `d` to a `write-to-rank` step.
     pub fn charge_write_step(&mut self, step: WriteStep, d: VirtualNanos) {
         self.write[step as usize] += d;
-    }
-
-    /// Records one guest↔VMM message exchange.
-    pub fn count_message(&mut self) {
-        self.messages += 1;
     }
 
     /// Records `n` guest↔VMM message exchanges.
@@ -331,10 +326,10 @@ mod tests {
     fn merge_sums_everything() {
         let mut a = Timeline::new();
         a.charge_app(AppSegment::Dpu, VirtualNanos::from_nanos(3));
-        a.count_message();
+        a.add_messages(1);
         let mut b = Timeline::new();
         b.charge_app(AppSegment::Dpu, VirtualNanos::from_nanos(4));
-        b.count_message();
+        b.add_messages(1);
         b.add_rank_ops(1);
         a.merge(&b);
         assert_eq!(a.app(AppSegment::Dpu).as_nanos(), 7);

@@ -1,22 +1,18 @@
-//! Rank access handles: performance mode (mmap) and safe mode (ioctl).
+//! The performance-mode rank handle: an mmap of the rank's MRAMs and
+//! control interfaces.
 //!
-//! Both handles expose the same rank operations; they differ in the path a
-//! request takes and therefore in its *cost*:
+//! [`PerfMapping`] gives direct loads/stores with no kernel involvement.
+//! The paper's native baseline and the vPIM backend inside Firecracker
+//! both reach a rank this way (§3.4); a guest's isolated path to a rank is
+//! the vUPMEM frontend's request path, not a host ioctl.
 //!
-//! * [`PerfMapping`] — direct loads/stores through an mmap of the MRAMs and
-//!   control interfaces: no kernel involvement. Used natively by the paper's
-//!   baseline and by the vPIM backend inside Firecracker.
-//! * [`SafeFile`] — every operation is an ioctl, paying a kernel entry/exit
-//!   ([`simkit::CostModel::syscall`]) but gaining driver-enforced isolation.
-//!
-//! Cost reporting: handles do not advance any clock themselves — they
-//! return [`OpCost`] descriptors that callers (SDK transports, the vPIM
-//! backend) convert into timeline charges. That keeps the hardware model
-//! free of policy.
+//! The handle advances no clock: transfers return the bytes they moved,
+//! and the caller (an SDK transport, the vPIM backend) charges them to a
+//! timeline at the bandwidth its call implies. That keeps the hardware
+//! model free of policy.
 
 use std::sync::Arc;
 
-use simkit::{CostModel, VirtualNanos};
 use upmem_sim::ci::CiStatus;
 use upmem_sim::dpu::LaunchReport;
 use upmem_sim::kernel::{KernelImage, KernelRegistry};
@@ -25,284 +21,158 @@ use upmem_sim::Rank;
 use crate::error::DriverError;
 use crate::sysfs::RankClaim;
 
-/// How a transfer spreads over the rank's DPUs, for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XferShape {
-    /// One push moving buffers to many DPUs in parallel (`dpu_push_xfer`).
-    Parallel,
-    /// One DPU at a time (`dpu_copy_to`/`from` in a loop).
-    Serial,
-}
-
-/// The cost descriptor returned by rank operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpCost {
-    /// Bytes moved by the operation.
-    pub bytes: u64,
-    /// Number of distinct hardware operations issued.
-    pub ops: u64,
-    /// Transfer shape (drives the bandwidth used for conversion).
-    pub shape: XferShape,
-}
-
-impl OpCost {
-    /// Converts this descriptor to a duration under `cm`, excluding any
-    /// interleaving cost (charged separately by the data-path owner).
-    #[must_use]
-    pub fn duration(&self, cm: &CostModel) -> VirtualNanos {
-        let per_op_bytes = self.bytes / self.ops.max(1);
-        let per_op = match self.shape {
-            XferShape::Parallel => cm.rank_transfer_parallel(per_op_bytes),
-            XferShape::Serial => cm.rank_transfer_serial(per_op_bytes),
-        };
-        per_op.saturating_mul(self.ops.max(1))
-    }
-}
-
-/// Common implementation shared by the two modes.
+/// Performance-mode handle: the process mmaps MRAM and CI and bypasses the
+/// kernel. Dropping it releases the rank's claim.
 #[derive(Debug)]
-struct RankHandle {
+pub struct PerfMapping {
     rank: Arc<Rank>,
     registry: KernelRegistry,
     _claim: RankClaim,
 }
 
-impl RankHandle {
-    fn write_matrix(&self, entries: &[(usize, u64, &[u8])]) -> Result<OpCost, DriverError> {
-        let mut bytes = 0u64;
-        for (dpu, offset, data) in entries {
-            self.rank.write_dpu(*dpu, *offset, data)?;
-            bytes += data.len() as u64;
-        }
-        Ok(OpCost { bytes, ops: 1, shape: XferShape::Parallel })
-    }
-
-    fn read_matrix(&self, entries: &mut [(usize, u64, &mut [u8])]) -> Result<OpCost, DriverError> {
-        let mut bytes = 0u64;
-        for (dpu, offset, buf) in entries.iter_mut() {
-            self.rank.read_dpu(*dpu, *offset, buf)?;
-            bytes += buf.len() as u64;
-        }
-        Ok(OpCost { bytes, ops: 1, shape: XferShape::Parallel })
-    }
-}
-
-macro_rules! shared_rank_ops {
-    ($ty:ident) => {
-        impl $ty {
-            /// The underlying rank.
-            #[must_use]
-            pub fn rank(&self) -> &Arc<Rank> {
-                &self.inner.rank
-            }
-
-            /// Rank index.
-            #[must_use]
-            pub fn rank_id(&self) -> usize {
-                self.inner.rank.id()
-            }
-
-            /// Functional DPUs in the rank.
-            #[must_use]
-            pub fn dpu_count(&self) -> usize {
-                self.inner.rank.dpu_count()
-            }
-
-            /// Writes `data` to one DPU's MRAM.
-            ///
-            /// # Errors
-            ///
-            /// Propagates hardware bounds/index errors.
-            pub fn write_dpu(
-                &self,
-                dpu: usize,
-                offset: u64,
-                data: &[u8],
-            ) -> Result<OpCost, DriverError> {
-                self.inner.rank.write_dpu(dpu, offset, data)?;
-                Ok(OpCost {
-                    bytes: data.len() as u64,
-                    ops: 1,
-                    shape: XferShape::Serial,
-                })
-            }
-
-            /// Reads one DPU's MRAM into `dst`.
-            ///
-            /// # Errors
-            ///
-            /// Propagates hardware bounds/index errors.
-            pub fn read_dpu(
-                &self,
-                dpu: usize,
-                offset: u64,
-                dst: &mut [u8],
-            ) -> Result<OpCost, DriverError> {
-                self.inner.rank.read_dpu(dpu, offset, dst)?;
-                Ok(OpCost {
-                    bytes: dst.len() as u64,
-                    ops: 1,
-                    shape: XferShape::Serial,
-                })
-            }
-
-            /// Writes a whole transfer matrix (one parallel `write-to-rank`).
-            ///
-            /// # Errors
-            ///
-            /// Propagates hardware bounds/index errors; partial writes may
-            /// have landed (as on real hardware).
-            pub fn write_matrix(
-                &self,
-                entries: &[(usize, u64, &[u8])],
-            ) -> Result<OpCost, DriverError> {
-                self.inner.write_matrix(entries)
-            }
-
-            /// Reads a whole transfer matrix (one parallel `read-from-rank`).
-            ///
-            /// # Errors
-            ///
-            /// Propagates hardware bounds/index errors.
-            pub fn read_matrix(
-                &self,
-                entries: &mut [(usize, u64, &mut [u8])],
-            ) -> Result<OpCost, DriverError> {
-                self.inner.read_matrix(entries)
-            }
-
-            /// Loads a program image on the given DPUs (or the whole rank).
-            ///
-            /// # Errors
-            ///
-            /// IRAM overflow or invalid DPU index.
-            pub fn load_program(
-                &self,
-                dpus: Option<&[usize]>,
-                image: &KernelImage,
-            ) -> Result<(), DriverError> {
-                Ok(self.inner.rank.load_program(dpus, image)?)
-            }
-
-            /// Loads a program by registry name (the SDK reading a DPU
-            /// "binary" from disk).
-            ///
-            /// # Errors
-            ///
-            /// Unknown kernel, IRAM overflow or invalid DPU index.
-            pub fn load_by_name(
-                &self,
-                dpus: Option<&[usize]>,
-                name: &str,
-            ) -> Result<(), DriverError> {
-                let image = self.inner.registry.get(name)?.image();
-                Ok(self.inner.rank.load_program(dpus, &image)?)
-            }
-
-            /// Writes a host symbol on one DPU.
-            ///
-            /// # Errors
-            ///
-            /// Unknown symbol or size mismatch.
-            pub fn write_symbol(
-                &self,
-                dpu: usize,
-                name: &str,
-                bytes: &[u8],
-            ) -> Result<(), DriverError> {
-                Ok(self.inner.rank.write_symbol(dpu, name, bytes)?)
-            }
-
-            /// Reads a host symbol from one DPU.
-            ///
-            /// # Errors
-            ///
-            /// Unknown symbol or size mismatch.
-            pub fn read_symbol(
-                &self,
-                dpu: usize,
-                name: &str,
-                bytes: &mut [u8],
-            ) -> Result<(), DriverError> {
-                Ok(self.inner.rank.read_symbol(dpu, name, bytes)?)
-            }
-
-            /// Launches the loaded program on the given DPUs.
-            ///
-            /// # Errors
-            ///
-            /// Missing program, bad tasklet count, or a DPU fault.
-            pub fn launch(
-                &self,
-                dpus: Option<&[usize]>,
-                nr_tasklets: usize,
-            ) -> Result<Vec<(usize, LaunchReport)>, DriverError> {
-                Ok(self
-                    .inner
-                    .rank
-                    .launch(dpus, nr_tasklets, &self.inner.registry)?)
-            }
-
-            /// Polls one DPU's status through the CI.
-            ///
-            /// # Errors
-            ///
-            /// Invalid DPU index.
-            pub fn poll_status(&self, dpu: usize) -> Result<CiStatus, DriverError> {
-                Ok(self.inner.rank.poll_status(dpu)?)
-            }
-        }
-    };
-}
-
-/// Performance-mode handle: the process mmaps MRAM and CI and bypasses the
-/// kernel (zero per-op syscall cost).
-#[derive(Debug)]
-pub struct PerfMapping {
-    inner: RankHandle,
-}
-
 impl PerfMapping {
     pub(crate) fn new(rank: Arc<Rank>, registry: KernelRegistry, claim: RankClaim) -> Self {
-        PerfMapping { inner: RankHandle { rank, registry, _claim: claim } }
+        PerfMapping { rank, registry, _claim: claim }
     }
 
-    /// Per-operation mode overhead: none in performance mode.
+    /// The underlying rank.
     #[must_use]
-    pub fn mode_overhead(&self, _cm: &CostModel) -> VirtualNanos {
-        VirtualNanos::ZERO
-    }
-}
-
-shared_rank_ops!(PerfMapping);
-
-/// Safe-mode handle: every operation is an ioctl through the kernel driver.
-#[derive(Debug)]
-pub struct SafeFile {
-    inner: RankHandle,
-}
-
-impl SafeFile {
-    pub(crate) fn new(rank: Arc<Rank>, registry: KernelRegistry, claim: RankClaim) -> Self {
-        SafeFile { inner: RankHandle { rank, registry, _claim: claim } }
+    pub fn rank(&self) -> &Arc<Rank> {
+        &self.rank
     }
 
-    /// Per-operation mode overhead: one kernel entry/exit.
+    /// Rank index.
     #[must_use]
-    pub fn mode_overhead(&self, cm: &CostModel) -> VirtualNanos {
-        cm.syscall()
+    pub fn rank_id(&self) -> usize {
+        self.rank.id()
+    }
+
+    /// Functional DPUs in the rank.
+    #[must_use]
+    pub fn dpu_count(&self) -> usize {
+        self.rank.dpu_count()
+    }
+
+    /// Writes `data` to one DPU's MRAM; returns the bytes moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware bounds/index errors.
+    pub fn write_dpu(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<u64, DriverError> {
+        self.rank.write_dpu(dpu, offset, data)?;
+        Ok(data.len() as u64)
+    }
+
+    /// Reads one DPU's MRAM into `dst`; returns the bytes moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware bounds/index errors.
+    pub fn read_dpu(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<u64, DriverError> {
+        self.rank.read_dpu(dpu, offset, dst)?;
+        Ok(dst.len() as u64)
+    }
+
+    /// Writes a whole transfer matrix (one parallel `write-to-rank`);
+    /// returns the bytes moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware bounds/index errors; partial writes may have
+    /// landed (as on real hardware).
+    pub fn write_matrix(&self, entries: &[(usize, u64, &[u8])]) -> Result<u64, DriverError> {
+        let mut bytes = 0u64;
+        for (dpu, offset, data) in entries {
+            bytes += self.write_dpu(*dpu, *offset, data)?;
+        }
+        Ok(bytes)
+    }
+
+    /// Reads a whole transfer matrix (one parallel `read-from-rank`);
+    /// returns the bytes moved.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware bounds/index errors.
+    pub fn read_matrix(&self, entries: &mut [(usize, u64, &mut [u8])]) -> Result<u64, DriverError> {
+        let mut bytes = 0u64;
+        for (dpu, offset, buf) in entries.iter_mut() {
+            bytes += self.read_dpu(*dpu, *offset, buf)?;
+        }
+        Ok(bytes)
+    }
+
+    /// Loads a program image on the given DPUs (or the whole rank).
+    ///
+    /// # Errors
+    ///
+    /// IRAM overflow or invalid DPU index.
+    pub fn load_program(
+        &self,
+        dpus: Option<&[usize]>,
+        image: &KernelImage,
+    ) -> Result<(), DriverError> {
+        Ok(self.rank.load_program(dpus, image)?)
+    }
+
+    /// Loads a program by registry name (the SDK reading a DPU "binary"
+    /// from disk).
+    ///
+    /// # Errors
+    ///
+    /// Unknown kernel, IRAM overflow or invalid DPU index.
+    pub fn load_by_name(&self, dpus: Option<&[usize]>, name: &str) -> Result<(), DriverError> {
+        let image = self.registry.get(name)?.image();
+        Ok(self.rank.load_program(dpus, &image)?)
+    }
+
+    /// Writes a host symbol on one DPU.
+    ///
+    /// # Errors
+    ///
+    /// Unknown symbol or size mismatch.
+    pub fn write_symbol(&self, dpu: usize, name: &str, bytes: &[u8]) -> Result<(), DriverError> {
+        Ok(self.rank.write_symbol(dpu, name, bytes)?)
+    }
+
+    /// Reads a host symbol from one DPU.
+    ///
+    /// # Errors
+    ///
+    /// Unknown symbol or size mismatch.
+    pub fn read_symbol(&self, dpu: usize, name: &str, bytes: &mut [u8]) -> Result<(), DriverError> {
+        Ok(self.rank.read_symbol(dpu, name, bytes)?)
+    }
+
+    /// Launches the loaded program on the given DPUs.
+    ///
+    /// # Errors
+    ///
+    /// Missing program, bad tasklet count, or a DPU fault.
+    pub fn launch(
+        &self,
+        dpus: Option<&[usize]>,
+        nr_tasklets: usize,
+    ) -> Result<Vec<(usize, LaunchReport)>, DriverError> {
+        Ok(self.rank.launch(dpus, nr_tasklets, &self.registry)?)
+    }
+
+    /// Polls one DPU's status through the CI.
+    ///
+    /// # Errors
+    ///
+    /// Invalid DPU index.
+    pub fn poll_status(&self, dpu: usize) -> Result<CiStatus, DriverError> {
+        Ok(self.rank.poll_status(dpu)?)
     }
 }
-
-shared_rank_ops!(SafeFile);
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::UpmemDriver;
     use upmem_sim::{PimConfig, PimMachine};
 
-    fn perf() -> PerfMapping {
+    fn perf() -> super::PerfMapping {
         let d = UpmemDriver::new(PimMachine::new(PimConfig::small()));
         d.open_perf(0, "test").unwrap()
     }
@@ -312,44 +182,20 @@ mod tests {
         let h = perf();
         let a = vec![1u8; 64];
         let b = vec![2u8; 32];
-        let cost = h
+        let bytes = h
             .write_matrix(&[(0, 0, a.as_slice()), (1, 16, b.as_slice())])
             .unwrap();
-        assert_eq!(cost.bytes, 96);
-        assert_eq!(cost.ops, 1);
+        assert_eq!(bytes, 96);
 
         let mut ra = vec![0u8; 64];
         let mut rb = vec![0u8; 32];
         {
             let mut entries: Vec<(usize, u64, &mut [u8])> =
                 vec![(0, 0, ra.as_mut_slice()), (1, 16, rb.as_mut_slice())];
-            h.read_matrix(&mut entries).unwrap();
+            assert_eq!(h.read_matrix(&mut entries).unwrap(), 96);
         }
         assert_eq!(ra, a);
         assert_eq!(rb, b);
-    }
-
-    #[test]
-    fn op_cost_durations_follow_shape() {
-        let cm = CostModel::default();
-        let par = OpCost { bytes: 1 << 20, ops: 1, shape: XferShape::Parallel };
-        let ser = OpCost { bytes: 1 << 20, ops: 1, shape: XferShape::Serial };
-        assert!(par.duration(&cm) < ser.duration(&cm));
-        // Many small ops cost more than one large op of the same size.
-        let many = OpCost { bytes: 1 << 20, ops: 256, shape: XferShape::Parallel };
-        assert!(many.duration(&cm) > par.duration(&cm));
-    }
-
-    #[test]
-    fn mode_overheads_differ() {
-        let machine = PimMachine::new(PimConfig::small());
-        let d = UpmemDriver::new(machine);
-        let cm = CostModel::default();
-        let p = d.open_perf(0, "p").unwrap();
-        assert_eq!(p.mode_overhead(&cm), VirtualNanos::ZERO);
-        drop(p);
-        let s = d.open_safe(0, "s").unwrap();
-        assert!(s.mode_overhead(&cm) > VirtualNanos::ZERO);
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! # upmem-driver — the simulated UPMEM kernel driver
 //!
 //! §2 of the paper ("Software Stack", Fig. 3): the UPMEM driver exposes the
-//! PIM hardware to userspace two ways —
+//! PIM hardware to userspace. This crate models the two surfaces vPIM
+//! touches:
 //!
-//! * **safe mode**: operations are ioctls into the kernel driver, providing
-//!   isolation between host applications (the guest-side SDK uses this mode
-//!   through the vPIM frontend);
 //! * **performance mode**: the application mmaps the MRAMs and control
-//!   interfaces and bypasses the driver entirely (the vPIM backend in
-//!   Firecracker uses this mode, §3.4).
+//!   interfaces and bypasses the driver entirely. The paper's native
+//!   baseline and the vPIM backend in Firecracker (§3.4) both take this
+//!   path;
+//! * **sysfs**: per-rank status, which the vPIM manager's observer thread
+//!   watches to detect rank releases (§3.5).
 //!
-//! The driver also publishes per-rank status through **sysfs**, which the
-//! vPIM manager's observer thread watches to detect rank releases (§3.5).
+//! The driver's ioctl ("safe") mode is not modelled: inside a VM, the
+//! guest-side SDK's isolated path to a rank is the vUPMEM frontend's
+//! request path.
 //!
-//! This crate models all three surfaces over [`upmem_sim`]:
-//! [`UpmemDriver::open_perf`] / [`UpmemDriver::open_safe`] claim a rank and
-//! return access handles; dropping a handle releases the claim, flips the
-//! sysfs entry and wakes sysfs watchers — no explicit release call, exactly
-//! like closing `/dev/dpu_rankN`.
+//! Both sit over [`upmem_sim`]: [`UpmemDriver::open_perf`] claims a rank
+//! and returns its mapping; dropping the mapping releases the claim, flips
+//! the sysfs entry and wakes sysfs watchers — no explicit release call,
+//! exactly like closing `/dev/dpu_rankN`.
 //!
 //! ## Example
 //!
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use upmem_sim::PimMachine;
 
 pub use error::DriverError;
-pub use handle::{PerfMapping, SafeFile};
+pub use handle::PerfMapping;
 pub use sysfs::{RankStatus, StatusBoard};
 
 /// The host-OS driver instance.
@@ -98,19 +99,6 @@ impl UpmemDriver {
         let claim = self.board.claim(rank, owner)?;
         Ok(PerfMapping::new(r, self.machine.registry().clone(), claim))
     }
-
-    /// Opens rank `rank` in safe mode (ioctl through the kernel), claiming
-    /// it for `owner`.
-    ///
-    /// # Errors
-    ///
-    /// [`DriverError::RankInUse`] if another handle holds the rank, or
-    /// [`DriverError::Sim`] for an invalid rank index.
-    pub fn open_safe(&self, rank: usize, owner: &str) -> Result<SafeFile, DriverError> {
-        let r = self.machine.rank(rank)?;
-        let claim = self.board.claim(rank, owner)?;
-        Ok(SafeFile::new(r, self.machine.registry().clone(), claim))
-    }
 }
 
 #[cfg(test)]
@@ -123,12 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn perf_and_safe_modes_conflict_on_same_rank() {
+    fn a_claimed_rank_refuses_a_second_mapping() {
         let d = driver();
         let perf = d.open_perf(0, "a").unwrap();
-        assert!(matches!(d.open_safe(0, "b"), Err(DriverError::RankInUse { .. })));
+        assert!(matches!(d.open_perf(0, "b"), Err(DriverError::RankInUse { .. })));
         drop(perf);
-        assert!(d.open_safe(0, "b").is_ok());
+        assert!(d.open_perf(0, "b").is_ok());
     }
 
     #[test]

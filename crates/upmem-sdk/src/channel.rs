@@ -46,7 +46,10 @@ pub enum PendingMatrix {
 }
 
 /// The report of one native rank transfer of `bytes` bytes taking `ddr` on
-/// the memory bus: the host-side interleave plus the DDR time.
+/// the memory bus: the host-side interleave plus the DDR time. The caller
+/// picks `ddr`'s bandwidth from the call it serves: serial for a single-DPU
+/// copy (`dpu_copy_to`/`from`), parallel for a matrix push
+/// (`dpu_push_xfer`).
 fn native_report(cm: &CostModel, bytes: u64, ddr: VirtualNanos) -> OpReport {
     let mut r = OpReport::of(cm.interleave(bytes, DataPath::Vectorized) + ddr);
     r.set_ddr(ddr);
@@ -108,11 +111,9 @@ impl RankChannel {
             RankChannel::Native(p) => {
                 let native: Vec<(usize, u64, &[u8])> =
                     entries.iter().map(|(d, o, b)| (*d as usize, *o, *b)).collect();
-                let cost = p.write_matrix(&native)?;
-                Ok(PendingMatrix::Done(
-                    Vec::new(),
-                    native_report(cm, cost.bytes, cost.duration(cm)),
-                ))
+                let bytes = p.write_matrix(&native)?;
+                let report = native_report(cm, bytes, cm.rank_transfer_parallel(bytes));
+                Ok(PendingMatrix::Done(Vec::new(), report))
             }
             RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_write_rank(entries)?)),
         }
@@ -164,8 +165,8 @@ impl RankChannel {
                     .zip(outs.iter_mut())
                     .map(|((d, o, _), buf)| (*d as usize, *o, buf.as_mut_slice()))
                     .collect();
-                let total = p.read_matrix(&mut views)?.bytes;
-                let report = native_report(cm, total, cm.rank_transfer_parallel(total));
+                let bytes = p.read_matrix(&mut views)?;
+                let report = native_report(cm, bytes, cm.rank_transfer_parallel(bytes));
                 Ok(PendingMatrix::Done(outs, report))
             }
             RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_read_rank(reqs)?)),
@@ -209,8 +210,8 @@ impl RankChannel {
     ) -> Result<OpReport, SdkError> {
         match self {
             RankChannel::Native(p) => {
-                let cost = p.write_dpu(dpu as usize, offset, data)?;
-                Ok(native_report(cm, cost.bytes, cost.duration(cm)))
+                let bytes = p.write_dpu(dpu as usize, offset, data)?;
+                Ok(native_report(cm, bytes, cm.rank_transfer_serial(bytes)))
             }
             RankChannel::Virt(f) => Ok(f.write_rank(&[(dpu, offset, data)])?),
         }
@@ -231,8 +232,8 @@ impl RankChannel {
         match self {
             RankChannel::Native(p) => {
                 let mut buf = vec![0u8; len as usize];
-                let cost = p.read_dpu(dpu as usize, offset, &mut buf)?;
-                Ok((buf, native_report(cm, cost.bytes, cost.duration(cm))))
+                let bytes = p.read_dpu(dpu as usize, offset, &mut buf)?;
+                Ok((buf, native_report(cm, bytes, cm.rank_transfer_serial(bytes))))
             }
             RankChannel::Virt(f) => {
                 let (mut outs, r) = f.read_rank(&[(dpu, offset, len)])?;
@@ -391,5 +392,36 @@ mod tests {
         assert_eq!(r.rank_ops(), 1);
         let (back, _) = ch.read_serial(0, 4096, 64, &cm).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// A native transfer of `n` bytes reports the host-side interleave plus
+    /// one rank operation on the DDR bus, at the bandwidth its call fixes:
+    /// serial for the single-DPU copies, parallel for the matrix pushes.
+    #[test]
+    fn native_reports_pin_the_transfer_formula() {
+        let ch = native_channel();
+        let cm = CostModel::default();
+        let check = |r: &OpReport, n: u64, ddr: VirtualNanos| {
+            assert_eq!(r.ddr(), ddr);
+            assert_eq!(r.duration(), cm.interleave(n, DataPath::Vectorized) + ddr);
+            assert_eq!(r.rank_ops(), 1);
+        };
+
+        let data = vec![5u8; 4096];
+        let r = ch.write_serial(0, 0, &data, &cm).unwrap();
+        check(&r, 4096, cm.rank_transfer_serial(4096));
+        let (_, r) = ch.read_serial(0, 0, 4096, &cm).unwrap();
+        check(&r, 4096, cm.rank_transfer_serial(4096));
+
+        let (a, b) = (vec![1u8; 8192], vec![2u8; 2048]);
+        let pending = ch.begin_write_matrix(&[(0, 0, &a[..]), (1, 64, &b[..])], &cm).unwrap();
+        let (_, r) = ch.finish_matrix(pending).unwrap();
+        check(&r, 10_240, cm.rank_transfer_parallel(10_240));
+        let pending = ch.begin_read_matrix(&[(0, 0, 8192), (1, 64, 2048)], &cm).unwrap();
+        let (outs, r) = ch.finish_matrix(pending).unwrap();
+        check(&r, 10_240, cm.rank_transfer_parallel(10_240));
+        assert_eq!(outs, vec![a, b]);
+
+        assert_ne!(cm.rank_transfer_serial(4096), cm.rank_transfer_parallel(4096));
     }
 }

@@ -349,19 +349,6 @@ impl<'a> DpuContext<'a> {
         Ok(u32::from_le_bytes(b))
     }
 
-    /// Reads a `u64` host symbol.
-    ///
-    /// # Errors
-    ///
-    /// Faults if the symbol is missing or not 8 bytes.
-    pub fn host_u64(&self, name: &str) -> Result<u64, DpuFault> {
-        let mut b = [0u8; 8];
-        self.dpu
-            .read_symbol(name, &mut b)
-            .map_err(|e| DpuFault::new(e.to_string()))?;
-        Ok(u64::from_le_bytes(b))
-    }
-
     /// Writes a `u32` host symbol.
     ///
     /// # Errors
@@ -619,20 +606,6 @@ impl<'a> TaskletCtx<'a> {
             .read_symbol(name, &mut b)
             .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))?;
         Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a `u64` host symbol.
-    ///
-    /// # Errors
-    ///
-    /// Faults if the symbol is missing or not 8 bytes.
-    pub fn host_u64(&mut self, name: &str) -> Result<u64, DpuFault> {
-        self.charge(1);
-        let mut b = [0u8; 8];
-        self.dpu
-            .read_symbol(name, &mut b)
-            .map_err(|e| DpuFault::in_tasklet(self.id, e.to_string()))?;
-        Ok(u64::from_le_bytes(b))
     }
 
     /// Atomically adds to a `u32` host symbol (mutex-protected shared

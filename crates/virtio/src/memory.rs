@@ -512,8 +512,8 @@ impl GuestMemory {
 
     /// Zero-copy read of `len` bytes spread over `pages`: calls
     /// `f(offset, bytes)` for each page in order under **one** borrow of
-    /// guest RAM, with the per-page fault point and [`SegCache`]-served
-    /// bounds check of [`walk`](Self::walk).
+    /// guest RAM, with the same per-page fault point and
+    /// [`SegCache`]-served bounds check as every other page walk.
     ///
     /// # Errors
     ///

@@ -29,7 +29,6 @@ fn mk_policy(attempts: u32, base_ns: u64, mult: u32, jitter: u8, cap_mult: u64) 
         mult,
         jitter.min(100),
         base.saturating_mul(cap_mult),
-        base.saturating_mul(256),
     )
 }
 
