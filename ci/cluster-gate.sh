@@ -3,10 +3,10 @@
 # are deterministic and publishes the consolidation benchmark.
 #
 #   1. The migration suite (`cluster_migration`: bit-identity across
-#      dispatch modes, pre-copy downtime, fault rollback, the 8-seed
-#      chaos sweep and the placement proptest), run under serialized
-#      and highly parallel test harnesses — virtual-time results must
-#      not depend on harness scheduling;
+#      dispatch modes, the stop-and-copy cost formula, fault rollback,
+#      the 8-seed chaos sweep and the placement proptest), run under
+#      serialized and highly parallel test harnesses — virtual-time
+#      results must not depend on harness scheduling;
 #   2. the `cluster` criterion bench climbing the consolidation ladder
 #      for fleets of 1, 2 and 4 hosts at a fixed p99 sojourn bound; the
 #      bench itself asserts the curve is monotone (more hosts never

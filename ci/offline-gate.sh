@@ -18,17 +18,10 @@ cargo build --release --offline --workspace
 echo "== tier-1 offline gate: test =="
 cargo test --release --offline -q --workspace
 
-# Rustdoc over the workspace's own crates with warnings denied, so a
-# deleted or private item cannot leave a dangling intra-doc link behind.
-# The vendored shims are workspace members too (path dependencies inside
-# the workspace) and are left out: they are stand-ins, not this project's
-# documentation.
+# Rustdoc over the whole workspace (the vendored shims included) with
+# warnings denied, so a deleted or private item cannot leave a dangling
+# intra-doc link behind.
 echo "== tier-1 offline gate: rustdoc =="
-excludes=""
-for d in vendor/*/; do
-    excludes="$excludes --exclude $(basename "$d")"
-done
-# shellcheck disable=SC2086 # one word per --exclude flag and crate name
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace $excludes
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== tier-1 offline gate: OK =="

@@ -17,9 +17,9 @@ pub struct FleetHost {
 }
 
 impl FleetHost {
-    /// Boots host `id` on a fresh machine built from `pim`.
-    pub(crate) fn boot(id: usize, pim: &PimConfig, vcfg: crate::config::VpimConfig) -> Self {
-        let machine = PimMachine::new(pim.clone());
+    /// Boots host `id` on a fresh [`PimConfig::small`] machine.
+    pub(crate) fn boot(id: usize, vcfg: crate::config::VpimConfig) -> Self {
+        let machine = PimMachine::new(PimConfig::small());
         let driver = Arc::new(UpmemDriver::new(machine));
         let sys = Arc::new(VpimSystem::start(driver, vcfg, StartOpts::default()));
         FleetHost { id, sys }

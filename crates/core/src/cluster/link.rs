@@ -1,8 +1,9 @@
 //! The modeled inter-host network link snapshots ship over.
 //!
 //! Transfer time is **virtual**: a pure integer function of the byte
-//! count and the link's `(latency, bandwidth)` spec, charged through the
-//! same virtual-clock accounting as every other cost in the system — so
+//! count and a 25 GbE-class datacenter link's latency
+//! ([`LINK_LATENCY_NS`]) and bandwidth ([`LINK_GBITS_PER_SEC`]), charged
+//! through the same virtual-clock accounting as every other cost — so
 //! migration reports are bit-identical across inline and lane dispatch
 //! and thread counts, exactly like [`LoadReport`]s.
 //!
@@ -27,26 +28,15 @@ use crate::error::VpimError;
 /// [`FaultSite::LinkDrop`](crate::config::FaultSite::LinkDrop)).
 pub const LINK_DROP_POINT: &str = "cluster.link.drop";
 
-/// Bandwidth/latency of the inter-host wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkSpec {
-    /// One-way latency per transfer, nanoseconds.
-    pub latency_ns: u64,
-    /// Bandwidth in gigabits per second (clamped to ≥ 1 when charging).
-    pub gbits_per_sec: u64,
-}
+/// One-way latency per transfer: 50 µs.
+pub const LINK_LATENCY_NS: u64 = 50_000;
 
-impl Default for LinkSpec {
-    /// A 25 GbE-class datacenter link: 50 µs latency, 25 Gbit/s.
-    fn default() -> Self {
-        LinkSpec { latency_ns: 50_000, gbits_per_sec: 25 }
-    }
-}
+/// Link bandwidth: 25 Gbit/s.
+pub const LINK_GBITS_PER_SEC: u64 = 25;
 
 /// The fleet's inter-host link: serialized, cost-modeled, fault-injectable.
 #[derive(Debug)]
 pub struct Link {
-    spec: LinkSpec,
     /// One transfer at a time ([`LockLevel::Link`]).
     busy: Mutex<()>,
     inject: InjectCell,
@@ -63,9 +53,8 @@ pub struct Link {
 impl Link {
     /// A link publishing `cluster.link.*` telemetry into `registry`.
     #[must_use]
-    pub fn with_registry(spec: LinkSpec, registry: &MetricsRegistry) -> Self {
+    pub fn with_registry(registry: &MetricsRegistry) -> Self {
         Link {
-            spec,
             busy: Mutex::new(()),
             inject: InjectCell::new(),
             bytes: registry.counter("cluster.link.bytes"),
@@ -75,24 +64,17 @@ impl Link {
         }
     }
 
-    /// The configured spec.
-    #[must_use]
-    pub fn spec(&self) -> LinkSpec {
-        self.spec
-    }
-
     /// Routes `cluster.link.drop` hits through `plane`.
     pub fn install_fault_plane(&self, plane: std::sync::Arc<simkit::FaultPlane>) {
         self.inject.install(plane);
     }
 
     /// Virtual wire time for `bytes`: latency + serialization at the
-    /// configured bandwidth, pure integer math.
+    /// link's bandwidth, pure integer math.
     #[must_use]
     pub fn transfer_cost(&self, bytes: u64) -> VirtualNanos {
-        let gbps = self.spec.gbits_per_sec.max(1);
         // bits / gbits-per-sec = nanoseconds exactly.
-        VirtualNanos::from_nanos(self.spec.latency_ns + bytes.saturating_mul(8) / gbps)
+        VirtualNanos::from_nanos(LINK_LATENCY_NS + bytes.saturating_mul(8) / LINK_GBITS_PER_SEC)
     }
 
     /// Ships `bytes` over the link and returns the virtual transfer time.
@@ -125,16 +107,16 @@ mod tests {
     #[test]
     fn cost_is_pure_integer_latency_plus_serialization() {
         let reg = MetricsRegistry::new();
-        let link = Link::with_registry(LinkSpec { latency_ns: 1_000, gbits_per_sec: 8 }, &reg);
-        // 8 Gbit/s = 1 byte/ns: 4096 B serializes in 4096 ns.
-        assert_eq!(link.transfer_cost(4096).as_nanos(), 1_000 + 4096);
-        assert_eq!(link.transfer_cost(0).as_nanos(), 1_000);
+        let link = Link::with_registry(&reg);
+        // 25 Gbit/s = 3.125 bytes/ns: 4000 B serializes in 1280 ns.
+        assert_eq!(link.transfer_cost(4000).as_nanos(), 50_000 + 1_280);
+        assert_eq!(link.transfer_cost(0).as_nanos(), 50_000);
     }
 
     #[test]
     fn ship_publishes_telemetry() {
         let reg = MetricsRegistry::new();
-        let link = Link::with_registry(LinkSpec { latency_ns: 100, gbits_per_sec: 8 }, &reg);
+        let link = Link::with_registry(&reg);
         let a = link.ship(1024).unwrap();
         let b = link.ship(1024).unwrap();
         assert_eq!(a, b, "same bytes, same virtual cost");
@@ -148,7 +130,7 @@ mod tests {
     #[test]
     fn armed_drop_severs_the_wire() {
         let reg = MetricsRegistry::new();
-        let link = Link::with_registry(LinkSpec::default(), &reg);
+        let link = Link::with_registry(&reg);
         let plane = Arc::new(FaultPlane::with_registry(7, &reg));
         plane.arm(LINK_DROP_POINT, FaultPlan::Nth(1));
         link.install_fault_plane(plane);

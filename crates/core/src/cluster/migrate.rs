@@ -3,7 +3,8 @@
 //!
 //! # The state machine
 //!
-//! **Stop-and-copy** (the default):
+//! Migration is **stop-and-copy**: one round, with the tenant frozen
+//! from step 1 to cutover, so the whole migration is downtime.
 //!
 //! 1. *Pin* — take the tenant's entry lock. Every tenant op routes
 //!    through [`Fleet::with_vm`], which needs the same lock, so from here
@@ -22,12 +23,6 @@
 //!    then [`Rank::restore`] each parked snapshot onto its linked rank.
 //! 6. *Cutover* — swap the entry's VM handle, release the source VM's
 //!    ranks, and atomically re-home the tenant in the placement table.
-//!
-//! **Pre-copy** adds a warm round before step 1: snapshot the running
-//! ranks (brief slot holds, no freeze), ship the *full* bytes while the
-//! tenant keeps executing, then run stop-and-copy shipping only the
-//! **dirty** bytes ([`RankSnapshot::diff_bytes`]) — the classic trade:
-//! more total bytes on the wire, less downtime on the wire.
 //!
 //! # Rollback rules
 //!
@@ -49,12 +44,10 @@
 //! [`Backend::ensure_linked`]: crate::backend::Backend::ensure_linked
 //! [`Rank::snapshot_quiescent`]: upmem_sim::Rank::snapshot_quiescent
 //! [`Rank::restore`]: upmem_sim::Rank::restore
-//! [`RankSnapshot::diff_bytes`]: upmem_sim::rank::RankSnapshot::diff_bytes
 //! [`Link`]: super::Link
 
 use simkit::lockorder::{ordered, LockLevel};
 use simkit::VirtualNanos;
-use upmem_sim::rank::RankSnapshot;
 
 use super::{Fleet, TenantState};
 use crate::error::VpimError;
@@ -67,39 +60,6 @@ use crate::error::VpimError;
 /// perturb the migrated bits.
 pub const MIGRATE_STALL_POINT: &str = "cluster.migrate.stall";
 
-/// Which copy scheme to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MigrateMode {
-    /// One round: freeze, copy everything, resume on the destination.
-    #[default]
-    StopAndCopy,
-    /// Two rounds: ship a warm full copy while the tenant runs, then
-    /// freeze and re-send only the dirty bytes.
-    PreCopy,
-}
-
-/// Options for [`Fleet::migrate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrateOpts {
-    /// The copy scheme.
-    pub mode: MigrateMode,
-}
-
-impl MigrateOpts {
-    /// Stop-and-copy.
-    #[must_use]
-    pub fn new() -> Self {
-        MigrateOpts::default()
-    }
-
-    /// Selects `mode`.
-    #[must_use]
-    pub fn mode(mut self, mode: MigrateMode) -> Self {
-        self.mode = mode;
-        self
-    }
-}
-
 /// What a completed migration measured. All times are virtual and pure
 /// in the shipped byte counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,23 +70,13 @@ pub struct MigrationReport {
     pub from: usize,
     /// Destination host.
     pub to: usize,
-    /// The scheme that ran.
-    pub mode: MigrateMode,
     /// Ranks moved (one per device).
     pub ranks_moved: usize,
-    /// Bytes shipped by the warm pre-copy round (0 for stop-and-copy).
-    pub precopy_bytes: u64,
-    /// Dirty bytes re-sent in the final round (0 for stop-and-copy).
-    pub dirty_bytes: u64,
-    /// Total bytes that crossed the link, all rounds.
+    /// Bytes that crossed the link: every source rank's resident bytes.
     pub bytes_shipped: u64,
-    /// Copy rounds (1 for stop-and-copy, 2 for pre-copy).
-    pub rounds: u32,
-    /// Virtual time the tenant was frozen (final snapshot + final ship +
-    /// destination boot + restore).
+    /// Virtual time the tenant was frozen (snapshot + ship + destination
+    /// boot + restore), which is the whole migration.
     pub downtime: VirtualNanos,
-    /// Total virtual migration time (warm round included).
-    pub total: VirtualNanos,
 }
 
 fn inflight_key(tenant: &str, device: usize) -> String {
@@ -148,68 +98,15 @@ impl Fleet {
     /// `cluster.link.drop` severs a transfer; plus any launch or restore
     /// failure from the destination host. Every aborted attempt
     /// increments `migrate.aborted`.
-    pub fn migrate(
-        &self,
-        tenant: &str,
-        to: usize,
-        opts: MigrateOpts,
-    ) -> Result<MigrationReport, VpimError> {
+    pub fn migrate(&self, tenant: &str, to: usize) -> Result<MigrationReport, VpimError> {
         if to >= self.hosts().len() {
             return Err(VpimError::BadRequest(format!("no host {to} in the fleet")));
         }
         let entry = self.entry(tenant)?;
         self.metrics.attempts.inc();
 
-        let mut rounds = 0u32;
-        let mut precopy_bytes = 0u64;
-        let mut warm_vt = VirtualNanos::ZERO;
-        let mut base: Option<Vec<RankSnapshot>> = None;
-
-        if opts.mode == MigrateMode::PreCopy {
-            // Warm round: capture the running ranks under brief slot
-            // holds, then ship with the tenant live (dirtying freely).
-            let snaps = {
-                let _ord = ordered(LockLevel::Fleet, 1);
-                let state = entry.state.lock();
-                let Some(state) = state.as_ref() else {
-                    self.metrics.aborted.inc();
-                    return Err(VpimError::BadRequest(format!("tenant {tenant} released")));
-                };
-                if state.host == to {
-                    self.metrics.aborted.inc();
-                    return Err(VpimError::BadRequest(format!(
-                        "tenant {tenant} already on host {to}"
-                    )));
-                }
-                let mut snaps = Vec::with_capacity(state.vm.devices().len());
-                for dev in state.vm.devices() {
-                    let guard = dev.backend().ensure_linked()?;
-                    let mapping = guard.as_ref().ok_or(VpimError::NotLinked)?;
-                    let snap = mapping.rank().snapshot();
-                    warm_vt += self.cm.rank_snapshot(snap.resident_bytes() as u64);
-                    snaps.push(snap);
-                }
-                snaps
-            };
-            rounds += 1;
-            for snap in &snaps {
-                let bytes = snap.resident_bytes() as u64;
-                match self.link().ship(bytes) {
-                    Ok(cost) => {
-                        warm_vt += cost;
-                        precopy_bytes += bytes;
-                    }
-                    Err(e) => {
-                        self.metrics.aborted.inc();
-                        return Err(e);
-                    }
-                }
-            }
-            base = Some(snaps);
-        }
-
-        // Final (stop-and-copy) round: entry locked for the duration — the
-        // tenant is frozen because every op path needs this same lock.
+        // Entry locked for the duration: the tenant is frozen because
+        // every op path needs this same lock.
         let _ord = ordered(LockLevel::Fleet, 1);
         let mut slot = entry.state.lock();
         let Some(state) = slot.as_mut() else {
@@ -234,31 +131,22 @@ impl Fleet {
             }
         }
 
-        match self.stop_and_copy(tenant, state, to, need, base.as_deref()) {
-            Ok((bytes_final, dirty_bytes, downtime)) => {
-                rounds += 1;
+        match self.stop_and_copy(tenant, state, to, need) {
+            Ok((bytes_shipped, downtime)) => {
                 {
                     let _p = ordered(LockLevel::Placement, 0);
                     self.placement.lock().rehome(tenant, from, to, need);
                 }
-                let total = warm_vt + downtime;
                 self.metrics.completed.inc();
-                self.metrics.bytes.add(precopy_bytes + bytes_final);
-                self.metrics.dirty_bytes.add(dirty_bytes);
+                self.metrics.bytes.add(bytes_shipped);
                 self.metrics.downtime.record(downtime);
-                self.metrics.vt.add(total);
                 Ok(MigrationReport {
                     tenant: tenant.to_string(),
                     from,
                     to,
-                    mode: opts.mode,
                     ranks_moved: need,
-                    precopy_bytes,
-                    dirty_bytes,
-                    bytes_shipped: precopy_bytes + bytes_final,
-                    rounds,
+                    bytes_shipped,
                     downtime,
-                    total,
                 })
             }
             Err(e) => {
@@ -272,19 +160,18 @@ impl Fleet {
         }
     }
 
-    /// The frozen half of a migration. On entry the tenant's entry lock
+    /// The frozen part of a migration. On entry the tenant's entry lock
     /// is held and the destination capacity is reserved. Returns
-    /// `(bytes shipped this round, dirty bytes, downtime)`; on error the
-    /// source VM is untouched and every transient artifact (in-flight
-    /// snapshots, destination VM) has been cleaned up.
+    /// `(bytes shipped, downtime)`; on error the source VM is untouched
+    /// and every transient artifact (in-flight snapshots, destination VM)
+    /// has been cleaned up.
     fn stop_and_copy(
         &self,
         tenant: &str,
         state: &mut TenantState,
         to: usize,
         need: usize,
-        base: Option<&[RankSnapshot]>,
-    ) -> Result<(u64, u64, VirtualNanos), VpimError> {
+    ) -> Result<(u64, VirtualNanos), VpimError> {
         let evict_inflight = |n: usize| {
             for j in 0..n {
                 let _ = self.inflight.evict(&inflight_key(tenant, j));
@@ -315,18 +202,10 @@ impl Fleet {
             snaps.push(snap);
         }
 
-        // Ship (full or dirty bytes) and park in flight.
+        // Ship every resident byte and park in flight.
         let mut bytes_shipped = 0u64;
-        let mut dirty_bytes = 0u64;
-        for (i, snap) in snaps.iter().enumerate() {
-            let bytes = match base {
-                Some(warm) => {
-                    let dirty = snap.diff_bytes(warm.get(i).unwrap_or(snap));
-                    dirty_bytes += dirty;
-                    dirty
-                }
-                None => snap.resident_bytes() as u64,
-            };
+        for snap in &snaps {
+            let bytes = snap.resident_bytes() as u64;
             downtime += self.link().ship(bytes)?;
             bytes_shipped += bytes;
         }
@@ -371,6 +250,6 @@ impl Fleet {
         let _ = old.release_all();
         drop(old);
         state.host = to;
-        Ok((bytes_shipped, dirty_bytes, downtime))
+        Ok((bytes_shipped, downtime))
     }
 }

@@ -7,19 +7,18 @@
 //!
 //! * a **placement/admission plane** ([`placement`]): every
 //!   [`TenantSpec`] launch routes through [`Fleet::launch`], which picks
-//!   a host under a [`PlacementPolicy`] (first-fit, least-loaded)
-//!   against per-host rank capacity;
+//!   the least-loaded host with room, each host's capacity being its
+//!   physical rank count;
 //! * a **modeled inter-host network** ([`link`]): snapshot bytes ship
 //!   over a serialized [`Link`] whose transfer time is pure integer
 //!   virtual time, so fleet-level reports stay bit-identical across
 //!   host dispatch and thread counts;
 //! * **live migration** ([`migrate`]): quiesce a tenant's ranks at their
 //!   slot-lock safe points, snapshot bit-exactly
-//!   ([`Rank::snapshot_quiescent`]), ship over the link (stop-and-copy,
-//!   or pre-copy with a dirty re-send round), restore on the destination
-//!   and atomically re-home the tenant — with rollback to the source on
-//!   any failure, including injected `cluster.link.drop` /
-//!   `cluster.migrate.stall` faults.
+//!   ([`Rank::snapshot_quiescent`]), ship over the link (stop-and-copy),
+//!   restore on the destination and atomically re-home the tenant — with
+//!   rollback to the source on any failure, including injected
+//!   `cluster.link.drop` / `cluster.migrate.stall` faults.
 //!
 //! Fleet-wide telemetry (`cluster.*`, `migrate.*`) lives in the fleet's
 //! own [`MetricsRegistry`]; per-host metrics stay in each host's
@@ -42,18 +41,16 @@ pub mod migrate;
 pub mod placement;
 
 pub use host::FleetHost;
-pub use link::{Link, LinkSpec, LINK_DROP_POINT};
-pub use migrate::{MigrateMode, MigrateOpts, MigrationReport, MIGRATE_STALL_POINT};
-pub use placement::PlacementPolicy;
+pub use link::{Link, LINK_DROP_POINT};
+pub use migrate::{MigrationReport, MIGRATE_STALL_POINT};
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simkit::lockorder::{ordered, LockLevel};
-use simkit::telemetry::{Counter, Gauge, MetricsRegistry, TimeCounter, VtHistogram};
+use simkit::telemetry::{Counter, Gauge, MetricsRegistry, VtHistogram};
 use simkit::{CostModel, FaultPlane, InjectCell, JsonObject, VirtualNanos};
-use upmem_sim::PimConfig;
 
 use crate::config::VpimConfig;
 use crate::error::VpimError;
@@ -63,44 +60,24 @@ use crate::sched::SnapshotStore;
 use crate::system::{TenantSpec, VpimVm};
 use placement::PlacementTable;
 
-/// How to build a [`Fleet`]: host count and geometry, the per-host
-/// configuration, the placement policy, the link model, and migration
-/// budgets.
+/// How to build a [`Fleet`]: host count, the per-host configuration and
+/// the in-flight migration budget.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     hosts: usize,
-    pim: PimConfig,
     vcfg: VpimConfig,
-    policy: PlacementPolicy,
-    link: LinkSpec,
-    oversub_factor: usize,
     inflight_budget_mib: u64,
 }
 
 impl FleetSpec {
     /// `hosts` homogeneous hosts, each a [`PimConfig::small`] machine
     /// running [`VpimConfig::full`] with default [`crate::system::StartOpts`],
-    /// least-loaded placement, the default datacenter link, no logical
-    /// oversubscription, and an unlimited in-flight snapshot budget.
+    /// and an unlimited in-flight snapshot budget.
+    ///
+    /// [`PimConfig::small`]: upmem_sim::PimConfig::small
     #[must_use]
     pub fn new(hosts: usize) -> Self {
-        let hosts = hosts.max(1);
-        FleetSpec {
-            hosts,
-            pim: PimConfig::small(),
-            vcfg: VpimConfig::full(),
-            policy: PlacementPolicy::default(),
-            link: LinkSpec::default(),
-            oversub_factor: 1,
-            inflight_budget_mib: 0,
-        }
-    }
-
-    /// The machine geometry every host boots with (homogeneous fleet).
-    #[must_use]
-    pub fn pim(mut self, pim: PimConfig) -> Self {
-        self.pim = pim;
-        self
+        FleetSpec { hosts: hosts.max(1), vcfg: VpimConfig::full(), inflight_budget_mib: 0 }
     }
 
     /// The optimization/injection configuration every host inherits. The
@@ -110,30 +87,6 @@ impl FleetSpec {
     #[must_use]
     pub fn config(mut self, vcfg: VpimConfig) -> Self {
         self.vcfg = vcfg;
-        self
-    }
-
-    /// The placement policy.
-    #[must_use]
-    pub fn policy(mut self, p: PlacementPolicy) -> Self {
-        self.policy = p;
-        self
-    }
-
-    /// The inter-host link model.
-    #[must_use]
-    pub fn link(mut self, l: LinkSpec) -> Self {
-        self.link = l;
-        self
-    }
-
-    /// Logical rank-capacity multiplier per host (≥ 1). With the
-    /// single-host scheduler's oversubscription enabled, a host can admit
-    /// more tenant ranks than physical ranks; the placement table's
-    /// capacity is `physical × factor`.
-    #[must_use]
-    pub fn oversub_factor(mut self, f: usize) -> Self {
-        self.oversub_factor = f.max(1);
         self
     }
 
@@ -163,12 +116,8 @@ pub(crate) struct FleetMetrics {
     pub aborted: Counter,
     /// `migrate.bytes` — total bytes shipped by completed migrations.
     pub bytes: Counter,
-    /// `migrate.dirty.bytes` — pre-copy round-2 dirty bytes re-sent.
-    pub dirty_bytes: Counter,
-    /// `migrate.downtime` — stop-and-copy window per completed migration.
+    /// `migrate.downtime` — virtual time of each completed migration.
     pub downtime: VtHistogram,
-    /// `migrate.vt` — total virtual migration time.
-    pub vt: TimeCounter,
 }
 
 impl FleetMetrics {
@@ -181,9 +130,7 @@ impl FleetMetrics {
             completed: r.counter("migrate.completed"),
             aborted: r.counter("migrate.aborted"),
             bytes: r.counter("migrate.bytes"),
-            dirty_bytes: r.counter("migrate.dirty.bytes"),
             downtime: r.histogram("migrate.downtime"),
-            vt: r.time("migrate.vt"),
         }
     }
 }
@@ -206,10 +153,10 @@ pub(crate) struct TenantEntry {
 /// N vPIM hosts behind one placement plane, with live migration.
 ///
 /// ```
-/// use vpim::cluster::{Fleet, FleetSpec, MigrateOpts, PlacementPolicy};
+/// use vpim::cluster::{Fleet, FleetSpec};
 /// use vpim::prelude::*;
 ///
-/// let fleet = Fleet::start(FleetSpec::new(2).policy(PlacementPolicy::FirstFit));
+/// let fleet = Fleet::start(FleetSpec::new(2));
 /// let home = fleet.launch(TenantSpec::new("tenant-a").mem_mib(16)).unwrap();
 /// assert_eq!(home, 0);
 /// fleet
@@ -217,7 +164,7 @@ pub(crate) struct TenantEntry {
 ///         vm.frontend(0).write_rank(&[(0, 0, &[7u8; 64])]).map(|_| ())
 ///     })
 ///     .unwrap();
-/// let report = fleet.migrate("tenant-a", 1, MigrateOpts::default()).unwrap();
+/// let report = fleet.migrate("tenant-a", 1).unwrap();
 /// assert_eq!(report.to, 1);
 /// assert_eq!(fleet.host_of("tenant-a"), Some(1));
 /// fleet.release("tenant-a").unwrap();
@@ -225,7 +172,6 @@ pub(crate) struct TenantEntry {
 #[derive(Debug)]
 pub struct Fleet {
     hosts: Vec<FleetHost>,
-    policy: PlacementPolicy,
     /// Tenant map (`LockLevel::Fleet`, index 0).
     tenants: Mutex<HashMap<String, Arc<TenantEntry>>>,
     /// Placement/admission table (`LockLevel::Placement`).
@@ -257,13 +203,11 @@ impl Fleet {
     #[must_use]
     pub fn start(spec: FleetSpec) -> Self {
         let registry = MetricsRegistry::new();
-        let hosts: Vec<FleetHost> = (0..spec.hosts)
-            .map(|id| FleetHost::boot(id, &spec.pim, spec.vcfg))
-            .collect();
-        let capacity: Vec<usize> =
-            hosts.iter().map(|h| h.rank_count() * spec.oversub_factor).collect();
+        let hosts: Vec<FleetHost> =
+            (0..spec.hosts).map(|id| FleetHost::boot(id, spec.vcfg)).collect();
+        let capacity: Vec<usize> = hosts.iter().map(FleetHost::rank_count).collect();
         let placement = Mutex::new(PlacementTable::new(capacity));
-        let link = Link::with_registry(spec.link, &registry);
+        let link = Link::with_registry(&registry);
         let inflight = SnapshotStore::with_registry(
             spec.inflight_budget_mib.saturating_mul(1 << 20),
             &registry,
@@ -285,7 +229,6 @@ impl Fleet {
         let cm = hosts[0].system().cost_model().clone();
         Fleet {
             hosts,
-            policy: spec.policy,
             tenants: Mutex::new(HashMap::new()),
             placement,
             link,
@@ -322,19 +265,13 @@ impl Fleet {
         &self.link
     }
 
-    /// The placement policy in force.
-    #[must_use]
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// The fleet's fault plane, when `vcfg.inject` enabled one.
     #[must_use]
     pub fn fault_plane(&self) -> Option<&Arc<FaultPlane>> {
         self.plane.as_ref()
     }
 
-    /// Routes `spec` to a host under the placement policy, launches its
+    /// Routes `spec` to the least-loaded host with room, launches its
     /// microVM there, and homes the tenant. Returns the chosen host.
     ///
     /// # Errors
@@ -348,7 +285,7 @@ impl Fleet {
         let host = {
             let _ord = ordered(LockLevel::Placement, 0);
             let mut table = self.placement.lock();
-            match table.place(self.policy, &tenant, need) {
+            match table.place(&tenant, need) {
                 Ok(h) => h,
                 Err(e) => {
                     if matches!(e, VpimError::NoRankAvailable) {
@@ -691,7 +628,7 @@ mod tests {
     use super::*;
 
     fn small_fleet(hosts: usize) -> Fleet {
-        Fleet::start(FleetSpec::new(hosts).policy(PlacementPolicy::FirstFit))
+        Fleet::start(FleetSpec::new(hosts))
     }
 
     #[test]
@@ -699,9 +636,10 @@ mod tests {
         let fleet = small_fleet(2);
         // PimConfig::small has 2 ranks per host.
         assert_eq!(fleet.capacity(0), 2);
+        // Least-loaded spreading: a→0, b→1, then the tie goes to host 0.
         assert_eq!(fleet.launch(TenantSpec::new("a").mem_mib(16)).unwrap(), 0);
-        assert_eq!(fleet.launch(TenantSpec::new("b").mem_mib(16)).unwrap(), 0);
-        assert_eq!(fleet.launch(TenantSpec::new("c").mem_mib(16)).unwrap(), 1);
+        assert_eq!(fleet.launch(TenantSpec::new("b").mem_mib(16)).unwrap(), 1);
+        assert_eq!(fleet.launch(TenantSpec::new("c").mem_mib(16)).unwrap(), 0);
         assert_eq!(fleet.live_ranks(0), 2);
         assert_eq!(fleet.placements().len(), 3);
         // Duplicate tags are refused before touching any host.

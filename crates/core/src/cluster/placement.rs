@@ -1,6 +1,9 @@
 //! The fleet's placement/admission table: which host every tenant lives
 //! on and how many ranks each host has committed.
 //!
+//! Placement is **least-loaded**: a new tenant goes to the host with the
+//! fewest committed ranks that has room, ties to the lowest index.
+//!
 //! The table is the single source of truth for tenant → host homes. All
 //! mutations happen under one mutex ordered at
 //! [`LockLevel::Placement`](simkit::lockorder::LockLevel::Placement), and
@@ -18,23 +21,10 @@ use std::collections::HashMap;
 
 use crate::error::VpimError;
 
-/// How the fleet picks a host for a new tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// The lowest-indexed host with room (packs the fleet left — the
-    /// consolidation-friendly default for migration tests).
-    FirstFit,
-    /// The host with the fewest committed live ranks; ties go to the
-    /// lowest index.
-    #[default]
-    LeastLoaded,
-}
-
 /// Tenant homes plus per-host committed-rank accounting.
 #[derive(Debug)]
 pub(crate) struct PlacementTable {
-    /// Rank capacity per host (physical ranks × the fleet's logical
-    /// oversubscription factor).
+    /// Rank capacity per host (its physical rank count).
     capacity: Vec<usize>,
     /// Ranks committed per host (reservations included).
     live: Vec<usize>,
@@ -48,28 +38,18 @@ impl PlacementTable {
         PlacementTable { capacity, live, homes: HashMap::new() }
     }
 
-    /// Picks a host for `tenant` under `policy`, commits `need` ranks on
-    /// it, and records the home. Fails with [`VpimError::NoRankAvailable`]
+    /// Picks the least-loaded host with room for `tenant`, commits `need`
+    /// ranks on it, and records the home. Fails with [`VpimError::NoRankAvailable`]
     /// when no host has room and [`VpimError::BadRequest`] when the
     /// tenant is already homed.
-    pub(crate) fn place(
-        &mut self,
-        policy: PlacementPolicy,
-        tenant: &str,
-        need: usize,
-    ) -> Result<usize, VpimError> {
+    pub(crate) fn place(&mut self, tenant: &str, need: usize) -> Result<usize, VpimError> {
         if self.homes.contains_key(tenant) {
             return Err(VpimError::BadRequest(format!("tenant {tenant} already placed")));
         }
-        let n = self.capacity.len();
-        let fits = |h: usize| self.live[h] + need <= self.capacity[h];
-        let host = match policy {
-            PlacementPolicy::FirstFit => (0..n).find(|&h| fits(h)),
-            PlacementPolicy::LeastLoaded => {
-                (0..n).filter(|&h| fits(h)).min_by_key(|&h| (self.live[h], h))
-            }
-        };
-        let host = host.ok_or(VpimError::NoRankAvailable)?;
+        let host = (0..self.capacity.len())
+            .filter(|&h| self.live[h] + need <= self.capacity[h])
+            .min_by_key(|&h| (self.live[h], h))
+            .ok_or(VpimError::NoRankAvailable)?;
         self.live[host] += need;
         self.homes.insert(tenant.to_string(), host);
         Ok(host)
@@ -143,43 +123,27 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_packs_left() {
-        let mut t = table();
-        assert_eq!(t.place(PlacementPolicy::FirstFit, "a", 2).unwrap(), 0);
-        assert_eq!(t.place(PlacementPolicy::FirstFit, "b", 2).unwrap(), 0);
-        assert_eq!(t.place(PlacementPolicy::FirstFit, "c", 1).unwrap(), 1);
-        assert_eq!(t.live_ranks(0), 4);
-        assert_eq!(t.live_ranks(1), 1);
-    }
-
-    #[test]
     fn least_loaded_spreads() {
         let mut t = table();
-        assert_eq!(t.place(PlacementPolicy::LeastLoaded, "a", 2).unwrap(), 0);
-        assert_eq!(t.place(PlacementPolicy::LeastLoaded, "b", 1).unwrap(), 1);
-        assert_eq!(t.place(PlacementPolicy::LeastLoaded, "c", 1).unwrap(), 2);
+        assert_eq!(t.place("a", 2).unwrap(), 0);
+        assert_eq!(t.place("b", 1).unwrap(), 1);
+        assert_eq!(t.place("c", 1).unwrap(), 2);
         // 0 has 2 live, 1 and 2 have 1 — tie goes to the lower index.
-        assert_eq!(t.place(PlacementPolicy::LeastLoaded, "d", 1).unwrap(), 1);
+        assert_eq!(t.place("d", 1).unwrap(), 1);
     }
 
     #[test]
     fn duplicate_and_full_are_refused() {
         let mut t = PlacementTable::new(vec![1]);
-        t.place(PlacementPolicy::FirstFit, "a", 1).unwrap();
-        assert!(matches!(
-            t.place(PlacementPolicy::FirstFit, "a", 1),
-            Err(VpimError::BadRequest(_))
-        ));
-        assert!(matches!(
-            t.place(PlacementPolicy::FirstFit, "b", 1),
-            Err(VpimError::NoRankAvailable)
-        ));
+        t.place("a", 1).unwrap();
+        assert!(matches!(t.place("a", 1), Err(VpimError::BadRequest(_))));
+        assert!(matches!(t.place("b", 1), Err(VpimError::NoRankAvailable)));
     }
 
     #[test]
     fn migration_accounting_reserve_then_rehome() {
         let mut t = table();
-        t.place(PlacementPolicy::FirstFit, "a", 2).unwrap();
+        t.place("a", 2).unwrap();
         t.reserve(1, 2).unwrap();
         // Transiently both sides are committed.
         assert_eq!(t.live_ranks(0) + t.live_ranks(1), 4);

@@ -76,8 +76,7 @@ pub mod system;
 
 pub use backend::datapath::{CHUNK_STALL_POINT, CHUNK_TORN_WRITE_POINT};
 pub use cluster::{
-    Fleet, FleetLoadReport, FleetSpec, LinkSpec, MigrateMode, MigrateOpts, MigrationReport,
-    PlacementPolicy, LINK_DROP_POINT, MIGRATE_STALL_POINT,
+    Fleet, FleetLoadReport, FleetSpec, MigrationReport, LINK_DROP_POINT, MIGRATE_STALL_POINT,
 };
 pub use config::{
     AdaptSection, FaultSite, FaultSpec, InjectSection, SchedSection, Variant, VpimConfig,
@@ -105,10 +104,7 @@ pub use system::{StartOpts, TenantSpec, VpimSystem, VpimVm};
 /// use vpim::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::cluster::{
-        Fleet, FleetLoadReport, FleetSpec, LinkSpec, MigrateMode, MigrateOpts, MigrationReport,
-        PlacementPolicy,
-    };
+    pub use crate::cluster::{Fleet, FleetLoadReport, FleetSpec, MigrationReport};
     pub use crate::config::{AdaptSection, Variant, VpimConfig, VpimConfigBuilder};
     pub use crate::error::VpimError;
     pub use crate::frontend::{Frontend, ProbeOpts};

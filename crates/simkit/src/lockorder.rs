@@ -197,7 +197,7 @@ mod tests {
     fn fleet_chain_is_legal() {
         // Launch path: tenant map → entry → placement → frontend.
         let map = ordered(LockLevel::Fleet, 0);
-        let entry = ordered(LockLevel::Fleet, 1);
+        let _entry = ordered(LockLevel::Fleet, 1);
         drop(map);
         let place = ordered(LockLevel::Placement, 0);
         drop(place);

@@ -287,12 +287,14 @@ impl DpuSnapshot {
         self.mram.resident_bytes()
     }
 
-    /// Bytes that differ from `base`: the dirty set a pre-copy migration
-    /// must re-send after shipping `base` as its warm round. Counts
-    /// byte-wise MRAM mismatches (residency growth/shrink counts in
-    /// full), changed or new host-symbol payloads, and the loaded kernel
-    /// image's IRAM footprint when the image changed. MRAM pages the two
-    /// snapshots share are not compared byte by byte.
+    /// Bytes that differ from `base`; 0 means the two captures are
+    /// bit-identical. Counts byte-wise MRAM mismatches (residency
+    /// growth/shrink counts in full), changed or new host-symbol
+    /// payloads, and the loaded kernel image's IRAM footprint when the
+    /// image changed. MRAM pages the two snapshots share are not compared
+    /// byte by byte. [`RankSnapshot::diff_bytes`] sums it over a rank.
+    ///
+    /// [`RankSnapshot::diff_bytes`]: crate::rank::RankSnapshot::diff_bytes
     #[must_use]
     pub fn diff_bytes(&self, base: &DpuSnapshot) -> u64 {
         let mut dirty = self.mram.diff_bytes(&base.mram);

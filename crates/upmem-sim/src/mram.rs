@@ -299,7 +299,9 @@ impl MramBank {
     /// Bytes that differ between this bank's resident image and `base`'s:
     /// byte-wise mismatches below both high-water marks, plus the
     /// difference of the two marks in full. A page both banks share is
-    /// equal without comparing its bytes.
+    /// equal without comparing its bytes. It is the per-DPU core of the
+    /// snapshot diff the checkpoint suite checks restores with, and the
+    /// paged-bank model proptest checks it against a flat bank.
     #[must_use]
     pub fn diff_bytes(&self, base: &MramBank) -> u64 {
         let common = self.high_water.min(base.high_water);

@@ -49,9 +49,13 @@ impl RankSnapshot {
         self.dpus.len()
     }
 
-    /// Bytes that differ from `base`, summed per DPU — the dirty set a
-    /// pre-copy migration re-sends after its warm round. DPUs present in
-    /// only one snapshot (geometry mismatch) count their full residency.
+    /// Bytes that differ from `base`, summed per DPU ([`DpuSnapshot::diff_bytes`]);
+    /// 0 means the two captures are bit-identical. DPUs present in only
+    /// one snapshot (geometry mismatch) count their full residency. The
+    /// checkpoint suite uses it as its bit-exactness oracle (a restore,
+    /// or a read-only recovery, must leave a diff of 0).
+    ///
+    /// [`DpuSnapshot::diff_bytes`]: crate::dpu::DpuSnapshot::diff_bytes
     #[must_use]
     pub fn diff_bytes(&self, base: &RankSnapshot) -> u64 {
         let common = self.dpus.len().min(base.dpus.len());

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use simkit::{ErrorKind, FaultPlan, HasErrorKind, VirtualNanos};
-use vpim::cluster::{Fleet, FleetSpec, MigrateMode, MigrateOpts, PlacementPolicy};
+use vpim::cluster::{Fleet, FleetSpec};
 use vpim::{FaultSite, TenantSpec, VpimConfig, VpimError};
 
 fn payload(dpu: u32, len: usize, salt: u64) -> Vec<u8> {
@@ -61,7 +61,7 @@ fn migration_is_bit_identical_across_dispatch_modes() {
     let seed = 0x5EED_0001u64;
     let mut per_mode = Vec::new();
     for devices in [1, 2] {
-        let spec = || FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit);
+        let spec = || FleetSpec::new(2).config(lean_vcfg());
         let migrated = Fleet::start(spec());
         let control = Fleet::start(spec());
         for fleet in [&migrated, &control] {
@@ -69,13 +69,11 @@ fn migration_is_bit_identical_across_dispatch_modes() {
             write_state(fleet, "t", 8192, seed);
         }
 
-        let report = migrated.migrate("t", 1, MigrateOpts::default()).unwrap();
-        assert_eq!((report.from, report.to, report.rounds), (0, 1, 1));
+        let report = migrated.migrate("t", 1).unwrap();
+        assert_eq!((report.from, report.to), (0, 1));
         assert_eq!(report.ranks_moved, devices, "{report:?}");
-        assert_eq!(report.mode, MigrateMode::StopAndCopy);
         assert_eq!(migrated.host_of("t"), Some(1));
         assert!(report.bytes_shipped >= 4 * 8192, "{report:?}");
-        assert_eq!(report.precopy_bytes, 0);
         assert!(report.downtime > VirtualNanos::ZERO);
 
         // Same bytes, same read cost, on both fleets — then again after a
@@ -109,47 +107,41 @@ fn migration_is_bit_identical_across_dispatch_modes() {
     assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
 }
 
-/// Pre-copy runs two rounds: the warm round ships the full bytes while
-/// the tenant is live, the final round re-sends only the dirty bytes —
-/// here zero, since nothing runs between rounds — so its downtime is
-/// strictly smaller than stop-and-copy's for the same state.
+/// Stop-and-copy's cost is the sum of its parts: every source rank's
+/// resident bytes cross the link once, and the downtime is the snapshot,
+/// the wire, the destination boot and the restore, each charged at the
+/// host cost model's (or the link's) rate. A two-device tenant makes each
+/// sum run over more than one rank; device 1 holds no state.
 #[test]
-fn precopy_ships_warm_bytes_and_shrinks_downtime() {
-    let seed = 0x5EED_0002u64;
-    let spec = || FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit);
-    let sac = Fleet::start(spec());
-    let pre = Fleet::start(spec());
-    for fleet in [&sac, &pre] {
-        fleet.launch(TenantSpec::new("t")).unwrap();
-        write_state(fleet, "t", 8192, seed);
+fn stop_and_copy_cost_is_snapshot_ship_boot_restore() {
+    let fleet = Fleet::start(FleetSpec::new(2).config(lean_vcfg()));
+    assert_eq!(fleet.launch(TenantSpec::new("t").devices(2)).unwrap(), 0);
+    write_state(&fleet, "t", 8192, 0x5EED_0003);
+    let resident: Vec<u64> = fleet
+        .with_vm("t", |vm| {
+            vm.devices()
+                .iter()
+                .map(|dev| {
+                    let guard = dev.backend().ensure_linked()?;
+                    let mapping = guard.as_ref().ok_or(VpimError::NotLinked)?;
+                    Ok(mapping.rank().resident_bytes() as u64)
+                })
+                .collect()
+        })
+        .unwrap();
+    assert_eq!(resident.len(), 2);
+    assert!(resident[0] >= 4 * 8192, "{resident:?}");
+
+    let report = fleet.migrate("t", 1).unwrap();
+    let cm = fleet.host(0).system().cost_model();
+    let boot = fleet.with_vm("t", |vm| Ok(vm.boot_report().total())).unwrap();
+    let mut downtime = boot;
+    for &b in &resident {
+        downtime += cm.rank_snapshot(b) + fleet.link().transfer_cost(b) + cm.rank_restore(b);
     }
-    let sac_report = sac.migrate("t", 1, MigrateOpts::default()).unwrap();
-    let pre_report =
-        pre.migrate("t", 1, MigrateOpts::new().mode(MigrateMode::PreCopy)).unwrap();
-
-    assert_eq!(pre_report.rounds, 2);
-    assert_eq!(pre_report.mode, MigrateMode::PreCopy);
-    assert!(pre_report.precopy_bytes >= 4 * 8192, "{pre_report:?}");
-    // The tenant is idle between rounds, so the final diff is empty…
-    assert_eq!(pre_report.dirty_bytes, 0, "{pre_report:?}");
-    // …which is exactly pre-copy's bargain: more total bytes on the wire,
-    // less of the wire inside the freeze window.
-    assert!(pre_report.total >= sac_report.total, "warm round is extra work");
-    assert!(
-        pre_report.downtime < sac_report.downtime,
-        "pre-copy downtime {:?} must beat stop-and-copy {:?}",
-        pre_report.downtime,
-        sac_report.downtime
-    );
-    // Dirty accounting reaches the fleet registry.
-    assert_eq!(pre.registry().snapshot().count("migrate.dirty.bytes"), 0);
-
-    // And the moved state is still the written state.
-    let (out, _) = read_state(&pre, "t", 8192);
-    let expected: Vec<Vec<u8>> = (0..4).map(|d| payload(d, 8192, seed)).collect();
-    assert_eq!(out, expected);
-    sac.shutdown();
-    pre.shutdown();
+    assert_eq!(report.bytes_shipped, resident.iter().sum::<u64>(), "{report:?}");
+    assert_eq!(report.downtime, downtime, "{report:?}");
+    fleet.shutdown();
 }
 
 // ---------------------------------------------------------------- rollback
@@ -166,12 +158,11 @@ fn link_drop_aborts_and_rolls_back_then_retry_succeeds() {
         .inject_seed(0xD20)
         .inject_fault(FaultSite::LinkDrop, FaultPlan::Nth(1))
         .build();
-    let fleet =
-        Fleet::start(FleetSpec::new(2).config(vcfg).policy(PlacementPolicy::FirstFit));
+    let fleet = Fleet::start(FleetSpec::new(2).config(vcfg));
     fleet.launch(TenantSpec::new("t")).unwrap();
     let datas = write_state(&fleet, "t", 4096, 0xD20);
 
-    let err = fleet.migrate("t", 1, MigrateOpts::default()).unwrap_err();
+    let err = fleet.migrate("t", 1).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
     assert_eq!(fleet.host_of("t"), Some(0), "tenant must stay homed on the source");
     assert_eq!(fleet.live_ranks(1), 0, "destination reservation must be returned");
@@ -184,7 +175,7 @@ fn link_drop_aborts_and_rolls_back_then_retry_succeeds() {
     assert_eq!(out, datas, "source state untouched by the aborted attempt");
 
     // Nth(1) is exhausted: the retry goes through.
-    let report = fleet.migrate("t", 1, MigrateOpts::default()).unwrap();
+    let report = fleet.migrate("t", 1).unwrap();
     assert_eq!(report.to, 1);
     assert_eq!(fleet.host_of("t"), Some(1));
     assert_eq!(fleet.live_ranks(0), 0);
@@ -200,23 +191,20 @@ fn link_drop_aborts_and_rolls_back_then_retry_succeeds() {
 /// completes, and its report is bit-identical to an unstalled fleet's.
 #[test]
 fn migrate_stall_never_perturbs_virtual_time() {
-    let clean = Fleet::start(
-        FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit),
-    );
+    let clean = Fleet::start(FleetSpec::new(2).config(lean_vcfg()));
     let stalled_vcfg = VpimConfig::builder()
         .batching(false)
         .prefetch(false)
         .inject_seed(0x57A_11)
         .inject_fault(FaultSite::MigrateStall, FaultPlan::EveryK(1))
         .build();
-    let stalled =
-        Fleet::start(FleetSpec::new(2).config(stalled_vcfg).policy(PlacementPolicy::FirstFit));
+    let stalled = Fleet::start(FleetSpec::new(2).config(stalled_vcfg));
     for fleet in [&clean, &stalled] {
         fleet.launch(TenantSpec::new("t")).unwrap();
         write_state(fleet, "t", 4096, 0x57A_11);
     }
-    let clean_report = clean.migrate("t", 1, MigrateOpts::default()).unwrap();
-    let stalled_report = stalled.migrate("t", 1, MigrateOpts::default()).unwrap();
+    let clean_report = clean.migrate("t", 1).unwrap();
+    let stalled_report = stalled.migrate("t", 1).unwrap();
     assert_eq!(stalled_report, clean_report, "wall stalls must not leak into virtual time");
     let stats = stalled
         .fault_plane()
@@ -233,17 +221,12 @@ fn migrate_stall_never_perturbs_virtual_time() {
 /// tenant keeps its source home and state.
 #[test]
 fn inflight_budget_violation_aborts_cleanly() {
-    let fleet = Fleet::start(
-        FleetSpec::new(2)
-            .config(lean_vcfg())
-            .policy(PlacementPolicy::FirstFit)
-            .inflight_budget_mib(1),
-    );
+    let fleet = Fleet::start(FleetSpec::new(2).config(lean_vcfg()).inflight_budget_mib(1));
     fleet.launch(TenantSpec::new("t")).unwrap();
     // 4 × 320 KiB of resident state > the 1 MiB in-flight budget.
     let datas = write_state(&fleet, "t", 320 << 10, 0xB1D);
 
-    let err = fleet.migrate("t", 1, MigrateOpts::default()).unwrap_err();
+    let err = fleet.migrate("t", 1).unwrap_err();
     assert!(matches!(&err, VpimError::BadRequest(m) if m.contains("budget")), "{err}");
     assert_eq!(fleet.host_of("t"), Some(0));
     assert_eq!(fleet.live_ranks(1), 0);
@@ -276,11 +259,8 @@ fn eight_seed_chaos_sweep_aborts_always_roll_back() {
             .inject_fault(FaultSite::LinkDrop, FaultPlan::Probability { permille: 400 })
             .inject_fault(FaultSite::MigrateStall, FaultPlan::Probability { permille: 400 })
             .build();
-        let fleet =
-            Fleet::start(FleetSpec::new(2).config(vcfg).policy(PlacementPolicy::FirstFit));
-        let baseline = Fleet::start(
-            FleetSpec::new(2).config(lean_vcfg()).policy(PlacementPolicy::FirstFit),
-        );
+        let fleet = Fleet::start(FleetSpec::new(2).config(vcfg));
+        let baseline = Fleet::start(FleetSpec::new(2).config(lean_vcfg()));
         for f in [&fleet, &baseline] {
             f.launch(TenantSpec::new("t")).unwrap();
             write_state(f, "t", 4096, seed);
@@ -288,7 +268,7 @@ fn eight_seed_chaos_sweep_aborts_always_roll_back() {
 
         let mut migrated = false;
         for _attempt in 0..6 {
-            match fleet.migrate("t", 1, MigrateOpts::default()) {
+            match fleet.migrate("t", 1) {
                 Ok(report) => {
                     assert_eq!(report.to, 1, "seed={seed:#x}");
                     migrated = true;
@@ -308,7 +288,7 @@ fn eight_seed_chaos_sweep_aborts_always_roll_back() {
             // Persistent bad luck: disarm and prove the plane was the only
             // obstacle.
             fleet.fault_plane().unwrap().disarm(FaultSite::LinkDrop.name());
-            let report = fleet.migrate("t", 1, MigrateOpts::default()).unwrap();
+            let report = fleet.migrate("t", 1).unwrap();
             assert_eq!(report.to, 1, "seed={seed:#x}");
         }
         assert_eq!(fleet.host_of("t"), Some(1), "seed={seed:#x}");
@@ -324,7 +304,7 @@ fn eight_seed_chaos_sweep_aborts_always_roll_back() {
         assert_eq!(snap.level("migrate.inflight.bytes"), 0, "seed={seed:#x}");
 
         // The surviving state matches a fleet that never saw a fault.
-        baseline.migrate("t", 1, MigrateOpts::default()).unwrap();
+        baseline.migrate("t", 1).unwrap();
         let (chaos_out, chaos_cost) = read_state(&fleet, "t", 4096);
         let (base_out, base_cost) = read_state(&baseline, "t", 4096);
         assert_eq!(chaos_out, base_out, "seed={seed:#x}: chaos left torn state");
@@ -381,7 +361,7 @@ proptest! {
                 },
                 _ => {
                     let to = usize::from(h);
-                    match fleet.migrate(&tag, to, MigrateOpts::default()) {
+                    match fleet.migrate(&tag, to) {
                         Ok(report) => {
                             let entry = model.get_mut(&tag);
                             prop_assert!(entry.is_some());
