@@ -10,6 +10,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The frozen benchmark crate still names `PimConfig::verify_interleave` and
+# `Rank::{verify_interleave, write_dpu, read_dpu}`. They stay as inert
+# `#[doc(hidden)]` items until the `[benchmark]` PR deletes them (ROADMAP
+# item 1); nothing else in the tree may name them.
+echo "== tier-1 offline gate: frozen names =="
+allowed='crates/upmem-sim/src/geometry.rs:    pub verify_interleave: bool,
+crates/upmem-sim/src/geometry.rs:            verify_interleave: false,
+crates/upmem-sim/src/rank.rs:    pub fn verify_interleave(&self) -> bool {
+crates/upmem-sim/src/rank.rs:        self.config.verify_interleave'
+stray=$(grep -rIE 'verify_interleave|\.(write|read)_dpu\(' crates src tests examples |
+    grep -vxF "$allowed" || true)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "frozen names used outside their inert definitions (ROADMAP item 1)" >&2
+    exit 1
+fi
+
 echo "== tier-1 offline gate: build (release) =="
 cargo build --release --offline --workspace
 

@@ -44,7 +44,7 @@ fn bench_deinterleave(c: &mut Criterion) {
 }
 
 fn bench_roundtrip_paths(c: &mut Criterion) {
-    // The backend's actual data-path entry point, per DataPath.
+    // The fused interleave pair, per DataPath (no transfer runs it).
     let mut group = c.benchmark_group("transform_roundtrip");
     let size = 256 << 10;
     group.throughput(Throughput::Bytes(size as u64));
@@ -57,11 +57,10 @@ fn bench_roundtrip_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-pool write path, reproduced locally for comparison: gather into
+/// The seed's write path, reproduced locally for comparison: gather into
 /// a fresh `Vec`, roundtrip through two full-size heap temporaries, then
-/// hand a borrowed slice to the rank (which stages one more copy when
-/// verification is on). Three allocations and two extra full-buffer copies
-/// per entry — exactly what the zero-copy path removes.
+/// hand a borrowed slice to the rank. Three allocations and two extra
+/// full-buffer copies per entry — exactly what the unstaged path removes.
 fn seed_write_entry(
     mem: &GuestMemory,
     rank: &Rank,
@@ -81,14 +80,15 @@ fn seed_write_entry(
             interleave::deinterleave_fast(&inter, &mut out);
         }
     }
-    rank.write_dpu(entry.dpu as usize, entry.mram_offset, &out)
-        .expect("write_dpu");
+    rank.write_mram(entry.dpu as usize, entry.mram_offset, &out)
+        .expect("write_mram");
     entry.len
 }
 
 fn bench_zero_copy(c: &mut Criterion) {
-    // The full per-DPU write unit (gather → swizzle → MRAM), seed path vs
-    // the pooled zero-copy path, on both interleave implementations.
+    // The full per-DPU write unit: the seed path (gather → swizzle → MRAM)
+    // on both interleave implementations vs the backend's unstaged path
+    // (each guest page straight into MRAM).
     let mut group = c.benchmark_group("datapath_zero_copy");
     group.sample_size(20);
     let config = PimConfig {
@@ -99,7 +99,6 @@ fn bench_zero_copy(c: &mut Criterion) {
     };
     let rank = Rank::new(0, &config);
     let mem = GuestMemory::new(64 << 20);
-    let pool = BytePool::new();
     for size in [4usize << 10, 64 << 10, 1 << 20, 4 << 20] {
         let payload: Vec<u8> = (0..size).map(|i| (i % 239) as u8).collect();
         let (matrix, lease) =
@@ -112,41 +111,20 @@ fn bench_zero_copy(c: &mut Criterion) {
                 &entry,
                 |b, entry| b.iter(|| seed_write_entry(&mem, &rank, entry, path)),
             );
-            // Warm the pool so the timed region measures the steady state.
-            let mut cache = SegCache::new();
-            datapath::write_entry(&mem, &rank, &entry, true, path, &pool, &mut cache, None, 0)
-                .expect("warmup");
-            group.bench_with_input(
-                BenchmarkId::new(format!("zero_copy_{path:?}"), size),
-                &entry,
-                |b, entry| {
-                    b.iter(|| {
-                        let mut cache = SegCache::new();
-                        datapath::write_entry(
-                            &mem, &rank, entry, true, path, &pool, &mut cache, None, 0,
-                        )
-                        .expect("write_entry")
-                    })
-                },
-            );
         }
-        // Payload integrity: what the zero-copy path wrote must be exactly
-        // the guest payload (the swizzle pair is the identity on MRAM).
+        group.bench_with_input(BenchmarkId::new("unstaged", size), &entry, |b, entry| {
+            b.iter(|| {
+                datapath::entry_to_mram(&mem, &rank, entry, &mut SegCache::new(), None, 0)
+                    .expect("entry_to_mram")
+            })
+        });
+        // Payload integrity: what the unstaged path wrote must be exactly
+        // the guest payload.
         let mut readback = vec![0u8; size];
-        rank.read_dpu(0, 0, &mut readback).expect("read_dpu");
+        rank.read_mram(0, 0, &mut readback).expect("read_mram");
         assert_eq!(readback, payload, "payload corrupted at size {size}");
         lease.release();
     }
-    // Pool hygiene: every guard returned its buffer (drop balance) and the
-    // steady state ran allocation-free (hit rate ≥ 99% after warmup).
-    assert_eq!(pool.outstanding(), 0, "leaked pool guards");
-    let takes = pool.hits() + pool.misses();
-    assert!(
-        pool.hits() * 100 >= takes * 99,
-        "pool hit rate below 99%: {} hits / {} takes",
-        pool.hits(),
-        takes
-    );
     group.finish();
 }
 

@@ -16,7 +16,6 @@ fn host() -> Arc<UpmemDriver> {
         ranks: 2,
         functional_dpus: vec![8, 8],
         mram_size: 4 << 20,
-        verify_interleave: false,
         ..PimConfig::small()
     });
     microbench::Checksum::register(&machine);

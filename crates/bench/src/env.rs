@@ -76,10 +76,6 @@ impl BenchEnv {
             ranks: 8,
             functional_dpus: vec![60; 8],
             mram_size: scale.mram_size(),
-            // Charge interleave costs without executing the transform on
-            // every transfer (the criterion benches measure the real
-            // transform separately).
-            verify_interleave: false,
             ..PimConfig::paper_testbed()
         };
         let machine = PimMachine::new(cfg);

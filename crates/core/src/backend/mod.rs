@@ -18,10 +18,9 @@ use parking_lot::{Mutex, MutexGuard};
 use pim_virtio::queue::DescChain;
 use pim_virtio::{Gpa, GuestMemory, SegCache};
 use simkit::compose::pool_schedule;
-use simkit::cost::DataPath;
 use simkit::{
-    BytePool, CostModel, Counter, FaultPlane, HasErrorKind, InjectCell, MetricsRegistry,
-    VirtualNanos, WorkerPool,
+    CostModel, Counter, FaultPlane, HasErrorKind, InjectCell, MetricsRegistry, VirtualNanos,
+    WorkerPool,
 };
 use upmem_driver::{PerfMapping, UpmemDriver};
 use upmem_sim::mram::MRAM_PAGE;
@@ -35,17 +34,14 @@ use crate::sched::{RankSlot, Scheduler};
 use crate::spec::{PimDeviceConfig, Request, Response};
 
 /// The per-entry transfer unit [`run_entries`](Backend::run_entries)
-/// executes: [`datapath::write_entry`] or [`datapath::read_entry`]. The
-/// trailing `(Option<&FaultPlane>, u64)` pair is the fault plane (if
+/// executes: [`datapath::entry_to_mram`] or [`datapath::entry_from_mram`].
+/// The trailing `(Option<&FaultPlane>, u64)` pair is the fault plane (if
 /// installed) and the entry's index in its request — the deterministic key
 /// the chunk fault points are evaluated over.
 type EntryOp = fn(
     &GuestMemory,
     &Rank,
     &DpuXfer,
-    bool,
-    DataPath,
-    &BytePool,
     &mut SegCache,
     Option<&FaultPlane>,
     u64,
@@ -68,10 +64,9 @@ pub(crate) fn host_data_pool() -> Arc<WorkerPool> {
 /// x86-64 box: the round trip costs ≈ 33 µs per request in
 /// `session_churn`, where both CPUs already run sessions (a 4 × 4 KiB
 /// backend write takes 41.0 µs fanned out, 7.7 µs inline), and ≈ 13 µs
-/// on an idle box. One thread moves the verified data path at ≈ 2.7 GB/s
-/// and the unverified one at 13–27 GB/s, so 33 µs is ≈ 90 KiB to
-/// 400–850 KiB of copying; 256 KiB keeps `session_churn`'s 16 KiB matrices
-/// inline and lets `bulk_write`'s 30 MiB ones fan out.
+/// on an idle box. One thread copies guest pages to MRAM at 13–27 GB/s,
+/// so 33 µs is ≈ 400–850 KiB of copying; 256 KiB keeps `session_churn`'s
+/// 16 KiB matrices inline and lets `bulk_write`'s 30 MiB ones fan out.
 const FANOUT_MIN_BYTES: u64 = 256 << 10;
 
 /// Response status: success.
@@ -98,8 +93,8 @@ pub struct BackendCounters {
     /// CI-class requests processed (load, launch, poll, symbols).
     pub ci: Counter,
     /// Payload bytes moved through the zero-copy data path
-    /// (`datapath.bytes.zero_copy`): guest RAM → pooled scratch or borrowed
-    /// view → MRAM and back, with no fresh per-entry heap allocation.
+    /// (`datapath.bytes.zero_copy`): borrowed guest page views → MRAM and
+    /// back, with no staging buffer and no per-entry heap allocation.
     pub zero_copy: Counter,
 }
 
@@ -127,9 +122,6 @@ pub struct Backend {
     perf: RankSlot,
     counters: BackendCounters,
     pool: Arc<WorkerPool>,
-    /// Scratch-buffer pool for the zero-copy data path (shared with the
-    /// frontend serializer in the system wiring).
-    scratch: BytePool,
     /// Late-bound fault plane for the chunk fault points.
     inject: InjectCell,
 }
@@ -137,8 +129,8 @@ pub struct Backend {
 impl Backend {
     /// Creates a standalone backend for one vUPMEM device owned by `owner`
     /// (the VM tag; used for manager requests and driver claims), with a
-    /// private registry, data pool (one worker per host CPU), scheduler and
-    /// scratch pool. A host shares all four across its backends: see
+    /// private registry, data pool (one worker per host CPU) and scheduler.
+    /// A host shares all three across its backends: see
     /// [`Self::with_parts`].
     #[must_use]
     pub fn new(
@@ -151,20 +143,17 @@ impl Backend {
         let registry = MetricsRegistry::new();
         let pool = host_data_pool();
         let sched = Scheduler::new(driver.clone(), manager, vcfg.sched, cm.clone(), &registry);
-        let scratch = BytePool::with_registry(&registry, "datapath.pool");
-        Self::with_parts(driver, sched, vcfg, cm, owner, &registry, pool, scratch)
+        Self::with_parts(driver, sched, vcfg, cm, owner, &registry, pool)
     }
 
     /// A backend on a host's shared parts. Every backend on a host must
     /// share one [`Scheduler`] (admission and preemption decisions must see
     /// all tenants); the system wiring also shares the registry (request
     /// counters aggregate as `backend.writes` / `backend.reads` /
-    /// `backend.ci`), the one data pool for all DPU operations, and the
-    /// scratch [`BytePool`], so a buffer released by the frontend
-    /// serializer is reusable by any backend worker. The pool's width
-    /// changes wall-clock overlap only, never a reported number.
+    /// `backend.ci`) and the one data pool for all DPU operations. The
+    /// pool's width changes wall-clock overlap only, never a reported
+    /// number.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn with_parts(
         driver: Arc<UpmemDriver>,
         sched: Scheduler,
@@ -173,7 +162,6 @@ impl Backend {
         owner: String,
         registry: &MetricsRegistry,
         pool: Arc<WorkerPool>,
-        scratch: BytePool,
     ) -> Self {
         Backend {
             driver,
@@ -184,7 +172,6 @@ impl Backend {
             perf: Arc::new(Mutex::new(None)),
             counters: BackendCounters::from_registry(registry),
             pool,
-            scratch,
             inject: InjectCell::new(),
         }
     }
@@ -387,9 +374,8 @@ impl Backend {
     /// make one chunk, runs inline. So does a broadcast with a `source`
     /// ([`broadcast_source`]): entry 0 copies its bytes, then every other
     /// entry takes entry 0's MRAM pages, so nothing is left to fan out.
-    /// Each worker draws scratch buffers from the shared [`BytePool`] and
-    /// elides bounds re-checks with a chunk-local [`SegCache`]. On full
-    /// success the bytes moved are published as
+    /// Each worker elides bounds re-checks with a chunk-local
+    /// [`SegCache`]. On full success the bytes moved are published as
     /// `datapath.bytes.zero_copy`. On failure the error of the
     /// **lowest entry index** is returned — the same error a sequential
     /// in-order walk would report — so error responses do not depend on
@@ -400,11 +386,9 @@ impl Backend {
         mem: &GuestMemory,
         rank: &Arc<Rank>,
         matrix: &TransferMatrix,
-        verify: bool,
         source: Option<u32>,
         op: EntryOp,
     ) -> Result<(), VpimError> {
-        let path = self.vcfg.data_path;
         let plane = self.inject.plane();
         let chunks_worth = usize::try_from(matrix.total_bytes() / FANOUT_MIN_BYTES);
         let width = match source {
@@ -419,13 +403,13 @@ impl Backend {
         if chunks.len() <= 1 {
             let mut cache = SegCache::new();
             let mut moved = 0u64;
-            let (scratch, plane) = (&self.scratch, plane.as_deref());
+            let plane = plane.as_deref();
             for (i, entry) in matrix.entries.iter().enumerate() {
                 moved += match source {
-                    Some(source) if i > 0 => datapath::share_entry(
-                        mem, rank, entry, source, scratch, &mut cache, plane, i as u64,
-                    ),
-                    _ => op(mem, rank, entry, verify, path, scratch, &mut cache, plane, i as u64),
+                    Some(source) if i > 0 => {
+                        datapath::share_entry(mem, rank, entry, source, &mut cache, plane, i as u64)
+                    }
+                    _ => op(mem, rank, entry, &mut cache, plane, i as u64),
                 }?;
             }
             self.counters.zero_copy.add(moved);
@@ -436,7 +420,6 @@ impl Backend {
             .map(|chunk| {
                 let mem = mem.clone();
                 let rank = Arc::clone(rank);
-                let scratch = self.scratch.clone();
                 let plane = plane.clone();
                 let entries: Vec<(usize, DpuXfer)> = chunk
                     .entry_indices
@@ -447,18 +430,8 @@ impl Backend {
                     let mut cache = SegCache::new();
                     let mut moved = 0u64;
                     for (i, entry) in &entries {
-                        moved += op(
-                            &mem,
-                            &rank,
-                            entry,
-                            verify,
-                            path,
-                            &scratch,
-                            &mut cache,
-                            plane.as_deref(),
-                            *i as u64,
-                        )
-                        .map_err(|e| (*i, e))?;
+                        moved += op(&mem, &rank, entry, &mut cache, plane.as_deref(), *i as u64)
+                            .map_err(|e| (*i, e))?;
                     }
                     Ok(moved)
                 }
@@ -505,9 +478,8 @@ impl Backend {
         }
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
-        let verify = perf.rank().verify_interleave();
-        let source = if verify { None } else { broadcast_source(&matrix.entries) };
-        self.run_entries(mem, perf.rank(), &matrix, verify, source, datapath::write_entry)?;
+        let source = broadcast_source(&matrix.entries);
+        self.run_entries(mem, perf.rank(), &matrix, source, datapath::entry_to_mram)?;
         Ok(self.data_op_response(&matrix, chain.descriptors.len() as u64))
     }
 
@@ -528,8 +500,7 @@ impl Backend {
         }
         let guard = self.ensure_linked()?;
         let perf = guard.as_ref().expect("linked above");
-        let verify = perf.rank().verify_interleave();
-        self.run_entries(mem, perf.rank(), &matrix, verify, None, datapath::read_entry)?;
+        self.run_entries(mem, perf.rank(), &matrix, None, datapath::entry_from_mram)?;
         Ok(self.data_op_response(&matrix, chain.descriptors.len() as u64))
     }
 
@@ -639,7 +610,7 @@ impl Backend {
     }
 }
 
-/// The DPU of entry 0 when an unstaged write is a broadcast as
+/// The DPU of entry 0 when a write is a broadcast as
 /// `broadcast_to_heap` builds it: two or more entries, each with entry 0's
 /// guest pages, length and page-aligned MRAM offset. Every other entry can
 /// then take that DPU's MRAM pages instead of copying the guest pages
@@ -688,6 +659,7 @@ mod tests {
     use crate::manager::{Manager, ManagerConfig};
     use pim_virtio::queue::{DeviceQueue, DriverQueue, QueueLayout};
     use proptest::prelude::*;
+    use simkit::BytePool;
     use upmem_sim::{PimConfig, PimMachine};
 
     struct Rig {
@@ -755,11 +727,7 @@ mod tests {
     }
 
     fn width_rig(workers: usize) -> WidthRig {
-        rig_on(PimConfig::small(), workers)
-    }
-
-    fn rig_on(config: PimConfig, workers: usize) -> WidthRig {
-        let driver = Arc::new(UpmemDriver::new(PimMachine::new(config)));
+        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
         let mgr = Manager::start(driver.clone(), CostModel::default(), ManagerConfig::default());
         let (vcfg, cm) = (VpimConfig::full(), CostModel::default());
         let registry = MetricsRegistry::new();
@@ -772,7 +740,6 @@ mod tests {
             "vm-test".to_string(),
             &registry,
             Arc::new(WorkerPool::new(workers)),
-            BytePool::with_registry(&registry, "datapath.pool"),
         );
         let plane = Arc::new(FaultPlane::new(11));
         backend.install_fault_plane(plane.clone());
@@ -838,7 +805,7 @@ mod tests {
         let mram: Vec<Vec<u8>> = (0..8)
             .map(|d| {
                 let mut buf = vec![0u8; WIDTH_WINDOW];
-                rank.read_dpu(d, 0, &mut buf).unwrap();
+                rank.read_mram(d, 0, &mut buf).unwrap();
                 buf
             })
             .collect();
@@ -878,7 +845,7 @@ mod tests {
     type BroadcastRun = (Response, Vec<Vec<u8>>, Vec<Option<simkit::PointStats>>, String);
 
     /// Two writes of `len` bytes of one image, one entry per DPU of `dpus`,
-    /// to an unstaged eight-DPU rank served by a `workers`-wide data pool:
+    /// to an eight-DPU rank served by a `workers`-wide data pool:
     /// a clean one, then one under `faults`. `shared` names one guest
     /// buffer in every entry (a broadcast); otherwise each entry has its
     /// own copy of the image.
@@ -889,8 +856,7 @@ mod tests {
         dpus: &[u32],
         faults: &[(&'static str, simkit::FaultPlan)],
     ) -> BroadcastRun {
-        let config = PimConfig { verify_interleave: false, ..PimConfig::small() };
-        let mut w = rig_on(config, workers);
+        let mut w = width_rig(workers);
         w.rig.mem.install_fault_plane(w.plane.clone());
         w.driver.machine().install_fault_plane(&w.plane);
         let write = |w: &mut WidthRig, seed: u8| {
@@ -994,8 +960,7 @@ mod tests {
     /// keep the copy path, and every DPU reads back its own bytes.
     #[test]
     fn equal_entries_over_their_own_pages_are_copied() {
-        let config = PimConfig { verify_interleave: false, ..PimConfig::small() };
-        let mut w = rig_on(config, 1);
+        let mut w = width_rig(1);
         let npages = BCAST_LEN.div_ceil(4096);
         let image = |d: u32| -> Vec<u8> {
             (0..BCAST_LEN).map(|i| (i as u8) ^ (d as u8 + 1)).collect()
@@ -1087,8 +1052,7 @@ mod tests {
         let (matrix, dl) = TransferMatrix::from_user_buffers(&w.rig.mem, &refs).unwrap();
         let guard = w.rig.backend.ensure_linked().unwrap();
         let rank = guard.as_ref().expect("linked above").rank();
-        let verify = rank.verify_interleave();
-        w.rig.backend.run_entries(&w.rig.mem, rank, &matrix, verify, None, op).unwrap();
+        w.rig.backend.run_entries(&w.rig.mem, rank, &matrix, None, op).unwrap();
         drop(guard);
         dl.release();
     }
@@ -1100,9 +1064,9 @@ mod tests {
     #[test]
     fn width_matrix_fans_out_over_pool_threads() {
         static LOG: ThreadLog = ThreadLog::new(Vec::new());
-        let op: EntryOp = |mem, rank, entry, verify, path, pool, cache, plane, key| {
+        let op: EntryOp = |mem, rank, entry, cache, plane, key| {
             log_thread(&LOG);
-            datapath::write_entry(mem, rank, entry, verify, path, pool, cache, plane, key)
+            datapath::entry_to_mram(mem, rank, entry, cache, plane, key)
         };
         let entries = width_entries();
         run_write_with(4, &entries, op);
@@ -1121,9 +1085,9 @@ mod tests {
     #[test]
     fn small_matrix_runs_on_the_handler_thread() {
         static LOG: ThreadLog = ThreadLog::new(Vec::new());
-        let op: EntryOp = |mem, rank, entry, verify, path, pool, cache, plane, key| {
+        let op: EntryOp = |mem, rank, entry, cache, plane, key| {
             log_thread(&LOG);
-            datapath::write_entry(mem, rank, entry, verify, path, pool, cache, plane, key)
+            datapath::entry_to_mram(mem, rank, entry, cache, plane, key)
         };
         let per_dpu = (2 * FANOUT_MIN_BYTES as usize - 1) / 8;
         let entries: Vec<(u32, u64, Vec<u8>)> =

@@ -295,7 +295,7 @@ mod tests {
         // VM uses the rank: claim it, dirty it, release it.
         {
             let h = driver.open_perf(a.rank, "vm-a").unwrap();
-            h.write_dpu(0, 0, &[0xAB; 64]).unwrap();
+            h.write_mram(0, 0, &[0xAB; 64]).unwrap();
             drop(h); // release: sysfs flips, observer must notice
         }
         // Wait until the reset pipeline brings the rank back to NAAV.
@@ -307,7 +307,7 @@ mod tests {
         // Content was erased.
         let rank = driver.machine().rank(a.rank).unwrap();
         let mut buf = [1u8; 64];
-        rank.read_dpu(0, 0, &mut buf).unwrap();
+        rank.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
         assert!(mgr.stats().resets >= 1);
         // And it can be allocated again.
@@ -324,7 +324,7 @@ mod tests {
         assert!(!a.reused);
         {
             let h = driver.open_perf(a.rank, "vm-a").unwrap();
-            h.write_dpu(0, 0, &[7; 8]).unwrap();
+            h.write_mram(0, 0, &[7; 8]).unwrap();
             drop(h);
         }
         // Re-request quickly from the same owner; if the rank is still in
@@ -336,7 +336,7 @@ mod tests {
             // Reuse path: content must still be there (no reset happened).
             let h = driver.open_perf(again.rank, "vm-a").unwrap();
             let mut buf = [0u8; 8];
-            h.read_dpu(0, 0, &mut buf).unwrap();
+            h.read_mram(0, 0, &mut buf).unwrap();
             assert_eq!(buf, [7; 8]);
         }
         mgr.shutdown();

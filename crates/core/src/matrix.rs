@@ -427,58 +427,14 @@ impl TransferMatrix {
         Ok(out)
     }
 
-    /// [`gather`](Self::gather) into a caller-owned buffer (typically a
-    /// pooled one) through borrowed guest views, with bounds checks served
-    /// from a per-request [`SegCache`]. Writes every byte of `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`VpimError::BadRequest`] on length mismatch or a page list too
-    /// short for `len`; out-of-bounds guest access (a malicious or buggy
-    /// page list).
-    pub fn gather_into(
-        mem: &GuestMemory,
-        entry: &DpuXfer,
-        out: &mut [u8],
-        cache: &mut SegCache,
-    ) -> Result<(), VpimError> {
-        if out.len() as u64 != entry.len {
-            return Err(VpimError::BadRequest(format!(
-                "gather length {} != entry length {}",
-                out.len(),
-                entry.len
-            )));
-        }
-        entry.check_pages()?;
-        mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
-            out[offset as usize..][..s.len()].copy_from_slice(s);
-            Ok(())
-        })
-    }
-
-    /// Scatters contiguous data into one entry's guest pages (the backend's
-    /// completion path for `read-from-rank`).
-    ///
-    /// # Errors
-    ///
-    /// [`VpimError::BadRequest`] on length mismatch; out-of-bounds access.
-    pub fn scatter(mem: &GuestMemory, entry: &DpuXfer, data: &[u8]) -> Result<(), VpimError> {
-        Self::scatter_from(mem, entry, data, &mut SegCache::new())
-    }
-
-    /// [`scatter`](Self::scatter) through borrowed mutable guest views with
-    /// a per-request [`SegCache`]. Reads every byte of `data`.
+    /// Scatters contiguous data into one entry's guest pages, the mirror of
+    /// [`gather`](Self::gather).
     ///
     /// # Errors
     ///
     /// [`VpimError::BadRequest`] on length mismatch or a page list too
     /// short for `len`; out-of-bounds access.
-    pub fn scatter_from(
-        mem: &GuestMemory,
-        entry: &DpuXfer,
-        data: &[u8],
-        cache: &mut SegCache,
-    ) -> Result<(), VpimError> {
+    pub fn scatter(mem: &GuestMemory, entry: &DpuXfer, data: &[u8]) -> Result<(), VpimError> {
         if data.len() as u64 != entry.len {
             return Err(VpimError::BadRequest(format!(
                 "scatter length {} != entry length {}",
@@ -487,7 +443,7 @@ impl TransferMatrix {
             )));
         }
         entry.check_pages()?;
-        mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
+        mem.walk_pages_mut(&mut SegCache::new(), &entry.pages, entry.len, |offset, s| {
             s.copy_from_slice(&data[offset as usize..][..s.len()]);
             Ok(())
         })
@@ -555,9 +511,7 @@ mod tests {
         short.pages.truncate(2);
         let bad = |r: Result<(), VpimError>| matches!(r, Err(VpimError::BadRequest(_)));
         assert!(bad(TransferMatrix::gather(&mem, &short).map(drop)));
-        let mut out = vec![0u8; 9000];
-        assert!(bad(TransferMatrix::gather_into(&mem, &short, &mut out, &mut SegCache::new())));
-        assert!(bad(TransferMatrix::scatter(&mem, &short, &out)));
+        assert!(bad(TransferMatrix::scatter(&mem, &short, &[0u8; 9000])));
         lease.release();
     }
 

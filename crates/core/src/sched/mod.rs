@@ -680,7 +680,7 @@ mod tests {
         {
             let mut g = slot_a.lock();
             let grant = s.acquire("vm-a", &slot_a).unwrap();
-            grant.mapping.rank().write_dpu(0, 0, &[0xC4; 32]).unwrap();
+            grant.mapping.rank().write_mram(0, 0, &[0xC4; 32]).unwrap();
             *g = Some(grant.mapping);
         }
         // vm-b must preempt vm-a to get in.
@@ -691,7 +691,7 @@ mod tests {
             assert!(!grant.restored);
             // The rank was reset: vm-a's bytes must not leak to vm-b.
             let mut buf = [1u8; 32];
-            grant.mapping.rank().read_dpu(0, 0, &mut buf).unwrap();
+            grant.mapping.rank().read_mram(0, 0, &mut buf).unwrap();
             assert_eq!(buf, [0u8; 32]);
             *g = Some(grant.mapping);
         }
@@ -703,7 +703,7 @@ mod tests {
             let grant = s.acquire("vm-a", &slot_a).unwrap();
             assert!(grant.restored);
             let mut buf = [0u8; 32];
-            grant.mapping.rank().read_dpu(0, 0, &mut buf).unwrap();
+            grant.mapping.rank().read_mram(0, 0, &mut buf).unwrap();
             assert_eq!(buf, [0xC4; 32], "restore must be bit-identical");
             *g = Some(grant.mapping);
         }

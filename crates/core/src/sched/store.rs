@@ -167,7 +167,7 @@ mod tests {
 
     fn snap_with_bytes(n: usize) -> RankSnapshot {
         let rank = Rank::new(0, &PimConfig::small());
-        rank.write_dpu(0, 0, &vec![7u8; n]).unwrap();
+        rank.write_mram(0, 0, &vec![7u8; n]).unwrap();
         rank.snapshot()
     }
 

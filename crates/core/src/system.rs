@@ -142,9 +142,8 @@ pub struct VpimSystem {
     /// shared by every backend on this host so the worker count reflects
     /// the machine, not the number of attached devices or the model.
     data_pool: Arc<WorkerPool>,
-    /// The host's scratch-buffer pool for the zero-copy data path, shared
-    /// by every frontend serializer and backend worker (telemetry under
-    /// `datapath.pool.*`).
+    /// The host's scratch-buffer pool for transfer-matrix metadata, shared
+    /// by every frontend serializer (telemetry under `datapath.pool.*`).
     scratch: BytePool,
     /// The host's fault-injection plane (`Some` iff `VpimConfig.inject`
     /// enables it): one seeded plane shared by every layer so the armed
@@ -305,7 +304,6 @@ impl VpimSystem {
                 format!("{tag}/vupmem{i}"),
                 &self.registry,
                 self.data_pool.clone(),
-                self.scratch.clone(),
             );
             if let Some(plane) = &self.inject {
                 backend.install_fault_plane(plane.clone());

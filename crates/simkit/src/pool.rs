@@ -1,12 +1,13 @@
 //! A thread-aware scratch-buffer pool for the zero-allocation data path.
 //!
-//! vPIM's transfer hot path (§4.1–§4.2) touches a buffer at every hop:
-//! serializer scratch in the frontend, per-DPU staging in the backend, and
-//! the interleave working set. Allocating those buffers fresh per operation
-//! puts `malloc` + page faults + memset on the critical path of every rank
-//! transfer. [`BytePool`] recycles them instead: buffers are size-classed
-//! (powers of two), parked on small per-thread-shard stacks, and handed out
-//! as RAII [`PoolGuard`]s that return themselves on drop.
+//! vPIM's transfer hot path (§4.1–§4.2) assembles each transfer matrix's
+//! metadata in a serializer scratch buffer in the frontend (the payload
+//! itself moves between guest pages and MRAM with no buffer in between).
+//! Allocating that buffer fresh per operation puts `malloc`, page faults
+//! and a memset on the critical path of every rank transfer. [`BytePool`]
+//! recycles it instead: buffers are size-classed (powers of two), parked
+//! on small per-thread-shard stacks, and handed out as RAII
+//! [`PoolGuard`]s that return themselves on drop.
 //!
 //! Design points:
 //!

@@ -58,8 +58,8 @@ impl PerfMapping {
     /// # Errors
     ///
     /// Propagates hardware bounds/index errors.
-    pub fn write_dpu(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<u64, DriverError> {
-        self.rank.write_dpu(dpu, offset, data)?;
+    pub fn write_mram(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<u64, DriverError> {
+        self.rank.write_mram(dpu, offset, data)?;
         Ok(data.len() as u64)
     }
 
@@ -68,8 +68,8 @@ impl PerfMapping {
     /// # Errors
     ///
     /// Propagates hardware bounds/index errors.
-    pub fn read_dpu(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<u64, DriverError> {
-        self.rank.read_dpu(dpu, offset, dst)?;
+    pub fn read_mram(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<u64, DriverError> {
+        self.rank.read_mram(dpu, offset, dst)?;
         Ok(dst.len() as u64)
     }
 
@@ -83,7 +83,7 @@ impl PerfMapping {
     pub fn write_matrix(&self, entries: &[(usize, u64, &[u8])]) -> Result<u64, DriverError> {
         let mut bytes = 0u64;
         for (dpu, offset, data) in entries {
-            bytes += self.write_dpu(*dpu, *offset, data)?;
+            bytes += self.write_mram(*dpu, *offset, data)?;
         }
         Ok(bytes)
     }
@@ -97,7 +97,7 @@ impl PerfMapping {
     pub fn read_matrix(&self, entries: &mut [(usize, u64, &mut [u8])]) -> Result<u64, DriverError> {
         let mut bytes = 0u64;
         for (dpu, offset, buf) in entries.iter_mut() {
-            bytes += self.read_dpu(*dpu, *offset, buf)?;
+            bytes += self.read_mram(*dpu, *offset, buf)?;
         }
         Ok(bytes)
     }
@@ -201,8 +201,8 @@ mod tests {
     #[test]
     fn errors_propagate_from_hardware() {
         let h = perf();
-        assert!(h.write_dpu(99, 0, &[0]).is_err());
+        assert!(h.write_mram(99, 0, &[0]).is_err());
         let mut b = [0u8; 1];
-        assert!(h.read_dpu(0, u64::MAX, &mut b).is_err());
+        assert!(h.read_mram(0, u64::MAX, &mut b).is_err());
     }
 }

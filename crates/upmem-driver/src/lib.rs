@@ -29,7 +29,7 @@
 //! let machine = PimMachine::new(PimConfig::small());
 //! let driver = UpmemDriver::new(machine);
 //! let mapping = driver.open_perf(0, "backend-vm1")?;
-//! mapping.write_dpu(0, 0, b"data")?;
+//! mapping.write_mram(0, 0, b"data")?;
 //! assert!(driver.open_perf(0, "someone-else").is_err()); // rank is claimed
 //! drop(mapping); // release -> sysfs shows the rank free again
 //! assert!(driver.open_perf(0, "someone-else").is_ok());

@@ -210,7 +210,7 @@ impl RankChannel {
     ) -> Result<OpReport, SdkError> {
         match self {
             RankChannel::Native(p) => {
-                let bytes = p.write_dpu(dpu as usize, offset, data)?;
+                let bytes = p.write_mram(dpu as usize, offset, data)?;
                 Ok(native_report(cm, bytes, cm.rank_transfer_serial(bytes)))
             }
             RankChannel::Virt(f) => Ok(f.write_rank(&[(dpu, offset, data)])?),
@@ -232,7 +232,7 @@ impl RankChannel {
         match self {
             RankChannel::Native(p) => {
                 let mut buf = vec![0u8; len as usize];
-                let bytes = p.read_dpu(dpu as usize, offset, &mut buf)?;
+                let bytes = p.read_mram(dpu as usize, offset, &mut buf)?;
                 Ok((buf, native_report(cm, bytes, cm.rank_transfer_serial(bytes))))
             }
             RankChannel::Virt(f) => {

@@ -58,12 +58,9 @@ pub struct PimConfig {
     pub iram_size: usize,
     /// DPU clock in MHz (350 on the evaluation DIMMs).
     pub freq_mhz: u64,
-    /// When true, rank transfers stage each payload and really run the
-    /// byte-interleave/deinterleave pair over it; the pair is the identity
-    /// and nothing compares its result, so it is only run, not verified.
-    /// When false only its cost is charged, payloads move straight between
-    /// guest pages and MRAM, and a broadcast shares MRAM pages. Benches
-    /// with large payloads disable it for wall-clock speed.
+    /// Inert; deleted by ROADMAP item 1. Nothing reads it: every transfer
+    /// moves its bytes straight between host (or guest) memory and MRAM.
+    #[doc(hidden)]
     pub verify_interleave: bool,
 }
 
@@ -79,7 +76,7 @@ impl PimConfig {
             wram_size: WRAM_SIZE,
             iram_size: IRAM_SIZE,
             freq_mhz: 350,
-            verify_interleave: true,
+            verify_interleave: false,
         }
     }
 
@@ -93,7 +90,7 @@ impl PimConfig {
             wram_size: WRAM_SIZE,
             iram_size: IRAM_SIZE,
             freq_mhz: 350,
-            verify_interleave: true,
+            verify_interleave: false,
         }
     }
 

@@ -29,9 +29,9 @@
 //!
 //! let machine = PimMachine::new(PimConfig::small());
 //! let rank = machine.rank(0).unwrap();
-//! rank.write_dpu(0, 0, &[1, 2, 3, 4]).unwrap();
+//! rank.write_mram(0, 0, &[1, 2, 3, 4]).unwrap();
 //! let mut buf = [0u8; 4];
-//! rank.read_dpu(0, 0, &mut buf).unwrap();
+//! rank.read_mram(0, 0, &mut buf).unwrap();
 //! assert_eq!(buf, [1, 2, 3, 4]);
 //! ```
 

@@ -114,9 +114,9 @@ mod tests {
         let m = PimMachine::new(PimConfig::small());
         let a = m.rank(0).unwrap();
         let b = m.rank(0).unwrap();
-        a.write_dpu(0, 0, &[42]).unwrap();
+        a.write_mram(0, 0, &[42]).unwrap();
         let mut buf = [0u8];
-        b.read_dpu(0, 0, &mut buf).unwrap();
+        b.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(buf[0], 42);
     }
 
@@ -130,9 +130,9 @@ mod tests {
     fn machine_clone_shares_state() {
         let m = PimMachine::new(PimConfig::small());
         let m2 = m.clone();
-        m.rank(1).unwrap().write_dpu(2, 8, &[7]).unwrap();
+        m.rank(1).unwrap().write_mram(2, 8, &[7]).unwrap();
         let mut buf = [0u8];
-        m2.rank(1).unwrap().read_dpu(2, 8, &mut buf).unwrap();
+        m2.rank(1).unwrap().read_mram(2, 8, &mut buf).unwrap();
         assert_eq!(buf[0], 7);
     }
 }

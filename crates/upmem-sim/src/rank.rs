@@ -14,11 +14,10 @@ use crate::ci::{CiCommand, CiCounters, CiStatus};
 use crate::dpu::{Dpu, DpuState, LaunchReport};
 use crate::error::{DpuFault, SimError};
 use crate::geometry::{PimConfig, MAX_RANK_XFER};
-use crate::interleave;
 use crate::kernel::{KernelImage, KernelRegistry};
 
-/// Fault point for MRAM DMA ([`Rank::write_dpu`], [`Rank::read_dpu`] and
-/// friends), keyed by the target DPU index so concurrent per-DPU workers
+/// Fault point for MRAM DMA ([`Rank::write_mram`], [`Rank::read_mram`],
+/// [`Rank::share_mram_page`]), keyed by the target DPU index so concurrent per-DPU workers
 /// observe a deterministic schedule regardless of interleaving.
 pub const MRAM_DMA_POINT: &str = "sim.mram.dma";
 
@@ -76,9 +75,8 @@ impl RankSnapshot {
 ///
 /// DPUs are individually locked so backend worker threads can operate on
 /// different DPUs of the same rank concurrently (vPIM's DPU operation
-/// pool, §4.2). There is deliberately **no rank-wide lock**: the
-/// interleave transform runs *outside* the DPU mutex, so a DPU's critical
-/// section is only the MRAM memcpy itself.
+/// pool, §4.2). There is deliberately **no rank-wide lock**, and a DPU's
+/// critical section is only the MRAM memcpy itself.
 /// Concurrent operations on the *same* DPU serialize on its mutex;
 /// operations on distinct DPUs — even in the same chip — proceed in
 /// parallel. CI counters are atomics and need no lock.
@@ -146,8 +144,9 @@ impl Rank {
         self.config.mram_size
     }
 
-    /// Whether transfers really execute the interleave transform (see
-    /// [`PimConfig::verify_interleave`]).
+    /// Inert; deleted by ROADMAP item 1. Returns the config field nothing
+    /// else reads.
+    #[doc(hidden)]
     #[must_use]
     pub fn verify_interleave(&self) -> bool {
         self.config.verify_interleave
@@ -182,48 +181,10 @@ impl Rank {
     }
 
     /// Writes host bytes into one DPU's MRAM at `offset` — the data half of
-    /// a `write-to-rank` on the native path. When the config enables
-    /// interleave verification the buffer really goes through the
-    /// interleave/deinterleave pair the host driver and DDR bus would apply.
-    ///
-    /// # Errors
-    ///
-    /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
-    /// MRAM range.
-    pub fn write_dpu(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<(), SimError> {
-        if !self.config.verify_interleave {
-            return self.write_mram(dpu, offset, data);
-        }
-        // Borrowed input, so the pair runs on one staging copy.
-        let mut staged = data.to_vec();
-        interleave::interleave_inplace(&mut staged);
-        interleave::deinterleave_inplace(&mut staged);
-        self.write_mram(dpu, offset, &staged)
-    }
-
-    /// Reads one DPU's MRAM into host bytes — the data half of a
-    /// `read-from-rank` on the native path. Allocation-free: the verify
-    /// transform runs in place on `dst` after the MRAM copy.
-    ///
-    /// # Errors
-    ///
-    /// Invalid DPU index, transfer larger than 4 GB, or an out-of-bounds
-    /// MRAM range.
-    pub fn read_dpu(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
-        self.read_mram(dpu, offset, dst)?;
-        if self.config.verify_interleave {
-            // Transform outside the DPU lock: the critical section is only
-            // the MRAM copy itself.
-            interleave::interleave_inplace(dst);
-            interleave::deinterleave_inplace(dst);
-        }
-        Ok(())
-    }
-
-    /// The DMA half of [`write_dpu`](Self::write_dpu) with no interleave
-    /// pair: for a caller that runs the pair on its own data path (the vPIM
-    /// backend runs its configured `DataPath`'s pair), so each byte is
-    /// interleaved once. Consults [`MRAM_DMA_POINT`] like `write_dpu`.
+    /// a `write-to-rank`. The byte interleave the host driver and DDR bus
+    /// apply is the identity on the data, so only its cost is modeled
+    /// (`CostModel::interleave`, charged by the caller). Consults
+    /// [`MRAM_DMA_POINT`] for `dpu` once per call.
     ///
     /// # Errors
     ///
@@ -236,8 +197,8 @@ impl Rank {
         self.dpus[dpu].lock().mram_mut().write(offset, data)
     }
 
-    /// The DMA half of [`read_dpu`](Self::read_dpu) with no interleave
-    /// pair (see [`write_mram`](Self::write_mram)).
+    /// Reads one DPU's MRAM into host bytes — the data half of a
+    /// `read-from-rank` (see [`write_mram`](Self::write_mram)).
     ///
     /// # Errors
     ///
@@ -248,6 +209,28 @@ impl Rank {
         Self::check_len(dst.len() as u64)?;
         self.injected_dma(dpu)?;
         self.dpus[dpu].lock().mram().read(offset, dst)
+    }
+
+    /// Inert; deleted by ROADMAP item 1. [`write_mram`](Self::write_mram)
+    /// under its old name.
+    ///
+    /// # Errors
+    ///
+    /// As [`write_mram`](Self::write_mram).
+    #[doc(hidden)]
+    pub fn write_dpu(&self, dpu: usize, offset: u64, data: &[u8]) -> Result<(), SimError> {
+        self.write_mram(dpu, offset, data)
+    }
+
+    /// Inert; deleted by ROADMAP item 1. [`read_mram`](Self::read_mram)
+    /// under its old name.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_mram`](Self::read_mram).
+    #[doc(hidden)]
+    pub fn read_dpu(&self, dpu: usize, offset: u64, dst: &mut [u8]) -> Result<(), SimError> {
+        self.read_mram(dpu, offset, dst)
     }
 
     /// Makes MRAM page `index` of DPU `dst` the same page as DPU `src`'s,
@@ -455,9 +438,9 @@ mod tests {
     fn write_read_roundtrip_through_interleave() {
         let r = rank();
         let data: Vec<u8> = (0..=255).collect();
-        r.write_dpu(3, 128, &data).unwrap();
+        r.write_mram(3, 128, &data).unwrap();
         let mut back = vec![0u8; 256];
-        r.read_dpu(3, 128, &mut back).unwrap();
+        r.read_mram(3, 128, &mut back).unwrap();
         assert_eq!(back, data);
     }
 
@@ -483,9 +466,9 @@ mod tests {
     #[test]
     fn dpu_index_validated() {
         let r = rank();
-        assert!(matches!(r.write_dpu(8, 0, &[0]), Err(SimError::InvalidDpu(8))));
+        assert!(matches!(r.write_mram(8, 0, &[0]), Err(SimError::InvalidDpu(8))));
         let mut b = [0u8];
-        assert!(matches!(r.read_dpu(99, 0, &mut b), Err(SimError::InvalidDpu(99))));
+        assert!(matches!(r.read_mram(99, 0, &mut b), Err(SimError::InvalidDpu(99))));
     }
 
     struct AddOne;
@@ -529,7 +512,7 @@ mod tests {
             for w in &words {
                 raw.extend_from_slice(&w.to_le_bytes());
             }
-            r.write_dpu(d, 0, &raw).unwrap();
+            r.write_mram(d, 0, &raw).unwrap();
             r.write_symbol(d, "n", &(n as u32).to_le_bytes()).unwrap();
         }
 
@@ -539,7 +522,7 @@ mod tests {
 
         for d in 0..r.dpu_count() {
             let mut raw = vec![0u8; n * 4];
-            r.read_dpu(d, 0, &mut raw).unwrap();
+            r.read_mram(d, 0, &mut raw).unwrap();
             let first = u32::from_le_bytes(raw[0..4].try_into().unwrap());
             assert_eq!(first, d as u32 + 1);
         }
@@ -570,13 +553,13 @@ mod tests {
     fn reset_content_erases_every_dpu() {
         let r = rank();
         for d in 0..r.dpu_count() {
-            r.write_dpu(d, 0, &[0xFF; 64]).unwrap();
+            r.write_mram(d, 0, &[0xFF; 64]).unwrap();
         }
         assert!(r.resident_bytes() > 0);
         r.reset_content();
         assert_eq!(r.resident_bytes(), 0);
         let mut buf = [1u8; 64];
-        r.read_dpu(0, 0, &mut buf).unwrap();
+        r.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
     }
 
@@ -603,7 +586,7 @@ mod tests {
         }
         for d in 0..2usize {
             let mut buf = [0u8; 32];
-            r.read_dpu(d, 0, &mut buf).unwrap();
+            r.read_mram(d, 0, &mut buf).unwrap();
             assert_eq!(buf, [d as u8; 32]);
         }
     }
@@ -617,7 +600,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..16u8 {
                         let data = vec![d as u8 ^ round; 512];
-                        r.write_dpu(d, u64::from(round) * 512, &data).unwrap();
+                        r.write_mram(d, u64::from(round) * 512, &data).unwrap();
                     }
                 })
             })
@@ -628,7 +611,7 @@ mod tests {
         for d in 0..r.dpu_count() {
             for round in 0..16u8 {
                 let mut back = vec![0u8; 512];
-                r.read_dpu(d, u64::from(round) * 512, &mut back).unwrap();
+                r.read_mram(d, u64::from(round) * 512, &mut back).unwrap();
                 assert_eq!(back, vec![d as u8 ^ round; 512], "dpu {d} round {round}");
             }
         }
@@ -646,16 +629,16 @@ mod tests {
         // neighbours stay clean.
         plane.arm(MRAM_DMA_POINT, FaultPlan::Nth(3));
         assert!(matches!(
-            r.write_dpu(2, 0, &[1u8; 16]),
+            r.write_mram(2, 0, &[1u8; 16]),
             Err(SimError::Injected { point: MRAM_DMA_POINT })
         ));
-        r.write_dpu(3, 0, &[2u8; 16]).unwrap();
-        assert!(r.write_dpu(2, 0, &[1u8; 16]).is_err());
+        r.write_mram(3, 0, &[2u8; 16]).unwrap();
+        assert!(r.write_mram(2, 0, &[1u8; 16]).is_err());
         // Disarming restores passthrough; no state was torn.
         plane.disarm(MRAM_DMA_POINT);
-        r.write_dpu(2, 0, &[1u8; 16]).unwrap();
+        r.write_mram(2, 0, &[1u8; 16]).unwrap();
         let mut back = [0u8; 16];
-        r.read_dpu(2, 0, &mut back).unwrap();
+        r.read_mram(2, 0, &mut back).unwrap();
         assert_eq!(back, [1u8; 16]);
 
         // CI ops: counter-based; the op is not counted when it faults.

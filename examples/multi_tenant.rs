@@ -39,7 +39,7 @@ fn main() {
     // A native host application grabs rank 0 directly through the driver —
     // no manager involvement (requirement R3: coexistence).
     let native_app = driver.open_perf(0, "native:analytics").expect("native claim");
-    native_app.write_dpu(0, 0, b"native tenant data").expect("native write");
+    native_app.write_mram(0, 0, b"native tenant data").expect("native write");
 
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
     sys.sync_ranks(); // the sweep the observer runs: notices the native claim

@@ -30,7 +30,8 @@ pub fn register_workloads(machine: &PimMachine) {
 /// A host geometry sized for the mixes: `ranks` ranks of 16 DPUs with
 /// full 64 MB MRAM banks (the UPIS index needs real bank capacity;
 /// `MramBank` allocates only the 4 KiB pages something wrote, so unused
-/// space, even below a high write, costs nothing).
+/// space, even below a high write, costs nothing). Transfers move each
+/// 4 KiB page straight between guest RAM and MRAM, as on every host.
 #[must_use]
 pub fn load_host_config(ranks: usize) -> PimConfig {
     PimConfig {

@@ -260,9 +260,9 @@ fn one_borrow_paths_keep_the_per_page_fault_schedule() {
 
 // --------------------------------------------------------- backend chunks
 
-/// A torn per-DPU chunk write surfaces typed, never corrupts neighbouring
-/// entries, balances the scratch pool, and a clean rewrite fully heals the
-/// torn range.
+/// A torn per-DPU chunk write surfaces typed, lands exactly its prefix on
+/// the DPU whose key fired, balances the scratch pool, and a clean rewrite
+/// fully heals the torn range.
 #[test]
 fn torn_chunk_write_is_typed_and_heals_on_rewrite() {
     let seed = sweep_seed();
@@ -286,6 +286,12 @@ fn torn_chunk_write_is_typed_and_heals_on_rewrite() {
         // error), as does which of them landed.
         assert!((2..=4).contains(&stats.hits), "devices={devices}: {stats:?}");
         assert_eq!(stats.fired, 1, "devices={devices}: {stats:?}");
+
+        // Entry 1 (DPU 1) tore: its first (8192 / 2) & !7 = 4096 bytes
+        // landed, the rest of the fresh bank still reads zero.
+        let (torn, _) = fe.read_rank(&[(1, 0, 8192)]).unwrap();
+        assert_eq!(&torn[0][..4096], &datas[1][..4096], "devices={devices}: torn prefix");
+        assert!(torn[0][4096..].iter().all(|b| *b == 0), "devices={devices}: torn tail");
 
         // Same keys re-fire on retry by design: recovery is disarm (or a
         // plan that expires), then rewrite.

@@ -11,6 +11,9 @@
 //! * the steady state is allocation-free: after warmup the pool serves
 //!   ≥ 99% of takes from recycled buffers.
 //!
+//! The pool's takes are the frontend serializer's matrix metadata; the
+//! backend copies payload pages straight between guest RAM and MRAM.
+//!
 //! The data pool's width is the other mechanism: the backend unit tests
 //! hold a one-worker and a four-worker pool to the same responses, MRAM
 //! and errors, and CI runs this suite pinned to one CPU as well.

@@ -15,7 +15,6 @@ fn testbed() -> Arc<UpmemDriver> {
         ranks: 8,
         functional_dpus: vec![60; 8],
         mram_size: 4 << 20,
-        verify_interleave: false,
         ..PimConfig::paper_testbed()
     });
     prim::register_all(&machine);

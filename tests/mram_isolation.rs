@@ -48,14 +48,13 @@ fn has_canary(bytes: &[u8]) -> bool {
     bytes.windows(CANARY.len()).any(|w| w == CANARY)
 }
 
-/// One rank of [`DPUS`] DPUs, so every tenant lands on the same one. The
-/// data path is unstaged, as in the benchmark, so broadcasts share pages.
+/// One rank of [`DPUS`] DPUs, so every tenant lands on the same one.
+/// Broadcasts share MRAM pages.
 fn host(vcfg: VpimConfig) -> VpimSystem {
     let machine = PimMachine::new(PimConfig {
         ranks: 1,
         functional_dpus: vec![DPUS],
         mram_size: 1 << 20,
-        verify_interleave: false,
         ..PimConfig::small()
     });
     VpimSystem::start(Arc::new(UpmemDriver::new(machine)), vcfg, StartOpts::default())

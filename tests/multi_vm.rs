@@ -125,7 +125,7 @@ fn native_applications_coexist_with_vms() {
     let driver = host(3);
     // Native app takes a rank before the manager even starts.
     let native = driver.open_perf(1, "native:ml-training").unwrap();
-    native.write_dpu(0, 0, &[42; 16]).unwrap();
+    native.write_mram(0, 0, &[42; 16]).unwrap();
 
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
     sys.manager().sync_now();
@@ -136,7 +136,7 @@ fn native_applications_coexist_with_vms() {
     }
     // The native app's data is untouched throughout.
     let mut buf = [0u8; 16];
-    native.read_dpu(0, 0, &mut buf).unwrap();
+    native.read_mram(0, 0, &mut buf).unwrap();
     assert_eq!(buf, [42; 16]);
     drop((vm_a, vm_b, native));
     sys.shutdown();
@@ -190,7 +190,7 @@ fn nana_reuse_keeps_content_for_the_same_tenant() {
     if outcome.reused {
         let rank = driver.machine().rank(outcome.rank).unwrap();
         let mut buf = [0u8; 4];
-        rank.read_dpu(0, 0, &mut buf).unwrap();
+        rank.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(&buf, b"mine", "reuse must skip the reset");
     }
     sys.shutdown();

@@ -22,21 +22,21 @@ fn host() -> Arc<UpmemDriver> {
 fn checkpoint_restore_roundtrips_rank_state() {
     let driver = host();
     let rank = driver.machine().rank(0).unwrap();
-    rank.write_dpu(0, 64, b"persist me").unwrap();
-    rank.write_dpu(3, 0, &[7u8; 1024]).unwrap();
+    rank.write_mram(0, 64, b"persist me").unwrap();
+    rank.write_mram(3, 0, &[7u8; 1024]).unwrap();
     let snap = rank.snapshot();
     assert!(snap.resident_bytes() >= 1024 + 74);
 
     rank.reset_content();
     let mut buf = [1u8; 10];
-    rank.read_dpu(0, 64, &mut buf).unwrap();
+    rank.read_mram(0, 64, &mut buf).unwrap();
     assert_eq!(buf, [0u8; 10], "reset must erase");
 
     rank.restore(&snap).unwrap();
-    rank.read_dpu(0, 64, &mut buf).unwrap();
+    rank.read_mram(0, 64, &mut buf).unwrap();
     assert_eq!(&buf, b"persist me");
     let mut big = [0u8; 1024];
-    rank.read_dpu(3, 0, &mut big).unwrap();
+    rank.read_mram(3, 0, &mut big).unwrap();
     assert_eq!(big, [7u8; 1024]);
 }
 
@@ -105,7 +105,7 @@ fn consolidation_scenario_tenant_resumes_after_eviction() {
     {
         let set_holder = driver.open_perf(0, "tenant-a-resumed").unwrap();
         let mut buf = [0u8; 16];
-        set_holder.read_dpu(0, 0, &mut buf).unwrap();
+        set_holder.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [42u8; 16], "tenant A's data survived eviction");
     }
 

@@ -95,14 +95,14 @@ proptest! {
                 prop_assert_eq!(grant.restored, expected.contains_key(&t));
                 if let Some(want) = expected.get(&t) {
                     let mut buf = vec![0u8; want.len()];
-                    grant.mapping.rank().read_dpu(0, 0, &mut buf).unwrap();
+                    grant.mapping.rank().read_mram(0, 0, &mut buf).unwrap();
                     prop_assert!(&buf == want, "tenant {}'s bytes torn by restore", t);
                 }
                 *guard = Some(grant.mapping);
             }
             // Touch: overwrite this tenant's pattern through its mapping.
             let data = vec![(t as u8) ^ (step as u8).wrapping_mul(31); 64];
-            guard.as_ref().unwrap().rank().write_dpu(0, 0, &data).unwrap();
+            guard.as_ref().unwrap().rank().write_mram(0, 0, &data).unwrap();
             expected.insert(t, data);
             drop(guard);
             // Invariant: live mappings occupy pairwise-distinct ranks.
@@ -138,22 +138,22 @@ proptest! {
         };
         let rank = Rank::new(0, &cfg);
         for (dpu, off, data) in &writes {
-            rank.write_dpu(*dpu, *off, data).unwrap();
+            rank.write_mram(*dpu, *off, data).unwrap();
         }
         let snap = rank.snapshot_quiescent().unwrap();
         let mut originals = Vec::new();
         for dpu in 0..4 {
             let mut buf = vec![0u8; 2048];
-            rank.read_dpu(dpu, 0, &mut buf).unwrap();
+            rank.read_mram(dpu, 0, &mut buf).unwrap();
             originals.push(buf);
         }
         // Scribble, then wipe.
-        rank.write_dpu(0, 0, &[0xEE; 512]).unwrap();
+        rank.write_mram(0, 0, &[0xEE; 512]).unwrap();
         rank.reset_content();
         rank.restore(&snap).unwrap();
         for (dpu, want) in originals.iter().enumerate() {
             let mut buf = vec![0u8; 2048];
-            rank.read_dpu(dpu, 0, &mut buf).unwrap();
+            rank.read_mram(dpu, 0, &mut buf).unwrap();
             prop_assert!(&buf == want, "dpu {} differs after restore", dpu);
         }
     }

@@ -15,7 +15,6 @@ fn host() -> Arc<UpmemDriver> {
         ranks: 8,
         functional_dpus: vec![16; 8],
         mram_size: 2 << 20,
-        verify_interleave: true, // really run both data paths
         ..PimConfig::small()
     });
     microbench::Checksum::register(&machine);
