@@ -35,6 +35,26 @@ cargo build --release --offline --workspace
 echo "== tier-1 offline gate: test =="
 cargo test --release --offline -q --workspace
 
+# Every lint clippy reports by default is an error.
+echo "== tier-1 offline gate: clippy =="
+cargo clippy --release --offline --workspace --all-targets -- -D warnings
+
+# The quick figures are deterministic (virtual time, seeded inputs): the
+# committed results_quick.txt must be exactly what the tree prints, so a
+# change to any input generator or model constant shows here.
+echo "== tier-1 offline gate: figures quick =="
+out=$(mktemp)
+t0=$(date +%s)
+"${CARGO_TARGET_DIR:-target}/release/figures" quick >"$out"
+echo "figures quick: $(($(date +%s) - t0)) s wall"
+if ! cmp -s "$out" results_quick.txt; then
+    diff "$out" results_quick.txt | head -20
+    rm -f "$out"
+    echo "figures quick differs from results_quick.txt" >&2
+    exit 1
+fi
+rm -f "$out"
+
 # Rustdoc over the whole workspace (the vendored shims included) with
 # warnings denied, so a deleted or private item cannot leave a dangling
 # intra-doc link behind.

@@ -590,8 +590,7 @@ pub fn ablation_prefetch_pages(env: &BenchEnv) -> Vec<(usize, VirtualNanos, u64)
                     .expect("alloc");
             // A block-by-block read loop: 512 reads of 256 B over 128 KiB.
             set.copy_to_heap(0, 0, &vec![7u8; 128 << 10]).expect("seed data");
-            let before = set.take_timeline();
-            drop(before);
+            let _ = set.take_timeline();
             for i in 0..512u64 {
                 let _ = set.copy_from_heap(0, i * 256, 256).expect("read");
             }
@@ -881,7 +880,7 @@ fn pheap_leg(
             persists += 1;
         }
     }
-    if objects % batch != 0 {
+    if !objects.is_multiple_of(batch) {
         heap.persist().expect("persist");
         persists += 1;
     }

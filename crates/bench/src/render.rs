@@ -403,23 +403,6 @@ pub fn memovh() -> String {
     )
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_tables_render() {
-        let t1 = table1();
-        assert!(t1.contains("Needleman-Wunsch"));
-        assert!(t1.lines().count() > 16);
-        let t2 = table2();
-        assert!(t2.contains("vPIM-rust"));
-        assert!(t2.contains("vPIM+PB"));
-        let m = memovh();
-        assert!(m.contains("1.37"));
-    }
-}
-
 /// Renders the three ablations of §4's design choices.
 #[must_use]
 pub fn ablations(
@@ -547,4 +530,21 @@ pub fn pheap_json(rows: &[PheapRow]) -> String {
             .num("mbps_milli", (r.mbps() * 1000.0) as u64)
     });
     JsonObject::new().str("bench", "pheap").arr("rows", rows).finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn static_tables_render() {
+        let t1 = table1();
+        assert!(t1.contains("Needleman-Wunsch"));
+        assert!(t1.lines().count() > 16);
+        let t2 = table2();
+        assert!(t2.contains("vPIM-rust"));
+        assert!(t2.contains("vPIM+PB"));
+        let m = memovh();
+        assert!(m.contains("1.37"));
+    }
 }

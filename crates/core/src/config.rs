@@ -102,7 +102,7 @@ pub struct FaultSpec {
 /// single relaxed atomic load, and the system is bit-identical to one
 /// compiled without injection. The fixed-size `faults` array (rather than
 /// a `Vec`) keeps [`VpimConfig`] `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct InjectSection {
     /// Build and install a [`simkit::FaultPlane`] at system start.
     pub enabled: bool,
@@ -117,12 +117,6 @@ impl InjectSection {
     /// The armed faults (the leading `Some` prefix of the array).
     pub fn armed(&self) -> impl Iterator<Item = FaultSpec> + '_ {
         self.faults.iter().flatten().copied()
-    }
-}
-
-impl Default for InjectSection {
-    fn default() -> Self {
-        InjectSection { enabled: false, seed: 0, faults: [None; 8] }
     }
 }
 

@@ -157,10 +157,10 @@ impl<'a> Xfer<'a> {
     /// The `(dpu, mram offset, len)` of every write entry (none for a
     /// read).
     fn writes(self) -> impl Iterator<Item = (u32, u64, u64)> + 'a {
-        let (staged, pinned): (&[(u32, u64, &[u8])], &[(u32, u64, &GuestBuf)]) = match self {
-            Xfer::Write(w) => (w, &[]),
-            Xfer::Pinned(p) => (&[], p),
-            Xfer::Read(_) => (&[], &[]),
+        let (staged, pinned) = match self {
+            Xfer::Write(w) => (w, &[][..]),
+            Xfer::Pinned(p) => (&[][..], p),
+            Xfer::Read(_) => (&[][..], &[][..]),
         };
         let staged = staged.iter().map(|(d, o, b)| (*d, *o, b.len() as u64));
         staged.chain(pinned.iter().map(|(d, o, b)| (*d, *o, b.len() as u64)))

@@ -283,10 +283,10 @@ impl Pheap {
     pub fn format(front: Arc<Frontend>, opts: PheapOptions) -> Result<Pheap, VpimError> {
         let geom =
             Geometry::from_base(opts.base, opts.wal_size, opts.root_size, opts.data_size);
-        if opts.base % 8 != 0
-            || opts.wal_size % 8 != 0
-            || opts.root_size % 8 != 0
-            || opts.data_size % 8 != 0
+        if !opts.base.is_multiple_of(8)
+            || !opts.wal_size.is_multiple_of(8)
+            || !opts.root_size.is_multiple_of(8)
+            || !opts.data_size.is_multiple_of(8)
             || opts.wal_size < 256
             || opts.root_size < 64
             || opts.data_size == 0
@@ -771,7 +771,6 @@ impl Pheap {
         objects: BTreeMap<u64, ObjectMeta>,
         next_id: u64,
         applied_seq: u64,
-        metrics: PheapMetrics,
     ) -> Pheap {
         let heap = Pheap {
             front,
@@ -785,7 +784,7 @@ impl Pheap {
             applied_seq,
             meta_dirty: false,
             plane: opts.take_plane(),
-            metrics,
+            metrics: opts.make_metrics(),
             cost: simkit::VirtualNanos::ZERO,
         };
         heap.update_gauges();

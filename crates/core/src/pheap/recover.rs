@@ -97,24 +97,15 @@ pub(crate) fn run(
     })?;
     let alloc = PAllocator::from_parts(geom.data_off, geom.data_size, rt.bump, rt.free);
 
-    let metrics = opts.make_metrics();
-    metrics.recoveries.inc();
+    let mut heap =
+        Pheap::from_recovered(front, &opts, geom, alloc, rt.objects, rt.next_id, applied_seq);
+    heap.metrics.recoveries.inc();
     if replayed {
-        metrics.recover_replayed.inc();
+        heap.metrics.recover_replayed.inc();
     }
     if discarded_tail {
-        metrics.recover_discarded.inc();
+        heap.metrics.recover_discarded.inc();
     }
-    let mut heap = Pheap::from_recovered(
-        front,
-        &opts,
-        geom,
-        alloc,
-        rt.objects,
-        rt.next_id,
-        applied_seq,
-        metrics,
-    );
     heap.cost = cost.get();
     let report = RecoverReport {
         replayed,

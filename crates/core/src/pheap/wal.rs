@@ -290,7 +290,7 @@ pub(crate) fn decode_root(bytes: &[u8]) -> Option<RootTable> {
         return None;
     }
     let total = get(bytes, 1);
-    if total % 8 != 0 || total < 56 || total > bytes.len() as u64 {
+    if !total.is_multiple_of(8) || total < 56 || total > bytes.len() as u64 {
         return None;
     }
     let bytes = &bytes[..total as usize];

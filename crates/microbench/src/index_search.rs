@@ -9,7 +9,7 @@
 //! shape (the Wikipedia subset itself is not redistributable — see
 //! DESIGN.md's substitution table).
 
-use simkit::{AppSegment, SimRng};
+use simkit::{bytes_to_u32s, u32s_to_bytes, AppSegment, SimRng};
 use upmem_sdk::{DpuSet, SdkError};
 use upmem_sim::error::DpuFault;
 use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
@@ -285,8 +285,8 @@ impl IndexSearch {
                 }
             }
             max_postings = max_postings.max(flat.len());
-            vocab_bufs.push(crate::u32s_to_bytes_local(&table));
-            post_bufs.push(crate::u32s_to_bytes_local(&flat));
+            vocab_bufs.push(u32s_to_bytes(&table));
+            post_bufs.push(u32s_to_bytes(&flat));
         }
         let table_bytes = ((params.vocab * 2 * 4) as u64).div_ceil(4096) * 4096;
         let post_bytes = ((max_postings.max(1) * 4) as u64).div_ceil(4096) * 4096;
@@ -318,7 +318,7 @@ impl IndexSearch {
                 qbuf.push(*w1);
                 qbuf.push(*w2);
             }
-            let qbytes = crate::u32s_to_bytes_local(&qbuf);
+            let qbytes = u32s_to_bytes(&qbuf);
             let bufs: Vec<Vec<u8>> = (0..n_dpus).map(|_| qbytes.clone()).collect();
             set.push_to_heap(off_q, &bufs)?;
             set.broadcast_symbol_u32("nq", batch.len() as u32)?;
@@ -333,7 +333,7 @@ impl IndexSearch {
                 outs.push(set.copy_from_heap(d, off_r, batch.len() * rec * 4)?);
             }
             for (out, _) in outs.iter().zip(0..) {
-                let words = crate::bytes_to_u32s_local(out);
+                let words = bytes_to_u32s(out);
                 for (qi, _) in batch.iter().enumerate() {
                     let base = qi * rec;
                     let count = words[base] as usize;

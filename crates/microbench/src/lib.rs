@@ -24,22 +24,3 @@ pub mod index_search;
 
 pub use checksum::{Checksum, ChecksumRun};
 pub use index_search::{IndexSearch, IndexSearchParams, SearchRun};
-
-/// Converts `u32`s to little-endian bytes.
-#[must_use]
-pub fn u32s_to_bytes_local(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Converts little-endian bytes to `u32`s.
-#[must_use]
-pub fn bytes_to_u32s_local(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
-}

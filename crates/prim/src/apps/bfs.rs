@@ -13,7 +13,9 @@ use upmem_sim::error::DpuFault;
 use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
-use crate::common::{fnv1a_u32, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams};
+use crate::common::{
+    fnv1a_u32, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+};
 use crate::common::bytes_to_u32s;
 use simkit::SimRng;
 
@@ -52,8 +54,7 @@ impl DpuKernel for BfsKernel {
         let tasklets = ctx.nr_tasklets();
         let mut changed_any = vec![0u32; tasklets];
         ctx.parallel(|t| {
-            let stripes = partition(n_local, tasklets);
-            let stripe = stripes[t.id()].clone();
+            let stripe = partition_nth(n_local, tasklets, t.id());
             if stripe.is_empty() {
                 return Ok(());
             }
@@ -209,7 +210,7 @@ impl PrimApp for Bfs {
         set.broadcast_symbol_u32("off_front", off_front as u32)?;
         set.broadcast_symbol_u32("off_next", off_next as u32)?;
         // Root = vertex 0.
-        if !ranges.is_empty() && ranges[0].len() > 0 {
+        if !ranges.is_empty() && !ranges[0].is_empty() {
             set.set_symbol_u32(0, "n_local", ranges[0].len() as u32)?;
         }
         let mut frontier = vec![0u32; words];

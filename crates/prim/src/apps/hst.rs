@@ -13,7 +13,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Bin count of the short-histogram variant.
@@ -59,8 +60,7 @@ impl DpuKernel for HstKernel {
         let small = bins * 4 <= 2048; // WRAM-resident per-tasklet histograms
         let mut partials: Vec<Vec<u32>> = vec![vec![0u32; bins]; tasklets];
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }

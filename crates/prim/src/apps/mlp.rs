@@ -12,7 +12,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Layer dimensions: input → hidden → hidden → output.
@@ -60,8 +61,7 @@ impl DpuKernel for MlpKernel {
         let off_out = u64::from(ctx.host_u32("off_out")?);
         let tasklets = ctx.nr_tasklets();
         ctx.parallel(|t| {
-            let stripes = partition(samples, tasklets);
-            let stripe = stripes[t.id()].clone();
+            let stripe = partition_nth(samples, tasklets, t.id());
             if stripe.is_empty() {
                 return Ok(());
             }

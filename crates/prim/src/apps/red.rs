@@ -13,7 +13,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Tasklet partials stored per DPU (64 × 4 B = the paper's 256 B read).
@@ -36,8 +37,7 @@ impl DpuKernel for RedKernel {
         let tasklets = ctx.nr_tasklets();
         let mut partials = vec![0u32; PARTIAL_SLOTS];
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }

@@ -18,7 +18,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Kernel phases, selected by a host symbol.
@@ -56,8 +57,7 @@ impl DpuKernel for ScanKernel {
             PHASE_REDUCE => {
                 let mut partials = vec![0u32; tasklets];
                 ctx.parallel(|t| {
-                    let ranges = partition(n, tasklets);
-                    let range = ranges[t.id()].clone();
+                    let range = partition_nth(n, tasklets, t.id());
                     t.wram_alloc(1024)?;
                     let mut buf = vec![0u32; 256];
                     let mut acc = 0u32;
@@ -83,8 +83,7 @@ impl DpuKernel for ScanKernel {
                 // the SCAN_BASE phase).
                 let mut partials = vec![0u32; tasklets];
                 ctx.parallel(|t| {
-                    let ranges = partition(n, tasklets);
-                    let range = ranges[t.id()].clone();
+                    let range = partition_nth(n, tasklets, t.id());
                     t.wram_alloc(1024)?;
                     let mut buf = vec![0u32; 256];
                     let mut acc = 0u32;
@@ -109,8 +108,7 @@ impl DpuKernel for ScanKernel {
                 }
                 let total = partials.iter().fold(0u32, |a, v| a.wrapping_add(*v));
                 ctx.parallel(|t| {
-                    let ranges = partition(n, tasklets);
-                    let range = ranges[t.id()].clone();
+                    let range = partition_nth(n, tasklets, t.id());
                     let mut buf = vec![0u32; 256];
                     let mut run = prefix[t.id()];
                     let mut pos = range.start;
@@ -131,8 +129,7 @@ impl DpuKernel for ScanKernel {
             }
             PHASE_ADD_BASE => {
                 ctx.parallel(|t| {
-                    let ranges = partition(n, tasklets);
-                    let range = ranges[t.id()].clone();
+                    let range = partition_nth(n, tasklets, t.id());
                     let mut buf = vec![0u32; 256];
                     let mut pos = range.start;
                     while pos < range.end {

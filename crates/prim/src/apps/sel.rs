@@ -13,14 +13,15 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// The selection predicate (shared by kernel and reference).
 #[inline]
 #[must_use]
 pub fn keep(v: u32) -> bool {
-    v % 2 == 0
+    v.is_multiple_of(2)
 }
 
 /// The DPU kernel: per-tasklet filter + single-tasklet compaction pass.
@@ -42,8 +43,7 @@ impl DpuKernel for SelKernel {
         // Phase 1: each tasklet counts its survivors (to size the prefix).
         let mut counts = vec![0u32; tasklets];
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }
@@ -70,8 +70,7 @@ impl DpuKernel for SelKernel {
         }
         let total = acc;
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }

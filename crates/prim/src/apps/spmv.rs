@@ -13,7 +13,7 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
 };
 use simkit::SimRng;
 
@@ -45,8 +45,7 @@ impl DpuKernel for SpmvKernel {
         let off_y = u64::from(ctx.host_u32("off_y")?);
         let tasklets = ctx.nr_tasklets();
         ctx.parallel(|t| {
-            let stripes = partition(rows, tasklets);
-            let stripe = stripes[t.id()].clone();
+            let stripe = partition_nth(rows, tasklets, t.id());
             if stripe.is_empty() {
                 return Ok(());
             }

@@ -12,7 +12,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Tile edge (tiles are `TILE × TILE` elements).
@@ -36,8 +37,7 @@ impl DpuKernel for TrnsKernel {
         let tasklets = ctx.nr_tasklets();
         let tile_words = TILE * TILE;
         ctx.parallel(|t| {
-            let stripes = partition(tiles, tasklets);
-            let stripe = stripes[t.id()].clone();
+            let stripe = partition_nth(tiles, tasklets, t.id());
             if stripe.is_empty() {
                 return Ok(());
             }

@@ -12,7 +12,9 @@ use upmem_sim::error::DpuFault;
 use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
-use crate::common::{fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams};
+use crate::common::{
+    fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+};
 
 /// Query (window) length.
 pub const QUERY: usize = 16;
@@ -49,8 +51,7 @@ impl DpuKernel for TsKernel {
         let windows = n.saturating_sub(QUERY - 1);
         let mut bests = vec![(u64::MAX, 0u32); tasklets];
         ctx.parallel(|t| {
-            let stripes = partition(windows, tasklets);
-            let stripe = stripes[t.id()].clone();
+            let stripe = partition_nth(windows, tasklets, t.id());
             if stripe.is_empty() {
                 return Ok(());
             }

@@ -12,7 +12,7 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
 };
 use simkit::SimRng;
 
@@ -38,8 +38,7 @@ impl DpuKernel for UniKernel {
         // Phase 1: count survivors per stripe.
         let mut counts = vec![0u32; tasklets];
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }
@@ -77,8 +76,7 @@ impl DpuKernel for UniKernel {
         let total = acc;
         // Phase 2: compact.
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }

@@ -10,7 +10,8 @@ use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
 use crate::common::{
-    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+    bytes_to_u32s, fnv1a_u32, gen_u32s, partition, partition_nth, u32s_to_bytes, AppRun, PrimApp,
+    ScaleParams,
 };
 
 /// Elements staged per WRAM block.
@@ -34,8 +35,7 @@ impl DpuKernel for VaKernel {
         let off_c = u64::from(ctx.host_u32("off_c")?);
         let tasklets = ctx.nr_tasklets();
         ctx.parallel(|t| {
-            let ranges = partition(n, tasklets);
-            let range = ranges[t.id()].clone();
+            let range = partition_nth(n, tasklets, t.id());
             if range.is_empty() {
                 return Ok(());
             }

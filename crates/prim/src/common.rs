@@ -1,6 +1,8 @@
 //! Shared plumbing for the PrIM applications.
 
+pub use simkit::{bytes_to_u32s, u32s_to_bytes};
 use simkit::SimRng;
+use std::ops::Range;
 use upmem_sdk::{DpuSet, SdkError};
 use upmem_sim::PimMachine;
 
@@ -88,39 +90,20 @@ pub trait PrimApp: Send + Sync {
     fn run(&self, set: &mut DpuSet, scale: &ScaleParams, seed: u64) -> Result<AppRun, SdkError>;
 }
 
-/// Converts `u32`s to little-endian bytes.
-#[must_use]
-pub fn u32s_to_bytes(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Converts little-endian bytes to `u32`s (length must be a multiple of 4).
-#[must_use]
-pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
-}
-
 /// Splits `total` items into `parts` balanced contiguous ranges.
 #[must_use]
-pub fn partition(total: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+pub fn partition(total: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts.max(1)).map(|i| partition_nth(total, parts, i)).collect()
+}
+
+/// The `i`-th range of [`partition`]`(total, parts)`, without building the
+/// others: the first `total % parts` ranges hold one item more.
+#[must_use]
+pub fn partition_nth(total: usize, parts: usize, i: usize) -> Range<usize> {
     let parts = parts.max(1);
-    let base = total / parts;
-    let extra = total % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    let (base, extra) = (total / parts, total % parts);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
 /// Generates a deterministic input vector of `n` `u32`s below `bound`.
@@ -157,9 +140,21 @@ mod tests {
     }
 
     #[test]
-    fn byte_conversions_roundtrip() {
-        let vals = vec![0u32, 1, u32::MAX, 0xDEAD_BEEF];
-        assert_eq!(bytes_to_u32s(&u32s_to_bytes(&vals)), vals);
+    fn partition_nth_matches_consecutive_balanced_ranges() {
+        for total in [0, 1, 2, 15, 16, 17, 1_000, 4_097] {
+            for parts in [0, 1, 3, 16, 24] {
+                let (base, extra) = (total / parts.max(1), total % parts.max(1));
+                let mut start = 0;
+                for i in 0..parts.max(1) {
+                    let len = base + usize::from(i < extra);
+                    let want = start..start + len;
+                    assert_eq!(partition_nth(total, parts, i), want, "{total} / {parts} [{i}]");
+                    assert_eq!(partition(total, parts)[i], want);
+                    start += len;
+                }
+                assert_eq!(start, total);
+            }
+        }
     }
 
     #[test]
@@ -168,6 +163,17 @@ mod tests {
         let b = fnv1a_u32(&[3, 2, 1]);
         assert_ne!(a, b);
         assert_eq!(a, fnv1a_u32(&[1, 2, 3]));
+    }
+
+    /// Values of the plain rejection loop, which every PrIM input, figure
+    /// and fingerprint rests on.
+    #[test]
+    fn gen_matches_golden_vectors() {
+        let pow2 =
+            [204392214, 756103806, 971282849, 62087329, 585916004, 24728120, 442883506, 736493703];
+        assert_eq!(gen_u32s(42, 8, 1 << 30), pow2);
+        let prime = [188482, 382586, 173206, 314354, 42763, 52685, 885406, 257025];
+        assert_eq!(gen_u32s(42, 8, 1_000_003), prime);
     }
 
     #[test]

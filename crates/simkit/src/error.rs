@@ -160,7 +160,7 @@ mod tests {
             }
         }
         let e = E;
-        assert_eq!((&e).kind(), ErrorKind::Busy);
+        assert_eq!(e.kind(), ErrorKind::Busy);
         assert_eq!(HasErrorKind::kind(&&e), ErrorKind::Busy);
     }
 

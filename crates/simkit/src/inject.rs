@@ -74,7 +74,7 @@ impl FaultPlan {
     pub fn fires(&self, seed: u64, point: &str, key: u64) -> bool {
         match *self {
             FaultPlan::Nth(n) => n > 0 && key + 1 == n,
-            FaultPlan::EveryK(k) => k > 0 && (key + 1) % k == 0,
+            FaultPlan::EveryK(k) => k > 0 && (key + 1).is_multiple_of(k),
             FaultPlan::Probability { permille } => {
                 mix(seed, point, key) % 1000 < u64::from(permille)
             }

@@ -17,6 +17,7 @@
 //!   two breakdowns (application-centric and driver-centric),
 //! * [`compose`] — sequential / parallel / worker-pool composition rules,
 //! * [`SimRng`] — seeded, reproducible randomness,
+//! * [`codec`] — the `u32` ↔ little-endian byte codec,
 //! * [`stats`] — small helpers for summarizing benchmark output.
 //!
 //! ## Example
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod compose;
 pub mod cost;
 pub mod error;
@@ -50,6 +52,7 @@ pub mod telemetry;
 pub mod time;
 pub mod timeline;
 
+pub use codec::{bytes_to_u32s, u32s_to_bytes};
 pub use compose::{parallel, pool, sequential};
 pub use cost::CostModel;
 pub use error::{ErrorKind, HasErrorKind};

@@ -3,11 +3,19 @@
 //! Every dataset in the reproduction (PrIM inputs, the checksum file, the
 //! synthetic Wikipedia corpus) is generated from a [`SimRng`] so that runs
 //! are bit-for-bit reproducible across machines and invocations.
+//!
+//! The value stream is part of the reproducibility contract: every figure
+//! in `results_quick.txt` and every benchmark `virt_fingerprint` is a
+//! function of it. A faster draw must return the same values and leave the
+//! generator in the same state.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// A deterministic random number generator with convenience helpers.
+///
+/// Its values are pinned: figures and fingerprints depend on them, so no
+/// method may change what it draws or how many words it consumes.
 ///
 /// # Example
 ///
@@ -112,7 +120,9 @@ impl SimRng {
         v
     }
 
-    /// A vector of `n` uniform `u32`s below `bound`.
+    /// A vector of `n` uniform `u32`s below `bound`: `n` calls of
+    /// [`u64_below`](Self::u64_below). A zero bound yields zeros, as
+    /// `u64_below(0)` does, but still takes one draw per element.
     #[must_use]
     pub fn u32s_below(&mut self, n: usize, bound: u32) -> Vec<u32> {
         (0..n).map(|_| self.u64_below(u64::from(bound.max(1))) as u32).collect()
@@ -122,6 +132,65 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain rejection loop the fast draws must match word for word.
+    fn reference_below(rng: &mut StdRng, span: u64) -> u64 {
+        loop {
+            let v = rng.next_u64();
+            if v < u64::MAX - u64::MAX % span {
+                return v % span;
+            }
+        }
+    }
+
+    /// Spans biased toward the edges of the draw: 1, 2^k, 2^k ± 1, a prime,
+    /// `u32::MAX`, just above 2^63 (where about half the draws reject) and
+    /// `u64::MAX`, plus one arbitrary span.
+    fn edge_spans(k: u32, raw: u64) -> [u64; 9] {
+        let p = 1u64 << (k % 64);
+        let above_half = (1 << 63) + 1 + raw % (1 << 20);
+        let u32_max = u64::from(u32::MAX);
+        [1, p, p + 1, (p - 1).max(1), 1_000_003, u32_max, above_half, u64::MAX, raw.max(1)]
+    }
+
+    proptest! {
+        #[test]
+        fn fast_draws_match_the_reference_loop(
+            seed in any::<u64>(),
+            k in 0u32..64,
+            raw in any::<u64>(),
+            n in 0usize..48,
+        ) {
+            for span in edge_spans(k, raw) {
+                let mut want = StdRng::seed_from_u64(seed);
+                let expect: Vec<u64> = (0..n).map(|_| reference_below(&mut want, span)).collect();
+                let next = want.next_u64();
+
+                let mut one = SimRng::seeded(seed);
+                let got: Vec<u64> = (0..n).map(|_| one.u64_below(span)).collect();
+                prop_assert!(got == expect, "u64_below({span}): {got:?} != {expect:?}");
+                prop_assert!(one.0.next_u64() == next, "state after u64_below({span})");
+
+                if let Ok(bound) = u32::try_from(span) {
+                    let mut many = SimRng::seeded(seed);
+                    let got: Vec<u64> =
+                        many.u32s_below(n, bound).into_iter().map(u64::from).collect();
+                    prop_assert!(got == expect, "u32s_below({span}): {got:?} != {expect:?}");
+                    prop_assert!(many.0.next_u64() == next, "state after u32s_below({span})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_bound_yields_zeros_and_still_draws() {
+        let mut r = SimRng::seeded(4);
+        assert_eq!(r.u32s_below(5, 0), [0; 5]);
+        let mut s = SimRng::seeded(4);
+        let _ = s.u32s_below(5, 1);
+        assert_eq!(r.0.next_u64(), s.0.next_u64());
+    }
 
     #[test]
     fn same_seed_same_stream() {

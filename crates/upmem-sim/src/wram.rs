@@ -120,7 +120,7 @@ mod tests {
             for a in allocs {
                 let _ = w.alloc(a);
                 prop_assert_eq!(w.used() + w.available(), w.capacity());
-                prop_assert!(w.used() % 8 == 0);
+                prop_assert!(w.used().is_multiple_of(8));
             }
         }
     }

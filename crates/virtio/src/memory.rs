@@ -63,7 +63,10 @@ pub const MEM_EIO_POINT: &str = "virtio.mem.eio";
 pub struct Gpa(pub u64);
 
 impl Gpa {
-    /// Byte offset addition.
+    /// Byte offset addition. An inherent method rather than `ops::Add`:
+    /// callers (`benchmark/src/replay.rs` among them) call `gpa.add(off)`
+    /// without importing a trait.
+    #[allow(clippy::should_implement_trait)]
     #[must_use]
     pub fn add(self, off: u64) -> Gpa {
         Gpa(self.0 + off)

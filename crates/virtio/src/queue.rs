@@ -300,9 +300,8 @@ impl DriverQueue {
         let chain = self.chain_len[head as usize].max(1);
         let tail = (1..chain).fold(head, |idx, _| self.next_free[idx as usize]);
         // Link chain back into the free list.
-        match self.free_head {
-            Some(old_head) => self.next_free[tail as usize] = old_head,
-            None => {}
+        if let Some(old_head) = self.free_head {
+            self.next_free[tail as usize] = old_head;
         }
         self.free_head = Some(head);
         self.free_count += chain;

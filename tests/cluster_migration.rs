@@ -195,13 +195,13 @@ fn migrate_stall_never_perturbs_virtual_time() {
     let stalled_vcfg = VpimConfig::builder()
         .batching(false)
         .prefetch(false)
-        .inject_seed(0x57A_11)
+        .inject_seed(0x5_7A11)
         .inject_fault(FaultSite::MigrateStall, FaultPlan::EveryK(1))
         .build();
     let stalled = Fleet::start(FleetSpec::new(2).config(stalled_vcfg));
     for fleet in [&clean, &stalled] {
         fleet.launch(TenantSpec::new("t")).unwrap();
-        write_state(fleet, "t", 4096, 0x57A_11);
+        write_state(fleet, "t", 4096, 0x5_7A11);
     }
     let clean_report = clean.migrate("t", 1).unwrap();
     let stalled_report = stalled.migrate("t", 1).unwrap();

@@ -207,9 +207,12 @@ const PUSH_RANKS: usize = 2;
 const PUSH_BYTES_PER_DPU: usize = 80_000;
 const PUSH_RANK_PAGES: usize = DPUS_PER_RANK * 20;
 
-/// `push_to_heap` then `push_from_heap` over two ranks; returns the bytes
-/// read back, the timeline, and both ops' per-rank completion offsets.
-fn run_push(parallel: bool, tight: bool) -> (Vec<Vec<u8>>, simkit::Timeline, Vec<Vec<(usize, u64)>>) {
+/// The bytes read back, the timeline, and both ops' per-rank completion
+/// offsets.
+type PushRun = (Vec<Vec<u8>>, simkit::Timeline, Vec<Vec<(usize, u64)>>);
+
+/// `push_to_heap` then `push_from_heap` over two ranks.
+fn run_push(parallel: bool, tight: bool) -> PushRun {
     let guest = Guest::boot(parallel, PUSH_RANKS, tight.then_some(PUSH_RANK_PAGES));
     let mut set = DpuSet::alloc_vm(
         guest.vm.frontends(),

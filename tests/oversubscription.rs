@@ -83,8 +83,7 @@ fn run_tenants(vcfg: VpimConfig, ranks: usize, vms: usize, devices: usize) -> Ve
     }
     let finals = tenants
         .iter()
-        .enumerate()
-        .map(|(_v, vm)| {
+        .map(|vm| {
             let fe = vm.frontend(0);
             let reads: Vec<(u32, u64, u64)> =
                 DPUS.iter().map(|&d| (d, 0, ROUNDS as u64 * CHUNK)).collect();
@@ -226,8 +225,9 @@ fn checkpoint_stall_injection_preserves_bit_identical_time_sharing() {
                 let reads: Vec<(u32, u64, u64)> =
                     (0..=round).map(|r| (0, r as u64 * CHUNK, CHUNK)).collect();
                 let (outs, _) = fe.read_rank(&reads).unwrap();
-                for r in 0..=round {
-                    assert_eq!(outs[r], pattern(v, 0, r), "vm-{v} round {r} (stall={stall})");
+                assert_eq!(outs.len(), round + 1);
+                for (r, out) in outs.iter().enumerate() {
+                    assert_eq!(*out, pattern(v, 0, r), "vm-{v} round {r} (stall={stall})");
                 }
             }
         }

@@ -69,7 +69,7 @@ enum Op {
 fn decode(kind: u8, sel: u64, off: u64, len: u64) -> Op {
     match kind {
         0 | 1 => Op::Alloc { len: 1 + len * 13 % 1200 },
-        2 | 3 | 4 | 5 => Op::Write { sel, off, len },
+        2..=5 => Op::Write { sel, off, len },
         6 => Op::Free { sel },
         _ => Op::Persist,
     }

@@ -63,7 +63,7 @@ enum Op {
 fn decode(kind: u8, sel: u64, off: u64, len: u64) -> Op {
     match kind {
         0 => Op::Alloc { len: 1 + len * 13 % 1500 },
-        1 | 2 | 3 => Op::Write { sel, off, len },
+        1..=3 => Op::Write { sel, off, len },
         4 => Op::Read { sel, off, len },
         5 => Op::Free { sel },
         6 => Op::PinCycle { sel },

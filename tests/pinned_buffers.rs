@@ -319,6 +319,9 @@ fn a_broadcast_in_flight_outlives_its_dropped_buffer() {
 const LANE_DPUS: usize = 8;
 const LANE_BYTES: usize = 20_000;
 
+/// Each channel's write result, and every channel's per-DPU MRAM bytes.
+type LaneWrites = (Vec<Result<(), VpimError>>, Vec<Vec<Vec<u8>>>);
+
 /// Writes `datas[c]` to channel `c`'s DPUs of a two-device VM (each
 /// device's handler runs on its own lane), from `source`, dropping the
 /// buffers as soon as each write has begun. `concurrent` begins every
@@ -332,7 +335,7 @@ fn write_and_drop(
     source: Source,
     concurrent: bool,
     datas: &[Vec<Vec<u8>>],
-) -> (Vec<Result<(), VpimError>>, Vec<Vec<Vec<u8>>>) {
+) -> LaneWrites {
     let mem = vm.vm().memory();
     let before = mem.free_pages();
     let mut results = Vec::new();

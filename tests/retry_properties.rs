@@ -47,7 +47,7 @@ fn mk_plan(kind: u8, a: u64, b: u64, permille: u16) -> FaultPlan {
 fn closed_form(plan: FaultPlan, hits: u64) -> Option<u64> {
     match plan {
         FaultPlan::Nth(n) => Some(u64::from(n > 0 && hits >= n)),
-        FaultPlan::EveryK(k) => Some(if k == 0 { 0 } else { hits / k }),
+        FaultPlan::EveryK(k) => Some(hits.checked_div(k).unwrap_or(0)),
         FaultPlan::Burst { after, count } => {
             Some(hits.saturating_sub(after).min(count))
         }
