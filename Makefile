@@ -7,7 +7,7 @@
 # then the benchmark smoke (a 0.2 s timed run of every workload, no retry:
 # the frozen benchmark/ crate still builds against this tree, no operation
 # fails and all six virt_fingerprints equal benchmark/baseline.json), the
-# concurrency stress/determinism suites (inline vs lane dispatch
+# concurrency stress/determinism suites (one- vs two-device
 # bit-identity, pinned guest buffers: model blindness, lifetime of a
 # dropped buffer in flight, fallback; the cross-tenant guest-RAM canary,
 # whose tests are tenants of each other's recycled RAM when run in

@@ -26,6 +26,15 @@ if [ -n "$stray" ]; then
     echo "frozen names used outside their inert definitions (ROADMAP item 1)" >&2
     exit 1
 fi
+# Every transfer is synchronous and every kick runs its handler on the
+# kicking thread; the split-phase and per-device lane names must not return.
+stray=$(grep -rIE 'kick_async|KickHandle|InFlight|PendingMatrix|begin_write_rank|finish_rank|finish_matrix' \
+    crates src tests examples || true)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "split-phase transfer or dispatch-lane names are back (ROADMAP item 15)" >&2
+    exit 1
+fi
 
 echo "== tier-1 offline gate: build (release) =="
 cargo build --release --offline --workspace

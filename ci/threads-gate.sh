@@ -16,18 +16,19 @@
 #
 # Every tier-1 gate with a varied-parallelism leg runs it through this
 # script; `make tier1` calls it directly for the stress leg
-# (multi-VM/multi-rank integrity, inline vs lane dispatch bit-identity,
-# transport backpressure, pinned guest buffers outliving their handles on
-# a lane, no tenant reading another's bytes in recycled guest RAM or in
-# shared, reset or parked MRAM pages), the
+# (multi-VM/multi-rank integrity, one- vs two-device bit-identity,
+# transfers through a guest with room for one rank or one chunk, pinned
+# guest buffers outliving their handles on another guest thread, no tenant
+# reading another's bytes in recycled guest RAM or in shared, reset or
+# parked MRAM pages), the
 # sched leg (8 VMs time-shared over 4 ranks
 # read back exactly the bytes a dedicated run produces, under constant
 # checkpoint/restore churn, with one- and two-device tenants; plus the
 # multi-VM, migration and load-harness suites, whose allocations call the
 # rank table from the requesting thread), the chaos leg (every injected fault
 # surfaces typed or is recovered transparently, payloads stay
-# bit-identical, `inject.*` / `retry.*` totals are exact inline and on a
-# lane) and the shard leg (rank-table properties, exact end-state
+# bit-identical, `inject.*` / `retry.*` totals are exact with one device
+# and with two) and the shard leg (rank-table properties, exact end-state
 # accounting of 8-64-thread control-plane churn).
 #
 # Usage: ci/threads-gate.sh <label> <test>...

@@ -119,7 +119,7 @@ fn main() {
     }
     // Explicit-only for the same reason: the durability bench asserts the
     // crash-recovery acceptance bars (lossless, repair-free, bit-identical
-    // inline and on a lane) and feeds `ci/pheap-gate.sh`.
+    // with one device and two) and feeds `ci/pheap-gate.sh`.
     if wanted.iter().any(|w| w == "pheap") {
         eprintln!("[running pheap durability bench...]");
         let rows = experiments::bench_pheap(&env);

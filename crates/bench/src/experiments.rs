@@ -803,8 +803,8 @@ pub fn ablation_adaptive(env: &BenchEnv) -> Vec<AdaptiveRow> {
 /// (the handle drops, taking the resident window with it), and recovery.
 /// Costs are virtual-time MRAM traffic drained from the heap's cost
 /// accumulator; the row reports a one-device VM's run (handler on the
-/// kicking thread) after asserting a two-device VM's run (handler on the
-/// heap device's lane) produced bit-identical state and timings.
+/// kicking thread) after asserting a two-device VM's run produced
+/// bit-identical state and timings.
 #[derive(Debug, Clone)]
 pub struct PheapRow {
     /// Workload short name.
@@ -911,11 +911,11 @@ fn pheap_leg(
 /// The persistent-heap durability bench (DESIGN.md §17), feeding
 /// `ci/pheap-gate.sh` and `BENCH_pheap.json`. Three workload shapes —
 /// a small-value KV store, a large-value blob store, and a log-style
-/// append stream — each run inline and on a lane with the acceptance bars
-/// asserted here so the figures binary and the gate both trip on a
-/// regression: recovery is lossless and repair-free after a clean crash,
-/// bit-identical across inline and lane dispatch (state *and*
-/// virtual-time costs), and never costs zero.
+/// append stream — each run on a one-device and a two-device VM with the
+/// acceptance bars asserted here so the figures binary and the gate both
+/// trip on a regression: recovery is lossless and repair-free after a clean crash,
+/// bit-identical across one and two devices (state *and* virtual-time
+/// costs), and never costs zero.
 #[must_use]
 pub fn bench_pheap(env: &BenchEnv) -> Vec<PheapRow> {
     let mut rows = Vec::new();
@@ -925,10 +925,10 @@ pub fn bench_pheap(env: &BenchEnv) -> Vec<PheapRow> {
         ("log-append", 48, 1024, 6),
     ] {
         let seed = 0x17_u64.wrapping_mul(objects) ^ value_bytes;
-        let inline = pheap_leg(env, 1, seed, objects, value_bytes, batch);
-        let lanes = pheap_leg(env, 2, seed, objects, value_bytes, batch);
-        assert_eq!(inline, lanes, "{leg}: dispatch must not reach state or virtual time");
-        let (persist_t, recover_t, _) = inline;
+        let one = pheap_leg(env, 1, seed, objects, value_bytes, batch);
+        let two = pheap_leg(env, 2, seed, objects, value_bytes, batch);
+        assert_eq!(one, two, "{leg}: the device count must not reach state or virtual time");
+        let (persist_t, recover_t, _) = one;
         assert!(persist_t > VirtualNanos::ZERO && recover_t > VirtualNanos::ZERO);
         rows.push(PheapRow {
             leg,

@@ -250,8 +250,8 @@ impl Backend {
         };
         if self.vcfg.sched.oversubscription && resp.status == STATUS_OK {
             // Charge the operation's modeled duration against this
-            // tenant's lease. Virtual-time-derived, so lanes, inline
-            // dispatch and any pool width grow the accounts identically.
+            // tenant's lease. Virtual-time-derived, so any guest thread
+            // and any pool width grow the accounts identically.
             let vt = VirtualNanos::from_nanos(
                 resp.deser_ns
                     .saturating_add(resp.translate_ns)

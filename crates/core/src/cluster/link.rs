@@ -4,8 +4,8 @@
 //! count and a 25 GbE-class datacenter link's latency
 //! ([`LINK_LATENCY_NS`]) and bandwidth ([`LINK_GBITS_PER_SEC`]), charged
 //! through the same virtual-clock accounting as every other cost — so
-//! migration reports are bit-identical across inline and lane dispatch
-//! and thread counts, exactly like [`LoadReport`]s.
+//! migration reports are bit-identical across device and thread counts,
+//! exactly like [`LoadReport`]s.
 //!
 //! The link is *serialized*: one transfer occupies it at a time (its
 //! mutex orders at [`LockLevel::Link`], **inside** `RankSlot` — shipping

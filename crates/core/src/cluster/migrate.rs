@@ -38,8 +38,8 @@
 //! Every cost is integer virtual time derived from byte counts (link
 //! serialization, snapshot/restore rates), and snapshots are bit-exact —
 //! so a [`MigrationReport`] and the migrated tenant's subsequent op
-//! results are identical across inline and lane dispatch, thread counts,
-//! and seeds that don't fire faults.
+//! results are identical across device counts, thread counts, and seeds
+//! that don't fire faults.
 //!
 //! [`Backend::ensure_linked`]: crate::backend::Backend::ensure_linked
 //! [`Rank::snapshot_quiescent`]: upmem_sim::Rank::snapshot_quiescent

@@ -171,8 +171,8 @@ impl Default for SchedSection {
 /// prefetch off per DPU, and the batch flush threshold tracks inter-op
 /// virtual gaps. Its bounds and thresholds are the constants of
 /// [`crate::frontend::policy`]. Every decision is a pure function of
-/// virtual-time observations, so inline and lane dispatch stay
-/// bit-identical.
+/// virtual-time observations, so runs stay bit-identical whatever thread
+/// handles a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct AdaptSection {
     /// Run the feedback controller (off = exact static-policy passthrough).

@@ -54,18 +54,6 @@ pub enum VpimError {
 }
 
 impl VpimError {
-    /// True when the failure is transport backpressure: a bounded resource
-    /// (guest bounce pages, virtqueue slots) is exhausted by in-flight
-    /// operations. Completing one of them and retrying is the correct
-    /// response; any other error is a hard failure.
-    #[must_use]
-    pub fn is_backpressure(&self) -> bool {
-        matches!(
-            self,
-            VpimError::Virtio(VirtioError::OutOfPages { .. } | VirtioError::QueueFull)
-        )
-    }
-
     /// True when the failure came from the fault-injection plane (at any
     /// layer) and retrying the operation is therefore always safe. This is
     /// deliberately narrower than "retryable-looking": e.g. `NotLinked` and

@@ -7,8 +7,8 @@
 //! state mutex and is driven synchronously by the operation stream, so —
 //! like the [`policy`](super::policy) machines it wraps — every decision
 //! is a pure function of the per-frontend program order and virtual-time
-//! costs: inline and lane dispatch observe the same stream and make the
-//! same moves.
+//! costs: one-device and two-device VMs observe the same stream and make
+//! the same moves.
 //!
 //! Three mechanisms (§16 "actuation points"):
 //!

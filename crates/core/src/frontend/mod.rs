@@ -12,8 +12,8 @@
 //! its chains one at a time in avail-ring order, so a handled kick means
 //! this request's status page is written, whichever guest thread's kick
 //! ran it; several threads can share one frontend with no completion
-//! bookkeeping of their own, and a transfer's chunks reach the rank in
-//! submission order however many are in flight.
+//! bookkeeping of their own. A transfer runs one chunk at a time, so its
+//! chunks reach the rank in order and it holds one chunk's guest pages.
 
 pub mod adapt;
 mod batch;
@@ -24,7 +24,6 @@ pub use adapt::AdaptState;
 pub use batch::{BatchBuffer, PendingWrites};
 pub use prefetch::PrefetchCache;
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,7 +31,7 @@ use pim_virtio::memory::PAGE_SIZE;
 use pim_virtio::mmio::{reg, status as mmio_status};
 use pim_virtio::queue::{DriverQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory, VirtioError};
-use pim_vmm::{EventManager, KickHandle, VirtioDevice};
+use pim_vmm::{EventManager, VirtioDevice};
 use simkit::{
     BytePool, CostModel, Counter, Gauge, MetricsRegistry, RetryMetrics, RetryPolicy,
     TimeoutClass, VirtualNanos, WriteStep,
@@ -120,13 +119,12 @@ impl FrontMetrics {
     }
 }
 
-/// One submitted `transferq` chain whose completion has not been
-/// collected yet. Its kick's handler returning is its completion.
+/// One `transferq` chain added to the queue: its request and status
+/// pages, freed once [`Frontend::complete`] has read the response.
 #[derive(Debug)]
 struct PendingOp {
     pages: Vec<Gpa>,
     status_page: Gpa,
-    kick: KickHandle,
 }
 
 /// The payload of one matrix transfer, in either direction. A write's
@@ -164,53 +162,6 @@ impl<'a> Xfer<'a> {
         };
         let staged = staged.iter().map(|(d, o, b)| (*d, *o, b.len() as u64));
         staged.chain(pinned.iter().map(|(d, o, b)| (*d, *o, b.len() as u64)))
-    }
-}
-
-/// The data pages a chunk's matrix names: staged copies the chunk owns, or
-/// the application's pinned buffers, which the chunk keeps alive until the
-/// device is done with them. Held only to be dropped.
-#[derive(Debug)]
-#[allow(dead_code)]
-enum DataPages {
-    Staged(PageLease),
-    Pinned(Vec<GuestBuf>),
-}
-
-/// One submitted matrix whose completion has not been absorbed yet. The
-/// leases drop with the chunk: only after the device is done with its
-/// guest pages.
-#[derive(Debug)]
-struct Chunk {
-    op: PendingOp,
-    /// The matrix a read gathers its outputs from; `None` for a write.
-    gather: Option<TransferMatrix>,
-    partial: OpReport,
-    _data: DataPages,
-    _meta_lease: PageLease,
-}
-
-/// A rank transfer started with [`Frontend::begin_write_rank`] or
-/// [`Frontend::begin_read_rank`]; collect it with
-/// [`Frontend::finish_rank`]. Dropping it abandons the completion (guest
-/// pages are still reclaimed by their leases).
-#[derive(Debug)]
-pub struct InFlight {
-    report: OpReport,
-    /// Read outputs gathered so far, in request order: the prefetch-cache
-    /// path fills this entirely during begin, and backpressure may force
-    /// early completion of older chunks during begin as well. Stays empty
-    /// for a write.
-    outputs: Vec<Vec<u8>>,
-    /// Oldest chunk at the front: chunks are absorbed in submission order
-    /// whether backpressure completes them during begin or finish does, so
-    /// the report composes identically either way.
-    chunks: VecDeque<Chunk>,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight { report: OpReport::default(), outputs: Vec::new(), chunks: VecDeque::new() }
     }
 }
 
@@ -501,10 +452,9 @@ impl Frontend {
         }
     }
 
-    /// Submits one request chain and kicks the device, without waiting for
-    /// completion. In a one-device VM the handler runs inline during the
-    /// kick; with several devices it runs on this device's lane and the
-    /// returned op is genuinely in flight.
+    /// Adds one request chain to `transferq`;
+    /// [`complete`](Self::complete) kicks the device and reads the
+    /// response.
     fn submit(&self, req: &Request, extra: &[(Gpa, u32, bool)]) -> Result<PendingOp, VpimError> {
         let pages = self.mem.alloc_pages(REQUEST_PAGES)?;
         let (req_page, status_page) = (pages[0], pages[1]);
@@ -525,26 +475,27 @@ impl Frontend {
             self.queue.lock().add_chain(&bufs)
         };
         if let Err(e) = added {
-            // Give the pages back so a backpressure retry starts clean.
+            // Give the pages back: a full queue is waited out and the
+            // chain submitted again.
             self.mem.free_pages_back(&pages)?;
             return Err(e.into());
         }
         self.metrics.queue_depth.add(1);
-
-        // The guest kick: an MMIO write that traps to the VMM.
-        self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
-        let kick = self
-            .em
-            .kick_async(self.device_idx, spec::TRANSFERQ)
-            .map_err(VpimError::from)?;
-        Ok(PendingOp { pages, status_page, kick })
+        Ok(PendingOp { pages, status_page })
     }
 
-    /// Waits for a submitted op, decodes its response, and frees its pages.
-    /// The device handles its chains one at a time in avail-ring order, so
-    /// once this op's kick has been handled its status page is written,
-    /// whichever handler ran the chain; [`drain_used`](Self::drain_used)
-    /// then only recycles descriptors.
+    /// The guest kick: an MMIO write that traps to the VMM, which runs the
+    /// device's handler on this thread.
+    fn kick(&self) -> Result<(), VpimError> {
+        self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
+        Ok(self.em.kick(self.device_idx, spec::TRANSFERQ)?)
+    }
+
+    /// Kicks the device for a submitted op, decodes its response, and
+    /// frees its pages. The device handles its chains one at a time in
+    /// avail-ring order, so once this op's kick has been handled its
+    /// status page is written, whichever thread's kick ran the chain;
+    /// [`drain_used`](Self::drain_used) then only recycles descriptors.
     ///
     /// Transient failures are retried under the
     /// [`TimeoutClass::VirtioRoundTrip`] policy (bounded attempts,
@@ -553,29 +504,24 @@ impl Frontend {
     /// chain — it is still pending in the avail ring — so the guest
     /// re-notifies and re-kicks; an injected EIO on the status page simply
     /// re-reads it. All backoff is virtual time charged to the op's report;
-    /// no thread sleeps for it, so inline and lane dispatch agree.
+    /// no thread sleeps for it.
     fn complete(&self, op: PendingOp) -> Result<(Response, OpReport), VpimError> {
         // One budget for both loops: a kick retry leaves less for the
         // status read.
         let mut budget = RetryPolicy::for_class(&self.cm, TimeoutClass::VirtioRoundTrip)
             .budget(self.vcfg.inject.seed, Some(&self.retry));
 
-        let mut kick_result = op.kick.wait().map_err(VpimError::from);
-        while let Err(e) = &kick_result {
+        let mut kicked = self.kick();
+        while let Err(e) = &kicked {
             if !budget.retry(e.is_transient()) {
                 // Giving up on an undispatched chain abandons its queue
                 // slot and pages: the device may still process the chain
                 // if a later op kicks, so they must not be recycled.
                 break;
             }
-            self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
-            kick_result = self
-                .em
-                .kick_async(self.device_idx, spec::TRANSFERQ)
-                .map_err(VpimError::from)
-                .and_then(|k| k.wait().map_err(VpimError::from));
+            kicked = self.kick();
         }
-        kick_result?;
+        kicked?;
         self.drain_used()?;
         self.metrics.queue_depth.sub(1);
 
@@ -625,8 +571,7 @@ impl Frontend {
     /// kick that adds no chain returns once the device has run every chain
     /// added before it, and the drain then frees their descriptors.
     fn reclaim(&self) -> Result<(), VpimError> {
-        self.device.mmio().write(reg::QUEUE_NOTIFY, spec::TRANSFERQ)?;
-        self.em.kick(self.device_idx, spec::TRANSFERQ)?;
+        self.kick()?;
         self.drain_used()
     }
 
@@ -642,28 +587,38 @@ impl Frontend {
 
     // ------------------------------------------------------------ rank ops
     //
-    // One pipeline carries every matrix transfer (§4.1, overlapped across
-    // ranks per §4.2): `begin` submits chunks of at most 64 entries,
-    // `settle` absorbs them oldest first. Batching and the prefetch cache
-    // sit in front of it in `begin_write_rank` / `begin_read_rank`, and
-    // the synchronous calls are begin + finish. The device runs a queue's
-    // chains in avail-ring order, so chunk *k* reaches the rank before
-    // chunk *k + 1* however many are in flight.
+    // One pipeline carries every matrix transfer (§4.1): `transfer` splits
+    // it into chunks of at most 64 entries and runs each to completion
+    // before it builds the next, so a transfer holds one chunk's guest
+    // pages at a time. Batching and the prefetch cache sit in front of it
+    // in `write_rank` and `read_rank`. How the transfers of several ranks
+    // overlap (§4.2) is the SDK's virtual-time composition; on the host
+    // they run one after another.
 
-    /// `write-to-rank`: writes per-DPU buffers into MRAM. Small writes are
-    /// absorbed by the batch buffer when batching is enabled.
+    /// `write-to-rank`: writes per-DPU buffers into MRAM. When batching is
+    /// enabled, an op made only of small writes is absorbed by the batch
+    /// buffer, and any other op flushes the batch first.
     ///
     /// # Errors
     ///
     /// Transport or hardware failures.
     pub fn write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<OpReport, VpimError> {
-        let (_, report) = self.finish_rank(self.begin_write_rank(entries)?)?;
-        Ok(report)
+        if self.vcfg.request_batching
+            && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
+        {
+            let mut report = OpReport::default();
+            self.batch_writes(entries, &mut report)?;
+            self.adapt_tick(&report);
+            return Ok(report);
+        }
+        Ok(self.unbatched(Xfer::Write(entries))?.1)
     }
 
     /// [`write_rank`](Self::write_rank) from guest buffers: the matrix
     /// names the buffers' own pages instead of copies. Report, bytes and
-    /// every counter are those of the same write from `&[u8]`.
+    /// every counter are those of the same write from `&[u8]`. An op made
+    /// only of small writes is batched exactly like the same bytes from
+    /// `&[u8]`: the batch buffer copies them either way.
     ///
     /// # Errors
     ///
@@ -673,8 +628,15 @@ impl Frontend {
         &self,
         entries: &[(u32, u64, &GuestBuf)],
     ) -> Result<OpReport, VpimError> {
-        let (_, report) = self.finish_rank(self.begin_write_rank_pinned(entries)?)?;
-        Ok(report)
+        if self.vcfg.request_batching
+            && entries.iter().all(|(_, _, b)| b.len() as u64 <= SMALL_WRITE_MAX)
+        {
+            let bytes: Vec<Vec<u8>> = entries.iter().map(|(_, _, b)| b.to_vec()).collect();
+            let staged: Vec<(u32, u64, &[u8])> =
+                entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, b.as_slice())).collect();
+            return self.write_rank(&staged);
+        }
+        Ok(self.unbatched(Xfer::Pinned(entries))?.1)
     }
 
     /// Allocates a `len`-byte transfer buffer in this guest's RAM, for
@@ -700,9 +662,10 @@ impl Frontend {
         self.mem.free_pages() >= meta_pages + REQUEST_PAGES
     }
 
-    /// `read-from-rank`: reads `(dpu, offset, len)` ranges, serving small
-    /// reads from the prefetch cache when enabled. Returns one buffer per
-    /// request plus the cost report.
+    /// `read-from-rank`: reads `(dpu, offset, len)` ranges. The batch is
+    /// flushed first; a single cacheable request is then served through
+    /// the prefetch cache, anything else from the rank. Returns one buffer
+    /// per request, in request order, plus the cost report.
     ///
     /// # Errors
     ///
@@ -711,111 +674,34 @@ impl Frontend {
         &self,
         reqs: &[(u32, u64, u64)],
     ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        self.finish_rank(self.begin_read_rank(reqs)?)
-    }
-
-    /// Builds, serializes and submits a `write-to-rank` without waiting for
-    /// the device. Use with [`finish_rank`](Self::finish_rank) to overlap
-    /// transfers across several ranks: begin on every channel first, then
-    /// finish them all. When batching is enabled, an op made only of small
-    /// writes is absorbed by the batch buffer, returning with nothing left
-    /// in flight, and any other op flushes the batch first. In a
-    /// one-device VM (nothing to overlap with) the device handler runs
-    /// inline during begin; with two or more devices it runs on the
-    /// device's lane; bytes and report are identical either way.
-    ///
-    /// Bounce pages and virtqueue slots are bounded: when submitting a
-    /// chunk hits that limit, the oldest in-flight chunk is completed (its
-    /// report composes in submission order either way) and the chunk is
-    /// retried, so a transfer larger than guest memory degrades to partial
-    /// overlap instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn begin_write_rank(&self, entries: &[(u32, u64, &[u8])]) -> Result<InFlight, VpimError> {
-        let mut op = InFlight::new();
-        if self.vcfg.request_batching
-            && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
-        {
-            self.batch_writes(entries, &mut op.report)?;
-            return Ok(op);
-        }
-        if self.vcfg.request_batching {
-            op.report.absorb(&self.flush_batch()?);
-        }
-        self.begin(Xfer::Write(entries), op)
-    }
-
-    /// [`begin_write_rank`](Self::begin_write_rank) from guest buffers
-    /// (see [`write_rank_pinned`](Self::write_rank_pinned)). An op made
-    /// only of small writes is batched exactly like the same bytes from
-    /// `&[u8]`: the batch buffer copies them either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_rank_pinned`](Self::write_rank_pinned).
-    pub fn begin_write_rank_pinned(
-        &self,
-        entries: &[(u32, u64, &GuestBuf)],
-    ) -> Result<InFlight, VpimError> {
-        if self.vcfg.request_batching
-            && entries.iter().all(|(_, _, b)| b.len() as u64 <= SMALL_WRITE_MAX)
-        {
-            let bytes: Vec<Vec<u8>> = entries.iter().map(|(_, _, b)| b.to_vec()).collect();
-            let staged: Vec<(u32, u64, &[u8])> =
-                entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, b.as_slice())).collect();
-            return self.begin_write_rank(&staged);
-        }
-        let mut op = InFlight::new();
-        if self.vcfg.request_batching {
-            op.report.absorb(&self.flush_batch()?);
-        }
-        self.begin(Xfer::Pinned(entries), op)
-    }
-
-    /// Submits a `read-from-rank` without waiting for the device; pair with
-    /// [`finish_rank`](Self::finish_rank). The batch is flushed first; a
-    /// single cacheable request is then served through the prefetch cache
-    /// during begin, anything else from the rank. Backpressure is handled
-    /// as in [`begin_write_rank`](Self::begin_write_rank); outputs keep
-    /// request order.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn begin_read_rank(&self, reqs: &[(u32, u64, u64)]) -> Result<InFlight, VpimError> {
-        let mut op = InFlight::new();
-        if self.vcfg.request_batching {
-            op.report.absorb(&self.flush_batch()?);
-        }
+        let mut report = self.flush_batch()?;
         // The cache serves the "host processes DPU data block by block in a
         // loop" pattern (§4.1): small reads targeting one DPU at a time.
         // Large parallel matrix reads bypass it.
-        if let [(dpu, offset, len)] = *reqs {
-            if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) {
-                op.outputs.push(self.read_cached(dpu, offset, len, &mut op.report)?);
-                return Ok(op);
+        let outputs = match *reqs {
+            [(dpu, offset, len)]
+                if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) =>
+            {
+                vec![self.read_cached(dpu, offset, len, &mut report)?]
             }
-        }
-        self.begin(Xfer::Read(reqs), op)
+            _ => {
+                let (outputs, r) = self.transfer(Xfer::Read(reqs))?;
+                report.absorb(&r);
+                outputs
+            }
+        };
+        self.adapt_tick(&report);
+        Ok((outputs, report))
     }
 
-    /// Collects a transfer started by
-    /// [`begin_write_rank`](Self::begin_write_rank) or
-    /// [`begin_read_rank`](Self::begin_read_rank): one output buffer per
-    /// read request (none for a write) plus the cost report. Every
-    /// submitted chunk is completed even after a failure (so queue-depth
-    /// accounting and guest pages are reclaimed); the first error in
-    /// submission order is returned.
-    ///
-    /// # Errors
-    ///
-    /// Transport or hardware failures.
-    pub fn finish_rank(&self, mut inflight: InFlight) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        self.settle(&mut inflight, None)?;
-        self.adapt_tick(&inflight.report);
-        Ok((inflight.outputs, inflight.report))
+    /// One whole op that bypasses the batch and the cache: the batch is
+    /// flushed, `x` transferred, and the adaptive clock ticked once.
+    fn unbatched(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
+        let mut report = self.flush_batch()?;
+        let (outputs, r) = self.transfer(x)?;
+        report.absorb(&r);
+        self.adapt_tick(&report);
+        Ok((outputs, report))
     }
 
     /// Sends buffered writes to the backend (also triggered automatically
@@ -991,14 +877,9 @@ impl Frontend {
 
     /// A transfer run to completion, bypassing batching and the cache and
     /// leaving the adaptive clock alone (the op it is part of ticks once).
+    /// Its chunks run one after another; a failed chunk ends it, and the
+    /// chunks after it are never sent.
     fn transfer(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut inflight = self.begin(x, InFlight::new())?;
-        self.settle(&mut inflight, None)?;
-        Ok((inflight.outputs, inflight.report))
-    }
-
-    /// Submits every chunk of `x`, continuing `inflight`.
-    fn begin(&self, x: Xfer<'_>, mut inflight: InFlight) -> Result<InFlight, VpimError> {
         if !matches!(x, Xfer::Read(_)) {
             // A write can only stale the segments of the DPUs it touches;
             // launch/release keep the global invalidation path.
@@ -1010,110 +891,65 @@ impl Frontend {
                 }
             }
         }
-        if let Err(e) = self.submit_chunks(x, &mut inflight) {
-            // Complete what was submitted so queue slots, gauges and guest
-            // pages are reclaimed.
-            self.settle(&mut inflight, Some(e))?;
-        }
-        Ok(inflight)
-    }
-
-    /// The submit loop. Exhausted bounce pages or queue slots
-    /// (backpressure) are the only reason to absorb a chunk early: absorb
-    /// the oldest in-flight chunk, then try this one again. A queue full of
-    /// other threads' chains, with none of ours to absorb, is waited out
-    /// with [`reclaim`](Self::reclaim).
-    fn submit_chunks(&self, x: Xfer<'_>, inflight: &mut InFlight) -> Result<(), VpimError> {
+        let mut outputs = Vec::new();
+        let mut report = OpReport::default();
         for chunk in x.chunks() {
-            loop {
-                match self.submit_chunk(chunk) {
-                    Ok(c) => break inflight.chunks.push_back(c),
-                    Err(e) if e.is_backpressure() => match inflight.chunks.pop_front() {
-                        Some(oldest) => {
-                            self.absorb_chunk(oldest, &mut inflight.outputs, &mut inflight.report)?;
-                        }
-                        None if matches!(e, VpimError::Virtio(VirtioError::QueueFull)) => {
-                            self.reclaim()?;
-                        }
-                        None => return Err(e),
-                    },
-                    Err(e) => return Err(e),
-                }
-            }
+            self.transfer_chunk(chunk, &mut outputs, &mut report)?;
         }
-        Ok(())
-    }
-
-    /// Completes every chunk still in flight, oldest first. After the first
-    /// failure (`failed` carries one in from the submit loop) the rest are
-    /// completed with their results discarded; the first error in
-    /// submission order is returned.
-    fn settle(&self, inflight: &mut InFlight, mut failed: Option<VpimError>) -> Result<(), VpimError> {
-        while let Some(c) = inflight.chunks.pop_front() {
-            if failed.is_some() {
-                let _ = self.complete(c.op);
-            } else {
-                failed =
-                    self.absorb_chunk(c, &mut inflight.outputs, &mut inflight.report).err();
-            }
-        }
-        failed.map_or(Ok(()), Err)
+        Ok((outputs, report))
     }
 
     /// Builds one chunk's matrix, the one step where staged and pinned
-    /// writes differ, then serializes and submits it.
-    fn submit_chunk(&self, x: Xfer<'_>) -> Result<Chunk, VpimError> {
-        let (matrix, data, req) = match x {
-            Xfer::Write(entries) => {
-                let (m, lease) = TransferMatrix::from_user_buffers(&self.mem, entries)?;
-                (m, DataPages::Staged(lease), Request::WriteRank { nr_dpus: entries.len() as u32 })
-            }
-            Xfer::Pinned(entries) => {
-                let m = TransferMatrix::from_guest_bufs(&self.mem, entries)?;
-                let held = entries.iter().map(|(_, _, b)| (*b).clone()).collect();
-                (m, DataPages::Pinned(held), Request::WriteRank { nr_dpus: entries.len() as u32 })
-            }
-            Xfer::Read(reqs) => {
-                let (m, lease) = TransferMatrix::alloc_read_buffers(&self.mem, reqs)?;
-                (m, DataPages::Staged(lease), Request::ReadRank { nr_dpus: reqs.len() as u32 })
-            }
-        };
-        let pages = matrix.total_pages();
-        let mut partial = OpReport::default();
-        partial.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-        let (bufs, meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
-        partial.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-        let op = self.submit(&req, &bufs)?;
-        let gather = matches!(x, Xfer::Read(_)).then_some(matrix);
-        Ok(Chunk { op, gather, partial, _data: data, _meta_lease: meta_lease })
-    }
-
-    /// Completes one chunk and folds its cost into `report`, appending a
-    /// read's per-entry outputs. The virtual-time values come from the
-    /// response (matrix-derived), so the result is the same whether this
-    /// runs during begin (backpressure) or during finish.
-    fn absorb_chunk(
+    /// writes differ, serializes and submits it, and waits for the device.
+    /// Folds the chunk's cost into `report`, whose virtual-time values come
+    /// from the matrix and the response, and appends a read's per-entry
+    /// outputs. The chunk's guest pages go back when it returns.
+    fn transfer_chunk(
         &self,
-        c: Chunk,
+        x: Xfer<'_>,
         outputs: &mut Vec<Vec<u8>>,
         report: &mut OpReport,
     ) -> Result<(), VpimError> {
-        let (resp, rt) = self.complete(c.op)?;
-        let mut partial = c.partial;
-        partial.absorb(&rt);
-        partial.step(
+        let (matrix, _staged, req) = match x {
+            Xfer::Write(entries) => {
+                let (m, lease) = TransferMatrix::from_user_buffers(&self.mem, entries)?;
+                (m, Some(lease), Request::WriteRank { nr_dpus: entries.len() as u32 })
+            }
+            Xfer::Pinned(entries) => {
+                let m = TransferMatrix::from_guest_bufs(&self.mem, entries)?;
+                (m, None, Request::WriteRank { nr_dpus: entries.len() as u32 })
+            }
+            Xfer::Read(reqs) => {
+                let (m, lease) = TransferMatrix::alloc_read_buffers(&self.mem, reqs)?;
+                (m, Some(lease), Request::ReadRank { nr_dpus: reqs.len() as u32 })
+            }
+        };
+        let pages = matrix.total_pages();
+        report.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
+        let (bufs, _meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
+        report.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
+        let op = loop {
+            match self.submit(&req, &bufs) {
+                // Other threads' chains hold every descriptor.
+                Err(VpimError::Virtio(VirtioError::QueueFull)) => self.reclaim()?,
+                op => break op?,
+            }
+        };
+        let (resp, rt) = self.complete(op)?;
+        report.absorb(&rt);
+        report.step(
             WriteStep::Deserialize,
             VirtualNanos::from_nanos(resp.deser_ns + resp.translate_ns),
         );
-        partial.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
-        partial.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
-        partial.add_rank_ops(1);
-        for entry in c.gather.iter().flat_map(|m| &m.entries) {
-            let data = TransferMatrix::gather(&self.mem, entry)?;
-            partial.add_duration(self.cm.memcpy(entry.len));
-            outputs.push(data);
+        report.step(WriteStep::TransferData, VirtualNanos::from_nanos(resp.transfer_ns));
+        report.add_ddr(VirtualNanos::from_nanos(resp.ddr_ns));
+        report.add_rank_ops(1);
+        if matches!(x, Xfer::Read(_)) {
+            for entry in &matrix.entries {
+                outputs.push(TransferMatrix::gather(&self.mem, entry)?);
+                report.add_duration(self.cm.memcpy(entry.len));
+            }
         }
-        report.absorb(&partial);
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 //! misses, retired fetches, inter-append virtual gaps). That purity is the
 //! determinism argument of DESIGN.md §16 — the per-frontend event stream
 //! is fixed by the workload's program order and virtual-time costs, so the
-//! policies reach identical decisions under inline and lane dispatch and
+//! policies reach identical decisions with one device or several and
 //! under any worker-thread count. It also makes the machines
 //! directly drivable by property tests, with no system around them.
 

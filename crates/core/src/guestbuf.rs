@@ -22,9 +22,9 @@ use crate::matrix::PageLease;
 /// hold it.
 ///
 /// Clones share the pages, which go back to the guest allocator when the
-/// last clone drops. A transfer in flight holds a clone, so dropping the
-/// application's handle mid-transfer frees nothing the device still
-/// reads. A fresh buffer reads as zeros, like a fresh anonymous mapping.
+/// last clone drops. A transfer borrows the buffer until it has finished,
+/// so the device never reads a page the guest has given back. A fresh
+/// buffer reads as zeros, like a fresh anonymous mapping.
 #[derive(Debug, Clone)]
 pub struct GuestBuf {
     inner: Arc<Pinned>,
@@ -206,7 +206,10 @@ mod tests {
         assert_eq!(mem.free_pages(), before - 3);
         drop(held);
         assert_eq!(mem.free_pages(), before);
-        assert!(GuestBuf::alloc(&mem, 9 * PAGE_SIZE as usize).unwrap_err().is_backpressure());
+        assert!(matches!(
+            GuestBuf::alloc(&mem, 9 * PAGE_SIZE as usize),
+            Err(VpimError::Virtio(VirtioError::OutOfPages { .. }))
+        ));
         assert_eq!(mem.free_pages(), before);
     }
 }

@@ -453,6 +453,7 @@ impl TransferMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_virtio::VirtioError;
     use proptest::prelude::*;
 
     fn mem() -> GuestMemory {
@@ -626,14 +627,14 @@ mod tests {
         let data = vec![0u8; 8 * PAGE_SIZE as usize];
         let err = TransferMatrix::from_user_buffers(&mem, &[(0, 0, &data), (1, 0, &data)])
             .unwrap_err();
-        assert!(err.is_backpressure(), "{err}");
+        assert!(matches!(err, VpimError::Virtio(VirtioError::OutOfPages { .. })), "{err}");
         assert_eq!(mem.free_pages(), before);
         let err = TransferMatrix::alloc_read_buffers(
             &mem,
             &[(0, 0, 4 * PAGE_SIZE), (1, 0, 8 * PAGE_SIZE), (2, 0, 8 * PAGE_SIZE)],
         )
         .unwrap_err();
-        assert!(err.is_backpressure(), "{err}");
+        assert!(matches!(err, VpimError::Virtio(VirtioError::OutOfPages { .. })), "{err}");
         assert_eq!(mem.free_pages(), before);
     }
 

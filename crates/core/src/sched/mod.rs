@@ -26,8 +26,8 @@
 //! All accounting is in **virtual time** — the backend charges each
 //! completed operation's modeled duration via [`Scheduler::charge`], so
 //! the same workload observes identical vruntime growth and (policy
-//! inputs being equal) identical schedules whether its requests ran
-//! inline or on lanes, preserving the virtual-clock determinism rule.
+//! inputs being equal) identical schedules whichever thread ran its
+//! requests, preserving the virtual-clock determinism rule.
 //!
 //! [`Rank::snapshot_quiescent`]: upmem_sim::Rank::snapshot_quiescent
 
@@ -583,7 +583,7 @@ impl Scheduler {
     /// Charges `vt` of virtual time against `tenant`'s lease and account.
     /// The backend calls this once per successfully completed operation
     /// with the operation's modeled duration, so scheduling accounts are
-    /// identical whether requests ran inline or on lanes.
+    /// identical whichever thread ran the requests.
     pub fn charge(&self, tenant: &str, vt: VirtualNanos) {
         let ns = vt.as_nanos();
         let waiters = {

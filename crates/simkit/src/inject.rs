@@ -22,8 +22,9 @@
 //!   driven points use [`FaultPlane::hit`], which advances a per-point
 //!   counter; concurrently driven points use [`FaultPlane::hit_keyed`] with
 //!   a caller-supplied key (e.g. the per-request entry index), so thread
-//!   interleaving cannot change the fault schedule. Inline and lane
-//!   dispatch, at any data-pool width, therefore see bit-identical faults.
+//!   interleaving cannot change the fault schedule. One-device and
+//!   multi-device VMs, at any data-pool width, therefore see bit-identical
+//!   faults.
 //! * **Observable.** Arms, fires and suppressed (non-firing) hits are
 //!   counted globally (`inject.{armed,fired,suppressed}` when bound to a
 //!   registry) and per point ([`FaultPlane::point_stats`]).

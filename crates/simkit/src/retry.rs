@@ -5,8 +5,8 @@
 //! retry under a [`RetryPolicy`] instead of ad-hoc loops. All backoff is
 //! **virtual time** — no thread ever sleeps for it; the computed delay is
 //! charged to the operation's timeline, so a retried run reports a
-//! deterministic, seed-reproducible duration and inline vs lane dispatch
-//! agree bit-for-bit.
+//! deterministic, seed-reproducible duration whichever thread ran the
+//! handler.
 //!
 //! The backoff sequence is exponential with deterministic jitter and is
 //! monotone non-decreasing by construction: the step multiplier is clamped

@@ -6,7 +6,7 @@ use simkit::{CostModel, VirtualNanos};
 use upmem_driver::PerfMapping;
 use simkit::cost::DataPath;
 use upmem_sim::ci::CiStatus;
-use vpim::frontend::{Frontend, InFlight};
+use vpim::frontend::Frontend;
 use vpim::{GuestBuf, OpReport};
 
 use crate::error::SdkError;
@@ -29,20 +29,6 @@ impl std::fmt::Debug for RankChannel {
             RankChannel::Virt(_) => write!(f, "RankChannel::Virt"),
         }
     }
-}
-
-/// A matrix transfer started with [`RankChannel::begin_write_matrix`] or
-/// [`RankChannel::begin_read_matrix`]. Native channels complete
-/// synchronously (the mmap'ed copy happens during begin); virtualized
-/// channels are genuinely in flight, so beginning the next rank's transfer
-/// before finishing this one overlaps the two.
-#[derive(Debug)]
-pub enum PendingMatrix {
-    /// Already complete; carries the read outputs (none for a write) and
-    /// the final report.
-    Done(Vec<Vec<u8>>, OpReport),
-    /// Awaiting a vUPMEM device completion.
-    Virt(InFlight),
 }
 
 /// The report of one native rank transfer of `bytes` bytes taking `ddr` on
@@ -92,70 +78,64 @@ impl RankChannel {
         }
     }
 
-    /// Starts a parallel `write-to-rank` of per-DPU buffers without waiting
-    /// for completion. Begin the write on every channel of a multi-rank set
-    /// first, then [`finish_matrix`](Self::finish_matrix) each one: under
-    /// parallel dispatch the per-rank transfers overlap in wall-clock time,
-    /// while every virtual-time figure is the same as finishing each
-    /// before beginning the next.
+    /// A parallel `write-to-rank` of per-DPU buffers, run to completion.
     ///
     /// # Errors
     ///
     /// Hardware bounds errors or transport failures.
-    pub fn begin_write_matrix(
+    pub fn write_matrix(
         &self,
         entries: &[(u32, u64, &[u8])],
         cm: &CostModel,
-    ) -> Result<PendingMatrix, SdkError> {
+    ) -> Result<OpReport, SdkError> {
         match self {
             RankChannel::Native(p) => {
                 let native: Vec<(usize, u64, &[u8])> =
                     entries.iter().map(|(d, o, b)| (*d as usize, *o, *b)).collect();
                 let bytes = p.write_matrix(&native)?;
-                let report = native_report(cm, bytes, cm.rank_transfer_parallel(bytes));
-                Ok(PendingMatrix::Done(Vec::new(), report))
+                Ok(native_report(cm, bytes, cm.rank_transfer_parallel(bytes)))
             }
-            RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_write_rank(entries)?)),
+            RankChannel::Virt(f) => Ok(f.write_rank(entries)?),
         }
     }
 
-    /// [`begin_write_matrix`](Self::begin_write_matrix) from transfer
-    /// buffers. On a VM channel whose buffers all live in guest RAM the
-    /// matrix names their pages; otherwise their bytes take the `&[u8]`
-    /// path (guest buffers mixed with host ones are copied out first).
+    /// [`write_matrix`](Self::write_matrix) from transfer buffers. On a VM
+    /// channel whose buffers all live in guest RAM the matrix names their
+    /// pages; otherwise their bytes take the `&[u8]` path (guest buffers
+    /// mixed with host ones are copied out first).
     ///
     /// # Errors
     ///
-    /// As [`begin_write_matrix`](Self::begin_write_matrix).
-    pub fn begin_write_bufs(
+    /// As [`write_matrix`](Self::write_matrix).
+    pub fn write_bufs(
         &self,
         entries: &[(u32, u64, &XferBuf)],
         cm: &CostModel,
-    ) -> Result<PendingMatrix, SdkError> {
+    ) -> Result<OpReport, SdkError> {
         if let RankChannel::Virt(f) = self {
             let pinned: Option<Vec<(u32, u64, &GuestBuf)>> =
                 entries.iter().map(|&(d, o, b)| Some((d, o, b.as_guest()?))).collect();
             if let Some(pinned) = pinned {
-                return Ok(PendingMatrix::Virt(f.begin_write_rank_pinned(&pinned)?));
+                return Ok(f.write_rank_pinned(&pinned)?);
             }
         }
         let bytes: Vec<_> = entries.iter().map(|(_, _, b)| b.bytes()).collect();
         let staged: Vec<(u32, u64, &[u8])> =
             entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, &**b)).collect();
-        self.begin_write_matrix(&staged, cm)
+        self.write_matrix(&staged, cm)
     }
 
-    /// Starts a parallel `read-from-rank` of per-DPU ranges without waiting
-    /// for completion; pair with [`finish_matrix`](Self::finish_matrix).
+    /// A parallel `read-from-rank` of per-DPU ranges, run to completion:
+    /// one buffer per range plus the cost report.
     ///
     /// # Errors
     ///
     /// Hardware bounds errors or transport failures.
-    pub fn begin_read_matrix(
+    pub fn read_matrix(
         &self,
         reqs: &[(u32, u64, u64)],
         cm: &CostModel,
-    ) -> Result<PendingMatrix, SdkError> {
+    ) -> Result<(Vec<Vec<u8>>, OpReport), SdkError> {
         match self {
             RankChannel::Native(p) => {
                 let mut outs: Vec<Vec<u8>> =
@@ -166,33 +146,9 @@ impl RankChannel {
                     .map(|((d, o, _), buf)| (*d as usize, *o, buf.as_mut_slice()))
                     .collect();
                 let bytes = p.read_matrix(&mut views)?;
-                let report = native_report(cm, bytes, cm.rank_transfer_parallel(bytes));
-                Ok(PendingMatrix::Done(outs, report))
+                Ok((outs, native_report(cm, bytes, cm.rank_transfer_parallel(bytes))))
             }
-            RankChannel::Virt(f) => Ok(PendingMatrix::Virt(f.begin_read_rank(reqs)?)),
-        }
-    }
-
-    /// Completes a transfer started on this channel by
-    /// [`begin_write_matrix`](Self::begin_write_matrix) or
-    /// [`begin_read_matrix`](Self::begin_read_matrix): one buffer per read
-    /// range (none for a write) plus the cost report.
-    ///
-    /// # Errors
-    ///
-    /// Hardware bounds errors or transport failures.
-    pub fn finish_matrix(
-        &self,
-        pending: PendingMatrix,
-    ) -> Result<(Vec<Vec<u8>>, OpReport), SdkError> {
-        match (pending, self) {
-            (PendingMatrix::Done(outs, report), _) => Ok((outs, report)),
-            (PendingMatrix::Virt(inflight), RankChannel::Virt(f)) => {
-                Ok(f.finish_rank(inflight)?)
-            }
-            (PendingMatrix::Virt(_), RankChannel::Native(_)) => {
-                unreachable!("pending transfer finished on a different channel")
-            }
+            RankChannel::Virt(f) => Ok(f.read_rank(reqs)?),
         }
     }
 
@@ -414,11 +370,9 @@ mod tests {
         check(&r, 4096, cm.rank_transfer_serial(4096));
 
         let (a, b) = (vec![1u8; 8192], vec![2u8; 2048]);
-        let pending = ch.begin_write_matrix(&[(0, 0, &a[..]), (1, 64, &b[..])], &cm).unwrap();
-        let (_, r) = ch.finish_matrix(pending).unwrap();
+        let r = ch.write_matrix(&[(0, 0, &a[..]), (1, 64, &b[..])], &cm).unwrap();
         check(&r, 10_240, cm.rank_transfer_parallel(10_240));
-        let pending = ch.begin_read_matrix(&[(0, 0, 8192), (1, 64, 2048)], &cm).unwrap();
-        let (outs, r) = ch.finish_matrix(pending).unwrap();
+        let (outs, r) = ch.read_matrix(&[(0, 0, 8192), (1, 64, 2048)], &cm).unwrap();
         check(&r, 10_240, cm.rank_transfer_parallel(10_240));
         assert_eq!(outs, vec![a, b]);
 

@@ -46,7 +46,7 @@ pub mod error;
 pub mod set;
 pub mod xfer;
 
-pub use channel::{PendingMatrix, RankChannel};
+pub use channel::RankChannel;
 pub use error::SdkError;
 pub use set::DpuSet;
 pub use xfer::XferBuf;

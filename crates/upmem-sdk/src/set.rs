@@ -10,18 +10,9 @@ use upmem_sim::ci::CiStatus;
 use vpim::frontend::Frontend;
 use vpim::OpReport;
 
-use crate::channel::{PendingMatrix, RankChannel};
+use crate::channel::RankChannel;
 use crate::error::SdkError;
 use crate::xfer::XferBuf;
-
-/// True when a channel error means "the VM's bounded transport resources
-/// (bounce pages, virtqueue slots) are exhausted by in-flight operations
-/// on *other* channels" — finishing those and retrying is the correct
-/// response. Intra-channel pressure is already handled inside the
-/// frontend's begin path.
-fn is_backpressure(e: &SdkError) -> bool {
-    matches!(e, SdkError::Vpim(v) if v.is_backpressure())
-}
 
 /// A set of allocated DPUs spanning one or more ranks.
 ///
@@ -269,63 +260,32 @@ impl DpuSet {
     }
 
     /// One matrix transfer per rank, shared by both push directions.
-    /// `begin(channel, cost model, the channel's DPUs, global index of its
-    /// first DPU)` starts a rank's transfer. Every rank is begun before any
-    /// is finished: under parallel dispatch the per-rank transfers
-    /// genuinely overlap in wall-clock time (§4.2's overlapped multi-rank
-    /// `dpu_push_xfer`); under sequential dispatch begin runs the handler
-    /// inline, so the two modes produce identical reports. Returns the read
-    /// outputs in DPU order (none for a write).
+    /// `xfer(channel, cost model, the channel's DPUs, global index of its
+    /// first DPU)` runs one rank's transfer to completion. Rank *k* is
+    /// finished before rank *k + 1* starts, so a VM push holds one rank's
+    /// guest pages at a time; §4.2's overlap of the ranks is
+    /// [`compose`](Self::compose)'s, in virtual time. The first failing
+    /// rank ends the push, as a serial loop would: the ranks before it hold
+    /// the new bytes, the ranks after it were never sent, and nothing is
+    /// charged. Returns the read outputs in DPU order (none for a write).
     fn push_xfer(
         &mut self,
         seg: DriverSegment,
-        begin: impl Fn(&RankChannel, &CostModel, &[u32], usize) -> Result<PendingMatrix, SdkError>,
+        xfer: impl Fn(
+            &RankChannel,
+            &CostModel,
+            &[u32],
+            usize,
+        ) -> Result<(Vec<Vec<u8>>, OpReport), SdkError>,
     ) -> Result<Vec<Vec<u8>>, SdkError> {
-        let mut pendings: Vec<(&RankChannel, PendingMatrix)> =
-            Vec::with_capacity(self.channels.len());
         let mut reports = Vec::with_capacity(self.channels.len());
         let mut outputs = Vec::new();
-        let mut begin_err: Option<SdkError> = None;
-        let mut finish_err: Option<SdkError> = None;
-        // Results stay in channel order however early a rank is finished.
-        let mut finish_all = |pendings: &mut Vec<(&RankChannel, PendingMatrix)>| {
-            for (c, p) in pendings.drain(..) {
-                match c.finish_matrix(p) {
-                    Ok((mut outs, r)) => {
-                        outputs.append(&mut outs);
-                        reports.push(r);
-                    }
-                    Err(e) => {
-                        finish_err.get_or_insert(e);
-                    }
-                }
-            }
-        };
         let mut first = 0usize;
         for (c, dpus) in self.channels.iter().zip(&self.per_channel) {
-            let mut attempt = begin(c, &self.cm, dpus, first);
-            if matches!(&attempt, Err(e) if is_backpressure(e)) && !pendings.is_empty() {
-                // Earlier ranks' in-flight transfers hold the VM-wide
-                // bounce pool: reclaim by finishing them, then retry this
-                // rank once.
-                finish_all(&mut pendings);
-                attempt = begin(c, &self.cm, dpus, first);
-            }
+            let (mut outs, r) = xfer(c, &self.cm, dpus, first)?;
             first += dpus.len();
-            match attempt {
-                Ok(p) => pendings.push((c, p)),
-                Err(e) => {
-                    begin_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Always finish what was begun (reclaims guest pages and queue
-        // slots); report the first error in channel order, as a serial loop
-        // would.
-        finish_all(&mut pendings);
-        if let Some(e) = finish_err.or(begin_err) {
-            return Err(e);
+            outputs.append(&mut outs);
+            reports.push(r);
         }
         let merged = self.compose(reports);
         self.charge(seg, &merged);
@@ -344,7 +304,7 @@ impl DpuSet {
         self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
             let entries: Vec<(u32, u64, &[u8])> =
                 dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b.as_slice())).collect();
-            c.begin_write_matrix(&entries, cm)
+            Ok((Vec::new(), c.write_matrix(&entries, cm)?))
         })?;
         Ok(())
     }
@@ -429,7 +389,7 @@ impl DpuSet {
         self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, first| {
             let entries: Vec<(u32, u64, &XferBuf)> =
                 dpus.iter().zip(&bufs[first..]).map(|(d, b)| (*d, offset, b)).collect();
-            c.begin_write_bufs(&entries, cm)
+            Ok((Vec::new(), c.write_bufs(&entries, cm)?))
         })?;
         Ok(())
     }
@@ -448,7 +408,7 @@ impl DpuSet {
         self.push_xfer(DriverSegment::WriteRank, |c, cm, dpus, _| {
             let entries: Vec<(u32, u64, &XferBuf)> =
                 dpus.iter().map(|d| (*d, offset, buf)).collect();
-            c.begin_write_bufs(&entries, cm)
+            Ok((Vec::new(), c.write_bufs(&entries, cm)?))
         })?;
         Ok(())
     }
@@ -463,7 +423,7 @@ impl DpuSet {
         self.push_xfer(DriverSegment::ReadRank, |c, cm, dpus, _| {
             let reqs: Vec<(u32, u64, u64)> =
                 dpus.iter().map(|d| (*d, offset, len as u64)).collect();
-            c.begin_read_matrix(&reqs, cm)
+            c.read_matrix(&reqs, cm)
         })
     }
 

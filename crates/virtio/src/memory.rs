@@ -375,6 +375,14 @@ impl GuestMemory {
         self.inner.allocator.lock().nfree
     }
 
+    /// Pages written since this RAM was handed out: the ones whose dirty
+    /// bit is set, and the ones a drop of the last handle will zero.
+    #[must_use]
+    pub fn dirty_pages(&self) -> usize {
+        let ram = self.inner.ram.read();
+        ram.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Installs the fault-injection plane: every clone of this memory
     /// starts consulting [`MEM_EIO_POINT`] on scoped data accesses.
     pub fn install_fault_plane(&self, plane: Arc<FaultPlane>) {
@@ -775,6 +783,22 @@ fn pieces(pages: &[Gpa], offset: u64, len: u64) -> impl Iterator<Item = (Gpa, us
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A page counts once however often it is written, a write across a
+    /// page boundary counts both pages, and reads count nothing.
+    #[test]
+    fn dirty_pages_counts_each_written_page_once() {
+        let mem = GuestMemory::new(40 * PAGE_SIZE);
+        assert_eq!(mem.dirty_pages(), 0);
+        mem.write(Gpa(3 * PAGE_SIZE + 8), &[1; 16]).unwrap();
+        mem.write(Gpa(3 * PAGE_SIZE), &[2; 4]).unwrap();
+        assert_eq!(mem.dirty_pages(), 1);
+        mem.with_slice_mut(Gpa(7 * PAGE_SIZE - 2), 4, |s| s.fill(3))
+            .unwrap();
+        let mut back = [0u8; 64];
+        mem.read(Gpa(20 * PAGE_SIZE), &mut back).unwrap();
+        assert_eq!(mem.dirty_pages(), 3);
+    }
 
     #[test]
     fn read_write_roundtrip() {

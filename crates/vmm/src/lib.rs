@@ -9,10 +9,9 @@
 //! * [`Vm`] — guest memory + attached [`VirtioDevice`]s + boot sequence
 //!   (§3.2: cmdline advertisement, driver probe, per-device boot cost);
 //! * [`EventManager`] — Firecracker's event loop. vPIM's parallel
-//!   operation handling takes each request off the loop's thread so that
-//!   requests to different ranks overlap (§4.2, Fig. 15/16) — here, one
-//!   FIFO lane per device of a multi-device VM. Whether the *modelled*
-//!   times overlap is decided by the callers' composition, not here.
+//!   operation handling lets requests to different ranks overlap (§4.2,
+//!   Fig. 15/16); here that overlap is the callers' virtual-time
+//!   composition, and every kick runs its handler on the kicking thread.
 //!
 //! Trap/IRQ accounting lives here because the guest↔VMM transition count is
 //! the paper's dominant overhead driver.
@@ -27,5 +26,5 @@ pub mod vm;
 
 pub use config::{VmConfig, VupmemConfig};
 pub use device::{VirtioDevice, VmmError};
-pub use event::{EventManager, KickHandle, KICK_DROP_POINT};
+pub use event::{EventManager, KICK_DROP_POINT};
 pub use vm::{BootReport, Vm};

@@ -1,9 +1,8 @@
 //! Adaptive-controller determinism (DESIGN.md §16): the controller is a
 //! pure function of virtual-time observations, so with `adapt` enabled the
 //! same workload must produce bit-identical payloads, per-request reports,
-//! and `frontend.adapt.*` telemetry whether the device's handler runs on
-//! the kicking thread (a one-device VM) or on its lane (a two-device VM),
-//! and under any test-harness thread count (the
+//! and `frontend.adapt.*` telemetry in a one-device and in a two-device
+//! VM, and under any test-harness thread count (the
 //! gate runs `canonical_adapt_report` under `RUST_TEST_THREADS=1` and `=8`
 //! and byte-compares the JSON). Property tests pin the policy machines:
 //! the window never leaves its bounds and converges on steady traces
@@ -146,7 +145,7 @@ fn adaptive_runs_identical_across_dispatch_modes() {
     assert_eq!(seq.outputs, par.outputs, "payloads diverged");
     assert_eq!(seq.reports.len(), par.reports.len());
     for (i, (s, p)) in seq.reports.iter().zip(&par.reports).enumerate() {
-        assert_eq!(s, p, "request {i}: dispatch mode leaked into the controller");
+        assert_eq!(s, p, "request {i}: the device count leaked into the controller");
     }
     assert_eq!(seq.adapt, par.adapt, "frontend.adapt.* telemetry diverged");
     // The mix actually exercised the controller.
@@ -196,7 +195,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The gate's artifact: one canonical run on a lane serialized to JSON.
+/// The gate's artifact: one canonical two-device run serialized to JSON.
 /// `ci/adaptive-gate.sh` runs this under `RUST_TEST_THREADS=1` and `=8`
 /// and byte-compares the two files — harness scheduling must not reach
 /// virtual time or the controller.

@@ -7,8 +7,7 @@
 //! (b) the system stays usable afterwards, and a follow-up clean run
 //!     produces bit-identical payloads;
 //! (c) `inject.*` / `retry.*` telemetry totals are exact and identical
-//!     whether the device's handler runs on the kicking thread (a
-//!     one-device VM) or on its lane (a two-device VM): injection
+//!     in a one-device and in a two-device VM: injection
 //!     decisions are derived from seeded hashes and virtual time, never
 //!     wall clock.
 //!
@@ -113,7 +112,7 @@ fn dropped_kick_is_retried_transparently() {
         drop(vm);
         sys.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
 // --------------------------------------------------------- virtio memory
@@ -172,7 +171,7 @@ fn transient_mem_eio_is_typed_and_the_system_stays_usable() {
         drop(vm);
         sys.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree");
 }
 
 /// Ring entries, matrix records and the guest's buffer fill are read and
@@ -586,8 +585,8 @@ fn pheap_opts(sys: &VpimSystem) -> PheapOptions {
 /// A torn WAL append surfaces typed, the `inject.*` totals are exact
 /// (persist attempts are keyed by sequence number, so `Nth(2)` spares
 /// the first persist and tears the second), and recovery discards the
-/// torn tail — the committed payload survives bit-identically whether
-/// the handler runs inline or on a lane.
+/// torn tail — the committed payload survives bit-identically with one
+/// device or two.
 #[test]
 fn torn_pheap_wal_append_is_typed_and_recovery_discards_the_tail() {
     let seed = sweep_seed();
@@ -628,7 +627,7 @@ fn torn_pheap_wal_append_is_typed_and_recovery_discards_the_tail() {
         drop(vm);
         sys.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
 /// A dropped commit record leaves a *fully written* transaction body that
@@ -676,7 +675,7 @@ fn dropped_pheap_commit_discards_a_fully_written_body() {
         drop(vm);
         sys.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
 /// The 8-seed crash matrix (derived from `CHAOS_SEED` like the gate's
@@ -684,7 +683,7 @@ fn dropped_pheap_commit_discards_a_fully_written_body() {
 /// deterministic write/persist stream until the injected crash, kills
 /// the VM via rank snapshot, restores into a fresh VM, and recovers.
 /// The recovered heap must equal the committed prefix bit-for-bit, with
-/// exact injection totals, identically inline and on a lane.
+/// exact injection totals, identically with one device and with two.
 #[test]
 fn pheap_crash_matrix_recovers_committed_state_across_seeds() {
     let base = sweep_seed();

@@ -1,5 +1,5 @@
 //! The fleet plane's contract (ISSUE 8): placement invariants, live
-//! migration bit-identity inline and on a lane, rollback on injected
+//! migration bit-identity with one device and two, rollback on injected
 //! mid-migration faults, and exact `cluster.*` / `migrate.*` telemetry.
 //!
 //! The chaos sweep seed set is fixed (eight seeds, in-loop) so a failure
@@ -53,9 +53,8 @@ fn read_state(fleet: &Fleet, tenant: &str, len: usize) -> (Vec<Vec<u8>>, Virtual
 // ------------------------------------------------------------ bit identity
 
 /// The tentpole contract: a migrated tenant's rank state and op costs are
-/// bit-identical to a never-migrated control, whether device 0's handler
-/// runs inline (a one-device tenant) or on its lane (a two-device tenant),
-/// and the state and costs agree across the two.
+/// bit-identical to a never-migrated control, for a one-device and a
+/// two-device tenant, and the state and costs agree across the two.
 #[test]
 fn migration_is_bit_identical_across_dispatch_modes() {
     let seed = 0x5EED_0001u64;
@@ -104,7 +103,7 @@ fn migration_is_bit_identical_across_dispatch_modes() {
         migrated.shutdown();
         control.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
 /// Stop-and-copy's cost is the sum of its parts: every source rank's

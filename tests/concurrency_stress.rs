@@ -186,8 +186,8 @@ fn stress_many_vms_many_ranks_many_client_threads() {
 /// write is one 130-entry matrix, so three chunks (64 + 64 + 2), whose
 /// entries 65..130 rewrite the offsets of entries 0..65 with different
 /// bytes: the read-back equals the second pattern only if every thread's
-/// chunks reach the rank in submission order, whether the device's
-/// handlers run on the kicking threads (one device) or on its lane (two).
+/// chunks reach the rank in submission order, with one device or two
+/// (every handler runs on a kicking thread).
 #[test]
 fn concurrent_threads_share_one_frontend_without_losing_completions() {
     const HALF: usize = 65;

@@ -1,9 +1,8 @@
 //! Zero-copy data-path invariants at the system level:
 //!
-//! * the pooled path is **bit-identical** across dispatch modes — the same
-//!   ranks driven by one two-device VM (each device's handler on its own
-//!   lane) and by two one-device VMs (each handler on the kicking thread)
-//!   agree on payloads, virtual-time reports, and the deterministic pool
+//! * the pooled path is **bit-identical** across VM shapes — the same
+//!   ranks driven by one two-device VM and by two one-device VMs agree on
+//!   payloads, virtual-time reports, and the deterministic pool
 //!   totals (`hits + misses`, `datapath.bytes.zero_copy`), even though the
 //!   hit/miss *split* may differ per worker shard;
 //! * every `PoolGuard` returns its buffer (`datapath.pool.outstanding`
@@ -53,12 +52,12 @@ fn payload(rank: usize, dpu: u32, round: usize) -> Vec<u8> {
 type PoolTotals = (u64, u64, u64, i64);
 
 /// Runs `rounds` of full-rank write+read on every rank and returns the
-/// reports, the read-back payloads, and the pool counters. `lanes`: the
+/// reports, the read-back payloads, and the pool counters. `one_vm`: the
 /// ranks belong to one `RANKS`-device VM; otherwise to `RANKS` one-device
 /// VMs.
-fn run(lanes: bool, rounds: usize) -> (Vec<OpReport>, Vec<Vec<u8>>, PoolTotals) {
+fn run(one_vm: bool, rounds: usize) -> (Vec<OpReport>, Vec<Vec<u8>>, PoolTotals) {
     let sys = VpimSystem::start(host(), config(), StartOpts::default());
-    let vms: Vec<_> = if lanes {
+    let vms: Vec<_> = if one_vm {
         vec![sys.launch(TenantSpec::new("pool").devices(RANKS)).unwrap()]
     } else {
         (0..RANKS).map(|r| sys.launch(TenantSpec::new(format!("pool{r}"))).unwrap()).collect()
@@ -121,11 +120,11 @@ fn pooled_path_is_bit_identical_across_dispatch_modes() {
     assert_eq!(
         seq_hits + seq_misses,
         par_hits + par_misses,
-        "pool take count depends on dispatch mode"
+        "pool take count depends on the VM shape"
     );
-    assert_eq!(seq_zero_copy, par_zero_copy, "zero-copy bytes depend on dispatch mode");
-    assert_eq!(seq_outstanding, 0, "inline run leaked pool guards");
-    assert_eq!(par_outstanding, 0, "lanes run leaked pool guards");
+    assert_eq!(seq_zero_copy, par_zero_copy, "zero-copy bytes depend on the VM shape");
+    assert_eq!(seq_outstanding, 0, "one-device VMs leaked pool guards");
+    assert_eq!(par_outstanding, 0, "the multi-device VM leaked pool guards");
     // Exact byte accounting: every write and every read of every round
     // moves DPUS_PER_RANK * BYTES_PER_DPU bytes through run_entries.
     let expected = (2 * 2 * RANKS * DPUS_PER_RANK * BYTES_PER_DPU) as u64;

@@ -1,12 +1,11 @@
 //! Two-clock determinism: real OS-thread parallelism must never leak into
 //! virtual time. Two kinds of comparison run here.
 //!
-//! * *Model fixed, mechanism perturbed.* The same checksum application on
-//!   device 0 of a one-device VM (its handler runs on the kicking thread)
-//!   and of a two-device VM (its handler runs on device 0's lane) produces
+//! * *Model fixed, host perturbed.* The same checksum application on
+//!   device 0 of a one-device VM and of a two-device VM produces
 //!   bit-identical payloads, whole timelines, per-rank offsets and
-//!   registry totals. A guest too small for an op's bounce pages changes
-//!   nothing but the overlap, under either dispatch.
+//!   registry totals. A guest with room for only one rank's (or one
+//!   chunk's) transfer at a time changes nothing at all.
 //! * *Model perturbed.* `parallel_handling` picks how a multi-rank op's
 //!   per-rank times compose (Fig. 15/16: back-to-back vs overlapped). Each
 //!   composition repeats bit-identically, and the two agree on everything
@@ -15,11 +14,12 @@
 use std::sync::Arc;
 
 use microbench::checksum::{self, Checksum};
+use pim_virtio::VirtioError;
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
-use upmem_sdk::DpuSet;
+use upmem_sdk::{DpuSet, SdkError};
 use upmem_sim::{PimConfig, PimMachine};
-use vpim::{OpReport, StartOpts, TenantSpec, VpimConfig, VpimSystem};
+use vpim::{OpReport, StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem};
 
 const RANKS: usize = 4;
 const DPUS_PER_RANK: usize = 8;
@@ -81,16 +81,16 @@ fn run_on_device0(devices: usize) -> Device0Run {
 }
 
 #[test]
-fn inline_and_lane_dispatch_agree_on_whole_reports_and_totals() {
-    let inline = run_on_device0(1);
-    let lanes = run_on_device0(2);
-    assert!(inline.0, "checksum must verify");
-    assert_eq!(inline.1, lanes.1, "checksum value");
-    assert_eq!(inline.2, lanes.2, "payloads read back");
-    assert_eq!(inline.3, lanes.3, "whole timeline");
-    assert_eq!(inline.4, lanes.4, "per-rank completion offsets (Fig. 16)");
-    assert_eq!(inline.5, lanes.5, "registry totals {TOTALS:?}");
-    assert!(inline.5.iter().all(|&n| n > 0), "the run moved every total: {:?}", inline.5);
+fn one_and_two_device_vms_agree_on_whole_reports_and_totals() {
+    let one = run_on_device0(1);
+    let two = run_on_device0(2);
+    assert!(one.0, "checksum must verify");
+    assert_eq!(one.1, two.1, "checksum value");
+    assert_eq!(one.2, two.2, "payloads read back");
+    assert_eq!(one.3, two.3, "whole timeline");
+    assert_eq!(one.4, two.4, "per-rank completion offsets (Fig. 16)");
+    assert_eq!(one.5, two.5, "registry totals {TOTALS:?}");
+    assert!(one.5.iter().all(|&n| n > 0), "the run moved every total: {:?}", one.5);
 }
 
 /// The full checksum application over every rank through the SDK; returns
@@ -154,11 +154,22 @@ fn modes_agree_on_everything_but_the_overlap_model() {
     assert!(last_seq >= last_par, "seq {last_seq} vs par {last_par}");
 }
 
-// ------------------------------------------------------------ backpressure
+// ------------------------------------------------------------ one at a time
 //
-// A guest too small for an op's bounce pages must change nothing but the
-// overlap: same bytes, same virtual-time figures as a roomy guest, and
-// every page and queue slot back where it was.
+// A push runs one rank at a time, and a rank's transfer one chunk at a
+// time. A guest with room for exactly one of them carries the whole
+// transfer with the same bytes and the same virtual-time figures as a
+// roomy guest, every page and queue slot comes back, and a multi-rank push
+// dirties one rank's guest pages, not one per rank.
+
+/// Guest pages every request takes besides its matrix: the request-info
+/// page and the status page.
+const REQUEST_PAGES: usize = 2;
+/// Guest pages of one serialized matrix in the transfers below: 8 bytes
+/// plus 32 per entry plus 8 per data page is under 4 KiB for both the
+/// 8-entry, 20-page-per-entry rank and the 64-entry, 3-page-per-entry
+/// chunk.
+const META_PAGES: usize = 1;
 
 /// A booted VM plus what must be unchanged once an op has finished.
 struct Guest {
@@ -176,16 +187,15 @@ fn resources(sys: &VpimSystem, vm: &vpim::VpimVm) -> (usize, Vec<i64>) {
 }
 
 impl Guest {
-    /// `tight_for = Some(n)`: the smallest guest the VMM boots, with all
-    /// but 1.5 n of its pages in use elsewhere — room for the bounce pages
-    /// of one n-page transfer, not two. `None`: the default 512 MiB.
-    fn boot(parallel: bool, devices: usize, tight_for: Option<usize>) -> Guest {
+    /// `room = Some(n)`: the smallest guest the VMM boots, with all but
+    /// `n` of its pages in use elsewhere. `None`: the default 512 MiB.
+    fn boot(parallel: bool, devices: usize, room: Option<usize>) -> Guest {
         let sys = VpimSystem::start(host(), config(parallel), StartOpts::default());
-        let mem_mib = if tight_for.is_some() { 16 } else { 512 };
-        let vm = sys.launch(TenantSpec::new("bp").devices(devices).mem_mib(mem_mib)).unwrap();
-        if let Some(n) = tight_for {
+        let mem_mib = if room.is_some() { 16 } else { 512 };
+        let vm = sys.launch(TenantSpec::new("room").devices(devices).mem_mib(mem_mib)).unwrap();
+        if let Some(n) = room {
             let mem = vm.vm().memory();
-            mem.alloc_pages(mem.free_pages() - n * 3 / 2).unwrap();
+            mem.alloc_pages(mem.free_pages() - n).unwrap();
         }
         let before = resources(&sys, &vm);
         Guest { sys, vm, before }
@@ -202,34 +212,48 @@ impl Guest {
     }
 }
 
-/// A 2-rank push of 20 pages per DPU: 160 bounce pages per rank.
-const PUSH_RANKS: usize = 2;
+/// A 4-rank push of 20 pages per DPU: 160 bounce pages per rank.
+const PUSH_RANKS: usize = 4;
 const PUSH_BYTES_PER_DPU: usize = 80_000;
 const PUSH_RANK_PAGES: usize = DPUS_PER_RANK * 20;
+/// Everything one rank's transfer allocates in the guest.
+const PUSH_ROOM: usize = PUSH_RANK_PAGES + META_PAGES + REQUEST_PAGES;
 
 /// The bytes read back, the timeline, and both ops' per-rank completion
 /// offsets.
 type PushRun = (Vec<Vec<u8>>, simkit::Timeline, Vec<Vec<(usize, u64)>>);
 
-/// `push_to_heap` then `push_from_heap` over two ranks.
-fn run_push(parallel: bool, tight: bool) -> PushRun {
-    let guest = Guest::boot(parallel, PUSH_RANKS, tight.then_some(PUSH_RANK_PAGES));
+fn push_bufs() -> Vec<Vec<u8>> {
+    (0..PUSH_RANKS * DPUS_PER_RANK).map(|i| pattern(i as u32, PUSH_BYTES_PER_DPU)).collect()
+}
+
+/// `push_to_heap` then `push_from_heap` over four ranks, on a guest with
+/// `room` free pages (`None`: roomy). Neither op dirties more guest pages
+/// than one rank's transfer allocates.
+fn run_push(parallel: bool, room: Option<usize>) -> PushRun {
+    let guest = Guest::boot(parallel, PUSH_RANKS, room);
+    let mem = guest.vm.vm().memory();
     let mut set = DpuSet::alloc_vm(
         guest.vm.frontends(),
         PUSH_RANKS * DPUS_PER_RANK,
         CostModel::default(),
     )
     .unwrap();
-    let bufs: Vec<Vec<u8>> =
-        (0..PUSH_RANKS * DPUS_PER_RANK).map(|i| pattern(i as u32, PUSH_BYTES_PER_DPU)).collect();
+    let bufs = push_bufs();
     let offsets = |set: &DpuSet| -> Vec<(usize, u64)> {
         set.last_per_rank().iter().map(|(i, d)| (*i, d.as_nanos())).collect()
     };
+    let dirty_before = mem.dirty_pages();
     set.push_to_heap(4096, &bufs).unwrap();
     let mut per_rank = vec![offsets(&set)];
     let back = set.push_from_heap(4096, PUSH_BYTES_PER_DPU).unwrap();
     per_rank.push(offsets(&set));
-    assert_eq!(back, bufs, "parallel {parallel} tight {tight}");
+    let dirtied = mem.dirty_pages() - dirty_before;
+    assert!(
+        dirtied <= PUSH_ROOM,
+        "parallel {parallel} room {room:?}: {dirtied} guest pages dirtied, one rank is {PUSH_ROOM}"
+    );
+    assert_eq!(back, bufs, "parallel {parallel} room {room:?}");
     let timeline = set.take_timeline();
     drop(set);
     guest.assert_reclaimed_and_shutdown();
@@ -237,11 +261,11 @@ fn run_push(parallel: bool, tight: bool) -> PushRun {
 }
 
 #[test]
-fn set_level_backpressure_changes_no_byte_and_no_figure() {
+fn a_guest_with_room_for_one_rank_carries_a_four_rank_push() {
     let mut by_model = Vec::new();
     for parallel in [false, true] {
-        let tight = run_push(parallel, true);
-        let roomy = run_push(parallel, false);
+        let tight = run_push(parallel, Some(PUSH_ROOM));
+        let roomy = run_push(parallel, None);
         assert_eq!(tight.1, roomy.1, "timeline (parallel {parallel})");
         assert_eq!(tight.2, roomy.2, "per-rank offsets (parallel {parallel})");
         by_model.push(tight);
@@ -251,6 +275,20 @@ fn set_level_backpressure_changes_no_byte_and_no_figure() {
     assert_eq!(seq.0, par.0);
     assert_eq!(seq.1.messages(), par.1.messages());
     assert_eq!(seq.1.rank_ops(), par.1.rank_ops());
+
+    // One page fewer and the first rank cannot be staged: the room above
+    // is exact, and a failed push hands back what it took.
+    let guest = Guest::boot(true, PUSH_RANKS, Some(PUSH_ROOM - 1));
+    let mut set =
+        DpuSet::alloc_vm(guest.vm.frontends(), PUSH_RANKS * DPUS_PER_RANK, CostModel::default())
+            .unwrap();
+    let err = set.push_to_heap(4096, &push_bufs()).unwrap_err();
+    assert!(
+        matches!(err, SdkError::Vpim(VpimError::Virtio(VirtioError::OutOfPages { .. }))),
+        "{err}"
+    );
+    drop(set);
+    guest.assert_reclaimed_and_shutdown();
 }
 
 /// 17 three-page entries on each of 8 DPUs: three chunks (64 + 64 + 8) of
@@ -258,14 +296,13 @@ fn set_level_backpressure_changes_no_byte_and_no_figure() {
 const MC_ENTRIES_PER_DPU: usize = 17;
 const MC_ENTRY_BYTES: usize = 12_000;
 const MC_ENTRY_STRIDE: u64 = 3 * 4096;
-const MC_CHUNK_PAGES: usize = 64 * 3;
+const MC_CHUNK_ROOM: usize = 64 * 3 + META_PAGES + REQUEST_PAGES;
 
-/// One multi-chunk write and read on device 0 of a `devices`-device VM,
-/// synchronous (one chunk in flight) and split-phase (as many as fit,
-/// oldest absorbed first on backpressure). Returns the four reports and
+/// One three-chunk write and read on device 0 of a `devices`-device VM
+/// with `room` free guest pages (`None`: roomy). Returns both reports and
 /// the bytes read.
-fn run_multi_chunk(devices: usize, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>) {
-    let guest = Guest::boot(true, devices, tight.then_some(MC_CHUNK_PAGES));
+fn run_multi_chunk(devices: usize, room: Option<usize>) -> (Vec<OpReport>, Vec<Vec<u8>>) {
+    let guest = Guest::boot(true, devices, room);
     let fe = guest.vm.frontend(0);
     let datas: Vec<Vec<u8>> =
         (0..DPUS_PER_RANK * MC_ENTRIES_PER_DPU).map(|i| pattern(i as u32, MC_ENTRY_BYTES)).collect();
@@ -280,30 +317,19 @@ fn run_multi_chunk(devices: usize, tight: bool) -> (Vec<OpReport>, Vec<Vec<u8>>)
     let reqs: Vec<(u32, u64, u64)> =
         (0..datas.len()).map(|i| (place(i).0, place(i).1, MC_ENTRY_BYTES as u64)).collect();
 
-    let mut reports = vec![fe.write_rank(&entries).unwrap()];
-    let (sync_out, r) = fe.read_rank(&reqs).unwrap();
-    reports.push(r);
-    let (none, r) = fe.finish_rank(fe.begin_write_rank(&entries).unwrap()).unwrap();
-    assert!(none.is_empty(), "a write gathers nothing");
-    reports.push(r);
-    let (split_out, r) = fe.finish_rank(fe.begin_read_rank(&reqs).unwrap()).unwrap();
-    reports.push(r);
-
-    assert_eq!(sync_out, datas, "devices {devices} tight {tight}");
-    assert_eq!(split_out, datas, "request order survives early absorption");
-    assert_eq!(reports[0], reports[2], "in-flight depth leaked into the write report");
-    assert_eq!(reports[1], reports[3], "in-flight depth leaked into the read report");
-    assert_eq!(reports[0].rank_ops(), 3, "three chunks");
+    let write = fe.write_rank(&entries).unwrap();
+    let (out, read) = fe.read_rank(&reqs).unwrap();
+    assert_eq!(out, datas, "devices {devices} room {room:?}");
+    assert_eq!(write.rank_ops(), 3, "three chunks");
     guest.assert_reclaimed_and_shutdown();
-    (reports, split_out)
+    (vec![write, read], out)
 }
 
 #[test]
-fn frontend_level_backpressure_changes_no_byte_and_no_figure() {
-    // Inline (one device) and on device 0's lane (two devices).
-    let reference = run_multi_chunk(1, false);
+fn a_guest_with_room_for_one_chunk_carries_a_three_chunk_transfer() {
+    let reference = run_multi_chunk(1, None);
     for devices in [1, 2] {
-        assert_eq!(run_multi_chunk(devices, true), reference, "devices {devices}");
+        assert_eq!(run_multi_chunk(devices, Some(MC_CHUNK_ROOM)), reference, "devices {devices}");
     }
 }
 

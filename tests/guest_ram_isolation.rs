@@ -8,8 +8,8 @@
 //! page, and raw writes to pages A never allocated (the last page of RAM
 //! and a partial page among them), through each of the three mutable
 //! borrows of guest RAM. A is released and dropped, once with one device,
-//! once with two (each device on its own lane), and once with a pinned
-//! write still in flight when A's handle drops. Tenant B, of the same
+//! once with two, and once with a pinned write still running on another
+//! guest thread when A's handle drops. Tenant B, of the same
 //! size, then reads every byte of its RAM right after launch and again
 //! after a workload: no copy of the canary may appear.
 //!
@@ -111,26 +111,30 @@ fn canary_at(mem: &GuestMemory) -> Option<u64> {
 }
 
 /// Tenant A: launched, filled with the canary, released and dropped. With
-/// `in_flight`, a pinned write from a buffer A already dropped is still in
-/// flight on its last device when A's handle drops; the frontends finish
-/// it and release the ranks, and the last of them takes A's memory along.
+/// `in_flight`, a pinned write of the canary runs on a guest thread of its
+/// own, through A's last device, while A's handle drops; the thread owns
+/// the buffer and the frontend, the frontends then release the ranks, and
+/// the last of them takes A's memory along.
 fn tenant_a(sys: &VpimSystem, devices: usize, in_flight: bool) {
     let vm = sys.launch(TenantSpec::new("a").devices(devices).mem_mib(MEM_MIB)).unwrap();
     leave_canary_through_the_stack(&vm, devices);
     leave_canary_in_unallocated_pages(vm.vm().memory());
     let frontends: Vec<Arc<Frontend>> = vm.frontends().to_vec();
-    let pending = in_flight.then(|| {
-        let fe = frontends.last().expect("a device").clone();
-        let buf = fe.alloc_buf(LEN).unwrap();
-        buf.write(0, &canary(LEN)).unwrap();
-        let entries: Vec<_> = (0..DPUS as u32).map(|d| (d, 2 * LEN as u64, &buf)).collect();
-        let op = fe.begin_write_rank_pinned(&entries).unwrap();
-        (fe, op)
+    std::thread::scope(|s| {
+        let writer = in_flight.then(|| {
+            let fe = frontends.last().expect("a device").clone();
+            let buf = fe.alloc_buf(LEN).unwrap();
+            buf.write(0, &canary(LEN)).unwrap();
+            s.spawn(move || {
+                let entries: Vec<_> = (0..DPUS as u32).map(|d| (d, 2 * LEN as u64, &buf)).collect();
+                fe.write_rank_pinned(&entries).unwrap();
+            })
+        });
+        drop(vm);
+        if let Some(writer) = writer {
+            writer.join().unwrap();
+        }
     });
-    drop(vm);
-    if let Some((fe, op)) = pending {
-        fe.finish_rank(op).unwrap();
-    }
     for fe in &frontends {
         fe.release_rank().unwrap();
     }

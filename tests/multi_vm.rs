@@ -95,8 +95,7 @@ fn rank_exhaustion_is_reported_then_recovers() {
 
 /// A rank released a moment ago goes to the next launch without the
 /// observer: the manager here never waits, so only the request's own
-/// sweep can recycle the rank in time — with one device (handlers inline)
-/// and with two (handlers on lanes).
+/// sweep can recycle the rank in time — with one device and with two.
 #[test]
 fn a_released_rank_goes_to_the_next_launch_without_the_observer() {
     for devices in [1usize, 2] {

@@ -6,9 +6,8 @@
 //! MRAM contents after an oversubscribed run (8 VMs on 4 ranks, constant
 //! preemption churn) must equal the same tenant's contents after a
 //! dedicated run (one rank per device, scheduler in pass-through mode),
-//! under both dispatch modes: sequential (one-device tenants, each handler
-//! on the kicking thread) and parallel (two-device tenants, each device's
-//! handler on its own lane).
+//! with one-device and with two-device tenants (every handler runs on
+//! the kicking thread).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -9,8 +9,7 @@
 //! prefix** of the stream — bit-for-bit equal to a pure in-memory
 //! oracle that applies only committed operations, with zero leakage of
 //! uncommitted data — and the whole scenario must be bit-identical
-//! whether the heap's device handles requests on the kicking thread (a
-//! one-device VM) or on its lane (a two-device VM).
+//! whether the heap's device belongs to a one-device or a two-device VM.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -171,7 +170,8 @@ fn dump(heap: &mut Pheap) -> BTreeMap<u64, Vec<u8>> {
         .collect()
 }
 
-/// Everything one scenario produced, for the inline-vs-lane comparison.
+/// Everything one scenario produced, for the one- vs two-device
+/// comparison.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     crashed_at: Option<usize>,
@@ -272,8 +272,8 @@ fn check_outcome(o: &Outcome, site: &str) -> Result<(), String> {
 
 proptest! {
     /// Crash → restore → recover == exactly the committed prefix, for
-    /// arbitrary op streams × fault schedules × both dispatch modes
-    /// (inline and on a lane) — and the two agree bit-for-bit on every
+    /// arbitrary op streams × fault schedules × both VM shapes (one
+    /// device and two) — and the two agree bit-for-bit on every
     /// observable.
     #[test]
     fn crash_recovery_yields_committed_prefix_in_both_modes(

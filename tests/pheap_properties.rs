@@ -202,8 +202,8 @@ proptest! {
     }
 }
 
-/// A fixed rich stream runs bit-identically whether device 0's handler
-/// runs inline (one device) or on its lane (two devices): the heap's MRAM
+/// A fixed rich stream runs bit-identically on device 0 of a one-device
+/// and of a two-device VM: the heap's MRAM
 /// traffic is all virtual-time scheduled, including the recovered image.
 #[test]
 fn dispatch_modes_agree_on_heap_state() {
@@ -224,7 +224,7 @@ fn dispatch_modes_agree_on_heap_state() {
         drop(vm);
         sys.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "dispatch modes must agree bit-for-bit");
+    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
     assert_eq!(per_mode[0].0, per_mode[0].2, "recovered image must equal the oracle");
 }
 

@@ -5,17 +5,17 @@
 //! * *The model cannot see the buffer kind.* Whole timelines, every
 //!   registry metric and the MRAM bytes are identical, on the bulk path,
 //!   the batch path, with a batch pending and across two channels.
-//! * *Lifetime.* A transfer in flight keeps the pages of a buffer the
-//!   application dropped; every page comes back once it finishes, also
-//!   when a fault tears the write, and the typed error is the `Vec`
-//!   path's.
+//! * *Lifetime.* A write running on a guest thread keeps the pages of a
+//!   buffer whose other handles the application dropped; every page comes
+//!   back once it finishes, also when a fault tears the write, and the
+//!   typed error is the `Vec` path's.
 //! * *Fallback.* A buffer the guest cannot hold is host memory, pushed
 //!   through the staging path and its backpressure, with no setting to
 //!   choose it.
 //! * *Broadcast.* One buffer sent to every DPU looks to the model exactly
 //!   like one equal `Vec` per DPU, natively and in a VM, from guest or
-//!   host memory, and a broadcast in flight keeps the pages of the one
-//!   buffer the application dropped.
+//!   host memory, and a broadcast running on guest threads keeps the
+//!   pages of the one buffer the application dropped.
 
 use std::sync::Arc;
 
@@ -25,7 +25,8 @@ use upmem_driver::UpmemDriver;
 use upmem_sdk::DpuSet;
 use upmem_sim::{PimConfig, PimMachine};
 use vpim::{
-    FaultSite, GuestBuf, StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem, VpimVm,
+    FaultSite, Frontend, GuestBuf, StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem,
+    VpimVm,
 };
 
 fn host(ranks: usize, dpus_per_rank: usize, mram_size: u64) -> Arc<UpmemDriver> {
@@ -281,33 +282,33 @@ fn a_native_broadcast_looks_like_a_push_of_equal_vecs() {
 #[test]
 fn a_broadcast_in_flight_outlives_its_dropped_buffer() {
     let sys =
-        VpimSystem::start(host(2, LANE_DPUS, 1 << 20), VpimConfig::full(), StartOpts::default());
+        VpimSystem::start(host(2, CHANNEL_DPUS, 1 << 20), VpimConfig::full(), StartOpts::default());
     let vm = sys.launch(TenantSpec::new("bcast").devices(2)).unwrap();
     let mem = vm.vm().memory();
     let before = mem.free_pages();
     let reads: Vec<(u32, u64, u64)> =
-        (0..LANE_DPUS as u32).map(|d| (d, 0, LANE_BYTES as u64)).collect();
+        (0..CHANNEL_DPUS as u32).map(|d| (d, 0, CHANNEL_BYTES as u64)).collect();
     for round in 0..4 {
-        let data = pattern(round, LANE_BYTES);
-        let buf = vm.frontend(0).alloc_buf(LANE_BYTES).unwrap();
+        let data = pattern(round, CHANNEL_BYTES);
+        let buf = vm.frontend(0).alloc_buf(CHANNEL_BYTES).unwrap();
         buf.write(0, &data).unwrap();
-        let entries: Vec<(u32, u64, &GuestBuf)> =
-            (0..LANE_DPUS as u32).map(|d| (d, 0, &buf)).collect();
-        // Both channels name the one buffer, each on its device's lane...
-        let begun: Vec<_> = vm
-            .frontends()
-            .iter()
-            .map(|fe| (fe, fe.begin_write_rank_pinned(&entries).unwrap()))
-            .collect();
-        // ...and the application's handle drops with both in flight.
-        drop(entries);
-        drop(buf);
-        for (fe, op) in begun {
-            fe.finish_rank(op).unwrap();
-        }
+        std::thread::scope(|s| {
+            // Both channels name the one buffer, each written from a guest
+            // thread of its own through a handle of its own...
+            for fe in vm.frontends() {
+                let held = buf.clone();
+                s.spawn(move || {
+                    let entries: Vec<(u32, u64, &GuestBuf)> =
+                        (0..CHANNEL_DPUS as u32).map(|d| (d, 0, &held)).collect();
+                    fe.write_rank_pinned(&entries).unwrap();
+                });
+            }
+            // ...and the application's handle drops with both running.
+            drop(buf);
+        });
         assert_eq!(mem.free_pages(), before, "round {round}: every guest page came back");
         for fe in vm.frontends() {
-            assert_eq!(fe.read_rank(&reads).unwrap().0, vec![data.clone(); LANE_DPUS]);
+            assert_eq!(fe.read_rank(&reads).unwrap().0, vec![data.clone(); CHANNEL_DPUS]);
         }
     }
     drop(vm);
@@ -316,62 +317,72 @@ fn a_broadcast_in_flight_outlives_its_dropped_buffer() {
 
 // ------------------------------------------------------------- lifetime
 
-const LANE_DPUS: usize = 8;
-const LANE_BYTES: usize = 20_000;
+const CHANNEL_DPUS: usize = 8;
+const CHANNEL_BYTES: usize = 20_000;
 
 /// Each channel's write result, and every channel's per-DPU MRAM bytes.
-type LaneWrites = (Vec<Result<(), VpimError>>, Vec<Vec<Vec<u8>>>);
+type ChannelWrites = (Vec<Result<(), VpimError>>, Vec<Vec<Vec<u8>>>);
 
-/// Writes `datas[c]` to channel `c`'s DPUs of a two-device VM (each
-/// device's handler runs on its own lane), from `source`, dropping the
-/// buffers as soon as each write has begun. `concurrent` begins every
-/// channel before finishing any; otherwise each channel finishes before
-/// the next begins, which keeps an armed fault schedule deterministic.
-/// Returns each channel's result and the bytes then in MRAM, after
-/// checking that every guest page came back.
+/// Writes `datas[c]` to channel `c`'s DPUs of a two-device VM, from
+/// `source`. `concurrent` writes every channel from a guest thread of its
+/// own and drops the application's buffer handles as soon as the threads
+/// have started; otherwise each channel's write finishes before the next
+/// begins, which keeps an armed fault schedule deterministic. Returns each
+/// channel's result and the bytes then in MRAM, after checking that every
+/// guest page came back.
 fn write_and_drop(
     sys: &VpimSystem,
     vm: &VpimVm,
     source: Source,
     concurrent: bool,
     datas: &[Vec<Vec<u8>>],
-) -> LaneWrites {
+) -> ChannelWrites {
     let mem = vm.vm().memory();
     let before = mem.free_pages();
-    let mut results = Vec::new();
-    let mut pending = Vec::new();
-    for (fe, data) in vm.frontends().iter().zip(datas) {
-        let begun = match source {
-            Source::Vecs => {
-                let entries: Vec<(u32, u64, &[u8])> =
-                    data.iter().enumerate().map(|(d, v)| (d as u32, 0, v.as_slice())).collect();
-                fe.begin_write_rank(&entries)
-            }
-            Source::XferBufs => {
-                let bufs: Vec<GuestBuf> = data
-                    .iter()
-                    .map(|v| {
-                        let b = fe.alloc_buf(v.len()).unwrap();
-                        b.write(0, v).unwrap();
-                        b
-                    })
-                    .collect();
-                let entries: Vec<(u32, u64, &GuestBuf)> =
-                    bufs.iter().enumerate().map(|(d, b)| (d as u32, 0, b)).collect();
-                // The application's handles drop here, with the write in
-                // flight on the device's lane.
-                fe.begin_write_rank_pinned(&entries)
-            }
-        };
-        pending.push((fe, begun));
-        if !concurrent {
-            results.extend(
-                pending.drain(..).map(|(fe, op)| op.and_then(|op| fe.finish_rank(op)).map(drop)),
-            );
+    // A channel's transfer buffers (none for `Vecs`), filled with its data.
+    let fill = |fe: &Frontend, data: &[Vec<u8>]| -> Vec<GuestBuf> {
+        if source == Source::Vecs {
+            return Vec::new();
         }
-    }
-    results
-        .extend(pending.drain(..).map(|(fe, op)| op.and_then(|op| fe.finish_rank(op)).map(drop)));
+        data.iter()
+            .map(|v| {
+                let b = fe.alloc_buf(v.len()).unwrap();
+                b.write(0, v).unwrap();
+                b
+            })
+            .collect()
+    };
+    let write = move |fe: &Frontend, data: &[Vec<u8>], bufs: &[GuestBuf]| match source {
+        Source::Vecs => {
+            let entries: Vec<(u32, u64, &[u8])> =
+                data.iter().enumerate().map(|(d, v)| (d as u32, 0, v.as_slice())).collect();
+            fe.write_rank(&entries).map(drop)
+        }
+        Source::XferBufs => {
+            let entries: Vec<(u32, u64, &GuestBuf)> =
+                bufs.iter().enumerate().map(|(d, b)| (d as u32, 0, b)).collect();
+            fe.write_rank_pinned(&entries).map(drop)
+        }
+    };
+    let channels = vm.frontends().iter().zip(datas);
+    let results: Vec<_> = if concurrent {
+        std::thread::scope(|s| {
+            let running: Vec<_> = channels
+                .map(|(fe, data)| {
+                    let bufs = fill(fe, data);
+                    let held = bufs.clone();
+                    let writer = s.spawn(move || write(fe, data, &held));
+                    // The application's handles drop here, with the write
+                    // running on its own guest thread.
+                    drop(bufs);
+                    writer
+                })
+                .collect();
+            running.into_iter().map(|w| w.join().unwrap()).collect()
+        })
+    } else {
+        channels.map(|(fe, data)| write(fe, data, &fill(fe, data))).collect()
+    };
     assert_eq!(mem.free_pages(), before, "{source:?}: every guest page came back");
 
     if let Some(plane) = sys.fault_plane() {
@@ -379,25 +390,27 @@ fn write_and_drop(
         plane.disarm(FaultSite::MemEio.name());
     }
     let reads: Vec<(u32, u64, u64)> =
-        (0..LANE_DPUS as u32).map(|d| (d, 0, LANE_BYTES as u64)).collect();
+        (0..CHANNEL_DPUS as u32).map(|d| (d, 0, CHANNEL_BYTES as u64)).collect();
     let mram = vm.frontends().iter().map(|fe| fe.read_rank(&reads).unwrap().0).collect();
     assert_eq!(mem.free_pages(), before);
     (results, mram)
 }
 
-fn lane_payloads(salt: u32) -> Vec<Vec<Vec<u8>>> {
+fn channel_payloads(salt: u32) -> Vec<Vec<Vec<u8>>> {
     (0..2)
-        .map(|c| (0..LANE_DPUS as u32).map(|d| pattern(salt + 16 * c + d, LANE_BYTES)).collect())
+        .map(|c| {
+            (0..CHANNEL_DPUS as u32).map(|d| pattern(salt + 16 * c + d, CHANNEL_BYTES)).collect()
+        })
         .collect()
 }
 
 #[test]
 fn an_in_flight_write_outlives_its_dropped_buffers() {
     let sys =
-        VpimSystem::start(host(2, LANE_DPUS, 1 << 20), VpimConfig::full(), StartOpts::default());
+        VpimSystem::start(host(2, CHANNEL_DPUS, 1 << 20), VpimConfig::full(), StartOpts::default());
     let vm = sys.launch(TenantSpec::new("life").devices(2)).unwrap();
     for round in 0..4 {
-        let datas = lane_payloads(round);
+        let datas = channel_payloads(round);
         let (results, mram) = write_and_drop(&sys, &vm, Source::XferBufs, true, &datas);
         assert!(results.iter().all(Result::is_ok), "round {round}: {results:?}");
         assert_eq!(mram, datas, "round {round}: the bytes landed");
@@ -415,10 +428,10 @@ fn a_faulted_pinned_write_leaks_no_page_and_fails_like_a_vec_write() {
     for (site, plan) in plans {
         let run = |source: Source| {
             let vcfg = VpimConfig::builder().inject_seed(0x51DE).build();
-            let sys = VpimSystem::start(host(2, LANE_DPUS, 1 << 20), vcfg, StartOpts::default());
+            let sys = VpimSystem::start(host(2, CHANNEL_DPUS, 1 << 20), vcfg, StartOpts::default());
             let vm = sys.launch(TenantSpec::new("fault").devices(2)).unwrap();
             sys.fault_plane().expect("inject enabled").arm(site.name(), plan);
-            let out = write_and_drop(&sys, &vm, source, false, &lane_payloads(7));
+            let out = write_and_drop(&sys, &vm, source, false, &channel_payloads(7));
             drop(vm);
             sys.shutdown();
             out
@@ -457,7 +470,7 @@ fn buffers_the_guest_cannot_hold_are_host_memory_staged_with_backpressure() {
             buf.write(0, data).unwrap();
         }
         // A 16 MiB guest holds one rank's 8 MiB staged matrix, not two:
-        // every rank after the first waits for the one before it.
+        // the push stages one rank at a time.
         set.push_bufs_to_heap(0, &bufs).unwrap();
         drop(bufs);
         assert_eq!(set.push_from_heap(0, QUARTER).unwrap(), datas, "{mem_mib} MiB guest");
@@ -476,8 +489,8 @@ fn a_buffer_of_another_guest_is_refused_before_anything_moves() {
     let sys = VpimSystem::start(host(2, 8, 1 << 20), VpimConfig::full(), StartOpts::default());
     let a = sys.launch(TenantSpec::new("a").mem_mib(16)).unwrap();
     let b = sys.launch(TenantSpec::new("b").mem_mib(16)).unwrap();
-    let theirs = a.frontend(0).alloc_buf(LANE_BYTES).unwrap();
-    theirs.write(0, &pattern(1, LANE_BYTES)).unwrap();
+    let theirs = a.frontend(0).alloc_buf(CHANNEL_BYTES).unwrap();
+    theirs.write(0, &pattern(1, CHANNEL_BYTES)).unwrap();
     let vmexits = || sys.registry().snapshot().count("vmm.vmexits");
     let (exits, free) = (vmexits(), b.vm().memory().free_pages());
     let err = b.frontend(0).write_rank_pinned(&[(0, 0, &theirs)]).unwrap_err();

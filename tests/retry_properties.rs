@@ -169,7 +169,7 @@ fn host() -> Arc<UpmemDriver> {
 #[test]
 fn recovered_kick_never_double_applies_a_write() {
     for seed in [1u64, 7, 0xDEAD, 0xC4A0_5EED] {
-        // Inline (one device) and on device 0's lane (two devices).
+        // Device 0 of a one-device and of a two-device VM.
         for devices in [1, 2] {
             let vcfg =
                 VpimConfig::builder().batching(false).prefetch(false).inject_seed(seed).build();
