@@ -28,11 +28,13 @@ if [ -n "$stray" ]; then
 fi
 # Every transfer is synchronous and every kick runs its handler on the
 # kicking thread; the split-phase and per-device lane names must not return.
-stray=$(grep -rIE 'kick_async|KickHandle|InFlight|PendingMatrix|begin_write_rank|finish_rank|finish_matrix' \
+# A chain's pages belong to the frontend's one chain value, so the
+# hand-freed pending-op record must not return either.
+stray=$(grep -rIE 'kick_async|KickHandle|InFlight|PendingMatrix|PendingOp|begin_write_rank|finish_rank|finish_matrix' \
     crates src tests examples || true)
 if [ -n "$stray" ]; then
     echo "$stray"
-    echo "split-phase transfer or dispatch-lane names are back (ROADMAP item 15)" >&2
+    echo "split-phase transfer, dispatch-lane or pending-op names are back (ROADMAP item 15)" >&2
     exit 1
 fi
 

@@ -70,19 +70,19 @@ impl FaultSite {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            FaultSite::KickDrop => "vmm.kick.drop",
-            FaultSite::MemEio => "virtio.mem.eio",
-            FaultSite::ChunkTornWrite => "backend.chunk.torn_write",
-            FaultSite::ChunkStall => "backend.chunk.stall",
-            FaultSite::CiOp => "sim.ci.op",
-            FaultSite::MramDma => "sim.mram.dma",
-            FaultSite::LaunchFault => "sim.launch.fault",
-            FaultSite::ManagerRpc => "manager.rpc",
-            FaultSite::CkptStall => "sched.ckpt.stall",
-            FaultSite::LinkDrop => "cluster.link.drop",
-            FaultSite::MigrateStall => "cluster.migrate.stall",
-            FaultSite::PheapWalTorn => "pheap.wal.torn",
-            FaultSite::PheapPersistDrop => "pheap.persist.drop",
+            FaultSite::KickDrop => pim_vmm::KICK_DROP_POINT,
+            FaultSite::MemEio => pim_virtio::MEM_EIO_POINT,
+            FaultSite::ChunkTornWrite => crate::CHUNK_TORN_WRITE_POINT,
+            FaultSite::ChunkStall => crate::CHUNK_STALL_POINT,
+            FaultSite::CiOp => upmem_sim::CI_OP_POINT,
+            FaultSite::MramDma => upmem_sim::MRAM_DMA_POINT,
+            FaultSite::LaunchFault => upmem_sim::LAUNCH_FAULT_POINT,
+            FaultSite::ManagerRpc => crate::MANAGER_RPC_POINT,
+            FaultSite::CkptStall => crate::CKPT_STALL_POINT,
+            FaultSite::LinkDrop => crate::LINK_DROP_POINT,
+            FaultSite::MigrateStall => crate::MIGRATE_STALL_POINT,
+            FaultSite::PheapWalTorn => crate::PHEAP_WAL_TORN_POINT,
+            FaultSite::PheapPersistDrop => crate::PHEAP_PERSIST_DROP_POINT,
         }
     }
 }
@@ -498,6 +498,12 @@ impl Default for VpimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_fault_site_names_its_own_point() {
+        let names: std::collections::HashSet<_> = FaultSite::ALL.map(FaultSite::name).into();
+        assert_eq!(names.len(), FaultSite::ALL.len(), "{names:?}");
+    }
 
     #[test]
     fn table2_matrix() {

@@ -14,6 +14,9 @@
 //! ran it; several threads can share one frontend with no completion
 //! bookkeeping of their own. A transfer runs one chunk at a time, so its
 //! chunks reach the rank in order and it holds one chunk's guest pages.
+//! Every guest page a request names belongs to one chain value, which
+//! gives them back when it drops: once the status page is decoded, or, for
+//! a request whose kick was given up, once the used ring hands it back.
 
 pub mod adapt;
 mod batch;
@@ -119,12 +122,32 @@ impl FrontMetrics {
     }
 }
 
-/// One `transferq` chain added to the queue: its request and status
-/// pages, freed once [`Frontend::complete`] has read the response.
+/// Every guest page one `transferq` chain names: its request and status
+/// pages and, for a transfer, its serialized matrix and its staged data,
+/// read buffers or pinned buffers. The device may reach them whenever it
+/// runs the chain, so this drops only once the device is done with it.
+#[derive(Debug, Default)]
+struct Chain {
+    leases: Vec<PageLease>,
+    bufs: Vec<GuestBuf>,
+}
+
+impl Chain {
+    /// Allocates `n` guest pages the chain owns from now on.
+    fn lease(&mut self, mem: &GuestMemory, n: usize) -> Result<Vec<Gpa>, VpimError> {
+        let mut lease = PageLease::new(mem);
+        let pages = lease.grow(n)?;
+        self.leases.push(lease);
+        Ok(pages)
+    }
+}
+
+/// The driver side of `transferq`, with the chains parked on it.
 #[derive(Debug)]
-struct PendingOp {
-    pages: Vec<Gpa>,
-    status_page: Gpa,
+struct Ring {
+    queue: DriverQueue,
+    /// Chains whose kick was given up, by head: they run at the next kick.
+    parked: Vec<(u16, Chain)>,
 }
 
 /// The payload of one matrix transfer, in either direction. A write's
@@ -238,8 +261,8 @@ impl ProbeOpts {
 ///
 /// * `STATE` (0) — batching/prefetch state; a leaf in practice: never held
 ///   across the transport path or another frontend lock.
-/// * `QUEUE` (1) — the driver-side virtqueue: adding a chain, draining
-///   the used ring.
+/// * `QUEUE` (1) — the driver-side virtqueue and its parked chains:
+///   adding a chain, parking one, draining the used ring.
 mod front_lock {
     pub const STATE: usize = 0;
     pub const QUEUE: usize = 1;
@@ -252,7 +275,7 @@ pub struct Frontend {
     device_idx: usize,
     em: EventManager,
     mem: GuestMemory,
-    queue: Mutex<DriverQueue>,
+    ring: Mutex<Ring>,
     cm: CostModel,
     vcfg: VpimConfig,
     metrics: FrontMetrics,
@@ -313,7 +336,10 @@ impl Frontend {
             device,
             device_idx,
             em,
-            queue: Mutex::new(DriverQueue::new(mem.clone(), layout)),
+            ring: Mutex::new(Ring {
+                queue: DriverQueue::new(mem.clone(), layout),
+                parked: Vec::new(),
+            }),
             mem,
             cm,
             vcfg,
@@ -338,7 +364,8 @@ impl Frontend {
     ///
     /// Transport failures or a backend that cannot link a rank.
     pub fn initialize(&self) -> Result<OpReport, VpimError> {
-        let (resp, report) = self.roundtrip(&Request::Configure, &[])?;
+        let mut report = OpReport::default();
+        let resp = self.control(&Request::Configure, &mut report)?;
         let mut padded = resp.payload.clone();
         padded.resize(PimDeviceConfig::ENCODED_LEN, 0);
         let cfg = PimDeviceConfig::decode(&padded)?;
@@ -367,17 +394,6 @@ impl Frontend {
                 self.metrics.batch_buffer(cfg.nr_dpus as usize, self.vcfg.batch_pages_per_dpu);
         }
         Ok(report)
-    }
-
-    /// Advances the adaptive controller's virtual clock by a completed
-    /// op's duration — the "operation boundary" sample point of DESIGN.md
-    /// §16. A no-op (one branch, no lock) when the controller is off.
-    fn adapt_tick(&self, report: &OpReport) {
-        if self.vcfg.adapt.enabled {
-            if let Some(a) = self.state.lock().adapt.as_mut() {
-                a.tick(report.duration());
-            }
-        }
     }
 
     /// Number of DPUs behind this device (0 before `initialize`).
@@ -452,36 +468,41 @@ impl Frontend {
         }
     }
 
-    /// Adds one request chain to `transferq`;
-    /// [`complete`](Self::complete) kicks the device and reads the
-    /// response.
-    fn submit(&self, req: &Request, extra: &[(Gpa, u32, bool)]) -> Result<PendingOp, VpimError> {
-        let pages = self.mem.alloc_pages(REQUEST_PAGES)?;
+    /// Adds `req`'s chain, naming `extra`, to `transferq` and returns its
+    /// head and status page, which joins `chain` with the request page. A
+    /// queue other threads' chains fill is waited out.
+    fn submit(
+        &self,
+        req: &Request,
+        extra: &[(Gpa, u32, bool)],
+        chain: &mut Chain,
+    ) -> Result<(u16, Gpa), VpimError> {
+        let pages = chain.lease(&self.mem, REQUEST_PAGES)?;
         let (req_page, status_page) = (pages[0], pages[1]);
         let enc = req.encode();
-        if let Err(e) = self.mem.write(req_page, &enc) {
-            // Nothing was chained yet: give the pages back so a transient
-            // (injected EIO) failure leaves the allocator balanced.
-            let _ = self.mem.free_pages_back(&pages);
-            return Err(e.into());
-        }
+        self.mem.write(req_page, &enc)?;
 
         let mut bufs: Vec<(Gpa, u32, bool)> = Vec::with_capacity(extra.len() + 2);
         bufs.push((req_page, enc.len() as u32, false));
         bufs.extend_from_slice(extra);
         bufs.push((status_page, 4096, true));
-        let added = {
-            let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
-            self.queue.lock().add_chain(&bufs)
+        let head = loop {
+            let added = {
+                let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
+                self.ring.lock().queue.add_chain(&bufs)
+            };
+            match added {
+                // A kick that adds no chain returns once the device has run
+                // every chain added before it, and the drain frees them.
+                Err(VirtioError::QueueFull) => {
+                    self.kick()?;
+                    self.drain_used()?;
+                }
+                added => break added?,
+            }
         };
-        if let Err(e) = added {
-            // Give the pages back: a full queue is waited out and the
-            // chain submitted again.
-            self.mem.free_pages_back(&pages)?;
-            return Err(e.into());
-        }
         self.metrics.queue_depth.add(1);
-        Ok(PendingOp { pages, status_page })
+        Ok((head, status_page))
     }
 
     /// The guest kick: an MMIO write that traps to the VMM, which runs the
@@ -491,11 +512,12 @@ impl Frontend {
         Ok(self.em.kick(self.device_idx, spec::TRANSFERQ)?)
     }
 
-    /// Kicks the device for a submitted op, decodes its response, and
-    /// frees its pages. The device handles its chains one at a time in
-    /// avail-ring order, so once this op's kick has been handled its
-    /// status page is written, whichever thread's kick ran the chain;
-    /// [`drain_used`](Self::drain_used) then only recycles descriptors.
+    /// Kicks the device for the submitted chain `head`, decodes its
+    /// response and folds the round trip's cost into `report`. The device
+    /// handles its chains one at a time in avail-ring order, so once this
+    /// chain's kick has been handled its status page is written, whichever
+    /// thread's kick ran the chain; [`drain_used`](Self::drain_used) then
+    /// only recycles descriptors. The caller drops `chain` afterwards.
     ///
     /// Transient failures are retried under the
     /// [`TimeoutClass::VirtioRoundTrip`] policy (bounded attempts,
@@ -505,7 +527,19 @@ impl Frontend {
     /// re-notifies and re-kicks; an injected EIO on the status page simply
     /// re-reads it. All backoff is virtual time charged to the op's report;
     /// no thread sleeps for it.
-    fn complete(&self, op: PendingOp) -> Result<(Response, OpReport), VpimError> {
+    ///
+    /// When every kick retry fails, the op fails but its chain stays in
+    /// the avail ring and runs at the device's next kick, before any later
+    /// op's: a given-up write may still land, on its own DPUs from its own
+    /// pages. Those pages are [`park`](Self::park)ed until then, so no
+    /// later op is given a page the device may still reach.
+    fn complete(
+        &self,
+        head: u16,
+        status_page: Gpa,
+        chain: &mut Chain,
+        report: &mut OpReport,
+    ) -> Result<Response, VpimError> {
         // One budget for both loops: a kick retry leaves less for the
         // status read.
         let mut budget = RetryPolicy::for_class(&self.cm, TimeoutClass::VirtioRoundTrip)
@@ -514,75 +548,103 @@ impl Frontend {
         let mut kicked = self.kick();
         while let Err(e) = &kicked {
             if !budget.retry(e.is_transient()) {
-                // Giving up on an undispatched chain abandons its queue
-                // slot and pages: the device may still process the chain
-                // if a later op kicks, so they must not be recycled.
+                self.park(head, chain);
                 break;
             }
             kicked = self.kick();
         }
         kicked?;
-        self.drain_used()?;
         self.metrics.queue_depth.sub(1);
+        self.drain_used()?;
 
         // Decoded where it lies, inside the borrow of the status page.
-        let decoded = loop {
-            match self.mem.with_slice(op.status_page, 4096, Response::decode) {
-                Ok(decoded) => break decoded,
+        let resp = loop {
+            match self.mem.with_slice(status_page, 4096, Response::decode) {
+                Ok(decoded) => break decoded?,
                 Err(e) => {
                     let e = VpimError::from(e);
                     if !budget.retry(e.is_transient()) {
-                        // The kick was handled, so the device is done
-                        // with the pages: reclaim them even though the
-                        // status read failed.
-                        let _ = self.mem.free_pages_back(&op.pages);
                         return Err(e);
                     }
                 }
             }
         };
-        // The pages go back before a decode error can propagate.
-        self.mem.free_pages_back(&op.pages)?;
-        let resp = decoded?;
 
-        let mut report = OpReport::default();
         report.add_messages(1);
         report.step(WriteStep::Interrupt, self.cm.virtio_round_trip());
         report.add_duration(budget.backoff());
         if resp.is_ok() {
-            Ok((resp, report))
+            Ok(resp)
         } else {
             Err(Self::response_error(&resp))
         }
     }
 
+    /// Keeps a given-up chain until [`drain_used`](Self::drain_used) sees
+    /// its head, unless another thread's kick has already run and drained
+    /// it.
+    fn park(&self, head: u16, chain: &mut Chain) {
+        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
+        let mut ring = self.ring.lock();
+        if ring.queue.in_flight(head) {
+            ring.parked.push((head, std::mem::take(chain)));
+        } else {
+            self.metrics.queue_depth.sub(1);
+        }
+    }
+
     /// Acknowledges the interrupt and recycles the descriptors of every
-    /// chain in the used ring. Any thread may drain any entry: a chain
-    /// reaches the used ring only after its status page is written.
+    /// chain in the used ring, and the pages of the parked ones. Any thread
+    /// may drain any entry: a chain reaches the used ring only after its
+    /// status page is written.
     fn drain_used(&self) -> Result<(), VpimError> {
         self.device.mmio().write(reg::INTERRUPT_ACK, 1)?;
         let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
-        let mut q = self.queue.lock();
-        while q.poll_used()?.is_some() {}
+        let mut ring = self.ring.lock();
+        while let Some((head, _)) = ring.queue.poll_used()? {
+            if let Some(i) = ring.parked.iter().position(|(h, _)| *h == head) {
+                ring.parked.swap_remove(i);
+                self.metrics.queue_depth.sub(1);
+            }
+        }
         Ok(())
     }
 
-    /// Waits out a queue whose descriptors other threads' chains hold: a
-    /// kick that adds no chain returns once the device has run every chain
-    /// added before it, and the drain then frees their descriptors.
-    fn reclaim(&self) -> Result<(), VpimError> {
-        self.kick()?;
-        self.drain_used()
-    }
-
-    /// One full request/response exchange over `transferq`.
+    /// One full request/response exchange over `transferq`; `chain` owns
+    /// every page the request names.
     fn roundtrip(
         &self,
         req: &Request,
         extra: &[(Gpa, u32, bool)],
-    ) -> Result<(Response, OpReport), VpimError> {
-        let op = self.submit(req, extra)?;
-        self.complete(op)
+        chain: &mut Chain,
+        report: &mut OpReport,
+    ) -> Result<Response, VpimError> {
+        let (head, status_page) = self.submit(req, extra, chain)?;
+        self.complete(head, status_page, chain, report)
+    }
+
+    /// A round trip for a request that names no page but its own.
+    fn control(&self, req: &Request, report: &mut OpReport) -> Result<Response, VpimError> {
+        self.roundtrip(req, &[], &mut Chain::default(), report)
+    }
+
+    /// Every op's one path: `prelude` (nothing, the batch flush or a
+    /// [`persist_barrier`](Self::persist_barrier)), then `body`, which runs
+    /// the op's requests into its report, then one tick of the adaptive
+    /// clock, DESIGN.md §16's "operation boundary" (one branch when off).
+    fn op<T>(
+        &self,
+        prelude: fn(&Self) -> Result<OpReport, VpimError>,
+        body: impl FnOnce(&mut OpReport) -> Result<T, VpimError>,
+    ) -> Result<(T, OpReport), VpimError> {
+        let mut report = prelude(self)?;
+        let out = body(&mut report)?;
+        if self.vcfg.adapt.enabled {
+            if let Some(a) = self.state.lock().adapt.as_mut() {
+                a.tick(report.duration());
+            }
+        }
+        Ok((out, report))
     }
 
     // ------------------------------------------------------------ rank ops
@@ -606,12 +668,9 @@ impl Frontend {
         if self.vcfg.request_batching
             && entries.iter().all(|(_, _, d)| d.len() as u64 <= SMALL_WRITE_MAX)
         {
-            let mut report = OpReport::default();
-            self.batch_writes(entries, &mut report)?;
-            self.adapt_tick(&report);
-            return Ok(report);
+            return Ok(self.op(|_| Ok(OpReport::default()), |r| self.batch_writes(entries, r))?.1);
         }
-        Ok(self.unbatched(Xfer::Write(entries))?.1)
+        Ok(self.op(Self::flush_batch, |r| self.transfer(Xfer::Write(entries), r))?.1)
     }
 
     /// [`write_rank`](Self::write_rank) from guest buffers: the matrix
@@ -636,7 +695,7 @@ impl Frontend {
                 entries.iter().zip(&bytes).map(|((d, o, _), b)| (*d, *o, b.as_slice())).collect();
             return self.write_rank(&staged);
         }
-        Ok(self.unbatched(Xfer::Pinned(entries))?.1)
+        Ok(self.op(Self::flush_batch, |r| self.transfer(Xfer::Pinned(entries), r))?.1)
     }
 
     /// Allocates a `len`-byte transfer buffer in this guest's RAM, for
@@ -674,34 +733,17 @@ impl Frontend {
         &self,
         reqs: &[(u32, u64, u64)],
     ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut report = self.flush_batch()?;
-        // The cache serves the "host processes DPU data block by block in a
-        // loop" pattern (§4.1): small reads targeting one DPU at a time.
-        // Large parallel matrix reads bypass it.
-        let outputs = match *reqs {
+        self.op(Self::flush_batch, |report| match *reqs {
+            // The cache serves the "host processes DPU data block by block
+            // in a loop" pattern (§4.1): small reads targeting one DPU at a
+            // time. Large parallel matrix reads bypass it.
             [(dpu, offset, len)]
                 if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) =>
             {
-                vec![self.read_cached(dpu, offset, len, &mut report)?]
+                Ok(vec![self.read_cached(dpu, offset, len, report)?])
             }
-            _ => {
-                let (outputs, r) = self.transfer(Xfer::Read(reqs))?;
-                report.absorb(&r);
-                outputs
-            }
-        };
-        self.adapt_tick(&report);
-        Ok((outputs, report))
-    }
-
-    /// One whole op that bypasses the batch and the cache: the batch is
-    /// flushed, `x` transferred, and the adaptive clock ticked once.
-    fn unbatched(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        let mut report = self.flush_batch()?;
-        let (outputs, r) = self.transfer(x)?;
-        report.absorb(&r);
-        self.adapt_tick(&report);
-        Ok((outputs, report))
+            _ => self.transfer(Xfer::Read(reqs), report),
+        })
     }
 
     /// Sends buffered writes to the backend (also triggered automatically
@@ -726,7 +768,7 @@ impl Frontend {
         };
         let mut report = OpReport::default();
         for chunk in drained.views().chunks(MAX_DPUS) {
-            report.absorb(&self.transfer(Xfer::Write(chunk))?.1);
+            self.transfer(Xfer::Write(chunk), &mut report)?;
         }
         Ok(report)
     }
@@ -742,13 +784,11 @@ impl Frontend {
     /// Transport or hardware failures from the flush.
     pub fn persist_barrier(&self) -> Result<OpReport, VpimError> {
         let report = self.flush_batch()?;
-        {
-            let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
-            let mut st = self.state.lock();
-            st.prefetch.invalidate();
-            if let Some(a) = st.adapt.as_mut() {
-                a.on_barrier();
-            }
+        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
+        let mut st = self.state.lock();
+        st.prefetch.invalidate();
+        if let Some(a) = st.adapt.as_mut() {
+            a.on_barrier();
         }
         Ok(report)
     }
@@ -792,7 +832,7 @@ impl Frontend {
             if appended {
                 report.add_duration(self.cm.batch_append(d.len() as u64));
             } else {
-                report.absorb(&self.transfer(Xfer::Write(&[(dpu, off, d)]))?.1);
+                self.transfer(Xfer::Write(&[(dpu, off, d)]), report)?;
             }
         }
         Ok(())
@@ -853,8 +893,7 @@ impl Frontend {
                 None => (static_len, true),
             }
         };
-        let (mut seg, r) = self.transfer(Xfer::Read(&[(dpu, offset, seg_len)]))?;
-        report.absorb(&r);
+        let mut seg = self.transfer(Xfer::Read(&[(dpu, offset, seg_len)]), report)?;
         let data = seg.pop().expect("one segment");
         if !install {
             // Suppressed prefetch: the exact-length direct read *is* the
@@ -876,10 +915,10 @@ impl Frontend {
     }
 
     /// A transfer run to completion, bypassing batching and the cache and
-    /// leaving the adaptive clock alone (the op it is part of ticks once).
-    /// Its chunks run one after another; a failed chunk ends it, and the
-    /// chunks after it are never sent.
-    fn transfer(&self, x: Xfer<'_>) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
+    /// leaving the adaptive clock alone (the op it is part of ticks once);
+    /// its cost is folded into `report`. Its chunks run one after another;
+    /// a failed chunk ends it, and the chunks after it are never sent.
+    fn transfer(&self, x: Xfer<'_>, report: &mut OpReport) -> Result<Vec<Vec<u8>>, VpimError> {
         if !matches!(x, Xfer::Read(_)) {
             // A write can only stale the segments of the DPUs it touches;
             // launch/release keep the global invalidation path.
@@ -892,51 +931,48 @@ impl Frontend {
             }
         }
         let mut outputs = Vec::new();
-        let mut report = OpReport::default();
         for chunk in x.chunks() {
-            self.transfer_chunk(chunk, &mut outputs, &mut report)?;
+            self.transfer_chunk(chunk, &mut outputs, report)?;
         }
-        Ok((outputs, report))
+        Ok(outputs)
     }
 
     /// Builds one chunk's matrix, the one step where staged and pinned
     /// writes differ, serializes and submits it, and waits for the device.
     /// Folds the chunk's cost into `report`, whose virtual-time values come
     /// from the matrix and the response, and appends a read's per-entry
-    /// outputs. The chunk's guest pages go back when it returns.
+    /// outputs. The chunk's [`Chain`] owns its guest pages (and clones of
+    /// its pinned buffers), which go back when it drops.
     fn transfer_chunk(
         &self,
         x: Xfer<'_>,
         outputs: &mut Vec<Vec<u8>>,
         report: &mut OpReport,
     ) -> Result<(), VpimError> {
-        let (matrix, _staged, req) = match x {
+        let mut chain = Chain::default();
+        let (matrix, req) = match x {
             Xfer::Write(entries) => {
                 let (m, lease) = TransferMatrix::from_user_buffers(&self.mem, entries)?;
-                (m, Some(lease), Request::WriteRank { nr_dpus: entries.len() as u32 })
+                chain.leases.push(lease);
+                (m, Request::WriteRank { nr_dpus: entries.len() as u32 })
             }
             Xfer::Pinned(entries) => {
                 let m = TransferMatrix::from_guest_bufs(&self.mem, entries)?;
-                (m, None, Request::WriteRank { nr_dpus: entries.len() as u32 })
+                chain.bufs = entries.iter().map(|&(_, _, b)| b.clone()).collect();
+                (m, Request::WriteRank { nr_dpus: entries.len() as u32 })
             }
             Xfer::Read(reqs) => {
                 let (m, lease) = TransferMatrix::alloc_read_buffers(&self.mem, reqs)?;
-                (m, Some(lease), Request::ReadRank { nr_dpus: reqs.len() as u32 })
+                chain.leases.push(lease);
+                (m, Request::ReadRank { nr_dpus: reqs.len() as u32 })
             }
         };
         let pages = matrix.total_pages();
         report.step(WriteStep::PageMgmt, self.cm.page_mgmt(pages));
-        let (bufs, _meta_lease) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
+        let (bufs, meta) = matrix.serialize_pooled(&self.mem, &self.scratch)?;
+        chain.leases.push(meta);
         report.step(WriteStep::Serialize, self.cm.serialize_matrix(pages));
-        let op = loop {
-            match self.submit(&req, &bufs) {
-                // Other threads' chains hold every descriptor.
-                Err(VpimError::Virtio(VirtioError::QueueFull)) => self.reclaim()?,
-                op => break op?,
-            }
-        };
-        let (resp, rt) = self.complete(op)?;
-        report.absorb(&rt);
+        let resp = self.roundtrip(&req, &bufs, &mut chain, report)?;
         report.step(
             WriteStep::Deserialize,
             VirtualNanos::from_nanos(resp.deser_ns + resp.translate_ns),
@@ -961,14 +997,8 @@ impl Frontend {
     ///
     /// Unknown kernel, IRAM overflow, or transport failures.
     pub fn load_program(&self, name: &str, dpus: &[u32]) -> Result<OpReport, VpimError> {
-        let mut report = self.flush_batch()?;
-        let (_, rt) = self.roundtrip(
-            &Request::LoadProgram { name: name.to_string(), dpus: dpus.to_vec() },
-            &[],
-        )?;
-        report.absorb(&rt);
-        self.adapt_tick(&report);
-        Ok(report)
+        let req = Request::LoadProgram { name: name.to_string(), dpus: dpus.to_vec() };
+        Ok(self.op(Self::flush_batch, |r| self.control(&req, r))?.1)
     }
 
     /// Boots the loaded program and returns the slowest DPU's cycle count
@@ -978,32 +1008,22 @@ impl Frontend {
     ///
     /// DPU faults surface as [`VpimError::Sim`].
     pub fn launch(&self, dpus: &[u32], nr_tasklets: u32) -> Result<OpReport, VpimError> {
-        let mut report = self.flush_batch()?;
-        {
-            let mut st = self.state.lock();
-            st.prefetch.invalidate();
-            if let Some(a) = st.adapt.as_mut() {
-                a.on_barrier();
-            }
-        }
-        let (resp, rt) =
-            self.roundtrip(&Request::Launch { dpus: dpus.to_vec(), nr_tasklets }, &[])?;
-        report.absorb(&rt);
+        let req = Request::Launch { dpus: dpus.to_vec(), nr_tasklets };
+        let (resp, mut report) = self.op(Self::persist_barrier, |r| self.control(&req, r))?;
         report.set_launch_cycles(resp.launch_cycles);
-        self.adapt_tick(&report);
         Ok(report)
     }
 
-    /// Polls one DPU's status (CI operation).
+    /// Polls one DPU's status (CI operation). Unlike every other control
+    /// op, a poll leaves the write batch buffered.
     ///
     /// # Errors
     ///
     /// Transport failures or an invalid DPU.
     pub fn poll_status(&self, dpu: u32) -> Result<(CiStatus, OpReport), VpimError> {
-        let (resp, report) = self.roundtrip(&Request::PollStatus { dpu }, &[])?;
-        self.adapt_tick(&report);
-        let code = resp.payload.first().copied().unwrap_or(0);
-        let status = match code {
+        let req = Request::PollStatus { dpu };
+        let (resp, report) = self.op(|_| Ok(OpReport::default()), |r| self.control(&req, r))?;
+        let status = match resp.payload.first().copied().unwrap_or(0) {
             1 => CiStatus::Running,
             2 => CiStatus::Done,
             3 => CiStatus::Fault,
@@ -1029,17 +1049,13 @@ impl Frontend {
                 bytes.len()
             )));
         }
-        let mut report = self.flush_batch()?;
-        let mut lease = PageLease::new(&self.mem);
-        let page = lease.grow(1)?[0];
-        self.mem.write(page, bytes)?;
-        let (_, rt) = self.roundtrip(
-            &Request::WriteSymbol { dpu, name: name.to_string(), len: bytes.len() as u32 },
-            &[(page, bytes.len() as u32, false)],
-        )?;
-        lease.release();
-        report.absorb(&rt);
-        self.adapt_tick(&report);
+        let req = Request::WriteSymbol { dpu, name: name.to_string(), len: bytes.len() as u32 };
+        let (_, report) = self.op(Self::flush_batch, |r| {
+            let mut chain = Chain::default();
+            let page = chain.lease(&self.mem, 1)?[0];
+            self.mem.write(page, bytes)?;
+            self.roundtrip(&req, &[(page, bytes.len() as u32, false)], &mut chain, r)
+        })?;
         Ok(report)
     }
 
@@ -1055,15 +1071,13 @@ impl Frontend {
         name: &str,
         entries: &[(u32, u32)],
     ) -> Result<OpReport, VpimError> {
-        let mut report = self.flush_batch()?;
-        for chunk in entries.chunks(MAX_DPUS) {
-            let (_, rt) = self.roundtrip(
-                &Request::ScatterSymbol { name: name.to_string(), entries: chunk.to_vec() },
-                &[],
-            )?;
-            report.absorb(&rt);
-        }
-        self.adapt_tick(&report);
+        let (_, report) = self.op(Self::flush_batch, |r| {
+            entries.chunks(MAX_DPUS).try_for_each(|chunk| {
+                let req =
+                    Request::ScatterSymbol { name: name.to_string(), entries: chunk.to_vec() };
+                self.control(&req, r).map(drop)
+            })
+        })?;
         Ok(report)
     }
 
@@ -1084,13 +1098,8 @@ impl Frontend {
                 "symbol read of {len} bytes exceeds one status page"
             )));
         }
-        let mut report = self.flush_batch()?;
-        let (resp, rt) = self.roundtrip(
-            &Request::ReadSymbol { dpu, name: name.to_string(), len: len as u32 },
-            &[],
-        )?;
-        report.absorb(&rt);
-        self.adapt_tick(&report);
+        let req = Request::ReadSymbol { dpu, name: name.to_string(), len: len as u32 };
+        let (resp, report) = self.op(Self::flush_batch, |r| self.control(&req, r))?;
         Ok((resp.payload, report))
     }
 
@@ -1101,18 +1110,7 @@ impl Frontend {
     ///
     /// Transport failures.
     pub fn release_rank(&self) -> Result<OpReport, VpimError> {
-        let mut report = self.flush_batch()?;
-        {
-            let mut st = self.state.lock();
-            st.prefetch.invalidate();
-            if let Some(a) = st.adapt.as_mut() {
-                a.on_barrier();
-            }
-        }
-        let (_, rt) = self.roundtrip(&Request::ReleaseRank, &[])?;
-        report.absorb(&rt);
-        self.adapt_tick(&report);
-        Ok(report)
+        Ok(self.op(Self::persist_barrier, |r| self.control(&Request::ReleaseRank, r))?.1)
     }
 
     /// Charges the analytic cost of the SDK's status-poll loop during a
@@ -1135,9 +1133,11 @@ mod tests {
     use upmem_sim::kernel::SymbolDef;
     use upmem_sim::{DpuContext, DpuFault, DpuKernel, KernelImage, PimConfig, PimMachine};
 
+    use super::Chain;
     use crate::config::VpimConfig;
     use crate::error::VpimError;
     use crate::report::OpReport;
+    use crate::spec::Request;
     use crate::system::{StartOpts, TenantSpec, VpimSystem};
 
     /// A kernel that only carries one `u32` host symbol.
@@ -1200,6 +1200,28 @@ mod tests {
             assert_eq!(fe.flush_batch().unwrap(), OpReport::default());
         }
         assert_eq!(watched(), before, "no chain, no kick, no batch counter");
+        sys.shutdown();
+    }
+
+    #[test]
+    fn a_given_up_chain_another_kick_already_ran_is_not_parked() {
+        let driver = Arc::new(UpmemDriver::new(PimMachine::new(PimConfig::small())));
+        let sys = VpimSystem::start(driver, VpimConfig::full(), StartOpts::default());
+        let vm = sys.launch(TenantSpec::new("vm-0")).unwrap();
+        let fe = vm.frontend(0);
+        let free = fe.mem.free_pages();
+        let mut chain = Chain::default();
+        let (head, _) = fe.submit(&Request::PollStatus { dpu: 0 }, &[], &mut chain).unwrap();
+        // Another guest thread's kick runs the chain and drains its head
+        // before this thread gives its own kick up.
+        fe.kick().unwrap();
+        fe.drain_used().unwrap();
+        fe.park(head, &mut chain);
+        assert!(fe.ring.lock().parked.is_empty(), "a drained chain is not parked");
+        assert_eq!(chain.leases.len(), 1, "its pages stay with the caller");
+        drop(chain);
+        assert_eq!(fe.mem.free_pages(), free);
+        assert_eq!(sys.registry().snapshot().level("virtio.queue.depth.rank0"), 0);
         sys.shutdown();
     }
 }

@@ -207,6 +207,13 @@ impl DriverQueue {
         self.free_count
     }
 
+    /// Whether the chain headed by `head` was added and has not been reaped
+    /// by [`poll_used`](Self::poll_used) since.
+    #[must_use]
+    pub fn in_flight(&self, head: u16) -> bool {
+        self.chain_len.get(head as usize).is_some_and(|&n| n != 0)
+    }
+
     /// Adds a buffer chain: `(gpa, len, device_writes)` per buffer. Returns
     /// the head descriptor index and publishes it in the available ring.
     ///
@@ -422,7 +429,9 @@ mod tests {
         let page = mem.alloc_pages(1).unwrap()[0];
         mem.write(page, b"request").unwrap();
 
+        assert!(!driver.in_flight(0));
         let head = driver.add_chain(&[(page, 7, false)]).unwrap();
+        assert!(driver.in_flight(head));
         assert_eq!(device.pending().unwrap(), 1);
         let chain = device.pop().unwrap().unwrap();
         assert_eq!(chain.head, head);
@@ -434,7 +443,9 @@ mod tests {
         assert_eq!(&content, b"request");
 
         device.push_used(head, 0).unwrap();
+        assert!(driver.in_flight(head), "in flight until reaped");
         assert_eq!(driver.poll_used().unwrap(), Some((head, 0)));
+        assert!(!driver.in_flight(head));
         assert_eq!(driver.poll_used().unwrap(), None);
     }
 

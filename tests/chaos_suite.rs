@@ -115,6 +115,96 @@ fn dropped_kick_is_retried_transparently() {
     assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
+/// Bytes of the given-up write in the two tests below: two data pages.
+const GIVEN_UP_LEN: usize = 8192;
+
+/// Writes `GIVEN_UP_LEN` bytes of 0xAA to DPU 0 with every kick dropped,
+/// so the frontend gives the kick up. The bytes come from the slice
+/// (staged) or from a guest buffer (pinned) that is dropped as soon as the
+/// write returns; the chain's pages must outlive it.
+fn give_up_a_write(vm: &VpimVm, plane: &FaultPlane, pinned: bool) {
+    let fe = vm.frontend(0);
+    let data = [0xAAu8; GIVEN_UP_LEN];
+    plane.arm(FaultSite::KickDrop.name(), FaultPlan::EveryK(1));
+    let given_up = if pinned {
+        let buf = fe.alloc_buf(GIVEN_UP_LEN).unwrap();
+        buf.write(0, &data).unwrap();
+        fe.write_rank_pinned(&[(0, 0, &buf)])
+    } else {
+        fe.write_rank(&[(0, 0, &data[..])])
+    };
+    plane.disarm(FaultSite::KickDrop.name());
+    let err = given_up.unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Injected, "{err}");
+}
+
+/// Whether every byte of `got` is `byte` (a short message otherwise).
+fn all_bytes(got: &[u8], byte: u8) -> Result<(), String> {
+    match got.iter().position(|&b| b != byte) {
+        None if got.len() == GIVEN_UP_LEN => Ok(()),
+        None => Err(format!("{} bytes", got.len())),
+        Some(i) => Err(format!("byte {i} is {:#x}", got[i])),
+    }
+}
+
+/// A given-up kick leaves its chain in the avail ring, and the device
+/// runs it at the next kick, before that op's own chain. The given-up
+/// write therefore lands late, on its own DPU and from its own pages: the
+/// next op, a read of DPU 1, sees DPU 1's bytes, and DPU 0 then holds the
+/// given-up write's bytes.
+#[test]
+fn a_given_up_write_lands_late_and_only_on_its_own_dpu() {
+    let seed = sweep_seed();
+    for devices in [1, 2] {
+        for pinned in [false, true] {
+            let ctx = format!("devices={devices} pinned={pinned}");
+            let (sys, vm, plane) = chaos_system(devices, seed);
+            let fe = vm.frontend(0);
+            let (old, other) = ([0x11u8; GIVEN_UP_LEN], [0xBBu8; GIVEN_UP_LEN]);
+            fe.write_rank(&[(0, 0, &old[..]), (1, 0, &other[..])]).unwrap();
+
+            give_up_a_write(&vm, &plane, pinned);
+            let (out, _) = fe.read_rank(&[(1, 0, GIVEN_UP_LEN as u64)]).unwrap();
+            all_bytes(&out[0], 0xBB).unwrap_or_else(|e| panic!("{ctx}: DPU 1 read {e}"));
+            let (out, _) = fe.read_rank(&[(0, 0, GIVEN_UP_LEN as u64)]).unwrap();
+            all_bytes(&out[0], 0xAA).unwrap_or_else(|e| panic!("{ctx}: DPU 0 read {e}"));
+            drop(vm);
+            sys.shutdown();
+        }
+    }
+}
+
+/// A given-up chain keeps every page it names until the device has run
+/// it: its request and status pages, its one matrix page and its two data
+/// pages (for a pinned write, the dropped buffer's). Once the next op has
+/// run it, guest memory and the queue depth are back where they were
+/// before the failed write, and the give-up was counted once.
+#[test]
+fn a_given_up_chain_gives_its_pages_back_once_it_has_run() {
+    let seed = sweep_seed();
+    for devices in [1, 2] {
+        for pinned in [false, true] {
+            let ctx = format!("devices={devices} pinned={pinned}");
+            let (sys, vm, plane) = chaos_system(devices, seed);
+            let fe = vm.frontend(0);
+            let mem = vm.vm().memory();
+            let depth = || sys.registry().snapshot().level("virtio.queue.depth.rank0");
+            let giveups = || sys.registry().snapshot().count("retry.giveups");
+            let before = (mem.free_pages(), depth(), giveups());
+
+            give_up_a_write(&vm, &plane, pinned);
+            let held = (mem.free_pages(), depth(), giveups());
+            assert_eq!(held, (before.0 - 5, before.1 + 1, before.2 + 1), "{ctx}: parked");
+
+            fe.read_rank(&[(1, 0, GIVEN_UP_LEN as u64)]).unwrap();
+            let after = (mem.free_pages(), depth(), giveups());
+            assert_eq!(after, (before.0, before.1, before.2 + 1), "{ctx}: after it ran");
+            drop(vm);
+            sys.shutdown();
+        }
+    }
+}
+
 // --------------------------------------------------------- virtio memory
 
 /// Injected guest-memory EIO either surfaces typed (`ErrorKind::Injected`)
