@@ -3,8 +3,11 @@
 
 .PHONY: tier1 build test figures bench clean
 
-# The repo's tier-1 gate (ROADMAP.md): release build + full test suite,
-# then the benchmark smoke (a 0.2 s timed run of every workload, no retry:
+# The repo's tier-1 gate (ROADMAP.md): release build + full test suite
+# (which covers the zero-copy data-path integrity/leak suite, the
+# interleave, in-place DMA and guest-memory proptests), the criterion
+# benches compiled, clippy, the quick figures and rustdoc; then the
+# benchmark smoke (a 0.2 s timed run of every workload, no retry:
 # the frozen benchmark/ crate still builds against this tree, no operation
 # fails and all six virt_fingerprints equal benchmark/baseline.json), the
 # concurrency stress/determinism suites (one- vs two-device
@@ -16,16 +19,15 @@
 # suites (the latter with the multi-VM, migration and load-harness
 # suites, which drive the same backend -> scheduler -> rank-table call
 # path) under varied harness parallelism and pinned to one CPU (a
-# one-worker data pool), the
-# zero-copy data-path integrity/leak gate, the chaos leg (fault-injection suites under varied harness
+# one-worker data pool), the chaos leg (fault-injection suites under varied harness
 # parallelism, then the chaos suite over the CHAOS_SEED matrix), the shard
 # leg (rank-table properties + exact end-state churn accounting under
 # varied harness parallelism, then the churn suite over the SHARD_SEED
 # matrix, which varies every per-thread op mix), the load gate (1k-session
 # service-level smoke, bit-identical LoadReport across thread counts,
-# refreshes BENCH_load.json), the cluster gate (migration determinism under
-# varied harness parallelism plus the 1/2/4-host consolidation bench,
-# refreshes BENCH_cluster.json), and the pheap gate (crash-consistency
+# refreshes BENCH_load.json), the cluster gate (the 1/2/4-host
+# consolidation bench, refreshes BENCH_cluster.json; migration determinism
+# runs in the sched leg), and the pheap gate (crash-consistency
 # suites under varied harness parallelism, the 8-seed chaos sweep, the
 # durability bench, refreshes BENCH_pheap.json). Every varied-parallelism
 # leg goes through ci/threads-gate.sh (whose last leg reruns its suites in a
@@ -37,7 +39,6 @@ tier1:
 	sh ci/bench-smoke.sh
 	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation mram_isolation
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration load_harness
-	sh ci/perf-gate.sh
 	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
 	sh ci/seed-sweep.sh CHAOS_SEED chaos_suite
 	sh ci/threads-gate.sh shard rank_table_properties shard_stress

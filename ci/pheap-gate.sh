@@ -5,8 +5,8 @@
 #
 #   1. The pheap suites (`pheap_properties`: differential proptest vs a
 #      BTreeMap oracle, allocator invariants, recovery idempotence;
-#      `pheap_crash`: op streams x fault schedules x dispatch modes vs a
-#      committed-prefix oracle; `rank_checkpoint`: the uncommitted-WAL-tail
+#      `pheap_crash`: op streams x fault schedules x one- and two-device
+#      VMs vs a committed-prefix oracle; `rank_checkpoint`: the uncommitted-WAL-tail
 #      snapshot/restore regression) under RUST_TEST_THREADS=1 and =8 —
 #      harness scheduling must not reach recovered state;
 #   2. an 8-seed CHAOS_SEED sweep over the chaos suite's pheap tests
@@ -14,7 +14,7 @@
 #      crash matrix);
 #   3. the durability bench (`figures pheap`): lossless repair-free
 #      recovery, bit-identical state *and* virtual-time costs across
-#      dispatch modes (the asserts live in the experiment itself);
+#      device counts (the asserts live in the experiment itself);
 #   4. on success the bench is published as BENCH_pheap.json at the repo
 #      root (the regression trajectory).
 #

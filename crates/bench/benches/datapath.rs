@@ -4,7 +4,7 @@
 //! system-level effect, this bench measures the function itself).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pim_virtio::{GuestMemory, SegCache};
+use pim_virtio::GuestMemory;
 use simkit::cost::DataPath;
 use simkit::BytePool;
 use upmem_sim::{interleave, PimConfig, Rank};
@@ -114,8 +114,7 @@ fn bench_zero_copy(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("unstaged", size), &entry, |b, entry| {
             b.iter(|| {
-                datapath::entry_to_mram(&mem, &rank, entry, &mut SegCache::new(), None, 0)
-                    .expect("entry_to_mram")
+                datapath::entry_to_mram(&mem, &rank, entry, None, 0).expect("entry_to_mram")
             })
         });
         // Payload integrity: what the unstaged path wrote must be exactly

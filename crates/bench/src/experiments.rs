@@ -848,7 +848,7 @@ fn pheap_value(seed: u64, i: u64, len: u64) -> Vec<u8> {
 
 /// Runs one pheap leg on device 0 of a `devices`-device VM and returns
 /// `(persist_t, recover_t, digest)` where `digest` folds every recovered
-/// byte (so any divergence across dispatch poisons the comparison).
+/// byte (so any divergence between device counts poisons the comparison).
 fn pheap_leg(
     env: &BenchEnv,
     devices: usize,

@@ -83,9 +83,8 @@ pub fn interleave_cost(cm: &CostModel, bytes: u64, path: DataPath) -> VirtualNan
 }
 
 /// Moves one matrix entry guest→MRAM (the per-DPU unit of
-/// `write-to-rank`), returning the bytes moved: each guest page is written
-/// straight into MRAM, and the per-request [`SegCache`] elides repeated
-/// page bounds checks.
+/// `write-to-rank`), returning the bytes moved: each guest page is
+/// bounds-checked and written straight into MRAM.
 ///
 /// # Errors
 ///
@@ -96,12 +95,11 @@ pub fn entry_to_mram(
     mem: &GuestMemory,
     rank: &Rank,
     entry: &DpuXfer,
-    cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    begin_write(mem, rank, entry, cache, plane, key)?;
-    copy_to_mram(mem, rank, entry, entry.len, cache)?;
+    begin_write(mem, rank, entry, plane, key)?;
+    copy_to_mram(mem, rank, entry, entry.len)?;
     Ok(entry.len)
 }
 
@@ -111,9 +109,8 @@ fn copy_to_mram(
     rank: &Rank,
     entry: &DpuXfer,
     len: u64,
-    cache: &mut SegCache,
 ) -> Result<(), VpimError> {
-    mem.walk_pages(cache, &entry.pages, len, |offset, s| {
+    mem.walk_pages(&entry.pages, len, |offset, s| {
         rank.write_mram(entry.dpu as usize, entry.mram_offset + offset, s)
             .map_err(VpimError::from)
     })
@@ -128,7 +125,6 @@ fn begin_write(
     mem: &GuestMemory,
     rank: &Rank,
     entry: &DpuXfer,
-    cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<(), VpimError> {
@@ -139,7 +135,7 @@ fn begin_write(
             // A recovered retry must overwrite the torn range
             // idempotently (guaranteed: entries address disjoint ranges
             // and the retry rewrites the same offsets).
-            copy_to_mram(mem, rank, entry, (entry.len / 2) & !7, cache)?;
+            copy_to_mram(mem, rank, entry, (entry.len / 2) & !7)?;
             return Err(VpimError::Injected { point: CHUNK_TORN_WRITE_POINT });
         }
     }
@@ -164,12 +160,11 @@ pub fn share_entry(
     rank: &Rank,
     entry: &DpuXfer,
     source: u32,
-    cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    begin_write(mem, rank, entry, cache, plane, key)?;
-    mem.walk_pages(cache, &entry.pages, entry.len, |offset, s| {
+    begin_write(mem, rank, entry, plane, key)?;
+    mem.walk_pages(&entry.pages, entry.len, |offset, s| {
         let at = entry.mram_offset + offset;
         if s.len() == MRAM_PAGE && at.is_multiple_of(MRAM_PAGE as u64) {
             let page = (at / MRAM_PAGE as u64) as usize;
@@ -196,13 +191,12 @@ pub fn entry_from_mram(
     mem: &GuestMemory,
     rank: &Rank,
     entry: &DpuXfer,
-    cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
     entry.check_pages()?;
     maybe_stall(plane, key);
-    mem.walk_pages_mut(cache, &entry.pages, entry.len, |offset, s| {
+    mem.walk_pages_mut(&entry.pages, entry.len, |offset, s| {
         rank.read_mram(entry.dpu as usize, entry.mram_offset + offset, s)
             .map_err(VpimError::from)
     })?;
@@ -210,7 +204,7 @@ pub fn entry_from_mram(
 }
 
 /// Inert; deleted by ROADMAP item 1. [`entry_to_mram`] under the old
-/// signature: `verify`, `path` and `pool` are ignored.
+/// signature: `verify`, `path`, `pool` and `cache` are ignored.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn write_entry(
@@ -220,15 +214,15 @@ pub fn write_entry(
     _verify: bool,
     _path: DataPath,
     _pool: &BytePool,
-    cache: &mut SegCache,
+    _cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    entry_to_mram(mem, rank, entry, cache, plane, key)
+    entry_to_mram(mem, rank, entry, plane, key)
 }
 
 /// Inert; deleted by ROADMAP item 1. [`entry_from_mram`] under the old
-/// signature: `verify`, `path` and `pool` are ignored.
+/// signature: `verify`, `path`, `pool` and `cache` are ignored.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn read_entry(
@@ -238,11 +232,11 @@ pub fn read_entry(
     _verify: bool,
     _path: DataPath,
     _pool: &BytePool,
-    cache: &mut SegCache,
+    _cache: &mut SegCache,
     plane: Option<&FaultPlane>,
     key: u64,
 ) -> Result<u64, VpimError> {
-    entry_from_mram(mem, rank, entry, cache, plane, key)
+    entry_from_mram(mem, rank, entry, plane, key)
 }
 
 #[cfg(test)]
@@ -279,7 +273,7 @@ mod tests {
         mem.write(page, &vec![0x11; page_len]).unwrap();
         let short = DpuXfer { dpu: 0, mram_offset: 0, len: 2 * PAGE_SIZE, pages: vec![page] };
         for op in [entry_to_mram, entry_from_mram] {
-            let got = op(&mem, &rank, &short, &mut SegCache::new(), None, 0);
+            let got = op(&mem, &rank, &short, None, 0);
             assert!(matches!(got, Err(VpimError::BadRequest(_))), "{got:?}");
         }
         let mut mram = vec![0xFF; 2 * page_len];
@@ -309,7 +303,7 @@ mod tests {
             rank.write_mram(0, AT, &vec![OLD; window]).unwrap();
             let entry = DpuXfer { dpu: 0, mram_offset: AT, len: len as u64, pages };
             plane.arm(CHUNK_TORN_WRITE_POINT, simkit::FaultPlan::Nth(1));
-            let got = entry_to_mram(&mem, &rank, &entry, &mut SegCache::new(), Some(&plane), 0);
+            let got = entry_to_mram(&mem, &rank, &entry, Some(&plane), 0);
             assert!(
                 matches!(got, Err(VpimError::Injected { point: CHUNK_TORN_WRITE_POINT })),
                 "len {len}: {got:?}"

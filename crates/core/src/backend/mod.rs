@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 use pim_virtio::queue::DescChain;
-use pim_virtio::{Gpa, GuestMemory, SegCache};
+use pim_virtio::{Gpa, GuestMemory};
 use simkit::compose::pool_schedule;
 use simkit::{
     CostModel, Counter, FaultPlane, HasErrorKind, InjectCell, MetricsRegistry, VirtualNanos,
@@ -38,14 +38,8 @@ use crate::spec::{PimDeviceConfig, Request, Response};
 /// The trailing `(Option<&FaultPlane>, u64)` pair is the fault plane (if
 /// installed) and the entry's index in its request — the deterministic key
 /// the chunk fault points are evaluated over.
-type EntryOp = fn(
-    &GuestMemory,
-    &Rank,
-    &DpuXfer,
-    &mut SegCache,
-    Option<&FaultPlane>,
-    u64,
-) -> Result<u64, VpimError>;
+type EntryOp =
+    fn(&GuestMemory, &Rank, &DpuXfer, Option<&FaultPlane>, u64) -> Result<u64, VpimError>;
 
 /// The host's data pool: one worker per CPU this process may run on.
 /// `available_parallelism` reads the affinity mask, so a host pinned to
@@ -374,8 +368,7 @@ impl Backend {
     /// make one chunk, runs inline. So does a broadcast with a `source`
     /// ([`broadcast_source`]): entry 0 copies its bytes, then every other
     /// entry takes entry 0's MRAM pages, so nothing is left to fan out.
-    /// Each worker elides bounds re-checks with a chunk-local
-    /// [`SegCache`]. On full success the bytes moved are published as
+    /// On full success the bytes moved are published as
     /// `datapath.bytes.zero_copy`. On failure the error of the
     /// **lowest entry index** is returned — the same error a sequential
     /// in-order walk would report — so error responses do not depend on
@@ -401,15 +394,14 @@ impl Backend {
             Vec::new()
         };
         if chunks.len() <= 1 {
-            let mut cache = SegCache::new();
             let mut moved = 0u64;
             let plane = plane.as_deref();
             for (i, entry) in matrix.entries.iter().enumerate() {
                 moved += match source {
                     Some(source) if i > 0 => {
-                        datapath::share_entry(mem, rank, entry, source, &mut cache, plane, i as u64)
+                        datapath::share_entry(mem, rank, entry, source, plane, i as u64)
                     }
-                    _ => op(mem, rank, entry, &mut cache, plane, i as u64),
+                    _ => op(mem, rank, entry, plane, i as u64),
                 }?;
             }
             self.counters.zero_copy.add(moved);
@@ -427,10 +419,9 @@ impl Backend {
                     .map(|&i| (i, matrix.entries[i].clone()))
                     .collect();
                 move || -> Result<u64, (usize, VpimError)> {
-                    let mut cache = SegCache::new();
                     let mut moved = 0u64;
                     for (i, entry) in &entries {
-                        moved += op(&mem, &rank, entry, &mut cache, plane.as_deref(), *i as u64)
+                        moved += op(&mem, &rank, entry, plane.as_deref(), *i as u64)
                             .map_err(|e| (*i, e))?;
                     }
                     Ok(moved)
@@ -1064,9 +1055,9 @@ mod tests {
     #[test]
     fn width_matrix_fans_out_over_pool_threads() {
         static LOG: ThreadLog = ThreadLog::new(Vec::new());
-        let op: EntryOp = |mem, rank, entry, cache, plane, key| {
+        let op: EntryOp = |mem, rank, entry, plane, key| {
             log_thread(&LOG);
-            datapath::entry_to_mram(mem, rank, entry, cache, plane, key)
+            datapath::entry_to_mram(mem, rank, entry, plane, key)
         };
         let entries = width_entries();
         run_write_with(4, &entries, op);
@@ -1085,9 +1076,9 @@ mod tests {
     #[test]
     fn small_matrix_runs_on_the_handler_thread() {
         static LOG: ThreadLog = ThreadLog::new(Vec::new());
-        let op: EntryOp = |mem, rank, entry, cache, plane, key| {
+        let op: EntryOp = |mem, rank, entry, plane, key| {
             log_thread(&LOG);
-            datapath::entry_to_mram(mem, rank, entry, cache, plane, key)
+            datapath::entry_to_mram(mem, rank, entry, plane, key)
         };
         let per_dpu = (2 * FANOUT_MIN_BYTES as usize - 1) / 8;
         let entries: Vec<(u32, u64, Vec<u8>)> =

@@ -12,7 +12,7 @@
 //! * a **modeled inter-host network** ([`link`]): snapshot bytes ship
 //!   over a serialized [`Link`] whose transfer time is pure integer
 //!   virtual time, so fleet-level reports stay bit-identical across
-//!   host dispatch and thread counts;
+//!   device counts, harness thread counts and data-pool widths;
 //! * **live migration** ([`migrate`]): quiesce a tenant's ranks at their
 //!   slot-lock safe points, snapshot bit-exactly
 //!   ([`Rank::snapshot_quiescent`]), ship over the link (stop-and-copy),
@@ -433,7 +433,8 @@ impl Fleet {
     /// replayed through per-host virtual queues (phase B) — same two-phase
     /// scheme as the single-host [`LoadHarness`](crate::load::LoadHarness),
     /// same invariant: **same seed ⇒ bit-identical [`FleetLoadReport`]**
-    /// across execution modes, host dispatch, and thread counts.
+    /// across phase-A execution modes, harness thread counts and
+    /// data-pool widths.
     #[must_use]
     pub fn load_run(&self, spec: &LoadSpec, mix: &TenantMix) -> FleetLoadReport {
         let n = spec.n_sessions();

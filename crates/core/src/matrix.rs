@@ -17,7 +17,7 @@
 //! guest-to-Firecracker path.
 
 use pim_virtio::memory::PAGE_SIZE;
-use pim_virtio::{Gpa, GuestMemory, SegCache};
+use pim_virtio::{Gpa, GuestMemory};
 use simkit::BytePool;
 
 use crate::error::VpimError;
@@ -419,7 +419,7 @@ impl TransferMatrix {
     pub fn gather(mem: &GuestMemory, entry: &DpuXfer) -> Result<Vec<u8>, VpimError> {
         entry.check_pages()?;
         let mut out = Vec::with_capacity(entry.len as usize);
-        mem.walk_pages(&mut SegCache::new(), &entry.pages, entry.len, |_, s| {
+        mem.walk_pages(&entry.pages, entry.len, |_, s| {
             out.extend_from_slice(s);
             Ok::<(), VpimError>(())
         })?;
@@ -443,7 +443,7 @@ impl TransferMatrix {
             )));
         }
         entry.check_pages()?;
-        mem.walk_pages_mut(&mut SegCache::new(), &entry.pages, entry.len, |offset, s| {
+        mem.walk_pages_mut(&entry.pages, entry.len, |offset, s| {
             s.copy_from_slice(&data[offset as usize..][..s.len()]);
             Ok(())
         })

@@ -26,8 +26,9 @@
 //!
 //! Both fault sites consult the system [`FaultPlane`] **keyed by the
 //! transaction sequence number**, so fault schedules are pure in
-//! `(seed, site, seq)` and replay bit-identically across dispatch
-//! modes. `pheap.*` telemetry is registered lazily — constructing the
+//! `(seed, site, seq)` and replay bit-identically whatever the VM's
+//! device count, the harness's thread count or the data pool's width.
+//! `pheap.*` telemetry is registered lazily — constructing the
 //! first heap registers it; an unused system publishes none.
 
 mod alloc;

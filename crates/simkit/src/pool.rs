@@ -1,4 +1,4 @@
-//! A thread-aware scratch-buffer pool for the zero-allocation data path.
+//! A size-classed scratch-buffer pool for the frontend's matrix serializer.
 //!
 //! vPIM's transfer hot path (§4.1–§4.2) assembles each transfer matrix's
 //! metadata in a serializer scratch buffer in the frontend (the payload
@@ -6,8 +6,8 @@
 //! Allocating that buffer fresh per operation puts `malloc`, page faults
 //! and a memset on the critical path of every rank transfer. [`BytePool`]
 //! recycles it instead: buffers are size-classed (powers of two), parked
-//! on small per-thread-shard stacks, and handed out as RAII
-//! [`PoolGuard`]s that return themselves on drop.
+//! on one small stack per class, and handed out as RAII [`PoolGuard`]s
+//! that return themselves on drop.
 //!
 //! Design points:
 //!
@@ -15,28 +15,23 @@
 //!   smallest power-of-two class ≥ `len` (min 64 B, max 64 MiB). Requests
 //!   above the largest class fall back to a plain allocation that is not
 //!   recycled (they are far beyond any per-DPU transfer this stack issues).
-//! * **Thread-aware sharding** — free lists are split into [`SHARDS`]
-//!   shards indexed by a per-thread slot, so concurrent backend workers
-//!   rarely contend on one mutex. A take that misses its own shard steals
-//!   from the others before allocating.
-//! * **Bounded** — each (shard, class) stack keeps at most a handful of
-//!   buffers; returns beyond the bound free the buffer, so the pool's
-//!   resident set is capped instead of high-watermarking.
+//! * **One lock** — every class's stack sits behind one mutex, held only
+//!   to push or pop one buffer.
+//! * **Bounded** — each class's stack keeps at most a handful of buffers;
+//!   returns beyond the bound free the buffer, so the pool's resident set
+//!   is capped instead of high-watermarking.
 //! * **Dirty reuse** — recycled buffers keep their previous contents
 //!   (zeroing them would re-introduce the memset the pool exists to avoid).
-//!   Callers must fully overwrite a guard before reading it back; use
-//!   [`BytePool::take_zeroed`] when that contract cannot be met.
+//!   Callers must fully overwrite a guard before reading it back.
 //! * **Telemetry** — `take` accounting (`hits`/`misses`/`bytes`) and an
 //!   `outstanding` gauge (guards taken minus guards dropped) can be bound
 //!   to a [`MetricsRegistry`] with [`BytePool::with_registry`]; the gauge
-//!   is the pool-leak ("drop balance") check CI gates on. Note that under
-//!   concurrency the hit/miss *split* depends on thread interleaving; only
-//!   `hits + misses` (total takes), `bytes`, and the drained `outstanding`
-//!   level are deterministic quantities.
+//!   is the pool-leak ("drop balance") check CI gates on. When several
+//!   threads take at once, which of them finds the parked buffer depends
+//!   on their interleaving, so only `hits + misses` (total takes), `bytes`
+//!   and the drained `outstanding` level are fixed by the work alone.
 
-use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -49,9 +44,7 @@ const MIN_CLASS_SHIFT: u32 = 6;
 const MAX_CLASS_SHIFT: u32 = 26;
 /// Number of size classes.
 const CLASSES: usize = (MAX_CLASS_SHIFT - MIN_CLASS_SHIFT + 1) as usize;
-/// Number of free-list shards (threads map onto these round-robin).
-pub const SHARDS: usize = 8;
-/// Maximum buffers parked per (shard, class) stack.
+/// Maximum buffers parked per class.
 const PER_CLASS_CAP: usize = 8;
 
 /// Size class for a request, or `None` when the request should bypass the
@@ -69,52 +62,43 @@ fn class_size(class: usize) -> usize {
     1usize << (class as u32 + MIN_CLASS_SHIFT)
 }
 
-/// The shard the calling thread parks buffers on: threads draw a ticket
-/// round-robin on first use, so worker pools spread evenly over the shards,
-/// and keep it for life.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static TICKET: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    TICKET.with(|t| {
-        if t.get() == usize::MAX {
-            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
-        }
-        t.get() % SHARDS
-    })
-}
-
 #[derive(Debug)]
 struct PoolInner {
-    /// Free lists, indexed `shard * CLASSES + class`. Parked buffers always
-    /// have `len == class_size(class)`.
-    slots: Vec<Mutex<Vec<Vec<u8>>>>,
+    /// Free lists, one per class. Parked buffers always have
+    /// `len == class_size(class)`.
+    free: Mutex<[Vec<Vec<u8>>; CLASSES]>,
     hits: Counter,
     misses: Counter,
     bytes: Counter,
     outstanding: Gauge,
 }
 
-/// A shared, thread-aware, size-classed scratch-buffer pool.
+impl PoolInner {
+    fn new(hits: Counter, misses: Counter, bytes: Counter, outstanding: Gauge) -> Self {
+        PoolInner {
+            free: Mutex::new(std::array::from_fn(|_| Vec::new())),
+            hits,
+            misses,
+            bytes,
+            outstanding,
+        }
+    }
+}
+
+/// A shared, size-classed scratch-buffer pool.
 ///
-/// Cheaply cloneable (`Arc` inside): the frontend serializer, the backend
-/// deserializer and every backend worker hold clones of one pool, so a
-/// buffer released by any of them is available to all of them.
-#[derive(Debug, Clone, Default)]
+/// Cheaply cloneable (`Arc` inside): every frontend of a system holds a
+/// clone of the system's one pool, so a buffer one of them releases is
+/// available to all of them.
+#[derive(Debug, Clone)]
 pub struct BytePool {
     inner: Arc<PoolInner>,
 }
 
-impl Default for PoolInner {
+impl Default for BytePool {
     fn default() -> Self {
-        PoolInner {
-            slots: (0..SHARDS * CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            bytes: Counter::new(),
-            outstanding: Gauge::new(),
-        }
+        let inner = PoolInner::new(Counter::new(), Counter::new(), Counter::new(), Gauge::new());
+        BytePool { inner: Arc::new(inner) }
     }
 }
 
@@ -131,15 +115,13 @@ impl BytePool {
     /// and prefix aggregate into the same cells.
     #[must_use]
     pub fn with_registry(registry: &MetricsRegistry, prefix: &str) -> Self {
-        BytePool {
-            inner: Arc::new(PoolInner {
-                slots: (0..SHARDS * CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-                hits: registry.counter(&format!("{prefix}.hits")),
-                misses: registry.counter(&format!("{prefix}.misses")),
-                bytes: registry.counter(&format!("{prefix}.bytes")),
-                outstanding: registry.gauge(&format!("{prefix}.outstanding")),
-            }),
-        }
+        let inner = PoolInner::new(
+            registry.counter(&format!("{prefix}.hits")),
+            registry.counter(&format!("{prefix}.misses")),
+            registry.counter(&format!("{prefix}.bytes")),
+            registry.gauge(&format!("{prefix}.outstanding")),
+        );
+        BytePool { inner: Arc::new(inner) }
     }
 
     /// Takes a `len`-byte scratch buffer. A recycled buffer keeps its
@@ -164,32 +146,19 @@ impl BytePool {
                 pool: Arc::clone(&self.inner),
             };
         };
-        let home = shard_index();
-        // Local shard first, then steal from the others.
-        for probe in 0..SHARDS {
-            let shard = (home + probe) % SHARDS;
-            if let Some(buf) = self.inner.slots[shard * CLASSES + class].lock().pop() {
+        let parked = self.inner.free.lock()[class].pop();
+        let buf = match parked {
+            Some(buf) => {
                 debug_assert_eq!(buf.len(), class_size(class));
                 self.inner.hits.inc();
-                return PoolGuard { buf, len, class: Some(class), pool: Arc::clone(&self.inner) };
+                buf
             }
-        }
-        self.inner.misses.inc();
-        PoolGuard {
-            buf: vec![0u8; class_size(class)],
-            len,
-            class: Some(class),
-            pool: Arc::clone(&self.inner),
-        }
-    }
-
-    /// [`take`](Self::take), then zero-fills the guard (for callers that
-    /// cannot promise to overwrite every byte).
-    #[must_use]
-    pub fn take_zeroed(&self, len: usize) -> PoolGuard {
-        let mut g = self.take(len);
-        g.fill(0);
-        g
+            None => {
+                self.inner.misses.inc();
+                vec![0u8; class_size(class)]
+            }
+        };
+        PoolGuard { buf, len, class: Some(class), pool: Arc::clone(&self.inner) }
     }
 
     /// Takes serviced from a parked buffer.
@@ -217,10 +186,10 @@ impl BytePool {
         self.inner.outstanding.get()
     }
 
-    /// Buffers currently parked across all shards and classes.
+    /// Buffers currently parked across all classes.
     #[must_use]
     pub fn parked(&self) -> usize {
-        self.inner.slots.iter().map(|s| s.lock().len()).sum()
+        self.inner.free.lock().iter().map(Vec::len).sum()
     }
 }
 
@@ -282,7 +251,7 @@ impl Drop for PoolGuard {
         if let Some(class) = self.class {
             let buf = std::mem::take(&mut self.buf);
             debug_assert_eq!(buf.len(), class_size(class));
-            let mut stack = self.pool.slots[shard_index() * CLASSES + class].lock();
+            let stack = &mut self.pool.free.lock()[class];
             if stack.len() < PER_CLASS_CAP {
                 stack.push(buf);
             }
@@ -347,12 +316,8 @@ mod tests {
             g.fill(0xAB);
         }
         let g = pool.take(256);
-        // Dirty reuse is the documented contract…
+        // Dirty reuse is the documented contract.
         assert!(g.iter().all(|&b| b == 0xAB));
-        drop(g);
-        // …and take_zeroed opts out of it.
-        let g = pool.take_zeroed(256);
-        assert!(g.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -373,10 +338,9 @@ mod tests {
     #[test]
     fn per_class_stacks_are_bounded() {
         let pool = BytePool::new();
-        let guards: Vec<_> = (0..4 * PER_CLASS_CAP * SHARDS).map(|_| pool.take(100)).collect();
+        let guards: Vec<_> = (0..4 * PER_CLASS_CAP).map(|_| pool.take(100)).collect();
         drop(guards);
-        // Single-threaded: everything returns to one shard's stack.
-        assert!(pool.parked() <= PER_CLASS_CAP);
+        assert_eq!(pool.parked(), PER_CLASS_CAP);
         assert_eq!(pool.outstanding(), 0);
     }
 
@@ -388,10 +352,9 @@ mod tests {
         drop(a.take(100));
         drop(b.take(100));
         let snap = reg.snapshot();
-        assert_eq!(
-            snap.count("datapath.pool.hits") + snap.count("datapath.pool.misses"),
-            2
-        );
+        // Two pools, two free lists: each take allocates.
+        assert_eq!(snap.count("datapath.pool.hits"), 0);
+        assert_eq!(snap.count("datapath.pool.misses"), 2);
         assert_eq!(snap.count("datapath.pool.bytes"), 200);
         assert_eq!(snap.level("datapath.pool.outstanding"), 0);
     }

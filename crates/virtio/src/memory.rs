@@ -14,7 +14,9 @@
 //! [`GuestMemory::walk_pages`]/[`GuestMemory::walk_pages_mut`] (device
 //! side) or [`GuestMemory::write_pages`] and the view's `*_pages_at`
 //! accessors (guest side), never through a hand-written loop over
-//! `PAGE_SIZE` elsewhere.
+//! `PAGE_SIZE` elsewhere. The walkers bounds-check every page they visit,
+//! as one [`GuestMemory::with_slice`] per page would: nothing remembers a
+//! range already checked.
 //!
 //! Records that live in guest RAM — virtqueue ring entries, descriptors,
 //! serialized matrix metadata — are read and written through
@@ -152,56 +154,17 @@ impl Drop for Inner {
     }
 }
 
-/// A per-request GPA→HVA segment cache.
-///
-/// A transfer matrix names many pages, and most of a request's accesses
-/// land in the page-aligned extent the previous access already validated.
-/// The cache remembers one such extent (`[lo, hi)`, page-aligned, clamped
-/// to RAM) so repeated same-segment descriptors skip the bounds re-check —
-/// the moral equivalent of caching one GPA→HVA translation.
-///
-/// Staleness cannot occur: a memory's RAM is fixed at [`GuestMemory::new`]
-/// and never grows, shrinks, or moves while a handle lives (it is recycled
-/// only after the last one drops, to a memory of the same size), so an
-/// extent that was in bounds stays in bounds for the memory's lifetime.
-/// The cache is plain request-local state (`Copy`, no locks) — create one
-/// per request or per worker, never share across memories.
+/// Inert; deleted by ROADMAP item 1a. The page walkers take no cache:
+/// each visited page gets the plain bounds check.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SegCache {
-    /// Validated extent start (inclusive, page-aligned).
-    lo: u64,
-    /// Validated extent end (exclusive, page-aligned or RAM end).
-    hi: u64,
-    hits: u64,
-    misses: u64,
-}
+pub struct SegCache;
 
 impl SegCache {
-    /// An empty cache (covers nothing).
+    /// The unit value.
     #[must_use]
     pub fn new() -> Self {
-        SegCache::default()
-    }
-
-    /// Whether `[gpa, gpa+len)` lies inside the validated extent.
-    /// Zero-length accesses never hit: they carry boundary semantics the
-    /// full check must see.
-    fn covers(&self, gpa: Gpa, len: u64) -> bool {
-        len > 0
-            && gpa.0 >= self.lo
-            && gpa.0.checked_add(len).is_some_and(|end| end <= self.hi)
-    }
-
-    /// Bounds checks satisfied from the cached extent.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Bounds checks that went through the full range check.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
+        Self
     }
 }
 
@@ -482,23 +445,6 @@ impl GuestMemory {
         Ok(f(&mut ram.bytes[range]))
     }
 
-    /// The bounds check through a [`SegCache`]: a range inside the
-    /// cache's validated extent skips the full bounds check; a miss
-    /// validates normally and admits the surrounding page-aligned extent.
-    fn check_cached(&self, cache: &mut SegCache, gpa: Gpa, len: u64) -> Result<(), VirtioError> {
-        if cache.covers(gpa, len) {
-            cache.hits += 1;
-            return Ok(());
-        }
-        byte_range(self.size(), gpa, len)?;
-        cache.misses += 1;
-        if len > 0 {
-            cache.lo = (gpa.0 / PAGE_SIZE) * PAGE_SIZE;
-            cache.hi = (gpa.0 + len).div_ceil(PAGE_SIZE).saturating_mul(PAGE_SIZE).min(self.size());
-        }
-        Ok(())
-    }
-
     /// The page walk behind both walkers: `len` bytes laid over `pages`
     /// in order, a full page each except a partial last one, stopping at
     /// `len` or at the end of the list, whichever comes first. Each visited
@@ -507,7 +453,6 @@ impl GuestMemory {
     /// fault schedule fires on the same page; the first error ends the walk.
     fn walk<E: From<VirtioError>>(
         &self,
-        cache: &mut SegCache,
         pages: &[Gpa],
         len: u64,
         mut visit: impl FnMut(u64, std::ops::Range<usize>) -> Result<(), E>,
@@ -515,16 +460,15 @@ impl GuestMemory {
         for (page, offset) in pages.iter().zip((0..len).step_by(PAGE_SIZE as usize)) {
             let n = (len - offset).min(PAGE_SIZE);
             self.injected_eio()?;
-            self.check_cached(cache, *page, n)?;
-            visit(offset, page.0 as usize..(page.0 + n) as usize)?;
+            visit(offset, byte_range(self.size(), *page, n)?)?;
         }
         Ok(())
     }
 
     /// Zero-copy read of `len` bytes spread over `pages`: calls
     /// `f(offset, bytes)` for each page in order under **one** borrow of
-    /// guest RAM, with the same per-page fault point and
-    /// [`SegCache`]-served bounds check as every other page walk.
+    /// guest RAM, with the same per-page fault point and bounds check as
+    /// one [`with_slice`](Self::with_slice) per page.
     ///
     /// # Errors
     ///
@@ -533,13 +477,12 @@ impl GuestMemory {
     /// or whatever `f` returns.
     pub fn walk_pages<E: From<VirtioError>>(
         &self,
-        cache: &mut SegCache,
         pages: &[Gpa],
         len: u64,
         mut f: impl FnMut(u64, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
         let ram = self.inner.ram.read();
-        self.walk(cache, pages, len, |offset, range| f(offset, &ram.bytes[range]))
+        self.walk(pages, len, |offset, range| f(offset, &ram.bytes[range]))
     }
 
     /// Mutable [`walk_pages`](Self::walk_pages).
@@ -549,13 +492,12 @@ impl GuestMemory {
     /// As [`walk_pages`](Self::walk_pages).
     pub fn walk_pages_mut<E: From<VirtioError>>(
         &self,
-        cache: &mut SegCache,
         pages: &[Gpa],
         len: u64,
         mut f: impl FnMut(u64, &mut [u8]) -> Result<(), E>,
     ) -> Result<(), E> {
         let Ram { bytes, dirty } = &mut *self.inner.ram.write();
-        self.walk(cache, pages, len, |offset, range| {
+        self.walk(pages, len, |offset, range| {
             mark_dirty(dirty, &range);
             f(offset, &mut bytes[range])
         })
@@ -834,58 +776,6 @@ mod tests {
         assert!(mem.with_slice(Gpa(PAGE_SIZE + 1), 0, |_| ()).is_err());
         // Overflowing gpa+len is rejected, not wrapped.
         assert!(mem.with_slice(Gpa(u64::MAX), 2, |_| ()).is_err());
-        let mut cache = SegCache::new();
-        assert!(mem.check_cached(&mut cache, Gpa(PAGE_SIZE), 0).is_err());
-    }
-
-    #[test]
-    fn seg_cache_skips_rechecks_within_extent() {
-        let mem = GuestMemory::new(4 * PAGE_SIZE);
-        let mut cache = SegCache::new();
-        mem.write(Gpa(128), &[7u8; 16]).unwrap();
-        // First access misses and admits the page; the rest of the page hits.
-        for off in (0u64..PAGE_SIZE).step_by(64) {
-            let mut first = 0;
-            mem.walk_pages(&mut cache, &[Gpa(off)], 16, |_, s| {
-                first = s[0];
-                Ok::<(), VirtioError>(())
-            })
-            .unwrap();
-            if off == 128 {
-                assert_eq!(first, 7);
-            }
-        }
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), PAGE_SIZE / 64 - 1);
-        // Leaving the extent re-validates and re-admits.
-        let nop = |_: u64, _: &[u8]| Ok::<(), VirtioError>(());
-        mem.walk_pages(&mut cache, &[Gpa(3 * PAGE_SIZE)], 8, nop).unwrap();
-        assert_eq!(cache.misses(), 2);
-        // Out-of-bounds stays rejected no matter what the cache holds.
-        assert!(mem.walk_pages(&mut cache, &[Gpa(4 * PAGE_SIZE - 4)], 8, nop).is_err());
-        // Mutations through the cached window land in RAM.
-        mem.walk_pages_mut(&mut cache, &[Gpa(100)], 4, |_, s| {
-            s.fill(9);
-            Ok::<(), VirtioError>(())
-        })
-        .unwrap();
-        let mut back = [0u8; 4];
-        mem.read(Gpa(100), &mut back).unwrap();
-        assert_eq!(back, [9u8; 4]);
-    }
-
-    #[test]
-    fn seg_cache_spanning_ranges_clamp_to_ram_end() {
-        let mem = GuestMemory::new(2 * PAGE_SIZE);
-        let mut cache = SegCache::new();
-        // A range ending exactly at RAM end admits an extent clamped there…
-        mem.check_cached(&mut cache, Gpa(PAGE_SIZE + 8), PAGE_SIZE - 8).unwrap();
-        assert_eq!(cache.misses(), 1);
-        // …whose interior hits…
-        mem.check_cached(&mut cache, Gpa(2 * PAGE_SIZE - 64), 64).unwrap();
-        assert_eq!(cache.hits(), 1);
-        // …but one byte past still fails.
-        assert!(mem.check_cached(&mut cache, Gpa(2 * PAGE_SIZE - 63), 64).is_err());
     }
 
     #[test]
@@ -1012,13 +902,12 @@ mod tests {
         assert!(mem.view_mut(|v| v.write_pages(&[Gpa(0)], &[6u8; 10])).is_ok());
         let hits = plane.point_stats(MEM_EIO_POINT).expect("armed").hits;
         assert_eq!(hits, 0, "raw accessors and views consult nothing");
-        let mut cache = SegCache::new();
         assert!(matches!(
-            mem.walk_pages(&mut cache, &[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
+            mem.walk_pages(&[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
             Err(VirtioError::Eio { .. })
         ));
         assert!(matches!(
-            mem.walk_pages_mut(&mut cache, &[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
+            mem.walk_pages_mut(&[Gpa(0)], 2, |_, _| Ok::<(), VirtioError>(())),
             Err(VirtioError::Eio { .. })
         ));
         // Clones share the installed plane.
@@ -1049,14 +938,13 @@ mod tests {
 
     fn walked(mem: &GuestMemory, pages: &[Gpa], len: u64, mutable: bool) -> Visits {
         let mut seen = Vec::new();
-        let mut cache = SegCache::new();
         let end = if mutable {
-            mem.walk_pages_mut(&mut cache, pages, len, |off, s| {
+            mem.walk_pages_mut(pages, len, |off, s| {
                 seen.push((off, s.to_vec()));
                 Ok(())
             })
         } else {
-            mem.walk_pages(&mut cache, pages, len, |off, s| {
+            mem.walk_pages(pages, len, |off, s| {
                 seen.push((off, s.to_vec()));
                 Ok(())
             })
@@ -1078,10 +966,11 @@ mod tests {
         /// Both walkers visit exactly the `(offset, bytes)` sequence of a
         /// per-page `with_slice` model — over non-contiguous and repeated
         /// pages, the last RAM page, a page outside RAM (which fails with
-        /// `OutOfBounds` after the pages before it were visited), and any
-        /// `len` (0, whole pages, partial last page, shorter or longer than
-        /// the list covers) — and consult `MEM_EIO_POINT` once per visited
-        /// page, in page order.
+        /// `OutOfBounds` after the pages before it were visited), an
+        /// unaligned last RAM page whose visit ends at or runs past the end
+        /// of RAM, and any `len` (0, whole pages, partial last page, shorter
+        /// or longer than the list covers) — and consult `MEM_EIO_POINT`
+        /// once per visited page, in page order.
         #[test]
         fn walkers_match_the_per_page_model(
             picks in proptest::collection::vec(0u64..9, 0..12),
@@ -1092,6 +981,7 @@ mod tests {
             tail in 1u64..PAGE_SIZE,
             fill in proptest::collection::vec(any::<u8>(), 0..3 * PAGE_SIZE as usize),
             nth in 1u64..14,
+            skew in 1u64..PAGE_SIZE,
         ) {
             const PAGES: u64 = 8;
             let mem = GuestMemory::new(PAGES * PAGE_SIZE);
@@ -1122,6 +1012,22 @@ mod tests {
             }
             for mutable in [false, true] {
                 prop_assert_eq!(&walked(&mem, &pages, len, mutable), &want);
+            }
+
+            // The last RAM page moved up by `skew` bytes: a visit of more
+            // than `PAGE_SIZE - skew` bytes there runs past the end of RAM
+            // and fails, one that ends at or before it passes.
+            let skewed: Vec<Gpa> = pages
+                .iter()
+                .map(|p| if p.page() == PAGES - 1 { p.add(skew) } else { *p })
+                .collect();
+            let fits = skewed.iter().zip((0..len).step_by(PAGE_SIZE as usize)).all(|(p, off)| {
+                p.0 + (len - off).min(PAGE_SIZE) <= PAGES * PAGE_SIZE
+            });
+            let want_skewed = model_walk(&mem, &skewed, len);
+            prop_assert_eq!(want_skewed.1.is_ok(), fits);
+            for mutable in [false, true] {
+                prop_assert_eq!(&walked(&mem, &skewed, len, mutable), &want_skewed);
             }
 
             // Armed, the plane is hit once per visited page (an out-of-RAM
@@ -1211,7 +1117,6 @@ mod tests {
                 // one past it, or both past it, are among the picks.
                 let pages = [Gpa((page + 1) * PAGE_SIZE), Gpa(page * PAGE_SIZE)];
                 let data = vec![byte; len as usize];
-                let mut cache = SegCache::new();
                 // Refused ranges are part of the input: only what lands counts.
                 let _ = match op {
                     0 => handle.write(gpa, &data),
@@ -1220,7 +1125,7 @@ mod tests {
                     3 => handle.view_mut(|v| v.write_pages_at(&pages, at, &data)),
                     4 => handle.view_mut(|v| v.zero_pages_at(&pages, at, len)),
                     5 => handle.with_slice_mut(gpa, len, |s| s.fill(byte)),
-                    _ => handle.walk_pages_mut(&mut cache, &pages, len, |_, s| {
+                    _ => handle.walk_pages_mut(&pages, len, |_, s| {
                         s.fill(byte);
                         Ok::<(), VirtioError>(())
                     }),

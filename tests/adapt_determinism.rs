@@ -42,7 +42,7 @@ fn payload(dpu: u32, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Everything a run produces that must be bit-identical across dispatch.
+/// Everything a run produces that must be bit-identical across device counts.
 #[derive(Debug, PartialEq)]
 struct MixResult {
     reports: Vec<OpReport>,

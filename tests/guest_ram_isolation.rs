@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use microbench::checksum::Checksum;
 use pim_virtio::memory::PAGE_SIZE;
-use pim_virtio::{Gpa, GuestMemory, SegCache, VirtioError};
+use pim_virtio::{Gpa, GuestMemory, VirtioError};
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
 use upmem_sdk::DpuSet;
@@ -94,7 +94,7 @@ fn leave_canary_in_unallocated_pages(mem: &GuestMemory) {
     mem.with_slice_mut(at(3), PAGE_SIZE, |s| s.copy_from_slice(&canary(page))).unwrap();
     // `walk_pages_mut`, over pages in descending order, the last partial.
     let data = canary(2 * page);
-    mem.walk_pages_mut(&mut SegCache::new(), &[at(7), at(9)], 6000, |offset, s| {
+    mem.walk_pages_mut(&[at(7), at(9)], 6000, |offset, s| {
         let offset = offset as usize;
         s.copy_from_slice(&data[offset..offset + s.len()]);
         Ok::<(), VirtioError>(())

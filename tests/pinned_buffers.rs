@@ -74,8 +74,7 @@ fn push(set: &mut DpuSet, source: Source, offset: u64, datas: &[Vec<u8>]) {
 }
 
 /// What a script shows the model: the set's whole timeline, every
-/// registry metric but the host's scratch-pool counters (whose hits depend
-/// on thread timing), and the bytes it reads back.
+/// registry metric, and the bytes it reads back.
 type Seen = (Timeline, Vec<(String, MetricValue)>, Vec<Vec<u8>>);
 
 /// Runs `script` on a fresh host with one `devices`-device VM and a set
@@ -98,11 +97,7 @@ fn observe(
     let timeline = set.take_timeline();
     drop(set);
     let snap = sys.registry().snapshot();
-    let metrics = snap
-        .iter()
-        .filter(|(name, _)| !name.starts_with("datapath.pool."))
-        .map(|(name, v)| (name.to_string(), v.clone()))
-        .collect();
+    let metrics = snap.iter().map(|(name, v)| (name.to_string(), v.clone())).collect();
     drop(vm);
     sys.shutdown();
     (timeline, metrics, back)
