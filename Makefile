@@ -15,7 +15,9 @@
 # dropped buffer in flight, fallback; the cross-tenant guest-RAM canary,
 # whose tests are tenants of each other's recycled RAM when run in
 # parallel; and the cross-tenant MRAM canary over shared broadcast pages,
-# rank reset and parked checkpoints) and scheduler oversubscription
+# rank reset and parked checkpoints; and the small-request allocation
+# budgets, which count on the calling thread only, so other harness threads
+# cannot move them) and scheduler oversubscription
 # suites (the latter with the multi-VM, migration and load-harness
 # suites, which drive the same backend -> scheduler -> rank-table call
 # path) under varied harness parallelism and pinned to one CPU (a
@@ -37,7 +39,7 @@
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh
-	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation mram_isolation
+	sh ci/threads-gate.sh stress concurrency_stress dispatch_determinism pinned_buffers guest_ram_isolation mram_isolation alloc_budget
 	sh ci/threads-gate.sh sched oversubscription sched_properties multi_vm cluster_migration load_harness
 	sh ci/threads-gate.sh chaos chaos_suite retry_properties failure_injection
 	sh ci/seed-sweep.sh CHAOS_SEED chaos_suite

@@ -20,7 +20,7 @@
 # transfers through a guest with room for one rank or one chunk, pinned
 # guest buffers outliving their handles on another guest thread, no tenant
 # reading another's bytes in recycled guest RAM or in shared, reset or
-# parked MRAM pages), the
+# parked MRAM pages, and the heap allocations a small request may make), the
 # sched leg (8 VMs time-shared over 4 ranks
 # read back exactly the bytes a dedicated run produces, under constant
 # checkpoint/restore churn, with one- and two-device tenants; plus the

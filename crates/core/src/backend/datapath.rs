@@ -271,7 +271,8 @@ mod tests {
         let mem = GuestMemory::new(16 * PAGE_SIZE);
         let page = mem.alloc_pages(1).unwrap()[0];
         mem.write(page, &vec![0x11; page_len]).unwrap();
-        let short = DpuXfer { dpu: 0, mram_offset: 0, len: 2 * PAGE_SIZE, pages: vec![page] };
+        let pages = vec![page].into();
+        let short = DpuXfer { dpu: 0, mram_offset: 0, len: 2 * PAGE_SIZE, pages };
         for op in [entry_to_mram, entry_from_mram] {
             let got = op(&mem, &rank, &short, None, 0);
             assert!(matches!(got, Err(VpimError::BadRequest(_))), "{got:?}");
@@ -301,7 +302,7 @@ mod tests {
             mem.write_pages(&pages, &payload).unwrap();
             let window = len + 2 * page_len;
             rank.write_mram(0, AT, &vec![OLD; window]).unwrap();
-            let entry = DpuXfer { dpu: 0, mram_offset: AT, len: len as u64, pages };
+            let entry = DpuXfer { dpu: 0, mram_offset: AT, len: len as u64, pages: pages.into() };
             plane.arm(CHUNK_TORN_WRITE_POINT, simkit::FaultPlan::Nth(1));
             let got = entry_to_mram(&mem, &rank, &entry, Some(&plane), 0);
             assert!(

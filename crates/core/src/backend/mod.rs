@@ -330,8 +330,6 @@ impl Backend {
     /// alone (in entry order) so the numbers are bit-identical no matter
     /// how execution interleaves on the worker pool.
     fn data_op_response(&self, matrix: &TransferMatrix, ndesc: u64) -> Response {
-        let per_entry: Vec<VirtualNanos> =
-            matrix.entries.iter().map(|e| self.cm.memcpy(e.len)).collect();
         let total_bytes = matrix.total_bytes();
         let (deser, translate) = self.matrix_costs(ndesc, matrix);
         // Per-DPU copies spread over the modelled `backend_threads`-wide
@@ -342,6 +340,7 @@ impl Backend {
         // slowest single DPU's stream (serial bandwidth) — so a one-DPU
         // matrix behaves like native serial mode, and batching merges
         // messages without reducing total data-writing time (§4.1).
+        let per_entry = matrix.entries.iter().map(|e| self.cm.memcpy(e.len));
         let prep = pool_schedule(per_entry, self.cm.backend_threads);
         let ddr = self.rank_ddr_time(
             total_bytes,
@@ -866,7 +865,7 @@ mod tests {
                     dpu,
                     mram_offset: BCAST_AT,
                     len: len as u64,
-                    pages: bufs[i % copies].clone(),
+                    pages: bufs[i % copies].clone().into(),
                 })
                 .collect();
             let matrix = TransferMatrix { entries };
@@ -961,7 +960,7 @@ mod tests {
             .map(|&dpu| {
                 let pages = w.rig.mem.alloc_pages(npages).unwrap();
                 w.rig.mem.write_pages(&pages, &image(dpu)).unwrap();
-                DpuXfer { dpu, mram_offset: BCAST_AT, len: BCAST_LEN as u64, pages }
+                DpuXfer { dpu, mram_offset: BCAST_AT, len: BCAST_LEN as u64, pages: pages.into() }
             })
             .collect();
         assert_eq!(broadcast_source(&entries), None);
@@ -1255,7 +1254,7 @@ mod tests {
                         dpu: [id % 4, id % 64, id][usize::from(spread)],
                         mram_offset: 0,
                         len,
-                        pages: vec![Gpa(0); pages],
+                        pages: vec![Gpa(0); pages].into(),
                     })
                     .collect(),
             };

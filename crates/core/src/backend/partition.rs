@@ -79,7 +79,7 @@ mod tests {
     use crate::matrix::DpuXfer;
 
     fn xfer(dpu: u32, len: u64) -> DpuXfer {
-        DpuXfer { dpu, mram_offset: 0, len, pages: Vec::new() }
+        DpuXfer { dpu, mram_offset: 0, len, pages: Vec::new().into() }
     }
 
     #[test]

@@ -35,6 +35,12 @@ impl PendingWrites {
         self.writes.iter().map(|(dpu, off, r)| (*dpu, *off, &self.arena[r.clone()])).collect()
     }
 
+    /// Forgets every write, keeping the capacity.
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.arena.clear();
+    }
+
     fn push(&mut self, dpu: u32, offset: u64, data: &[u8]) {
         let start = self.arena.len();
         self.arena.extend_from_slice(data);
@@ -186,6 +192,16 @@ impl BatchBuffer {
         std::mem::take(&mut self.pending)
     }
 
+    /// Takes back the writes [`drain`](Self::drain) handed out, once they
+    /// are sent, so the next window appends into their capacity instead
+    /// of growing fresh vectors. Dropped if writes arrived meanwhile.
+    pub fn recycle(&mut self, mut sent: PendingWrites) {
+        if self.pending.is_empty() {
+            sent.clear();
+            self.pending = sent;
+        }
+    }
+
     /// `(appends, flushes)` counters.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
@@ -226,6 +242,22 @@ mod tests {
         // Capacity restored.
         assert!(b.append(0, 0, &[0u8; 4096]));
         assert_eq!(b.stats(), (3, 1));
+    }
+
+    #[test]
+    fn a_recycled_window_starts_empty_and_a_busy_one_keeps_its_writes() {
+        let mut b = BatchBuffer::new(1, 1);
+        b.append(0, 0, &[1, 2]);
+        let sent = b.drain();
+        b.recycle(sent);
+        assert!(b.is_empty());
+        b.append(0, 8, &[3]);
+        assert_eq!(b.drain().views(), [(0, 8, &[3u8][..])]);
+        b.append(0, 0, &[4]);
+        let sent = b.drain();
+        b.append(0, 16, &[5]);
+        b.recycle(sent);
+        assert_eq!(b.drain().views(), [(0, 16, &[5u8][..])]);
     }
 
     #[test]

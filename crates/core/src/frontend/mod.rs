@@ -134,11 +134,9 @@ struct Chain {
 
 impl Chain {
     /// Allocates `n` guest pages the chain owns from now on.
-    fn lease(&mut self, mem: &GuestMemory, n: usize) -> Result<Vec<Gpa>, VpimError> {
-        let mut lease = PageLease::new(mem);
-        let pages = lease.grow(n)?;
-        self.leases.push(lease);
-        Ok(pages)
+    fn lease(&mut self, mem: &GuestMemory, n: usize) -> Result<&[Gpa], VpimError> {
+        self.leases.push(PageLease::alloc(mem, n)?);
+        Ok(self.leases.last().expect("just pushed").pages())
     }
 }
 
@@ -167,12 +165,14 @@ enum Xfer<'a> {
 
 impl<'a> Xfer<'a> {
     /// Splits the transfer into matrices of at most [`MAX_DPUS`] entries.
-    fn chunks(self) -> Vec<Xfer<'a>> {
-        match self {
-            Xfer::Write(w) => w.chunks(MAX_DPUS).map(Xfer::Write).collect(),
-            Xfer::Pinned(p) => p.chunks(MAX_DPUS).map(Xfer::Pinned).collect(),
-            Xfer::Read(r) => r.chunks(MAX_DPUS).map(Xfer::Read).collect(),
-        }
+    fn chunks(self) -> impl Iterator<Item = Xfer<'a>> {
+        let (w, p, r) = match self {
+            Xfer::Write(w) => (w, &[][..], &[][..]),
+            Xfer::Pinned(p) => (&[][..], p, &[][..]),
+            Xfer::Read(r) => (&[][..], &[][..], r),
+        };
+        let w = w.chunks(MAX_DPUS).map(Xfer::Write);
+        w.chain(p.chunks(MAX_DPUS).map(Xfer::Pinned)).chain(r.chunks(MAX_DPUS).map(Xfer::Read))
     }
 
     /// The `(dpu, mram offset, len)` of every write entry (none for a
@@ -722,9 +722,10 @@ impl Frontend {
     }
 
     /// `read-from-rank`: reads `(dpu, offset, len)` ranges. The batch is
-    /// flushed first; a single cacheable request is then served through
-    /// the prefetch cache, anything else from the rank. Returns one buffer
-    /// per request, in request order, plus the cost report.
+    /// flushed first; a single request is then read as
+    /// [`read_one`](Self::read_one) reads it, anything else from the rank.
+    /// Returns one buffer per request, in request order, plus the cost
+    /// report.
     ///
     /// # Errors
     ///
@@ -733,17 +734,49 @@ impl Frontend {
         &self,
         reqs: &[(u32, u64, u64)],
     ) -> Result<(Vec<Vec<u8>>, OpReport), VpimError> {
-        self.op(Self::flush_batch, |report| match *reqs {
+        if let [(dpu, offset, len)] = *reqs {
+            let (data, report) = self.read_one(dpu, offset, len)?;
+            return Ok((vec![data], report));
+        }
+        self.op(Self::flush_batch, |report| self.transfer(Xfer::Read(reqs), report))
+    }
+
+    /// [`read_rank`](Self::read_rank) of the one range `(dpu, offset,
+    /// len)`, returning its bytes alone. The batch is flushed first; a
+    /// cacheable read is then served through the prefetch cache, whose hit
+    /// allocates nothing but the returned buffer.
+    ///
+    /// # Errors
+    ///
+    /// Transport or hardware failures.
+    pub fn read_one(
+        &self,
+        dpu: u32,
+        offset: u64,
+        len: u64,
+    ) -> Result<(Vec<u8>, OpReport), VpimError> {
+        self.op(Self::flush_batch, |report| {
             // The cache serves the "host processes DPU data block by block
             // in a loop" pattern (§4.1): small reads targeting one DPU at a
-            // time. Large parallel matrix reads bypass it.
-            [(dpu, offset, len)]
-                if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) =>
-            {
-                Ok(vec![self.read_cached(dpu, offset, len, report)?])
+            // time. Large reads bypass it.
+            if self.vcfg.prefetch_cache && self.state.lock().prefetch.cacheable(len) {
+                self.read_cached(dpu, offset, len, report)
+            } else {
+                self.read_uncached(dpu, offset, len, report)
             }
-            _ => self.transfer(Xfer::Read(reqs), report),
         })
+    }
+
+    /// One range read from the rank, bypassing the cache.
+    fn read_uncached(
+        &self,
+        dpu: u32,
+        offset: u64,
+        len: u64,
+        report: &mut OpReport,
+    ) -> Result<Vec<u8>, VpimError> {
+        let mut out = self.transfer(Xfer::Read(&[(dpu, offset, len)]), report)?;
+        Ok(out.pop().expect("one range requested"))
     }
 
     /// Sends buffered writes to the backend (also triggered automatically
@@ -770,6 +803,8 @@ impl Frontend {
         for chunk in drained.views().chunks(MAX_DPUS) {
             self.transfer(Xfer::Write(chunk), &mut report)?;
         }
+        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
+        self.state.lock().batch.recycle(drained);
         Ok(report)
     }
 
@@ -893,8 +928,7 @@ impl Frontend {
                 None => (static_len, true),
             }
         };
-        let mut seg = self.transfer(Xfer::Read(&[(dpu, offset, seg_len)]), report)?;
-        let data = seg.pop().expect("one segment");
+        let data = self.read_uncached(dpu, offset, seg_len, report)?;
         if !install {
             // Suppressed prefetch: the exact-length direct read *is* the
             // answer; nothing is cached.

@@ -50,8 +50,7 @@ impl GuestBuf {
     /// [`VpimError::Virtio`] with `OutOfPages` when the guest cannot hold
     /// it.
     pub fn alloc(mem: &GuestMemory, len: usize) -> Result<GuestBuf, VpimError> {
-        let mut lease = PageLease::new(mem);
-        lease.grow((len as u64).div_ceil(PAGE_SIZE) as usize)?;
+        let lease = PageLease::alloc(mem, (len as u64).div_ceil(PAGE_SIZE) as usize)?;
         let inner = Pinned { lease, len: len as u64, clean: AtomicU64::new(0) };
         Ok(GuestBuf { inner: Arc::new(inner) })
     }

@@ -15,6 +15,14 @@
 //! `transferq`. The backend deserializes the buffers, translates each GPA
 //! to a host address, and accesses the pages directly — zero copies on the
 //! guest-to-Firecracker path.
+//!
+//! In memory a matrix keeps one page list, the per-DPU page buffers of
+//! Fig. 7 laid end to end: each entry's [`Pages`] is a range of it, so
+//! building, deserializing or cloning a matrix costs a constant number of
+//! heap allocations however many entries it has.
+
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use pim_virtio::memory::PAGE_SIZE;
 use pim_virtio::{Gpa, GuestMemory};
@@ -30,6 +38,60 @@ pub const MAX_PAGES_PER_DPU: usize = 16_384;
 /// Maximum serialized buffer count (`1 request + 1 matrix meta + 64 × 2`).
 pub const MAX_BUFFERS: usize = 130;
 
+/// One entry's guest pages: a range of the page list its matrix shares,
+/// so an entry is built and cloned without allocating. Reads as a
+/// `[Gpa]` slice.
+#[derive(Clone)]
+pub struct Pages {
+    list: Arc<[Gpa]>,
+    range: Range<usize>,
+}
+
+impl Pages {
+    /// Each entry's pages, in entry order, when the entries' lists lie
+    /// end to end in `list` and the k-th holds `counts`' k-th count.
+    fn split<'a>(
+        list: &'a Arc<[Gpa]>,
+        counts: impl ExactSizeIterator<Item = usize> + 'a,
+    ) -> impl ExactSizeIterator<Item = Self> + 'a {
+        let mut start = 0;
+        counts.map(move |n| {
+            start += n;
+            Pages { list: Arc::clone(list), range: start - n..start }
+        })
+    }
+}
+
+impl Deref for Pages {
+    type Target = [Gpa];
+
+    fn deref(&self) -> &[Gpa] {
+        &self.list[self.range.clone()]
+    }
+}
+
+impl PartialEq for Pages {
+    fn eq(&self, other: &Pages) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Pages {}
+
+impl std::fmt::Debug for Pages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl From<Vec<Gpa>> for Pages {
+    /// A list of its own, for an entry built outside a matrix.
+    fn from(pages: Vec<Gpa>) -> Self {
+        let range = 0..pages.len();
+        Pages { list: pages.into(), range }
+    }
+}
+
 /// One DPU's slice of a transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DpuXfer {
@@ -40,12 +102,22 @@ pub struct DpuXfer {
     /// Transfer length in bytes.
     pub len: u64,
     /// Guest pages holding the data (the last page may be partial).
-    pub pages: Vec<Gpa>,
+    pub pages: Pages,
 }
 
 impl DpuXfer {
     fn required_pages(len: u64) -> usize {
         (len as usize).div_ceil(PAGE_SIZE as usize)
+    }
+
+    /// [`check_pages`](Self::check_pages) for `npages` pages.
+    fn check_fit(dpu: u32, len: u64, npages: usize) -> Result<(), VpimError> {
+        if (npages as u64) < len.div_ceil(PAGE_SIZE) {
+            return Err(VpimError::BadRequest(format!(
+                "dpu {dpu}: {len} bytes do not fit {npages} pages"
+            )));
+        }
+        Ok(())
     }
 
     /// Refuses a page list too short to hold `len` bytes. The page walk
@@ -58,19 +130,12 @@ impl DpuXfer {
     /// [`VpimError::BadRequest`] when `pages` holds fewer than
     /// `len.div_ceil(PAGE_SIZE)` pages.
     pub fn check_pages(&self) -> Result<(), VpimError> {
-        if (self.pages.len() as u64) < self.len.div_ceil(PAGE_SIZE) {
-            return Err(VpimError::BadRequest(format!(
-                "dpu {}: {} bytes do not fit {} pages",
-                self.dpu,
-                self.len,
-                self.pages.len()
-            )));
-        }
-        Ok(())
+        Self::check_fit(self.dpu, self.len, self.pages.len())
     }
 }
 
-/// A transfer matrix: per-DPU metadata plus page lists.
+/// A transfer matrix: per-DPU metadata plus one page list, which the
+/// entries' [`Pages`] share.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TransferMatrix {
     /// Per-DPU transfer descriptions (≤ 64 entries).
@@ -91,18 +156,11 @@ pub struct PageLease {
 pub type SerializedMatrix = (Vec<(Gpa, u32, bool)>, PageLease);
 
 impl PageLease {
-    /// An empty lease on `mem`.
-    pub(crate) fn new(mem: &GuestMemory) -> Self {
-        PageLease { mem: mem.clone(), pages: Vec::new() }
-    }
-
-    /// Allocates `n` more pages into the lease and returns them. The lease
-    /// owns a page from the moment it exists, so any later failure of the
+    /// A lease on `n` freshly allocated pages of `mem`. The lease owns a
+    /// page from the moment it exists, so any later failure of the
     /// operation being built returns it on drop.
-    pub(crate) fn grow(&mut self, n: usize) -> Result<Vec<Gpa>, VpimError> {
-        let pages = self.mem.alloc_pages(n)?;
-        self.pages.extend_from_slice(&pages);
-        Ok(pages)
+    pub(crate) fn alloc(mem: &GuestMemory, n: usize) -> Result<Self, VpimError> {
+        Ok(PageLease { mem: mem.clone(), pages: mem.alloc_pages(n)? })
     }
 
     /// Number of leased pages.
@@ -175,16 +233,12 @@ impl TransferMatrix {
         verb: &str,
     ) -> Result<(TransferMatrix, PageLease), VpimError> {
         Self::check_shape(reqs.clone(), verb)?;
-        let mut lease = PageLease::new(mem);
-        let total = reqs.clone().map(|(_, _, len)| DpuXfer::required_pages(len)).sum();
-        let mut pages = lease.grow(total)?.into_iter();
+        let counts = reqs.clone().map(|(_, _, len)| DpuXfer::required_pages(len));
+        let lease = PageLease::alloc(mem, counts.clone().sum())?;
+        let list: Arc<[Gpa]> = lease.pages().into();
         let entries = reqs
-            .map(|(dpu, mram_offset, len)| DpuXfer {
-                dpu,
-                mram_offset,
-                len,
-                pages: pages.by_ref().take(DpuXfer::required_pages(len)).collect(),
-            })
+            .zip(Pages::split(&list, counts))
+            .map(|((dpu, mram_offset, len), pages)| DpuXfer { dpu, mram_offset, len, pages })
             .collect();
         Ok((TransferMatrix { entries }, lease))
     }
@@ -232,14 +286,23 @@ impl TransferMatrix {
                 "dpu {dpu}: the buffer lives in another guest's memory"
             )));
         }
+        let counts = bufs.iter().map(|(_, _, b)| b.pages().len());
+        let mut list = Vec::with_capacity(counts.clone().sum());
+        for (_, _, b) in bufs {
+            b.settle()?;
+            list.extend_from_slice(b.pages());
+        }
+        let list: Arc<[Gpa]> = list.into();
         let entries = bufs
             .iter()
-            .map(|&(dpu, mram_offset, b)| {
-                b.settle()?;
-                let pages = b.pages().to_vec();
-                Ok(DpuXfer { dpu, mram_offset, len: b.len() as u64, pages })
+            .zip(Pages::split(&list, counts))
+            .map(|(&(dpu, mram_offset, b), pages)| DpuXfer {
+                dpu,
+                mram_offset,
+                len: b.len() as u64,
+                pages,
             })
-            .collect::<Result<_, VpimError>>()?;
+            .collect();
         Ok(TransferMatrix { entries })
     }
 
@@ -327,7 +390,7 @@ impl TransferMatrix {
             if !e.pages.is_empty() {
                 bufs.push((base.add(off as u64), (8 * e.pages.len()) as u32, false));
             }
-            for p in &e.pages {
+            for p in e.pages.iter() {
                 put(&mut scratch, &mut off, p.0);
             }
         }
@@ -361,16 +424,21 @@ impl TransferMatrix {
         fn word(record: &[u8], k: usize) -> u64 {
             u64::from_le_bytes(record[8 * k..8 * k + 8].try_into().expect("8 bytes"))
         }
-        mem.view(|v| {
+        // `(dpu, mram offset, len, pages)` per DPU, and the page lists end
+        // to end. The chain's own descriptor count sizes the list first; a
+        // page buffer joins it only once its checks pass.
+        let mut metas = [(0u32, 0u64, 0u64, 0usize); MAX_DPUS];
+        let mut list: Vec<Gpa> = Vec::with_capacity(bufs.len());
+        let nr_dpus = mem.view(|v| {
             let mut meta = [0u8; 8];
             v.read(meta_gpa, &mut meta)?;
             let nr_dpus = word(&meta, 0);
             if nr_dpus > MAX_DPUS as u64 {
                 return Err(VpimError::BadRequest(format!("{nr_dpus} dpus in matrix")));
             }
-            let mut entries = Vec::with_capacity(nr_dpus as usize);
+            let nr_dpus = nr_dpus as usize;
             let mut rest = bufs[1..].iter().copied();
-            for _ in 0..nr_dpus {
+            for slot in &mut metas[..nr_dpus] {
                 let (dm_gpa, dm_len) = rest
                     .next()
                     .ok_or_else(|| VpimError::BadRequest("missing dpu metadata buffer".into()))?;
@@ -389,7 +457,6 @@ impl TransferMatrix {
                         "dpu {dpu}: {nb_pages} pages exceed the 64 MB bank"
                     )));
                 }
-                let mut pages = Vec::new();
                 if nb_pages > 0 {
                     let (pg_gpa, pg_len) = rest
                         .next()
@@ -397,15 +464,22 @@ impl TransferMatrix {
                     if nb_pages > u64::from(pg_len / 8) {
                         return Err(VpimError::BadRequest("page buffer too short".into()));
                     }
-                    let list = v.bytes(pg_gpa, 8 * nb_pages)?;
-                    pages = list.chunks_exact(8).map(|g| Gpa(word(g, 0))).collect();
+                    let raw = v.bytes(pg_gpa, 8 * nb_pages)?;
+                    list.extend(raw.chunks_exact(8).map(|g| Gpa(word(g, 0))));
                 }
-                let entry = DpuXfer { dpu, mram_offset, len, pages };
-                entry.check_pages()?;
-                entries.push(entry);
+                DpuXfer::check_fit(dpu, len, nb_pages as usize)?;
+                *slot = (dpu, mram_offset, len, nb_pages as usize);
             }
-            Ok(TransferMatrix { entries })
-        })
+            Ok(nr_dpus)
+        })?;
+        let list: Arc<[Gpa]> = list.into();
+        let metas = &metas[..nr_dpus];
+        let entries = metas
+            .iter()
+            .zip(Pages::split(&list, metas.iter().map(|m| m.3)))
+            .map(|(&(dpu, mram_offset, len, _), pages)| DpuXfer { dpu, mram_offset, len, pages })
+            .collect();
+        Ok(TransferMatrix { entries })
     }
 
     /// Gathers one entry's data out of its guest pages into a fresh
@@ -509,7 +583,7 @@ mod tests {
         let mem = mem();
         let (matrix, lease) = TransferMatrix::alloc_read_buffers(&mem, &[(0, 0, 9000)]).unwrap();
         let mut short = matrix.entries[0].clone();
-        short.pages.truncate(2);
+        short.pages = short.pages[..2].to_vec().into();
         let bad = |r: Result<(), VpimError>| matches!(r, Err(VpimError::BadRequest(_)));
         assert!(bad(TransferMatrix::gather(&mem, &short).map(drop)));
         assert!(bad(TransferMatrix::scatter(&mem, &short, &[0u8; 9000])));
@@ -605,7 +679,7 @@ mod tests {
         let (matrix, _lease) = TransferMatrix::from_user_buffers(&twins[0], &bufs).unwrap();
         for (entry, data) in matrix.entries.iter().zip(&datas) {
             let one_call = twins[1].alloc_pages(data.len().div_ceil(4096)).unwrap();
-            assert_eq!(entry.pages, one_call, "dpu {}", entry.dpu);
+            assert_eq!(*entry.pages, one_call, "dpu {}", entry.dpu);
             assert_eq!(&TransferMatrix::gather(&twins[0], entry).unwrap(), data);
         }
         let lens: Vec<u64> = datas.iter().map(|d| d.len() as u64).collect();
@@ -613,7 +687,7 @@ mod tests {
         let (read, _lease) = TransferMatrix::alloc_read_buffers(&twins[0], &reqs).unwrap();
         for (entry, len) in read.entries.iter().zip(lens) {
             let one_call = twins[1].alloc_pages(len.div_ceil(4096) as usize).unwrap();
-            assert_eq!(entry.pages, one_call, "dpu {}", entry.dpu);
+            assert_eq!(*entry.pages, one_call, "dpu {}", entry.dpu);
         }
     }
 
@@ -638,7 +712,86 @@ mod tests {
         assert_eq!(mem.free_pages(), before);
     }
 
+    /// A field drawn consistent (`fit`) unless `sel < rate`, and then
+    /// small, near the bound `near`, or anything at all.
+    fn hostile(rate: u8, sel: u8, fit: u64, near: u64, raw: u64) -> u64 {
+        match sel % 3 {
+            _ if sel >= rate => fit,
+            0 => raw % 24,
+            1 => near.saturating_sub(2) + raw % 4,
+            _ => raw,
+        }
+    }
+
     proptest! {
+        /// Hostile serializations: arbitrary DPU counts, DPU meta words,
+        /// descriptor lengths and page lists. Each field is consistent with
+        /// the others unless its selector falls below the case's rate
+        /// (none, 1/256 up to 1/4 of the fields). Deserialization refuses
+        /// them with a typed `BadRequest` or returns entries that each fit
+        /// their pages, never panics, and never lists more pages than the
+        /// chain's buffers can hold (paper R2).
+        #[test]
+        fn hostile_serializations_are_refused_typed_or_fit(
+            rate in 0u8..5,
+            count in (any::<u8>(), any::<u64>(), 0u32..16),
+            metas in proptest::collection::vec(
+                (
+                    (any::<u8>(), any::<u64>()),
+                    (any::<u8>(), any::<u64>()),
+                    (any::<u8>(), any::<u32>(), 0u32..48),
+                    (any::<u8>(), any::<u32>()),
+                ),
+                0..70,
+            ),
+        ) {
+            let rate = if rate == 0 { 0 } else { 1 << (2 * rate - 2) };
+            // Matrix meta at 0, DPU metas from 4 KiB, every page list at
+            // 64 KiB over 128 KiB of arbitrary words: in range for any
+            // count the bank bound lets through.
+            const DM: u64 = 4096;
+            const LIST: u64 = 64 << 10;
+            let mem = GuestMemory::new(1 << 20);
+            let words: Vec<u8> = (0..(MAX_PAGES_PER_DPU as u64 + 1))
+                .flat_map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20).to_le_bytes())
+                .collect();
+            mem.write(Gpa(LIST), &words).unwrap();
+            let (sel, raw, meta_len) = count;
+            let nr_dpus = hostile(rate, sel, metas.len() as u64, MAX_DPUS as u64 + 1, raw);
+            mem.write(Gpa(0), &nr_dpus.to_le_bytes()).unwrap();
+            let mut bufs = vec![(Gpa(0), if sel < rate { meta_len } else { 8 })];
+            for (i, &((ls, lr), (ns, nr), (ds, dr, dm_len), (gs, gr))) in metas.iter().enumerate() {
+                let bank = MAX_PAGES_PER_DPU as u64 * PAGE_SIZE;
+                let len = hostile(rate, ls, lr % (24 * PAGE_SIZE), bank, lr);
+                let fit = len.div_ceil(PAGE_SIZE);
+                let nb_pages = hostile(rate, ns, fit, MAX_PAGES_PER_DPU as u64, nr);
+                let record = [u64::from(dr), 0, len, nb_pages];
+                let at = Gpa(DM + 32 * i as u64);
+                mem.write(at, &record.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<_>>())
+                    .unwrap();
+                bufs.push((at, if ds < rate { dm_len } else { 32 }));
+                let fit = u64::from(u32::try_from(nb_pages.saturating_mul(8)).unwrap_or(u32::MAX));
+                let pg_len = hostile(rate, gs, fit, fit, u64::from(gr)) as u32;
+                if (nb_pages > 0) != (gs < rate && gr % 2 == 0) {
+                    bufs.push((Gpa(LIST), pg_len));
+                }
+            }
+            match TransferMatrix::deserialize(&mem, &bufs) {
+                Err(VpimError::BadRequest(_)) => {}
+                Err(e) => prop_assert!(false, "untyped refusal: {e}"),
+                Ok(m) => {
+                    prop_assert_eq!(m.entries.len() as u64, nr_dpus);
+                    for e in &m.entries {
+                        prop_assert!(e.check_pages().is_ok(), "dpu {} does not fit", e.dpu);
+                        prop_assert!(e.pages.len() <= MAX_PAGES_PER_DPU);
+                    }
+                    let listed: u64 = m.entries.iter().map(|e| e.pages.len() as u64).sum();
+                    let carried: u64 = bufs[1..].iter().map(|&(_, l)| u64::from(l / 8)).sum();
+                    prop_assert!(listed <= carried, "{listed} pages from {carried} slots");
+                }
+            }
+        }
+
         /// Arbitrary per-DPU sizes survive the full build→serialize→
         /// deserialize→gather pipeline bit-exactly.
         #[test]

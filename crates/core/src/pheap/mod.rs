@@ -746,9 +746,9 @@ impl Pheap {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let (mut bufs, report) = self.front.read_rank(&[(self.dpu, off, len)])?;
+        let (data, report) = self.front.read_one(self.dpu, off, len)?;
         self.cost += report.duration();
-        Ok(bufs.remove(0))
+        Ok(data)
     }
 
     fn barrier(&mut self) -> Result<(), VpimError> {

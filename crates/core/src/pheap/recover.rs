@@ -47,9 +47,9 @@ pub(crate) fn run(
     // so `drain_cost()` right after `recover()` yields the recovery time.
     let cost = std::cell::Cell::new(simkit::VirtualNanos::ZERO);
     let read = |off: u64, len: u64| -> Result<Vec<u8>, VpimError> {
-        let (mut bufs, report) = front.read_rank(&[(dpu, off, len)])?;
+        let (data, report) = front.read_one(dpu, off, len)?;
         cost.set(cost.get() + report.duration());
-        Ok(bufs.remove(0))
+        Ok(data)
     };
 
     let sb_bytes = read(opts.base_off(), SB_LEN)?;

@@ -87,13 +87,11 @@ impl OpReport {
 
     /// The Fig. 13 write-step contributions, in plotting order. Steps with
     /// no recorded time are omitted.
-    #[must_use]
-    pub fn steps(&self) -> Vec<(WriteStep, VirtualNanos)> {
+    pub fn steps(&self) -> impl Iterator<Item = (WriteStep, VirtualNanos)> + '_ {
         WriteStep::ALL
             .iter()
             .map(|&s| (s, self.steps[s as usize]))
             .filter(|&(_, d)| d > VirtualNanos::ZERO)
-            .collect()
     }
 
     // ------------------------------------------------------------ recording
@@ -184,7 +182,7 @@ mod tests {
         r.step(WriteStep::Serialize, VirtualNanos::from_nanos(10));
         r.step(WriteStep::TransferData, VirtualNanos::from_nanos(30));
         assert_eq!(r.duration().as_nanos(), 40);
-        assert_eq!(r.steps(), vec![
+        assert_eq!(r.steps().collect::<Vec<_>>(), vec![
             (WriteStep::Serialize, VirtualNanos::from_nanos(10)),
             (WriteStep::TransferData, VirtualNanos::from_nanos(30)),
         ]);
@@ -223,7 +221,7 @@ mod tests {
         let mut r = OpReport::default();
         r.step(WriteStep::TransferData, VirtualNanos::from_nanos(3));
         r.step(WriteStep::PageMgmt, VirtualNanos::from_nanos(1));
-        let steps = r.steps();
+        let steps: Vec<_> = r.steps().collect();
         assert_eq!(steps[0].0, WriteStep::PageMgmt);
         assert_eq!(steps[1].0, WriteStep::TransferData);
     }

@@ -14,7 +14,9 @@ use upmem_sim::error::DpuFault;
 use upmem_sim::kernel::{DpuKernel, KernelImage, SymbolDef};
 use upmem_sim::{DpuContext, PimMachine};
 
-use crate::common::{bytes_to_u32s, fnv1a_u32, gen_u32s, u32s_to_bytes, AppRun, PrimApp, ScaleParams};
+use crate::common::{
+    decode_u32s, encode_u32s, fnv1a_u32, gen_u32s, u32s_to_bytes, AppRun, PrimApp, ScaleParams,
+};
 
 /// Rows per block (wavefront granularity). Larger blocks mean more small
 /// boundary chunks share each prefetch fetch — the regime where the
@@ -89,6 +91,9 @@ impl DpuKernel for NwKernel {
         // computes the tile (matching PrIM's low DPU utilization here).
         let mut last = 0i32;
         ctx.single(|t| {
+            // The tile's WRAM footprint: the b, prev and cur rows and the
+            // left, a and right columns. It is charged as it always was;
+            // reusing the rows below saves host allocations, not WRAM.
             t.wram_alloc(4 * (w + rb) * 4 + 1024)?;
             let mut b = vec![0u32; w];
             t.mram_read_u32s(off_b, &mut b)?;
@@ -96,18 +101,19 @@ impl DpuKernel for NwKernel {
             t.mram_read_u32s(off_prev, &mut prev)?;
             let mut prev: Vec<i32> = prev.into_iter().map(|v| v as i32).collect();
             // The host writes [corner, left row 0, ..., left row rb-1].
-            let mut left_buf = vec![0u32; rb + 1];
-            t.mram_read_u32s(off_left, &mut left_buf)?;
-            let corner = left_buf[0] as i32;
-            let left: Vec<i32> = left_buf[1..].iter().map(|v| *v as i32).collect();
+            let mut left = vec![0u32; rb + 1];
+            t.mram_read_u32s(off_left, &mut left)?;
+            let (corner, left) = (left[0] as i32, &left[1..]);
             let mut a = vec![0u32; rb];
             t.mram_read_u32s(off_a, &mut a)?;
 
-            let mut right = vec![0i32; rb];
+            let mut right = vec![0u32; rb];
+            // Each DP row writes every `cur[j]` before reading it, so the
+            // two rows trade places instead of a fresh row per DP row.
+            let mut cur = vec![0i32; w];
             let mut corner_run = corner;
             for (bi, &ac) in a.iter().enumerate() {
-                let mut cur = vec![0i32; w];
-                let mut west = left[bi];
+                let mut west = left[bi] as i32;
                 let mut nw = corner_run;
                 for j in 0..w {
                     let diag = nw + score(ac, b[j]);
@@ -118,15 +124,14 @@ impl DpuKernel for NwKernel {
                     west = cur[j];
                 }
                 t.charge(10 * w as u64);
-                corner_run = left[bi];
-                right[bi] = cur[w - 1];
-                prev = cur;
+                corner_run = left[bi] as i32;
+                right[bi] = cur[w - 1] as u32;
+                std::mem::swap(&mut prev, &mut cur);
             }
-            let prev_u: Vec<u32> = prev.iter().map(|v| *v as u32).collect();
-            t.mram_write_u32s(off_prev, &prev_u)?;
-            let right_u: Vec<u32> = right.iter().map(|v| *v as u32).collect();
-            t.mram_write_u32s(off_right, &right_u)?;
             last = prev[w - 1];
+            let prev: Vec<u32> = prev.into_iter().map(|v| v as u32).collect();
+            t.mram_write_u32s(off_prev, &prev)?;
+            t.mram_write_u32s(off_right, &right)?;
             Ok(())
         })?;
         ctx.set_host_u32("last_score", last as u32)?;
@@ -210,6 +215,9 @@ impl PrimApp for Nw {
         // right_store[k][d] = right boundary of (block k, band d).
         let mut right_store: Vec<Vec<Option<Vec<i32>>>> = vec![vec![None; n_dpus]; kb];
         let mut final_score = 0i32;
+        // One boundary column and one chunk's bytes, reused by every tile.
+        let mut buf: Vec<u32> = Vec::with_capacity(ROW_BLOCK + 1);
+        let mut raw = [0u8; 4 * CHUNK];
 
         for t in 0..(kb + n_dpus - 1) {
             let d_lo = t.saturating_sub(kb - 1);
@@ -221,12 +229,6 @@ impl PrimApp for Nw {
             for &d in &active {
                 let k = t - d;
                 let i0 = k * ROW_BLOCK + 1;
-                // Left boundary: score[i][j0-1] for the block's rows.
-                let left: Vec<i32> = if d == 0 {
-                    (0..ROW_BLOCK).map(|r| -((i0 + r) as i32)).collect()
-                } else {
-                    right_store[k][d - 1].clone().expect("wavefront order")
-                };
                 let corner: i32 = if d == 0 {
                     -((i0 - 1) as i32)
                 } else if k == 0 {
@@ -238,24 +240,24 @@ impl PrimApp for Nw {
                         .last()
                         .expect("non-empty boundary")
                 };
-                // [corner, left...] streamed in small chunks.
-                let mut buf: Vec<u32> = Vec::with_capacity(ROW_BLOCK + 1);
+                // [corner, left...] streamed in small chunks. Left
+                // boundary: score[i][j0-1] for the block's rows.
+                buf.clear();
                 buf.push(corner as u32);
-                buf.extend(left.iter().map(|v| *v as u32));
+                if d == 0 {
+                    buf.extend((0..ROW_BLOCK).map(|r| -((i0 + r) as i32) as u32));
+                } else {
+                    let left = right_store[k][d - 1].as_ref().expect("wavefront order");
+                    buf.extend(left.iter().map(|v| *v as u32));
+                }
                 for (ci, chunk) in buf.chunks(CHUNK).enumerate() {
-                    set.copy_to_heap(
-                        d,
-                        off_left + (ci * CHUNK * 4) as u64,
-                        &u32s_to_bytes(chunk),
-                    )?;
+                    let bytes = encode_u32s(chunk, &mut raw);
+                    set.copy_to_heap(d, off_left + (ci * CHUNK * 4) as u64, bytes)?;
                 }
                 let a_block = &a[k * ROW_BLOCK..(k + 1) * ROW_BLOCK];
                 for (ci, chunk) in a_block.chunks(CHUNK).enumerate() {
-                    set.copy_to_heap(
-                        d,
-                        off_a + (ci * CHUNK * 4) as u64,
-                        &u32s_to_bytes(chunk),
-                    )?;
+                    let bytes = encode_u32s(chunk, &mut raw);
+                    set.copy_to_heap(d, off_a + (ci * CHUNK * 4) as u64, bytes)?;
                 }
             }
             set.set_segment(AppSegment::Dpu);
@@ -270,7 +272,7 @@ impl PrimApp for Nw {
                     let take = CHUNK.min(ROW_BLOCK - ci * CHUNK);
                     let raw =
                         set.copy_from_heap(d, off_right + (ci * CHUNK * 4) as u64, take * 4)?;
-                    right.extend(bytes_to_u32s(&raw).into_iter().map(|v| v as i32));
+                    right.extend(decode_u32s(&raw).map(|v| v as i32));
                 }
                 right_store[k][d] = Some(right);
                 if k == kb - 1 && d == n_dpus - 1 {

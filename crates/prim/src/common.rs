@@ -1,6 +1,6 @@
 //! Shared plumbing for the PrIM applications.
 
-pub use simkit::{bytes_to_u32s, u32s_to_bytes};
+pub use simkit::{bytes_to_u32s, decode_u32s, encode_u32s, u32s_to_bytes};
 use simkit::SimRng;
 use std::ops::Range;
 use upmem_sdk::{DpuSet, SdkError};

@@ -1,11 +1,32 @@
 //! The one `u32` ↔ little-endian byte codec of the workspace: how host
-//! programs lay `u32` arrays out in MRAM and read them back.
+//! programs lay `u32` arrays out in MRAM and read them back, into fresh
+//! vectors or, for a small op's few words, in place.
+
+/// Writes `vals` as little-endian bytes to the front of `out` and returns
+/// the `4 * vals.len()` bytes written, allocating nothing.
+///
+/// # Panics
+///
+/// When `out` is shorter than `4 * vals.len()` bytes.
+pub fn encode_u32s<'a>(vals: &[u32], out: &'a mut [u8]) -> &'a [u8] {
+    let out = &mut out[..4 * vals.len()];
+    for (word, v) in out.chunks_exact_mut(4).zip(vals) {
+        word.copy_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The `u32`s of little-endian `bytes`, allocating nothing; a trailing
+/// partial word is ignored.
+pub fn decode_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+}
 
 /// Converts `u32`s to little-endian bytes.
 #[must_use]
 pub fn u32s_to_bytes(vals: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 4);
-    out.extend(vals.iter().flat_map(|v| v.to_le_bytes()));
+    let mut out = vec![0; 4 * vals.len()];
+    encode_u32s(vals, &mut out);
     out
 }
 
@@ -13,10 +34,7 @@ pub fn u32s_to_bytes(vals: &[u32]) -> Vec<u8> {
 /// ignored.
 #[must_use]
 pub fn bytes_to_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
+    decode_u32s(bytes).collect()
 }
 
 #[cfg(test)]
@@ -48,5 +66,14 @@ mod tests {
         }
         assert_eq!(u32s_to_bytes(&[0xDEAD_BEEF]), [0xEF, 0xBE, 0xAD, 0xDE]);
         assert_eq!(bytes_to_u32s(&[1, 0, 0, 0, 9]), [1]);
+    }
+
+    #[test]
+    fn in_place_forms_match_the_allocating_ones() {
+        let vals = [7, u32::MAX, 0x0102_0304];
+        let mut out = [0xAAu8; 16];
+        assert_eq!(encode_u32s(&vals, &mut out), u32s_to_bytes(&vals).as_slice());
+        assert_eq!(out[12..], [0xAA; 4], "bytes past the words stay as they were");
+        assert_eq!(decode_u32s(&out[..13]).collect::<Vec<_>>(), vals);
     }
 }

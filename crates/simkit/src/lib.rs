@@ -52,7 +52,7 @@ pub mod telemetry;
 pub mod time;
 pub mod timeline;
 
-pub use codec::{bytes_to_u32s, u32s_to_bytes};
+pub use codec::{bytes_to_u32s, decode_u32s, encode_u32s, u32s_to_bytes};
 pub use compose::{parallel, pool, sequential};
 pub use cost::CostModel;
 pub use error::{ErrorKind, HasErrorKind};

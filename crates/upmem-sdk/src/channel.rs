@@ -191,10 +191,7 @@ impl RankChannel {
                 let bytes = p.read_mram(dpu as usize, offset, &mut buf)?;
                 Ok((buf, native_report(cm, bytes, cm.rank_transfer_serial(bytes))))
             }
-            RankChannel::Virt(f) => {
-                let (mut outs, r) = f.read_rank(&[(dpu, offset, len)])?;
-                Ok((outs.pop().expect("one range requested"), r))
-            }
+            RankChannel::Virt(f) => Ok(f.read_one(dpu, offset, len)?),
         }
     }
 

@@ -325,13 +325,16 @@ pub struct DeviceQueue {
     layout: QueueLayout,
     next_avail: u16,
     used_idx: u16,
+    /// The chain [`pop`](Self::pop) walks into. It keeps its capacity, so
+    /// a popped chain costs one allocation of its exact length.
+    walked: Vec<Descriptor>,
 }
 
 impl DeviceQueue {
     /// Creates the device view over the same layout the driver set up.
     #[must_use]
     pub fn new(mem: GuestMemory, layout: QueueLayout) -> Self {
-        DeviceQueue { mem, layout, next_avail: 0, used_idx: 0 }
+        DeviceQueue { mem, layout, next_avail: 0, used_idx: 0, walked: Vec::new() }
     }
 
     /// Pops the next available descriptor chain, resolving every descriptor
@@ -344,6 +347,8 @@ impl DeviceQueue {
     pub fn pop(&mut self) -> Result<Option<DescChain>, VirtioError> {
         let layout = &self.layout;
         let next_avail = &mut self.next_avail;
+        let descriptors = &mut self.walked;
+        descriptors.clear();
         // The avail-ring entry and every descriptor, under one borrow.
         self.mem.view(|v| {
             if *next_avail == v.read_u16(layout.avail_idx_gpa())? {
@@ -353,7 +358,6 @@ impl DeviceQueue {
             let head = v.read_u16(layout.avail_ring_gpa(slot))?;
             *next_avail = next_avail.wrapping_add(1);
 
-            let mut descriptors = Vec::new();
             let mut idx = head;
             loop {
                 if descriptors.len() > usize::from(layout.size) {
@@ -369,7 +373,7 @@ impl DeviceQueue {
                 }
                 idx = d.next;
             }
-            Ok(Some(DescChain { head, descriptors }))
+            Ok(Some(DescChain { head, descriptors: descriptors.clone() }))
         })
     }
 

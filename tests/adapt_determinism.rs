@@ -139,7 +139,7 @@ fn run_adaptive_mix(devices: usize) -> MixResult {
 }
 
 #[test]
-fn adaptive_runs_identical_across_dispatch_modes() {
+fn adaptive_runs_identical_on_one_and_two_devices() {
     let seq = run_adaptive_mix(1);
     let par = run_adaptive_mix(2);
     assert_eq!(seq.outputs, par.outputs, "payloads diverged");

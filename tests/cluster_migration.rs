@@ -56,9 +56,9 @@ fn read_state(fleet: &Fleet, tenant: &str, len: usize) -> (Vec<Vec<u8>>, Virtual
 /// bit-identical to a never-migrated control, for a one-device and a
 /// two-device tenant, and the state and costs agree across the two.
 #[test]
-fn migration_is_bit_identical_across_dispatch_modes() {
+fn migration_is_bit_identical_on_one_and_two_devices() {
     let seed = 0x5EED_0001u64;
-    let mut per_mode = Vec::new();
+    let mut per_devices = Vec::new();
     for devices in [1, 2] {
         let spec = || FleetSpec::new(2).config(lean_vcfg());
         let migrated = Fleet::start(spec());
@@ -99,11 +99,11 @@ fn migration_is_bit_identical_across_dispatch_modes() {
         assert_eq!(snap.level("migrate.inflight.bytes"), 0, "no snapshot left in flight");
         assert_eq!(migrated.registry().histogram("migrate.downtime").count(), 1);
 
-        per_mode.push((m_out, m_cost, m_out2));
+        per_devices.push((m_out, m_cost, m_out2));
         migrated.shutdown();
         control.shutdown();
     }
-    assert_eq!(per_mode[0], per_mode[1], "one- and two-device VMs must agree bit-for-bit");
+    assert_eq!(per_devices[0], per_devices[1], "one- and two-device VMs must agree bit-for-bit");
 }
 
 /// Stop-and-copy's cost is the sum of its parts: every source rank's

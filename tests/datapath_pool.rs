@@ -93,7 +93,7 @@ fn run(one_vm: bool, rounds: usize) -> (Vec<OpReport>, Vec<Vec<u8>>, PoolTotals)
 }
 
 #[test]
-fn pooled_path_is_bit_identical_across_dispatch_modes() {
+fn pooled_path_is_bit_identical_in_one_vm_or_one_vm_per_rank() {
     let (seq_reports, seq_out, (seq_hits, seq_misses, seq_zero_copy, seq_outstanding)) =
         run(false, 2);
     let (par_reports, par_out, (par_hits, par_misses, par_zero_copy, par_outstanding)) =

@@ -206,7 +206,7 @@ proptest! {
 /// and of a two-device VM: the heap's MRAM
 /// traffic is all virtual-time scheduled, including the recovered image.
 #[test]
-fn dispatch_modes_agree_on_heap_state() {
+fn one_and_two_device_vms_agree_on_heap_state() {
     let mut per_mode = Vec::new();
     for devices in [1, 2] {
         let (sys, vm) = system(devices);
