@@ -27,15 +27,18 @@
 # varied harness parallelism, then the churn suite over the SHARD_SEED
 # matrix, which varies every per-thread op mix), the load gate (1k-session
 # service-level smoke, bit-identical LoadReport across thread counts,
-# refreshes BENCH_load.json), the cluster gate (the 1/2/4-host
-# consolidation bench, refreshes BENCH_cluster.json; migration determinism
-# runs in the sched leg), and the pheap gate (crash-consistency
-# suites under varied harness parallelism, the 8-seed chaos sweep, the
-# durability bench, refreshes BENCH_pheap.json). Every varied-parallelism
-# leg goes through ci/threads-gate.sh (whose last leg reruns its suites in a
-# debug build, where simkit::lockorder checks every lock acquisition), every
-# seed matrix (chaos, shard, pheap) through ci/seed-sweep.sh and every
-# BENCH_*.json refresh through ci/publish.sh.
+# equal to BENCH_load.json), the cluster gate (the 1/2/4-host
+# consolidation bench, equal to BENCH_cluster.json; migration determinism
+# runs in the sched leg), the adaptive gate (the static-vs-adaptive
+# ablation, equal to BENCH_adaptive.json), and the pheap gate
+# (crash-consistency suites under varied harness parallelism, the 8-seed
+# chaos sweep, the durability bench, equal to BENCH_pheap.json). Every
+# varied-parallelism leg goes through ci/threads-gate.sh (whose last leg
+# reruns its suites in a debug build, where every simkit::sync lock checks
+# each acquisition against the simkit::lockorder hierarchy), every seed
+# matrix (chaos, shard, pheap) through ci/seed-sweep.sh and every
+# BENCH_*.json comparison through ci/compare-bench.sh, which fails on a
+# moved number instead of rewriting the committed file.
 tier1:
 	sh ci/offline-gate.sh
 	sh ci/bench-smoke.sh

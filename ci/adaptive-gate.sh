@@ -9,8 +9,8 @@
 #      Inter-DPU gather must improve >= 2x, checksum / index-search /
 #      GEMV must stay within 5% (the asserts live in the experiment
 #      itself);
-#   3. on success the ablation is published as BENCH_adaptive.json at the
-#      repo root (the regression trajectory).
+#   3. the ablation must equal the committed BENCH_adaptive.json at the
+#      repo root byte for byte (ci/compare-bench.sh).
 # The rest of the adapt determinism suite (`adapt_determinism`:
 # bit-identical payloads, per-request reports and frontend.adapt.*
 # telemetry across one- and two-device VMs, plus the policy-machine
@@ -41,6 +41,6 @@ cmp "$T1" "$T8"
 
 echo "== adaptive gate: static-vs-adaptive ablation =="
 cargo build --release --offline -p vpim-bench
-sh ci/publish.sh ADAPTIVE_BENCH_OUT BENCH_adaptive.json -- ./target/release/figures adaptive
+sh ci/compare-bench.sh ADAPTIVE_BENCH_OUT BENCH_adaptive.json -- "${CARGO_TARGET_DIR:-target}/release/figures" adaptive
 
 echo "== adaptive gate: OK =="

@@ -42,6 +42,17 @@ if [ -n "$stray" ]; then
     echo "split-phase transfer, dispatch-lane or pending-op names are back (ROADMAP item 15)" >&2
     exit 1
 fi
+# Every lock is a `simkit::sync` lock built with its level, so the debug
+# build checks every acquisition against `simkit::lockorder`; the
+# parking_lot shim and the hand-placed order tokens must not return. (The
+# manifests' `parking_lot` dependency lines stay until ROADMAP item 1b.)
+stray=$(grep -rIE --include='*.rs' 'parking_lot|ordered\(|LockToken' \
+    crates src tests examples || true)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "a lock outside simkit::sync or a hand-placed lock-order token is back (ROADMAP item 17)" >&2
+    exit 1
+fi
 
 echo "== tier-1 offline gate: build (release) =="
 cargo build --release --offline --workspace

@@ -15,8 +15,8 @@
 #   3. the durability bench (`figures pheap`): lossless repair-free
 #      recovery, bit-identical state *and* virtual-time costs across
 #      device counts (the asserts live in the experiment itself);
-#   4. on success the bench is published as BENCH_pheap.json at the repo
-#      root (the regression trajectory).
+#   4. the bench must equal the committed BENCH_pheap.json at the repo
+#      root byte for byte (ci/compare-bench.sh).
 #
 # Usage: ci/pheap-gate.sh
 set -eu
@@ -31,6 +31,6 @@ SEEDS="3 17 111 1009 4242 31337 77777 900001" \
 
 echo "== pheap gate: durability bench =="
 cargo build --release --offline -p vpim-bench
-sh ci/publish.sh PHEAP_BENCH_OUT BENCH_pheap.json -- ./target/release/figures pheap
+sh ci/compare-bench.sh PHEAP_BENCH_OUT BENCH_pheap.json -- "${CARGO_TARGET_DIR:-target}/release/figures" pheap
 
 echo "== pheap gate: OK =="

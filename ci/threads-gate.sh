@@ -10,9 +10,9 @@
 # wide and every transfer matrix runs on the handler's thread — the
 # configuration every pinned benchmark workload measures. Without
 # `taskset` that leg prints one skip line. A last leg runs the suites once
-# more in a debug build, the only build in which `simkit::lockorder`
-# checks every lock acquisition against the hierarchy (release builds
-# compile the checker out).
+# more in a debug build, the only build in which every `simkit::sync` lock
+# checks each acquisition against the `simkit::lockorder` hierarchy
+# (release builds compile the checker out).
 #
 # Every tier-1 gate with a varied-parallelism leg runs it through this
 # script; `make tier1` calls it directly for the stress leg

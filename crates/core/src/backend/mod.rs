@@ -14,10 +14,10 @@ pub mod partition;
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
 use pim_virtio::queue::DescChain;
 use pim_virtio::{Gpa, GuestMemory};
 use simkit::compose::pool_schedule;
+use simkit::sync::MutexGuard;
 use simkit::{
     CostModel, Counter, FaultPlane, HasErrorKind, InjectCell, MetricsRegistry, VirtualNanos,
     WorkerPool,
@@ -30,7 +30,7 @@ use crate::config::VpimConfig;
 use crate::error::VpimError;
 use crate::manager::ManagerClient;
 use crate::matrix::{DpuXfer, TransferMatrix};
-use crate::sched::{RankSlot, Scheduler};
+use crate::sched::{empty_slot, RankSlot, Scheduler};
 use crate::spec::{PimDeviceConfig, Request, Response};
 
 /// The per-entry transfer unit [`run_entries`](Backend::run_entries)
@@ -163,7 +163,7 @@ impl Backend {
             vcfg,
             cm,
             owner,
-            perf: Arc::new(Mutex::new(None)),
+            perf: empty_slot(),
             counters: BackendCounters::from_registry(registry),
             pool,
             inject: InjectCell::new(),
@@ -186,7 +186,6 @@ impl Backend {
     /// The rank currently linked, if any.
     #[must_use]
     pub fn linked_rank(&self) -> Option<usize> {
-        let _order = simkit::ordered(simkit::LockLevel::RankSlot, 0);
         self.perf.lock().as_ref().map(PerfMapping::rank_id)
     }
 
@@ -210,10 +209,8 @@ impl Backend {
     pub fn ensure_linked(&self) -> Result<MutexGuard<'_, Option<PerfMapping>>, VpimError> {
         // Rank slots sit at `LockLevel::RankSlot`, below the scheduler and
         // manager locks `acquire` takes while we hold the slot — the
-        // canonical descending chain of the lock hierarchy. The token only
-        // brackets acquisition (the guard legitimately outlives it and is
-        // released by the caller).
-        let _order = simkit::ordered(simkit::LockLevel::RankSlot, 0);
+        // canonical descending chain of the lock hierarchy. The guard,
+        // returned to the caller, keeps the slot's place until it drops.
         let mut guard = self.perf.lock();
         if guard.is_none() {
             let grant = self.sched.acquire(&self.owner, &self.perf)?;
@@ -226,10 +223,7 @@ impl Backend {
     /// the manager's observer takes over) and tells the scheduler the
     /// lease ended voluntarily.
     pub fn unlink(&self) {
-        {
-            let _order = simkit::ordered(simkit::LockLevel::RankSlot, 0);
-            *self.perf.lock() = None;
-        }
+        *self.perf.lock() = None;
         self.sched.notify_release(&self.owner);
     }
 

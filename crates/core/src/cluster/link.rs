@@ -16,8 +16,8 @@
 //!
 //! [`LoadReport`]: crate::load::LoadReport
 
-use parking_lot::Mutex;
-use simkit::lockorder::{ordered, LockLevel};
+use simkit::lockorder::LockLevel;
+use simkit::sync::Mutex;
 use simkit::telemetry::{Counter, MetricsRegistry, TimeCounter};
 use simkit::{InjectCell, VirtualNanos};
 
@@ -55,7 +55,7 @@ impl Link {
     #[must_use]
     pub fn with_registry(registry: &MetricsRegistry) -> Self {
         Link {
-            busy: Mutex::new(()),
+            busy: Mutex::new(LockLevel::Link, 0, ()),
             inject: InjectCell::new(),
             bytes: registry.counter("cluster.link.bytes"),
             transfers: registry.counter("cluster.link.transfers"),
@@ -84,7 +84,6 @@ impl Link {
     /// [`VpimError::Injected`] when the armed `cluster.link.drop` schedule
     /// fires (the payload is considered lost; the caller rolls back).
     pub fn ship(&self, bytes: u64) -> Result<VirtualNanos, VpimError> {
-        let _ord = ordered(LockLevel::Link, 0);
         let _busy = self.busy.lock();
         if self.inject.hit(LINK_DROP_POINT) {
             self.drops.inc();

@@ -46,7 +46,6 @@
 //! [`Rank::restore`]: upmem_sim::Rank::restore
 //! [`Link`]: super::Link
 
-use simkit::lockorder::{ordered, LockLevel};
 use simkit::VirtualNanos;
 
 use super::{Fleet, TenantState};
@@ -107,7 +106,6 @@ impl Fleet {
 
         // Entry locked for the duration: the tenant is frozen because
         // every op path needs this same lock.
-        let _ord = ordered(LockLevel::Fleet, 1);
         let mut slot = entry.state.lock();
         let Some(state) = slot.as_mut() else {
             self.metrics.aborted.inc();
@@ -123,20 +121,14 @@ impl Fleet {
         // Reserve the destination before touching the source, so capacity
         // is pessimistic during the move and a failed move never
         // overcommits.
-        {
-            let _p = ordered(LockLevel::Placement, 0);
-            if let Err(e) = self.placement.lock().reserve(to, need) {
-                self.metrics.aborted.inc();
-                return Err(e);
-            }
+        if let Err(e) = self.placement.lock().reserve(to, need) {
+            self.metrics.aborted.inc();
+            return Err(e);
         }
 
         match self.stop_and_copy(tenant, state, to, need) {
             Ok((bytes_shipped, downtime)) => {
-                {
-                    let _p = ordered(LockLevel::Placement, 0);
-                    self.placement.lock().rehome(tenant, from, to, need);
-                }
+                self.placement.lock().rehome(tenant, from, to, need);
                 self.metrics.completed.inc();
                 self.metrics.bytes.add(bytes_shipped);
                 self.metrics.downtime.record(downtime);
@@ -150,10 +142,7 @@ impl Fleet {
                 })
             }
             Err(e) => {
-                {
-                    let _p = ordered(LockLevel::Placement, 0);
-                    self.placement.lock().unreserve(to, need);
-                }
+                self.placement.lock().unreserve(to, need);
                 self.metrics.aborted.inc();
                 Err(e)
             }

@@ -47,10 +47,9 @@ pub use migrate::{MigrationReport, MIGRATE_STALL_POINT};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simkit::lockorder::{ordered, LockLevel};
+use simkit::sync::Mutex;
 use simkit::telemetry::{Counter, Gauge, MetricsRegistry, VtHistogram};
-use simkit::{CostModel, FaultPlane, InjectCell, JsonObject, VirtualNanos};
+use simkit::{CostModel, FaultPlane, InjectCell, JsonObject, LockLevel, VirtualNanos};
 
 use crate::config::VpimConfig;
 use crate::error::VpimError;
@@ -206,7 +205,7 @@ impl Fleet {
         let hosts: Vec<FleetHost> =
             (0..spec.hosts).map(|id| FleetHost::boot(id, spec.vcfg)).collect();
         let capacity: Vec<usize> = hosts.iter().map(FleetHost::rank_count).collect();
-        let placement = Mutex::new(PlacementTable::new(capacity));
+        let placement = Mutex::new(LockLevel::Placement, 0, PlacementTable::new(capacity));
         let link = Link::with_registry(&registry);
         let inflight = SnapshotStore::with_registry(
             spec.inflight_budget_mib.saturating_mul(1 << 20),
@@ -229,7 +228,7 @@ impl Fleet {
         let cm = hosts[0].system().cost_model().clone();
         Fleet {
             hosts,
-            tenants: Mutex::new(HashMap::new()),
+            tenants: Mutex::new(LockLevel::Fleet, 0, HashMap::new()),
             placement,
             link,
             inflight,
@@ -283,7 +282,6 @@ impl Fleet {
         let tenant = spec.tag().to_string();
         let need = spec.n_devices();
         let host = {
-            let _ord = ordered(LockLevel::Placement, 0);
             let mut table = self.placement.lock();
             match table.place(&tenant, need) {
                 Ok(h) => h,
@@ -298,18 +296,14 @@ impl Fleet {
         let vm = match self.hosts[host].system().launch(spec.clone()) {
             Ok(vm) => vm,
             Err(e) => {
-                let _ord = ordered(LockLevel::Placement, 0);
                 self.placement.lock().release(&tenant, host, need);
                 return Err(e);
             }
         };
         let entry = Arc::new(TenantEntry {
-            state: Mutex::new(Some(TenantState { vm, spec, host })),
+            state: Mutex::new(LockLevel::Fleet, 1, Some(TenantState { vm, spec, host })),
         });
-        {
-            let _ord = ordered(LockLevel::Fleet, 0);
-            self.tenants.lock().insert(tenant, entry);
-        }
+        self.tenants.lock().insert(tenant, entry);
         self.metrics.launched.inc();
         self.metrics.live.add(1);
         Ok(host)
@@ -317,7 +311,6 @@ impl Fleet {
 
     /// Looks up a tenant's entry handle.
     pub(crate) fn entry(&self, tenant: &str) -> Result<Arc<TenantEntry>, VpimError> {
-        let _ord = ordered(LockLevel::Fleet, 0);
         self.tenants
             .lock()
             .get(tenant)
@@ -339,7 +332,6 @@ impl Fleet {
         f: impl FnOnce(&VpimVm) -> Result<T, VpimError>,
     ) -> Result<T, VpimError> {
         let entry = self.entry(tenant)?;
-        let _ord = ordered(LockLevel::Fleet, 1);
         let state = entry.state.lock();
         let Some(state) = state.as_ref() else {
             return Err(VpimError::BadRequest(format!("tenant {tenant} released")));
@@ -354,23 +346,17 @@ impl Fleet {
     ///
     /// [`VpimError::BadRequest`] for an unknown tenant.
     pub fn release(&self, tenant: &str) -> Result<(), VpimError> {
-        let entry = {
-            let _ord = ordered(LockLevel::Fleet, 0);
-            self.tenants.lock().remove(tenant)
-        }
-        .ok_or_else(|| VpimError::BadRequest(format!("unknown tenant {tenant}")))?;
-        let taken = {
-            let _ord = ordered(LockLevel::Fleet, 1);
-            entry.state.lock().take()
-        };
+        let entry = self
+            .tenants
+            .lock()
+            .remove(tenant)
+            .ok_or_else(|| VpimError::BadRequest(format!("unknown tenant {tenant}")))?;
+        let taken = entry.state.lock().take();
         let Some(state) = taken else { return Ok(()) };
         let TenantState { vm, spec, host } = state;
         let _ = vm.release_all();
         drop(vm);
-        {
-            let _ord = ordered(LockLevel::Placement, 0);
-            self.placement.lock().release(tenant, host, spec.n_devices());
-        }
+        self.placement.lock().release(tenant, host, spec.n_devices());
         self.metrics.live.sub(1);
         Ok(())
     }
@@ -378,38 +364,31 @@ impl Fleet {
     /// The tenant's current home, if placed.
     #[must_use]
     pub fn host_of(&self, tenant: &str) -> Option<usize> {
-        let _ord = ordered(LockLevel::Placement, 0);
         self.placement.lock().home_of(tenant)
     }
 
     /// Committed live ranks on `host` (reservations included).
     #[must_use]
     pub fn live_ranks(&self, host: usize) -> usize {
-        let _ord = ordered(LockLevel::Placement, 0);
         self.placement.lock().live_ranks(host)
     }
 
     /// Placement capacity of `host`.
     #[must_use]
     pub fn capacity(&self, host: usize) -> usize {
-        let _ord = ordered(LockLevel::Placement, 0);
         self.placement.lock().capacity(host)
     }
 
     /// Every (tenant, home) pair, sorted by tenant.
     #[must_use]
     pub fn placements(&self) -> Vec<(String, usize)> {
-        let _ord = ordered(LockLevel::Placement, 0);
         self.placement.lock().placements()
     }
 
     /// Releases every tenant and consumes the fleet (the hosts' manager
     /// daemons stop when their systems drop).
     pub fn shutdown(self) {
-        let tenants: Vec<String> = {
-            let _ord = ordered(LockLevel::Fleet, 0);
-            self.tenants.lock().keys().cloned().collect()
-        };
+        let tenants: Vec<String> = self.tenants.lock().keys().cloned().collect();
         for t in tenants {
             let _ = self.release(&t);
         }

@@ -9,17 +9,18 @@
 //! `Ok` has completed every chain added before its kick (§4.2: finish the
 //! rank operation, then inject the IRQ that resumes the guest).
 
-use parking_lot::Mutex;
 use pim_virtio::mmio::MmioBlock;
 use pim_virtio::queue::{DescChain, DeviceQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory, IrqLine};
 use pim_vmm::{VirtioDevice, VmmError};
+use simkit::sync::Mutex;
+use simkit::LockLevel;
 
 use crate::backend::Backend;
 use crate::spec;
 
 /// Lock-order indices for the device's mutexes, all at
-/// [`simkit::LockLevel::DeviceQueue`] (below the frontend, above the
+/// [`LockLevel::DeviceQueue`] (below the frontend, above the
 /// backend's rank slot — see `simkit::lockorder`).
 ///
 /// * `NOTIFY` (0) — held by [`VupmemDevice::handle_notify`] across its
@@ -76,9 +77,9 @@ impl VupmemDevice {
             ),
             irq: IrqLine::with_counter(irq_number, registry.counter("virtio.irq.injections")),
             backend,
-            notify: Mutex::new(()),
-            mem: Mutex::new(None),
-            transferq: Mutex::new(None),
+            notify: Mutex::new(LockLevel::DeviceQueue, dev_lock::NOTIFY, ()),
+            mem: Mutex::new(LockLevel::DeviceQueue, dev_lock::MEM, None),
+            transferq: Mutex::new(LockLevel::DeviceQueue, dev_lock::TRANSFERQ, None),
         }
     }
 
@@ -89,13 +90,11 @@ impl VupmemDevice {
     }
 
     fn process_chain(&self, chain: &DescChain) -> Result<(), VmmError> {
-        let mem = {
-            let _order = simkit::ordered(simkit::LockLevel::DeviceQueue, dev_lock::MEM);
-            self.mem
-                .lock()
-                .clone()
-                .ok_or_else(|| VmmError::BadState("device not activated".to_string()))?
-        };
+        let mem = self
+            .mem
+            .lock()
+            .clone()
+            .ok_or_else(|| VmmError::BadState("device not activated".to_string()))?;
         let response = self.backend.process(&mem, chain);
         // Write the response into the chain's final (device-writable)
         // descriptor.
@@ -116,16 +115,12 @@ impl VupmemDevice {
         }
         mem.write(status.addr, &encoded).map_err(VmmError::Virtio)?;
         let written = encoded.len() as u32;
-        {
-            let _order =
-                simkit::ordered(simkit::LockLevel::DeviceQueue, dev_lock::TRANSFERQ);
-            self.transferq
-                .lock()
-                .as_mut()
-                .expect("activated")
-                .push_used(chain.head, written)
-                .map_err(VmmError::Virtio)?;
-        }
+        self.transferq
+            .lock()
+            .as_mut()
+            .expect("activated")
+            .push_used(chain.head, written)
+            .map_err(VmmError::Virtio)?;
         self.mmio.raise_interrupt();
         self.irq.assert_irq();
         Ok(())
@@ -176,12 +171,9 @@ impl VirtioDevice for VupmemDevice {
         }
         // One handler at a time: a kick that finds the queue empty because
         // another handler popped its chain still waits for that chain.
-        let _order = simkit::ordered(simkit::LockLevel::DeviceQueue, dev_lock::NOTIFY);
         let _serial = self.notify.lock();
         loop {
             let popped = {
-                let _order =
-                    simkit::ordered(simkit::LockLevel::DeviceQueue, dev_lock::TRANSFERQ);
                 let mut q = self.transferq.lock();
                 let q = q
                     .as_mut()
@@ -284,14 +276,22 @@ mod tests {
                 .unwrap()
         };
         // Link the rank, then hold its slot so the next chain blocks in
-        // the backend.
+        // the backend. A thread of its own holds it: the device queue this
+        // thread polls comes before the slot in the lock order.
         add_configure();
         dev.handle_notify(spec::TRANSFERQ).unwrap();
-        let slot = dev.backend().ensure_linked().unwrap();
-        let head = add_configure();
         let pending = || dev.transferq.lock().as_ref().unwrap().pending().unwrap();
         let dev = &dev;
-        std::thread::scope(|s| {
+        let head = std::thread::scope(|s| {
+            let (held, slot_held) = mpsc::channel();
+            let (release, slot_released) = mpsc::channel::<()>();
+            let holder = s.spawn(move || {
+                let _slot = dev.backend().ensure_linked().unwrap();
+                held.send(()).unwrap();
+                slot_released.recv().unwrap();
+            });
+            slot_held.recv().unwrap();
+            let head = add_configure();
             let a = s.spawn(|| dev.handle_notify(spec::TRANSFERQ));
             while pending() != 0 {
                 std::thread::yield_now();
@@ -306,9 +306,11 @@ mod tests {
                 b_returned.recv_timeout(Duration::from_millis(200)).is_err(),
                 "a kick returned while an earlier chain was still in the backend"
             );
-            drop(slot);
+            release.send(()).unwrap();
+            holder.join().unwrap();
             a.join().unwrap().unwrap();
             b.join().unwrap().unwrap();
+            head
         });
         let used: Vec<u16> = std::iter::from_fn(|| dq.poll_used().unwrap())
             .map(|(h, _)| h)

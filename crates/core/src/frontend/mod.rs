@@ -29,14 +29,14 @@ pub use prefetch::PrefetchCache;
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use pim_virtio::memory::PAGE_SIZE;
 use pim_virtio::mmio::{reg, status as mmio_status};
 use pim_virtio::queue::{DriverQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory, VirtioError};
 use pim_vmm::{EventManager, VirtioDevice};
+use simkit::sync::Mutex;
 use simkit::{
-    BytePool, CostModel, Counter, Gauge, MetricsRegistry, RetryMetrics, RetryPolicy,
+    BytePool, CostModel, Counter, Gauge, LockLevel, MetricsRegistry, RetryMetrics, RetryPolicy,
     TimeoutClass, VirtualNanos, WriteStep,
 };
 use upmem_sim::ci::CiStatus;
@@ -255,7 +255,7 @@ impl ProbeOpts {
 }
 
 /// Lock-order indices for the frontend's two mutexes, both at
-/// [`simkit::LockLevel::Frontend`] (the top of the cross-layer hierarchy —
+/// [`LockLevel::Frontend`] (below the fleet's levels, above the device's —
 /// see `simkit::lockorder`). Neither is held across a kick, so the device
 /// layer below is always entered from a clean frontend:
 ///
@@ -336,14 +336,14 @@ impl Frontend {
             device,
             device_idx,
             em,
-            ring: Mutex::new(Ring {
+            ring: Mutex::new(LockLevel::Frontend, front_lock::QUEUE, Ring {
                 queue: DriverQueue::new(mem.clone(), layout),
                 parked: Vec::new(),
             }),
             mem,
             cm,
             vcfg,
-            state: Mutex::new(FrontState {
+            state: Mutex::new(LockLevel::Frontend, front_lock::STATE, FrontState {
                 nr_dpus: 0,
                 mram_size: 0,
                 prefetch: metrics.prefetch_cache(0, 0),
@@ -487,10 +487,7 @@ impl Frontend {
         bufs.extend_from_slice(extra);
         bufs.push((status_page, 4096, true));
         let head = loop {
-            let added = {
-                let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
-                self.ring.lock().queue.add_chain(&bufs)
-            };
+            let added = self.ring.lock().queue.add_chain(&bufs);
             match added {
                 // A kick that adds no chain returns once the device has run
                 // every chain added before it, and the drain frees them.
@@ -584,7 +581,6 @@ impl Frontend {
     /// its head, unless another thread's kick has already run and drained
     /// it.
     fn park(&self, head: u16, chain: &mut Chain) {
-        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
         let mut ring = self.ring.lock();
         if ring.queue.in_flight(head) {
             ring.parked.push((head, std::mem::take(chain)));
@@ -599,7 +595,6 @@ impl Frontend {
     /// status page is written.
     fn drain_used(&self) -> Result<(), VpimError> {
         self.device.mmio().write(reg::INTERRUPT_ACK, 1)?;
-        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::QUEUE);
         let mut ring = self.ring.lock();
         while let Some((head, _)) = ring.queue.poll_used()? {
             if let Some(i) = ring.parked.iter().position(|(h, _)| *h == head) {
@@ -786,11 +781,8 @@ impl Frontend {
     ///
     /// Transport or hardware failures.
     pub fn flush_batch(&self) -> Result<OpReport, VpimError> {
-        // The state lock is dropped before the transport descent below —
-        // the ordered token documents (and in debug builds checks) that
-        // `STATE` stays a leaf relative to the lower layers.
+        // The state lock is dropped before the transport descent below.
         let drained = {
-            let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
             let mut st = self.state.lock();
             if st.batch.is_empty() {
                 // Reads, launches and barriers flush first, so most calls
@@ -803,7 +795,6 @@ impl Frontend {
         for chunk in drained.views().chunks(MAX_DPUS) {
             self.transfer(Xfer::Write(chunk), &mut report)?;
         }
-        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
         self.state.lock().batch.recycle(drained);
         Ok(report)
     }
@@ -819,7 +810,6 @@ impl Frontend {
     /// Transport or hardware failures from the flush.
     pub fn persist_barrier(&self) -> Result<OpReport, VpimError> {
         let report = self.flush_batch()?;
-        let _order = simkit::ordered(simkit::LockLevel::Frontend, front_lock::STATE);
         let mut st = self.state.lock();
         st.prefetch.invalidate();
         if let Some(a) = st.adapt.as_mut() {

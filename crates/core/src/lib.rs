@@ -110,8 +110,7 @@ pub mod prelude {
     pub use crate::frontend::{Frontend, ProbeOpts};
     pub use crate::guestbuf::GuestBuf;
     pub use crate::load::{
-        Arrival, Execution, LoadHarness, LoadReport, LoadSpec, OpOutcome, TenantMix,
-        TenantProfile,
+        Arrival, LoadHarness, LoadReport, LoadSpec, OpOutcome, TenantMix, TenantProfile,
     };
     pub use crate::pheap::{PersistReport, Pheap, PheapOptions, RecoverReport};
     pub use crate::report::OpReport;

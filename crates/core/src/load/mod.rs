@@ -16,14 +16,14 @@
 //! is *virtual time* derived from the work description, and each
 //! session's randomness comes from a pure per-index RNG stream
 //! ([`simkit::SimRng::stream`]), so the measurements do not depend on
-//! execution order — phase A may run sequentially or fan out on a
-//! [`simkit::WorkerPool`]. **Phase B** replays the measured service times
+//! execution order — phase A fans out on a [`simkit::WorkerPool`] of
+//! [`LoadSpec::workers`] threads, and one worker runs the sessions one at
+//! a time in index order. **Phase B** replays the measured service times
 //! through a c-server FCFS queue fed by the arrival trace, in pure
 //! integer math.
 //!
 //! The determinism invariant follows: **same seed ⇒ bit-identical
-//! [`LoadReport`]** across [`Execution::Sequential`] vs.
-//! [`Execution::Pooled`] phase-A execution, across host data-pool widths,
+//! [`LoadReport`]** across phase-A pool widths, across host data-pool widths,
 //! and across `RUST_TEST_THREADS` settings. `ci/load-gate.sh` enforces
 //! exactly that, and "thousands of concurrent sessions" is measured where
 //! it is meaningful — in virtual time, as overlapping
@@ -74,18 +74,6 @@ use simkit::{VirtualNanos, VtHistogram};
 use crate::system::VpimSystem;
 use session::{run_sessions, serve_group, FAILED_OP};
 
-/// How phase A executes the session bodies. Both modes must produce the
-/// same [`LoadReport`]; `Pooled` is simply faster on the wall clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// One session body at a time, in index order.
-    Sequential,
-    /// Fan out on a [`WorkerPool`](simkit::WorkerPool); at most `workers` VMs are alive at
-    /// once, so guest memory stays bounded.
-    #[default]
-    Pooled,
-}
-
 /// What to run: the seed, the offered traffic, and the virtual service
 /// capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,14 +83,12 @@ pub struct LoadSpec {
     arrival: Arrival,
     servers: usize,
     workers: usize,
-    exec: Execution,
     patience: Option<VirtualNanos>,
 }
 
 impl LoadSpec {
     /// `sessions` sessions from base seed `seed`, with uniform 1 µs
-    /// arrivals, auto-sized servers and workers, pooled execution, and
-    /// infinite patience.
+    /// arrivals, auto-sized servers and workers, and infinite patience.
     #[must_use]
     pub fn new(seed: u64, sessions: usize) -> Self {
         LoadSpec {
@@ -111,7 +97,6 @@ impl LoadSpec {
             arrival: Arrival::Uniform { gap_ns: 1_000 },
             servers: 0,
             workers: 0,
-            exec: Execution::default(),
             patience: None,
         }
     }
@@ -131,18 +116,12 @@ impl LoadSpec {
         self
     }
 
-    /// Worker threads for pooled phase-A execution (0 = `min(servers,
-    /// 8)`); also the cap on simultaneously live VMs.
+    /// Worker threads for phase A (0 = `min(servers, 8)`); also the cap
+    /// on simultaneously live VMs. Every width produces the same
+    /// [`LoadReport`]; one worker runs the sessions in index order.
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// The phase-A execution mode.
-    #[must_use]
-    pub fn execution(mut self, e: Execution) -> Self {
-        self.exec = e;
         self
     }
 
@@ -181,12 +160,6 @@ impl LoadSpec {
     #[must_use]
     pub fn worker_threads(&self) -> usize {
         self.workers
-    }
-
-    /// The phase-A execution mode.
-    #[must_use]
-    pub fn execution_mode(&self) -> Execution {
-        self.exec
     }
 
     /// The configured patience bound, if any.
@@ -327,8 +300,8 @@ mod tests {
     #[test]
     fn sequential_and_pooled_agree() {
         let spec = LoadSpec::new(7, 12).arrival(Arrival::Poisson { mean_gap_ns: 2_000 });
-        let a = LoadHarness::run(&host(), &spec.execution(Execution::Sequential), &ping_mix());
-        let b = LoadHarness::run(&host(), &spec.execution(Execution::Pooled), &ping_mix());
+        let a = LoadHarness::run(&host(), &spec.workers(1), &ping_mix());
+        let b = LoadHarness::run(&host(), &spec.workers(4), &ping_mix());
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.completed, 12);

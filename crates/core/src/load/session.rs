@@ -5,8 +5,8 @@
 //! through the admission path, run the scripted ops, release — and
 //! measures each op's *virtual* cost. All randomness comes from
 //! [`SimRng::stream`] keyed by the session index, so the measurements are
-//! a pure function of `(seed, index)` and identical whether the bodies run
-//! sequentially or on a worker pool.
+//! a pure function of `(seed, index)` and identical however many pool
+//! workers run the bodies.
 //!
 //! Phase B replays the measured service times through a c-server FCFS
 //! queue fed by the open-loop arrival trace — pure integer math, so the
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use simkit::{SimRng, VirtualNanos, VtHistogram, WorkerPool};
 
 use crate::load::tenant::TenantMix;
-use crate::load::{Execution, LoadSpec};
+use crate::load::LoadSpec;
 use crate::system::VpimSystem;
 
 /// What phase A measured for one session. Everything here is a pure
@@ -95,8 +95,9 @@ fn run_session(sys: &VpimSystem, mix: &TenantMix, seed: u64, idx: usize) -> Sess
 }
 
 /// Phase A for a whole run: executes every session body of `spec` on the
-/// host `host_of(session index)` names, in the spec's execution mode.
-/// `default_workers` sizes the pool when the spec leaves it on auto.
+/// host `host_of(session index)` names, on a pool of the spec's worker
+/// count. `default_workers` sizes the pool when the spec leaves it on
+/// auto.
 pub(crate) fn run_sessions<'a>(
     spec: &LoadSpec,
     mix: &TenantMix,
@@ -104,25 +105,20 @@ pub(crate) fn run_sessions<'a>(
     host_of: impl Fn(usize) -> &'a Arc<VpimSystem>,
 ) -> Vec<SessionRun> {
     let (n, seed) = (spec.n_sessions(), spec.seed());
-    match spec.execution_mode() {
-        Execution::Sequential => (0..n).map(|i| run_session(host_of(i), mix, seed, i)).collect(),
-        Execution::Pooled => {
-            let workers = match spec.worker_threads() {
-                0 => default_workers,
-                w => w,
-            };
-            let pool = WorkerPool::new(workers.max(1));
-            let mix = Arc::new(mix.clone());
-            let jobs = (0..n)
-                .map(|i| {
-                    let sys = host_of(i).clone();
-                    let mix = mix.clone();
-                    move || run_session(&sys, &mix, seed, i)
-                })
-                .collect::<Vec<_>>();
-            pool.run_all(jobs)
-        }
-    }
+    let workers = match spec.worker_threads() {
+        0 => default_workers,
+        w => w,
+    };
+    let pool = WorkerPool::new(workers.max(1));
+    let mix = Arc::new(mix.clone());
+    let jobs = (0..n)
+        .map(|i| {
+            let sys = host_of(i).clone();
+            let mix = mix.clone();
+            move || run_session(&sys, &mix, seed, i)
+        })
+        .collect::<Vec<_>>();
+    pool.run_all(jobs)
 }
 
 /// The queueing model's verdict on one session.

@@ -12,9 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use simkit::lockorder::{ordered, LockLevel, LockToken};
-use simkit::{CostModel, Counter, VirtualNanos};
+use simkit::sync::{Condvar, Mutex};
+use simkit::{CostModel, Counter, LockLevel, VirtualNanos};
 use upmem_driver::{RankStatus, UpmemDriver};
 
 use crate::error::VpimError;
@@ -130,7 +129,7 @@ impl TableState {
         TableState {
             driver,
             cm,
-            table: Mutex::new(Table {
+            table: Mutex::new(LockLevel::ManagerTable, 0, Table {
                 entries: (0..n)
                     .map(|_| Entry {
                         state: State::Naav,
@@ -155,11 +154,6 @@ impl TableState {
         self
     }
 
-    /// Locks the table, with lock-order tracking.
-    fn lock(&self) -> (LockToken, MutexGuard<'_, Table>) {
-        (ordered(LockLevel::ManagerTable, 0), self.table.lock())
-    }
-
     /// State-machine edges walked so far.
     pub fn transitions(&self) -> u64 {
         self.transitions.get()
@@ -174,7 +168,7 @@ impl TableState {
     /// One rank's state (`None` past the last rank).
     #[must_use]
     pub fn state_of(&self, rank: usize) -> Option<RankState> {
-        self.lock().1.entries.get(rank).map(|e| e.state.public())
+        self.table.lock().entries.get(rank).map(|e| e.state.public())
     }
 
     /// The allocation strategy of §3.5, run on the requester's thread; it
@@ -193,9 +187,9 @@ impl TableState {
         let attempts = max_attempts.max(1).try_into().unwrap_or(u32::MAX);
         let budget = retry_timeout.saturating_mul(attempts);
         let mut deadline = None;
-        let mut held = self.lock();
+        let mut held = self.table.lock();
         loop {
-            let t = &mut *held.1;
+            let t = &mut *held;
             let n = t.entries.len();
             // 1. A NANA rank previously used by this owner: no reset needed.
             let reuse = t.entries.iter().position(|e| {
@@ -229,7 +223,7 @@ impl TableState {
                 deadline = Some(Instant::now() + budget);
                 drop(held);
                 self.sync_now();
-                held = self.lock();
+                held = self.table.lock();
                 continue;
             };
             // 4. Wait for a release, within the one wall budget.
@@ -237,7 +231,7 @@ impl TableState {
             if left.is_zero() {
                 break;
             }
-            let _ = self.changed.wait_for(&mut held.1, left);
+            held = self.changed.wait_for(held, left);
         }
         self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
         Err(VpimError::NoRankAvailable)
@@ -254,7 +248,7 @@ impl TableState {
     fn observe(&self, snapshot: &[(RankStatus, u64)], claim_resets: bool) -> Vec<usize> {
         let mut to_reset = Vec::new();
         let mut changed_any = false;
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         for (rank, ((status, claims), e)) in snapshot.iter().zip(&mut t.entries).enumerate() {
             match (status, &e.state) {
                 (RankStatus::InUse { owner }, State::Naav) if *claims > e.claims_seen => {
@@ -292,7 +286,7 @@ impl TableState {
     /// owner at a safe point and will drop the claim next); returns
     /// whether the transition happened.
     pub fn mark_ckpt(&self, rank: usize) -> bool {
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         let Some(e) = t.entries.get_mut(rank) else { return false };
         let State::Allo { owner } = &e.state else { return false };
         e.state = State::Ckpt { owner: owner.clone() };
@@ -311,9 +305,9 @@ impl TableState {
         for rank in self.observe(&snapshot, true) {
             self.erase(rank);
         }
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         while t.entries.iter().any(|e| e.resetting) {
-            self.changed.wait(&mut t);
+            t = self.changed.wait(t);
         }
     }
 
@@ -323,7 +317,7 @@ impl TableState {
     #[must_use]
     pub fn wait_for_state(&self, rank: usize, want: RankState, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         loop {
             match t.entries.get(rank) {
                 None => return false,
@@ -334,7 +328,7 @@ impl TableState {
             if left.is_zero() {
                 return false;
             }
-            let _ = self.changed.wait_for(&mut t, left);
+            t = self.changed.wait_for(t, left);
         }
     }
 
@@ -342,7 +336,7 @@ impl TableState {
     /// `erased` (the reset claim's counter) promotes a rank that is still
     /// NANA to NAAV.
     fn finish_reset(&self, rank: usize, erased: Option<u64>) {
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         let e = &mut t.entries[rank];
         e.resetting = false;
         if let (Some(claims), State::Nana) = (erased, &e.state) {
@@ -359,7 +353,7 @@ impl TableState {
     /// erasing.
     pub fn reset_rank(&self, rank: usize) {
         {
-            let (_ord, mut t) = self.lock();
+            let mut t = self.table.lock();
             let Some(e) = t.entries.get_mut(rank) else { return };
             if e.state != State::Nana || e.resetting {
                 return; // re-allocated to its previous owner, or being erased
@@ -403,7 +397,7 @@ impl TableState {
     /// round-trips; production recycling always goes through the
     /// observer. Returns whether the rank changed state.
     pub fn recycle(&self, rank: usize) -> bool {
-        let (_ord, mut t) = self.lock();
+        let mut t = self.table.lock();
         let Some(e) = t.entries.get_mut(rank) else { return false };
         if !matches!(e.state, State::Allo { .. } | State::Ckpt { .. }) {
             return false;
@@ -418,7 +412,7 @@ impl TableState {
     /// Current state of every rank.
     #[must_use]
     pub fn states(&self) -> Vec<RankState> {
-        self.lock().1.entries.iter().map(|e| e.state.public()).collect()
+        self.table.lock().entries.iter().map(|e| e.state.public()).collect()
     }
 
     /// Aggregate statistics.

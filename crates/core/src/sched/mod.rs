@@ -41,10 +41,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use simkit::sync::{Condvar, Mutex};
 use simkit::{
-    ordered, CostModel, Counter, FaultPlane, Gauge, InjectCell, LockLevel, LockToken,
-    MetricsRegistry, RetryMetrics, RetryPolicy, TimeoutClass, VirtualNanos,
+    CostModel, Counter, FaultPlane, Gauge, InjectCell, LockLevel, MetricsRegistry, RetryMetrics,
+    RetryPolicy, TimeoutClass, VirtualNanos,
 };
 use upmem_driver::{PerfMapping, UpmemDriver};
 
@@ -70,7 +70,7 @@ pub type RankSlot = Arc<Mutex<Option<PerfMapping>>>;
 /// to raw slots without a full backend.
 #[must_use]
 pub fn empty_slot() -> RankSlot {
-    Arc::new(Mutex::new(None))
+    Arc::new(Mutex::new(LockLevel::RankSlot, 0, None))
 }
 
 /// How often a blocked waiter re-examines the queue between notifications.
@@ -233,7 +233,7 @@ impl Scheduler {
                 driver,
                 manager,
                 cm,
-                state: Mutex::new(State {
+                state: Mutex::new(LockLevel::SchedState, 0, State {
                     queue: AdmissionQueue::new(cfg.policy),
                     next_ticket: 0,
                     running: HashMap::new(),
@@ -254,12 +254,6 @@ impl Scheduler {
                 cfg,
             }),
         }
-    }
-
-    /// Locks the scheduler state (ordered at [`LockLevel::SchedState`]).
-    fn lock_state(&self) -> (LockToken, MutexGuard<'_, State>) {
-        let token = ordered(LockLevel::SchedState, 0);
-        (token, self.inner.state.lock())
     }
 
     /// Installs the fault-injection plane consulted by the checkpoint path
@@ -290,13 +284,13 @@ impl Scheduler {
     /// Tenants currently waiting for a rank.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.lock_state().1.queue.len()
+        self.inner.state.lock().queue.len()
     }
 
     /// Point-in-time statistics.
     #[must_use]
     pub fn stats(&self) -> SchedStats {
-        let (_t, st) = self.lock_state();
+        let st = self.inner.state.lock();
         SchedStats {
             grants: self.inner.metrics.grants.get(),
             preemptions: self.inner.metrics.preemptions.get(),
@@ -312,7 +306,7 @@ impl Scheduler {
     /// default is 1). Twice the weight means vruntime grows half as fast,
     /// i.e. twice the rank time under contention.
     pub fn set_weight(&self, tenant: &str, weight: u64) {
-        let (_t, mut st) = self.lock_state();
+        let mut st = self.inner.state.lock();
         st.accounts.entry(tenant.to_string()).or_default().weight = weight.max(1);
     }
 
@@ -357,9 +351,9 @@ impl Scheduler {
         let inner = &*self.inner;
         let deadline = Instant::now() + Duration::from_millis(inner.cfg.admission_timeout_ms);
         let mut wait_vt = VirtualNanos::ZERO;
-        let mut held = self.lock_state();
+        let mut held = self.inner.state.lock();
         let ticket = {
-            let st = &mut *held.1;
+            let st = &mut *held;
             let vruntime = st.accounts.entry(tenant.to_string()).or_default().vruntime;
             let ticket = st.next_ticket;
             st.next_ticket += 1;
@@ -375,7 +369,7 @@ impl Scheduler {
         loop {
             // Only the policy's head probes the manager, so grants leave
             // in policy order.
-            if held.1.queue.head().map(|w| w.ticket) == Some(ticket) {
+            if held.queue.head().map(|w| w.ticket) == Some(ticket) {
                 // The probe and a preemption run unlocked: preemption takes
                 // a victim's RankSlot, which sits below SchedState.
                 drop(held);
@@ -392,7 +386,7 @@ impl Scheduler {
                         return Err(e);
                     }
                 };
-                held = self.lock_state();
+                held = self.inner.state.lock();
                 if reprobe {
                     continue;
                 }
@@ -405,7 +399,7 @@ impl Scheduler {
             // Who is head changes only under the lock held here, so a
             // non-head waiter cannot sleep through becoming head. A dropped
             // VM's release reaches sysfs, not this lock: hence the tick.
-            let _ = inner.changed.wait_for(&mut held.1, WAIT_TICK);
+            held = inner.changed.wait_for(held, WAIT_TICK);
         }
     }
 
@@ -450,7 +444,7 @@ impl Scheduler {
         };
         wait_vt += inner.cm.manager_alloc() + restore_vt.unwrap_or(VirtualNanos::ZERO);
         {
-            let (_t, mut st) = self.lock_state();
+            let mut st = self.inner.state.lock();
             if ticket.is_some_and(|t| st.queue.remove(t)) {
                 inner.metrics.queue_depth.sub(1);
             }
@@ -482,7 +476,7 @@ impl Scheduler {
 
     fn dequeue(&self, ticket: u64) {
         let inner = &*self.inner;
-        if self.lock_state().1.queue.remove(ticket) {
+        if self.inner.state.lock().queue.remove(ticket) {
             inner.metrics.queue_depth.sub(1);
         }
         inner.changed.notify_all();
@@ -501,8 +495,9 @@ impl Scheduler {
         let inner = &*self.inner;
         let quantum_ns = inner.cfg.quantum_ms.saturating_mul(1_000_000);
         let picked = self
-            .lock_state()
-            .1
+            .inner
+            .state
+            .lock()
             .running
             .iter_mut()
             .filter(|(t, l)| t.as_str() != me && !l.preempting)
@@ -523,7 +518,6 @@ impl Scheduler {
         // operation (operations hold the lock for their full duration).
         // The state lock was dropped above — RankSlot sits below SchedState
         // in the hierarchy.
-        let _slot_order = ordered(LockLevel::RankSlot, 0);
         let mut guard = slot.lock();
         if inner.inject.hit(CKPT_STALL_POINT) {
             // Wall-clock stall only: the slot stays locked (no operation can
@@ -560,7 +554,7 @@ impl Scheduler {
         let _ = inner.manager.mark_ckpt(rank);
         *guard = None;
         drop(guard);
-        self.lock_state().1.running.remove(&victim);
+        self.inner.state.lock().running.remove(&victim);
         inner.metrics.preemptions.inc();
         *wait_vt = *wait_vt
             + inner.cm.rank_snapshot(bytes)
@@ -570,12 +564,12 @@ impl Scheduler {
     }
 
     fn reap(&self, tenant: &str) {
-        self.lock_state().1.running.remove(tenant);
+        self.inner.state.lock().running.remove(tenant);
         self.inner.changed.notify_all();
     }
 
     fn clear_preempting(&self, tenant: &str) {
-        if let Some(l) = self.lock_state().1.running.get_mut(tenant) {
+        if let Some(l) = self.inner.state.lock().running.get_mut(tenant) {
             l.preempting = false;
         }
     }
@@ -587,7 +581,7 @@ impl Scheduler {
     pub fn charge(&self, tenant: &str, vt: VirtualNanos) {
         let ns = vt.as_nanos();
         let waiters = {
-            let (_t, mut st) = self.lock_state();
+            let mut st = self.inner.state.lock();
             let acct = st.accounts.entry(tenant.to_string()).or_default();
             acct.vruntime = acct.vruntime.saturating_add(ns / acct.weight.max(1));
             if let Some(l) = st.running.get_mut(tenant) {
@@ -606,7 +600,7 @@ impl Scheduler {
     /// discarded, and waiters are woken.
     pub fn notify_release(&self, tenant: &str) {
         let inner = &*self.inner;
-        self.lock_state().1.running.remove(tenant);
+        self.inner.state.lock().running.remove(tenant);
         inner.store.evict(tenant);
         inner.changed.notify_all();
     }
@@ -655,8 +649,8 @@ mod tests {
         let mcfg = ManagerConfig { retry_timeout: Duration::from_millis(5), max_attempts: 1 };
         let (driver, mgr) = host_with(1, mcfg);
         let s = sched(&driver, &mgr, SchedSection::default());
-        let slot_a: RankSlot = Arc::new(Mutex::new(None));
-        let slot_b: RankSlot = Arc::new(Mutex::new(None));
+        let slot_a: RankSlot = empty_slot();
+        let slot_b: RankSlot = empty_slot();
         let grant = {
             let mut g = slot_a.lock();
             let grant = s.acquire("vm-a", &slot_a).unwrap();
@@ -674,8 +668,8 @@ mod tests {
     fn oversubscription_preempts_checkpoints_and_restores() {
         let (driver, mgr) = host(1);
         let s = sched(&driver, &mgr, oversub());
-        let slot_a: RankSlot = Arc::new(Mutex::new(None));
-        let slot_b: RankSlot = Arc::new(Mutex::new(None));
+        let slot_a: RankSlot = empty_slot();
+        let slot_b: RankSlot = empty_slot();
         // vm-a takes the only rank and dirties it.
         {
             let mut g = slot_a.lock();
@@ -724,7 +718,7 @@ mod tests {
             &mgr,
             SchedSection { admission_timeout_ms: 50, ..oversub() },
         );
-        let slot_a: RankSlot = Arc::new(Mutex::new(None));
+        let slot_a: RankSlot = empty_slot();
         {
             let mut g = slot_a.lock();
             let grant = s.acquire("vm-a", &slot_a).unwrap();
@@ -733,8 +727,8 @@ mod tests {
         // Make vm-a unpreemptable (as if another preempter already owned
         // it): vm-b can then neither allocate nor preempt, and must time
         // out cleanly.
-        s.lock_state().1.running.get_mut("vm-a").unwrap().preempting = true;
-        let slot_b: RankSlot = Arc::new(Mutex::new(None));
+        s.inner.state.lock().running.get_mut("vm-a").unwrap().preempting = true;
+        let slot_b: RankSlot = empty_slot();
         let _g = slot_b.lock();
         assert!(matches!(
             s.acquire("vm-b", &slot_b),
@@ -755,13 +749,13 @@ mod tests {
         s.charge("greedy", VirtualNanos::from_nanos(1_000_000));
         // Both can be served immediately (2 ranks); the point is just that
         // charge() feeds the vruntime the queue orders by.
-        let slot: RankSlot = Arc::new(Mutex::new(None));
+        let slot: RankSlot = empty_slot();
         {
             let mut g = slot.lock();
             let grant = s.acquire("greedy", &slot).unwrap();
             *g = Some(grant.mapping);
         }
-        assert!(s.lock_state().1.accounts["greedy"].vruntime >= 1_000_000);
+        assert!(s.inner.state.lock().accounts["greedy"].vruntime >= 1_000_000);
         mgr.shutdown();
     }
 }

@@ -4,8 +4,9 @@
 //! its own: the [`Scheduler`](crate::sched::Scheduler) keeps it inside its
 //! one state mutex, next to the ticket counter, leases and accounts.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use simkit::sync::Mutex;
+use simkit::LockLevel;
 
 /// Ordering policy for the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,7 +111,8 @@ pub struct ShardedAdmissionQueue(Mutex<(AdmissionQueue, u64)>);
 impl ShardedAdmissionQueue {
     #[must_use]
     pub fn new(policy: SchedPolicy) -> Self {
-        ShardedAdmissionQueue(Mutex::new((AdmissionQueue::new(policy), 0)))
+        let queue = (AdmissionQueue::new(policy), 0);
+        ShardedAdmissionQueue(Mutex::new(LockLevel::SchedState, 0, queue))
     }
 
     pub fn push(&self, tenant: &str, vruntime: u64) -> u64 {

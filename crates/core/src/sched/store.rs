@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
+use simkit::sync::Mutex;
 use simkit::telemetry::{Gauge, MetricsRegistry};
+use simkit::LockLevel;
 use upmem_sim::rank::RankSnapshot;
 
 /// Why a snapshot could not be parked.
@@ -63,7 +64,11 @@ impl SnapshotStore {
     /// A store bounded to `budget_bytes` (0 = unlimited).
     #[must_use]
     pub fn new(budget_bytes: u64) -> Self {
-        SnapshotStore { budget_bytes, inner: Mutex::new(HashMap::new()), bytes_gauge: None }
+        SnapshotStore {
+            budget_bytes,
+            inner: Mutex::new(LockLevel::Snapshots, 0, HashMap::new()),
+            bytes_gauge: None,
+        }
     }
 
     /// A store that mirrors its total parked bytes into `registry`'s
@@ -74,7 +79,7 @@ impl SnapshotStore {
     pub fn with_registry(budget_bytes: u64, registry: &MetricsRegistry, gauge_name: &str) -> Self {
         SnapshotStore {
             budget_bytes,
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(LockLevel::Snapshots, 0, HashMap::new()),
             bytes_gauge: Some(registry.gauge(gauge_name)),
         }
     }

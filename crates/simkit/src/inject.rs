@@ -33,7 +33,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use crate::lockorder::LockLevel;
+use crate::sync::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use crate::telemetry::{Counter, MetricsRegistry};
@@ -168,7 +169,7 @@ impl FaultPlane {
         FaultPlane {
             on: AtomicBool::new(false),
             seed,
-            points: RwLock::new(HashMap::new()),
+            points: RwLock::new(LockLevel::FaultPoints, 0, HashMap::new()),
             armed: registry.counter("inject.armed"),
             fired: registry.counter("inject.fired"),
             suppressed: registry.counter("inject.suppressed"),
@@ -271,17 +272,23 @@ impl FaultPlane {
 /// later reaches every clone at once. Until installation, `hit` answers
 /// with a single relaxed load — the same zero-overhead passthrough as an
 /// unarmed plane.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct InjectCell {
     on: AtomicBool,
     plane: Mutex<Option<Arc<FaultPlane>>>,
+}
+
+impl Default for InjectCell {
+    fn default() -> Self {
+        InjectCell::new()
+    }
 }
 
 impl InjectCell {
     /// An empty cell (every hit passes through).
     #[must_use]
     pub fn new() -> Self {
-        InjectCell::default()
+        InjectCell { on: AtomicBool::new(false), plane: Mutex::new(LockLevel::FaultCell, 0, None) }
     }
 
     /// Installs `plane`; subsequent hits consult it.

@@ -18,6 +18,8 @@
 //! * [`compose`] — sequential / parallel / worker-pool composition rules,
 //! * [`SimRng`] — seeded, reproducible randomness,
 //! * [`codec`] — the `u32` ↔ little-endian byte codec,
+//! * [`sync`] — the workspace's locks, each at its place in the
+//!   [`lockorder`] hierarchy,
 //! * [`stats`] — small helpers for summarizing benchmark output.
 //!
 //! ## Example
@@ -48,6 +50,7 @@ pub mod pool;
 pub mod retry;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod telemetry;
 pub mod time;
 pub mod timeline;
@@ -59,7 +62,7 @@ pub use error::{ErrorKind, HasErrorKind};
 pub use executor::{JobHandle, WorkerPool};
 pub use inject::{FaultPlan, FaultPlane, InjectCell, PointStats};
 pub use json::JsonObject;
-pub use lockorder::{ordered, LockLevel, LockToken};
+pub use lockorder::LockLevel;
 pub use pool::{BytePool, PoolGuard};
 pub use retry::{RetryBudget, RetryMetrics, RetryPolicy, TimeoutClass};
 pub use rng::SimRng;

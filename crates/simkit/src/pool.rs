@@ -34,7 +34,8 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::lockorder::LockLevel;
+use crate::sync::Mutex;
 
 use crate::telemetry::{Counter, Gauge, MetricsRegistry};
 
@@ -76,7 +77,7 @@ struct PoolInner {
 impl PoolInner {
     fn new(hits: Counter, misses: Counter, bytes: Counter, outstanding: Gauge) -> Self {
         PoolInner {
-            free: Mutex::new(std::array::from_fn(|_| Vec::new())),
+            free: Mutex::new(LockLevel::BytePool, 0, std::array::from_fn(|_| Vec::new())),
             hits,
             misses,
             bytes,

@@ -37,7 +37,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use crate::lockorder::LockLevel;
+use crate::sync::RwLock;
 
 use crate::time::VirtualNanos;
 
@@ -395,16 +396,22 @@ impl MetricsSnapshot {
 /// Requesting an existing name as a *different* instrument type (e.g.
 /// `gauge("x")` after `counter("x")`) panics: two layers disagreeing on a
 /// metric's type is a wiring bug worth failing loudly on.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     slots: Arc<RwLock<BTreeMap<String, Slot>>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry::new()
+    }
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     #[must_use]
     pub fn new() -> Self {
-        MetricsRegistry::default()
+        MetricsRegistry { slots: Arc::new(RwLock::new(LockLevel::Metrics, 0, BTreeMap::new())) }
     }
 
     fn slot(&self, name: &str, make: impl FnOnce() -> Slot) -> Slot {

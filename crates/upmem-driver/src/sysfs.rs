@@ -7,13 +7,13 @@
 //! their claim counters and the change generation, and one condition
 //! variable paired with it that claims and releases use to wake blocked
 //! watchers. The mutex is `LockLevel::SysfsBoard`, the innermost lock of
-//! the system hierarchy (`simkit::lockorder`).
+//! the control plane (`simkit::lockorder`).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use simkit::lockorder::{ordered, LockLevel, LockToken};
+use simkit::sync::{Condvar, Mutex};
+use simkit::LockLevel;
 
 use crate::error::DriverError;
 
@@ -53,7 +53,7 @@ impl StatusBoard {
     #[must_use]
     pub fn new(ranks: usize) -> Self {
         StatusBoard {
-            state: Mutex::new(BoardState {
+            state: Mutex::new(LockLevel::SysfsBoard, 0, BoardState {
                 entries: vec![RankStatus::Free; ranks],
                 claims: vec![0; ranks],
                 generation: 0,
@@ -62,35 +62,30 @@ impl StatusBoard {
         }
     }
 
-    /// Locks the board, with lock-order tracking.
-    fn lock(&self) -> (LockToken, MutexGuard<'_, BoardState>) {
-        (ordered(LockLevel::SysfsBoard, 0), self.state.lock())
-    }
-
     /// Reads one rank's status file.
     #[must_use]
     pub fn status(&self, rank: usize) -> Option<RankStatus> {
-        self.lock().1.entries.get(rank).cloned()
+        self.state.lock().entries.get(rank).cloned()
     }
 
     /// Snapshot of every entry with its claim counter (one `ls`+`cat`
     /// sweep of the directory).
     #[must_use]
     pub fn snapshot(&self) -> Vec<(RankStatus, u64)> {
-        let (_ord, st) = self.lock();
+        let st = self.state.lock();
         st.entries.iter().cloned().zip(st.claims.iter().copied()).collect()
     }
 
     /// Total claims ever made on `rank`.
     #[must_use]
     pub fn claim_count(&self, rank: usize) -> u64 {
-        self.lock().1.claims.get(rank).copied().unwrap_or(0)
+        self.state.lock().claims.get(rank).copied().unwrap_or(0)
     }
 
     /// Current change generation. Increases on every claim or release.
     #[must_use]
     pub fn generation(&self) -> u64 {
-        self.lock().1.generation
+        self.state.lock().generation
     }
 
     /// Blocks until the generation exceeds `seen` or `timeout` elapses.
@@ -98,9 +93,9 @@ impl StatusBoard {
     /// change). This is the observer thread's inotify-style wait.
     #[must_use]
     pub fn wait_for_change(&self, seen: u64, timeout: Duration) -> u64 {
-        let (_ord, mut st) = self.lock();
+        let mut st = self.state.lock();
         if st.generation <= seen {
-            let _ = self.changed.wait_for(&mut st, timeout);
+            st = self.changed.wait_for(st, timeout);
         }
         st.generation
     }
@@ -113,7 +108,7 @@ impl StatusBoard {
     /// [`DriverError::RankInUse`] if the rank is already claimed;
     /// [`DriverError::Sim`] (invalid rank) if the index is out of range.
     pub fn claim(self: &Arc<Self>, rank: usize, owner: &str) -> Result<RankClaim, DriverError> {
-        let (_ord, mut st) = self.lock();
+        let mut st = self.state.lock();
         match st.entries.get(rank) {
             None => return Err(DriverError::Sim(upmem_sim::SimError::InvalidRank(rank))),
             Some(RankStatus::InUse { owner: cur }) => {
@@ -130,7 +125,7 @@ impl StatusBoard {
     }
 
     fn release(&self, rank: usize) {
-        let (_ord, mut st) = self.lock();
+        let mut st = self.state.lock();
         st.entries[rank] = RankStatus::Free;
         st.generation += 1;
         drop(st);

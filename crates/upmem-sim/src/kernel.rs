@@ -15,7 +15,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use simkit::sync::RwLock;
+use simkit::LockLevel;
 
 use crate::dpu::DpuContext;
 use crate::error::{DpuFault, SimError};
@@ -118,7 +119,7 @@ pub trait DpuKernel: Send + Sync {
 /// The registry `dpu_load` resolves program names against.
 ///
 /// Plays the role of the filesystem holding DPU ELF binaries.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct KernelRegistry {
     inner: Arc<RwLock<HashMap<String, Arc<dyn DpuKernel>>>>,
 }
@@ -130,11 +131,17 @@ impl fmt::Debug for KernelRegistry {
     }
 }
 
+impl Default for KernelRegistry {
+    fn default() -> Self {
+        KernelRegistry::new()
+    }
+}
+
 impl KernelRegistry {
     /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
-        KernelRegistry::default()
+        KernelRegistry { inner: Arc::new(RwLock::new(LockLevel::Kernels, 0, HashMap::new())) }
     }
 
     /// Registers a kernel under its image name, replacing any previous

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use simkit::{FaultPlane, InjectCell};
+use simkit::sync::Mutex;
+use simkit::{FaultPlane, InjectCell, LockLevel};
 
 use crate::ci::{CiCommand, CiCounters, CiStatus};
 use crate::dpu::{Dpu, DpuState, LaunchReport};
@@ -96,7 +96,7 @@ impl Rank {
         let n = config.dpus_in_rank(id);
         Rank {
             id,
-            dpus: (0..n).map(|_| Mutex::new(Dpu::new(config))).collect(),
+            dpus: (0..n).map(|d| Mutex::new(LockLevel::Dpu, d, Dpu::new(config))).collect(),
             ci: CiCounters::new(),
             config: config.clone(),
             inject: InjectCell::new(),

@@ -41,8 +41,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use simkit::{FaultPlane, InjectCell};
+use simkit::sync::{Mutex, RwLock};
+use simkit::{FaultPlane, InjectCell, LockLevel};
 
 use crate::error::VirtioError;
 
@@ -95,7 +95,7 @@ struct Ram {
 /// [`GuestMemory::new`] of the same byte size. A RAM is only created when
 /// none of its size is here, so this never holds more RAMs than were once
 /// live at the same time. A leaf lock: nothing is locked while it is held.
-static FREE_RAM: Mutex<Vec<Ram>> = Mutex::new(Vec::new());
+static FREE_RAM: Mutex<Vec<Ram>> = Mutex::new(LockLevel::FreeRam, 0, Vec::new());
 
 impl Ram {
     /// A zeroed RAM of `bytes` bytes: the one of exactly that size released
@@ -148,7 +148,7 @@ impl Drop for Inner {
     /// Zeroes what the guest wrote and keeps the RAM for the next guest of
     /// this size: a departed tenant's bytes do not outlive it.
     fn drop(&mut self) {
-        let mut ram = std::mem::take(&mut *self.ram.write());
+        let mut ram = std::mem::take(self.ram.get_mut());
         ram.scrub();
         FREE_RAM.lock().push(ram);
     }
@@ -311,9 +311,9 @@ impl GuestMemory {
         let bytes = pages * PAGE_SIZE;
         GuestMemory {
             inner: Arc::new(Inner {
-                ram: RwLock::new(Ram::take(bytes as usize)),
+                ram: RwLock::new(LockLevel::GuestRam, 0, Ram::take(bytes as usize)),
                 size: bytes,
-                allocator: Mutex::new(PageAllocator::new(pages)),
+                allocator: Mutex::new(LockLevel::GuestPages, 0, PageAllocator::new(pages)),
                 inject: InjectCell::new(),
             }),
         }

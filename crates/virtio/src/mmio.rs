@@ -9,7 +9,8 @@
 //! configuration layout": clock division, memory region size, number of
 //! control interfaces, DPU frequency — Appendix A.1).
 
-use parking_lot::Mutex;
+use simkit::sync::Mutex;
+use simkit::LockLevel;
 
 use crate::error::VirtioError;
 
@@ -97,7 +98,7 @@ impl MmioBlock {
             device_id,
             queue_num_max,
             config,
-            state: Mutex::new(State {
+            state: Mutex::new(LockLevel::Mmio, 0, State {
                 queue_sel: 0,
                 queues: vec![QueueTransport::default(); num_queues],
                 status: 0,

@@ -218,7 +218,7 @@ pub fn smoke_mix(nr_dpus: usize) -> TenantMix {
 mod tests {
     use super::*;
     use upmem_driver::UpmemDriver;
-    use vpim::load::{Arrival, Execution, LoadHarness, LoadSpec};
+    use vpim::load::{Arrival, LoadHarness, LoadSpec};
     use vpim::{StartOpts, VpimConfig, VpimSystem};
 
     fn host(ranks: usize) -> Arc<VpimSystem> {
@@ -234,12 +234,10 @@ mod tests {
     #[test]
     fn smoke_mix_runs_and_is_deterministic_across_modes() {
         let spec = LoadSpec::new(11, 8).arrival(Arrival::Poisson { mean_gap_ns: 5_000 });
-        let a = LoadHarness::run(
-            &host(2),
-            &spec.execution(Execution::Sequential),
-            &smoke_mix(4),
-        );
-        let b = LoadHarness::run(&host(2), &spec.execution(Execution::Pooled), &smoke_mix(4));
+        // One worker runs the sessions in index order; the auto pool (one
+        // worker per rank here) interleaves them.
+        let a = LoadHarness::run(&host(2), &spec.workers(1), &smoke_mix(4));
+        let b = LoadHarness::run(&host(2), &spec, &smoke_mix(4));
         assert_eq!(a, b);
         assert_eq!(a.completed, 8);
         assert_eq!(a.op_failures, 0, "workloads must verify: {a:?}");

@@ -1,5 +1,6 @@
-//! Load-harness integration (ISSUE 6): seed-sweep determinism across
-//! phase-A execution modes, exact closed-loop
+//! Load-harness integration: seed-sweep determinism across phase-A pool
+//! widths (one worker, in session order, against a wider pool), exact
+//! closed-loop
 //! totals, a chaos variant (fault plane armed, throughput degrades but
 //! the report stays deterministic), and the 1k-session smoke behind
 //! `ci/load-gate.sh`.
@@ -14,8 +15,7 @@ use simkit::FaultPlan;
 use upmem_driver::UpmemDriver;
 use upmem_sim::PimMachine;
 use vpim::load::{
-    Arrival, Execution, LoadHarness, LoadReport, LoadSpec, OpOutcome, TenantMix, TenantOp,
-    TenantProfile,
+    Arrival, LoadHarness, LoadReport, LoadSpec, OpOutcome, TenantMix, TenantOp, TenantProfile,
 };
 use vpim::{FaultSite, StartOpts, TenantSpec, VpimConfig, VpimSystem};
 use vpim_system::loadmix;
@@ -59,17 +59,14 @@ fn two_op_mix() -> TenantMix {
 fn seed_sweep_is_bit_identical_across_execution_modes() {
     for seed in [1u64, 42, 0xF00D] {
         let spec = LoadSpec::new(seed, 10).arrival(Arrival::Poisson { mean_gap_ns: 3_000 });
-        let seq =
-            LoadHarness::run(&host(2), &spec.execution(Execution::Sequential), &loadmix::smoke_mix(4));
+        let seq = LoadHarness::run(&host(2), &spec.workers(1), &loadmix::smoke_mix(4));
         let pooled_host = host(2);
-        let pooled =
-            LoadHarness::run(&pooled_host, &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
-        assert_eq!(seq, pooled, "seed {seed}: phase-A execution mode leaked into the report");
+        let pooled = LoadHarness::run(&pooled_host, &spec, &loadmix::smoke_mix(4));
+        assert_eq!(seq, pooled, "seed {seed}: the phase-A pool width leaked into the report");
         assert_eq!(seq.to_json(), pooled.to_json());
         // A second round on the same host runs its sessions on the guest
         // RAM the first round's sessions released.
-        let recycled =
-            LoadHarness::run(&pooled_host, &spec.execution(Execution::Pooled), &loadmix::smoke_mix(4));
+        let recycled = LoadHarness::run(&pooled_host, &spec, &loadmix::smoke_mix(4));
         assert_eq!(seq, recycled, "seed {seed}: a rerun on recycled guest RAM differs");
         assert_eq!(seq.seed, seed);
         assert_eq!(seq.completed, 10);
@@ -125,14 +122,15 @@ fn closed_loop_totals_are_exact() {
 #[test]
 fn patience_sheds_load_deterministically() {
     // One server, back-to-back arrivals, tiny patience: the queue must
-    // shed — and identically so under both execution modes.
+    // shed — and identically so on one worker and on four.
     let spec = LoadSpec::new(3, 8)
         .arrival(Arrival::Uniform { gap_ns: 10 })
         .servers(1)
         .patience(simkit::VirtualNanos::from_nanos(5_000));
-    let a = LoadHarness::run(&host(2), &spec.execution(Execution::Sequential), &two_op_mix());
-    let b = LoadHarness::run(&host(2), &spec.execution(Execution::Pooled), &two_op_mix());
+    let a = LoadHarness::run(&host(2), &spec.workers(1), &two_op_mix());
+    let b = LoadHarness::run(&host(2), &spec.workers(4), &two_op_mix());
     assert_eq!(a, b);
+    assert_eq!(a.to_json(), b.to_json());
     assert!(a.giveups > 0, "patience never triggered: {a:?}");
     assert_eq!(a.completed + a.giveups, 8);
     assert!(a.peak_queue_depth > 0);
@@ -156,14 +154,15 @@ fn chaos_variant_degrades_but_stays_deterministic() {
         burst: 4,
         off_gap_ns: 20_000,
     });
-    let a = LoadHarness::run(&chaos_host(), &spec.execution(Execution::Sequential), &two_op_mix());
-    let b = LoadHarness::run(&chaos_host(), &spec.execution(Execution::Pooled), &two_op_mix());
-    assert_eq!(a, b, "chaos run depends on phase-A execution mode");
+    let a = LoadHarness::run(&chaos_host(), &spec.workers(1), &two_op_mix());
+    let b = LoadHarness::run(&chaos_host(), &spec, &two_op_mix());
+    assert_eq!(a, b, "chaos run depends on the phase-A pool width");
+    assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.sessions, 8);
     assert!(a.op_failures > 0, "armed fault plane never bit: {a:?}");
 
     // And throughput degraded relative to a clean host on the same spec.
-    let clean = LoadHarness::run(&host(2), &spec.execution(Execution::Pooled), &two_op_mix());
+    let clean = LoadHarness::run(&host(2), &spec, &two_op_mix());
     assert_ne!(a, clean, "armed fault plane left no trace in the report");
     assert_eq!(clean.op_failures, 0);
 }
@@ -179,11 +178,7 @@ fn thousand_concurrent_sessions_smoke() {
         .arrival(Arrival::OnOff { mean_gap_ns: 50, burst: 100, off_gap_ns: 2_000 })
         .servers(32)
         .workers(8);
-    let par = LoadHarness::run(
-        &host(4),
-        &spec.execution(Execution::Pooled),
-        &loadmix::smoke_mix(4),
-    );
+    let par = LoadHarness::run(&host(4), &spec, &loadmix::smoke_mix(4));
     assert_eq!(par.sessions, 1_000);
     assert_eq!(par.completed + par.giveups + par.launch_failures, 1_000);
     assert!(
@@ -213,8 +208,7 @@ fn persistent_kv_mix_is_deterministic_with_faults_armed() {
     // episode's fourth (last non-noop) persist tears (persist faults are
     // keyed purely by transaction sequence, identical in every mode)
     // while the plain tenant sails through — the report must contain both
-    // failures and successes, bit-identically across phase-A execution
-    // modes.
+    // failures and successes, bit-identically across phase-A pool widths.
     let plain = || {
         TenantProfile::new("plain", TenantSpec::new("plain").mem_mib(16)).op(TenantOp::new(
             "write",
@@ -227,32 +221,34 @@ fn persistent_kv_mix_is_deterministic_with_faults_armed() {
     };
     let spec = LoadSpec::new(33, 10).arrival(Arrival::Poisson { mean_gap_ns: 4_000 });
 
-    let run_armed = |exec: Execution| {
+    let run_armed = |spec: LoadSpec| {
         let sys = host_with(VpimConfig::builder().inject_seed(0x9EA9_5EED).build(), 2);
         sys.fault_plane().expect("inject enabled").arm(PHEAP_WAL_TORN_POINT, FaultPlan::Nth(4));
         let mix = TenantMix::new()
             .profile(loadmix::pheap_kv_profile(PheapOptions::new().attach(&sys)))
             .profile(plain());
-        LoadHarness::run(&sys, &spec.execution(exec), &mix)
+        LoadHarness::run(&sys, &spec, &mix)
     };
-    let a = run_armed(Execution::Sequential);
-    let b = run_armed(Execution::Pooled);
-    assert_eq!(a, b, "armed KV run depends on phase-A execution mode");
+    let a = run_armed(spec.workers(1));
+    let b = run_armed(spec);
+    assert_eq!(a, b, "armed KV run depends on the phase-A pool width");
+    assert_eq!(a.to_json(), b.to_json());
     assert_eq!(a.sessions, 10);
     assert!(a.op_failures > 0, "torn persists never surfaced: {a:?}");
 
     // Clean variant: same mix without the fault plane — every episode
-    // recovers and verifies, still bit-identically across modes.
-    let run_clean = |exec: Execution| {
+    // recovers and verifies, still bit-identically across pool widths.
+    let run_clean = |spec: LoadSpec| {
         let sys = host(2);
         let mix = TenantMix::new()
             .profile(loadmix::pheap_kv_profile(PheapOptions::new().attach(&sys)))
             .profile(plain());
-        LoadHarness::run(&sys, &spec.execution(exec), &mix)
+        LoadHarness::run(&sys, &spec, &mix)
     };
-    let x = run_clean(Execution::Pooled);
-    let y = run_clean(Execution::Sequential);
-    assert_eq!(x, y, "clean KV run depends on phase-A execution mode");
+    let x = run_clean(spec);
+    let y = run_clean(spec.workers(1));
+    assert_eq!(x, y, "clean KV run depends on the phase-A pool width");
+    assert_eq!(x.to_json(), y.to_json());
     assert_eq!(x.op_failures, 0, "clean KV episodes must verify: {x:?}");
     assert!(x.checksum != 0);
     assert_ne!(a, x, "armed run left no trace in the report");
