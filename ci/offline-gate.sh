@@ -53,6 +53,18 @@ if [ -n "$stray" ]; then
     echo "a lock outside simkit::sync or a hand-placed lock-order token is back (ROADMAP item 17)" >&2
     exit 1
 fi
+# The manager owns no thread: every rank request sweeps sysfs on its own
+# thread, so no observer runs behind it and nothing needs to wait for one.
+# The manager's production code (the lines before its first #[cfg(test)])
+# spawns nothing, and no state wait returns.
+stray=$(grep -rIE --include='*.rs' 'wait_for_state' crates src tests examples || true)
+stray=$stray$(awk '/#\[cfg\(test\)\]/ { nextfile } /thread::spawn/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/core/src/manager/*.rs)
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "a manager thread or a wait for one is back (ROADMAP item 7)" >&2
+    exit 1
+fi
 
 echo "== tier-1 offline gate: build (release) =="
 cargo build --release --offline --workspace

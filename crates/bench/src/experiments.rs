@@ -446,8 +446,8 @@ pub fn manager_experiment(env: &BenchEnv) -> ManagerReport {
     let reset_time = env
         .cost_model()
         .rank_reset(env.driver().machine().config().rank_mapped_bytes());
-    // Exercise: launch, release, recycle. The sweep returns once both
-    // released ranks are reset, whether it or the observer reset them.
+    // Exercise: launch, release, recycle. Nothing sweeps behind the
+    // caller: this sweep resets both released ranks.
     let vm = sys.launch(vpim::TenantSpec::new("mgr-exercise").devices(2)).expect("vm");
     vm.release_all().expect("release");
     drop(vm);

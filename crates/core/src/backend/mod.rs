@@ -219,9 +219,9 @@ impl Backend {
         Ok(guard)
     }
 
-    /// Unlinks the physical rank (drops the perf mapping; sysfs flips and
-    /// the manager's observer takes over) and tells the scheduler the
-    /// lease ended voluntarily.
+    /// Unlinks the physical rank (drops the perf mapping; sysfs flips, and
+    /// the next rank request's sweep resets the rank) and tells the
+    /// scheduler the lease ended voluntarily.
     pub fn unlink(&self) {
         *self.perf.lock() = None;
         self.sched.notify_release(&self.owner);

@@ -7,17 +7,21 @@
 //! Handlers run one at a time per device, popping and processing chains
 //! in avail-ring order until the ring is empty, so a handler that returns
 //! `Ok` has completed every chain added before its kick (§4.2: finish the
-//! rank operation, then inject the IRQ that resumes the guest).
+//! rank operation, then inject the IRQ that resumes the guest). Every
+//! popped chain is answered, a backend panic included: it becomes an
+//! `Internal` error response carrying the panic message.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use pim_virtio::mmio::MmioBlock;
 use pim_virtio::queue::{DescChain, DeviceQueue, QueueLayout};
 use pim_virtio::{Gpa, GuestMemory, IrqLine};
 use pim_vmm::{VirtioDevice, VmmError};
 use simkit::sync::Mutex;
-use simkit::LockLevel;
+use simkit::{ErrorKind, LockLevel};
 
-use crate::backend::Backend;
-use crate::spec;
+use crate::backend::{Backend, STATUS_HW};
+use crate::spec::{self, Response};
 
 /// Lock-order indices for the device's mutexes, all at
 /// [`LockLevel::DeviceQueue`] (below the frontend, above the
@@ -95,7 +99,18 @@ impl VupmemDevice {
             .lock()
             .clone()
             .ok_or_else(|| VmmError::BadState("device not activated".to_string()))?;
-        let response = self.backend.process(&mem, chain);
+        // A panic below the device still answers the chain: a chain that
+        // never reaches the used ring strands its descriptors, and enough
+        // of them leave every guest thread waiting for queue room.
+        let response = catch_unwind(AssertUnwindSafe(|| self.backend.process(&mem, chain)))
+            .unwrap_or_else(|panic| {
+                let what = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("a non-string payload");
+                Response::err(STATUS_HW, ErrorKind::Internal, format!("backend panicked: {what}"))
+            });
         // Write the response into the chain's final (device-writable)
         // descriptor.
         let status = chain
@@ -194,7 +209,7 @@ mod tests {
     use super::*;
     use crate::config::VpimConfig;
     use crate::manager::{Manager, ManagerConfig};
-    use crate::spec::{Request, Response};
+    use crate::spec::Request;
     use pim_virtio::mmio::{reg, status};
     use pim_virtio::queue::DriverQueue;
     use simkit::CostModel;

@@ -1127,8 +1127,9 @@ impl Frontend {
         Ok((resp.payload, report))
     }
 
-    /// Detaches the device from its physical rank; the manager's observer
-    /// will reset and recycle it.
+    /// Detaches the device from its physical rank. Nobody tells the
+    /// manager: the next rank request's sysfs sweep resets and recycles
+    /// it.
     ///
     /// # Errors
     ///

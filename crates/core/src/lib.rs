@@ -22,8 +22,9 @@
 //!   enhancement");
 //! * the **[`manager`]** — a host userspace daemon that owns the
 //!   rank-sharing policy: the {NAAV, ALLO, NANA} state machine, round-robin
-//!   allocation, FIFO queuing, an observer thread over sysfs, and content
-//!   reset on release (§3.5, Fig. 5).
+//!   allocation, release detection through sysfs on each request's own
+//!   thread (the manager owns no thread), and content reset on release
+//!   (§3.5, Fig. 5).
 //!
 //! On top of these, the **[`sched`]** module adds an admission-controlled
 //! rank scheduler for *oversubscribed* hosts: more tenant VMs than

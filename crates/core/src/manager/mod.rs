@@ -5,28 +5,30 @@
 //! * a **rank table** tracking every rank's state — `ALLO` (allocated),
 //!   `NAAV` (not allocated, available) or `NANA` (not allocated, not
 //!   available: awaiting content reset) — Fig. 5;
-//! * an **allocation strategy**: prefer a `NANA` rank previously used by
-//!   the same requester (skips the reset), else a `NAAV` rank by
-//!   round-robin; a miss runs the observer's sweep on the requester's
-//!   thread (which waits out `NANA` resets), then waits for a release
-//!   within one wall budget of `retry_timeout × max_attempts`, then abandons;
-//! * an **observer thread** that watches the driver's sysfs rank-status
-//!   files: VMs do *not* tell the manager when they release a rank — the
-//!   observer detects the release, moves the rank to `NANA` and erases its
-//!   content (~597 ms per 4 GiB rank), after which the rank becomes `NAAV`;
+//! * an **allocation strategy**: every request first sweeps the driver's
+//!   sysfs rank-status files, then prefers a `NANA` rank previously used
+//!   by the same requester (skips the reset), else a `NAAV` rank by
+//!   round-robin; a request that finds nothing waits for the next sysfs
+//!   change and sweeps again, within one wall budget of `retry_timeout ×
+//!   max_attempts`, then abandons;
+//! * **release detection** through sysfs alone: VMs do *not* tell the
+//!   manager when they release a rank — the sweep sees the release, moves
+//!   the rank to `NANA` and erases its content (~597 ms per 4 GiB rank),
+//!   after which the rank becomes `NAAV`;
 //! * seamless coexistence with **native host applications**: a rank claimed
-//!   directly through the driver shows up in sysfs and is marked `ALLO` by
-//!   the observer, so the manager never double-allocates it.
+//!   directly through the driver shows up in sysfs and the next sweep
+//!   marks it `ALLO`, so the manager never double-allocates it.
 //!
 //! The paper's manager is a daemon: requests arrive over a UNIX domain
-//! socket and are served FIFO by an 8-thread pool. Here that transport is
-//! two things and no code: its **cost** is the cost model's
-//! `manager_alloc` constant (~36 ms, charged in virtual time to every
-//! grant), and its **failure mode** is the [`MANAGER_RPC_POINT`] fault
-//! point (a dropped message). A [`ManagerClient`] call therefore runs the
-//! table operation on the caller's own thread — the table's own lock
-//! already serialises its callers, so a pool in front of it would add
-//! nothing — and the manager owns exactly one thread, the observer.
+//! socket and are served FIFO by an 8-thread pool, and an observer thread
+//! watches sysfs. Here that transport is two things and no code: its
+//! **cost** is the cost model's `manager_alloc` constant (~36 ms, charged
+//! in virtual time to every grant), and its **failure mode** is the
+//! [`MANAGER_RPC_POINT`] fault point (a dropped message). A
+//! [`ManagerClient`] call runs the table operation on the caller's own
+//! thread, sweep included — the table's own lock already serialises its
+//! callers — so the manager owns no thread, and the table moves only when
+//! a caller asks it to.
 
 pub mod table;
 
@@ -34,7 +36,6 @@ pub use table::{AllocOutcome, ManagerStats, RankState};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use simkit::{CostModel, FaultPlane, InjectCell, VirtualNanos};
@@ -50,9 +51,9 @@ use table::TableState;
 pub const MANAGER_RPC_POINT: &str = "manager.rpc";
 
 /// Tuning knobs of the manager (§3.5 defaults): a dedicated-mode
-/// [`ManagerClient::alloc`] whose sweep found nothing waits at most
-/// `retry_timeout × max_attempts` of wall time in all (1 s), then is
-/// abandoned. [`ManagerClient::probe`] never waits.
+/// [`ManagerClient::alloc`] whose sweep found nothing waits for sysfs
+/// changes at most `retry_timeout × max_attempts` of wall time in all
+/// (1 s), then is abandoned. [`ManagerClient::probe`] never waits.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
     /// The paper's per-attempt wait; one factor of the request's budget.
@@ -107,8 +108,8 @@ impl ManagerClient {
         self.state.alloc(owner, self.cfg.retry_timeout, self.cfg.max_attempts)
     }
 
-    /// Requests a rank for `owner` without waiting (one scan, one sweep,
-    /// one rescan): the oversubscribed queue head's call.
+    /// Requests a rank for `owner` without waiting (one sweep, one scan):
+    /// the oversubscribed queue head's call.
     ///
     /// # Errors
     ///
@@ -131,10 +132,10 @@ impl ManagerClient {
     }
 }
 
-/// The running manager: the rank table plus its sysfs observer thread.
+/// The running manager: the rank table, reached through its clients.
+/// It owns no thread.
 pub struct Manager {
     client: ManagerClient,
-    observer: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Manager {
@@ -144,9 +145,9 @@ impl std::fmt::Debug for Manager {
 }
 
 impl Manager {
-    /// Starts the manager on a host: builds the rank table and spawns the
-    /// sysfs observer. Telemetry goes into a private registry; use
-    /// [`Self::start_with_registry`] to publish it.
+    /// Starts the manager on a host: builds the rank table, all `NAAV`
+    /// until the first sweep reads sysfs. Telemetry goes into a private
+    /// registry; use [`Self::start_with_registry`] to publish it.
     #[must_use]
     pub fn start(driver: Arc<UpmemDriver>, cm: CostModel, cfg: ManagerConfig) -> Self {
         Self::start_with_registry(driver, cm, cfg, &simkit::MetricsRegistry::new())
@@ -162,25 +163,12 @@ impl Manager {
         registry: &simkit::MetricsRegistry,
     ) -> Self {
         let state = Arc::new(
-            TableState::new(driver.clone(), cm)
+            TableState::new(driver, cm)
                 .with_transition_counter(registry.counter("manager.rank_state.transitions")),
         );
         let stop = Arc::new(AtomicBool::new(false));
-        // Observer: on every sysfs change (or 50 ms, whichever is first)
-        // run the same observe-and-reset sweep an allocation miss runs.
-        let observer = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut seen = driver.sysfs().generation();
-                while !stop.load(Ordering::Acquire) {
-                    seen = driver.sysfs().wait_for_change(seen, Duration::from_millis(50));
-                    state.sync_now();
-                }
-            })
-        };
         let client = ManagerClient { state, cfg, stop, inject: Arc::new(InjectCell::new()) };
-        Manager { client, observer }
+        Manager { client }
     }
 
     /// A client handle for issuing requests.
@@ -221,26 +209,17 @@ impl Manager {
         self.client.state.alloc_cost()
     }
 
-    /// Stops the observer and waits for it (its wait has a 50 ms timeout,
-    /// so it exits promptly). Clients kept past this get
+    /// Stops the manager: clients kept past this get
     /// [`VpimError::ManagerDown`].
-    pub fn shutdown(self) {
+    pub fn shutdown(&self) {
         self.client.stop.store(true, Ordering::Release);
-        let _ = self.observer.join();
     }
 
-    /// Synchronizes the table with sysfs immediately (test hook; the
-    /// observer thread does this continuously).
+    /// Runs one sweep now: every rank released so far is reset and
+    /// `NAAV`, every native claim `ALLO`, when this returns. A request
+    /// sweeps on its own; this is for callers that read the table.
     pub fn sync_now(&self) {
         self.client.state.sync_now();
-    }
-
-    /// Blocks until `rank` reaches `want` (up to `timeout`); returns
-    /// whether it did. Condvar-backed: every table transition wakes the
-    /// waiter, so this replaces sleep-poll loops in tests and tooling.
-    #[must_use]
-    pub fn wait_for_state(&self, rank: usize, want: RankState, timeout: Duration) -> bool {
-        self.client.state.wait_for_state(rank, want, timeout)
     }
 }
 
@@ -296,20 +275,17 @@ mod tests {
         {
             let h = driver.open_perf(a.rank, "vm-a").unwrap();
             h.write_mram(0, 0, &[0xAB; 64]).unwrap();
-            drop(h); // release: sysfs flips, observer must notice
+            drop(h); // release: sysfs flips, and nobody tells the manager
         }
-        // Wait until the reset pipeline brings the rank back to NAAV.
-        assert!(
-            mgr.wait_for_state(a.rank, RankState::Naav, Duration::from_secs(5)),
-            "rank never reset: {:?}",
-            mgr.rank_states()
-        );
+        // One sweep sees the release and brings the rank back to NAAV.
+        mgr.sync_now();
+        assert_eq!(mgr.rank_states()[a.rank], RankState::Naav);
         // Content was erased.
         let rank = driver.machine().rank(a.rank).unwrap();
         let mut buf = [1u8; 64];
         rank.read_mram(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
-        assert!(mgr.stats().resets >= 1);
+        assert_eq!(mgr.stats().resets, 1);
         // And it can be allocated again.
         let b = c.alloc("vm-b").unwrap();
         let _ = b;
@@ -327,33 +303,31 @@ mod tests {
             h.write_mram(0, 0, &[7; 8]).unwrap();
             drop(h);
         }
-        // Re-request quickly from the same owner; if the rank is still in
-        // NANA the manager hands it back without resetting. (Timing-
-        // dependent: the observer's reset may win the race, in which case the
-        // allocation is a normal NAAV one — both are valid outcomes.)
+        // Re-request at once from the same owner: the request's own sweep
+        // sees the release first and erases the rank, so it comes back
+        // reset. (NANA reuse is reached through `sync_with_sysfs`; see
+        // `table::tests::nana_reuse_skips_reset`.)
         let again = c.alloc("vm-a").unwrap();
-        if again.rank == a.rank && again.reused {
-            // Reuse path: content must still be there (no reset happened).
-            let h = driver.open_perf(again.rank, "vm-a").unwrap();
-            let mut buf = [0u8; 8];
-            h.read_mram(0, 0, &mut buf).unwrap();
-            assert_eq!(buf, [7; 8]);
-        }
+        assert!(!again.reused);
+        assert_eq!(mgr.stats().resets, 1);
+        let h = driver.open_perf(a.rank, "vm-a").unwrap();
+        let mut buf = [1u8; 8];
+        h.read_mram(0, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0; 8]);
         mgr.shutdown();
     }
 
     #[test]
     fn native_app_claims_are_respected() {
         let (driver, mgr) = host();
-        // A native host application claims rank 0 directly.
+        // A native host application claims rank 0 directly; nobody tells
+        // the manager.
         let _native = driver.open_perf(0, "native:checksum").unwrap();
-        // Deterministically propagate sysfs -> table (the observer thread
-        // does this continuously; the hook avoids timing sensitivity).
-        mgr.sync_now();
         let c = mgr.client();
-        // Both VM allocations must avoid rank 0.
+        // The VM allocation's own sweep sees the claim and avoids rank 0.
         let a = c.alloc("vm-a").unwrap();
         assert_ne!(a.rank, 0);
+        assert_eq!(mgr.rank_states(), vec![RankState::Allo; 2]);
         mgr.shutdown();
     }
 
@@ -390,8 +364,13 @@ mod tests {
                         let owner = format!("w{i}");
                         start.wait();
                         let got = c.alloc(&owner)?;
-                        // Claim and release, so the rank cycles on.
-                        drop(driver.open_perf(got.rank, &owner).unwrap());
+                        // Claim and release, so the rank cycles on. The
+                        // claim is held a moment, so the other requests
+                        // are parked when the release comes: only a sysfs
+                        // wait sees it, as nothing sweeps behind them.
+                        let held = driver.open_perf(got.rank, &owner).unwrap();
+                        std::thread::sleep(Duration::from_millis(10));
+                        drop(held);
                         Ok::<_, VpimError>(got.rank)
                     })
                 })
@@ -401,7 +380,7 @@ mod tests {
             assert!(c.mark_ckpt(b.rank).unwrap());
             mgr.sync_now();
             assert!(t.elapsed() < Duration::from_secs(1), "queued behind parked allocs");
-            drop(held_a); // the observer recycles rank a to a parked request
+            drop(held_a); // a parked request's sweep recycles rank a
             for w in waiters {
                 assert_eq!(w.join().unwrap().unwrap(), a.rank);
             }
@@ -428,12 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn started_manager_owns_exactly_one_thread() {
+    fn a_started_manager_runs_no_thread() {
         let (_driver, mgr) = host();
-        // Every manager thread shares the table; besides the manager's own
-        // client that is the observer and nobody else.
-        let _: &JoinHandle<()> = &mgr.observer;
-        assert_eq!(Arc::strong_count(&mgr.client.state), 2);
+        // A thread of the manager's would share the table; only the
+        // manager's own client holds it.
+        assert_eq!(Arc::strong_count(&mgr.client.state), 1);
         mgr.shutdown();
     }
 

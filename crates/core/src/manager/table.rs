@@ -1,12 +1,15 @@
-//! The rank table and its state machine (Fig. 5).
+//! The rank table and its state machine (Fig. 5): the whole manager.
 //!
-//! One mutex guards the whole table (a host has 8 ranks, §3.5) and one
-//! condvar, paired with that mutex, carries every wakeup: allocations,
-//! sweeps and [`TableState::wait_for_state`] park on it holding the table
-//! lock, so a transition made under the lock can never slip between a
-//! waiter's check and its wait. The lock is `LockLevel::ManagerTable`;
-//! the only lock taken inside it is the sysfs board's, for the claim
-//! counter an allocation records.
+//! Every rank decision reads sysfs first, on the requester's thread: an
+//! allocation runs one observe-and-reset sweep ([`TableState::sync_now`])
+//! before it scans, and nothing sweeps behind it. One mutex guards the
+//! whole table (a host has 8 ranks, §3.5); the condvar paired with it
+//! carries one wakeup, the end of a reset, which a sweep that found
+//! another sweep's reset in flight waits for. A dedicated-mode request
+//! that still finds nothing waits on the sysfs board instead, where every
+//! claim and release shows. The lock is `LockLevel::ManagerTable`; the
+//! only lock taken inside it is the sysfs board's, for the claim counter
+//! an allocation records.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,10 +85,11 @@ impl State {
 struct Entry {
     state: State,
     last_owner: Option<String>,
-    /// The sysfs claim counter at allocation or at a finished reset. A
-    /// Free (held) or InUse (NAAV) entry only counts once the counter moved
-    /// past it — guarding the alloc-decision → device-open window, catching
-    /// claim/release cycles between sweeps, ignoring pre-reset snapshots.
+    /// The sysfs claim counter at allocation, at an observed release or
+    /// at a finished reset. A snapshot entry only counts once the counter
+    /// moved past it — guarding the alloc-decision → device-open window,
+    /// catching claim/release cycles between sweeps, ignoring pre-reset
+    /// snapshots.
     claims_seen: u64,
     /// A reset (a sweep's or [`TableState::reset_rank`]'s) owns this rank.
     resetting: bool,
@@ -114,8 +118,8 @@ pub struct TableState {
     driver: Arc<UpmemDriver>,
     cm: CostModel,
     table: Mutex<Table>,
-    /// Paired with `table`; notified after every transition.
-    changed: Condvar,
+    /// Paired with `table`; notified when a reset ends.
+    reset_done: Condvar,
     stats: Stats,
     /// NAAV↔ALLO↔NANA edges walked (Fig. 5), one tick per rank per edge.
     transitions: Counter,
@@ -140,7 +144,7 @@ impl TableState {
                     .collect(),
                 rr_cursor: 0,
             }),
-            changed: Condvar::new(),
+            reset_done: Condvar::new(),
             stats: Stats::default(),
             transitions: Counter::new(),
         }
@@ -171,8 +175,10 @@ impl TableState {
         self.table.lock().entries.get(rank).map(|e| e.state.public())
     }
 
-    /// The allocation strategy of §3.5, run on the requester's thread; it
-    /// waits at most `retry_timeout × max_attempts` from its first miss.
+    /// The allocation strategy of §3.5, run on the requester's thread:
+    /// sweep sysfs, then scan. A request that finds nothing waits for the
+    /// next sysfs change and sweeps again, at most `retry_timeout ×
+    /// max_attempts` of wall time in all.
     ///
     /// # Errors
     ///
@@ -185,56 +191,53 @@ impl TableState {
         max_attempts: usize,
     ) -> Result<AllocOutcome, VpimError> {
         let attempts = max_attempts.max(1).try_into().unwrap_or(u32::MAX);
-        let budget = retry_timeout.saturating_mul(attempts);
-        let mut deadline = None;
-        let mut held = self.table.lock();
+        let deadline = Instant::now() + retry_timeout.saturating_mul(attempts);
+        let sysfs = self.driver.sysfs();
         loop {
-            let t = &mut *held;
-            let n = t.entries.len();
-            // 1. A NANA rank previously used by this owner: no reset needed.
-            let reuse = t.entries.iter().position(|e| {
-                e.state == State::Nana && !e.resetting && e.last_owner.as_deref() == Some(owner)
-            });
-            // 2. A NAAV rank by round-robin from the cursor.
-            let fresh = || {
-                (0..n)
-                    .map(|k| (t.rr_cursor + k) % n)
-                    .find(|&i| t.entries[i].state == State::Naav && !t.entries[i].resetting)
-            };
-            if let Some(rank) = reuse.or_else(fresh) {
-                let reused = reuse.is_some();
-                if reused {
-                    self.stats.reuses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    t.rr_cursor = (rank + 1) % n;
-                }
-                let e = &mut t.entries[rank];
-                e.state = State::Allo { owner: owner.to_string() };
-                e.claims_seen = self.driver.sysfs().claim_count(rank);
-                e.last_owner = Some(owner.to_string());
-                self.transitions.inc(); // NANA/NAAV -> ALLO
-                self.stats.allocations.fetch_add(1, Ordering::Relaxed);
-                drop(held);
-                self.changed.notify_all();
-                return Ok(AllocOutcome { rank, reused });
+            // Read before the sweep: a claim or release the sweep missed
+            // has moved the generation past it, so the wait below returns.
+            let seen = sysfs.generation();
+            self.sync_now();
+            if let Some(got) = self.grant(owner) {
+                return Ok(got);
             }
-            // 3. The first miss runs the observer's sweep, then rescans.
-            let Some(deadline) = deadline else {
-                deadline = Some(Instant::now() + budget);
-                drop(held);
-                self.sync_now();
-                held = self.table.lock();
-                continue;
-            };
-            // 4. Wait for a release, within the one wall budget.
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
             }
-            held = self.changed.wait_for(held, left);
+            let _ = sysfs.wait_for_change(seen, left);
         }
         self.stats.abandoned.fetch_add(1, Ordering::Relaxed);
         Err(VpimError::NoRankAvailable)
+    }
+
+    /// One scan of the table for `owner`: a NANA rank it used last (no
+    /// reset needed), else a NAAV rank by round-robin from the cursor.
+    fn grant(&self, owner: &str) -> Option<AllocOutcome> {
+        let mut t = self.table.lock();
+        let n = t.entries.len();
+        let reuse = t.entries.iter().position(|e| {
+            e.state == State::Nana && !e.resetting && e.last_owner.as_deref() == Some(owner)
+        });
+        let fresh = || {
+            (0..n)
+                .map(|k| (t.rr_cursor + k) % n)
+                .find(|&i| t.entries[i].state == State::Naav && !t.entries[i].resetting)
+        };
+        let rank = reuse.or_else(fresh)?;
+        let reused = reuse.is_some();
+        if reused {
+            self.stats.reuses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            t.rr_cursor = (rank + 1) % n;
+        }
+        let e = &mut t.entries[rank];
+        e.state = State::Allo { owner: owner.to_string() };
+        e.claims_seen = self.driver.sysfs().claim_count(rank);
+        e.last_owner = Some(owner.to_string());
+        self.transitions.inc(); // NANA/NAAV -> ALLO
+        self.stats.allocations.fetch_add(1, Ordering::Relaxed);
+        Some(AllocOutcome { rank, reused })
     }
 
     /// Reconciles the table with a sysfs snapshot (status + claim counter
@@ -244,40 +247,47 @@ impl TableState {
         self.observe(snapshot, false)
     }
 
-    /// [`Self::sync_with_sysfs`]; `claim_resets` marks released ranks `resetting`.
+    /// [`Self::sync_with_sysfs`]; `claim_resets` (a sweep) marks released
+    /// ranks `resetting`, and also takes back a NANA rank no reset owns:
+    /// one whose erase lost the rank to a native claim. Its claim counter
+    /// then moved past the release, so sysfs shows it claimed (the
+    /// claimer's ALLO) or claimed and released (queued for reset again).
     fn observe(&self, snapshot: &[(RankStatus, u64)], claim_resets: bool) -> Vec<usize> {
         let mut to_reset = Vec::new();
-        let mut changed_any = false;
         let mut t = self.table.lock();
         for (rank, ((status, claims), e)) in snapshot.iter().zip(&mut t.entries).enumerate() {
+            // Only a claim the table has not seen yet moves a rank. A
+            // snapshot read before the rank's last reset (its previous
+            // owner's claim, or the reset's own) is no later than
+            // `claims_seen`.
+            if *claims <= e.claims_seen {
+                continue;
+            }
+            let orphan = claim_resets && e.state == State::Nana && !e.resetting;
             match (status, &e.state) {
-                (RankStatus::InUse { owner }, State::Naav) if *claims > e.claims_seen => {
+                (RankStatus::InUse { owner }, _) if e.state == State::Naav || orphan => {
                     // A native host application claimed the rank directly
                     // through the driver (R3: coexistence without app
-                    // changes). A snapshot read before the rank's last
-                    // reset — its previous owner's claim, or the reset's
-                    // own — has a counter no later than `claims_seen`.
+                    // changes).
                     e.state = State::Allo { owner: owner.clone() };
                     e.last_owner = Some(owner.clone());
-                    e.claims_seen = claims.saturating_sub(1);
-                    self.transitions.inc(); // NAAV -> ALLO (external claim)
-                    changed_any = true;
+                    e.claims_seen = claims - 1;
+                    self.transitions.inc(); // NAAV/NANA -> ALLO (external claim)
                 }
-                (RankStatus::Free, State::Allo { .. } | State::Ckpt { .. })
-                    if *claims > e.claims_seen =>
-                {
+                (RankStatus::Free, State::Allo { .. } | State::Ckpt { .. }) => {
                     e.state = State::Nana;
+                    e.claims_seen = *claims;
                     e.resetting = claim_resets;
                     self.transitions.inc(); // ALLO/CKPT -> NANA (release observed)
                     to_reset.push(rank);
-                    changed_any = true;
+                }
+                (RankStatus::Free, State::Nana) if orphan => {
+                    e.claims_seen = *claims;
+                    e.resetting = true;
+                    to_reset.push(rank);
                 }
                 _ => {}
             }
-        }
-        drop(t);
-        if changed_any {
-            self.changed.notify_all();
         }
         to_reset
     }
@@ -291,15 +301,14 @@ impl TableState {
         let State::Allo { owner } = &e.state else { return false };
         e.state = State::Ckpt { owner: owner.clone() };
         self.transitions.inc(); // ALLO -> CKPT (preemption)
-        drop(t);
-        self.changed.notify_all();
         true
     }
 
     /// One synchronous observe-and-reset sweep: reconcile the table with
     /// a sysfs snapshot, reset every just-released rank inline, then wait
-    /// out resets other sweeps have in flight. The one recycle path: the
-    /// observer runs it on every sysfs change, [`Self::alloc`] on a miss.
+    /// out resets other sweeps have in flight. The one recycle path:
+    /// [`Self::alloc`] runs it before every scan, and nothing runs it
+    /// behind the callers' backs, so the table moves only when asked.
     pub fn sync_now(&self) {
         let snapshot = self.driver.sysfs().snapshot();
         for rank in self.observe(&snapshot, true) {
@@ -307,34 +316,13 @@ impl TableState {
         }
         let mut t = self.table.lock();
         while t.entries.iter().any(|e| e.resetting) {
-            t = self.changed.wait(t);
+            t = self.reset_done.wait(t);
         }
     }
 
-    /// Blocks until `rank` is in state `want` (or already is), up to
-    /// `timeout`; returns whether the state was reached. Every table
-    /// transition wakes the waiter.
-    #[must_use]
-    pub fn wait_for_state(&self, rank: usize, want: RankState, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut t = self.table.lock();
-        loop {
-            match t.entries.get(rank) {
-                None => return false,
-                Some(e) if e.state.public() == want => return true,
-                Some(_) => {}
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return false;
-            }
-            t = self.changed.wait_for(t, left);
-        }
-    }
-
-    /// Clears `rank`'s `resetting` mark once its erase attempt is over;
-    /// `erased` (the reset claim's counter) promotes a rank that is still
-    /// NANA to NAAV.
+    /// Clears `rank`'s `resetting` mark once its erase attempt is over
+    /// and wakes the sweeps waiting it out; `erased` (the reset claim's
+    /// counter) promotes a rank that is still NANA to NAAV.
     fn finish_reset(&self, rank: usize, erased: Option<u64>) {
         let mut t = self.table.lock();
         let e = &mut t.entries[rank];
@@ -345,7 +333,7 @@ impl TableState {
             self.transitions.inc(); // NANA -> NAAV (reset done)
         }
         drop(t);
-        self.changed.notify_all();
+        self.reset_done.notify_all();
     }
 
     /// Erases a NANA rank's content and promotes it to NAAV. Skips ranks
@@ -385,17 +373,20 @@ impl TableState {
                 self.finish_reset(rank, Some(claims));
             }
             // Someone (a native app) grabbed the rank between release and
-            // reset; give up — the observer will re-detect the next
-            // release and re-queue the reset.
+            // reset. The rank stays NANA with no reset owning it; the
+            // next sweep sees the claim moved past the release and makes
+            // it the claimer's ALLO, or, once released, erases it.
             Err(_) => self.finish_reset(rank, None),
         }
     }
 
     /// Directly returns an `ALLO`/`CKPT` rank to `NAAV`, bypassing the
-    /// sysfs release → observe → reset pipeline. A churn hook for the
+    /// sysfs release → sweep → reset pipeline. A churn hook for the
     /// benchmark and the stress suite — alloc/free cycles without device
-    /// round-trips; production recycling always goes through the
-    /// observer. Returns whether the rank changed state.
+    /// round-trips; production recycling always goes through a sweep.
+    /// Nothing shows in sysfs, so a request waiting for a change sees the
+    /// rank only at the end of its budget. Returns whether the rank
+    /// changed state.
     pub fn recycle(&self, rank: usize) -> bool {
         let mut t = self.table.lock();
         let Some(e) = t.entries.get_mut(rank) else { return false };
@@ -404,8 +395,6 @@ impl TableState {
         }
         e.state = State::Naav;
         self.transitions.inc(); // ALLO/CKPT -> NAAV (direct recycle)
-        drop(t);
-        self.changed.notify_all();
         true
     }
 
@@ -470,7 +459,7 @@ mod tests {
         // Backend claims the rank (claim counter moves to 1).
         let to_reset = s.sync_with_sysfs(&[in_use("vm", 1), free(0)]);
         assert!(to_reset.is_empty());
-        // Release: the observer reports it for reset.
+        // Release: the sweep reports it for reset.
         let to_reset = s.sync_with_sysfs(&[free(1), free(0)]);
         assert_eq!(to_reset, vec![a.rank]);
         assert_eq!(s.states()[a.rank], RankState::Nana);
@@ -483,7 +472,7 @@ mod tests {
 
     #[test]
     fn missed_claim_release_cycle_is_still_detected() {
-        // The VM claimed AND released entirely between two observer
+        // The VM claimed AND released entirely between two
         // sweeps: the status is Free in both, but the claim counter moved.
         let s = state();
         let a = s.alloc("vm", quick(), 1).unwrap();
@@ -571,8 +560,8 @@ mod tests {
 
     #[test]
     fn a_miss_recycles_a_released_rank_itself() {
-        // No observer runs here: the request's own sweep sees the release,
-        // resets the rank and grants it.
+        // The request's own sweep sees the release, resets the rank and
+        // grants it.
         let s = state();
         let a = s.alloc("a", quick(), 1).unwrap();
         let b = s.alloc("b", quick(), 1).unwrap();
@@ -597,16 +586,46 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_state_wakes_on_the_transition_and_times_out_without_one() {
+    fn a_reset_that_loses_its_rank_to_a_native_claim_is_retried() {
         let s = state();
         let a = s.alloc("vm", quick(), 1).unwrap();
-        assert!(!s.wait_for_state(a.rank, RankState::Ckpt, quick()));
-        assert!(!s.wait_for_state(999, RankState::Naav, quick()));
-        std::thread::scope(|scope| {
-            let waiter =
-                scope.spawn(|| s.wait_for_state(a.rank, RankState::Ckpt, Duration::from_secs(30)));
-            assert!(s.mark_ckpt(a.rank));
-            assert!(waiter.join().unwrap());
-        });
+        drop(s.driver.open_perf(a.rank, "vm").unwrap());
+        // The release reaches the table through a snapshot; the caller's
+        // reset comes later, after a native app claimed the dirty rank.
+        assert_eq!(s.sync_with_sysfs(&s.driver.sysfs().snapshot()), vec![a.rank]);
+        let native = s.driver.open_perf(a.rank, "native:app").unwrap();
+        native.write_mram(0, 0, b"native secret").unwrap();
+        s.reset_rank(a.rank);
+        assert_eq!((s.state_of(a.rank), s.stats().resets), (Some(RankState::Nana), 0));
+        drop(native);
+        // The next sweep sees the claim and release and erases the rank.
+        s.sync_now();
+        assert_eq!(s.state_of(a.rank), Some(RankState::Naav));
+        assert_eq!(s.stats().resets, 1);
+        let mut buf = [1u8; 13];
+        s.driver.machine().rank(a.rank).unwrap().read_mram(0, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0; 13]);
+        // So the old owner gets a reset rank, not the native app's bytes.
+        assert!(!s.alloc("vm", quick(), 1).unwrap().reused);
+        assert_eq!(s.transitions(), 4);
+    }
+
+    #[test]
+    fn a_native_claim_on_an_unreset_rank_makes_it_the_natives() {
+        let s = state();
+        let a = s.alloc("vm", quick(), 1).unwrap();
+        drop(s.driver.open_perf(a.rank, "vm").unwrap());
+        s.sync_with_sysfs(&s.driver.sysfs().snapshot());
+        let native = s.driver.open_perf(a.rank, "native:app").unwrap();
+        s.reset_rank(a.rank);
+        // Held by the native app: its ALLO, so neither owner gets it.
+        s.sync_now();
+        assert_eq!(s.state_of(a.rank), Some(RankState::Allo));
+        assert_ne!(s.alloc("vm", quick(), 1).unwrap().rank, a.rank);
+        // Its release is recycled like any other.
+        drop(native);
+        s.sync_now();
+        assert_eq!(s.state_of(a.rank), Some(RankState::Naav));
+        assert_eq!(s.stats().resets, 1);
     }
 }

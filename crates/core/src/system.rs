@@ -131,7 +131,7 @@ impl TenantSpec {
 #[derive(Debug)]
 pub struct VpimSystem {
     driver: Arc<UpmemDriver>,
-    manager: Option<Manager>,
+    manager: Manager,
     /// The host-wide rank scheduler, shared by every backend of every VM
     /// (admission and preemption decisions must see all tenants).
     sched: Scheduler,
@@ -187,7 +187,7 @@ impl VpimSystem {
         let tenants_live = registry.gauge("system.tenants.live");
         VpimSystem {
             driver,
-            manager: Some(manager),
+            manager,
             sched,
             vcfg,
             cm,
@@ -214,14 +214,9 @@ impl VpimSystem {
     }
 
     /// The manager.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after `shutdown` (the system is consumed then, so
-    /// this cannot happen in safe usage).
     #[must_use]
     pub fn manager(&self) -> &Manager {
-        self.manager.as_ref().expect("manager runs until shutdown")
+        &self.manager
     }
 
     /// The host-wide rank scheduler (admission queue, preemption engine,
@@ -231,12 +226,12 @@ impl VpimSystem {
         &self.sched
     }
 
-    /// Forces one synchronous manager rank sweep: freshly released ranks
-    /// are reset and NAAV when this returns. Admission never needs it (a
-    /// rank request sweeps on its own miss); it is for callers that read
-    /// the table or the manager's statistics and want them settled.
+    /// Runs one manager rank sweep: freshly released ranks are reset and
+    /// NAAV when this returns. Admission never needs it (every rank
+    /// request sweeps first); it is for callers that read the table or
+    /// the manager's statistics.
     pub fn sync_ranks(&self) {
-        self.manager().sync_now();
+        self.manager.sync_now();
     }
 
     /// The optimization configuration VMs inherit.
@@ -341,19 +336,13 @@ impl VpimSystem {
         Ok(VpimVm { vm, devices, frontends, boot, live: self.tenants_live.clone() })
     }
 
-    /// Stops the manager and consumes the system.
-    pub fn shutdown(mut self) {
-        if let Some(m) = self.manager.take() {
-            m.shutdown();
-        }
-    }
+    /// Stops the manager and consumes the system, as dropping it does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for VpimSystem {
     fn drop(&mut self) {
-        if let Some(m) = self.manager.take() {
-            m.shutdown();
-        }
+        self.manager.shutdown();
     }
 }
 
@@ -422,7 +411,6 @@ impl VpimVm {
 mod tests {
     use super::*;
     use crate::manager::RankState;
-    use std::time::Duration;
     use upmem_sim::{PimConfig, PimMachine};
 
     fn system() -> VpimSystem {
@@ -585,11 +573,9 @@ mod tests {
         let rank = a.devices()[0].backend().linked_rank().unwrap();
         a.release_all().unwrap();
         drop(a);
-        // The released rank must come back (after observer + reset).
-        assert!(
-            sys.manager().wait_for_state(rank, RankState::Naav, Duration::from_secs(5)),
-            "rank never recycled"
-        );
+        // One sweep resets the released rank and brings it back.
+        sys.sync_ranks();
+        assert_eq!(sys.manager().rank_states()[rank], RankState::Naav);
         sys.launch(TenantSpec::new("vm-c")).unwrap();
         sys.shutdown();
     }

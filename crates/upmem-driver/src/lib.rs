@@ -8,8 +8,8 @@
 //!   interfaces and bypasses the driver entirely. The paper's native
 //!   baseline and the vPIM backend in Firecracker (§3.4) both take this
 //!   path;
-//! * **sysfs**: per-rank status, which the vPIM manager's observer thread
-//!   watches to detect rank releases (§3.5).
+//! * **sysfs**: per-rank status, which the vPIM manager reads on every
+//!   rank request to detect rank releases and native claims (§3.5).
 //!
 //! The driver's ioctl ("safe") mode is not modelled: inside a VM, the
 //! guest-side SDK's isolated path to a rank is the vUPMEM frontend's

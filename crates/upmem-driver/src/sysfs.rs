@@ -1,8 +1,9 @@
 //! The sysfs rank-status board.
 //!
 //! The real driver exposes one status file per rank under sysfs; the vPIM
-//! manager's observer thread watches those files to learn about rank
-//! releases without any cooperation from the releasing application (§3.5).
+//! manager reads those files to learn about rank releases without any
+//! cooperation from the releasing application (§3.5): every rank request
+//! sweeps them, and one that finds nothing waits here for a change.
 //! We model the directory as a [`StatusBoard`]: one mutex over the entries,
 //! their claim counters and the change generation, and one condition
 //! variable paired with it that claims and releases use to wake blocked
@@ -90,7 +91,8 @@ impl StatusBoard {
 
     /// Blocks until the generation exceeds `seen` or `timeout` elapses.
     /// Returns the new generation (equal to `seen` on timeout with no
-    /// change). This is the observer thread's inotify-style wait.
+    /// change). This is the inotify-style wait of a rank request that
+    /// found nothing free.
     #[must_use]
     pub fn wait_for_change(&self, seen: u64, timeout: Duration) -> u64 {
         let mut st = self.state.lock();

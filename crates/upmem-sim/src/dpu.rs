@@ -121,23 +121,32 @@ impl Dpu {
     }
 
     /// Loads a program image: checks the IRAM footprint and (re)initializes
-    /// the image's host symbols to zero.
+    /// the image's host symbols to zero. Reloading the image the DPU
+    /// already holds zeroes its symbols in place and allocates nothing.
     ///
     /// # Errors
     ///
     /// [`SimError::IramOverflow`] if the image exceeds IRAM capacity.
-    pub fn load(&mut self, image: KernelImage) -> Result<(), SimError> {
+    pub fn load(&mut self, image: &KernelImage) -> Result<(), SimError> {
         if image.iram_bytes > self.iram_capacity {
             return Err(SimError::IramOverflow {
                 image: image.iram_bytes,
                 capacity: self.iram_capacity,
             });
         }
-        self.symbols.clear();
-        for s in &image.symbols {
-            self.symbols.insert(s.name.clone(), vec![0u8; s.size]);
+        if self.loaded.as_ref() == Some(image) {
+            // The symbol map is the held image's (load, restore and reset
+            // keep the two together).
+            for v in self.symbols.values_mut() {
+                v.fill(0);
+            }
+        } else {
+            self.symbols.clear();
+            for s in &image.symbols {
+                self.symbols.insert(s.name.clone(), vec![0u8; s.size]);
+            }
+            self.loaded = Some(image.clone());
         }
-        self.loaded = Some(image);
         self.state = DpuState::Idle;
         Ok(())
     }
@@ -713,7 +722,7 @@ mod tests {
     #[test]
     fn tasklet_count_validated() {
         let mut d = dpu();
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         assert!(matches!(d.launch(&CountZeroes, 0), Err(SimError::InvalidTasklets(0))));
         assert!(matches!(d.launch(&CountZeroes, 25), Err(SimError::InvalidTasklets(25))));
     }
@@ -721,7 +730,7 @@ mod tests {
     #[test]
     fn count_zeroes_end_to_end() {
         let mut d = dpu();
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         // 64 words: every 4th word zero -> 16 zeroes.
         let words: Vec<u32> = (0..64u32).map(|i| if i % 4 == 0 { 0 } else { i }).collect();
         let mut raw = Vec::new();
@@ -742,7 +751,7 @@ mod tests {
     #[test]
     fn relaunch_resets_accumulator_symbols_only_on_load() {
         let mut d = dpu();
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         d.write_symbol("partition_size", &16u32.to_le_bytes()).unwrap();
         d.launch(&CountZeroes, 4).unwrap();
         let mut out = [0u8; 4];
@@ -754,9 +763,23 @@ mod tests {
         d.read_symbol("zero_count", &mut out).unwrap();
         assert_eq!(u32::from_le_bytes(out), first * 2);
         // Re-loading the image clears symbols.
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         d.read_symbol("zero_count", &mut out).unwrap();
         assert_eq!(u32::from_le_bytes(out), 0);
+    }
+
+    #[test]
+    fn loading_another_image_replaces_the_symbol_map() {
+        let mut d = dpu();
+        d.load(&CountZeroes.image()).unwrap();
+        d.write_symbol("zero_count", &5u32.to_le_bytes()).unwrap();
+        d.load(&Faulty.image()).unwrap();
+        let mut out = [9u8; 4];
+        assert!(matches!(d.read_symbol("zero_count", &mut out), Err(SimError::UnknownSymbol(_))));
+        d.load(&CountZeroes.image()).unwrap();
+        d.read_symbol("zero_count", &mut out).unwrap();
+        assert_eq!(u32::from_le_bytes(out), 0);
+        assert_eq!(d.loaded_image(), Some(&CountZeroes.image()));
     }
 
     struct Faulty;
@@ -778,7 +801,7 @@ mod tests {
     #[test]
     fn fault_surfaces_and_sets_state() {
         let mut d = dpu();
-        d.load(Faulty.image()).unwrap();
+        d.load(&Faulty.image()).unwrap();
         let err = d.launch(&Faulty, 4).unwrap_err();
         assert!(matches!(err, SimError::Fault(_)));
         assert!(matches!(d.state(), DpuState::Fault(_)));
@@ -802,7 +825,7 @@ mod tests {
     #[test]
     fn out_of_bounds_mram_access_faults() {
         let mut d = dpu();
-        d.load(OobRead.image()).unwrap();
+        d.load(&OobRead.image()).unwrap();
         assert!(matches!(d.launch(&OobRead, 1), Err(SimError::Fault(_))));
     }
 
@@ -819,11 +842,11 @@ mod tests {
     #[test]
     fn wram_exhaustion_faults_second_tasklet() {
         let mut d = dpu();
-        d.load(WramHog.image()).unwrap();
+        d.load(&WramHog.image()).unwrap();
         // 2 tasklets x 40 KiB > 64 KiB
         assert!(matches!(d.launch(&WramHog, 2), Err(SimError::Fault(_))));
         // 1 tasklet fits.
-        d.load(WramHog.image()).unwrap();
+        d.load(&WramHog.image()).unwrap();
         assert!(d.launch(&WramHog, 1).is_ok());
     }
 
@@ -846,7 +869,7 @@ mod tests {
         // (pipeline underfilled); with >= 11, cycles = total instructions.
         for (tasklets, expect) in [(1usize, 1100u64), (4, 1100), (11, 1100), (16, 1600)] {
             let mut d = dpu();
-            d.load(TenInstr.image()).unwrap();
+            d.load(&TenInstr.image()).unwrap();
             let r = d.launch(&TenInstr, tasklets).unwrap();
             assert_eq!(r.cycles, expect, "tasklets={tasklets}");
         }
@@ -856,13 +879,13 @@ mod tests {
     fn iram_overflow_rejected() {
         let mut d = dpu();
         let img = KernelImage::new("big", 25 << 10);
-        assert!(matches!(d.load(img), Err(SimError::IramOverflow { .. })));
+        assert!(matches!(d.load(&img), Err(SimError::IramOverflow { .. })));
     }
 
     #[test]
     fn symbol_size_mismatch_rejected() {
         let mut d = dpu();
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         assert!(matches!(
             d.write_symbol("zero_count", &[0u8; 8]),
             Err(SimError::SymbolSizeMismatch { .. })
@@ -875,7 +898,7 @@ mod tests {
     #[test]
     fn reset_content_clears_mram_and_symbols() {
         let mut d = dpu();
-        d.load(CountZeroes.image()).unwrap();
+        d.load(&CountZeroes.image()).unwrap();
         d.mram_mut().write(0, &[9; 32]).unwrap();
         d.write_symbol("partition_size", &7u32.to_le_bytes()).unwrap();
         d.reset_content();
@@ -964,7 +987,7 @@ mod tests {
             let image: Vec<u8> = (0..high_water).map(|i| (i * 7 + 3) as u8).collect();
             d.mram_mut().write(0, &image).unwrap();
             let probe = Probe { op, in_place, addr, len, seen: Mutex::new(Vec::new()) };
-            d.load(probe.image()).unwrap();
+            d.load(&probe.image()).unwrap();
             let outcome =
                 d.launch(&probe, 1).map(|r| (r.cycles, r.instructions)).map_err(|e| e.to_string());
             let bank = d.mram().view(0, d.mram().resident_bytes()).unwrap().into_owned();

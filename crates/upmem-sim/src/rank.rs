@@ -266,7 +266,7 @@ impl Rank {
             self.check_dpu(d)?;
         }
         for &d in &ids {
-            self.dpus[d].lock().load(image.clone())?;
+            self.dpus[d].lock().load(image)?;
         }
         Ok(())
     }

@@ -8,7 +8,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
@@ -42,13 +41,17 @@ fn main() {
     native_app.write_mram(0, 0, b"native tenant data").expect("native write");
 
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
-    sys.sync_ranks(); // the sweep the observer runs: notices the native claim
-    println!("after native app claim:   {}", states(&sys));
 
-    // Two VMs book ranks through the manager.
+    // Two VMs book ranks through the manager. Nobody told it about the
+    // native claim: each request's own sysfs sweep sees it.
     let vm_a = sys.launch(TenantSpec::new("tenant-a")).expect("vm a");
     let vm_b = sys.launch(TenantSpec::new("tenant-b").devices(2)).expect("vm b");
     println!("after tenant VMs booked:  {}", states(&sys));
+    for vm in [&vm_a, &vm_b] {
+        for dev in vm.devices() {
+            assert_ne!(dev.backend().linked_rank(), Some(0), "the native app's rank");
+        }
+    }
 
     // Tenant A leaves secrets in its rank, then releases it.
     let mut set = DpuSet::alloc_vm(vm_a.frontends(), 8, CostModel::default()).expect("alloc");
@@ -58,10 +61,10 @@ fn main() {
     vm_a.release_all().expect("release");
     drop(vm_a);
 
-    // The manager's observer detects the release (no RPC from the VM!),
+    // A manager sweep detects the release in sysfs (no RPC from the VM!),
     // resets the content, and brings the rank back to NAAV.
-    let recycled = sys.manager().wait_for_state(a_rank, RankState::Naav, Duration::from_secs(5));
-    assert!(recycled, "rank was never recycled");
+    sys.sync_ranks();
+    assert_eq!(sys.manager().rank_states()[a_rank], RankState::Naav, "rank was never recycled");
     println!("after tenant A released:  {}", states(&sys));
 
     // The next tenant cannot see tenant A's data.

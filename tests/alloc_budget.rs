@@ -10,6 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use microbench::checksum::Checksum;
 use simkit::CostModel;
 use upmem_driver::UpmemDriver;
 use upmem_sdk::DpuSet;
@@ -68,6 +69,7 @@ fn vm(vcfg: VpimConfig) -> (VpimSystem, VpimVm) {
         functional_dpus: vec![64],
         ..PimConfig::small()
     });
+    Checksum::register(&machine);
     let sys = VpimSystem::start(Arc::new(UpmemDriver::new(machine)), vcfg, StartOpts::default());
     let vm = sys.launch(TenantSpec::new("alloc").mem_mib(64)).unwrap();
     (sys, vm)
@@ -134,6 +136,21 @@ fn a_matrix_allocates_per_matrix_not_per_entry() {
         n_wide <= n_one + 4,
         "64 entries allocated {n_wide} times, 1 entry {n_one} times"
     );
+    drop(vm);
+    sys.shutdown();
+}
+
+/// Reloading the kernel 64 DPUs already hold costs a constant per
+/// request, not per DPU: each DPU zeroes its symbols in place.
+#[test]
+fn reloading_a_held_kernel_allocates_per_request_not_per_dpu() {
+    let (sys, vm) = vm(VpimConfig::full());
+    let mut set = DpuSet::alloc_vm(vm.frontends(), 64, CostModel::default()).unwrap();
+    set.load(Checksum::KERNEL).unwrap();
+    let (n, out) = allocations(|| set.load(Checksum::KERNEL));
+    out.unwrap();
+    assert!(n <= 32, "a warm 64-DPU set.load allocated {n} times");
+    drop(set);
     drop(vm);
     sys.shutdown();
 }

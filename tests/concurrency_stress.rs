@@ -8,13 +8,16 @@
 //!   `vmm.vmexits` match the client-side request count to the unit, and
 //!   every `virtio.queue.depth.rank{i}` gauge returns to zero.
 
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use microbench::checksum::{self, Checksum};
+use simkit::ErrorKind;
 use upmem_driver::UpmemDriver;
-use upmem_sim::{PimConfig, PimMachine};
-use vpim::{StartOpts, TenantSpec, VpimConfig, VpimSystem};
+use upmem_sim::{DpuContext, DpuFault, DpuKernel, KernelImage, PimConfig, PimMachine};
+use vpim::{StartOpts, TenantSpec, VpimConfig, VpimError, VpimSystem};
 
 const ROUNDS: usize = 6;
 const THREADS_PER_DEVICE: usize = 2;
@@ -231,4 +234,73 @@ fn concurrent_threads_share_one_frontend_without_losing_completions() {
         drop(vm);
         sys.shutdown();
     }
+}
+
+/// A DPU program with a host-side bug: it panics at launch.
+struct PanicAtLaunch;
+
+impl DpuKernel for PanicAtLaunch {
+    fn image(&self) -> KernelImage {
+        KernelImage::new("panic_at_launch", 64)
+    }
+
+    fn run(&self, _ctx: &mut DpuContext<'_>) -> Result<(), DpuFault> {
+        panic!("kernel bug: panic at launch")
+    }
+}
+
+/// A backend panic fails its own op, typed, and answers its chain, so
+/// another guest thread on the same frontend keeps completing. One thread
+/// launches the panicking kernel more times than `transferq` holds its
+/// two-descriptor chains; a chain the panic stranded would fill the queue
+/// and leave both threads waiting for room forever, which the watchdog
+/// turns into a failure.
+#[test]
+fn a_backend_panic_fails_its_op_and_the_frontend_keeps_serving() {
+    const LAUNCHES: usize = 300;
+    let driver = host(1);
+    driver.machine().register_kernel(Arc::new(PanicAtLaunch));
+    let vcfg = VpimConfig::builder().batching(false).prefetch(false).build();
+    let sys = VpimSystem::start(driver, vcfg, StartOpts::default());
+    let vm = sys.launch(TenantSpec::new("panicky")).unwrap();
+    let fe = vm.frontend(0).clone();
+    fe.load_program("panic_at_launch", &[0]).unwrap();
+    let (done, finished) = mpsc::channel();
+    let launcher = {
+        let (fe, done) = (fe.clone(), done.clone());
+        thread::spawn(move || {
+            // A panic that reaches the guest thread is caught here and
+            // counted, so the thread goes on launching.
+            let outcomes: Vec<_> = (0..LAUNCHES)
+                .map(|_| catch_unwind(AssertUnwindSafe(|| fe.launch(&[0], 1))))
+                .collect();
+            done.send(()).unwrap();
+            outcomes
+        })
+    };
+    let worker = thread::spawn(move || {
+        for round in 0..LAUNCHES {
+            let data = vec![round as u8; 512];
+            fe.write_rank(&[(5, 0, &data)]).unwrap();
+            assert_eq!(fe.read_rank(&[(5, 0, 512)]).unwrap().0[0], data);
+        }
+        done.send(()).unwrap();
+    });
+    for _ in 0..2 {
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("watchdog: a guest thread hung or died (a chain never came back)");
+    }
+    worker.join().unwrap();
+    for outcome in launcher.join().unwrap() {
+        match outcome.expect("the panic reached the guest thread") {
+            Err(VpimError::Remote { kind: ErrorKind::Internal, message }) => {
+                assert!(message.contains("panic at launch"), "{message}");
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        }
+    }
+    assert_eq!(sys.registry().snapshot().level("virtio.queue.depth.rank0"), 0);
+    drop(vm);
+    sys.shutdown();
 }

@@ -22,12 +22,9 @@ fn host(ranks: usize) -> Arc<UpmemDriver> {
 }
 
 fn wait_for_naav(sys: &VpimSystem, rank: usize) {
-    // Condvar-backed: wakes on the manager's state transition instead of
-    // sleep-polling the table.
-    assert!(
-        sys.manager().wait_for_state(rank, RankState::Naav, Duration::from_secs(10)),
-        "rank {rank} never recycled"
-    );
+    // Nothing sweeps behind the test: one sweep resets the released rank.
+    sys.sync_ranks();
+    assert_eq!(sys.manager().rank_states()[rank], RankState::Naav, "rank {rank} not recycled");
 }
 
 #[test]
@@ -63,7 +60,7 @@ fn released_rank_is_erased_before_reuse_by_other_tenant() {
         rank
     };
     wait_for_naav(&sys, rank);
-    assert!(sys.manager().stats().resets >= 1);
+    assert_eq!(sys.manager().stats().resets, 1);
 
     let vm = sys.launch(TenantSpec::new("second")).unwrap();
     let mut set = DpuSet::alloc_vm(vm.frontends(), 4, CostModel::default()).unwrap();
@@ -93,9 +90,9 @@ fn rank_exhaustion_is_reported_then_recovers() {
     sys.shutdown();
 }
 
-/// A rank released a moment ago goes to the next launch without the
-/// observer: the manager here never waits, so only the request's own
-/// sweep can recycle the rank in time — with one device and with two.
+/// A rank released a moment ago goes to the next launch: the manager
+/// here never waits, so the request's own sweep recycles the rank — with
+/// one device and with two.
 #[test]
 fn a_released_rank_goes_to_the_next_launch_without_the_observer() {
     for devices in [1usize, 2] {
@@ -126,8 +123,8 @@ fn native_applications_coexist_with_vms() {
     let native = driver.open_perf(1, "native:ml-training").unwrap();
     native.write_mram(0, 0, &[42; 16]).unwrap();
 
+    // Nobody tells the manager: each launch's own sweep sees the claim.
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
-    sys.manager().sync_now();
     let vm_a = sys.launch(TenantSpec::new("a")).unwrap();
     let vm_b = sys.launch(TenantSpec::new("b")).unwrap();
     for vm in [&vm_a, &vm_b] {
@@ -165,10 +162,11 @@ fn concurrent_allocation_requests_get_distinct_ranks() {
 
 #[test]
 fn nana_reuse_keeps_content_for_the_same_tenant() {
-    // §3.5's optimization: the previous owner can get its dirty rank back
-    // without a reset. Exercise through the public API; both outcomes
-    // (reuse won the race, or the observer's reset did) are valid — but if the
-    // manager claims reuse, the content must still be there.
+    // §3.5's optimization hands a dirty rank back to its previous owner
+    // without a reset, but only a rank still NANA when the request scans.
+    // The request sweeps first, and every sweep erases the release it
+    // observes, so the same tenant re-booking at once gets a reset rank.
+    // (NANA reuse itself: `table::tests::nana_reuse_skips_reset`.)
     let driver = host(1);
     let sys = VpimSystem::start(driver.clone(), VpimConfig::full(), StartOpts::default());
     {
@@ -177,20 +175,12 @@ fn nana_reuse_keeps_content_for_the_same_tenant() {
         set.copy_to_heap(0, 0, b"mine").unwrap();
         vm.release_all().unwrap();
     }
-    // Same tenant tag re-books immediately.
-    let client = sys.manager().client();
-    let outcome = match client.alloc("tenant/vupmem0") {
-        Ok(o) => o,
-        Err(_) => {
-            sys.shutdown();
-            return; // exhausted mid-reset; nothing to assert
-        }
-    };
-    if outcome.reused {
-        let rank = driver.machine().rank(outcome.rank).unwrap();
-        let mut buf = [0u8; 4];
-        rank.read_mram(0, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"mine", "reuse must skip the reset");
-    }
+    let outcome = sys.manager().client().alloc("tenant/vupmem0").unwrap();
+    assert!(!outcome.reused);
+    assert_eq!(sys.manager().stats().resets, 1);
+    let rank = driver.machine().rank(outcome.rank).unwrap();
+    let mut buf = [1u8; 4];
+    rank.read_mram(0, 0, &mut buf).unwrap();
+    assert_eq!(buf, [0; 4], "a reset rank reads zeroes");
     sys.shutdown();
 }
